@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: build, unit/integration tests, documentation lint, and a
-# TSan pass over the concurrency suite.  Runs anywhere with the repo's
-# toolchain (cmake + C++20 compiler + gtest/benchmark); no network access.
+# CI entry point: build, unit/integration tests, documentation lint, a
+# TSan pass over the concurrency suite, and an ASan+UBSan pass over every
+# test.  Runs anywhere with the repo's toolchain (cmake + C++20 compiler +
+# gtest/benchmark); no network access.
 #
 #   ci/run.sh          full pipeline
-#   ci/run.sh quick    skip the TSan stage (separate build tree, slow)
+#   ci/run.sh quick    skip the sanitizer stages (separate build trees, slow)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,6 +50,12 @@ if [[ "${1:-}" != "quick" ]]; then
   ./build-tsan/tests/storage_fastpath_test
   ./build-tsan/tests/partition_test
   ./build-tsan/tests/fault_sweep_test
+
+  echo "==> ASan+UBSan: full ctest"
+  cmake -B build-asan -S . -DEXTIDX_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "$JOBS"
+  (cd build-asan &&
+    UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$JOBS")
 fi
 
 echo "CI OK"

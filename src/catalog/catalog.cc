@@ -36,13 +36,6 @@ Result<const PartitionDef*> PartitionScheme::Route(const Value& key) const {
       " does not map to any partition (ORA-14400)");
 }
 
-OdciIndexInfo IndexInfo::ToOdciInfoForPartition(
-    const Schema& table_schema, const std::string& partition) const {
-  OdciIndexInfo info = ToOdciInfo(table_schema);
-  info.index_name = name + "#" + partition;
-  return info;
-}
-
 OdciIndexInfo IndexInfo::ToOdciInfo(const Schema& table_schema) const {
   OdciIndexInfo info;
   info.index_name = name;

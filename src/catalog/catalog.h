@@ -40,7 +40,7 @@ struct TableStats {
 
 enum class PartitionMethod { kNone, kRange, kHash };
 
-// One partition: a named slice of the table backed by its own heap segment.
+// One partition: a named part of the table backed by its own heap segment.
 struct PartitionDef {
   std::string name;
   uint32_t segment_id = 0;
@@ -67,9 +67,9 @@ struct PartitionScheme {
 
 // Domain-index lifecycle states (docs/fault-tolerance.md).  Mirrors
 // Oracle's DBA_INDEXES.STATUS / DBA_IND_PARTITIONS.STATUS for domain
-// indexes: a failing cartridge routine marks the index (or one LOCAL
-// slice) rather than corrupting the table, and `ALTER INDEX ... REBUILD`
-// returns it to VALID.
+// indexes: a failing cartridge routine marks one slice of the index rather
+// than corrupting the table, and `ALTER INDEX ... REBUILD` returns it to
+// VALID.  Declared in severity order (effective_status() relies on it).
 enum class IndexStatus {
   kValid,       // usable by the planner and maintained by DML
   kInProgress,  // build/rebuild running; scans get an ORA-01502-style error
@@ -80,13 +80,17 @@ enum class IndexStatus {
 // "VALID" / "IN_PROGRESS" / "FAILED" / "UNUSABLE".
 const char* IndexStatusName(IndexStatus status);
 
-// One partition's slice of a LOCAL domain index: a dedicated ODCIIndex
-// implementation instance whose storage objects were created with the
-// suffixed index name `<index>#<partition>` (cartridge-authors-guide.md).
-struct LocalIndexPartition {
-  std::string partition_name;
-  uint32_t segment_id = 0;
-  std::shared_ptr<OdciIndex> impl;
+// One storage object of a domain index (DESIGN.md §7): a dedicated
+// ODCIIndex implementation instance plus the heap segment whose rows it
+// indexes.  A global index has one slice, named `<index>`, over segment 0
+// (the whole of an unpartitioned table); a LOCAL index on a partitioned
+// table has one per partition, named `<index>#<partition>`
+// (cartridge-authors-guide.md), over that partition's segment.  `name` is
+// the index_name the slice's ODCI routines see.
+struct IndexSlice {
+  std::string name;
+  uint32_t segment = 0;
+  std::shared_ptr<OdciIndex> impl = nullptr;
   IndexStatus status = IndexStatus::kValid;
 };
 
@@ -99,82 +103,55 @@ struct IndexInfo {
   // Built-in index: non-null access structure.
   std::unique_ptr<BuiltinIndex> builtin;
 
-  // Domain index: indextype name, uninterpreted PARAMETERS string, and the
-  // ODCIIndex implementation instance managing this index.
+  // Domain index: indextype name, uninterpreted PARAMETERS string, the
+  // statistics instance, and the storage slices in partition order.
   std::string indextype;
   std::string parameters;
-  std::shared_ptr<OdciIndex> domain_impl;
   std::shared_ptr<OdciStats> domain_stats;  // may be null
+  std::vector<IndexSlice> slices;
 
-  // LOCAL domain index: one implementation instance per partition, in
-  // partition order; `domain_impl` is null and per-partition storage is
-  // addressed via ImplForSegment().
-  std::vector<LocalIndexPartition> local_parts;
-
-  // Lifecycle state (docs/fault-tolerance.md).  For LOCAL indexes the
-  // per-slice statuses are authoritative and `status` only reflects
-  // whole-index transitions (CREATE/REBUILD without a PARTITION clause);
-  // use effective_status() for display.
+  // Lifecycle state (docs/fault-tolerance.md).  `status` is the
+  // whole-index state (IN_PROGRESS during a REBUILD without a PARTITION
+  // clause); each slice carries its own, and effective_status() is the
+  // one to display.
   IndexStatus status = IndexStatus::kValid;
   std::string last_error;   // most recent failure that changed the status
   uint64_t retries = 0;     // guard retry attempts charged to this index
 
-  bool is_local() const { return !local_parts.empty(); }
-  bool is_domain() const { return domain_impl != nullptr || is_local(); }
+  bool is_domain() const { return !indextype.empty(); }
 
-  // Worst state across the index and (for LOCAL) its slices, in severity
-  // order UNUSABLE > FAILED > IN_PROGRESS > VALID.
+  // Worst state across the index and its slices, in severity order
+  // UNUSABLE > FAILED > IN_PROGRESS > VALID.
   IndexStatus effective_status() const {
     IndexStatus worst = status;
-    auto sev = [](IndexStatus s) {
-      switch (s) {
-        case IndexStatus::kValid: return 0;
-        case IndexStatus::kInProgress: return 1;
-        case IndexStatus::kFailed: return 2;
-        case IndexStatus::kUnusable: return 3;
-      }
-      return 0;
-    };
-    for (const LocalIndexPartition& p : local_parts) {
-      if (sev(p.status) > sev(worst)) worst = p.status;
+    for (const IndexSlice& s : slices) {
+      if (int(s.status) > int(worst)) worst = s.status;
     }
     return worst;
   }
   size_t failed_slices() const {
     size_t n = 0;
-    for (const LocalIndexPartition& p : local_parts) {
-      if (p.status != IndexStatus::kValid) ++n;
+    for (const IndexSlice& s : slices) {
+      if (s.status != IndexStatus::kValid) ++n;
     }
     return n;
   }
 
-  // Any implementation instance (global, or first partition's): valid for
-  // capability probes and trace labels, which are uniform across partitions.
-  OdciIndex* AnyImpl() const {
-    return domain_impl ? domain_impl.get()
-                       : (local_parts.empty() ? nullptr
-                                              : local_parts.front().impl.get());
-  }
-  // The partition slice owning heap segment `segment`, or nullptr.
-  const LocalIndexPartition* PartForSegment(uint32_t segment) const {
-    for (const LocalIndexPartition& p : local_parts) {
-      if (p.segment_id == segment) return &p;
+  // The slice indexing heap segment `segment`, or nullptr.
+  const IndexSlice* SliceForSegment(uint32_t segment) const {
+    for (const IndexSlice& s : slices) {
+      if (s.segment == segment) return &s;
     }
     return nullptr;
   }
-  LocalIndexPartition* PartForSegment(uint32_t segment) {
-    for (LocalIndexPartition& p : local_parts) {
-      if (p.segment_id == segment) return &p;
-    }
-    return nullptr;
+  IndexSlice* SliceForSegment(uint32_t segment) {
+    return const_cast<IndexSlice*>(
+        static_cast<const IndexInfo*>(this)->SliceForSegment(segment));
   }
 
-  // Metadata bundle passed into every ODCI routine for this index.
+  // Metadata bundle passed into every ODCI routine for this index; slice
+  // routines see the slice's name in index_name.
   OdciIndexInfo ToOdciInfo(const Schema& table_schema) const;
-  // Same, but named `<index>#<partition>` so a cartridge derives distinct
-  // storage names per partition slice.
-  OdciIndexInfo ToOdciInfoForPartition(const Schema& table_schema,
-                                       const std::string& partition) const;
 };
 
 // Dictionary record for a table plus the names of its indexes.

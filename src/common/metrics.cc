@@ -4,73 +4,13 @@
 
 namespace exi {
 
-StorageMetrics StorageMetrics::Delta(const StorageMetrics& since) const {
-  StorageMetrics d;
-  d.table_rows_read = table_rows_read - since.table_rows_read;
-  d.table_rows_written = table_rows_written - since.table_rows_written;
-  d.table_rows_deleted = table_rows_deleted - since.table_rows_deleted;
-  d.index_nodes_read = index_nodes_read - since.index_nodes_read;
-  d.index_entries_written = index_entries_written - since.index_entries_written;
-  d.lob_chunks_read = lob_chunks_read - since.lob_chunks_read;
-  d.lob_chunks_written = lob_chunks_written - since.lob_chunks_written;
-  d.lob_bytes_written = lob_bytes_written - since.lob_bytes_written;
-  d.lob_cow_chunks_copied = lob_cow_chunks_copied - since.lob_cow_chunks_copied;
-  d.lob_snapshot_bytes = lob_snapshot_bytes - since.lob_snapshot_bytes;
-  d.file_reads = file_reads - since.file_reads;
-  d.file_writes = file_writes - since.file_writes;
-  d.file_bytes_written = file_bytes_written - since.file_bytes_written;
-  d.temp_rows_written = temp_rows_written - since.temp_rows_written;
-  d.temp_rows_read = temp_rows_read - since.temp_rows_read;
-  d.odci_start_calls = odci_start_calls - since.odci_start_calls;
-  d.odci_fetch_calls = odci_fetch_calls - since.odci_fetch_calls;
-  d.odci_close_calls = odci_close_calls - since.odci_close_calls;
-  d.odci_maintenance_calls =
-      odci_maintenance_calls - since.odci_maintenance_calls;
-  d.odci_batch_maintenance_calls =
-      odci_batch_maintenance_calls - since.odci_batch_maintenance_calls;
-  d.odci_batch_maintenance_rows =
-      odci_batch_maintenance_rows - since.odci_batch_maintenance_rows;
-  d.odci_retries = odci_retries - since.odci_retries;
-  d.odci_call_timeouts = odci_call_timeouts - since.odci_call_timeouts;
-  d.functional_evaluations =
-      functional_evaluations - since.functional_evaluations;
-  d.partitions_pruned = partitions_pruned - since.partitions_pruned;
-  d.partitions_scanned = partitions_scanned - since.partitions_scanned;
-  d.local_index_storages = local_index_storages - since.local_index_storages;
-  return d;
-}
+namespace {
 
-std::string StorageMetrics::ToString() const {
-  std::ostringstream os;
-  os << "rows_read=" << table_rows_read << " rows_written=" << table_rows_written
-     << " rows_deleted=" << table_rows_deleted
-     << " idx_nodes_read=" << index_nodes_read
-     << " idx_entries_written=" << index_entries_written
-     << " lob_bytes_w=" << lob_bytes_written << " file_bytes_w=" << file_bytes_written
-     << " lob_read=" << lob_chunks_read << " lob_written=" << lob_chunks_written
-     << " file_reads=" << file_reads << " file_writes=" << file_writes
-     << " temp_written=" << temp_rows_written << " temp_read=" << temp_rows_read
-     << " odci_start=" << odci_start_calls << " odci_fetch=" << odci_fetch_calls
-     << " odci_close=" << odci_close_calls
-     << " odci_maint=" << odci_maintenance_calls
-     << " odci_batch_maint=" << odci_batch_maintenance_calls
-     << " odci_batch_rows=" << odci_batch_maintenance_rows
-     << " odci_retries=" << odci_retries
-     << " odci_timeouts=" << odci_call_timeouts
-     << " lob_cow_copied=" << lob_cow_chunks_copied
-     << " lob_snap_bytes=" << lob_snapshot_bytes
-     << " func_evals=" << functional_evaluations
-     << " parts_pruned=" << partitions_pruned
-     << " parts_scanned=" << partitions_scanned
-     << " local_idx_storages=" << local_index_storages;
-  return os.str();
-}
-
-std::string StorageMetrics::ToCompactString() const {
+std::string Render(const StorageMetrics& m, bool skip_zero) {
   std::ostringstream os;
   bool first = true;
-  ForEachMetric(*this, [&](const char* name, uint64_t value) {
-    if (value == 0) return;
+  ForEachMetric(m, [&](const char* name, uint64_t value) {
+    if (skip_zero && value == 0) return;
     if (!first) os << ' ';
     first = false;
     os << name << '=' << value;
@@ -78,73 +18,34 @@ std::string StorageMetrics::ToCompactString() const {
   return os.str();
 }
 
+}  // namespace
+
+StorageMetrics StorageMetrics::Delta(const StorageMetrics& since) const {
+  StorageMetrics d;
+#define EXI_METRIC_DELTA(name) d.name = name - since.name;
+  EXI_STORAGE_METRICS(EXI_METRIC_DELTA)
+#undef EXI_METRIC_DELTA
+  return d;
+}
+
+std::string StorageMetrics::ToString() const { return Render(*this, false); }
+
+std::string StorageMetrics::ToCompactString() const {
+  return Render(*this, true);
+}
+
 StorageMetrics AtomicStorageMetrics::Snapshot() const {
   StorageMetrics s;
-  s.table_rows_read = table_rows_read.load(std::memory_order_relaxed);
-  s.table_rows_written = table_rows_written.load(std::memory_order_relaxed);
-  s.table_rows_deleted = table_rows_deleted.load(std::memory_order_relaxed);
-  s.index_nodes_read = index_nodes_read.load(std::memory_order_relaxed);
-  s.index_entries_written =
-      index_entries_written.load(std::memory_order_relaxed);
-  s.lob_chunks_read = lob_chunks_read.load(std::memory_order_relaxed);
-  s.lob_chunks_written = lob_chunks_written.load(std::memory_order_relaxed);
-  s.lob_bytes_written = lob_bytes_written.load(std::memory_order_relaxed);
-  s.lob_cow_chunks_copied =
-      lob_cow_chunks_copied.load(std::memory_order_relaxed);
-  s.lob_snapshot_bytes = lob_snapshot_bytes.load(std::memory_order_relaxed);
-  s.file_reads = file_reads.load(std::memory_order_relaxed);
-  s.file_writes = file_writes.load(std::memory_order_relaxed);
-  s.file_bytes_written = file_bytes_written.load(std::memory_order_relaxed);
-  s.temp_rows_written = temp_rows_written.load(std::memory_order_relaxed);
-  s.temp_rows_read = temp_rows_read.load(std::memory_order_relaxed);
-  s.odci_start_calls = odci_start_calls.load(std::memory_order_relaxed);
-  s.odci_fetch_calls = odci_fetch_calls.load(std::memory_order_relaxed);
-  s.odci_close_calls = odci_close_calls.load(std::memory_order_relaxed);
-  s.odci_maintenance_calls =
-      odci_maintenance_calls.load(std::memory_order_relaxed);
-  s.odci_batch_maintenance_calls =
-      odci_batch_maintenance_calls.load(std::memory_order_relaxed);
-  s.odci_batch_maintenance_rows =
-      odci_batch_maintenance_rows.load(std::memory_order_relaxed);
-  s.odci_retries = odci_retries.load(std::memory_order_relaxed);
-  s.odci_call_timeouts = odci_call_timeouts.load(std::memory_order_relaxed);
-  s.functional_evaluations =
-      functional_evaluations.load(std::memory_order_relaxed);
-  s.partitions_pruned = partitions_pruned.load(std::memory_order_relaxed);
-  s.partitions_scanned = partitions_scanned.load(std::memory_order_relaxed);
-  s.local_index_storages =
-      local_index_storages.load(std::memory_order_relaxed);
+#define EXI_METRIC_LOAD(name) s.name = name.load(std::memory_order_relaxed);
+  EXI_STORAGE_METRICS(EXI_METRIC_LOAD)
+#undef EXI_METRIC_LOAD
   return s;
 }
 
 void AtomicStorageMetrics::Reset() {
-  table_rows_read = 0;
-  table_rows_written = 0;
-  table_rows_deleted = 0;
-  index_nodes_read = 0;
-  index_entries_written = 0;
-  lob_chunks_read = 0;
-  lob_chunks_written = 0;
-  lob_bytes_written = 0;
-  lob_cow_chunks_copied = 0;
-  lob_snapshot_bytes = 0;
-  file_reads = 0;
-  file_writes = 0;
-  file_bytes_written = 0;
-  temp_rows_written = 0;
-  temp_rows_read = 0;
-  odci_start_calls = 0;
-  odci_fetch_calls = 0;
-  odci_close_calls = 0;
-  odci_maintenance_calls = 0;
-  odci_batch_maintenance_calls = 0;
-  odci_batch_maintenance_rows = 0;
-  odci_retries = 0;
-  odci_call_timeouts = 0;
-  functional_evaluations = 0;
-  partitions_pruned = 0;
-  partitions_scanned = 0;
-  local_index_storages = 0;
+#define EXI_METRIC_RESET(name) name = 0;
+  EXI_STORAGE_METRICS(EXI_METRIC_RESET)
+#undef EXI_METRIC_RESET
 }
 
 AtomicStorageMetrics& GlobalMetrics() {

@@ -13,67 +13,65 @@ namespace exi {
 // report these counters alongside wall-clock time so experiments are
 // deterministic across machines.
 //
-// StorageMetrics is a plain value type — the shape benches and tests
-// compute deltas over.  The live process-wide counters are
-// AtomicStorageMetrics (below), since pool workers record storage
-// callbacks concurrently with the consumer thread.
+// The counter list, in declaration order.  Every struct and helper below
+// is generated from it, and the order is the rendering order of
+// V$STORAGE_METRICS and the bench JSON emitters.
+#define EXI_STORAGE_METRICS(X)                                              \
+  /* Heap/IOT table row operations. */                                      \
+  X(table_rows_read)                                                        \
+  X(table_rows_written)                                                     \
+  X(table_rows_deleted)                                                     \
+  /* Built-in index node traversals/updates. */                             \
+  X(index_nodes_read)                                                       \
+  X(index_entries_written)                                                  \
+  /* LOB store chunk operations (in-database large objects). */             \
+  X(lob_chunks_read)                                                        \
+  X(lob_chunks_written)                                                     \
+  X(lob_bytes_written)                                                      \
+  /* Copy-on-write LOB snapshot work: chunks physically duplicated because  \
+     a write landed on a chunk shared with an undo snapshot, and the bytes  \
+     those duplications copied (proportional to the bytes written, not to   \
+     the LOB size). */                                                      \
+  X(lob_cow_chunks_copied)                                                  \
+  X(lob_snapshot_bytes)                                                     \
+  /* External file store operations (outside transaction control). */       \
+  X(file_reads)                                                             \
+  X(file_writes)                                                            \
+  X(file_bytes_written)                                                     \
+  /* Temporary result-table traffic (pre-8i two-step text plan). */         \
+  X(temp_rows_written)                                                      \
+  X(temp_rows_read)                                                         \
+  /* Extensible-indexing framework dispatch counts. */                      \
+  X(odci_start_calls)                                                       \
+  X(odci_fetch_calls)                                                       \
+  X(odci_close_calls)                                                       \
+  X(odci_maintenance_calls)                                                 \
+  /* Batched maintenance dispatches (each also counts one maintenance       \
+     call) and the rows they covered; rows/calls = mean batch width. */     \
+  X(odci_batch_maintenance_calls)                                           \
+  X(odci_batch_maintenance_rows)                                            \
+  /* Retrying ODCI call guard (docs/fault-tolerance.md): attempts re-issued \
+     after a transient (IoError/Busy) failure, and logical calls abandoned  \
+     because the per-call retry deadline expired. */                        \
+  X(odci_retries)                                                           \
+  X(odci_call_timeouts)                                                     \
+  X(functional_evaluations) /* per-row operator function calls */          \
+  /* Partitioned tables (DESIGN.md §7): partitions eliminated by static     \
+     pruning vs. actually opened by partition-aware scans, and the number   \
+     of per-partition LOCAL domain-index slices built via                   \
+     ODCIIndexCreate. */                                                    \
+  X(partitions_pruned)                                                      \
+  X(partitions_scanned)                                                     \
+  X(local_index_storages)
+
+// A plain value type — the shape benches and tests compute deltas over.
 struct StorageMetrics {
-  // Heap/IOT table row operations.
-  uint64_t table_rows_read = 0;
-  uint64_t table_rows_written = 0;
-  uint64_t table_rows_deleted = 0;
-
-  // Built-in index node traversals/updates.
-  uint64_t index_nodes_read = 0;
-  uint64_t index_entries_written = 0;
-
-  // LOB store chunk operations (in-database large objects).
-  uint64_t lob_chunks_read = 0;
-  uint64_t lob_chunks_written = 0;
-  uint64_t lob_bytes_written = 0;
-
-  // Copy-on-write LOB snapshot work: chunks physically duplicated because a
-  // write landed on a chunk shared with an undo snapshot, and the bytes
-  // those duplications copied.  Under the pre-COW scheme snapshot_bytes
-  // equaled the full LOB size on first touch; now it is proportional to the
-  // bytes actually written.
-  uint64_t lob_cow_chunks_copied = 0;
-  uint64_t lob_snapshot_bytes = 0;
-
-  // External file store operations (outside transaction control).
-  uint64_t file_reads = 0;
-  uint64_t file_writes = 0;
-  uint64_t file_bytes_written = 0;
-
-  // Temporary result-table traffic (pre-8i two-step text plan).
-  uint64_t temp_rows_written = 0;
-  uint64_t temp_rows_read = 0;
-
-  // Extensible-indexing framework dispatch counts.
-  uint64_t odci_start_calls = 0;
-  uint64_t odci_fetch_calls = 0;
-  uint64_t odci_close_calls = 0;
-  uint64_t odci_maintenance_calls = 0;
-  // Batched maintenance dispatches (each also counts one maintenance call)
-  // and the rows they covered; rows/calls = mean batch width.
-  uint64_t odci_batch_maintenance_calls = 0;
-  uint64_t odci_batch_maintenance_rows = 0;
-  // Retrying ODCI call guard (docs/fault-tolerance.md): attempts re-issued
-  // after a transient (IoError/Busy) failure, and logical calls abandoned
-  // because the per-call retry deadline expired.
-  uint64_t odci_retries = 0;
-  uint64_t odci_call_timeouts = 0;
-  uint64_t functional_evaluations = 0;  // per-row operator function calls
-
-  // Partitioned tables (DESIGN.md §7): partitions eliminated by static
-  // pruning vs. actually opened by partition-aware scans, and the number of
-  // per-partition LOCAL domain-index storage objects built via
-  // ODCIIndexCreate.
-  uint64_t partitions_pruned = 0;
-  uint64_t partitions_scanned = 0;
-  uint64_t local_index_storages = 0;
+#define EXI_METRIC_FIELD(name) uint64_t name = 0;
+  EXI_STORAGE_METRICS(EXI_METRIC_FIELD)
+#undef EXI_METRIC_FIELD
 
   StorageMetrics Delta(const StorageMetrics& since) const;
+  // "name=value" for every counter, space-separated.
   std::string ToString() const;
   // Like ToString() but omits zero-valued counters; "" when all are zero.
   // Used for per-node annotations in EXPLAIN ANALYZE, where most nodes
@@ -82,37 +80,12 @@ struct StorageMetrics {
 };
 
 // Calls fn(name, value) for every StorageMetrics counter in declaration
-// order.  The single authority on the counter list for code that renders
-// all of them (V$STORAGE_METRICS, bench JSON emitters).
+// order.
 template <typename Fn>
 void ForEachMetric(const StorageMetrics& m, Fn&& fn) {
-  fn("table_rows_read", m.table_rows_read);
-  fn("table_rows_written", m.table_rows_written);
-  fn("table_rows_deleted", m.table_rows_deleted);
-  fn("index_nodes_read", m.index_nodes_read);
-  fn("index_entries_written", m.index_entries_written);
-  fn("lob_chunks_read", m.lob_chunks_read);
-  fn("lob_chunks_written", m.lob_chunks_written);
-  fn("lob_bytes_written", m.lob_bytes_written);
-  fn("lob_cow_chunks_copied", m.lob_cow_chunks_copied);
-  fn("lob_snapshot_bytes", m.lob_snapshot_bytes);
-  fn("file_reads", m.file_reads);
-  fn("file_writes", m.file_writes);
-  fn("file_bytes_written", m.file_bytes_written);
-  fn("temp_rows_written", m.temp_rows_written);
-  fn("temp_rows_read", m.temp_rows_read);
-  fn("odci_start_calls", m.odci_start_calls);
-  fn("odci_fetch_calls", m.odci_fetch_calls);
-  fn("odci_close_calls", m.odci_close_calls);
-  fn("odci_maintenance_calls", m.odci_maintenance_calls);
-  fn("odci_batch_maintenance_calls", m.odci_batch_maintenance_calls);
-  fn("odci_batch_maintenance_rows", m.odci_batch_maintenance_rows);
-  fn("odci_retries", m.odci_retries);
-  fn("odci_call_timeouts", m.odci_call_timeouts);
-  fn("functional_evaluations", m.functional_evaluations);
-  fn("partitions_pruned", m.partitions_pruned);
-  fn("partitions_scanned", m.partitions_scanned);
-  fn("local_index_storages", m.local_index_storages);
+#define EXI_METRIC_VISIT(name) fn(#name, m.name);
+  EXI_STORAGE_METRICS(EXI_METRIC_VISIT)
+#undef EXI_METRIC_VISIT
 }
 
 // The live counters: same fields as StorageMetrics, atomically updatable.
@@ -121,33 +94,9 @@ void ForEachMetric(const StorageMetrics& m, Fn&& fn) {
 // accounting (individual loads are atomic; cross-counter skew is acceptable
 // for benchmarking, exactly like Oracle's v$ views).
 struct AtomicStorageMetrics {
-  std::atomic<uint64_t> table_rows_read{0};
-  std::atomic<uint64_t> table_rows_written{0};
-  std::atomic<uint64_t> table_rows_deleted{0};
-  std::atomic<uint64_t> index_nodes_read{0};
-  std::atomic<uint64_t> index_entries_written{0};
-  std::atomic<uint64_t> lob_chunks_read{0};
-  std::atomic<uint64_t> lob_chunks_written{0};
-  std::atomic<uint64_t> lob_bytes_written{0};
-  std::atomic<uint64_t> lob_cow_chunks_copied{0};
-  std::atomic<uint64_t> lob_snapshot_bytes{0};
-  std::atomic<uint64_t> file_reads{0};
-  std::atomic<uint64_t> file_writes{0};
-  std::atomic<uint64_t> file_bytes_written{0};
-  std::atomic<uint64_t> temp_rows_written{0};
-  std::atomic<uint64_t> temp_rows_read{0};
-  std::atomic<uint64_t> odci_start_calls{0};
-  std::atomic<uint64_t> odci_fetch_calls{0};
-  std::atomic<uint64_t> odci_close_calls{0};
-  std::atomic<uint64_t> odci_maintenance_calls{0};
-  std::atomic<uint64_t> odci_batch_maintenance_calls{0};
-  std::atomic<uint64_t> odci_batch_maintenance_rows{0};
-  std::atomic<uint64_t> odci_retries{0};
-  std::atomic<uint64_t> odci_call_timeouts{0};
-  std::atomic<uint64_t> functional_evaluations{0};
-  std::atomic<uint64_t> partitions_pruned{0};
-  std::atomic<uint64_t> partitions_scanned{0};
-  std::atomic<uint64_t> local_index_storages{0};
+#define EXI_METRIC_ATOMIC(name) std::atomic<uint64_t> name{0};
+  EXI_STORAGE_METRICS(EXI_METRIC_ATOMIC)
+#undef EXI_METRIC_ATOMIC
 
   StorageMetrics Snapshot() const;
   void Reset();

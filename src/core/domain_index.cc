@@ -72,14 +72,10 @@ Status DomainIndexManager::GuardedOdciCall(IndexInfo* index, const char* site,
 }
 
 Status DomainIndexManager::MaintenanceFailed(IndexInfo* index,
-                                             LocalIndexPartition* slice,
+                                             IndexSlice* slice,
                                              const Status& error) {
   if (maintenance_policy_ == IndexMaintenancePolicy::kStrict) return error;
-  if (slice != nullptr) {
-    slice->status = IndexStatus::kFailed;
-  } else {
-    index->status = IndexStatus::kFailed;
-  }
+  slice->status = IndexStatus::kFailed;
   index->last_error = error.ToString();
   return Status::OK();
 }
@@ -93,10 +89,25 @@ Result<IndexInfo*> DomainIndexManager::GetDomainIndex(
   return index;
 }
 
-OdciIndexInfo DomainIndexManager::InfoFor(IndexInfo* index) {
+OdciIndexInfo DomainIndexManager::InfoFor(const IndexInfo* index) {
   Result<HeapTable*> table = catalog_->GetTable(index->table);
   static const Schema kEmpty;
   return index->ToOdciInfo(table.ok() ? (*table)->schema() : kEmpty);
+}
+
+Status DomainIndexManager::CallOnSlices(IndexInfo* index, OdciIndexInfo info,
+                                        std::optional<uint32_t> segment,
+                                        const char* site, const char* routine,
+                                        SliceRoutine call, Transaction* txn) {
+  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
+  for (IndexSlice& slice : index->slices) {
+    if (segment.has_value() && slice.segment != *segment) continue;
+    info.index_name = slice.name;
+    EXI_RETURN_IF_ERROR(
+        GuardedOdciCall(index, site, routine, slice.impl->TraceLabel(),
+                        [&] { return call(*slice.impl, info, ctx); }));
+  }
+  return Status::OK();
 }
 
 Status DomainIndexManager::CreateIndex(const std::string& index_name,
@@ -108,14 +119,15 @@ Status DomainIndexManager::CreateIndex(const std::string& index_name,
   if (catalog_->IndexExists(index_name)) {
     return Status::AlreadyExists("index exists: " + index_name);
   }
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  int col = table->schema().FindColumn(column_name);
+  EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_->GetTableInfo(table_name));
+  const Schema& schema = tinfo->heap->schema();
+  int col = schema.FindColumn(column_name);
   if (col < 0) {
     return Status::NotFound("no column " + column_name + " in " + table_name);
   }
   EXI_ASSIGN_OR_RETURN(const IndexTypeDef* indextype,
                        catalog_->GetIndexType(indextype_name));
-  const DataType& column_type = table->schema().column(col).type;
+  const DataType& column_type = schema.column(col).type;
   bool supported = false;
   for (const SupportedOperator& so : indextype->operators) {
     if (indextype->Supports(so.operator_name, column_type)) {
@@ -128,10 +140,6 @@ Status DomainIndexManager::CreateIndex(const std::string& index_name,
         "indextype " + indextype_name + " supports no operator over column " +
         column_name + " of type " + column_type.ToString());
   }
-
-  EXI_ASSIGN_OR_RETURN(
-      OdciIndexFactory factory,
-      catalog_->implementations().GetIndexFactory(indextype->implementation));
   EXI_ASSIGN_OR_RETURN(
       OdciStatsFactory stats_factory,
       catalog_->implementations().GetStatsFactory(indextype->implementation));
@@ -139,70 +147,45 @@ Status DomainIndexManager::CreateIndex(const std::string& index_name,
   auto info = std::make_unique<IndexInfo>();
   info->name = index_name;
   info->table = table_name;
-  info->columns = {table->schema().column(col).name};
+  info->columns = {schema.column(col).name};
   info->indextype = indextype->name;
   info->parameters = parameters;
   if (stats_factory) info->domain_stats = stats_factory();
 
-  // A partitioned base table gets a LOCAL index: one storage object per
-  // partition, built with the base-table scan restricted to the
-  // partition's segment.
-  EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_->GetTableInfo(table_name));
-  if (tinfo->partitioning.partitioned()) {
-    for (const PartitionDef& part : tinfo->partitioning.partitions) {
-      Status built = BuildLocalSlice(info.get(), table->schema(), part, txn);
-      if (!built.ok()) {
-        // Unwind slices created so far; the index never existed.
-        GuardedServerContext cleanup(catalog_, txn, CallbackMode::kDefinition);
-        for (const LocalIndexPartition& done : info->local_parts) {
-          (void)done.impl->Drop(
-              info->ToOdciInfoForPartition(table->schema(),
-                                           done.partition_name),
-              cleanup);
-        }
-        return built;
-      }
-    }
-    return catalog_->AddIndex(std::move(info));
+  // The table's partition scheme decides the slice layout: one slice per
+  // partition (LOCAL), or one whole-table slice over segment 0.  Only the
+  // latter may use the split parallel build.
+  const PartitionScheme& scheme = tinfo->partitioning;
+  std::vector<IndexSlice> layout;
+  if (!scheme.partitioned()) {
+    layout.push_back(IndexSlice{.name = index_name, .segment = 0});
   }
-
-  info->domain_impl = factory();
-  OdciIndexInfo odci_info = info->ToOdciInfo(table->schema());
-  if (parallelism_ > 1 && info->domain_impl->Capabilities().parallel_build) {
-    Status parallel =
-        ParallelBuild(info.get(), odci_info, table->schema(), txn);
-    if (parallel.ok()) return catalog_->AddIndex(std::move(info));
-    if (parallel.code() != StatusCode::kNotSupported) {
-      // Discard whatever storage the aborted build created; the index never
-      // existed, so nothing else will ever drop it.
+  for (const PartitionDef& part : scheme.partitions) {
+    layout.push_back(IndexSlice{.name = index_name + "#" + part.name,
+                                .segment = part.segment_id});
+  }
+  const bool parallel = parallelism_ > 1 && !scheme.partitioned();
+  for (IndexSlice& slice : layout) {
+    Status built =
+        BuildSlice(info.get(), schema, std::move(slice), parallel, txn);
+    if (!built.ok()) {
+      // Unwind slices created so far; the index never existed.
       GuardedServerContext cleanup(catalog_, txn, CallbackMode::kDefinition);
-      (void)info->domain_impl->Drop(odci_info, cleanup);
-      return parallel;
+      OdciIndexInfo odci = info->ToOdciInfo(schema);
+      for (const IndexSlice& done : info->slices) {
+        odci.index_name = done.name;
+        (void)done.impl->Drop(odci, cleanup);
+      }
+      return built;
     }
-    // The cartridge opted out mid-build (an unbufferable operation or no
-    // split build protocol): discard partial storage, rebuild serially.
-    GuardedServerContext cleanup(catalog_, txn, CallbackMode::kDefinition);
-    (void)info->domain_impl->Drop(odci_info, cleanup);
-  }
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  Status created = GuardedOdciCall(
-      info.get(), "odci/create", "ODCIIndexCreate",
-      info->domain_impl->TraceLabel(),
-      [&] { return info->domain_impl->Create(odci_info, ctx); });
-  if (!created.ok()) {
-    // ODCIIndexCreate may fail after creating storage (e.g. mid base-table
-    // scan); best-effort drop so the failed CREATE INDEX leaves no orphan.
-    (void)info->domain_impl->Drop(odci_info, ctx);
-    return created;
   }
   return catalog_->AddIndex(std::move(info));
 }
 
-Status DomainIndexManager::ParallelBuild(IndexInfo* info,
+Status DomainIndexManager::ParallelBuild(IndexInfo* info, OdciIndex* impl,
                                          const OdciIndexInfo& odci_info,
                                          const Schema& schema,
                                          Transaction* txn) {
-  OdciIndex* impl = info->domain_impl.get();
   GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
   EXI_RETURN_IF_ERROR(GuardedOdciCall(
       info, "odci/create_storage", "ODCIIndexCreateStorage",
@@ -287,27 +270,35 @@ Result<std::shared_ptr<OdciIndex>> DomainIndexManager::NewImplFor(
   return factory();
 }
 
-Status DomainIndexManager::BuildLocalSlice(IndexInfo* index,
-                                           const Schema& schema,
-                                           const PartitionDef& part,
-                                           Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(std::shared_ptr<OdciIndex> impl, NewImplFor(index));
-  OdciIndexInfo part_info = index->ToOdciInfoForPartition(schema, part.name);
+Status DomainIndexManager::BuildSlice(IndexInfo* index, const Schema& schema,
+                                      IndexSlice slice, bool parallel,
+                                      Transaction* txn) {
+  EXI_ASSIGN_OR_RETURN(slice.impl, NewImplFor(index));
+  OdciIndex* impl = slice.impl.get();
+  OdciIndexInfo info = index->ToOdciInfo(schema);
+  info.index_name = slice.name;
   GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  ctx.RestrictBaseScanToSegment(part.segment_id);
-  Status created =
-      GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
-                      impl->TraceLabel(),
-                      [&] { return impl->Create(part_info, ctx); });
-  if (!created.ok()) {
-    // The slice build may have created storage before failing; drop it so
-    // the caller's unwind (which only sees completed slices) stays complete.
-    (void)impl->Drop(part_info, ctx);
-    return created;
+  ctx.RestrictBaseScanToSegment(slice.segment);
+  Status built = Status::NotSupported("serial build");
+  if (parallel && impl->Capabilities().parallel_build) {
+    built = ParallelBuild(index, impl, info, schema, txn);
+    // A failed split build leaves partial storage.  NotSupported means the
+    // cartridge opted out mid-build (an unbufferable operation or no split
+    // build protocol): discard it and rebuild serially.
+    if (!built.ok()) (void)impl->Drop(info, ctx);
   }
-  GlobalMetrics().local_index_storages++;
-  index->local_parts.push_back(
-      LocalIndexPartition{part.name, part.segment_id, std::move(impl)});
+  if (built.code() == StatusCode::kNotSupported) {
+    built = GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
+                            impl->TraceLabel(),
+                            [&] { return impl->Create(info, ctx); });
+    // ODCIIndexCreate may fail after creating storage (e.g. mid base-table
+    // scan); best-effort drop so the failed build leaves no orphan.
+    if (!built.ok()) (void)impl->Drop(info, ctx);
+  }
+  EXI_RETURN_IF_ERROR(built);
+  // Segment 0 is the whole-table slice; any other is a partition's.
+  if (slice.segment != 0) GlobalMetrics().local_index_storages++;
+  index->slices.push_back(std::move(slice));
   return Status::OK();
 }
 
@@ -318,20 +309,20 @@ Status DomainIndexManager::AddPartitionIndexes(const std::string& table_name,
   std::vector<IndexInfo*> done;
   for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
     if (!index->is_domain()) continue;
-    Status built = BuildLocalSlice(index, table->schema(), part, txn);
+    Status built = BuildSlice(
+        index, table->schema(),
+        IndexSlice{.name = index->name + "#" + part.name,
+                   .segment = part.segment_id},
+        /*parallel=*/false, txn);
     if (!built.ok()) {
-      // Unwind this call's slices so the failed ADD PARTITION leaves every
-      // index exactly as it was.
+      // Unwind this call's slices (each appended last) so the failed ADD
+      // PARTITION leaves every index exactly as it was.
       GuardedServerContext cleanup(catalog_, txn, CallbackMode::kDefinition);
       for (IndexInfo* undo : done) {
-        const LocalIndexPartition* slice = undo->PartForSegment(part.segment_id);
-        if (slice == nullptr) continue;
-        (void)slice->impl->Drop(
-            undo->ToOdciInfoForPartition(table->schema(), slice->partition_name),
-            cleanup);
-        undo->local_parts.erase(
-            undo->local_parts.begin() +
-            (slice - undo->local_parts.data()));
+        OdciIndexInfo info = InfoFor(undo);
+        info.index_name = undo->slices.back().name;
+        (void)undo->slices.back().impl->Drop(info, cleanup);
+        undo->slices.pop_back();
       }
       return built;
     }
@@ -343,19 +334,17 @@ Status DomainIndexManager::AddPartitionIndexes(const std::string& table_name,
 Status DomainIndexManager::DropPartitionIndexes(const std::string& table_name,
                                                 const PartitionDef& part,
                                                 Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
   for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
     if (!index->is_domain()) continue;
-    const LocalIndexPartition* slice = index->PartForSegment(part.segment_id);
-    if (slice == nullptr) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-    OdciIndexInfo slice_info = index->ToOdciInfoForPartition(
-        table->schema(), slice->partition_name);
-    EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, "odci/drop", "ODCIIndexDrop", slice->impl->TraceLabel(),
-        [&] { return slice->impl->Drop(slice_info, ctx); }));
-    index->local_parts.erase(index->local_parts.begin() +
-                             (slice - index->local_parts.data()));
+    EXI_RETURN_IF_ERROR(CallOnSlices(
+        index, InfoFor(index), part.segment_id, "odci/drop", "ODCIIndexDrop",
+        [](OdciIndex& impl, const OdciIndexInfo& info, ServerContext& ctx) {
+          return impl.Drop(info, ctx);
+        },
+        txn));
+    std::erase_if(index->slices, [&](const IndexSlice& s) {
+      return s.segment == part.segment_id;
+    });
   }
   return Status::OK();
 }
@@ -363,27 +352,24 @@ Status DomainIndexManager::DropPartitionIndexes(const std::string& table_name,
 Status DomainIndexManager::TruncatePartitionIndexes(
     const std::string& table_name, const PartitionDef& part,
     Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
   for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
     if (!index->is_domain()) continue;
-    const LocalIndexPartition* slice = index->PartForSegment(part.segment_id);
-    if (slice == nullptr) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-    OdciIndexInfo slice_info = index->ToOdciInfoForPartition(
-        table->schema(), slice->partition_name);
-    EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, "odci/truncate", "ODCIIndexTruncate",
-        slice->impl->TraceLabel(),
-        [&] { return slice->impl->Truncate(slice_info, ctx); }));
+    EXI_RETURN_IF_ERROR(CallOnSlices(
+        index, InfoFor(index), part.segment_id, "odci/truncate",
+        "ODCIIndexTruncate",
+        [](OdciIndex& impl, const OdciIndexInfo& info, ServerContext& ctx) {
+          return impl.Truncate(info, ctx);
+        },
+        txn));
   }
   return Status::OK();
 }
 
 bool DomainIndexManager::ScanIsParallelSafe(const std::string& index_name) {
   Result<IndexInfo*> index = GetDomainIndex(index_name);
-  if (!index.ok()) return false;
-  OdciIndex* impl = (*index)->AnyImpl();
-  return impl != nullptr && impl->Capabilities().parallel_scan;
+  // Capabilities are uniform across an index's slices.
+  return index.ok() && !(*index)->slices.empty() &&
+         (*index)->slices.front().impl->Capabilities().parallel_scan;
 }
 
 Status DomainIndexManager::AlterIndex(const std::string& index_name,
@@ -393,409 +379,169 @@ Status DomainIndexManager::AlterIndex(const std::string& index_name,
   OdciIndexInfo info = InfoFor(index);
   // ALTER parameters extend the CREATE parameters; the cartridge sees the
   // accumulated string and decides replace-vs-merge semantics per key.
-  std::string merged = index->parameters.empty()
-                           ? parameters
-                           : index->parameters + " " + parameters;
-  info.parameters = merged;
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  if (index->is_local()) {
-    // Apply to every partition slice; the first failure aborts (the
-    // parameter string was not committed, so retrying is safe).
-    for (const LocalIndexPartition& part : index->local_parts) {
-      OdciIndexInfo part_info = info;
-      part_info.index_name = index->name + "#" + part.partition_name;
-      EXI_RETURN_IF_ERROR(GuardedOdciCall(
-          index, "odci/alter", "ODCIIndexAlter", part.impl->TraceLabel(),
-          [&] { return part.impl->Alter(part_info, ctx); }));
-    }
-    index->parameters = merged;
-    return Status::OK();
-  }
-  EXI_RETURN_IF_ERROR(GuardedOdciCall(
-      index, "odci/alter", "ODCIIndexAlter",
-      index->domain_impl->TraceLabel(),
-      [&] { return index->domain_impl->Alter(info, ctx); }));
-  index->parameters = merged;
+  // The first failing slice aborts before the string is committed, so
+  // retrying is safe.
+  info.parameters = index->parameters.empty()
+                        ? parameters
+                        : index->parameters + " " + parameters;
+  EXI_RETURN_IF_ERROR(CallOnSlices(
+      index, info, std::nullopt, "odci/alter", "ODCIIndexAlter",
+      [](OdciIndex& impl, const OdciIndexInfo& slice_info, ServerContext& ctx) {
+        return impl.Alter(slice_info, ctx);
+      },
+      txn));
+  index->parameters = info.parameters;
   return Status::OK();
 }
 
 Status DomainIndexManager::DropIndex(const std::string& index_name,
                                      Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(IndexInfo * index, GetDomainIndex(index_name));
-  OdciIndexInfo info = InfoFor(index);
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  if (index->is_local()) {
-    for (const LocalIndexPartition& part : index->local_parts) {
-      OdciIndexInfo part_info = info;
-      part_info.index_name = index->name + "#" + part.partition_name;
-      EXI_RETURN_IF_ERROR(GuardedOdciCall(
-          index, "odci/drop", "ODCIIndexDrop", part.impl->TraceLabel(),
-          [&] { return part.impl->Drop(part_info, ctx); }));
-    }
-    return catalog_->RemoveIndex(index_name);
-  }
-  EXI_RETURN_IF_ERROR(GuardedOdciCall(
-      index, "odci/drop", "ODCIIndexDrop",
-      index->domain_impl->TraceLabel(),
-      [&] { return index->domain_impl->Drop(info, ctx); }));
+  EXI_RETURN_IF_ERROR(CallOnSlices(
+      index, InfoFor(index), std::nullopt, "odci/drop", "ODCIIndexDrop",
+      [](OdciIndex& impl, const OdciIndexInfo& info, ServerContext& ctx) {
+        return impl.Drop(info, ctx);
+      },
+      txn));
   return catalog_->RemoveIndex(index_name);
 }
 
 Status DomainIndexManager::TruncateIndex(const std::string& index_name,
                                          Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(IndexInfo * index, GetDomainIndex(index_name));
-  OdciIndexInfo info = InfoFor(index);
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  if (index->is_local()) {
-    for (const LocalIndexPartition& part : index->local_parts) {
-      OdciIndexInfo part_info = info;
-      part_info.index_name = index->name + "#" + part.partition_name;
-      EXI_RETURN_IF_ERROR(GuardedOdciCall(
-          index, "odci/truncate", "ODCIIndexTruncate",
-          part.impl->TraceLabel(),
-          [&] { return part.impl->Truncate(part_info, ctx); }));
-    }
-    return Status::OK();
-  }
-  return GuardedOdciCall(index, "odci/truncate", "ODCIIndexTruncate",
-                         index->domain_impl->TraceLabel(),
-                         [&] { return index->domain_impl->Truncate(info, ctx); });
+  return CallOnSlices(
+      index, InfoFor(index), std::nullopt, "odci/truncate",
+      "ODCIIndexTruncate",
+      [](OdciIndex& impl, const OdciIndexInfo& info, ServerContext& ctx) {
+        return impl.Truncate(info, ctx);
+      },
+      txn);
 }
+
+// ---- implicit maintenance ----
 
 namespace {
 
-// Extracts the indexed column's value from a base-table row.
-Result<Value> IndexedValue(const IndexInfo* index, const Schema& schema,
-                           const Row& row) {
-  int col = schema.FindColumn(index->columns[0]);
-  if (col < 0) {
-    return Status::Internal("indexed column vanished: " + index->columns[0]);
-  }
-  return row[col];
-}
-
-// One maintenance dispatch target: the storage implementation plus the
-// OdciIndexInfo naming it — the index itself for a global index, or the
-// partition slice owning the row's heap segment for a LOCAL index (in
-// which case `slice` points at that partition, for status bookkeeping).
-struct MaintenanceTarget {
-  OdciIndex* impl = nullptr;
-  OdciIndexInfo info;
-  LocalIndexPartition* slice = nullptr;
-
-  // SKIP_UNUSABLE semantics: maintenance bypasses a non-VALID index/slice;
-  // REBUILD re-derives its contents from the base table later.
-  IndexStatus status(const IndexInfo* index) const {
-    return slice != nullptr ? slice->status : index->status;
-  }
-};
-
-Result<MaintenanceTarget> TargetForRow(IndexInfo* index, const Schema& schema,
-                                       RowId rid) {
-  if (!index->is_local()) {
-    return MaintenanceTarget{index->domain_impl.get(),
-                             index->ToOdciInfo(schema), nullptr};
-  }
-  uint32_t segment = HeapTable::SegmentOf(rid);
-  LocalIndexPartition* part = index->PartForSegment(segment);
-  if (part == nullptr) {
-    return Status::Internal("rowid " + std::to_string(rid) +
-                            " maps to no partition slice of local index " +
-                            index->name);
-  }
-  return MaintenanceTarget{
-      part->impl.get(),
-      index->ToOdciInfoForPartition(schema, part->partition_name), part};
-}
+// Fail-point site and traced routine name per maintenance kind, indexed by
+// DomainIndexManager::Maintenance: per-row routines, then batch routines.
+constexpr const char* kRowSite[] = {"odci/insert", "odci/delete",
+                                    "odci/update"};
+constexpr const char* kRowRoutine[] = {"ODCIIndexInsert", "ODCIIndexDelete",
+                                       "ODCIIndexUpdate"};
+constexpr const char* kBatchSite[] = {"odci/batch_insert", "odci/batch_delete",
+                                      "odci/batch_update"};
+constexpr const char* kBatchRoutine[] = {
+    "ODCIIndexBatchInsert", "ODCIIndexBatchDelete", "ODCIIndexBatchUpdate"};
 
 }  // namespace
 
-Status DomainIndexManager::OnInsert(const std::string& table_name, RowId rid,
-                                    const Row& row, Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
-    if (!index->is_domain()) continue;
-    EXI_ASSIGN_OR_RETURN(Value v, IndexedValue(index, table->schema(), row));
-    EXI_ASSIGN_OR_RETURN(MaintenanceTarget target,
-                         TargetForRow(index, table->schema(), rid));
-    if (target.status(index) != IndexStatus::kValid) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
+Status DomainIndexManager::Dispatch(Maintenance kind, IndexInfo* index,
+                                    IndexSlice& slice,
+                                    const OdciIndexInfo& info,
+                                    const std::vector<RowId>& rids,
+                                    const ValueList& values,
+                                    const ValueList& new_values,
+                                    GuardedServerContext& ctx) {
+  OdciIndex* impl = slice.impl.get();
+  const size_t k = size_t(kind);
+  if (rids.size() > 1 && impl->Capabilities().batch_maintenance) {
+    // One batched dispatch also counts as one maintenance call, so
+    // V$STORAGE_METRICS ratios stay comparable.
     GlobalMetrics().odci_maintenance_calls++;
+    GlobalMetrics().odci_batch_maintenance_calls++;
+    GlobalMetrics().odci_batch_maintenance_rows += rids.size();
     Status s = GuardedOdciCall(
-        index, "odci/insert", "ODCIIndexInsert", target.impl->TraceLabel(),
-        [&] { return target.impl->Insert(target.info, rid, v, ctx); });
-    if (!s.ok()) {
-      EXI_RETURN_IF_ERROR(MaintenanceFailed(index, target.slice, s));
-    }
-  }
-  return Status::OK();
-}
-
-Status DomainIndexManager::OnDelete(const std::string& table_name, RowId rid,
-                                    const Row& old_row, Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
-    if (!index->is_domain()) continue;
-    EXI_ASSIGN_OR_RETURN(Value v,
-                         IndexedValue(index, table->schema(), old_row));
-    EXI_ASSIGN_OR_RETURN(MaintenanceTarget target,
-                         TargetForRow(index, table->schema(), rid));
-    if (target.status(index) != IndexStatus::kValid) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
-    GlobalMetrics().odci_maintenance_calls++;
-    Status s = GuardedOdciCall(
-        index, "odci/delete", "ODCIIndexDelete", target.impl->TraceLabel(),
-        [&] { return target.impl->Delete(target.info, rid, v, ctx); });
-    if (!s.ok()) {
-      EXI_RETURN_IF_ERROR(MaintenanceFailed(index, target.slice, s));
-    }
-  }
-  return Status::OK();
-}
-
-Status DomainIndexManager::OnUpdate(const std::string& table_name, RowId rid,
-                                    const Row& old_row, const Row& new_row,
-                                    Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
-    if (!index->is_domain()) continue;
-    EXI_ASSIGN_OR_RETURN(Value old_v,
-                         IndexedValue(index, table->schema(), old_row));
-    EXI_ASSIGN_OR_RETURN(Value new_v,
-                         IndexedValue(index, table->schema(), new_row));
-    EXI_ASSIGN_OR_RETURN(MaintenanceTarget target,
-                         TargetForRow(index, table->schema(), rid));
-    if (target.status(index) != IndexStatus::kValid) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
-    GlobalMetrics().odci_maintenance_calls++;
-    Status s = GuardedOdciCall(
-        index, "odci/update", "ODCIIndexUpdate", target.impl->TraceLabel(),
-        [&] {
-          return target.impl->Update(target.info, rid, old_v, new_v, ctx);
+        index, kBatchSite[k], kBatchRoutine[k], impl->TraceLabel(), [&] {
+          switch (kind) {
+            case Maintenance::kInsert:
+              return impl->BatchInsert(info, rids, values, ctx);
+            case Maintenance::kDelete:
+              return impl->BatchDelete(info, rids, values, ctx);
+            case Maintenance::kUpdate:
+              break;
+          }
+          return impl->BatchUpdate(info, rids, values, new_values, ctx);
         });
-    if (!s.ok()) {
-      EXI_RETURN_IF_ERROR(MaintenanceFailed(index, target.slice, s));
+    // NotSupported: opted out at runtime; fall back to the per-row path.
+    if (s.code() != StatusCode::kNotSupported) return s;
+  }
+  for (size_t i = 0; i < rids.size(); ++i) {
+    GlobalMetrics().odci_maintenance_calls++;
+    EXI_RETURN_IF_ERROR(GuardedOdciCall(
+        index, kRowSite[k], kRowRoutine[k], impl->TraceLabel(), [&] {
+          switch (kind) {
+            case Maintenance::kInsert:
+              return impl->Insert(info, rids[i], values[i], ctx);
+            case Maintenance::kDelete:
+              return impl->Delete(info, rids[i], values[i], ctx);
+            case Maintenance::kUpdate:
+              break;
+          }
+          return impl->Update(info, rids[i], values[i], new_values[i], ctx);
+        }));
+  }
+  return Status::OK();
+}
+
+Status DomainIndexManager::Maintain(
+    Maintenance kind, const std::string& table_name,
+    const std::vector<std::pair<RowId, Row>>& rows,
+    const std::vector<Row>* new_rows, Transaction* txn) {
+  if (rows.empty()) return Status::OK();
+  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
+  const Schema& schema = table->schema();
+  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
+    if (!index->is_domain()) continue;
+    int col = schema.FindColumn(index->columns[0]);
+    if (col < 0) {
+      return Status::Internal("indexed column vanished: " + index->columns[0]);
+    }
+    // Row positions per owning slice, statement order within each.
+    std::vector<std::vector<size_t>> groups(index->slices.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      IndexSlice* slice =
+          index->SliceForSegment(HeapTable::SegmentOf(rows[i].first));
+      if (slice == nullptr) {
+        return Status::Internal("rowid " + std::to_string(rows[i].first) +
+                                " maps to no slice of domain index " +
+                                index->name);
+      }
+      groups[size_t(slice - index->slices.data())].push_back(i);
+    }
+    OdciIndexInfo info = index->ToOdciInfo(schema);
+    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      IndexSlice& slice = index->slices[g];
+      // SKIP_UNUSABLE semantics: maintenance bypasses a non-VALID slice;
+      // REBUILD re-derives its contents from the base table later.
+      if (groups[g].empty() || slice.status != IndexStatus::kValid) continue;
+      std::vector<RowId> rids;
+      ValueList values;
+      ValueList new_values;
+      for (size_t i : groups[g]) {
+        rids.push_back(rows[i].first);
+        values.push_back(rows[i].second[col]);
+        if (new_rows != nullptr) new_values.push_back((*new_rows)[i][col]);
+      }
+      info.index_name = slice.name;
+      Status s = Dispatch(kind, index, slice, info, rids, values, new_values,
+                          ctx);
+      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, &slice, s));
     }
   }
   return Status::OK();
 }
-
-namespace {
-
-// Extracts the indexed column's value for every row of a batch, in order.
-Result<ValueList> IndexedValues(
-    const IndexInfo* index, const Schema& schema,
-    const std::vector<std::pair<RowId, Row>>& rows) {
-  ValueList values;
-  values.reserve(rows.size());
-  for (const auto& [rid, row] : rows) {
-    (void)rid;
-    EXI_ASSIGN_OR_RETURN(Value v, IndexedValue(index, schema, row));
-    values.push_back(std::move(v));
-  }
-  return values;
-}
-
-std::vector<RowId> RidsOf(const std::vector<std::pair<RowId, Row>>& rows) {
-  std::vector<RowId> rids;
-  rids.reserve(rows.size());
-  for (const auto& [rid, row] : rows) rids.push_back(rid);
-  return rids;
-}
-
-// Meters one batched maintenance dispatch (which also counts as one
-// maintenance call, so V$STORAGE_METRICS ratios stay comparable).
-void MeterBatchDispatch(size_t rows) {
-  GlobalMetrics().odci_maintenance_calls++;
-  GlobalMetrics().odci_batch_maintenance_calls++;
-  GlobalMetrics().odci_batch_maintenance_rows += rows;
-}
-
-}  // namespace
-
-Status DomainIndexManager::DispatchInsertBatch(
-    IndexInfo* index, OdciIndex* impl, const OdciIndexInfo& info,
-    const Schema& schema, const std::vector<std::pair<RowId, Row>>& rows,
-    GuardedServerContext& ctx) {
-  if (rows.size() > 1 && impl->Capabilities().batch_maintenance) {
-    EXI_ASSIGN_OR_RETURN(ValueList values, IndexedValues(index, schema, rows));
-    MeterBatchDispatch(rows.size());
-    std::vector<RowId> rids = RidsOf(rows);
-    Status s = GuardedOdciCall(
-        index, "odci/batch_insert", "ODCIIndexBatchInsert",
-        impl->TraceLabel(),
-        [&] { return impl->BatchInsert(info, rids, values, ctx); });
-    if (s.ok()) return Status::OK();
-    if (s.code() != StatusCode::kNotSupported) return s;
-    // Opted out at runtime: fall back to the per-row path below.
-  }
-  for (const auto& [rid, row] : rows) {
-    EXI_ASSIGN_OR_RETURN(Value v, IndexedValue(index, schema, row));
-    GlobalMetrics().odci_maintenance_calls++;
-    EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, "odci/insert", "ODCIIndexInsert", impl->TraceLabel(),
-        [&] { return impl->Insert(info, rid, v, ctx); }));
-  }
-  return Status::OK();
-}
-
-Status DomainIndexManager::DispatchDeleteBatch(
-    IndexInfo* index, OdciIndex* impl, const OdciIndexInfo& info,
-    const Schema& schema, const std::vector<std::pair<RowId, Row>>& rows,
-    GuardedServerContext& ctx) {
-  if (rows.size() > 1 && impl->Capabilities().batch_maintenance) {
-    EXI_ASSIGN_OR_RETURN(ValueList values, IndexedValues(index, schema, rows));
-    MeterBatchDispatch(rows.size());
-    std::vector<RowId> rids = RidsOf(rows);
-    Status s = GuardedOdciCall(
-        index, "odci/batch_delete", "ODCIIndexBatchDelete",
-        impl->TraceLabel(),
-        [&] { return impl->BatchDelete(info, rids, values, ctx); });
-    if (s.ok()) return Status::OK();
-    if (s.code() != StatusCode::kNotSupported) return s;
-  }
-  for (const auto& [rid, row] : rows) {
-    EXI_ASSIGN_OR_RETURN(Value v, IndexedValue(index, schema, row));
-    GlobalMetrics().odci_maintenance_calls++;
-    EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, "odci/delete", "ODCIIndexDelete", impl->TraceLabel(),
-        [&] { return impl->Delete(info, rid, v, ctx); }));
-  }
-  return Status::OK();
-}
-
-Status DomainIndexManager::DispatchUpdateBatch(
-    IndexInfo* index, OdciIndex* impl, const OdciIndexInfo& info,
-    const Schema& schema, const std::vector<std::pair<RowId, Row>>& old_rows,
-    const std::vector<Row>& new_rows, GuardedServerContext& ctx) {
-  if (old_rows.size() > 1 && impl->Capabilities().batch_maintenance) {
-    EXI_ASSIGN_OR_RETURN(ValueList old_values,
-                         IndexedValues(index, schema, old_rows));
-    ValueList new_values;
-    new_values.reserve(new_rows.size());
-    for (const Row& row : new_rows) {
-      EXI_ASSIGN_OR_RETURN(Value v, IndexedValue(index, schema, row));
-      new_values.push_back(std::move(v));
-    }
-    MeterBatchDispatch(old_rows.size());
-    std::vector<RowId> rids = RidsOf(old_rows);
-    Status s = GuardedOdciCall(
-        index, "odci/batch_update", "ODCIIndexBatchUpdate",
-        impl->TraceLabel(), [&] {
-          return impl->BatchUpdate(info, rids, old_values, new_values, ctx);
-        });
-    if (s.ok()) return Status::OK();
-    if (s.code() != StatusCode::kNotSupported) return s;
-  }
-  for (size_t i = 0; i < old_rows.size(); ++i) {
-    EXI_ASSIGN_OR_RETURN(Value old_v,
-                         IndexedValue(index, schema, old_rows[i].second));
-    EXI_ASSIGN_OR_RETURN(Value new_v,
-                         IndexedValue(index, schema, new_rows[i]));
-    GlobalMetrics().odci_maintenance_calls++;
-    RowId rid = old_rows[i].first;
-    EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, "odci/update", "ODCIIndexUpdate", impl->TraceLabel(),
-        [&] { return impl->Update(info, rid, old_v, new_v, ctx); }));
-  }
-  return Status::OK();
-}
-
-namespace {
-
-// Splits a batch's row positions by owning heap segment, preserving
-// statement order within each segment (LOCAL index routing).
-std::map<uint32_t, std::vector<size_t>> PositionsBySegment(
-    const std::vector<std::pair<RowId, Row>>& rows) {
-  std::map<uint32_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    groups[HeapTable::SegmentOf(rows[i].first)].push_back(i);
-  }
-  return groups;
-}
-
-}  // namespace
 
 Status DomainIndexManager::OnInsertBatch(
     const std::string& table_name,
     const std::vector<std::pair<RowId, Row>>& rows, Transaction* txn) {
-  if (rows.empty()) return Status::OK();
-  if (rows.size() == 1) {
-    return OnInsert(table_name, rows[0].first, rows[0].second, txn);
-  }
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
-    if (!index->is_domain()) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
-    if (!index->is_local()) {
-      if (index->status != IndexStatus::kValid) continue;
-      Status s = DispatchInsertBatch(
-          index, index->domain_impl.get(),
-          index->ToOdciInfo(table->schema()), table->schema(), rows, ctx);
-      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, nullptr, s));
-      continue;
-    }
-    // LOCAL index: one dispatch per touched partition slice.
-    for (const auto& [segment, positions] : PositionsBySegment(rows)) {
-      LocalIndexPartition* part = index->PartForSegment(segment);
-      if (part == nullptr) {
-        return Status::Internal("batch rows map to no partition slice of " +
-                                index->name);
-      }
-      if (part->status != IndexStatus::kValid) continue;
-      std::vector<std::pair<RowId, Row>> slice;
-      slice.reserve(positions.size());
-      for (size_t i : positions) slice.push_back(rows[i]);
-      Status s = DispatchInsertBatch(
-          index, part->impl.get(),
-          index->ToOdciInfoForPartition(table->schema(),
-                                        part->partition_name),
-          table->schema(), slice, ctx);
-      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, part, s));
-    }
-  }
-  return Status::OK();
+  return Maintain(Maintenance::kInsert, table_name, rows, nullptr, txn);
 }
 
 Status DomainIndexManager::OnDeleteBatch(
     const std::string& table_name,
     const std::vector<std::pair<RowId, Row>>& old_rows, Transaction* txn) {
-  if (old_rows.empty()) return Status::OK();
-  if (old_rows.size() == 1) {
-    return OnDelete(table_name, old_rows[0].first, old_rows[0].second, txn);
-  }
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
-    if (!index->is_domain()) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
-    if (!index->is_local()) {
-      if (index->status != IndexStatus::kValid) continue;
-      Status s = DispatchDeleteBatch(
-          index, index->domain_impl.get(),
-          index->ToOdciInfo(table->schema()), table->schema(), old_rows,
-          ctx);
-      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, nullptr, s));
-      continue;
-    }
-    for (const auto& [segment, positions] : PositionsBySegment(old_rows)) {
-      LocalIndexPartition* part = index->PartForSegment(segment);
-      if (part == nullptr) {
-        return Status::Internal("batch rows map to no partition slice of " +
-                                index->name);
-      }
-      if (part->status != IndexStatus::kValid) continue;
-      std::vector<std::pair<RowId, Row>> slice;
-      slice.reserve(positions.size());
-      for (size_t i : positions) slice.push_back(old_rows[i]);
-      Status s = DispatchDeleteBatch(
-          index, part->impl.get(),
-          index->ToOdciInfoForPartition(table->schema(),
-                                        part->partition_name),
-          table->schema(), slice, ctx);
-      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, part, s));
-    }
-  }
-  return Status::OK();
+  return Maintain(Maintenance::kDelete, table_name, old_rows, nullptr, txn);
 }
 
 Status DomainIndexManager::OnUpdateBatch(
@@ -805,58 +551,19 @@ Status DomainIndexManager::OnUpdateBatch(
   if (old_rows.size() != new_rows.size()) {
     return Status::Internal("OnUpdateBatch: old/new row count mismatch");
   }
-  if (old_rows.empty()) return Status::OK();
-  if (old_rows.size() == 1) {
-    return OnUpdate(table_name, old_rows[0].first, old_rows[0].second,
-                    new_rows[0], txn);
-  }
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
-    if (!index->is_domain()) continue;
-    GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
-    if (!index->is_local()) {
-      if (index->status != IndexStatus::kValid) continue;
-      Status s = DispatchUpdateBatch(
-          index, index->domain_impl.get(),
-          index->ToOdciInfo(table->schema()), table->schema(), old_rows,
-          new_rows, ctx);
-      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, nullptr, s));
-      continue;
-    }
-    for (const auto& [segment, positions] : PositionsBySegment(old_rows)) {
-      LocalIndexPartition* part = index->PartForSegment(segment);
-      if (part == nullptr) {
-        return Status::Internal("batch rows map to no partition slice of " +
-                                index->name);
-      }
-      if (part->status != IndexStatus::kValid) continue;
-      std::vector<std::pair<RowId, Row>> old_slice;
-      std::vector<Row> new_slice;
-      old_slice.reserve(positions.size());
-      new_slice.reserve(positions.size());
-      for (size_t i : positions) {
-        old_slice.push_back(old_rows[i]);
-        new_slice.push_back(new_rows[i]);
-      }
-      Status s = DispatchUpdateBatch(
-          index, part->impl.get(),
-          index->ToOdciInfoForPartition(table->schema(),
-                                        part->partition_name),
-          table->schema(), old_slice, new_slice, ctx);
-      if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, part, s));
-    }
-  }
-  return Status::OK();
+  return Maintain(Maintenance::kUpdate, table_name, old_rows, &new_rows, txn);
 }
+
+// ---- scans ----
 
 Result<std::unique_ptr<DomainIndexManager::Scan>>
 DomainIndexManager::StartScan(const std::string& index_name,
-                              const OdciPredInfo& pred) {
+                              const OdciPredInfo& pred, uint32_t segment) {
   EXI_ASSIGN_OR_RETURN(IndexInfo * index, GetDomainIndex(index_name));
-  if (index->is_local()) {
-    return Status::InvalidArgument(
-        "local domain index " + index_name +
-        " scans partition-by-partition (StartPartitionScan)");
+  IndexSlice* slice = index->SliceForSegment(segment);
+  if (slice == nullptr) {
+    return Status::NotFound("no slice of domain index " + index_name +
+                            " covers heap segment " + std::to_string(segment));
   }
   // A scan racing a status transition (deferred maintenance failure or a
   // concurrent REBUILD) gets a clean ORA-01502-style error rather than
@@ -864,39 +571,12 @@ DomainIndexManager::StartScan(const std::string& index_name,
   if (index->status != IndexStatus::kValid) {
     return IndexUnusableError(index->name, index->status);
   }
-  return StartScanOn(index, index->domain_impl.get(), InfoFor(index), pred);
-}
-
-Result<std::unique_ptr<DomainIndexManager::Scan>>
-DomainIndexManager::StartPartitionScan(const std::string& index_name,
-                                       const std::string& partition_name,
-                                       const OdciPredInfo& pred) {
-  EXI_ASSIGN_OR_RETURN(IndexInfo * index, GetDomainIndex(index_name));
-  if (!index->is_local()) {
-    return Status::InvalidArgument(index_name + " is not a local index");
+  if (slice->status != IndexStatus::kValid) {
+    return IndexUnusableError(slice->name, slice->status);
   }
-  for (const LocalIndexPartition& part : index->local_parts) {
-    if (EqualsIgnoreCase(part.partition_name, partition_name)) {
-      if (index->status != IndexStatus::kValid) {
-        return IndexUnusableError(index->name, index->status);
-      }
-      if (part.status != IndexStatus::kValid) {
-        return IndexUnusableError(index->name + "#" + part.partition_name,
-                                  part.status);
-      }
-      OdciIndexInfo info = InfoFor(index);
-      info.index_name = index->name + "#" + part.partition_name;
-      return StartScanOn(index, part.impl.get(), std::move(info), pred);
-    }
-  }
-  return Status::NotFound("no partition " + partition_name + " in index " +
-                          index_name);
-}
-
-Result<std::unique_ptr<DomainIndexManager::Scan>>
-DomainIndexManager::StartScanOn(IndexInfo* index, OdciIndex* impl,
-                                OdciIndexInfo info,
-                                const OdciPredInfo& pred) {
+  OdciIndex* impl = slice->impl.get();
+  OdciIndexInfo info = InfoFor(index);
+  info.index_name = slice->name;
   auto ctx = std::make_unique<GuardedServerContext>(catalog_, nullptr,
                                                     CallbackMode::kScan);
   GlobalMetrics().odci_start_calls++;
@@ -970,10 +650,6 @@ Status DomainIndexManager::Scan::NextBatch(size_t max_rows,
   return Status::OK();
 }
 
-bool DomainIndexManager::Scan::parallel_safe() const {
-  return impl_->Capabilities().parallel_scan;
-}
-
 Status DomainIndexManager::Scan::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
@@ -986,50 +662,46 @@ Status DomainIndexManager::Scan::Close() {
   return s;
 }
 
+// ---- optimizer hooks ----
+
+Result<double> DomainIndexManager::SumOverSlices(
+    IndexInfo* index, const char* site, const char* routine,
+    FunctionRef<Result<double>(const OdciIndexInfo&, ServerContext&)> call) {
+  GuardedServerContext ctx(catalog_, nullptr, CallbackMode::kScan);
+  OdciIndexInfo info = InfoFor(index);
+  double total = 0.0;
+  for (const IndexSlice& slice : index->slices) {
+    info.index_name = slice.name;
+    ScopedOdciTrace trace(index->indextype, slice.impl->TraceLabel(),
+                          routine);
+    Status fp = FailPointRegistry::Global().Fire(site);
+    if (!fp.ok()) {
+      trace.set_failed();
+      return fp;
+    }
+    Result<double> v = call(info, ctx);
+    if (!v.ok()) {
+      trace.set_failed();
+      return v;
+    }
+    total += *v;
+  }
+  return total;
+}
+
 Result<double> DomainIndexManager::PredicateSelectivity(
     IndexInfo* index, const OdciPredInfo& pred, uint64_t table_rows) {
   if (index->domain_stats == nullptr) return 0.05;  // default guess
-  GuardedServerContext ctx(catalog_, nullptr, CallbackMode::kScan);
-  if (index->is_local()) {
-    // A LOCAL index has no whole-index storage: ask each partition slice
-    // (per-slice matches / whole-table rows) and sum into the whole-index
-    // selectivity the planner caches.
-    Result<HeapTable*> table = catalog_->GetTable(index->table);
-    static const Schema kEmpty;
-    const Schema& schema = table.ok() ? (*table)->schema() : kEmpty;
-    double total = 0.0;
-    for (const LocalIndexPartition& slice : index->local_parts) {
-      OdciIndexInfo info =
-          index->ToOdciInfoForPartition(schema, slice.partition_name);
-      ScopedOdciTrace trace(index->indextype, index->AnyImpl()->TraceLabel(),
-                            "ODCIStatsSelectivity");
-      Status fp = FailPointRegistry::Global().Fire("odci/stats_selectivity");
-      if (!fp.ok()) {
-        trace.set_failed();
-        return fp;
-      }
-      Result<double> sel =
-          index->domain_stats->Selectivity(info, pred, table_rows, ctx);
-      if (!sel.ok()) {
-        trace.set_failed();
-        return sel;
-      }
-      total += *sel;
-    }
-    return total > 1.0 ? 1.0 : total;
-  }
-  OdciIndexInfo info = InfoFor(index);
-  ScopedOdciTrace trace(index->indextype, index->AnyImpl()->TraceLabel(),
-                        "ODCIStatsSelectivity");
-  Status fp = FailPointRegistry::Global().Fire("odci/stats_selectivity");
-  if (!fp.ok()) {
-    trace.set_failed();
-    return fp;
-  }
-  Result<double> sel =
-      index->domain_stats->Selectivity(info, pred, table_rows, ctx);
-  if (!sel.ok()) trace.set_failed();
-  return sel;
+  // Each slice reports its matches over whole-table rows; the sum is the
+  // whole-index selectivity the planner caches.
+  EXI_ASSIGN_OR_RETURN(
+      double total,
+      SumOverSlices(index, "odci/stats_selectivity", "ODCIStatsSelectivity",
+                    [&](const OdciIndexInfo& info, ServerContext& ctx) {
+                      return index->domain_stats->Selectivity(info, pred,
+                                                              table_rows, ctx);
+                    }));
+  return std::min(total, 1.0);
 }
 
 Result<double> DomainIndexManager::ScanCost(IndexInfo* index,
@@ -1040,56 +712,25 @@ Result<double> DomainIndexManager::ScanCost(IndexInfo* index,
     // Default: proportional to expected output plus a fixed start cost.
     return 10.0 + selectivity * double(table_rows);
   }
-  GuardedServerContext ctx(catalog_, nullptr, CallbackMode::kScan);
-  if (index->is_local()) {
-    // Whole-index cost = sum over slices; the planner scales by the
-    // surviving-partition fraction after pruning.
-    Result<HeapTable*> table = catalog_->GetTable(index->table);
-    static const Schema kEmpty;
-    const Schema& schema = table.ok() ? (*table)->schema() : kEmpty;
-    double total = 0.0;
-    for (const LocalIndexPartition& slice : index->local_parts) {
-      OdciIndexInfo info =
-          index->ToOdciInfoForPartition(schema, slice.partition_name);
-      ScopedOdciTrace trace(index->indextype, index->AnyImpl()->TraceLabel(),
-                            "ODCIStatsIndexCost");
-      Status fp = FailPointRegistry::Global().Fire("odci/stats_index_cost");
-      if (!fp.ok()) {
-        trace.set_failed();
-        return fp;
-      }
-      Result<double> cost = index->domain_stats->IndexCost(
-          info, pred, selectivity, table_rows, ctx);
-      if (!cost.ok()) {
-        trace.set_failed();
-        return cost;
-      }
-      total += *cost;
-    }
-    return total;
-  }
-  OdciIndexInfo info = InfoFor(index);
-  ScopedOdciTrace trace(index->indextype, index->AnyImpl()->TraceLabel(),
-                        "ODCIStatsIndexCost");
-  Status fp = FailPointRegistry::Global().Fire("odci/stats_index_cost");
-  if (!fp.ok()) {
-    trace.set_failed();
-    return fp;
-  }
-  Result<double> cost = index->domain_stats->IndexCost(info, pred, selectivity,
-                                                       table_rows, ctx);
-  if (!cost.ok()) trace.set_failed();
-  return cost;
+  // Whole-index cost = sum over slices; the planner scales by the
+  // surviving-partition fraction after pruning.
+  return SumOverSlices(
+      index, "odci/stats_index_cost", "ODCIStatsIndexCost",
+      [&](const OdciIndexInfo& info, ServerContext& ctx) {
+        return index->domain_stats->IndexCost(info, pred, selectivity,
+                                              table_rows, ctx);
+      });
 }
 
+// ---- rebuild ----
+
 Status DomainIndexManager::RebuildSlice(IndexInfo* index, const Schema& schema,
-                                        LocalIndexPartition* slice,
-                                        Transaction* txn) {
+                                        IndexSlice* slice, Transaction* txn) {
   slice->status = IndexStatus::kInProgress;
   GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  ctx.RestrictBaseScanToSegment(slice->segment_id);
-  OdciIndexInfo info =
-      index->ToOdciInfoForPartition(schema, slice->partition_name);
+  ctx.RestrictBaseScanToSegment(slice->segment);
+  OdciIndexInfo info = index->ToOdciInfo(schema);
+  info.index_name = slice->name;
   {
     // Best-effort drop of the stale slice storage: FAILED contents are out
     // of date and UNUSABLE ones may be partial, so ODCIIndexDrop must
@@ -1100,16 +741,13 @@ Status DomainIndexManager::RebuildSlice(IndexInfo* index, const Schema& schema,
     if (!drop.ok()) trace.set_failed();
   }
   Result<std::shared_ptr<OdciIndex>> fresh = NewImplFor(index);
-  if (!fresh.ok()) {
-    slice->status = IndexStatus::kUnusable;
-    index->last_error = fresh.status().ToString();
-    return fresh.status();
+  Status create = fresh.status();
+  if (fresh.ok()) {
+    OdciIndex* impl = fresh->get();
+    create = GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
+                             impl->TraceLabel(),
+                             [&] { return impl->Create(info, ctx); });
   }
-  OdciIndex* impl = fresh->get();
-  Status create =
-      GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
-                      impl->TraceLabel(),
-                      [&] { return impl->Create(info, ctx); });
   if (!create.ok()) {
     slice->status = IndexStatus::kUnusable;
     index->last_error = create.ToString();
@@ -1125,64 +763,31 @@ Status DomainIndexManager::RebuildIndex(const std::string& index_name,
                                         Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(IndexInfo * index, GetDomainIndex(index_name));
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(index->table));
-  const Schema& schema = table->schema();
-
-  if (!partition_name.empty()) {
-    if (!index->is_local()) {
-      return Status::InvalidArgument(
-          "index " + index_name +
-          " is not LOCAL; REBUILD PARTITION applies to local domain indexes");
+  const std::string wanted =
+      partition_name.empty() ? "" : index->name + "#" + partition_name;
+  std::vector<IndexSlice*> targets;
+  for (IndexSlice& slice : index->slices) {
+    if (wanted.empty() || EqualsIgnoreCase(slice.name, wanted)) {
+      targets.push_back(&slice);
     }
-    for (LocalIndexPartition& part : index->local_parts) {
-      if (!EqualsIgnoreCase(part.partition_name, partition_name)) continue;
-      EXI_RETURN_IF_ERROR(RebuildSlice(index, schema, &part, txn));
-      if (index->effective_status() == IndexStatus::kValid) {
-        index->last_error.clear();
-      }
-      return Status::OK();
-    }
+  }
+  if (targets.empty()) {
     return Status::NotFound("no partition " + partition_name + " in index " +
                             index_name);
   }
-
-  if (index->is_local()) {
-    for (LocalIndexPartition& part : index->local_parts) {
-      EXI_RETURN_IF_ERROR(RebuildSlice(index, schema, &part, txn));
-    }
-    index->status = IndexStatus::kValid;
-    index->last_error.clear();
-    return Status::OK();
+  // A whole-index rebuild holds the index IN_PROGRESS; each slice records
+  // its own outcome.
+  if (wanted.empty()) index->status = IndexStatus::kInProgress;
+  Status rebuilt = Status::OK();
+  for (IndexSlice* slice : targets) {
+    rebuilt = RebuildSlice(index, table->schema(), slice, txn);
+    if (!rebuilt.ok()) break;
   }
-
-  index->status = IndexStatus::kInProgress;
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  OdciIndexInfo info = index->ToOdciInfo(schema);
-  {
-    // Best-effort drop (see RebuildSlice).
-    ScopedOdciTrace trace(index->indextype, index->domain_impl->TraceLabel(),
-                          "ODCIIndexDrop");
-    Status drop = index->domain_impl->Drop(info, ctx);
-    if (!drop.ok()) trace.set_failed();
-  }
-  Result<std::shared_ptr<OdciIndex>> fresh = NewImplFor(index);
-  if (!fresh.ok()) {
-    index->status = IndexStatus::kUnusable;
-    index->last_error = fresh.status().ToString();
-    return fresh.status();
-  }
-  OdciIndex* impl = fresh->get();
-  Status create =
-      GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
-                      impl->TraceLabel(),
-                      [&] { return impl->Create(info, ctx); });
-  if (!create.ok()) {
-    index->status = IndexStatus::kUnusable;
-    index->last_error = create.ToString();
-    return create;
-  }
-  index->domain_impl = std::move(fresh).value();
   index->status = IndexStatus::kValid;
-  index->last_error.clear();
+  EXI_RETURN_IF_ERROR(rebuilt);
+  if (index->effective_status() == IndexStatus::kValid) {
+    index->last_error.clear();
+  }
   return Status::OK();
 }
 

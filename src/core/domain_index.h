@@ -2,6 +2,7 @@
 #define EXTIDX_CORE_DOMAIN_INDEX_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,8 @@ namespace exi {
 // What happens when a domain index's maintenance dispatch still fails after
 // the retry guard gives up (docs/fault-tolerance.md):
 //   kStrict   — the DML statement fails and rolls back (historic behavior).
-//   kDeferred — the DML commits; the index (or the LOCAL slice owning the
-//               row) is marked FAILED and the planner stops using it until
+//   kDeferred — the DML commits; the slice owning the row is marked
+//               FAILED and the planner stops using it until
 //               ALTER INDEX ... REBUILD.
 // Session knob: SET INDEX_MAINTENANCE = STRICT | DEFERRED.
 enum class IndexMaintenancePolicy { kStrict, kDeferred };
@@ -74,11 +75,11 @@ class DomainIndexManager {
     return maintenance_policy_;
   }
 
-  // ALTER INDEX <name> REBUILD [PARTITION <p>]: best-effort ODCIIndexDrop
-  // of the stale storage, then a fresh implementation instance and an
-  // ODCIIndexCreate-style backfill from the base table (segment-restricted
-  // for a single partition slice).  Returns the index/slice to VALID; a
-  // failing rebuild leaves it UNUSABLE.  Legal from any state.
+  // ALTER INDEX <name> REBUILD [PARTITION <p>]: for every slice (or the
+  // one over partition <p>), best-effort ODCIIndexDrop of the stale
+  // storage, then a fresh implementation instance and an ODCIIndexCreate
+  // backfill restricted to the slice's segment.  Returns each slice to
+  // VALID; a failing rebuild leaves it UNUSABLE.  Legal from any state.
   Status RebuildIndex(const std::string& index_name,
                       const std::string& partition_name, Transaction* txn);
 
@@ -88,9 +89,9 @@ class DomainIndexManager {
   // ---- DDL (§2.4.1) ----
 
   // CREATE INDEX ... INDEXTYPE IS <indextype> PARAMETERS ('<params>').
-  // Validates indextype support for the column type, instantiates the
-  // implementation, invokes ODCIIndexCreate, and registers the index in the
-  // dictionary.
+  // Validates indextype support for the column type, builds one slice per
+  // partition of the table (one whole-table slice if unpartitioned) via
+  // ODCIIndexCreate, and registers the index in the dictionary.
   Status CreateIndex(const std::string& index_name,
                      const std::string& table_name,
                      const std::string& column_name,
@@ -109,43 +110,35 @@ class DomainIndexManager {
 
   // ---- partition DDL (LOCAL domain indexes, DESIGN.md §7) ----
   //
-  // On a partitioned table every domain index is LOCAL: one independently
-  // ODCIIndexCreate'd storage object per partition (the cartridge sees the
-  // suffixed name `<index>#<partition>`), so partition-level DDL maps to
-  // one O(1) ODCI call per index instead of per-row maintenance.
+  // On a partitioned table every domain index is LOCAL: one slice per
+  // partition, so partition-level DDL maps to one O(1) ODCI call per index
+  // instead of per-row maintenance.
 
   // ALTER TABLE ... ADD PARTITION: creates (and backfills, restricted to
-  // the new segment) a slice of every local index on the table.  On
+  // the new segment) a slice of every domain index on the table.  On
   // failure, slices created by this call are dropped before returning.
   Status AddPartitionIndexes(const std::string& table_name,
                              const PartitionDef& part, Transaction* txn);
 
-  // DROP PARTITION: ODCIIndexDrop of each local slice — zero per-row
-  // ODCIIndexDelete calls.
+  // DROP PARTITION: ODCIIndexDrop of each index's slice over the
+  // partition — zero per-row ODCIIndexDelete calls.
   Status DropPartitionIndexes(const std::string& table_name,
                               const PartitionDef& part, Transaction* txn);
 
-  // TRUNCATE PARTITION: ODCIIndexTruncate of each local slice.
+  // TRUNCATE PARTITION: ODCIIndexTruncate of each index's slice.
   Status TruncatePartitionIndexes(const std::string& table_name,
                                   const PartitionDef& part, Transaction* txn);
 
   // ---- implicit maintenance (§2.4.1) ----
 
-  // Invoked by the DML executor for every domain index on `table_name`.
-  Status OnInsert(const std::string& table_name, RowId rid, const Row& row,
-                  Transaction* txn);
-  Status OnDelete(const std::string& table_name, RowId rid,
-                  const Row& old_row, Transaction* txn);
-  Status OnUpdate(const std::string& table_name, RowId rid,
-                  const Row& old_row, const Row& new_row, Transaction* txn);
-
-  // Batched variants for multi-row statements: one ODCI dispatch per domain
-  // index (statement row order preserved) when the cartridge declares
-  // batch_maintenance; per-row fallback with identical tracing/metrics
-  // otherwise, or when a batch routine returns NotSupported at runtime
-  // (same protocol as the CreateStorage split build).  A single-row batch
-  // always takes the per-row path, so single-row DML observability is
-  // byte-identical to the pre-batching engine.
+  // Invoked by the DML executor with every row a statement touched, in
+  // statement order (a single-row statement passes a one-row batch).  Rows
+  // are routed to the slice owning their heap segment; each touched VALID
+  // slice gets one batched ODCI dispatch when it holds several rows and the
+  // cartridge declares batch_maintenance, and per-row ODCIIndexInsert /
+  // Delete / Update calls otherwise, or when a batch routine returns
+  // NotSupported at runtime (same protocol as the CreateStorage split
+  // build).
   Status OnInsertBatch(const std::string& table_name,
                        const std::vector<std::pair<RowId, Row>>& rows,
                        Transaction* txn);
@@ -175,11 +168,6 @@ class DomainIndexManager {
 
     Status Close();
 
-    // True when the cartridge declares concurrent Start/Fetch/Close safe
-    // (OdciCapabilities::parallel_scan); the executor consults this before
-    // prefetching batches or probing from pool workers.
-    bool parallel_safe() const;
-
    private:
     friend class DomainIndexManager;
     Scan(IndexInfo* index, OdciIndex* impl, OdciIndexInfo info,
@@ -191,23 +179,20 @@ class DomainIndexManager {
           sctx_(std::move(sctx)) {}
 
     IndexInfo* index_;
-    OdciIndex* impl_;  // global impl, or one LOCAL partition slice
+    OdciIndex* impl_;  // the scanned slice's implementation
     OdciIndexInfo info_;
     std::unique_ptr<GuardedServerContext> ctx_;
     OdciScanContext sctx_;
     bool closed_ = false;
   };
 
-  // Opens a scan evaluating `pred` against domain index `index_name`
-  // (invokes ODCIIndexStart under scan mode).  Errors on a LOCAL index —
-  // those scan partition-by-partition via StartPartitionScan.
+  // Opens a scan evaluating `pred` against the slice of domain index
+  // `index_name` that covers heap segment `segment` (invokes ODCIIndexStart
+  // under scan mode).  Segment 0 names a global index's only slice; a
+  // LOCAL index scans partition by partition, one slice per call.
   Result<std::unique_ptr<Scan>> StartScan(const std::string& index_name,
-                                          const OdciPredInfo& pred);
-
-  // Opens a scan over one partition slice of a LOCAL domain index.
-  Result<std::unique_ptr<Scan>> StartPartitionScan(
-      const std::string& index_name, const std::string& partition_name,
-      const OdciPredInfo& pred);
+                                          const OdciPredInfo& pred,
+                                          uint32_t segment = 0);
 
   // ---- optimizer hooks (§2.4.2) ----
 
@@ -222,8 +207,17 @@ class DomainIndexManager {
                           double selectivity, uint64_t table_rows);
 
  private:
+  // Maintenance kinds sharing one routing and dispatch path.
+  enum class Maintenance { kInsert, kDelete, kUpdate };
+
+  // A definition-mode ODCI routine applied to one slice.
+  using SliceRoutine = FunctionRef<Status(OdciIndex& impl,
+                                          const OdciIndexInfo& info,
+                                          ServerContext& ctx)>;
+
   Result<IndexInfo*> GetDomainIndex(const std::string& index_name);
-  OdciIndexInfo InfoFor(IndexInfo* index);
+  // ODCI metadata for `index`, named after the whole index.
+  OdciIndexInfo InfoFor(const IndexInfo* index);
 
   // The retrying ODCI call guard: fires the fail-point `site`, invokes
   // `call` under a ScopedOdciTrace (one trace entry per attempt, so retries
@@ -233,54 +227,69 @@ class DomainIndexManager {
                          const char* routine, const char* label,
                          FunctionRef<Status()> call);
 
+  // Runs `call` through the guard on each slice of `index` covering
+  // `segment` (every slice when nullopt), in slice order; `info` is the
+  // whole-index metadata, renamed per slice.  The first failure aborts.
+  Status CallOnSlices(IndexInfo* index, OdciIndexInfo info,
+                      std::optional<uint32_t> segment, const char* site,
+                      const char* routine, SliceRoutine call,
+                      Transaction* txn);
+
+  // Sums an ODCIStats routine over every slice of `index` (traced, with
+  // the fail-point `site`; never retried).
+  Result<double> SumOverSlices(
+      IndexInfo* index, const char* site, const char* routine,
+      FunctionRef<Result<double>(const OdciIndexInfo&, ServerContext&)> call);
+
   // Applies maintenance_policy_ to an exhausted-retry maintenance failure:
-  // strict returns `error`; deferred marks the index (or `slice`) FAILED,
-  // records last_error, and returns OK so the DML commits.
-  Status MaintenanceFailed(IndexInfo* index, LocalIndexPartition* slice,
+  // strict returns `error`; deferred marks `slice` FAILED, records
+  // last_error, and returns OK so the DML commits.
+  Status MaintenanceFailed(IndexInfo* index, IndexSlice* slice,
                            const Status& error);
 
-  // Drops and re-creates one LOCAL partition slice (REBUILD PARTITION).
-  Status RebuildSlice(IndexInfo* index, const Schema& schema,
-                      LocalIndexPartition* slice, Transaction* txn);
+  // The routing helper shared by insert, delete and update: groups `rows`
+  // by owning slice of every domain index on the table, skips non-VALID
+  // slices, dispatches each group, and applies MaintenanceFailed.
+  // `new_rows` is used by kUpdate only.
+  Status Maintain(Maintenance kind, const std::string& table_name,
+                  const std::vector<std::pair<RowId, Row>>& rows,
+                  const std::vector<Row>* new_rows, Transaction* txn);
+
+  // One slice's maintenance: a batched dispatch of several rows when the
+  // cartridge supports it, else per-row calls.  `values` holds the indexed
+  // column of `rows` (new values for insert, old for delete/update);
+  // `new_values` the replacements (update only).
+  Status Dispatch(Maintenance kind, IndexInfo* index, IndexSlice& slice,
+                  const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                  const ValueList& values, const ValueList& new_values,
+                  GuardedServerContext& ctx);
 
   // Instantiates a fresh implementation object for `index`'s indextype
-  // (LOCAL indexes need one per partition slice).
+  // (every slice has its own).
   Result<std::shared_ptr<OdciIndex>> NewImplFor(const IndexInfo* index);
 
-  // Shared ODCIIndexStart dispatch for global and partition-slice scans.
-  Result<std::unique_ptr<Scan>> StartScanOn(IndexInfo* index, OdciIndex* impl,
-                                            OdciIndexInfo info,
-                                            const OdciPredInfo& pred);
+  // Creates `slice` (name and segment set) of `index`: instantiate, then
+  // ODCIIndexCreate with the base-table scan restricted to the slice's
+  // segment, so the cartridge backfills only that segment's rows.  With
+  // `parallel` (unpartitioned tables only) a parallel_build cartridge gets
+  // the split build first.  Appends the slice on success; on failure drops
+  // whatever storage the build left.
+  Status BuildSlice(IndexInfo* index, const Schema& schema, IndexSlice slice,
+                    bool parallel, Transaction* txn);
 
-  // Creates one partition slice of a LOCAL index: instantiate, then
-  // ODCIIndexCreate with the base-table scan restricted to the partition's
-  // segment, so the cartridge backfills only that partition's rows.
-  Status BuildLocalSlice(IndexInfo* index, const Schema& schema,
-                         const PartitionDef& part, Transaction* txn);
-
-  // One batched dispatch (or per-row fallback) of `rows` against a single
-  // storage object `impl` named by `info`.
-  Status DispatchInsertBatch(IndexInfo* index, OdciIndex* impl,
-                             const OdciIndexInfo& info, const Schema& schema,
-                             const std::vector<std::pair<RowId, Row>>& rows,
-                             GuardedServerContext& ctx);
-  Status DispatchDeleteBatch(IndexInfo* index, OdciIndex* impl,
-                             const OdciIndexInfo& info, const Schema& schema,
-                             const std::vector<std::pair<RowId, Row>>& rows,
-                             GuardedServerContext& ctx);
-  Status DispatchUpdateBatch(IndexInfo* index, OdciIndex* impl,
-                             const OdciIndexInfo& info, const Schema& schema,
-                             const std::vector<std::pair<RowId, Row>>& old_rows,
-                             const std::vector<Row>& new_rows,
-                             GuardedServerContext& ctx);
+  // Drops and re-creates one slice (REBUILD), leaving it VALID or
+  // UNUSABLE.
+  Status RebuildSlice(IndexInfo* index, const Schema& schema,
+                      IndexSlice* slice, Transaction* txn);
 
   // Split build protocol (DESIGN.md §5): CreateStorage on this thread,
   // ODCIIndexInsert callbacks concurrently on pool workers against
   // per-worker BufferingServerContexts, then serial replay in chunk order
   // through the real guarded context.  NotSupported from any step means the
   // cartridge opted out; the caller falls back to the classic serial Create.
-  Status ParallelBuild(IndexInfo* info, const OdciIndexInfo& odci_info,
-                       const Schema& schema, Transaction* txn);
+  Status ParallelBuild(IndexInfo* index, OdciIndex* impl,
+                       const OdciIndexInfo& odci_info, const Schema& schema,
+                       Transaction* txn);
 
   Catalog* catalog_;
   size_t parallelism_ = 1;

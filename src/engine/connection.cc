@@ -473,13 +473,9 @@ Result<QueryResult> Connection::RunInsert(sql::InsertStmt* stmt) {
       rows.push_back(std::move(row));
     }
     // Multi-row VALUES lists coalesce domain-index maintenance into one
-    // batched ODCI dispatch per index (Database::InsertRows); single rows
-    // keep the per-row path so their observable ODCI traffic is unchanged.
+    // batched ODCI dispatch per index slice (Database::InsertRows).
     uint64_t inserted = rows.size();
-    if (rows.size() == 1) {
-      EXI_RETURN_IF_ERROR(
-          db_->InsertRow(stmt->table, std::move(rows[0]), txn).status());
-    } else if (rows.size() > 1) {
+    if (!rows.empty()) {
       EXI_RETURN_IF_ERROR(
           db_->InsertRows(stmt->table, std::move(rows), txn).status());
     }
@@ -544,12 +540,7 @@ Result<QueryResult> Connection::RunUpdate(sql::UpdateStmt* stmt) {
       }
       updates.emplace_back(rid, std::move(new_row));
     }
-    // Same routing as RunInsert: >1 affected row goes through the batched
-    // maintenance entry point, a single row stays on the per-row path.
-    if (updates.size() == 1) {
-      EXI_RETURN_IF_ERROR(db_->UpdateRow(stmt->table, updates[0].first,
-                                         std::move(updates[0].second), txn));
-    } else if (updates.size() > 1) {
+    if (!updates.empty()) {
       EXI_RETURN_IF_ERROR(
           db_->UpdateRows(stmt->table, std::move(updates), txn));
     }
@@ -564,10 +555,7 @@ Result<QueryResult> Connection::RunDelete(sql::DeleteStmt* stmt) {
   return WithStatementTxn([&](Transaction* txn) -> Result<QueryResult> {
     EXI_ASSIGN_OR_RETURN(auto matches,
                          CollectMatches(stmt->table, stmt->where.get()));
-    if (matches.size() == 1) {
-      EXI_RETURN_IF_ERROR(
-          db_->DeleteRow(stmt->table, matches[0].first, txn));
-    } else if (matches.size() > 1) {
+    if (!matches.empty()) {
       std::vector<RowId> rids;
       rids.reserve(matches.size());
       for (auto& [rid, row] : matches) rids.push_back(rid);

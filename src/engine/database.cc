@@ -229,7 +229,7 @@ Status Database::RefreshPerfViews() {
     for (const PartitionDef& part : scheme.partitions) {
       int64_t slices = 0;
       for (IndexInfo* idx : catalog_.IndexesOnTable(name)) {
-        if (idx->PartForSegment(part.segment_id) != nullptr) slices++;
+        if (idx->SliceForSegment(part.segment_id) != nullptr) slices++;
       }
       Value high = Value::Null();
       if (range) {
@@ -252,13 +252,16 @@ Status Database::RefreshPerfViews() {
 
   for (const IndexInfo* idx : catalog_.Indexes()) {
     if (!idx->is_domain()) continue;
+    // Slice counts describe LOCAL indexes; a global index reports 0/0.
+    EXI_ASSIGN_OR_RETURN(TableInfo * table, catalog_.GetTableInfo(idx->table));
+    const bool local = table->partitioning.partitioned();
     EXI_RETURN_IF_ERROR(
         InsertRow("v$domain_indexes",
                   {Value::Varchar(idx->name), Value::Varchar(idx->table),
                    Value::Varchar(idx->indextype),
                    Value::Varchar(IndexStatusName(idx->effective_status())),
-                   Value::Integer(int64_t(idx->local_parts.size())),
-                   Value::Integer(int64_t(idx->failed_slices())),
+                   Value::Integer(local ? int64_t(idx->slices.size()) : 0),
+                   Value::Integer(local ? int64_t(idx->failed_slices()) : 0),
                    Value::Integer(int64_t(idx->retries)),
                    idx->last_error.empty() ? Value::Null()
                                            : Value::Varchar(idx->last_error)},
@@ -335,17 +338,11 @@ Status Database::MaintainBuiltinOnDelete(const std::string& table_name,
 
 Result<RowId> Database::InsertRow(const std::string& table_name, Row row,
                                   Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
-  EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_.GetTableInfo(table_name));
-  HeapTable* table = tinfo->heap.get();
-  EXI_ASSIGN_OR_RETURN(uint32_t segment, SegmentFor(table_name, *tinfo, row));
-  EXI_ASSIGN_OR_RETURN(RowId rid, table->InsertInto(segment, row));
-  if (txn != nullptr) {
-    txn->PushUndo([table, rid] { (void)table->Delete(rid); });
-  }
-  EXI_RETURN_IF_ERROR(MaintainBuiltinOnInsert(table_name, rid, row, txn));
-  EXI_RETURN_IF_ERROR(domains_.OnInsert(table_name, rid, row, txn));
-  return rid;
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  EXI_ASSIGN_OR_RETURN(std::vector<RowId> rids,
+                       InsertRows(table_name, std::move(rows), txn));
+  return rids[0];
 }
 
 Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
@@ -375,32 +372,9 @@ Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
 
 Status Database::UpdateRow(const std::string& table_name, RowId rid,
                            Row new_row, Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
-  EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_.GetTableInfo(table_name));
-  HeapTable* table = tinfo->heap.get();
-  if (tinfo->partitioning.partitioned()) {
-    // Rows never move between partitions (ORA-14402: row movement is not
-    // supported); an update may not change which partition the key maps to.
-    EXI_ASSIGN_OR_RETURN(uint32_t segment,
-                         SegmentFor(table_name, *tinfo, new_row));
-    if (segment != HeapTable::SegmentOf(rid)) {
-      return Status::InvalidArgument(
-          "updating partition key would move the row to another partition "
-          "of " + table_name + " (ORA-14402)");
-    }
-  }
-  EXI_ASSIGN_OR_RETURN(Row old_row, table->Get(rid));
-  EXI_RETURN_IF_ERROR(table->Update(rid, new_row));
-  if (txn != nullptr) {
-    Row old_copy = old_row;
-    txn->PushUndo(
-        [table, rid, old_copy] { (void)table->Update(rid, old_copy); });
-  }
-  EXI_RETURN_IF_ERROR(MaintainBuiltinOnDelete(table_name, rid, old_row, txn));
-  EXI_RETURN_IF_ERROR(MaintainBuiltinOnInsert(table_name, rid, new_row, txn));
-  EXI_RETURN_IF_ERROR(
-      domains_.OnUpdate(table_name, rid, old_row, new_row, txn));
-  return Status::OK();
+  std::vector<std::pair<RowId, Row>> updates;
+  updates.emplace_back(rid, std::move(new_row));
+  return UpdateRows(table_name, std::move(updates), txn);
 }
 
 Status Database::UpdateRows(const std::string& table_name,
@@ -444,18 +418,7 @@ Status Database::UpdateRows(const std::string& table_name,
 
 Status Database::DeleteRow(const std::string& table_name, RowId rid,
                            Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
-  EXI_ASSIGN_OR_RETURN(Row old_row, table->Get(rid));
-  EXI_RETURN_IF_ERROR(table->Delete(rid));
-  if (txn != nullptr) {
-    Row old_copy = old_row;
-    txn->PushUndo(
-        [table, rid, old_copy] { (void)table->Resurrect(rid, old_copy); });
-  }
-  EXI_RETURN_IF_ERROR(MaintainBuiltinOnDelete(table_name, rid, old_row, txn));
-  EXI_RETURN_IF_ERROR(domains_.OnDelete(table_name, rid, old_row, txn));
-  return Status::OK();
+  return DeleteRows(table_name, {rid}, txn);
 }
 
 Status Database::DeleteRows(const std::string& table_name,

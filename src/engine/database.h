@@ -71,17 +71,17 @@ class Database {
   // Every mutation maintains built-in indexes natively and domain indexes
   // through ODCIIndex maintenance routines, and logs undo into `txn`.
 
+  // A DML statement's rows go through the *Rows forms: heap and built-in
+  // index maintenance run per row (in statement order), then domain-index
+  // maintenance is dispatched once per touched index slice, batched when
+  // the cartridge supports it (core/domain_index.h).  The single-row forms
+  // are one-row batches.
   Result<RowId> InsertRow(const std::string& table_name, Row row,
                           Transaction* txn);
   Status UpdateRow(const std::string& table_name, RowId rid, Row new_row,
                    Transaction* txn);
   Status DeleteRow(const std::string& table_name, RowId rid,
                    Transaction* txn);
-
-  // Multi-row variants used by multi-row DML statements: heap and built-in
-  // index maintenance stay per-row (in statement order), but domain-index
-  // maintenance is dispatched once per index through the batched ODCI
-  // routines when the cartridge supports them (core/domain_index.h).
   Result<std::vector<RowId>> InsertRows(const std::string& table_name,
                                         std::vector<Row> rows,
                                         Transaction* txn);

@@ -102,56 +102,38 @@ Status ExecNode::Close() {
   return s;
 }
 
+// ---- SegmentList ----
+
+void SegmentList::CountScan() const {
+  if (partitions == 0) return;
+  GlobalMetrics().partitions_scanned += segments.size();
+  GlobalMetrics().partitions_pruned += pruned();
+}
+
+std::string SegmentList::Suffix(const char* separator) const {
+  if (partitions == 0) return "";
+  return separator + ("partitions=" + std::to_string(segments.size()) + "/" +
+                      std::to_string(partitions));
+}
+
 // ---- SeqScanNode ----
 
-SeqScanNode::SeqScanNode(const HeapTable* table) : table_(table) {}
+SeqScanNode::SeqScanNode(const HeapTable* table, SegmentList segments)
+    : table_(table), segments_(std::move(segments)) {}
 
 Status SeqScanNode::OpenImpl() {
-  it_ = std::make_unique<HeapTable::Iterator>(table_->Scan());
-  return Status::OK();
-}
-
-Result<bool> SeqScanNode::NextImpl(ExecRow* out) {
-  if (!it_->Valid()) return false;
-  out->values = it_->row();
-  out->rid = it_->row_id();
-  out->ancillary = Value::Null();
-  GlobalMetrics().table_rows_read++;
-  it_->Next();
-  return true;
-}
-
-Status SeqScanNode::CloseImpl() {
-  it_.reset();
-  return Status::OK();
-}
-
-std::string SeqScanNode::Describe() const {
-  return "SeqScan(" + table_->name() + ")";
-}
-
-// ---- PartitionSeqScanNode ----
-
-PartitionSeqScanNode::PartitionSeqScanNode(const HeapTable* table,
-                                           std::vector<uint32_t> segments,
-                                           size_t pruned)
-    : table_(table), segments_(std::move(segments)), pruned_(pruned) {}
-
-Status PartitionSeqScanNode::OpenImpl() {
-  GlobalMetrics().partitions_scanned += segments_.size();
-  GlobalMetrics().partitions_pruned += pruned_;
+  segments_.CountScan();
   seg_pos_ = 0;
   it_.reset();
   return Status::OK();
 }
 
-Result<bool> PartitionSeqScanNode::NextImpl(ExecRow* out) {
+Result<bool> SeqScanNode::NextImpl(ExecRow* out) {
   while (true) {
     if (it_ == nullptr) {
-      if (seg_pos_ >= segments_.size()) return false;
+      if (seg_pos_ >= segments_.segments.size()) return false;
       it_ = std::make_unique<HeapTable::Iterator>(
-          table_->ScanSegment(segments_[seg_pos_]));
-      ++seg_pos_;
+          table_->ScanSegment(segments_.segments[seg_pos_++]));
     }
     if (!it_->Valid()) {
       it_.reset();
@@ -166,15 +148,14 @@ Result<bool> PartitionSeqScanNode::NextImpl(ExecRow* out) {
   }
 }
 
-Status PartitionSeqScanNode::CloseImpl() {
+Status SeqScanNode::CloseImpl() {
   it_.reset();
   return Status::OK();
 }
 
-std::string PartitionSeqScanNode::Describe() const {
-  return "PartitionSeqScan(" + table_->name() +
-         ", partitions=" + std::to_string(segments_.size()) + "/" +
-         std::to_string(segments_.size() + pruned_) + ")";
+std::string SeqScanNode::Describe() const {
+  return (segments_.partitions ? "PartitionSeqScan(" : "SeqScan(") +
+         table_->name() + segments_.Suffix(", ") + ")";
 }
 
 // ---- RowIdListScanNode ----
@@ -214,16 +195,17 @@ std::string RowIdListScanNode::Describe() const {
 DomainIndexScanNode::DomainIndexScanNode(DomainIndexManager* manager,
                                          const HeapTable* table,
                                          std::string index_name,
-                                         OdciPredInfo pred, size_t batch_size,
-                                         size_t parallelism)
+                                         OdciPredInfo pred, SegmentList slices,
+                                         size_t batch_size, size_t parallelism)
     : manager_(manager),
       table_(table),
       index_name_(std::move(index_name)),
       pred_(std::move(pred)),
+      slices_(std::move(slices)),
       batch_size_(batch_size),
       parallelism_(parallelism ? parallelism : 1) {}
 
-bool DomainIndexScanNode::prefetch_enabled() const {
+bool DomainIndexScanNode::parallel_capable() const {
   return parallelism_ > 1 && manager_->ScanIsParallelSafe(index_name_);
 }
 
@@ -234,44 +216,105 @@ void DomainIndexScanNode::IssuePrefetch() {
       });
 }
 
-Status DomainIndexScanNode::OpenImpl() {
-  EXI_ASSIGN_OR_RETURN(scan_, manager_->StartScan(index_name_, pred_));
-  batch_pos_ = 0;
-  batch_.rids.clear();
-  batch_.ancillary.clear();
-  exhausted_ = false;
-  prefetch_ = prefetch_enabled();
-  if (prefetch_) {
-    manager_->pool().EnsureWorkerCount(parallelism_);
-    IssuePrefetch();
-  }
+Status DomainIndexScanNode::OpenSlice() {
+  EXI_ASSIGN_OR_RETURN(
+      scan_, manager_->StartScan(index_name_, pred_,
+                                 slices_.segments[next_slice_++]));
+  if (prefetch_) IssuePrefetch();
   return Status::OK();
 }
 
+Status DomainIndexScanNode::OpenImpl() {
+  slices_.CountScan();
+  next_slice_ = 0;
+  scan_.reset();
+  batch_ = OdciFetchBatch();
+  batch_pos_ = 0;
+  fan_out_.clear();
+  const bool parallel = parallel_capable();
+  const size_t n = slices_.segments.size();
+  prefetch_ = parallel && n == 1;
+  if (parallel) manager_->pool().EnsureWorkerCount(parallelism_);
+  if (parallel && n > 1) {
+    // Slice-wise fan-out: each pool task drives one slice's full
+    // ODCIIndexStart/Fetch*/Close cycle.
+    for (uint32_t segment : slices_.segments) {
+      fan_out_.push_back(manager_->pool().Submit(
+          [manager = manager_, index = index_name_, segment, pred = pred_,
+           batch = batch_size_]() -> Result<OdciFetchBatch> {
+            EXI_ASSIGN_OR_RETURN(auto scan,
+                                 manager->StartScan(index, pred, segment));
+            OdciFetchBatch all;
+            OdciFetchBatch b;
+            while (true) {
+              EXI_RETURN_IF_ERROR(scan->NextBatch(batch, &b));
+              if (b.end_of_scan()) break;
+              for (size_t i = 0; i < b.rids.size(); ++i) {
+                all.rids.push_back(b.rids[i]);
+                all.ancillary.push_back(i < b.ancillary.size()
+                                            ? b.ancillary[i]
+                                            : Value::Null());
+              }
+            }
+            EXI_RETURN_IF_ERROR(scan->Close());
+            return all;
+          }));
+    }
+    next_slice_ = n;
+    return Status::OK();
+  }
+  if (n > 0) return OpenSlice();
+  return Status::OK();
+}
+
+Status DomainIndexScanNode::MergeFanOut() {
+  Status failed = Status::OK();
+  for (auto& f : fan_out_) {
+    Result<OdciFetchBatch> r = f.get();
+    if (!r.ok()) {
+      if (failed.ok()) failed = r.status();
+      continue;
+    }
+    batch_.rids.insert(batch_.rids.end(), r->rids.begin(), r->rids.end());
+    batch_.ancillary.insert(batch_.ancillary.end(), r->ancillary.begin(),
+                            r->ancillary.end());
+  }
+  fan_out_.clear();
+  return failed;
+}
+
+Result<bool> DomainIndexScanNode::RefillBatch() {
+  while (true) {
+    if (scan_ == nullptr) {
+      if (next_slice_ >= slices_.segments.size()) return false;
+      EXI_RETURN_IF_ERROR(OpenSlice());
+    }
+    if (prefetch_) {
+      // Take the batch the pool worker fetched while we were draining the
+      // previous one, and immediately start on the one after.
+      EXI_RETURN_IF_ERROR(inflight_.get());
+      batch_ = std::move(next_batch_);
+      next_batch_ = OdciFetchBatch();
+    } else {
+      EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
+    }
+    batch_pos_ = 0;
+    if (!batch_.end_of_scan()) {
+      if (prefetch_) IssuePrefetch();
+      return true;
+    }
+    EXI_RETURN_IF_ERROR(scan_->Close());
+    scan_.reset();
+  }
+}
+
 Result<bool> DomainIndexScanNode::NextImpl(ExecRow* out) {
+  if (!fan_out_.empty()) EXI_RETURN_IF_ERROR(MergeFanOut());
   while (true) {
     if (batch_pos_ >= batch_.rids.size()) {
-      if (exhausted_) return false;
-      if (prefetch_) {
-        // Take the batch the pool worker fetched while we were draining the
-        // previous one, and immediately start on the one after.
-        EXI_RETURN_IF_ERROR(inflight_.get());
-        batch_ = std::move(next_batch_);
-        next_batch_ = OdciFetchBatch();
-        batch_pos_ = 0;
-        if (batch_.end_of_scan()) {
-          exhausted_ = true;
-          return false;
-        }
-        IssuePrefetch();
-      } else {
-        EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
-        batch_pos_ = 0;
-        if (batch_.end_of_scan()) {
-          exhausted_ = true;
-          return false;
-        }
-      }
+      EXI_ASSIGN_OR_RETURN(bool more, RefillBatch());
+      if (!more) return false;
+      continue;
     }
     RowId rid = batch_.rids[batch_pos_];
     Value anc = batch_pos_ < batch_.ancillary.size()
@@ -288,8 +331,10 @@ Result<bool> DomainIndexScanNode::NextImpl(ExecRow* out) {
 }
 
 Status DomainIndexScanNode::CloseImpl() {
-  // Join any in-flight prefetch before closing the scan under it.
+  // Join outstanding pool work before closing the scan under it.
   if (inflight_.valid()) (void)inflight_.get();
+  for (auto& f : fan_out_) (void)f.get();
+  fan_out_.clear();
   if (scan_ != nullptr) {
     Status st = scan_->Close();
     scan_.reset();
@@ -299,203 +344,12 @@ Status DomainIndexScanNode::CloseImpl() {
 }
 
 std::string DomainIndexScanNode::Describe() const {
-  std::string desc = "DomainIndexScan(" + index_name_ +
-                     ", op=" + pred_.operator_name +
-                     ", batch=" + std::to_string(batch_size_);
-  if (prefetch_enabled()) desc += ", prefetch";
-  return desc + ")";
-}
-
-// ---- PartitionedIndexScanNode ----
-
-PartitionedIndexScanNode::PartitionedIndexScanNode(
-    DomainIndexManager* manager, const HeapTable* table,
-    std::string index_name, OdciPredInfo pred,
-    std::vector<std::string> partitions, size_t pruned, size_t batch_size,
-    size_t parallelism)
-    : manager_(manager),
-      table_(table),
-      index_name_(std::move(index_name)),
-      pred_(std::move(pred)),
-      partitions_(std::move(partitions)),
-      pruned_(pruned),
-      batch_size_(batch_size),
-      parallelism_(parallelism ? parallelism : 1) {}
-
-bool PartitionedIndexScanNode::parallel_capable() const {
-  return parallelism_ > 1 && manager_->ScanIsParallelSafe(index_name_);
-}
-
-void PartitionedIndexScanNode::IssuePrefetch() {
-  inflight_ = manager_->pool().Submit(
-      [scan = scan_.get(), n = batch_size_, out = &next_batch_]() -> Status {
-        return scan->NextBatch(n, out);
-      });
-}
-
-Status PartitionedIndexScanNode::OpenImpl() {
-  GlobalMetrics().partitions_scanned += partitions_.size();
-  GlobalMetrics().partitions_pruned += pruned_;
-  part_pos_ = 0;
-  batch_pos_ = 0;
-  batch_ = OdciFetchBatch();
-  merged_ = SliceResult();
-  merged_pos_ = 0;
-  merged_ready_ = false;
-  futures_.clear();
-  scan_.reset();
-  parallel_ = parallel_capable() && partitions_.size() > 1;
-  prefetch_ = parallel_capable() && partitions_.size() == 1;
-  prefetch_exhausted_ = false;
-  if (parallel_) {
-    // Partition-wise fan-out: each pool task drives one slice's full
-    // ODCIIndexStart/Fetch*/Close cycle; results merge in partition order.
-    manager_->pool().EnsureWorkerCount(parallelism_);
-    for (const std::string& part : partitions_) {
-      futures_.push_back(manager_->pool().Submit(
-          [manager = manager_, index = index_name_, part, pred = pred_,
-           n = batch_size_]() -> Result<SliceResult> {
-            EXI_ASSIGN_OR_RETURN(auto scan,
-                                 manager->StartPartitionScan(index, part,
-                                                             pred));
-            SliceResult r;
-            OdciFetchBatch b;
-            while (true) {
-              EXI_RETURN_IF_ERROR(scan->NextBatch(n, &b));
-              if (b.end_of_scan()) break;
-              for (size_t i = 0; i < b.rids.size(); ++i) {
-                r.rids.push_back(b.rids[i]);
-                r.ancillary.push_back(i < b.ancillary.size()
-                                          ? b.ancillary[i]
-                                          : Value::Null());
-              }
-            }
-            EXI_RETURN_IF_ERROR(scan->Close());
-            return r;
-          }));
-    }
-  } else if (prefetch_) {
-    // Single surviving slice: PR-1 double-buffered prefetch.
-    EXI_ASSIGN_OR_RETURN(
-        scan_,
-        manager_->StartPartitionScan(index_name_, partitions_[0], pred_));
-    part_pos_ = 1;
-    manager_->pool().EnsureWorkerCount(parallelism_);
-    IssuePrefetch();
-  }
-  return Status::OK();
-}
-
-Result<bool> PartitionedIndexScanNode::NextImpl(ExecRow* out) {
-  if (parallel_) {
-    if (!merged_ready_) {
-      Status failed = Status::OK();
-      for (auto& f : futures_) {
-        Result<SliceResult> r = f.get();
-        if (!r.ok()) {
-          if (failed.ok()) failed = r.status();
-          continue;
-        }
-        SliceResult slice = std::move(r).value();
-        merged_.rids.insert(merged_.rids.end(), slice.rids.begin(),
-                            slice.rids.end());
-        merged_.ancillary.insert(merged_.ancillary.end(),
-                                 slice.ancillary.begin(),
-                                 slice.ancillary.end());
-      }
-      futures_.clear();
-      EXI_RETURN_IF_ERROR(failed);
-      merged_ready_ = true;
-    }
-    while (merged_pos_ < merged_.rids.size()) {
-      RowId rid = merged_.rids[merged_pos_];
-      Value anc = merged_.ancillary[merged_pos_];
-      ++merged_pos_;
-      Result<Row> row = table_->Get(rid);
-      if (!row.ok()) continue;  // stale rowid
-      out->values = std::move(row).value();
-      out->rid = rid;
-      out->ancillary = std::move(anc);
-      return true;
-    }
-    return false;
-  }
-
-  while (true) {
-    if (scan_ == nullptr) {
-      if (part_pos_ >= partitions_.size()) return false;
-      EXI_ASSIGN_OR_RETURN(
-          scan_, manager_->StartPartitionScan(index_name_,
-                                              partitions_[part_pos_], pred_));
-      ++part_pos_;
-      batch_ = OdciFetchBatch();
-      batch_pos_ = 0;
-    }
-    if (batch_pos_ >= batch_.rids.size()) {
-      bool slice_done = false;
-      if (prefetch_) {
-        if (prefetch_exhausted_) {
-          slice_done = true;
-        } else {
-          EXI_RETURN_IF_ERROR(inflight_.get());
-          batch_ = std::move(next_batch_);
-          next_batch_ = OdciFetchBatch();
-          batch_pos_ = 0;
-          if (batch_.end_of_scan()) {
-            prefetch_exhausted_ = true;
-            slice_done = true;
-          } else {
-            IssuePrefetch();
-          }
-        }
-      } else {
-        EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
-        batch_pos_ = 0;
-        slice_done = batch_.end_of_scan();
-      }
-      if (slice_done) {
-        EXI_RETURN_IF_ERROR(scan_->Close());
-        scan_.reset();
-        continue;
-      }
-    }
-    RowId rid = batch_.rids[batch_pos_];
-    Value anc = batch_pos_ < batch_.ancillary.size()
-                    ? batch_.ancillary[batch_pos_]
-                    : Value::Null();
-    ++batch_pos_;
-    Result<Row> row = table_->Get(rid);
-    if (!row.ok()) continue;  // stale rowid
-    out->values = std::move(row).value();
-    out->rid = rid;
-    out->ancillary = std::move(anc);
-    return true;
-  }
-}
-
-Status PartitionedIndexScanNode::CloseImpl() {
-  // Join any outstanding pool work before tearing down scan state.
-  if (inflight_.valid()) (void)inflight_.get();
-  for (auto& f : futures_) {
-    if (f.valid()) (void)f.get();
-  }
-  futures_.clear();
-  if (scan_ != nullptr) {
-    Status st = scan_->Close();
-    scan_.reset();
-    return st;
-  }
-  return Status::OK();
-}
-
-std::string PartitionedIndexScanNode::Describe() const {
-  std::string desc = "PartitionedIndexScan(" + index_name_ +
-                     ", op=" + pred_.operator_name +
-                     ", partitions=" + std::to_string(partitions_.size()) +
-                     "/" + std::to_string(partitions_.size() + pruned_) +
-                     ", batch=" + std::to_string(batch_size_);
-  if (parallelism_ > 1 && manager_->ScanIsParallelSafe(index_name_)) {
-    desc += partitions_.size() > 1 ? ", parallel" : ", prefetch";
+  std::string desc =
+      (slices_.partitions ? "PartitionedIndexScan(" : "DomainIndexScan(") +
+      index_name_ + ", op=" + pred_.operator_name + slices_.Suffix(", ") +
+      ", batch=" + std::to_string(batch_size_);
+  if (parallel_capable()) {
+    desc += slices_.segments.size() > 1 ? ", parallel" : ", prefetch";
   }
   return desc + ")";
 }
@@ -1003,8 +857,7 @@ std::vector<const ExecNode*> LimitNode::Children() const {
 
 namespace {
 
-// Shared aggregate accumulator (also used conceptually by AggregateNode;
-// kept local to each node for clarity).
+// One aggregate's running state.
 struct AggAcc {
   int64_t count = 0;
   double sum = 0.0;
@@ -1089,6 +942,10 @@ Status GroupByNode::OpenImpl() {
     }
   }
   EXI_RETURN_IF_ERROR(child_->Close());
+  // Whole-input aggregation emits its one row even for empty input.
+  if (keys_.empty() && groups.empty()) {
+    groups.try_emplace(Row{}).first->second.resize(aggs_.size());
+  }
 
   results_.clear();
   results_.reserve(groups.size());
@@ -1119,12 +976,12 @@ Result<bool> GroupByNode::NextImpl(ExecRow* out) {
 Status GroupByNode::CloseImpl() { return Status::OK(); }
 
 std::string GroupByNode::Describe() const {
-  std::string s = "GroupBy(keys=";
+  std::string s = keys_.empty() ? "Aggregate(" : "GroupBy(keys=";
   for (size_t i = 0; i < keys_.size(); ++i) {
     if (i) s += ", ";
     s += keys_[i]->ToString();
   }
-  s += "; aggs=";
+  if (!keys_.empty()) s += "; aggs=";
   for (size_t i = 0; i < aggs_.size(); ++i) {
     if (i) s += ", ";
     s += aggs_[i]->ToString();
@@ -1133,103 +990,6 @@ std::string GroupByNode::Describe() const {
 }
 
 std::vector<const ExecNode*> GroupByNode::Children() const {
-  return {child_.get()};
-}
-
-// ---- AggregateNode ----
-
-AggregateNode::AggregateNode(std::unique_ptr<ExecNode> child,
-                             std::vector<const sql::Expr*> aggs,
-                             const Catalog* catalog)
-    : child_(std::move(child)), aggs_(std::move(aggs)), evaluator_(catalog) {}
-
-Status AggregateNode::OpenImpl() {
-  EXI_RETURN_IF_ERROR(child_->Open());
-  done_ = false;
-  computed_ = false;
-  return Status::OK();
-}
-
-Result<bool> AggregateNode::NextImpl(ExecRow* out) {
-  if (done_) return false;
-  if (!computed_) {
-    struct Acc {
-      int64_t count = 0;
-      double sum = 0.0;
-      bool any = false;
-      Value min, max;
-    };
-    std::vector<Acc> accs(aggs_.size());
-    ExecRow row;
-    while (true) {
-      EXI_ASSIGN_OR_RETURN(bool have, child_->Next(&row));
-      if (!have) break;
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        const sql::Expr* e = aggs_[i];
-        if (e->agg_star) {
-          accs[i].count++;
-          continue;
-        }
-        EXI_ASSIGN_OR_RETURN(Value v,
-                             evaluator_.Eval(*e->children[0], row.values));
-        if (v.is_null()) continue;
-        Acc& a = accs[i];
-        a.count++;
-        if (DataType(v.tag()).is_numeric()) a.sum += v.AsDouble();
-        if (!a.any) {
-          a.min = v;
-          a.max = v;
-          a.any = true;
-        } else {
-          if (TotalOrderCompare(v, a.min) < 0) a.min = v;
-          if (TotalOrderCompare(v, a.max) > 0) a.max = v;
-        }
-      }
-    }
-    EXI_RETURN_IF_ERROR(child_->Close());
-    result_.clear();
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      const Acc& a = accs[i];
-      switch (aggs_[i]->agg) {
-        case sql::AggFunc::kCount:
-          result_.push_back(Value::Integer(a.count));
-          break;
-        case sql::AggFunc::kSum:
-          result_.push_back(a.count ? Value::Double(a.sum) : Value::Null());
-          break;
-        case sql::AggFunc::kAvg:
-          result_.push_back(a.count ? Value::Double(a.sum / double(a.count))
-                                    : Value::Null());
-          break;
-        case sql::AggFunc::kMin:
-          result_.push_back(a.any ? a.min : Value::Null());
-          break;
-        case sql::AggFunc::kMax:
-          result_.push_back(a.any ? a.max : Value::Null());
-          break;
-      }
-    }
-    computed_ = true;
-  }
-  out->values = result_;
-  out->rid = kInvalidRowId;
-  out->ancillary = Value::Null();
-  done_ = true;
-  return true;
-}
-
-Status AggregateNode::CloseImpl() { return Status::OK(); }
-
-std::string AggregateNode::Describe() const {
-  std::string s = "Aggregate(";
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    if (i) s += ", ";
-    s += aggs_[i]->ToString();
-  }
-  return s + ")";
-}
-
-std::vector<const ExecNode*> AggregateNode::Children() const {
   return {child_.get()};
 }
 

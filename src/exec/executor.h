@@ -88,28 +88,32 @@ std::string DescribePlanWithStats(const ExecNode& root);
 
 // ---- scans ----
 
-// Full scan of a heap table.
-class SeqScanNode : public ExecNode {
- public:
-  explicit SeqScanNode(const HeapTable* table);
+// The heap segments a scan reads, in order, and the static partition
+// pruning that chose them (DESIGN.md §7).  An unpartitioned table is the
+// one-segment case {0}.  `partitions` is the partition count before
+// pruning, or 0 when the scan is not partition-aware (an unpartitioned
+// table, or a join input reading every segment): such a scan moves no
+// partition counters and keeps its plain EXPLAIN name.
+struct SegmentList {
+  std::vector<uint32_t> segments;
+  size_t partitions = 0;
 
-  Status OpenImpl() override;
-  Result<bool> NextImpl(ExecRow* out) override;
-  Status CloseImpl() override;
-  std::string Describe() const override;
-
- private:
-  const HeapTable* table_;
-  std::unique_ptr<HeapTable::Iterator> it_;
+  // Every segment of `table`, not partition-aware.
+  static SegmentList All(const HeapTable& table) {
+    return SegmentList{table.SegmentIds(), 0};
+  }
+  size_t pruned() const { return partitions - segments.size(); }
+  // Bumps partitions_scanned / partitions_pruned for a partition-aware scan.
+  void CountScan() const;
+  // " partitions=k/n" for a partition-aware scan, else "".
+  std::string Suffix(const char* separator) const;
 };
 
-// Sequential scan over the surviving partitions of a partitioned table
-// after static pruning (DESIGN.md §7).  Bumps the partitions_scanned /
-// partitions_pruned counters at Open.
-class PartitionSeqScanNode : public ExecNode {
+// Sequential scan over a segment list: "SeqScan(t)", or
+// "PartitionSeqScan(t, partitions=k/n)" when partition-aware.
+class SeqScanNode : public ExecNode {
  public:
-  PartitionSeqScanNode(const HeapTable* table, std::vector<uint32_t> segments,
-                       size_t pruned);
+  SeqScanNode(const HeapTable* table, SegmentList segments);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -118,8 +122,7 @@ class PartitionSeqScanNode : public ExecNode {
 
  private:
   const HeapTable* table_;
-  std::vector<uint32_t> segments_;  // surviving partitions' heap segments
-  size_t pruned_;                   // partitions eliminated by the planner
+  SegmentList segments_;
   size_t seg_pos_ = 0;
   std::unique_ptr<HeapTable::Iterator> it_;
 };
@@ -143,67 +146,25 @@ class RowIdListScanNode : public ExecNode {
   size_t pos_ = 0;
 };
 
-// Domain-index scan (§2.4.2): drives ODCIIndexStart/Fetch/Close through the
-// DomainIndexManager and pipelines the returned RowIds into base-table
-// fetches.  `batch_size` is the ODCIIndexFetch batch size (§2.5 batch
-// interface).
+// Domain-index scan (§2.4.2) over a slice list: for each slice (named by
+// the heap segment it covers) one ODCIIndexStart/Fetch*/Close cycle
+// through the DomainIndexManager, results concatenated in slice order and
+// pipelined into base-table fetches.  `batch_size` is the ODCIIndexFetch
+// batch size (§2.5 batch interface).
 //
-// With `parallelism` > 1 and a parallel_scan-capable cartridge, the node
-// double-buffers: while the consumer drains batch N, a pool task runs the
-// ODCIIndexFetch for batch N+1 (at most one outstanding fetch per scan —
-// the Scan object itself is never touched by two threads at once).  With
-// parallelism == 1 the pre-parallelism serial path runs unchanged.
+// With `parallelism` == 1, or a cartridge without parallel_scan, slices
+// scan serially on the consumer thread.  Otherwise:
+//   - one slice double-buffers: while the consumer drains batch N, a pool
+//     task runs the ODCIIndexFetch for batch N+1 (at most one outstanding
+//     fetch — the Scan object is never touched by two threads at once);
+//   - several slices fan out across the pool, one task driving each
+//     slice's full scan, merged in slice order.
 class DomainIndexScanNode : public ExecNode {
  public:
   DomainIndexScanNode(DomainIndexManager* manager, const HeapTable* table,
                       std::string index_name, OdciPredInfo pred,
-                      size_t batch_size = 64, size_t parallelism = 1);
-
-  Status OpenImpl() override;
-  Result<bool> NextImpl(ExecRow* out) override;
-  Status CloseImpl() override;
-  std::string Describe() const override;
-
- private:
-  bool prefetch_enabled() const;
-  void IssuePrefetch();
-
-  DomainIndexManager* manager_;
-  const HeapTable* table_;
-  std::string index_name_;
-  OdciPredInfo pred_;
-  size_t batch_size_;
-  size_t parallelism_;
-  std::unique_ptr<DomainIndexManager::Scan> scan_;
-  OdciFetchBatch batch_;
-  size_t batch_pos_ = 0;
-  bool exhausted_ = false;
-
-  // Prefetch state: `inflight_` is valid() iff a pool task is filling
-  // `next_batch_`; the consumer must get() before touching it.
-  bool prefetch_ = false;
-  std::future<Status> inflight_;
-  OdciFetchBatch next_batch_;
-};
-
-// Scan over a LOCAL domain index: one ODCIIndexStart/Fetch*/Close cycle
-// per surviving partition slice, results concatenated in partition order
-// (DESIGN.md §7).
-//
-// With `parallelism` > 1 and a parallel_scan-capable cartridge:
-//   - multiple surviving partitions fan out across the worker pool, one
-//     task per partition driving that slice's full scan;
-//   - a single surviving partition falls back to the PR-1 double-buffered
-//     prefetch (while the consumer drains batch N, a pool task fetches
-//     batch N+1).
-// With parallelism == 1 every slice scans serially on the consumer thread.
-class PartitionedIndexScanNode : public ExecNode {
- public:
-  PartitionedIndexScanNode(DomainIndexManager* manager,
-                           const HeapTable* table, std::string index_name,
-                           OdciPredInfo pred,
-                           std::vector<std::string> partitions, size_t pruned,
-                           size_t batch_size = 64, size_t parallelism = 1);
+                      SegmentList slices, size_t batch_size = 64,
+                      size_t parallelism = 1);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -212,38 +173,37 @@ class PartitionedIndexScanNode : public ExecNode {
 
  private:
   bool parallel_capable() const;
+  // Starts the scan of the next slice (and its first prefetch).
+  Status OpenSlice();
+  // Refills batch_, moving on to the next slice as each one ends; false
+  // once the last slice is exhausted.
+  Result<bool> RefillBatch();
   void IssuePrefetch();
+  // Drains the fan-out tasks into batch_, in slice order.
+  Status MergeFanOut();
 
   DomainIndexManager* manager_;
   const HeapTable* table_;
   std::string index_name_;
   OdciPredInfo pred_;
-  std::vector<std::string> partitions_;  // surviving, in partition order
-  size_t pruned_;
+  SegmentList slices_;
   size_t batch_size_;
   size_t parallelism_;
 
   // Serial / prefetch path: one live slice scan at a time.
-  size_t part_pos_ = 0;
+  size_t next_slice_ = 0;
   std::unique_ptr<DomainIndexManager::Scan> scan_;
   OdciFetchBatch batch_;
   size_t batch_pos_ = 0;
+
+  // Prefetch state: `inflight_` is valid() iff a pool task is filling
+  // `next_batch_`; the consumer must get() before touching it.
   bool prefetch_ = false;
-  bool prefetch_exhausted_ = false;
   std::future<Status> inflight_;
   OdciFetchBatch next_batch_;
 
-  // Fan-out path: each future holds one partition's fully-drained rid
-  // stream; merged strictly in partition order.
-  struct SliceResult {
-    std::vector<RowId> rids;
-    std::vector<Value> ancillary;
-  };
-  bool parallel_ = false;
-  std::vector<std::future<Result<SliceResult>>> futures_;
-  SliceResult merged_;
-  size_t merged_pos_ = 0;
-  bool merged_ready_ = false;
+  // Fan-out path: each future holds one slice's fully drained stream.
+  std::vector<std::future<Result<OdciFetchBatch>>> fan_out_;
 };
 
 // ---- relational operators ----
@@ -467,10 +427,12 @@ class LimitNode : public ExecNode {
   int64_t emitted_ = 0;
 };
 
-// Hash aggregation with GROUP BY: groups input rows by the key
-// expressions, accumulates aggregates per group, and emits one row per
-// group laid out according to `outputs` (each output slot is either a
-// group key or an aggregate).  Groups are emitted in key order.
+// Hash aggregation: groups input rows by the key expressions,
+// accumulates aggregates per group, and emits one row per group laid out
+// according to `outputs` (each output slot is either a group key or an
+// aggregate).  Groups are emitted in key order.  With no keys it is
+// whole-input aggregation: exactly one row, even on empty input (COUNT(*)
+// = 0), shown as "Aggregate(...)" in EXPLAIN.
 class GroupByNode : public ExecNode {
  public:
   // Output slot: references either keys[index] (is_aggregate=false) or
@@ -499,28 +461,6 @@ class GroupByNode : public ExecNode {
   Evaluator evaluator_;
   std::vector<Row> results_;
   size_t pos_ = 0;
-};
-
-// Whole-input aggregation (no GROUP BY): consumes the child and emits one
-// row with one value per aggregate expression.
-class AggregateNode : public ExecNode {
- public:
-  AggregateNode(std::unique_ptr<ExecNode> child,
-                std::vector<const sql::Expr*> aggs, const Catalog* catalog);
-
-  Status OpenImpl() override;
-  Result<bool> NextImpl(ExecRow* out) override;
-  Status CloseImpl() override;
-  std::string Describe() const override;
-  std::vector<const ExecNode*> Children() const override;
-
- private:
-  std::unique_ptr<ExecNode> child_;
-  std::vector<const sql::Expr*> aggs_;
-  Evaluator evaluator_;
-  Row result_;
-  bool done_ = false;
-  bool computed_ = false;
 };
 
 }  // namespace exi

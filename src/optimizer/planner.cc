@@ -443,56 +443,40 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     if (cc.has_value()) ranges[cc->local_column].Absorb(int(ci), *cc);
   }
 
-  // Static partition pruning: a range on the partition key narrows every
-  // partition-aware access path to the surviving partitions (DESIGN.md §7).
+  // The heap segments every access path reads: segment 0 of a plain table,
+  // or the partitions surviving static pruning on the partition key
+  // (DESIGN.md §7).
   const PartitionScheme& scheme = tinfo->partitioning;
-  bool partitioned = scheme.partitioned();
-  std::vector<const PartitionDef*> survivors;
-  size_t total_parts = scheme.partitions.size();
-  uint64_t surviving_rows = n;
-  if (partitioned) {
-    const ColumnRange* key_range = nullptr;
+  SegmentList scan{{0}, 0};
+  if (scheme.partitioned()) {
     auto kit = ranges.find(int(scheme.key_index));
-    if (kit != ranges.end()) key_range = &kit->second;
-    survivors = PrunePartitions(scheme, key_range);
-    surviving_rows = 0;
-    for (const PartitionDef* p : survivors) {
-      surviving_rows += heap->SegmentRowCount(p->segment_id);
+    scan.segments.clear();
+    scan.partitions = scheme.partitions.size();
+    for (const PartitionDef* p : PrunePartitions(
+             scheme, kit != ranges.end() ? &kit->second : nullptr)) {
+      scan.segments.push_back(p->segment_id);
     }
     *explain += "partition pruning on " + table.alias + ": " +
-                std::to_string(survivors.size()) + " of " +
-                std::to_string(total_parts) + " partitions survive\n";
+                std::to_string(scan.segments.size()) + " of " +
+                std::to_string(scan.partitions) + " partitions survive\n";
+  }
+  uint64_t surviving_rows = 0;
+  for (uint32_t segment : scan.segments) {
+    surviving_rows += heap->SegmentRowCount(segment);
   }
 
-  // Sequential scan with per-row (possibly functional) evaluation; on a
-  // partitioned table it touches only the surviving partitions' segments.
+  // Sequential scan with per-row (possibly functional) evaluation.
   {
     int nb;
     int nu;
     CountResidual(*conjuncts, {}, &nb, &nu);
     Candidate c;
-    if (partitioned) {
-      c.cost = CostModel::SeqScan(surviving_rows, nb, nu);
-      c.desc = "PartitionSeqScan(" + heap->name() + ") partitions=" +
-               std::to_string(survivors.size()) + "/" +
-               std::to_string(total_parts);
-      std::vector<uint32_t> segments;
-      for (const PartitionDef* p : survivors) {
-        segments.push_back(p->segment_id);
-      }
-      size_t pruned = total_parts - survivors.size();
-      c.build = [heap, segments,
-                 pruned]() -> Result<std::unique_ptr<ExecNode>> {
-        return std::unique_ptr<ExecNode>(
-            new PartitionSeqScanNode(heap, segments, pruned));
-      };
-    } else {
-      c.cost = CostModel::SeqScan(n, nb, nu);
-      c.desc = "SeqScan(" + heap->name() + ")";
-      c.build = [heap]() -> Result<std::unique_ptr<ExecNode>> {
-        return std::unique_ptr<ExecNode>(new SeqScanNode(heap));
-      };
-    }
+    c.cost = CostModel::SeqScan(surviving_rows, nb, nu);
+    c.desc = (scan.partitions ? "PartitionSeqScan(" : "SeqScan(") +
+             heap->name() + ")" + scan.Suffix(" ");
+    c.build = [heap, scan]() -> Result<std::unique_ptr<ExecNode>> {
+      return std::unique_ptr<ExecNode>(new SeqScanNode(heap, scan));
+    };
     candidates.push_back(std::move(c));
   }
 
@@ -584,31 +568,19 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
         if (!idx->is_domain()) continue;
         // Non-VALID indexes are silently skipped (Oracle SKIP_UNUSABLE
         // semantics, docs/fault-tolerance.md): the query falls back to the
-        // seq-scan candidate with the predicate as a residual filter.  For
-        // a LOCAL index only the slices a pruned plan would actually scan
-        // need to be VALID.
-        if (idx->status != IndexStatus::kValid) {
+        // seq-scan candidate with the predicate as a residual filter.  Only
+        // the slices the plan would actually scan need to be VALID.
+        bool usable = idx->status == IndexStatus::kValid;
+        for (uint32_t segment : scan.segments) {
+          const IndexSlice* slice = idx->SliceForSegment(segment);
+          usable = usable && slice != nullptr &&
+                   slice->status == IndexStatus::kValid;
+        }
+        if (!usable) {
           *explain += "domain index " + idx->name + " skipped: status " +
                       IndexStatusName(idx->effective_status()) +
                       " (seq-scan fallback)\n";
           continue;
-        }
-        if (idx->is_local()) {
-          bool usable = true;
-          for (const PartitionDef* p : survivors) {
-            const LocalIndexPartition* slice =
-                idx->PartForSegment(p->segment_id);
-            if (slice == nullptr || slice->status != IndexStatus::kValid) {
-              usable = false;
-              break;
-            }
-          }
-          if (!usable) {
-            *explain += "domain index " + idx->name + " skipped: status " +
-                        IndexStatusName(idx->effective_status()) +
-                        " (seq-scan fallback)\n";
-            continue;
-          }
         }
         EXI_ASSIGN_OR_RETURN(const IndexTypeDef* itype,
                              catalog_->GetIndexType(idx->indextype));
@@ -644,40 +616,24 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
         DomainIndexManager* domains = domains_;
         size_t batch = fetch_batch_;
         size_t dop = parallelism_;
-        if (idx->is_local()) {
-          // LOCAL index: only the surviving partitions' slices are scanned.
-          // The cached sel/cost describe the whole index; the surviving
-          // fraction is applied here, outside the cache, so pruning changes
-          // never invalidate memoized ODCIStats results.
-          double frac = total_parts > 0
-                            ? double(survivors.size()) / double(total_parts)
-                            : 1.0;
-          double matches = sel * double(n) * frac;
-          c.cost = CostModel::DomainIndexScan(odci_cost * frac, matches, nb,
-                                              nu);
-          c.desc = "PartitionedDomainIndex(" + idx->name + ") op=" +
-                   dm->operator_name + " sel=" + std::to_string(sel) +
-                   " partitions=" + std::to_string(survivors.size()) + "/" +
-                   std::to_string(total_parts);
-          std::vector<std::string> parts;
-          for (const PartitionDef* p : survivors) parts.push_back(p->name);
-          size_t pruned = total_parts - survivors.size();
-          c.build = [domains, heap, index_name, pred, parts, pruned, batch,
-                     dop]() -> Result<std::unique_ptr<ExecNode>> {
-            return std::unique_ptr<ExecNode>(new PartitionedIndexScanNode(
-                domains, heap, index_name, pred, parts, pruned, batch, dop));
-          };
-        } else {
-          double matches = sel * double(n);
-          c.cost = CostModel::DomainIndexScan(odci_cost, matches, nb, nu);
-          c.desc = "DomainIndex(" + idx->name + ") op=" + dm->operator_name +
-                   " sel=" + std::to_string(sel);
-          c.build = [domains, heap, index_name, pred, batch,
-                     dop]() -> Result<std::unique_ptr<ExecNode>> {
-            return std::unique_ptr<ExecNode>(new DomainIndexScanNode(
-                domains, heap, index_name, pred, batch, dop));
-          };
-        }
+        // Only the surviving slices are scanned.  The cached sel/cost
+        // describe the whole index; the surviving fraction is applied here,
+        // outside the cache, so pruning changes never invalidate memoized
+        // ODCIStats results.
+        double frac = scan.partitions ? double(scan.segments.size()) /
+                                            double(scan.partitions)
+                                      : 1.0;
+        double matches = sel * double(n) * frac;
+        c.cost = CostModel::DomainIndexScan(odci_cost * frac, matches, nb, nu);
+        c.desc =
+            (scan.partitions ? "PartitionedDomainIndex(" : "DomainIndex(") +
+            idx->name + ") op=" + dm->operator_name +
+            " sel=" + std::to_string(sel) + scan.Suffix(" ");
+        c.build = [domains, heap, index_name, pred, scan, batch,
+                   dop]() -> Result<std::unique_ptr<ExecNode>> {
+          return std::unique_ptr<ExecNode>(new DomainIndexScanNode(
+              domains, heap, index_name, pred, scan, batch, dop));
+        };
         candidates.push_back(std::move(c));
       }
     }
@@ -744,18 +700,22 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
         inner_t.schema->column(first.slot - int(inner_t.slot_offset)).name;
     const DataType& col_type =
         inner_t.schema->column(first.slot - int(inner_t.slot_offset)).type;
+    // LOCAL indexes scan partition by partition; the per-outer-row probe
+    // rewrite assumes a single scannable slice, so a partitioned inner
+    // table is skipped (the nested-loop fallback still evaluates the
+    // operator per row).
+    EXI_ASSIGN_OR_RETURN(TableInfo * inner_info,
+                         catalog_->GetTableInfo(inner_t.table_name));
+    if (inner_info->partitioning.partitioned()) continue;
     for (IndexInfo* idx :
          catalog_->IndexesOnColumn(inner_t.table_name, col_name)) {
       if (!idx->is_domain()) continue;
-      // LOCAL indexes scan partition-by-partition; the per-outer-row probe
-      // rewrite assumes a single scannable storage object, so skip them
-      // (the nested-loop fallback still evaluates the operator per row).
-      if (idx->is_local()) continue;
       // Non-VALID index: skip like single-table planning does; the
       // nested-loop fallback evaluates the operator functionally.
-      if (idx->status != IndexStatus::kValid) {
+      if (idx->effective_status() != IndexStatus::kValid) {
         *explain += "domain index " + idx->name + " skipped: status " +
-                    IndexStatusName(idx->status) + " (join fallback)\n";
+                    IndexStatusName(idx->effective_status()) +
+                    " (join fallback)\n";
         continue;
       }
       EXI_ASSIGN_OR_RETURN(const IndexTypeDef* itype,
@@ -768,8 +728,8 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
       for (size_t i = 1; i < e->children.size(); ++i) {
         arg_exprs.push_back(e->children[i].get());
       }
-      auto outer_scan =
-          std::make_unique<SeqScanNode>(env.heaps[outer_idx]);
+      auto outer_scan = std::make_unique<SeqScanNode>(
+          env.heaps[outer_idx], SegmentList::All(*env.heaps[outer_idx]));
       auto node = std::make_unique<DomainIndexJoinNode>(
           std::move(outer_scan), outer_t.slot_offset,
           outer_t.schema->size(), domains_, env.heaps[inner_idx],
@@ -876,7 +836,8 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
         }
         if (!joined) {
           plan.explain += "nested-loop join: " + bt.alias + "\n";
-          auto inner = std::make_unique<SeqScanNode>(env.heaps[t]);
+          auto inner = std::make_unique<SeqScanNode>(
+              env.heaps[t], SegmentList::All(*env.heaps[t]));
           node = std::make_unique<NestedLoopJoinNode>(std::move(node),
                                                       std::move(inner));
         }
@@ -894,8 +855,11 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
   for (const sql::SelectItem& item : stmt->items) {
     if (item.expr->kind == ExprKind::kAggregate) has_agg = true;
   }
-  if (!stmt->group_by.empty()) {
-    if (!stmt->order_by.empty()) {
+  const bool grouped = !stmt->group_by.empty();
+  if (grouped || has_agg) {
+    // One aggregation node; without GROUP BY it has zero keys and emits a
+    // single row.
+    if (grouped && !stmt->order_by.empty()) {
       return Status::NotSupported(
           "ORDER BY combined with GROUP BY is not supported");
     }
@@ -904,12 +868,15 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
     std::vector<const Expr*> aggs;
     std::vector<GroupByNode::Output> outputs;
     for (const sql::SelectItem& item : stmt->items) {
-      if (item.expr->kind == ExprKind::kStar) {
-        return Status::BindError("'*' is not valid with GROUP BY");
-      }
       if (item.expr->kind == ExprKind::kAggregate) {
         outputs.push_back(GroupByNode::Output{true, aggs.size()});
         aggs.push_back(item.expr.get());
+      } else if (!grouped) {
+        return Status::BindError(
+            "mixing aggregates and scalar expressions requires GROUP BY, "
+            "which is not supported");
+      } else if (item.expr->kind == ExprKind::kStar) {
+        return Status::BindError("'*' is not valid with GROUP BY");
       } else {
         // Non-aggregates must match a grouping expression structurally.
         int match = -1;
@@ -931,22 +898,9 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
     }
     node = std::make_unique<GroupByNode>(std::move(node), keys, aggs,
                                          std::move(outputs), catalog_);
-    if (stmt->limit.has_value()) {
+    if (grouped && stmt->limit.has_value()) {
       node = std::make_unique<LimitNode>(std::move(node), *stmt->limit);
     }
-  } else if (has_agg) {
-    std::vector<const Expr*> aggs;
-    for (const sql::SelectItem& item : stmt->items) {
-      if (item.expr->kind != ExprKind::kAggregate) {
-        return Status::BindError(
-            "mixing aggregates and scalar expressions requires GROUP BY, "
-            "which is not supported");
-      }
-      aggs.push_back(item.expr.get());
-      plan.column_names.push_back(
-          item.alias.empty() ? item.expr->ToString() : item.alias);
-    }
-    node = std::make_unique<AggregateNode>(std::move(node), aggs, catalog_);
   } else {
     // ORDER BY / LIMIT operate on full-width rows, before projection.
     if (!stmt->order_by.empty()) {

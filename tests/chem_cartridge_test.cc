@@ -11,6 +11,7 @@
 #include "cartridge/chem/molecule.h"
 #include "common/metrics.h"
 #include "engine/connection.h"
+#include "temp_path.h"
 
 namespace exi {
 namespace {
@@ -96,7 +97,7 @@ TEST(FingerprintTest, TanimotoProperties) {
 class ChemCartridgeTest : public ::testing::Test {
  protected:
   ChemCartridgeTest() : conn_(&db_) {
-    db_.catalog().set_external_root("/tmp/extidx_test_chem");
+    db_.catalog().set_external_root(external_root_.str());
     EXPECT_TRUE(InstallChemCartridge(&conn_).ok());
     conn_.MustExecute("CREATE TABLE mols (id INTEGER, smiles VARCHAR(200))");
   }
@@ -122,6 +123,8 @@ class ChemCartridgeTest : public ::testing::Test {
     InsertMol(6, "CC(=O)OCC");   // ethyl acetate
   }
 
+  // Declared first so the directory outlives the database using it.
+  ScopedTempPath external_root_{"extidx_test_chem"};
   Database db_;
   Connection conn_;
 };

@@ -103,9 +103,9 @@ void ExpectNoIndexStuckInProgress(Database& db, const std::string& when) {
   for (const IndexInfo* idx : db.catalog().Indexes()) {
     EXPECT_NE(idx->status, IndexStatus::kInProgress)
         << idx->name << " " << when;
-    for (const LocalIndexPartition& p : idx->local_parts) {
-      EXPECT_NE(p.status, IndexStatus::kInProgress)
-          << idx->name << "#" << p.partition_name << " " << when;
+    for (const IndexSlice& slice : idx->slices) {
+      EXPECT_NE(slice.status, IndexStatus::kInProgress)
+          << slice.name << " " << when;
     }
   }
 }

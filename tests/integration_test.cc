@@ -17,6 +17,7 @@
 #include "core/scan_context.h"
 #include "engine/connection.h"
 #include "engine/workloads.h"
+#include "temp_path.h"
 
 namespace exi {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 class IntegrationTest : public ::testing::Test {
  protected:
   IntegrationTest() : conn_(&db_) {
-    db_.catalog().set_external_root("/tmp/extidx_test_integration");
+    db_.catalog().set_external_root(external_root_.str());
     EXPECT_TRUE(text::InstallTextCartridge(&conn_).ok());
     EXPECT_TRUE(spatial::InstallSpatialCartridge(&conn_).ok());
     EXPECT_TRUE(vir::InstallVirCartridge(&conn_).ok());
@@ -33,6 +34,8 @@ class IntegrationTest : public ::testing::Test {
     EXPECT_TRUE(varr::InstallVarrayCartridge(&conn_).ok());
   }
 
+  // Declared first so the directory outlives the database using it.
+  ScopedTempPath external_root_{"extidx_test_integration"};
   Database db_;
   Connection conn_;
 };

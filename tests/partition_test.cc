@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -495,6 +496,93 @@ TEST_F(PartitionTest, ParallelPartitionScanMatchesSerial) {
   for (size_t i = 0; i < serial.rows.size(); ++i) {
     EXPECT_EQ(parallel.rows[i][0].AsInteger(), serial.rows[i][0].AsInteger());
   }
+}
+
+// What one statement of the parity script produced: its result rows
+// (rendered) and the ODCI routine calls it made.
+struct StatementTrace {
+  std::vector<std::string> rows;
+  std::map<std::string, uint64_t> calls;
+};
+
+// Runs the same DML/query script against `table` — already created with a
+// text index on body — and records each statement's rows and maintenance
+// and scan call counts.
+std::vector<StatementTrace> RunParityScript(Connection* conn,
+                                            const std::string& table) {
+  const std::vector<std::string> script = {
+      "INSERT INTO " + table + " VALUES (1, 'oracle index')",
+      "INSERT INTO " + table +
+          " VALUES (2, 'spatial data'), (3, 'oracle text'), "
+          "(4, 'image data')",
+      "UPDATE " + table + " SET body = 'oracle spatial' WHERE id = 2",
+      "DELETE FROM " + table + " WHERE id = 4",
+      "BEGIN",
+      "INSERT INTO " + table + " VALUES (5, 'oracle rollback')",
+      "DELETE FROM " + table + " WHERE id = 1",
+      "ROLLBACK",
+      "SELECT id FROM " + table + " WHERE Contains(body, 'oracle')",
+      "SELECT id, body FROM " + table + " WHERE Contains(body, 'spatial')",
+      "SELECT COUNT(*) FROM " + table + " WHERE Contains(body, 'data')",
+      "SELECT id FROM " + table + " WHERE Contains(body, 'rollback')",
+  };
+  const std::vector<std::string> routines = {
+      "ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete",
+      "ODCIIndexBatchInsert", "ODCIIndexStart", "ODCIIndexFetch",
+      "ODCIIndexClose"};
+  std::vector<StatementTrace> out;
+  for (const std::string& sql : script) {
+    Tracer::Global().Reset();
+    StatementTrace st;
+    for (const Row& row : conn->MustExecute(sql).rows) {
+      std::string text;
+      for (const Value& v : row) text += v.ToString() + "|";
+      st.rows.push_back(text);
+    }
+    for (const std::string& routine : routines) {
+      st.calls[routine] = TracedCalls(routine);
+    }
+    out.push_back(std::move(st));
+  }
+  return out;
+}
+
+TEST_F(PartitionTest, GlobalAndSingleSliceLocalIndexBehaveAlike) {
+  for (size_t dop : {1, 4}) {
+    SCOPED_TRACE("parallelism " + std::to_string(dop));
+    db_.set_parallelism(dop);
+    conn_.MustExecute("CREATE TABLE gdocs (id INTEGER, body VARCHAR(64))");
+    conn_.MustExecute(
+        "CREATE TABLE ldocs (id INTEGER, body VARCHAR(64)) "
+        "PARTITION BY RANGE (id) (PARTITION pall VALUES LESS THAN (MAXVALUE))");
+    conn_.MustExecute(
+        "CREATE INDEX gdocs_text ON gdocs(body) INDEXTYPE IS TextIndexType");
+    conn_.MustExecute(
+        "CREATE INDEX ldocs_text ON ldocs(body) INDEXTYPE IS TextIndexType");
+
+    std::vector<StatementTrace> global = RunParityScript(&conn_, "gdocs");
+    std::vector<StatementTrace> local = RunParityScript(&conn_, "ldocs");
+    ASSERT_EQ(global.size(), local.size());
+    for (size_t i = 0; i < global.size(); ++i) {
+      SCOPED_TRACE("statement " + std::to_string(i));
+      EXPECT_EQ(global[i].rows, local[i].rows);
+      // The call sequence is pinned at parallelism 1 only; above it,
+      // fetches run ahead on pool threads and only the rows are contract.
+      if (dop == 1) {
+        EXPECT_EQ(global[i].calls, local[i].calls);
+      }
+    }
+    // The script exercises every compared routine on both sides.
+    std::map<std::string, uint64_t> total;
+    for (const StatementTrace& st : global) {
+      for (const auto& [routine, n] : st.calls) total[routine] += n;
+    }
+    for (const auto& [routine, n] : total) EXPECT_GT(n, 0u) << routine;
+
+    conn_.MustExecute("DROP TABLE gdocs");
+    conn_.MustExecute("DROP TABLE ldocs");
+  }
+  db_.set_parallelism(1);
 }
 
 TEST_F(PartitionTest, PartitionDdlInvalidatesCachedPlanState) {

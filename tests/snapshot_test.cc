@@ -11,11 +11,10 @@
 #include "cartridge/varray/varray_cartridge.h"
 #include "engine/connection.h"
 #include "engine/snapshot.h"
+#include "temp_path.h"
 
 namespace exi {
 namespace {
-
-constexpr char kPath[] = "/tmp/extidx_test_snapshot.bin";
 
 void InstallAll(Connection* conn) {
   ASSERT_TRUE(text::InstallTextCartridge(conn).ok());
@@ -24,6 +23,7 @@ void InstallAll(Connection* conn) {
 }
 
 TEST(SnapshotTest, RoundTripsAllValueFamilies) {
+  ScopedTempPath path("extidx_test_snapshot.bin");
   Database src;
   Connection src_conn(&src);
   InstallAll(&src_conn);
@@ -35,12 +35,12 @@ TEST(SnapshotTest, RoundTripsAllValueFamilies) {
       "VARRAY_OF('a', 'b'), SDO_GEOMETRY(1, 2, 3, 4))");
   src_conn.MustExecute(
       "INSERT INTO t VALUES (2, NULL, NULL, FALSE, NULL, NULL)");
-  ASSERT_TRUE(SaveSnapshot(&src, kPath).ok());
+  ASSERT_TRUE(SaveSnapshot(&src, path.c_str()).ok());
 
   Database dst;
   Connection dst_conn(&dst);
   InstallAll(&dst_conn);
-  ASSERT_TRUE(LoadSnapshot(&dst, &dst_conn, kPath).ok());
+  ASSERT_TRUE(LoadSnapshot(&dst, &dst_conn, path.c_str()).ok());
 
   QueryResult r = dst_conn.MustExecute("SELECT * FROM t ORDER BY i");
   ASSERT_EQ(r.rows.size(), 2u);
@@ -56,10 +56,10 @@ TEST(SnapshotTest, RoundTripsAllValueFamilies) {
       dst_conn.Execute("INSERT INTO t VALUES (NULL, 1, 'x', TRUE, NULL, "
                        "NULL)")
           .ok());
-  std::remove(kPath);
 }
 
 TEST(SnapshotTest, DomainIndexesRebuiltAndQueryable) {
+  ScopedTempPath path("extidx_test_snapshot.bin");
   Database src;
   Connection src_conn(&src);
   InstallAll(&src_conn);
@@ -72,12 +72,12 @@ TEST(SnapshotTest, DomainIndexesRebuiltAndQueryable) {
       "PARAMETERS (':Ignore the')");
   src_conn.MustExecute("CREATE INDEX d_id ON docs(id)");
   src_conn.MustExecute("ANALYZE docs");
-  ASSERT_TRUE(SaveSnapshot(&src, kPath).ok());
+  ASSERT_TRUE(SaveSnapshot(&src, path.c_str()).ok());
 
   Database dst;
   Connection dst_conn(&dst);
   InstallAll(&dst_conn);
-  ASSERT_TRUE(LoadSnapshot(&dst, &dst_conn, kPath).ok());
+  ASSERT_TRUE(LoadSnapshot(&dst, &dst_conn, path.c_str()).ok());
 
   // The rebuilt domain index answers queries — including the stop-word
   // parameter carried through the snapshot.
@@ -103,22 +103,22 @@ TEST(SnapshotTest, DomainIndexesRebuiltAndQueryable) {
   r = dst_conn.MustExecute(
       "SELECT COUNT(*) FROM docs WHERE Contains(body, 'needle')");
   EXPECT_EQ(r.rows[0][0].AsInteger(), 2);
-  std::remove(kPath);
 }
 
 TEST(SnapshotTest, GuardsAndErrors) {
+  ScopedTempPath path("extidx_test_snapshot.bin");
   Database src;
   Connection src_conn(&src);
   InstallAll(&src_conn);
   src_conn.MustExecute("CREATE TABLE t (a INTEGER)");
-  ASSERT_TRUE(SaveSnapshot(&src, kPath).ok());
+  ASSERT_TRUE(SaveSnapshot(&src, path.c_str()).ok());
 
   // Loading into a non-empty database is refused.
   Database busy;
   Connection busy_conn(&busy);
   InstallAll(&busy_conn);
   busy_conn.MustExecute("CREATE TABLE other (x INTEGER)");
-  EXPECT_EQ(LoadSnapshot(&busy, &busy_conn, kPath).code(),
+  EXPECT_EQ(LoadSnapshot(&busy, &busy_conn, path.c_str()).code(),
             StatusCode::kInvalidArgument);
 
   // Missing file / corrupt file.
@@ -128,10 +128,10 @@ TEST(SnapshotTest, GuardsAndErrors) {
   EXPECT_EQ(LoadSnapshot(&fresh, &fresh_conn, "/tmp/no_such_snapshot")
                 .code(),
             StatusCode::kIoError);
-  FILE* f = std::fopen(kPath, "wb");
+  FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("garbage", f);
   std::fclose(f);
-  EXPECT_EQ(LoadSnapshot(&fresh, &fresh_conn, kPath).code(),
+  EXPECT_EQ(LoadSnapshot(&fresh, &fresh_conn, path.c_str()).code(),
             StatusCode::kIoError);
 
   // A snapshot whose indextype is not installed in the target fails
@@ -142,11 +142,10 @@ TEST(SnapshotTest, GuardsAndErrors) {
   src2_conn.MustExecute("CREATE TABLE d (body VARCHAR(50))");
   src2_conn.MustExecute(
       "CREATE INDEX dt ON d(body) INDEXTYPE IS TextIndexType");
-  ASSERT_TRUE(SaveSnapshot(&src2, kPath).ok());
+  ASSERT_TRUE(SaveSnapshot(&src2, path.c_str()).ok());
   Database bare;  // no cartridges installed
   Connection bare_conn(&bare);
-  EXPECT_FALSE(LoadSnapshot(&bare, &bare_conn, kPath).ok());
-  std::remove(kPath);
+  EXPECT_FALSE(LoadSnapshot(&bare, &bare_conn, path.c_str()).ok());
 }
 
 }  // namespace
