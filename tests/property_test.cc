@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 
@@ -148,6 +150,13 @@ struct ScanConfig {
   const char* context_mode;
 };
 
+// gtest would otherwise print the parameter's raw bytes, pointer included,
+// and test discovery copies that text into the ctest name, which then
+// changed with every build. Same for VirConfig below.
+void PrintTo(const ScanConfig& config, std::ostream* os) {
+  *os << "batch=" << config.batch << " mode=" << config.context_mode;
+}
+
 class ScanConfigProperty : public ::testing::TestWithParam<ScanConfig> {};
 
 TEST_P(ScanConfigProperty, TextResultsInvariant) {
@@ -234,6 +243,18 @@ struct VirConfig {
   double threshold;
   const char* weights;
 };
+
+// Prints only the weight values, which every config below lists in the
+// order globalcolor, localcolor, texture, structure.
+void PrintTo(const VirConfig& config, std::ostream* os) {
+  *os << "threshold=" << config.threshold << " weights=";
+  for (const char* c = config.weights; *c; ++c) {
+    if (std::isdigit(static_cast<unsigned char>(*c)) || *c == '.' ||
+        *c == ',') {
+      *os << *c;
+    }
+  }
+}
 
 class VirEquivalenceProperty : public ::testing::TestWithParam<VirConfig> {};
 
