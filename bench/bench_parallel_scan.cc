@@ -77,6 +77,18 @@ double Speedup(const std::vector<std::pair<size_t, double>>& rows,
   return at > 0 ? base / at : 0.0;
 }
 
+// `rows` as a JSON array of {"workers": w, "ms": t} objects.
+std::string MsArray(const std::vector<std::pair<size_t, double>>& rows) {
+  std::string out = "[";
+  for (const auto& [workers, ms] : rows) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s{\"workers\": %zu, \"ms\": %.1f}",
+                  out.size() > 1 ? ", " : "", workers, ms);
+    out += buf;
+  }
+  return out + "]";
+}
+
 }  // namespace
 
 int main() {
@@ -179,37 +191,21 @@ int main() {
   }
 
   // ---- machine-readable output ----
-  FILE* f = std::fopen("BENCH_parallel.json", "w");
-  if (f == nullptr) return 1;
-  std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"note\": \"single-core container: per-callback storage "
-               "latency is simulated with sleeps (%lldus per build insert, "
-               "%lldus per join probe) so worker threads hide latency rather "
-               "than compete for the one CPU\",\n",
-               (long long)kInsertLatencyUs, (long long)kProbeLatencyUs);
-  std::fprintf(f, "  \"build\": [");
-  for (size_t i = 0; i < build_ms.size(); ++i) {
-    std::fprintf(f, "%s{\"workers\": %zu, \"ms\": %.1f}",
-                 i == 0 ? "" : ", ", build_ms[i].first, build_ms[i].second);
-  }
-  std::fprintf(f, "],\n  \"join\": [");
-  for (size_t i = 0; i < join_ms.size(); ++i) {
-    std::fprintf(f, "%s{\"workers\": %zu, \"ms\": %.1f}",
-                 i == 0 ? "" : ", ", join_ms[i].first, join_ms[i].second);
-  }
-  std::fprintf(f, "],\n");
-  std::fprintf(f, "  \"join_result_rows\": %zu,\n", join_rows);
-  std::fprintf(f, "  \"build_speedup_4_workers\": %.2f,\n",
-               Speedup(build_ms, 4));
-  std::fprintf(f, "  \"join_speedup_4_workers\": %.2f,\n",
-               Speedup(join_ms, 4));
-  std::fprintf(f, "  \"odci_calls\": ");
-  WriteOdciJsonArray(f, "    ");
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_parallel.json (build 4w speedup %.2fx, "
-              "join 4w speedup %.2fx)\n",
+  char note[256];
+  std::snprintf(note, sizeof(note),
+                "per-callback storage latency is simulated with sleeps "
+                "(%lldus per build insert, %lldus per join probe) so worker "
+                "threads hide latency rather than compete for CPU",
+                (long long)kInsertLatencyUs, (long long)kProbeLatencyUs);
+  JsonReport report("parallel");
+  report.Add("note", note);
+  report.AddRaw("build", MsArray(build_ms));
+  report.AddRaw("join", MsArray(join_ms));
+  report.Add("join_result_rows", uint64_t(join_rows));
+  report.Add("build_speedup_4_workers", Speedup(build_ms, 4));
+  report.Add("join_speedup_4_workers", Speedup(join_ms, 4));
+  std::printf("\nbuild 4w speedup %.2fx, join 4w speedup %.2fx\n",
               Speedup(build_ms, 4), Speedup(join_ms, 4));
+  if (!report.Write()) return 1;
   return 0;
 }

@@ -23,9 +23,11 @@ cmake --build build --target docs-check
 
 echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
 # Runs from build/ so the committed BENCH_*.json at the repo root keep
-# their full-scale numbers; smoke output is plumbing validation only.
+# their full-scale numbers; smoke output is plumbing validation only.  Every
+# BENCH_*.json the run writes must parse as JSON (format only, not timings).
 (
   cd build
+  rm -f BENCH_*.json
   for b in bench/bench_*; do
     [[ -x "$b" && ! -d "$b" ]] || continue
     if [[ "$(basename "$b")" == "bench_micro_substrate" ]]; then
@@ -34,6 +36,10 @@ echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
       EXTIDX_BENCH_SMOKE=1 "./$b" >/dev/null
     fi
     echo "  ok: $(basename "$b")"
+  done
+  for j in BENCH_*.json; do
+    python3 -m json.tool "$j" >/dev/null
+    echo "  json ok: $j"
   done
 )
 

@@ -39,6 +39,25 @@ int64_t NowUs() {
       .count();
 }
 
+// One slice's full ODCIIndexStart/Fetch*/Close cycle, appending its rows to
+// `out` (ancillary values padded with NULL to one per row).  Runs a
+// DomainIndexScanNode fan-out task and each slice of a join probe.
+Status DrainSlice(DomainIndexManager* manager, const std::string& index,
+                  const OdciPredInfo& pred, uint32_t segment,
+                  size_t batch_size, OdciFetchBatch* out) {
+  EXI_ASSIGN_OR_RETURN(auto scan, manager->StartScan(index, pred, segment));
+  OdciFetchBatch b;
+  while (true) {
+    EXI_RETURN_IF_ERROR(scan->NextBatch(batch_size, &b));
+    if (b.end_of_scan()) break;
+    out->rids.insert(out->rids.end(), b.rids.begin(), b.rids.end());
+    out->ancillary.insert(out->ancillary.end(), b.ancillary.begin(),
+                          b.ancillary.end());
+    out->ancillary.resize(out->rids.size(), Value::Null());
+  }
+  return scan->Close();
+}
+
 }  // namespace
 
 std::string DescribePlan(const ExecNode& root) {
@@ -242,21 +261,9 @@ Status DomainIndexScanNode::OpenImpl() {
       fan_out_.push_back(manager_->pool().Submit(
           [manager = manager_, index = index_name_, segment, pred = pred_,
            batch = batch_size_]() -> Result<OdciFetchBatch> {
-            EXI_ASSIGN_OR_RETURN(auto scan,
-                                 manager->StartScan(index, pred, segment));
             OdciFetchBatch all;
-            OdciFetchBatch b;
-            while (true) {
-              EXI_RETURN_IF_ERROR(scan->NextBatch(batch, &b));
-              if (b.end_of_scan()) break;
-              for (size_t i = 0; i < b.rids.size(); ++i) {
-                all.rids.push_back(b.rids[i]);
-                all.ancillary.push_back(i < b.ancillary.size()
-                                            ? b.ancillary[i]
-                                            : Value::Null());
-              }
-            }
-            EXI_RETURN_IF_ERROR(scan->Close());
+            EXI_RETURN_IF_ERROR(
+                DrainSlice(manager, index, pred, segment, batch, &all));
             return all;
           }));
     }
@@ -539,7 +546,8 @@ std::vector<const ExecNode*> IndexJoinNode::Children() const {
 DomainIndexJoinNode::DomainIndexJoinNode(
     std::unique_ptr<ExecNode> outer, size_t outer_offset, size_t outer_width,
     DomainIndexManager* manager, const HeapTable* inner, size_t inner_offset,
-    size_t inner_width, std::string index_name, std::string op_name,
+    size_t inner_width, std::string index_name,
+    std::vector<uint32_t> inner_slices, std::string op_name,
     std::vector<const sql::Expr*> arg_exprs, const Catalog* catalog,
     size_t batch_size, size_t parallelism)
     : outer_(std::move(outer)),
@@ -550,6 +558,7 @@ DomainIndexJoinNode::DomainIndexJoinNode(
       inner_offset_(inner_offset),
       inner_width_(inner_width),
       index_name_(std::move(index_name)),
+      inner_slices_(std::move(inner_slices)),
       op_name_(std::move(op_name)),
       arg_exprs_(std::move(arg_exprs)),
       evaluator_(catalog),
@@ -562,15 +571,12 @@ bool DomainIndexJoinNode::parallel_enabled() const {
 
 Status DomainIndexJoinNode::OpenImpl() {
   EXI_RETURN_IF_ERROR(outer_->Open());
-  padded_.assign(outer_width_ + inner_width_, Value::Null());
-  inner_exhausted_ = true;
-  scan_.reset();
-  parallel_ = parallel_enabled();
+  window_limit_ = parallel_enabled() ? parallelism_ * 2 : 1;
   outer_done_ = false;
   window_.clear();
-  probe_rids_.clear();
+  probe_ = OdciFetchBatch();
   probe_pos_ = 0;
-  if (parallel_) manager_->pool().EnsureWorkerCount(parallelism_);
+  if (window_limit_ > 1) manager_->pool().EnsureWorkerCount(parallelism_);
   return Status::OK();
 }
 
@@ -584,7 +590,7 @@ Result<bool> DomainIndexJoinNode::EnqueueProbe() {
     probe.padded[outer_offset_ + i] = std::move(outer_row.values[i]);
   }
   // Argument expressions are evaluated here, on the consumer thread; only
-  // the cartridge probe itself (Start/Fetch*/Close) runs on the pool.
+  // the cartridge probe itself (Start/Fetch*/Close) may run on the pool.
   OdciPredInfo pred;
   pred.operator_name = op_name_;
   for (const sql::Expr* e : arg_exprs_) {
@@ -593,122 +599,62 @@ Result<bool> DomainIndexJoinNode::EnqueueProbe() {
   }
   pred.lower_bound = Value::Boolean(true);
   pred.upper_bound = Value::Boolean(true);
-  probe.rids = manager_->pool().Submit(
-      [manager = manager_, index = index_name_, pred = std::move(pred),
-       n = batch_size_]() -> Result<std::vector<RowId>> {
-        EXI_ASSIGN_OR_RETURN(std::unique_ptr<DomainIndexManager::Scan> scan,
-                             manager->StartScan(index, pred));
-        std::vector<RowId> rids;
-        OdciFetchBatch batch;
-        while (true) {
-          EXI_RETURN_IF_ERROR(scan->NextBatch(n, &batch));
-          if (batch.end_of_scan()) break;
-          rids.insert(rids.end(), batch.rids.begin(), batch.rids.end());
-        }
-        EXI_RETURN_IF_ERROR(scan->Close());
-        return rids;
-      });
+  auto run = [manager = manager_, index = index_name_, pred = std::move(pred),
+              slices = inner_slices_,
+              n = batch_size_]() -> Result<OdciFetchBatch> {
+    OdciFetchBatch all;
+    for (uint32_t segment : slices) {
+      EXI_RETURN_IF_ERROR(DrainSlice(manager, index, pred, segment, n, &all));
+    }
+    return all;
+  };
+  if (window_limit_ > 1) {
+    probe.result = manager_->pool().Submit(std::move(run));
+  } else {
+    // A window of 1 probes inline on the consumer thread, so a cartridge
+    // without parallel_scan never runs on a pool worker.
+    std::promise<Result<OdciFetchBatch>> done;
+    done.set_value(run());
+    probe.result = done.get_future();
+  }
   window_.push_back(std::move(probe));
   return true;
 }
 
-Result<bool> DomainIndexJoinNode::AdvanceOuter() {
-  if (scan_ != nullptr) {
-    EXI_RETURN_IF_ERROR(scan_->Close());
-    scan_.reset();
-  }
-  ExecRow outer_row;
-  EXI_ASSIGN_OR_RETURN(bool have, outer_->Next(&outer_row));
-  if (!have) return false;
-  // Install outer values into the full-width padded row.
-  std::fill(padded_.begin(), padded_.end(), Value::Null());
-  for (size_t i = 0; i < outer_row.values.size(); ++i) {
-    padded_[outer_offset_ + i] = std::move(outer_row.values[i]);
-  }
-  // Build the per-probe predicate from the outer row.
-  OdciPredInfo pred;
-  pred.operator_name = op_name_;
-  for (const sql::Expr* e : arg_exprs_) {
-    EXI_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*e, padded_));
-    pred.args.push_back(std::move(v));
-  }
-  pred.lower_bound = Value::Boolean(true);
-  pred.upper_bound = Value::Boolean(true);
-  EXI_ASSIGN_OR_RETURN(scan_, manager_->StartScan(index_name_, pred));
-  batch_.rids.clear();
-  batch_.ancillary.clear();
-  batch_pos_ = 0;
-  inner_exhausted_ = false;
-  return true;
-}
-
 Result<bool> DomainIndexJoinNode::NextImpl(ExecRow* out) {
-  if (parallel_) {
-    while (true) {
-      // Keep a window of parallelism*2 probes in flight so workers stay
-      // busy while the consumer merges the front probe's matches.
-      while (!outer_done_ && window_.size() < parallelism_ * 2) {
-        EXI_ASSIGN_OR_RETURN(bool have, EnqueueProbe());
-        if (!have) outer_done_ = true;
-      }
-      if (probe_pos_ < probe_rids_.size()) {
-        RowId rid = probe_rids_[probe_pos_++];
-        Result<Row> inner_row = inner_->Get(rid);
-        if (!inner_row.ok()) continue;  // stale rowid
-        out->values = padded_;
-        for (size_t i = 0; i < inner_row->size(); ++i) {
-          out->values[inner_offset_ + i] = std::move((*inner_row)[i]);
-        }
-        out->rid = kInvalidRowId;
-        out->ancillary = Value::Null();
-        return true;
-      }
-      if (window_.empty()) return false;
-      PendingProbe probe = std::move(window_.front());
-      window_.pop_front();
-      EXI_ASSIGN_OR_RETURN(probe_rids_, probe.rids.get());
-      probe_pos_ = 0;
-      padded_ = std::move(probe.padded);
-    }
-  }
   while (true) {
-    if (inner_exhausted_) {
-      EXI_ASSIGN_OR_RETURN(bool have, AdvanceOuter());
-      if (!have) return false;
-    }
-    if (batch_pos_ >= batch_.rids.size()) {
-      EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
-      batch_pos_ = 0;
-      if (batch_.end_of_scan()) {
-        inner_exhausted_ = true;
-        continue;
+    if (probe_pos_ < probe_.rids.size()) {
+      RowId rid = probe_.rids[probe_pos_++];
+      Result<Row> inner_row = inner_->Get(rid);
+      if (!inner_row.ok()) continue;  // stale rowid
+      out->values = padded_;
+      for (size_t i = 0; i < inner_row->size(); ++i) {
+        out->values[inner_offset_ + i] = std::move((*inner_row)[i]);
       }
+      out->rid = kInvalidRowId;
+      out->ancillary = Value::Null();
+      return true;
     }
-    RowId rid = batch_.rids[batch_pos_++];
-    Result<Row> inner_row = inner_->Get(rid);
-    if (!inner_row.ok()) continue;
-    out->values = padded_;
-    for (size_t i = 0; i < inner_row->size(); ++i) {
-      out->values[inner_offset_ + i] = std::move((*inner_row)[i]);
+    // The front probe is merged: top the window back up so workers stay
+    // busy, then take the next probe in outer order.
+    while (!outer_done_ && window_.size() < window_limit_) {
+      EXI_ASSIGN_OR_RETURN(bool have, EnqueueProbe());
+      if (!have) outer_done_ = true;
     }
-    out->rid = kInvalidRowId;
-    out->ancillary = Value::Null();
-    return true;
+    if (window_.empty()) return false;
+    PendingProbe probe = std::move(window_.front());
+    window_.pop_front();
+    EXI_ASSIGN_OR_RETURN(probe_, probe.result.get());
+    probe_pos_ = 0;
+    padded_ = std::move(probe.padded);
   }
 }
 
 Status DomainIndexJoinNode::CloseImpl() {
   // Join outstanding probes before tearing anything down; each probe closes
-  // its own scan on the worker.
-  while (!window_.empty()) {
-    PendingProbe probe = std::move(window_.front());
-    window_.pop_front();
-    if (probe.rids.valid()) (void)probe.rids.get();
-  }
-  if (scan_ != nullptr) {
-    EXI_RETURN_IF_ERROR(scan_->Close());
-    scan_.reset();
-  }
+  // its own scans.
+  for (PendingProbe& probe : window_) (void)probe.result.get();
+  window_.clear();
   return outer_->Close();
 }
 

@@ -301,20 +301,23 @@ class IndexJoinNode : public ExecNode {
 // Output rows are full-width in FROM order regardless of which side drives:
 // outer values land at `outer_offset`, inner values at `inner_offset`.
 //
-// With `parallelism` > 1 and a parallel_scan-capable inner cartridge, the
-// node keeps a window of outstanding probes: outer rows are drafted (and
-// their operator arguments evaluated, on the consumer thread — Evaluator is
-// not audited for concurrent use), then each probe's Start/Fetch*/Close runs
-// as a pool task.  Completed probes are merged strictly in outer order, so
-// output ordering matches the serial plan.  With parallelism == 1 the
-// pre-parallelism serial path runs unchanged.
+// A probe is one ODCIIndexStart/Fetch*/Close cycle per inner slice (the
+// heap segments in `inner_slices`, in slice order; {0} for a global index),
+// results concatenated in slice order.  The node keeps one ordered window
+// of probes: outer rows are drafted (and their operator arguments
+// evaluated, on the consumer thread — Evaluator is not audited for
+// concurrent use) and merged strictly in outer order.  The window holds
+// 2 x `parallelism` probes running as pool tasks when the inner cartridge
+// declares parallel_scan, and 1 otherwise — the serial case, where the
+// probe runs inline on the consumer thread.  Join probes are not
+// partition-aware: they move no partition counters.
 class DomainIndexJoinNode : public ExecNode {
  public:
   DomainIndexJoinNode(std::unique_ptr<ExecNode> outer, size_t outer_offset,
                       size_t outer_width, DomainIndexManager* manager,
                       const HeapTable* inner, size_t inner_offset,
                       size_t inner_width, std::string index_name,
-                      std::string op_name,
+                      std::vector<uint32_t> inner_slices, std::string op_name,
                       std::vector<const sql::Expr*> arg_exprs,
                       const Catalog* catalog, size_t batch_size = 64,
                       size_t parallelism = 1);
@@ -326,12 +329,9 @@ class DomainIndexJoinNode : public ExecNode {
   std::vector<const ExecNode*> Children() const override;
 
  private:
-  // Advances to the next outer row and starts its inner scan (serial path).
-  Result<bool> AdvanceOuter();
-
   bool parallel_enabled() const;
-  // Drafts the next outer row and submits its probe to the pool.  Returns
-  // false when the outer input is exhausted.
+  // Drafts the next outer row and starts its probe.  Returns false when
+  // the outer input is exhausted.
   Result<bool> EnqueueProbe();
 
   std::unique_ptr<ExecNode> outer_;
@@ -342,27 +342,23 @@ class DomainIndexJoinNode : public ExecNode {
   size_t inner_offset_;
   size_t inner_width_;
   std::string index_name_;
+  std::vector<uint32_t> inner_slices_;
   std::string op_name_;
   std::vector<const sql::Expr*> arg_exprs_;
   Evaluator evaluator_;
   size_t batch_size_;
   size_t parallelism_;
 
-  Row padded_;  // full-width row holding the current outer values
-  std::unique_ptr<DomainIndexManager::Scan> scan_;
-  OdciFetchBatch batch_;
-  size_t batch_pos_ = 0;
-  bool inner_exhausted_ = true;
-
-  // Parallel-probe state.  FIFO pops preserve outer order.
+  // The probe window.  FIFO pops preserve outer order.
   struct PendingProbe {
     Row padded;  // full-width row with this probe's outer values installed
-    std::future<Result<std::vector<RowId>>> rids;
+    std::future<Result<OdciFetchBatch>> result;
   };
-  bool parallel_ = false;
+  size_t window_limit_ = 1;
   bool outer_done_ = false;
   std::deque<PendingProbe> window_;
-  std::vector<RowId> probe_rids_;
+  Row padded_;  // the merged probe's padded row
+  OdciFetchBatch probe_;
   size_t probe_pos_ = 0;
 };
 

@@ -383,6 +383,32 @@ std::vector<const PartitionDef*> PrunePartitions(const PartitionScheme& scheme,
   return out;
 }
 
+// True when `idx` is a domain index whose indextype supports `op` on
+// `column_type` and whose slices over `segments` are all VALID.  A
+// non-VALID index is skipped (Oracle SKIP_UNUSABLE semantics,
+// docs/fault-tolerance.md) with an EXPLAIN line naming the `fallback` plan.
+Result<bool> UsableDomainIndex(const Catalog& catalog, const IndexInfo& idx,
+                               const std::string& op,
+                               const DataType& column_type,
+                               const std::vector<uint32_t>& segments,
+                               const char* fallback, std::string* explain) {
+  if (!idx.is_domain()) return false;
+  bool valid = idx.status == IndexStatus::kValid;
+  for (uint32_t segment : segments) {
+    const IndexSlice* slice = idx.SliceForSegment(segment);
+    valid = valid && slice != nullptr && slice->status == IndexStatus::kValid;
+  }
+  if (!valid) {
+    *explain += "domain index " + idx.name + " skipped: status " +
+                IndexStatusName(idx.effective_status()) + " (" + fallback +
+                " fallback)\n";
+    return false;
+  }
+  EXI_ASSIGN_OR_RETURN(const IndexTypeDef* itype,
+                       catalog.GetIndexType(idx.indextype));
+  return itype->Supports(op, column_type);
+}
+
 }  // namespace
 
 void Planner::SplitConjuncts(Expr* expr, std::vector<Expr*>* out) {
@@ -565,26 +591,13 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
           table.schema->column(dm->local_column).type;
       for (IndexInfo* idx :
            catalog_->IndexesOnColumn(table.table_name, dm->column_name)) {
-        if (!idx->is_domain()) continue;
-        // Non-VALID indexes are silently skipped (Oracle SKIP_UNUSABLE
-        // semantics, docs/fault-tolerance.md): the query falls back to the
-        // seq-scan candidate with the predicate as a residual filter.  Only
-        // the slices the plan would actually scan need to be VALID.
-        bool usable = idx->status == IndexStatus::kValid;
-        for (uint32_t segment : scan.segments) {
-          const IndexSlice* slice = idx->SliceForSegment(segment);
-          usable = usable && slice != nullptr &&
-                   slice->status == IndexStatus::kValid;
-        }
-        if (!usable) {
-          *explain += "domain index " + idx->name + " skipped: status " +
-                      IndexStatusName(idx->effective_status()) +
-                      " (seq-scan fallback)\n";
-          continue;
-        }
-        EXI_ASSIGN_OR_RETURN(const IndexTypeDef* itype,
-                             catalog_->GetIndexType(idx->indextype));
-        if (!itype->Supports(dm->operator_name, col_type)) continue;
+        // Only the slices the plan would actually scan need to be VALID;
+        // otherwise the predicate stays a residual filter over the seq scan.
+        EXI_ASSIGN_OR_RETURN(
+            bool usable,
+            UsableDomainIndex(*catalog_, *idx, dm->operator_name, col_type,
+                              scan.segments, "seq-scan", explain));
+        if (!usable) continue;
         double sel = 0.0;
         double odci_cost = 0.0;
         std::string stats_key;
@@ -700,27 +713,19 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
         inner_t.schema->column(first.slot - int(inner_t.slot_offset)).name;
     const DataType& col_type =
         inner_t.schema->column(first.slot - int(inner_t.slot_offset)).type;
-    // LOCAL indexes scan partition by partition; the per-outer-row probe
-    // rewrite assumes a single scannable slice, so a partitioned inner
-    // table is skipped (the nested-loop fallback still evaluates the
-    // operator per row).
-    EXI_ASSIGN_OR_RETURN(TableInfo * inner_info,
-                         catalog_->GetTableInfo(inner_t.table_name));
-    if (inner_info->partitioning.partitioned()) continue;
     for (IndexInfo* idx :
          catalog_->IndexesOnColumn(inner_t.table_name, col_name)) {
-      if (!idx->is_domain()) continue;
-      // Non-VALID index: skip like single-table planning does; the
-      // nested-loop fallback evaluates the operator functionally.
-      if (idx->effective_status() != IndexStatus::kValid) {
-        *explain += "domain index " + idx->name + " skipped: status " +
-                    IndexStatusName(idx->effective_status()) +
-                    " (join fallback)\n";
-        continue;
+      // Every probe scans every slice, so all of them must be VALID;
+      // otherwise the nested-loop fallback evaluates the operator
+      // functionally.
+      std::vector<uint32_t> slices;
+      for (const IndexSlice& slice : idx->slices) {
+        slices.push_back(slice.segment);
       }
-      EXI_ASSIGN_OR_RETURN(const IndexTypeDef* itype,
-                           catalog_->GetIndexType(idx->indextype));
-      if (!itype->Supports(e->function, col_type)) continue;
+      EXI_ASSIGN_OR_RETURN(
+          bool usable, UsableDomainIndex(*catalog_, *idx, e->function,
+                                         col_type, slices, "join", explain));
+      if (!usable) continue;
       *explain += "domain-index join: probing " + idx->name +
                   " once per " + outer_t.alias + " row (op=" + e->function +
                   ")\n";
@@ -734,8 +739,8 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
           std::move(outer_scan), outer_t.slot_offset,
           outer_t.schema->size(), domains_, env.heaps[inner_idx],
           inner_t.slot_offset, inner_t.schema->size(), idx->name,
-          e->function, std::move(arg_exprs), catalog_, fetch_batch_,
-          parallelism_);
+          std::move(slices), e->function, std::move(arg_exprs), catalog_,
+          fetch_batch_, parallelism_);
       conjuncts->erase(conjuncts->begin() + ci);
       return std::unique_ptr<ExecNode>(std::move(node));
     }

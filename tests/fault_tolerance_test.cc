@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -208,6 +211,59 @@ TEST_F(FaultToleranceTest, RebuildPartitionRestoresOneSlice) {
             std::string::npos)
       << plan.message;
   EXPECT_EQ(Count("pt", "FEq(v, 160)"), 1);
+  conn_.MustExecute("SET INDEX_MAINTENANCE = STRICT");
+}
+
+// A domain-index join probes every slice of the inner index, so one FAILED
+// slice sends the whole join to the nested-loop fallback (functional
+// evaluation, reason in EXPLAIN) until that slice is rebuilt.
+TEST_F(FaultToleranceTest, JoinFallsBackWhileAnInnerSliceIsFailed) {
+  conn_.MustExecute(
+      "CREATE TABLE pt (v INTEGER) PARTITION BY RANGE (v) "
+      "(PARTITION p0 VALUES LESS THAN (100), "
+      "PARTITION p1 VALUES LESS THAN (200))");
+  conn_.MustExecute("INSERT INTO pt VALUES (1), (2), (150), (160)");
+  conn_.MustExecute("CREATE INDEX pidx ON pt(v) INDEXTYPE IS FlakyType");
+  conn_.MustExecute("CREATE TABLE probes (w INTEGER)");
+  conn_.MustExecute("INSERT INTO probes VALUES (1), (150), (170), (160)");
+  const std::string q =
+      "SELECT q.w, p.v FROM probes q, pt p WHERE FEq(p.v, q.w)";
+  auto explain = [&] { return conn_.MustExecute("EXPLAIN " + q).message; };
+  auto rows = [&] {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& row : conn_.MustExecute(q).rows) {
+      out.emplace_back(row[0].AsInteger(), row[1].AsInteger());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_NE(explain().find("DomainIndexJoin(inner=pt via pidx"),
+            std::string::npos);
+  EXPECT_EQ(rows(), (std::vector<std::pair<int64_t, int64_t>>{
+                        {1, 1}, {150, 150}, {160, 160}}));
+
+  // A deferred maintenance failure on a row routed to p1 fails that slice.
+  conn_.MustExecute("SET INDEX_MAINTENANCE = DEFERRED");
+  Arm("flaky/insert", "status=Internal");
+  EXPECT_TRUE(conn_.Execute("INSERT INTO pt VALUES (170)").ok());
+  Disarm("flaky/insert");
+  const std::vector<std::pair<int64_t, int64_t>> want = {
+      {1, 1}, {150, 150}, {160, 160}, {170, 170}};
+
+  std::string plan = explain();
+  EXPECT_NE(plan.find("domain index pidx skipped: status FAILED "
+                      "(join fallback)"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("NestedLoopJoin"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("DomainIndexJoin"), std::string::npos) << plan;
+  EXPECT_EQ(rows(), want);
+
+  conn_.MustExecute("ALTER INDEX pidx REBUILD PARTITION p1");
+  plan = explain();
+  EXPECT_NE(plan.find("DomainIndexJoin(inner=pt via pidx"), std::string::npos)
+      << plan;
+  EXPECT_EQ(rows(), want);
   conn_.MustExecute("SET INDEX_MAINTENANCE = STRICT");
 }
 

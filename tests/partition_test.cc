@@ -498,6 +498,85 @@ TEST_F(PartitionTest, ParallelPartitionScanMatchesSerial) {
   }
 }
 
+// A domain-index join whose inner table has a LOCAL index probes every
+// slice per outer row: the tile index answers like the functional operator,
+// in the same order at every parallelism, without touching the partition
+// counters (join probes are not partition-aware scans).
+TEST_F(PartitionTest, JoinProbesEverySliceOfLocalInnerIndex) {
+  conn_.MustExecute(
+      "CREATE TABLE parks (gid INTEGER, geometry OBJECT SDO_GEOMETRY) "
+      "PARTITION BY HASH (gid) PARTITIONS 4");
+  Rng rng(11);
+  for (int i = 0; i < 120; ++i) {
+    spatial::Geometry g = workload::RandomRect(&rng, 1500.0);
+    ASSERT_TRUE(db_.InsertRow("parks",
+                              {Value::Integer(i), spatial::ToValue(g)},
+                              nullptr)
+                    .ok());
+  }
+  constexpr uint64_t kRoads = 25;
+  ASSERT_TRUE(
+      workload::BuildSpatialTable(&conn_, "roads", kRoads, 2000.0, 12).ok());
+  conn_.MustExecute(
+      "CREATE INDEX p_tile ON parks(geometry) INDEXTYPE IS "
+      "SpatialIndexType");
+  conn_.MustExecute("ANALYZE parks");
+  conn_.MustExecute("ANALYZE roads");
+
+  const std::string q =
+      "SELECT r.gid, p.gid FROM roads r, parks p "
+      "WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT')";
+  QueryResult plan = conn_.MustExecute("EXPLAIN " + q);
+  EXPECT_NE(plan.message.find("DomainIndexJoin(inner=parks via p_tile"),
+            std::string::npos)
+      << plan.message;
+  EXPECT_EQ(plan.message.find("NestedLoopJoin"), std::string::npos)
+      << plan.message;
+
+  auto pairs = [](const QueryResult& r) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& row : r.rows) {
+      out.emplace_back(row[0].AsInteger(), row[1].AsInteger());
+    }
+    return out;
+  };
+  auto sorted = [](std::vector<std::pair<int64_t, int64_t>> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  std::vector<std::pair<int64_t, int64_t>> want = sorted(pairs(
+      conn_.MustExecute("SELECT r.gid, p.gid FROM roads r, parks p WHERE "
+                        "SdoRelateFn(p.geometry, r.geometry, "
+                        "'mask=ANYINTERACT')")));
+  ASSERT_FALSE(want.empty());
+
+  Tracer::Global().Reset();
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  std::vector<std::pair<int64_t, int64_t>> serial = pairs(conn_.MustExecute(q));
+  StorageMetrics after = GlobalMetrics().Snapshot();
+  // One Start/Close pair per (outer row, inner slice).
+  EXPECT_EQ(TracedCalls("ODCIIndexStart"), kRoads * 4);
+  EXPECT_EQ(TracedCalls("ODCIIndexClose"), kRoads * 4);
+  EXPECT_EQ(after.partitions_scanned, before.partitions_scanned);
+  EXPECT_EQ(after.partitions_pruned, before.partitions_pruned);
+  EXPECT_EQ(sorted(serial), want);
+
+  db_.set_parallelism(4);
+  QueryResult parallel_plan = conn_.MustExecute("EXPLAIN " + q);
+  EXPECT_NE(parallel_plan.message.find("parallel=4"), std::string::npos)
+      << parallel_plan.message;
+  before = GlobalMetrics().Snapshot();
+  std::vector<std::pair<int64_t, int64_t>> parallel =
+      pairs(conn_.MustExecute(q));
+  after = GlobalMetrics().Snapshot();
+  db_.set_parallelism(1);
+  EXPECT_EQ(after.partitions_scanned, before.partitions_scanned);
+  EXPECT_EQ(after.partitions_pruned, before.partitions_pruned);
+  // Probes merge in outer order and slices in slice order, so the parallel
+  // stream equals the serial one row for row.
+  EXPECT_EQ(parallel, serial);
+}
+
 // What one statement of the parity script produced: its result rows
 // (rendered) and the ODCI routine calls it made.
 struct StatementTrace {
