@@ -86,7 +86,8 @@ const char* IndexStatusName(IndexStatus status);
 // (the whole of an unpartitioned table); a LOCAL index on a partitioned
 // table has one per partition, named `<index>#<partition>`
 // (cartridge-authors-guide.md), over that partition's segment.  `name` is
-// the index_name the slice's ODCI routines see.
+// the index_name the slice's ODCI routines see.  `status` is the slice's
+// lifecycle state (IN_PROGRESS while a REBUILD builds it).
 struct IndexSlice {
   std::string name;
   uint32_t segment = 0;
@@ -110,20 +111,17 @@ struct IndexInfo {
   std::shared_ptr<OdciStats> domain_stats;  // may be null
   std::vector<IndexSlice> slices;
 
-  // Lifecycle state (docs/fault-tolerance.md).  `status` is the
-  // whole-index state (IN_PROGRESS during a REBUILD without a PARTITION
-  // clause); each slice carries its own, and effective_status() is the
-  // one to display.
-  IndexStatus status = IndexStatus::kValid;
+  // Lifecycle state (docs/fault-tolerance.md) lives on the slices;
+  // effective_status() is the one to display.
   std::string last_error;   // most recent failure that changed the status
   uint64_t retries = 0;     // guard retry attempts charged to this index
 
   bool is_domain() const { return !indextype.empty(); }
 
-  // Worst state across the index and its slices, in severity order
+  // Worst state across the slices, in severity order
   // UNUSABLE > FAILED > IN_PROGRESS > VALID.
   IndexStatus effective_status() const {
-    IndexStatus worst = status;
+    IndexStatus worst = IndexStatus::kValid;
     for (const IndexSlice& s : slices) {
       if (int(s.status) > int(worst)) worst = s.status;
     }

@@ -33,22 +33,29 @@ Status IndexUnusableError(const std::string& index_name, IndexStatus status) {
 
 }  // namespace
 
-Status DomainIndexManager::GuardedOdciCall(IndexInfo* index, const char* site,
+Status DomainIndexManager::Invoke(const IndexInfo* index,
+                                  const OdciIndex* impl, const char* site,
+                                  const char* routine,
+                                  FunctionRef<Status()> call) {
+  ScopedOdciTrace trace(index->indextype, impl->TraceLabel(), routine);
+  Status s = site != nullptr ? FailPointRegistry::Global().Fire(site)
+                             : Status::OK();
+  if (s.ok()) s = call();
+  if (!s.ok()) trace.set_failed();
+  return s;
+}
+
+Status DomainIndexManager::GuardedOdciCall(IndexInfo* index,
+                                           const OdciIndex* impl,
+                                           const char* site,
                                            const char* routine,
-                                           const char* label,
                                            FunctionRef<Status()> call) {
   const auto start = std::chrono::steady_clock::now();
   uint64_t backoff_us = retry_policy_.initial_backoff_us;
   for (int attempt = 1;; ++attempt) {
-    Status s;
-    {
-      // One trace entry per attempt: retries show up in V$ODCI_CALLS as
-      // extra (failed) calls, exactly like re-issued dispatches would.
-      ScopedOdciTrace trace(index->indextype, label, routine);
-      s = FailPointRegistry::Global().Fire(site);
-      if (s.ok()) s = call();
-      if (!s.ok()) trace.set_failed();
-    }
+    // One trace entry per attempt: retries show up in V$ODCI_CALLS as
+    // extra (failed) calls, exactly like re-issued dispatches would.
+    Status s = Invoke(index, impl, site, routine, call);
     if (s.ok() || !IsTransientStatus(s)) return s;
     if (attempt >= retry_policy_.max_attempts) return s;
     const uint64_t elapsed_us = uint64_t(
@@ -104,10 +111,23 @@ Status DomainIndexManager::CallOnSlices(IndexInfo* index, OdciIndexInfo info,
     if (segment.has_value() && slice.segment != *segment) continue;
     info.index_name = slice.name;
     EXI_RETURN_IF_ERROR(
-        GuardedOdciCall(index, site, routine, slice.impl->TraceLabel(),
+        GuardedOdciCall(index, slice.impl.get(), site, routine,
                         [&] { return call(*slice.impl, info, ctx); }));
   }
   return Status::OK();
+}
+
+void DomainIndexManager::DropSlices(
+    const std::vector<std::pair<IndexInfo*, const IndexSlice*>>& slices,
+    Transaction* txn) {
+  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
+  for (const auto& [index, slice] : slices) {
+    OdciIndexInfo info = InfoFor(index);
+    info.index_name = slice->name;
+    OdciIndex* impl = slice->impl.get();
+    (void)Invoke(index, impl, nullptr, "ODCIIndexDrop",
+                 [&] { return impl->Drop(info, ctx); });
+  }
 }
 
 Status DomainIndexManager::CreateIndex(const std::string& index_name,
@@ -153,31 +173,24 @@ Status DomainIndexManager::CreateIndex(const std::string& index_name,
   if (stats_factory) info->domain_stats = stats_factory();
 
   // The table's partition scheme decides the slice layout: one slice per
-  // partition (LOCAL), or one whole-table slice over segment 0.  Only the
-  // latter may use the split parallel build.
+  // partition (LOCAL), or one whole-table slice over segment 0.
   const PartitionScheme& scheme = tinfo->partitioning;
-  std::vector<IndexSlice> layout;
   if (!scheme.partitioned()) {
-    layout.push_back(IndexSlice{.name = index_name, .segment = 0});
+    info->slices.push_back(IndexSlice{.name = index_name, .segment = 0});
   }
   for (const PartitionDef& part : scheme.partitions) {
-    layout.push_back(IndexSlice{.name = index_name + "#" + part.name,
-                                .segment = part.segment_id});
+    info->slices.push_back(IndexSlice{.name = index_name + "#" + part.name,
+                                      .segment = part.segment_id});
   }
-  const bool parallel = parallelism_ > 1 && !scheme.partitioned();
-  for (IndexSlice& slice : layout) {
-    Status built =
-        BuildSlice(info.get(), schema, std::move(slice), parallel, txn);
-    if (!built.ok()) {
+  std::vector<std::pair<IndexInfo*, const IndexSlice*>> built;
+  for (IndexSlice& slice : info->slices) {
+    Status s = BuildSlice(info.get(), schema, &slice, txn);
+    if (!s.ok()) {
       // Unwind slices created so far; the index never existed.
-      GuardedServerContext cleanup(catalog_, txn, CallbackMode::kDefinition);
-      OdciIndexInfo odci = info->ToOdciInfo(schema);
-      for (const IndexSlice& done : info->slices) {
-        odci.index_name = done.name;
-        (void)done.impl->Drop(odci, cleanup);
-      }
-      return built;
+      DropSlices(built, txn);
+      return s;
     }
+    built.emplace_back(info.get(), &slice);
   }
   return catalog_->AddIndex(std::move(info));
 }
@@ -185,11 +198,9 @@ Status DomainIndexManager::CreateIndex(const std::string& index_name,
 Status DomainIndexManager::ParallelBuild(IndexInfo* info, OdciIndex* impl,
                                          const OdciIndexInfo& odci_info,
                                          const Schema& schema,
-                                         Transaction* txn) {
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
+                                         GuardedServerContext& ctx) {
   EXI_RETURN_IF_ERROR(GuardedOdciCall(
-      info, "odci/create_storage", "ODCIIndexCreateStorage",
-      impl->TraceLabel(),
+      info, impl, "odci/create_storage", "ODCIIndexCreateStorage",
       [&] { return impl->CreateStorage(odci_info, ctx); }));
 
   // Snapshot (rid, value) pairs for the indexed column up front; workers
@@ -224,22 +235,18 @@ Status DomainIndexManager::ParallelBuild(IndexInfo* info, OdciIndex* impl,
     size_t begin = std::min(rows.size(), w * chunk);
     size_t end = std::min(rows.size(), begin + chunk);
     BufferingServerContext* buf = buffers[w].get();
-    // `info` (and so info->indextype) outlives the futures drained below.
-    const std::string& itype = info->indextype;
-    pending.push_back(workpool.Submit([impl, &odci_info, &rows, begin, end,
-                                       buf, &itype]() -> Status {
+    // `info` outlives the futures drained below.
+    pending.push_back(workpool.Submit([info, impl, &odci_info, &rows, begin,
+                                       end, buf]() -> Status {
       for (size_t i = begin; i < end; ++i) {
-        ScopedOdciTrace trace(itype, impl->TraceLabel(), "ODCIIndexInsert");
-        // Fail-point only (no retry guard): workers must not mutate the
-        // per-index retry counter concurrently.
-        Status s = FailPointRegistry::Global().Fire("odci/insert");
-        if (s.ok()) {
-          s = impl->Insert(odci_info, rows[i].first, rows[i].second, *buf);
-        }
-        if (!s.ok()) {
-          trace.set_failed();
-          return s;
-        }
+        // No retry guard: workers must not mutate the per-index retry
+        // counter concurrently, and BuildSlice falls back to the serial
+        // build on a transient failure.
+        EXI_RETURN_IF_ERROR(
+            Invoke(info, impl, "odci/insert", "ODCIIndexInsert", [&] {
+              return impl->Insert(odci_info, rows[i].first, rows[i].second,
+                                  *buf);
+            }));
       }
       return Status::OK();
     }));
@@ -271,34 +278,38 @@ Result<std::shared_ptr<OdciIndex>> DomainIndexManager::NewImplFor(
 }
 
 Status DomainIndexManager::BuildSlice(IndexInfo* index, const Schema& schema,
-                                      IndexSlice slice, bool parallel,
-                                      Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(slice.impl, NewImplFor(index));
-  OdciIndex* impl = slice.impl.get();
+                                      IndexSlice* slice, Transaction* txn) {
+  EXI_ASSIGN_OR_RETURN(std::shared_ptr<OdciIndex> fresh, NewImplFor(index));
+  OdciIndex* impl = fresh.get();
   OdciIndexInfo info = index->ToOdciInfo(schema);
-  info.index_name = slice.name;
+  info.index_name = slice->name;
   GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  ctx.RestrictBaseScanToSegment(slice.segment);
+  ctx.RestrictBaseScanToSegment(slice->segment);
+  // A failed build may leave partial storage; the best-effort drop makes
+  // sure no orphan survives it.
+  auto drop_partial = [&] {
+    (void)Invoke(index, impl, nullptr, "ODCIIndexDrop",
+                 [&] { return impl->Drop(info, ctx); });
+  };
+  // Segment 0 is the whole-table slice; any other is a partition's, which
+  // always builds serially.
   Status built = Status::NotSupported("serial build");
-  if (parallel && impl->Capabilities().parallel_build) {
-    built = ParallelBuild(index, impl, info, schema, txn);
-    // A failed split build leaves partial storage.  NotSupported means the
-    // cartridge opted out mid-build (an unbufferable operation or no split
-    // build protocol): discard it and rebuild serially.
-    if (!built.ok()) (void)impl->Drop(info, ctx);
+  if (slice->segment == 0 && parallelism_ > 1 &&
+      impl->Capabilities().parallel_build) {
+    built = ParallelBuild(index, impl, info, schema, ctx);
+    if (!built.ok()) drop_partial();
   }
-  if (built.code() == StatusCode::kNotSupported) {
-    built = GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
-                            impl->TraceLabel(),
+  // NotSupported means the cartridge opted out of the split build (an
+  // unbufferable operation or no split build protocol); a transient
+  // failure there is never retried in place.  Both rebuild serially.
+  if (built.code() == StatusCode::kNotSupported || IsTransientStatus(built)) {
+    built = GuardedOdciCall(index, impl, "odci/create", "ODCIIndexCreate",
                             [&] { return impl->Create(info, ctx); });
-    // ODCIIndexCreate may fail after creating storage (e.g. mid base-table
-    // scan); best-effort drop so the failed build leaves no orphan.
-    if (!built.ok()) (void)impl->Drop(info, ctx);
+    if (!built.ok()) drop_partial();
   }
   EXI_RETURN_IF_ERROR(built);
-  // Segment 0 is the whole-table slice; any other is a partition's.
-  if (slice.segment != 0) GlobalMetrics().local_index_storages++;
-  index->slices.push_back(std::move(slice));
+  if (slice->segment != 0) GlobalMetrics().local_index_storages++;
+  slice->impl = std::move(fresh);
   return Status::OK();
 }
 
@@ -306,27 +317,21 @@ Status DomainIndexManager::AddPartitionIndexes(const std::string& table_name,
                                                const PartitionDef& part,
                                                Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
-  std::vector<IndexInfo*> done;
+  std::vector<std::pair<IndexInfo*, const IndexSlice*>> built;
   for (IndexInfo* index : catalog_->IndexesOnTable(table_name)) {
     if (!index->is_domain()) continue;
-    Status built = BuildSlice(
-        index, table->schema(),
-        IndexSlice{.name = index->name + "#" + part.name,
-                   .segment = part.segment_id},
-        /*parallel=*/false, txn);
-    if (!built.ok()) {
+    index->slices.push_back(IndexSlice{.name = index->name + "#" + part.name,
+                                       .segment = part.segment_id});
+    Status s = BuildSlice(index, table->schema(), &index->slices.back(), txn);
+    if (!s.ok()) {
       // Unwind this call's slices (each appended last) so the failed ADD
       // PARTITION leaves every index exactly as it was.
-      GuardedServerContext cleanup(catalog_, txn, CallbackMode::kDefinition);
-      for (IndexInfo* undo : done) {
-        OdciIndexInfo info = InfoFor(undo);
-        info.index_name = undo->slices.back().name;
-        (void)undo->slices.back().impl->Drop(info, cleanup);
-        undo->slices.pop_back();
-      }
-      return built;
+      index->slices.pop_back();
+      DropSlices(built, txn);
+      for (const auto& [undo, slice] : built) undo->slices.pop_back();
+      return s;
     }
-    done.push_back(index);
+    built.emplace_back(index, &index->slices.back());
   }
   return Status::OK();
 }
@@ -451,7 +456,7 @@ Status DomainIndexManager::Dispatch(Maintenance kind, IndexInfo* index,
     GlobalMetrics().odci_batch_maintenance_calls++;
     GlobalMetrics().odci_batch_maintenance_rows += rids.size();
     Status s = GuardedOdciCall(
-        index, kBatchSite[k], kBatchRoutine[k], impl->TraceLabel(), [&] {
+        index, impl, kBatchSite[k], kBatchRoutine[k], [&] {
           switch (kind) {
             case Maintenance::kInsert:
               return impl->BatchInsert(info, rids, values, ctx);
@@ -468,7 +473,7 @@ Status DomainIndexManager::Dispatch(Maintenance kind, IndexInfo* index,
   for (size_t i = 0; i < rids.size(); ++i) {
     GlobalMetrics().odci_maintenance_calls++;
     EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, kRowSite[k], kRowRoutine[k], impl->TraceLabel(), [&] {
+        index, impl, kRowSite[k], kRowRoutine[k], [&] {
           switch (kind) {
             case Maintenance::kInsert:
               return impl->Insert(info, rids[i], values[i], ctx);
@@ -565,12 +570,9 @@ DomainIndexManager::StartScan(const std::string& index_name,
     return Status::NotFound("no slice of domain index " + index_name +
                             " covers heap segment " + std::to_string(segment));
   }
-  // A scan racing a status transition (deferred maintenance failure or a
-  // concurrent REBUILD) gets a clean ORA-01502-style error rather than
-  // stale or partial results.
-  if (index->status != IndexStatus::kValid) {
-    return IndexUnusableError(index->name, index->status);
-  }
+  // A scan racing a status transition (a deferred maintenance failure, or
+  // a plan made before a REBUILD) gets a clean ORA-01502-style error rather
+  // than stale or partial results.
   if (slice->status != IndexStatus::kValid) {
     return IndexUnusableError(slice->name, slice->status);
   }
@@ -580,21 +582,14 @@ DomainIndexManager::StartScan(const std::string& index_name,
   auto ctx = std::make_unique<GuardedServerContext>(catalog_, nullptr,
                                                     CallbackMode::kScan);
   GlobalMetrics().odci_start_calls++;
-  ScopedOdciTrace trace(index->indextype, impl->TraceLabel(),
-                        "ODCIIndexStart");
-  Status fp = FailPointRegistry::Global().Fire("odci/start");
-  if (!fp.ok()) {
-    trace.set_failed();
-    return fp;
-  }
-  Result<OdciScanContext> sctx = impl->Start(info, pred, *ctx);
-  if (!sctx.ok()) {
-    trace.set_failed();
-    return sctx.status();
-  }
+  OdciScanContext sctx;
+  EXI_RETURN_IF_ERROR(
+      Invoke(index, impl, "odci/start", "ODCIIndexStart", [&]() -> Status {
+        EXI_ASSIGN_OR_RETURN(sctx, impl->Start(info, pred, *ctx));
+        return Status::OK();
+      }));
   return std::unique_ptr<Scan>(new Scan(index, impl, std::move(info),
-                                        std::move(ctx),
-                                        std::move(sctx).value()));
+                                        std::move(ctx), std::move(sctx)));
 }
 
 DomainIndexManager::Scan::~Scan() {
@@ -609,57 +604,41 @@ Status DomainIndexManager::Scan::NextBatch(size_t max_rows,
   out->rids.clear();
   out->ancillary.clear();
   GlobalMetrics().odci_fetch_calls++;
-  ScopedOdciTrace trace(index_->indextype, impl_->TraceLabel(),
-                        "ODCIIndexFetch");
-  {
-    // Fail-point only: a fetch is never retried, because the scan context
-    // may have advanced before the failure surfaced.
-    Status fp = FailPointRegistry::Global().Fire("odci/fetch");
-    if (!fp.ok()) {
-      trace.set_failed();
-      return fp;
+  auto fetch = [&]() -> Status {
+    if (sctx_.uses_handle()) {
+      EXI_RETURN_IF_ERROR(impl_->Fetch(info_, sctx_, max_rows, out, *ctx_));
+    } else {
+      // Return State: the context object crosses the interface by value —
+      // copy the serialized state in, invoke, copy the (possibly mutated)
+      // state out.
+      OdciScanContext by_value;
+      by_value.state = sctx_.state;  // copy in
+      EXI_RETURN_IF_ERROR(impl_->Fetch(info_, by_value, max_rows, out, *ctx_));
+      sctx_.state = by_value.state;  // copy out
     }
-  }
-  Status s;
-  if (sctx_.uses_handle()) {
-    s = impl_->Fetch(info_, sctx_, max_rows, out, *ctx_);
-  } else {
-    // Return State: the context object crosses the interface by value —
-    // copy the serialized state in, invoke, copy the (possibly mutated)
-    // state out.
-    OdciScanContext by_value;
-    by_value.state = sctx_.state;  // copy in
-    s = impl_->Fetch(info_, by_value, max_rows, out, *ctx_);
-    if (s.ok()) sctx_.state = by_value.state;  // copy out
-  }
-  if (!s.ok()) {
-    trace.set_failed();
-    return s;
-  }
-  // Enforce the OdciFetchBatch contract here, at the dispatch layer, so a
-  // buggy cartridge surfaces a clear error instead of silently misaligning
-  // ancillary data with rowids downstream.
-  if (!out->ancillary.empty() && out->ancillary.size() != out->rids.size()) {
-    trace.set_failed();
-    return Status::Internal(
-        "cartridge contract violation: ODCIIndexFetch on " + info_.index_name +
-        " returned " + std::to_string(out->ancillary.size()) +
-        " ancillary values for " + std::to_string(out->rids.size()) +
-        " rowids");
-  }
-  return Status::OK();
+    // Enforce the OdciFetchBatch contract here, at the dispatch layer, so a
+    // buggy cartridge surfaces a clear error instead of silently
+    // misaligning ancillary data with rowids downstream.
+    if (!out->ancillary.empty() && out->ancillary.size() != out->rids.size()) {
+      return Status::Internal(
+          "cartridge contract violation: ODCIIndexFetch on " +
+          info_.index_name + " returned " +
+          std::to_string(out->ancillary.size()) + " ancillary values for " +
+          std::to_string(out->rids.size()) + " rowids");
+    }
+    return Status::OK();
+  };
+  // Never retried: the scan context may have advanced before the failure
+  // surfaced.
+  return Invoke(index_, impl_, "odci/fetch", "ODCIIndexFetch", fetch);
 }
 
 Status DomainIndexManager::Scan::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
   GlobalMetrics().odci_close_calls++;
-  ScopedOdciTrace trace(index_->indextype, impl_->TraceLabel(),
-                        "ODCIIndexClose");
-  Status s = FailPointRegistry::Global().Fire("odci/close");
-  if (s.ok()) s = impl_->Close(info_, sctx_, *ctx_);
-  if (!s.ok()) trace.set_failed();
-  return s;
+  return Invoke(index_, impl_, "odci/close", "ODCIIndexClose",
+                [&] { return impl_->Close(info_, sctx_, *ctx_); });
 }
 
 // ---- optimizer hooks ----
@@ -672,19 +651,13 @@ Result<double> DomainIndexManager::SumOverSlices(
   double total = 0.0;
   for (const IndexSlice& slice : index->slices) {
     info.index_name = slice.name;
-    ScopedOdciTrace trace(index->indextype, slice.impl->TraceLabel(),
-                          routine);
-    Status fp = FailPointRegistry::Global().Fire(site);
-    if (!fp.ok()) {
-      trace.set_failed();
-      return fp;
-    }
-    Result<double> v = call(info, ctx);
-    if (!v.ok()) {
-      trace.set_failed();
-      return v;
-    }
-    total += *v;
+    double v = 0.0;
+    EXI_RETURN_IF_ERROR(
+        Invoke(index, slice.impl.get(), site, routine, [&]() -> Status {
+          EXI_ASSIGN_OR_RETURN(v, call(info, ctx));
+          return Status::OK();
+        }));
+    total += v;
   }
   return total;
 }
@@ -724,40 +697,6 @@ Result<double> DomainIndexManager::ScanCost(IndexInfo* index,
 
 // ---- rebuild ----
 
-Status DomainIndexManager::RebuildSlice(IndexInfo* index, const Schema& schema,
-                                        IndexSlice* slice, Transaction* txn) {
-  slice->status = IndexStatus::kInProgress;
-  GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
-  ctx.RestrictBaseScanToSegment(slice->segment);
-  OdciIndexInfo info = index->ToOdciInfo(schema);
-  info.index_name = slice->name;
-  {
-    // Best-effort drop of the stale slice storage: FAILED contents are out
-    // of date and UNUSABLE ones may be partial, so ODCIIndexDrop must
-    // tolerate both (cartridge-authors-guide.md "Error contract").
-    ScopedOdciTrace trace(index->indextype, slice->impl->TraceLabel(),
-                          "ODCIIndexDrop");
-    Status drop = slice->impl->Drop(info, ctx);
-    if (!drop.ok()) trace.set_failed();
-  }
-  Result<std::shared_ptr<OdciIndex>> fresh = NewImplFor(index);
-  Status create = fresh.status();
-  if (fresh.ok()) {
-    OdciIndex* impl = fresh->get();
-    create = GuardedOdciCall(index, "odci/create", "ODCIIndexCreate",
-                             impl->TraceLabel(),
-                             [&] { return impl->Create(info, ctx); });
-  }
-  if (!create.ok()) {
-    slice->status = IndexStatus::kUnusable;
-    index->last_error = create.ToString();
-    return create;
-  }
-  slice->impl = std::move(fresh).value();
-  slice->status = IndexStatus::kValid;
-  return Status::OK();
-}
-
 Status DomainIndexManager::RebuildIndex(const std::string& index_name,
                                         const std::string& partition_name,
                                         Transaction* txn) {
@@ -765,26 +704,27 @@ Status DomainIndexManager::RebuildIndex(const std::string& index_name,
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(index->table));
   const std::string wanted =
       partition_name.empty() ? "" : index->name + "#" + partition_name;
-  std::vector<IndexSlice*> targets;
+  size_t rebuilt = 0;
   for (IndexSlice& slice : index->slices) {
-    if (wanted.empty() || EqualsIgnoreCase(slice.name, wanted)) {
-      targets.push_back(&slice);
+    if (!wanted.empty() && !EqualsIgnoreCase(slice.name, wanted)) continue;
+    ++rebuilt;
+    slice.status = IndexStatus::kInProgress;
+    // Best-effort drop of the stale slice storage: FAILED contents are out
+    // of date and UNUSABLE ones may be partial, so ODCIIndexDrop must
+    // tolerate both (cartridge-authors-guide.md "Error contract").
+    DropSlices({{index, &slice}}, txn);
+    Status built = BuildSlice(index, table->schema(), &slice, txn);
+    if (!built.ok()) {
+      slice.status = IndexStatus::kUnusable;
+      index->last_error = built.ToString();
+      return built;
     }
+    slice.status = IndexStatus::kValid;
   }
-  if (targets.empty()) {
+  if (rebuilt == 0) {
     return Status::NotFound("no partition " + partition_name + " in index " +
                             index_name);
   }
-  // A whole-index rebuild holds the index IN_PROGRESS; each slice records
-  // its own outcome.
-  if (wanted.empty()) index->status = IndexStatus::kInProgress;
-  Status rebuilt = Status::OK();
-  for (IndexSlice* slice : targets) {
-    rebuilt = RebuildSlice(index, table->schema(), slice, txn);
-    if (!rebuilt.ok()) break;
-  }
-  index->status = IndexStatus::kValid;
-  EXI_RETURN_IF_ERROR(rebuilt);
   if (index->effective_status() == IndexStatus::kValid) {
     index->last_error.clear();
   }

@@ -76,10 +76,10 @@ class DomainIndexManager {
   }
 
   // ALTER INDEX <name> REBUILD [PARTITION <p>]: for every slice (or the
-  // one over partition <p>), best-effort ODCIIndexDrop of the stale
-  // storage, then a fresh implementation instance and an ODCIIndexCreate
-  // backfill restricted to the slice's segment.  Returns each slice to
-  // VALID; a failing rebuild leaves it UNUSABLE.  Legal from any state.
+  // one over partition <p>), marks it IN_PROGRESS, best-effort drops the
+  // stale storage, then runs the CREATE INDEX build (BuildSlice) into the
+  // same slot.  Returns each slice to VALID; a failing rebuild drops its
+  // partial storage and leaves the slice UNUSABLE.  Legal from any state.
   Status RebuildIndex(const std::string& index_name,
                       const std::string& partition_name, Transaction* txn);
 
@@ -219,12 +219,19 @@ class DomainIndexManager {
   // ODCI metadata for `index`, named after the whole index.
   OdciIndexInfo InfoFor(const IndexInfo* index);
 
-  // The retrying ODCI call guard: fires the fail-point `site`, invokes
-  // `call` under a ScopedOdciTrace (one trace entry per attempt, so retries
-  // are visible in V$ODCI_CALLS), and re-attempts transient failures per
-  // retry_policy_.  Metered by odci_retries / odci_call_timeouts.
-  Status GuardedOdciCall(IndexInfo* index, const char* site,
-                         const char* routine, const char* label,
+  // The one place an ODCIIndex or ODCIStats routine runs: opens a
+  // ScopedOdciTrace for `routine` on `impl`, fires the fail-point `site`
+  // (none when null), runs `call`, and marks the trace failed on a non-OK
+  // status.  Never retries; safe on pool workers.
+  static Status Invoke(const IndexInfo* index, const OdciIndex* impl,
+                       const char* site, const char* routine,
+                       FunctionRef<Status()> call);
+
+  // The retrying ODCI call guard: Invoke, re-attempted on transient
+  // failures per retry_policy_ (one trace entry per attempt, so retries are
+  // visible in V$ODCI_CALLS).  Metered by odci_retries / odci_call_timeouts.
+  Status GuardedOdciCall(IndexInfo* index, const OdciIndex* impl,
+                         const char* site, const char* routine,
                          FunctionRef<Status()> call);
 
   // Runs `call` through the guard on each slice of `index` covering
@@ -235,8 +242,8 @@ class DomainIndexManager {
                       const char* routine, SliceRoutine call,
                       Transaction* txn);
 
-  // Sums an ODCIStats routine over every slice of `index` (traced, with
-  // the fail-point `site`; never retried).
+  // Sums an ODCIStats routine over every slice of `index` through Invoke
+  // (never retried).
   Result<double> SumOverSlices(
       IndexInfo* index, const char* site, const char* routine,
       FunctionRef<Result<double>(const OdciIndexInfo&, ServerContext&)> call);
@@ -268,28 +275,31 @@ class DomainIndexManager {
   // (every slice has its own).
   Result<std::shared_ptr<OdciIndex>> NewImplFor(const IndexInfo* index);
 
-  // Creates `slice` (name and segment set) of `index`: instantiate, then
-  // ODCIIndexCreate with the base-table scan restricted to the slice's
-  // segment, so the cartridge backfills only that segment's rows.  With
-  // `parallel` (unpartitioned tables only) a parallel_build cartridge gets
-  // the split build first.  Appends the slice on success; on failure drops
-  // whatever storage the build left.
-  Status BuildSlice(IndexInfo* index, const Schema& schema, IndexSlice slice,
-                    bool parallel, Transaction* txn);
+  // The only code that creates slice storage (CREATE INDEX, ADD PARTITION
+  // and REBUILD): builds `*slice` (name and segment set) of `index` with a
+  // fresh implementation instance and ODCIIndexCreate, the base-table scan
+  // restricted to the slice's segment.  The whole-table slice (segment 0)
+  // of a parallel_build cartridge gets the split build first when
+  // parallelism_ > 1.  Sets slice->impl on success; on failure drops
+  // whatever storage the build left and leaves *slice untouched.
+  Status BuildSlice(IndexInfo* index, const Schema& schema, IndexSlice* slice,
+                    Transaction* txn);
 
-  // Drops and re-creates one slice (REBUILD), leaving it VALID or
-  // UNUSABLE.
-  Status RebuildSlice(IndexInfo* index, const Schema& schema,
-                      IndexSlice* slice, Transaction* txn);
+  // Best-effort, traced ODCIIndexDrop of each built slice, in order: undoes
+  // a failed multi-slice DDL and discards stale storage before a REBUILD.
+  void DropSlices(
+      const std::vector<std::pair<IndexInfo*, const IndexSlice*>>& slices,
+      Transaction* txn);
 
   // Split build protocol (DESIGN.md §5): CreateStorage on this thread,
   // ODCIIndexInsert callbacks concurrently on pool workers against
   // per-worker BufferingServerContexts, then serial replay in chunk order
-  // through the real guarded context.  NotSupported from any step means the
-  // cartridge opted out; the caller falls back to the classic serial Create.
+  // through `ctx`.  NotSupported from any step means the cartridge opted
+  // out; BuildSlice then falls back to the classic serial Create, as it
+  // does on a transient failure.
   Status ParallelBuild(IndexInfo* index, OdciIndex* impl,
                        const OdciIndexInfo& odci_info, const Schema& schema,
-                       Transaction* txn);
+                       GuardedServerContext& ctx);
 
   Catalog* catalog_;
   size_t parallelism_ = 1;

@@ -305,9 +305,6 @@ Result<QueryResult> Connection::RunAlterTable(sql::AlterTableStmt* stmt) {
       }
       EXI_RETURN_IF_ERROR(db_->AddPartition(stmt->table, stmt->partition.name,
                                             std::move(bound), nullptr));
-      // New partition => new local index slices; memoized per-index stats
-      // may now be stale (satellite of DESIGN.md §7).
-      db_->planner_stats().InvalidateTable(stmt->table);
       r.message = "partition added: " + stmt->partition.name + " on " +
                   stmt->table;
       return r;
@@ -315,14 +312,12 @@ Result<QueryResult> Connection::RunAlterTable(sql::AlterTableStmt* stmt) {
     case sql::AlterTableStmt::Action::kDropPartition:
       EXI_RETURN_IF_ERROR(
           db_->DropPartition(stmt->table, stmt->partition.name, nullptr));
-      db_->planner_stats().InvalidateTable(stmt->table);
       r.message = "partition dropped: " + stmt->partition.name + " from " +
                   stmt->table;
       return r;
     case sql::AlterTableStmt::Action::kTruncatePartition:
       EXI_RETURN_IF_ERROR(
           db_->TruncatePartition(stmt->table, stmt->partition.name, nullptr));
-      db_->planner_stats().InvalidateTable(stmt->table);
       r.message = "partition truncated: " + stmt->partition.name + " on " +
                   stmt->table;
       return r;
@@ -568,10 +563,14 @@ Result<QueryResult> Connection::RunDelete(sql::DeleteStmt* stmt) {
   });
 }
 
+Planner Connection::MakePlanner() {
+  return Planner(&db_->catalog(), &db_->domains(), db_->fetch_batch_size(),
+                 db_->parallelism(), &db_->planner_stats());
+}
+
 Result<QueryResult> Connection::RunSelect(sql::SelectStmt* stmt) {
   EXI_RETURN_IF_ERROR(RefreshViewsFor(stmt));
-  Planner planner(&db_->catalog(), &db_->domains(), db_->fetch_batch_size(),
-                  db_->parallelism(), &db_->planner_stats());
+  Planner planner = MakePlanner();
   EXI_ASSIGN_OR_RETURN(PlannedSelect plan, planner.PlanSelect(stmt));
   QueryResult r;
   r.column_names = plan.column_names;
@@ -611,8 +610,7 @@ Result<QueryResult> Connection::RunExplain(sql::ExplainStmt* stmt) {
   }
   auto* select = static_cast<sql::SelectStmt*>(stmt->inner.get());
   if (stmt->analyze) return RunExplainAnalyze(select);
-  Planner planner(&db_->catalog(), &db_->domains(), db_->fetch_batch_size(),
-                  db_->parallelism(), &db_->planner_stats());
+  Planner planner = MakePlanner();
   EXI_ASSIGN_OR_RETURN(PlannedSelect plan, planner.PlanSelect(select));
   QueryResult r;
   r.message = plan.explain;
@@ -630,8 +628,7 @@ Result<QueryResult> Connection::RunExplainAnalyze(sql::SelectStmt* stmt) {
                    std::chrono::steady_clock::now().time_since_epoch())
                    .count();
 
-  Planner planner(&db_->catalog(), &db_->domains(), db_->fetch_batch_size(),
-                  db_->parallelism(), &db_->planner_stats());
+  Planner planner = MakePlanner();
   EXI_ASSIGN_OR_RETURN(PlannedSelect plan, planner.PlanSelect(stmt));
   plan.root->EnableStats();
 

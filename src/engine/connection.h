@@ -70,6 +70,9 @@ class Connection {
   // its storage-counter delta.  Result rows are discarded.
   Result<QueryResult> RunExplainAnalyze(sql::SelectStmt* stmt);
 
+  // The statement's planner, configured from the database's session knobs.
+  Planner MakePlanner();
+
   // Materializes any dictionary / perf views the SELECT's FROM list names.
   Status RefreshViewsFor(sql::SelectStmt* stmt);
 

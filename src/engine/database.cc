@@ -176,7 +176,7 @@ Status Database::RefreshPerfViews() {
 
   // V$DOMAIN_INDEXES: one row per domain index, with its lifecycle status
   // (docs/fault-tolerance.md).  status is the effective status — the worst
-  // across the index and its LOCAL slices — and failed_slices counts slices
+  // across the index's slices — and failed_slices counts slices
   // currently FAILED or UNUSABLE.
   Schema di_schema;
   di_schema.AddColumn(Column{"index_name", DataType::Varchar(128), true});

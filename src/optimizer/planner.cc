@@ -393,7 +393,7 @@ Result<bool> UsableDomainIndex(const Catalog& catalog, const IndexInfo& idx,
                                const std::vector<uint32_t>& segments,
                                const char* fallback, std::string* explain) {
   if (!idx.is_domain()) return false;
-  bool valid = idx.status == IndexStatus::kValid;
+  bool valid = true;
   for (uint32_t segment : segments) {
     const IndexSlice* slice = idx.SliceForSegment(segment);
     valid = valid && slice != nullptr && slice->status == IndexStatus::kValid;

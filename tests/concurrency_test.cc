@@ -17,7 +17,9 @@
 #include "cartridge/text/text_cartridge.h"
 #include "cartridge/vir/signature.h"
 #include "cartridge/vir/vir_cartridge.h"
+#include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "common/tracer.h"
 #include "core/domain_index.h"
 #include "engine/connection.h"
 #include "engine/workloads.h"
@@ -179,6 +181,84 @@ TEST(ParallelBuildTest, VirIndexMatchesSerialBuild) {
       "SELECT id FROM imgs WHERE VIRSimilar(img, "
       "IMAGE_T(0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,"
       "0.5,0.5), 'globalcolor=1', 0.9) ORDER BY id");
+}
+
+// A fresh database with the text cartridge, a seeded 200-doc table and the
+// given session parallelism.
+struct TextDocs {
+  static constexpr uint64_t kDocs = 200;
+  static constexpr const char* kCreate =
+      "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType";
+  static constexpr const char* kQuery =
+      "SELECT id FROM docs WHERE Contains(body, 'w1') ORDER BY id";
+
+  explicit TextDocs(size_t parallelism) : conn(&db) {
+    EXPECT_TRUE(text::InstallTextCartridge(&conn).ok());
+    db.set_parallelism(parallelism);
+    EXPECT_TRUE(
+        workload::BuildTextTable(&conn, "docs", kDocs, 15, 300, 0.8, 21).ok());
+  }
+
+  Database db;
+  Connection conn;
+};
+
+// The ids `kQuery` returns, in order.
+std::vector<int64_t> QueryIds(Connection& conn) {
+  std::vector<int64_t> ids;
+  for (const Row& row : conn.MustExecute(TextDocs::kQuery).rows) {
+    ids.push_back(row[0].AsInteger());
+  }
+  return ids;
+}
+
+// Calls of `routine` in a tracer window (all indextypes).
+uint64_t CallsIn(const TracerSnapshot& window, const std::string& routine) {
+  uint64_t calls = 0;
+  for (const auto& [key, stats] : window) {
+    if (key.second == routine) calls += stats.calls;
+  }
+  return calls;
+}
+
+// A transient failure in a split-build worker (which has no retry guard)
+// discards the partial storage and falls back to one serial, guarded
+// ODCIIndexCreate, with the same contents as a parallelism-1 build.
+TEST(ParallelBuildTest, TransientSplitBuildFailureFallsBackToSerial) {
+  TextDocs serial(1);
+  serial.conn.MustExecute(TextDocs::kCreate);
+  std::vector<int64_t> expected = QueryIds(serial.conn);
+  ASSERT_FALSE(expected.empty());
+
+  TextDocs parallel(4);
+  FailPointRegistry::Global().ClearAll();
+  parallel.conn.MustExecute(
+      "SET FAILPOINT 'odci/insert' = 'once status=IoError'");
+  TracerSnapshot before = Tracer::Global().Snapshot();
+  Result<QueryResult> created = parallel.conn.Execute(TextDocs::kCreate);
+  TracerSnapshot window = TracerDelta(Tracer::Global().Snapshot(), before);
+  FailPointRegistry::Global().ClearAll();
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ(CallsIn(window, "ODCIIndexCreate"), 1u);
+  EXPECT_EQ(QueryIds(parallel.conn), expected);
+}
+
+// A global REBUILD runs the CREATE INDEX build, so at parallelism > 1 a
+// parallel_build cartridge gets the split build.
+TEST(ParallelBuildTest, GlobalRebuildUsesSplitBuild) {
+  TextDocs docs(1);
+  docs.conn.MustExecute(TextDocs::kCreate);
+  std::vector<int64_t> expected = QueryIds(docs.conn);
+  ASSERT_FALSE(expected.empty());
+
+  docs.db.set_parallelism(4);
+  TracerSnapshot before = Tracer::Global().Snapshot();
+  docs.conn.MustExecute("ALTER INDEX docs_text REBUILD");
+  TracerSnapshot window = TracerDelta(Tracer::Global().Snapshot(), before);
+  EXPECT_EQ(CallsIn(window, "ODCIIndexCreateStorage"), 1u);
+  EXPECT_EQ(CallsIn(window, "ODCIIndexInsert"), TextDocs::kDocs);
+  EXPECT_EQ(CallsIn(window, "ODCIIndexCreate"), 0u);
+  EXPECT_EQ(QueryIds(docs.conn), expected);
 }
 
 // ---- parallel query equivalence (prefetch + windowed join probes) ----

@@ -10,8 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "cartridge/text/text_cartridge.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/tracer.h"
 #include "core/odci.h"
 #include "engine/connection.h"
 #include "test_cartridges.h"
@@ -51,6 +53,31 @@ class FaultToleranceTest : public ::testing::Test {
         index_name + "'");
     EXPECT_EQ(r.rows.size(), 1u);
     return {r.rows[0][0].AsVarchar(), r.rows[0][1].AsInteger()};
+  }
+
+  // ODCIIndexDrop calls traced while `ddl` runs; `ddl` must fail.
+  uint64_t DropsTracedByFailedDdl(const std::string& ddl) {
+    TracerSnapshot before = Tracer::Global().Snapshot();
+    EXPECT_FALSE(conn_.Execute(ddl).ok()) << ddl;
+    uint64_t drops = 0;
+    for (const auto& [key, stats] :
+         TracerDelta(Tracer::Global().Snapshot(), before)) {
+      if (key.second == "ODCIIndexDrop") drops += stats.calls;
+    }
+    return drops;
+  }
+
+  // A RANGE table docs(id, body) with three partitions and text rows.
+  void CreatePartitionedDocs() {
+    ASSERT_TRUE(text::InstallTextCartridge(&conn_).ok());
+    conn_.MustExecute(
+        "CREATE TABLE docs (id INTEGER, body VARCHAR(64)) "
+        "PARTITION BY RANGE (id) (PARTITION p0 VALUES LESS THAN (100), "
+        "PARTITION p1 VALUES LESS THAN (200), "
+        "PARTITION p2 VALUES LESS THAN (300))");
+    conn_.MustExecute(
+        "INSERT INTO docs VALUES (1, 'alpha beta'), (150, 'beta gamma'), "
+        "(250, 'gamma delta')");
   }
 
   Database db_;
@@ -159,7 +186,7 @@ TEST_F(FaultToleranceTest, ScanRacingStatusTransitionGetsOra1502) {
   conn_.MustExecute("CREATE INDEX fidx ON t(v) INDEXTYPE IS FlakyType");
   conn_.MustExecute("INSERT INTO t VALUES (1)");
   IndexInfo* idx = *db_.catalog().GetIndex("fidx");
-  idx->status = IndexStatus::kInProgress;
+  idx->slices[0].status = IndexStatus::kInProgress;
   // The planner re-plans around non-VALID indexes; a scan opened directly
   // against one (a plan cached before the transition) gets a clean error.
   OdciPredInfo pred =
@@ -168,7 +195,7 @@ TEST_F(FaultToleranceTest, ScanRacingStatusTransitionGetsOra1502) {
   ASSERT_FALSE(scan.ok());
   EXPECT_NE(scan.status().message().find("ORA-01502"), std::string::npos)
       << scan.status().ToString();
-  idx->status = IndexStatus::kValid;
+  idx->slices[0].status = IndexStatus::kValid;
   EXPECT_TRUE(db_.domains().StartScan("fidx", pred).ok());
 }
 
@@ -289,6 +316,51 @@ TEST_F(FaultToleranceTest, FailedRebuildLeavesUnusableNotInProgress) {
   EXPECT_EQ(Count("t", "FEq(v, 1)"), 1);
   conn_.MustExecute("ALTER INDEX fidx REBUILD");
   EXPECT_EQ(VdollarStatus("fidx").first, "VALID");
+}
+
+// A CREATE INDEX whose second slice fails drops that slice's partial
+// storage and unwinds the first slice, both visibly, leaving no orphan.
+TEST_F(FaultToleranceTest, FailedLocalCreateTracesDropsAndLeavesNoOrphan) {
+  CreatePartitionedDocs();
+  Arm("odci/create", "nth=2 status=Internal");
+  EXPECT_EQ(DropsTracedByFailedDdl(
+                "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType"),
+            2u);
+  Disarm("odci/create");
+  EXPECT_FALSE(db_.catalog().IndexExists("dtext"));
+  EXPECT_TRUE(db_.catalog().IotNames().empty());
+  EXPECT_TRUE(db_.catalog().IndexTableNames().empty());
+}
+
+// An ADD PARTITION whose second index's slice fails drops that slice and
+// unwinds the first index's new slice, both visibly, and leaves the
+// partition list and every index's storage as they were.
+TEST_F(FaultToleranceTest, FailedAddPartitionTracesCleanupDrops) {
+  CreatePartitionedDocs();
+  conn_.MustExecute(
+      "CREATE INDEX dtext1 ON docs(body) INDEXTYPE IS TextIndexType");
+  conn_.MustExecute(
+      "CREATE INDEX dtext2 ON docs(body) INDEXTYPE IS TextIndexType");
+  auto partitions = [&] {
+    std::vector<std::string> out;
+    for (const Row& row :
+         conn_.MustExecute("SELECT * FROM v$partitions").rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.push_back(line);
+    }
+    return out;
+  };
+  const std::vector<std::string> parts_before = partitions();
+  const std::vector<std::string> iots_before = db_.catalog().IotNames();
+  Arm("odci/create", "nth=2 status=Internal");
+  EXPECT_EQ(DropsTracedByFailedDdl(
+                "ALTER TABLE docs ADD PARTITION p3 VALUES LESS THAN (400)"),
+            2u);
+  Disarm("odci/create");
+  EXPECT_EQ(partitions(), parts_before);
+  EXPECT_EQ(db_.catalog().IotNames(), iots_before);
+  EXPECT_EQ(Count("docs", "Contains(body, 'gamma')"), 2);
 }
 
 TEST_F(FaultToleranceTest, BadFailpointSpecsAreRejected) {

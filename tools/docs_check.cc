@@ -5,6 +5,10 @@
 //  2. The live V$ view schemas (materialized by Database::RefreshPerfViews)
 //     must match docs/golden/vdollar_schema.txt, so the schemas documented
 //     in docs/observability.md cannot drift from the code.
+//  3. The fail-point sites named by "odci/..." and "callback/..." string
+//     literals under src/ must equal the backticked names in the "Site
+//     inventory" of docs/fault-tolerance.md, so a site cannot be added,
+//     renamed or lost without the inventory following.
 //
 // Usage: docs_check <repo_root>
 // Exit 0 = clean; 1 = findings (each printed on its own line).
@@ -12,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -155,6 +160,70 @@ int CheckVdollarGolden(const fs::path& root) {
   return 0;
 }
 
+// Adds every `quote`-delimited "odci/..." or "callback/..." name in `text`
+// to `out`.
+void CollectSiteNames(const std::string& text, char quote,
+                      std::set<std::string>* out) {
+  for (const char* prefix : {"odci/", "callback/"}) {
+    const std::string needle = quote + std::string(prefix);
+    size_t pos = 0;
+    while ((pos = text.find(needle, pos)) != std::string::npos) {
+      size_t start = pos + 1;
+      size_t end = text.find(quote, start);
+      if (end == std::string::npos) break;
+      out->insert(text.substr(start, end - start));
+      pos = end + 1;
+    }
+  }
+}
+
+int CheckSiteInventory(const fs::path& root) {
+  std::set<std::string> in_code;
+  for (const fs::directory_entry& e :
+       fs::recursive_directory_iterator(root / "src")) {
+    const fs::path ext = e.path().extension();
+    if (!e.is_regular_file() || (ext != ".h" && ext != ".cc")) continue;
+    std::ifstream in(e.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    CollectSiteNames(text.str(), '"', &in_code);
+  }
+
+  std::ifstream doc(root / "docs" / "fault-tolerance.md");
+  std::string line, section;
+  bool in_section = false;
+  while (std::getline(doc, line)) {
+    if (line.rfind("#", 0) == 0) {
+      in_section = line == "### Site inventory";
+    } else if (in_section) {
+      section += line + "\n";
+    }
+  }
+  std::set<std::string> in_docs;
+  CollectSiteNames(section, '`', &in_docs);
+
+  int findings = 0;
+  for (const std::string& site : in_code) {
+    if (in_docs.count(site) == 0) {
+      std::printf(
+          "fail-point site %s (src/) is missing from the Site inventory of "
+          "docs/fault-tolerance.md\n",
+          site.c_str());
+      ++findings;
+    }
+  }
+  for (const std::string& site : in_docs) {
+    if (in_code.count(site) == 0) {
+      std::printf(
+          "docs/fault-tolerance.md Site inventory lists %s, which no src/ "
+          "fail-point fires\n",
+          site.c_str());
+      ++findings;
+    }
+  }
+  return findings;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,7 +232,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   fs::path root = argv[1];
-  int findings = CheckLinks(root) + CheckVdollarGolden(root);
+  int findings = CheckLinks(root) + CheckVdollarGolden(root) +
+                 CheckSiteInventory(root);
   if (findings == 0) {
     std::printf("docs-check: OK\n");
     return 0;
