@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: build, unit/integration tests, documentation lint, a
-# TSan pass over the concurrency suite, and an ASan+UBSan pass over every
-# test.  Runs anywhere with the repo's toolchain (cmake + C++20 compiler +
-# gtest/benchmark); no network access.
+# CI entry point: build, unit/integration tests, documentation lint, bench
+# and fault smoke runs, the perfbench self-test, a TSan pass over the
+# concurrency suite, and an ASan+UBSan pass over every test.  Runs anywhere
+# with the repo's toolchain (cmake + C++20 compiler + gtest/benchmark); no
+# network access.
 #
 #   ci/run.sh          full pipeline
 #   ci/run.sh quick    skip the sanitizer stages (separate build trees, slow)
@@ -45,6 +46,9 @@ echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
 
 echo "==> fault smoke (EXTIDX_BENCH_SMOKE=1: fail-point sweep at tiny scale)"
 (cd build && EXTIDX_BENCH_SMOKE=1 ./tests/fault_sweep_test)
+
+echo "==> perfbench self-test (builds perfbench against src/, tiny scale)"
+python3 perfbench/selftest.py
 
 if [[ "${1:-}" != "quick" ]]; then
   echo "==> TSan: concurrency_test + observability_test + storage_fastpath_test + partition_test + fault_sweep_test"

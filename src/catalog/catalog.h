@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -87,12 +88,20 @@ const char* IndexStatusName(IndexStatus status);
 // table has one per partition, named `<index>#<partition>`
 // (cartridge-authors-guide.md), over that partition's segment.  `name` is
 // the index_name the slice's ODCI routines see.  `status` is the slice's
-// lifecycle state (IN_PROGRESS while a REBUILD builds it).
+// lifecycle state (IN_PROGRESS while a REBUILD builds it).  `stats` memoizes
+// the slice's ODCIStats answers by normalized predicate
+// (optimizer/stats_cache.h); the DomainIndexManager code that changes the
+// slice's contents forgets them.
+struct SliceEstimate {
+  double selectivity = 0.0;  // fraction of the slice's rows
+  double cost = 0.0;
+};
 struct IndexSlice {
   std::string name;
   uint32_t segment = 0;
   std::shared_ptr<OdciIndex> impl = nullptr;
   IndexStatus status = IndexStatus::kValid;
+  std::unordered_map<std::string, SliceEstimate> stats = {};
 };
 
 // Dictionary record for an index (built-in or domain).

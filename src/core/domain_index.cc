@@ -109,6 +109,7 @@ Status DomainIndexManager::CallOnSlices(IndexInfo* index, OdciIndexInfo info,
   GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
   for (IndexSlice& slice : index->slices) {
     if (segment.has_value() && slice.segment != *segment) continue;
+    slice.stats.clear();
     info.index_name = slice.name;
     EXI_RETURN_IF_ERROR(
         GuardedOdciCall(index, slice.impl.get(), site, routine,
@@ -279,6 +280,7 @@ Result<std::shared_ptr<OdciIndex>> DomainIndexManager::NewImplFor(
 
 Status DomainIndexManager::BuildSlice(IndexInfo* index, const Schema& schema,
                                       IndexSlice* slice, Transaction* txn) {
+  slice->stats.clear();
   EXI_ASSIGN_OR_RETURN(std::shared_ptr<OdciIndex> fresh, NewImplFor(index));
   OdciIndex* impl = fresh.get();
   OdciIndexInfo info = index->ToOdciInfo(schema);
@@ -517,9 +519,11 @@ Status DomainIndexManager::Maintain(
     GuardedServerContext ctx(catalog_, txn, CallbackMode::kMaintenance);
     for (size_t g = 0; g < groups.size(); ++g) {
       IndexSlice& slice = index->slices[g];
+      if (groups[g].empty()) continue;
+      slice.stats.clear();
       // SKIP_UNUSABLE semantics: maintenance bypasses a non-VALID slice;
       // REBUILD re-derives its contents from the base table later.
-      if (groups[g].empty() || slice.status != IndexStatus::kValid) continue;
+      if (slice.status != IndexStatus::kValid) continue;
       std::vector<RowId> rids;
       ValueList values;
       ValueList new_values;
@@ -643,56 +647,35 @@ Status DomainIndexManager::Scan::Close() {
 
 // ---- optimizer hooks ----
 
-Result<double> DomainIndexManager::SumOverSlices(
-    IndexInfo* index, const char* site, const char* routine,
-    FunctionRef<Result<double>(const OdciIndexInfo&, ServerContext&)> call) {
-  GuardedServerContext ctx(catalog_, nullptr, CallbackMode::kScan);
-  OdciIndexInfo info = InfoFor(index);
-  double total = 0.0;
-  for (const IndexSlice& slice : index->slices) {
-    info.index_name = slice.name;
-    double v = 0.0;
-    EXI_RETURN_IF_ERROR(
-        Invoke(index, slice.impl.get(), site, routine, [&]() -> Status {
-          EXI_ASSIGN_OR_RETURN(v, call(info, ctx));
-          return Status::OK();
-        }));
-    total += v;
-  }
-  return total;
-}
-
-Result<double> DomainIndexManager::PredicateSelectivity(
-    IndexInfo* index, const OdciPredInfo& pred, uint64_t table_rows) {
-  if (index->domain_stats == nullptr) return 0.05;  // default guess
-  // Each slice reports its matches over whole-table rows; the sum is the
-  // whole-index selectivity the planner caches.
-  EXI_ASSIGN_OR_RETURN(
-      double total,
-      SumOverSlices(index, "odci/stats_selectivity", "ODCIStatsSelectivity",
-                    [&](const OdciIndexInfo& info, ServerContext& ctx) {
-                      return index->domain_stats->Selectivity(info, pred,
-                                                              table_rows, ctx);
-                    }));
-  return std::min(total, 1.0);
-}
-
-Result<double> DomainIndexManager::ScanCost(IndexInfo* index,
-                                            const OdciPredInfo& pred,
-                                            double selectivity,
-                                            uint64_t table_rows) {
+Result<SliceEstimate> DomainIndexManager::EstimateSlice(
+    IndexInfo* index, const IndexSlice& slice, const OdciPredInfo& pred) {
+  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(index->table));
+  const uint64_t rows = table->SegmentRowCount(slice.segment);
+  SliceEstimate est{.selectivity = 0.05};
   if (index->domain_stats == nullptr) {
-    // Default: proportional to expected output plus a fixed start cost.
-    return 10.0 + selectivity * double(table_rows);
+    est.cost = 10.0 + est.selectivity * double(rows);
+    return est;
   }
-  // Whole-index cost = sum over slices; the planner scales by the
-  // surviving-partition fraction after pruning.
-  return SumOverSlices(
-      index, "odci/stats_index_cost", "ODCIStatsIndexCost",
-      [&](const OdciIndexInfo& info, ServerContext& ctx) {
-        return index->domain_stats->IndexCost(info, pred, selectivity,
-                                              table_rows, ctx);
-      });
+  OdciStats& stats = *index->domain_stats;
+  OdciIndexInfo info = index->ToOdciInfo(table->schema());
+  info.index_name = slice.name;
+  GuardedServerContext ctx(catalog_, nullptr, CallbackMode::kScan);
+  EXI_RETURN_IF_ERROR(GuardedOdciCall(
+      index, slice.impl.get(), "odci/stats_selectivity",
+      "ODCIStatsSelectivity", [&]() -> Status {
+        EXI_ASSIGN_OR_RETURN(est.selectivity,
+                             stats.Selectivity(info, pred, rows, ctx));
+        return Status::OK();
+      }));
+  est.selectivity = std::min(est.selectivity, 1.0);
+  EXI_RETURN_IF_ERROR(GuardedOdciCall(
+      index, slice.impl.get(), "odci/stats_index_cost", "ODCIStatsIndexCost",
+      [&]() -> Status {
+        EXI_ASSIGN_OR_RETURN(
+            est.cost, stats.IndexCost(info, pred, est.selectivity, rows, ctx));
+        return Status::OK();
+      }));
+  return est;
 }
 
 // ---- rebuild ----

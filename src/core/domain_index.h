@@ -196,15 +196,13 @@ class DomainIndexManager {
 
   // ---- optimizer hooks (§2.4.2) ----
 
-  // Selectivity of `pred` via the indextype's ODCIStatsSelectivity, or a
-  // default when the indextype ships no statistics type.
-  Result<double> PredicateSelectivity(IndexInfo* index,
-                                      const OdciPredInfo& pred,
-                                      uint64_t table_rows);
-
-  // Cost of a domain-index scan via ODCIStatsIndexCost, or a default.
-  Result<double> ScanCost(IndexInfo* index, const OdciPredInfo& pred,
-                          double selectivity, uint64_t table_rows);
+  // Prices the scan of `slice` of `index` for `pred`: ODCIStatsSelectivity
+  // then ODCIStatsIndexCost through the retrying guard, with table_rows =
+  // the slice's row count.  An indextype without a statistics type gets
+  // the default selectivity 0.05 and cost 10 + sel * rows.
+  Result<SliceEstimate> EstimateSlice(IndexInfo* index,
+                                      const IndexSlice& slice,
+                                      const OdciPredInfo& pred);
 
  private:
   // Maintenance kinds sharing one routing and dispatch path.
@@ -235,18 +233,13 @@ class DomainIndexManager {
                          FunctionRef<Status()> call);
 
   // Runs `call` through the guard on each slice of `index` covering
-  // `segment` (every slice when nullopt), in slice order; `info` is the
-  // whole-index metadata, renamed per slice.  The first failure aborts.
+  // `segment` (every slice when nullopt), in slice order, forgetting each
+  // slice's memoized statistics first; `info` is the whole-index metadata,
+  // renamed per slice.  The first failure aborts.
   Status CallOnSlices(IndexInfo* index, OdciIndexInfo info,
                       std::optional<uint32_t> segment, const char* site,
                       const char* routine, SliceRoutine call,
                       Transaction* txn);
-
-  // Sums an ODCIStats routine over every slice of `index` through Invoke
-  // (never retried).
-  Result<double> SumOverSlices(
-      IndexInfo* index, const char* site, const char* routine,
-      FunctionRef<Result<double>(const OdciIndexInfo&, ServerContext&)> call);
 
   // Applies maintenance_policy_ to an exhausted-retry maintenance failure:
   // strict returns `error`; deferred marks `slice` FAILED, records
@@ -255,8 +248,9 @@ class DomainIndexManager {
                            const Status& error);
 
   // The routing helper shared by insert, delete and update: groups `rows`
-  // by owning slice of every domain index on the table, skips non-VALID
-  // slices, dispatches each group, and applies MaintenanceFailed.
+  // by owning slice of every domain index on the table, forgets each
+  // receiving slice's memoized statistics, skips non-VALID slices,
+  // dispatches each group, and applies MaintenanceFailed.
   // `new_rows` is used by kUpdate only.
   Status Maintain(Maintenance kind, const std::string& table_name,
                   const std::vector<std::pair<RowId, Row>>& rows,
@@ -276,12 +270,13 @@ class DomainIndexManager {
   Result<std::shared_ptr<OdciIndex>> NewImplFor(const IndexInfo* index);
 
   // The only code that creates slice storage (CREATE INDEX, ADD PARTITION
-  // and REBUILD): builds `*slice` (name and segment set) of `index` with a
-  // fresh implementation instance and ODCIIndexCreate, the base-table scan
-  // restricted to the slice's segment.  The whole-table slice (segment 0)
-  // of a parallel_build cartridge gets the split build first when
-  // parallelism_ > 1.  Sets slice->impl on success; on failure drops
-  // whatever storage the build left and leaves *slice untouched.
+  // and REBUILD): forgets the slice's memoized statistics, then builds
+  // `*slice` (name and segment set) of `index` with a fresh implementation
+  // instance and ODCIIndexCreate, the base-table scan restricted to the
+  // slice's segment.  The whole-table slice (segment 0) of a parallel_build
+  // cartridge gets the split build first when parallelism_ > 1.  Sets
+  // slice->impl on success; on failure drops whatever storage the build
+  // left and leaves slice->impl untouched.
   Status BuildSlice(IndexInfo* index, const Schema& schema, IndexSlice* slice,
                     Transaction* txn);
 

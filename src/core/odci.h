@@ -327,15 +327,19 @@ class OdciStats {
  public:
   virtual ~OdciStats() = default;
 
-  // Fraction of base-table rows expected to satisfy the predicate, in
-  // [0, 1].
+  // Called once per index slice the plan would scan; `info.index_name`
+  // names the slice and `table_rows` is the row count of its heap segment
+  // (the whole table for an unpartitioned one).  Returns the fraction of
+  // those rows expected to satisfy the predicate, in [0, 1].  The engine
+  // reuses the answer until the slice changes.
   virtual Result<double> Selectivity(const OdciIndexInfo& info,
                                      const OdciPredInfo& pred,
                                      uint64_t table_rows,
                                      ServerContext& ctx) = 0;
 
-  // Abstract cost of the domain-index scan (same unit as the engine cost
-  // model: one unit ~ one row/page touch).
+  // Abstract cost of scanning the slice (same unit as the engine cost
+  // model: one unit ~ one row/page touch); `selectivity` is this slice's
+  // Selectivity answer and `table_rows` its row count, as above.
   virtual Result<double> IndexCost(const OdciIndexInfo& info,
                                    const OdciPredInfo& pred,
                                    double selectivity, uint64_t table_rows,

@@ -110,7 +110,6 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
       if (s->rebuild) {
         EXI_RETURN_IF_ERROR(
             db_->domains().RebuildIndex(s->index, s->partition, nullptr));
-        db_->planner_stats().Clear();
         QueryResult r;
         r.message = "index rebuilt: " + s->index +
                     (s->partition.empty() ? ""
@@ -119,7 +118,6 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
       }
       EXI_RETURN_IF_ERROR(
           db_->domains().AlterIndex(s->index, s->parameters, nullptr));
-      db_->planner_stats().Clear();
       QueryResult r;
       r.message = "index altered: " + s->index;
       return r;
@@ -134,7 +132,6 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
       } else {
         EXI_RETURN_IF_ERROR(db_->catalog().RemoveIndex(s->index));
       }
-      db_->planner_stats().Clear();
       QueryResult r;
       r.message = "index dropped: " + s->index;
       return r;
@@ -165,7 +162,6 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
     case StmtKind::kAnalyze: {
       auto* s = static_cast<sql::AnalyzeStmt*>(stmt);
       EXI_RETURN_IF_ERROR(AnalyzeTable(&db_->catalog(), s->table));
-      db_->planner_stats().InvalidateTable(s->table);
       QueryResult r;
       r.message = "table analyzed: " + s->table;
       return r;
@@ -336,7 +332,6 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
     EXI_RETURN_IF_ERROR(db_->domains().CreateIndex(
         stmt->index, stmt->table, stmt->columns[0], stmt->indextype,
         stmt->parameters, nullptr));
-    db_->planner_stats().Clear();
     QueryResult r;
     r.message = "domain index created: " + stmt->index + " (indextype " +
                 stmt->indextype + ")";
@@ -383,7 +378,6 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
     if (!null_key) bidx->Insert(key, it.row_id());
   }
   EXI_RETURN_IF_ERROR(db_->catalog().AddIndex(std::move(info)));
-  db_->planner_stats().Clear();
   QueryResult r;
   r.message = "index created: " + stmt->index;
   return r;

@@ -271,7 +271,8 @@ Status Database::RefreshPerfViews() {
   return Status::OK();
 }
 
-Database::Database() : txns_(&events_), domains_(&catalog_) {
+Database::Database()
+    : txns_(&events_), domains_(&catalog_), planner_stats_(&catalog_) {
   // Statistics cached mid-transaction may describe uncommitted index state;
   // a rollback makes them wrong, so drop everything.
   rollback_handler_ = events_.Register([this](DbEvent event) {
@@ -348,7 +349,6 @@ Result<RowId> Database::InsertRow(const std::string& table_name, Row row,
 Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
                                                 std::vector<Row> rows,
                                                 Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
   EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_.GetTableInfo(table_name));
   HeapTable* table = tinfo->heap.get();
   std::vector<std::pair<RowId, Row>> inserted;
@@ -380,7 +380,6 @@ Status Database::UpdateRow(const std::string& table_name, RowId rid,
 Status Database::UpdateRows(const std::string& table_name,
                             std::vector<std::pair<RowId, Row>> updates,
                             Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
   EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_.GetTableInfo(table_name));
   HeapTable* table = tinfo->heap.get();
   std::vector<std::pair<RowId, Row>> old_rows;
@@ -423,7 +422,6 @@ Status Database::DeleteRow(const std::string& table_name, RowId rid,
 
 Status Database::DeleteRows(const std::string& table_name,
                             const std::vector<RowId>& rids, Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
   std::vector<std::pair<RowId, Row>> deleted;
   deleted.reserve(rids.size());
@@ -445,7 +443,6 @@ Status Database::DeleteRows(const std::string& table_name,
 
 Status Database::TruncateTable(const std::string& table_name,
                                Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
   table->Truncate();
   for (IndexInfo* index : catalog_.IndexesOnTable(table_name)) {
@@ -518,10 +515,8 @@ Status Database::AddPartition(const std::string& table_name,
   if (!built.ok()) {
     scheme.partitions.pop_back();
     (void)info->heap->DropSegment(segment);
-    planner_stats_.InvalidateTable(table_name);
     return built;
   }
-  planner_stats_.InvalidateTable(table_name);
   return Status::OK();
 }
 
@@ -564,7 +559,6 @@ Status Database::DropPartition(const std::string& table_name,
       break;
     }
   }
-  planner_stats_.InvalidateTable(table_name);
   return Status::OK();
 }
 
@@ -587,13 +581,11 @@ Status Database::TruncatePartition(const std::string& table_name,
   EXI_RETURN_IF_ERROR(domains_.TruncatePartitionIndexes(table_name, *part,
                                                         txn));
   EXI_RETURN_IF_ERROR(info->heap->TruncateSegment(part->segment_id).status());
-  planner_stats_.InvalidateTable(table_name);
   return Status::OK();
 }
 
 Status Database::DropTableCascade(const std::string& table_name,
                                   Transaction* txn) {
-  planner_stats_.InvalidateTable(table_name);
   // Copy names: dropping mutates the index list.
   std::vector<std::string> names;
   for (IndexInfo* index : catalog_.IndexesOnTable(table_name)) {

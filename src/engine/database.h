@@ -35,10 +35,11 @@ class Database {
   TransactionManager& txns() { return txns_; }
   DomainIndexManager& domains() { return domains_; }
 
-  // Session-wide ODCIStats memoization (optimizer/stats_cache.h).  The
-  // Database owns it because Planners are per-statement; row mutations
-  // below invalidate it, and a rollback event clears it (entries may have
-  // been computed against uncommitted index state).
+  // The planner's view of the per-slice ODCIStats memos
+  // (optimizer/stats_cache.h).  The Database owns it because Planners are
+  // per-statement; the domain-index code that changes a slice forgets that
+  // slice's entries, and a rollback event clears every slice's memo
+  // (entries may have been computed against uncommitted index state).
   PlannerStatsCache& planner_stats() { return planner_stats_; }
 
   // ODCIIndexFetch batch size used by planned domain-index scans

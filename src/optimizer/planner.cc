@@ -131,18 +131,14 @@ struct DomainOpMatch {
   OdciPredInfo pred;
 };
 
-// Normalized memoization key for one candidate's ODCIStats pair
-// (optimizer/stats_cache.h): everything the cartridge's Selectivity /
-// IndexCost routines can observe — the index, the full predicate shape
-// (operator, folded arguments, bounds with inclusivity), and the table
-// cardinality fed into the cost inputs.  Literal argument values are part
-// of the key, so `Contains(doc, 'oracle')` and `Contains(doc, 'index')`
+// Normalized memoization key for one slice's ODCIStats pair
+// (optimizer/stats_cache.h): the full predicate shape the cartridge's
+// Selectivity / IndexCost routines can observe — operator, folded
+// arguments, bounds with inclusivity.  Literal argument values are part of
+// the key, so `Contains(doc, 'oracle')` and `Contains(doc, 'index')`
 // memoize separately.
-std::string StatsCacheKey(const std::string& index_name,
-                          const OdciPredInfo& pred, uint64_t n) {
-  std::string key = index_name;
-  key += '\x1f';
-  key += pred.operator_name;
+std::string StatsCacheKey(const OdciPredInfo& pred) {
+  std::string key = pred.operator_name;
   for (const Value& v : pred.args) {
     key += '\x1f';
     key += v.ToString();
@@ -161,8 +157,6 @@ std::string StatsCacheKey(const std::string& index_name,
   } else {
     key += "+inf";
   }
-  key += '\x1f';
-  key += std::to_string(n);
   return key;
 }
 
@@ -598,27 +592,30 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
             UsableDomainIndex(*catalog_, *idx, dm->operator_name, col_type,
                               scan.segments, "seq-scan", explain));
         if (!usable) continue;
-        double sel = 0.0;
+        // Each surviving slice prices itself (memoized on the slice); the
+        // sums are over the rows the plan would scan.  `sel` is matches per
+        // scanned row, or the slices' mean answer when they hold no rows.
+        const std::string stats_key = StatsCacheKey(dm->pred);
+        double matches = 0.0;
         double odci_cost = 0.0;
-        std::string stats_key;
-        std::optional<PlannerStatsCache::Entry> cached;
-        if (stats_cache_ != nullptr) {
-          stats_key = StatsCacheKey(idx->name, dm->pred, n);
-          cached = stats_cache_->Lookup(stats_key);
-        }
-        if (cached.has_value()) {
-          sel = cached->selectivity;
-          odci_cost = cached->cost;
-        } else {
-          EXI_ASSIGN_OR_RETURN(
-              sel, domains_->PredicateSelectivity(idx, dm->pred, n));
-          EXI_ASSIGN_OR_RETURN(
-              odci_cost, domains_->ScanCost(idx, dm->pred, sel, n));
-          if (stats_cache_ != nullptr) {
-            stats_cache_->Store(stats_key, idx->table,
-                                PlannerStatsCache::Entry{sel, odci_cost});
+        double sel_sum = 0.0;
+        for (uint32_t segment : scan.segments) {
+          IndexSlice& slice = *idx->SliceForSegment(segment);
+          std::optional<SliceEstimate> est =
+              stats_cache_->Lookup(slice, stats_key);
+          if (!est.has_value()) {
+            EXI_ASSIGN_OR_RETURN(
+                est, domains_->EstimateSlice(idx, slice, dm->pred));
+            stats_cache_->Store(slice, stats_key, *est);
           }
+          matches += est->selectivity * double(heap->SegmentRowCount(segment));
+          odci_cost += est->cost;
+          sel_sum += est->selectivity;
         }
+        double sel = surviving_rows ? matches / double(surviving_rows)
+                     : scan.segments.empty()
+                         ? 0.0
+                         : sel_sum / double(scan.segments.size());
         int nb;
         int nu;
         CountResidual(*conjuncts, {int(ci)}, &nb, &nu);
@@ -629,15 +626,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
         DomainIndexManager* domains = domains_;
         size_t batch = fetch_batch_;
         size_t dop = parallelism_;
-        // Only the surviving slices are scanned.  The cached sel/cost
-        // describe the whole index; the surviving fraction is applied here,
-        // outside the cache, so pruning changes never invalidate memoized
-        // ODCIStats results.
-        double frac = scan.partitions ? double(scan.segments.size()) /
-                                            double(scan.partitions)
-                                      : 1.0;
-        double matches = sel * double(n) * frac;
-        c.cost = CostModel::DomainIndexScan(odci_cost * frac, matches, nb, nu);
+        c.cost = CostModel::DomainIndexScan(odci_cost, matches, nb, nu);
         c.desc =
             (scan.partitions ? "PartitionedDomainIndex(" : "DomainIndex(") +
             idx->name + ") op=" + dm->operator_name +

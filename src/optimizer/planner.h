@@ -39,12 +39,11 @@ class Planner {
   // domain-index scan nodes (experiment E7 sweeps it).  `parallelism` is
   // the session's degree of parallelism (DESIGN.md §5): >1 enables scan
   // prefetch and windowed join probes on capable cartridges; 1 keeps every
-  // plan on the serial path.  `stats_cache`, when non-null, memoizes
-  // ODCIStats results across statements (the Database owns and invalidates
-  // it); null keeps every planning pass calling into the cartridge.
+  // plan on the serial path.  `stats_cache` memoizes ODCIStats answers
+  // per slice across statements (the Database owns it).
   Planner(Catalog* catalog, DomainIndexManager* domains,
-          size_t default_fetch_batch = 64, size_t parallelism = 1,
-          PlannerStatsCache* stats_cache = nullptr)
+          size_t default_fetch_batch, size_t parallelism,
+          PlannerStatsCache* stats_cache)
       : catalog_(catalog),
         domains_(domains),
         fetch_batch_(default_fetch_batch),

@@ -1,33 +1,51 @@
 #include "optimizer/stats_cache.h"
 
+#include <vector>
+
 namespace exi {
 
-std::optional<PlannerStatsCache::Entry> PlannerStatsCache::Lookup(
-    const std::string& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+namespace {
+
+void ForgetSlices(const std::vector<IndexInfo*>& indexes) {
+  for (IndexInfo* index : indexes) {
+    for (IndexSlice& slice : index->slices) slice.stats.clear();
+  }
+}
+
+}  // namespace
+
+std::optional<SliceEstimate> PlannerStatsCache::Lookup(
+    const IndexSlice& slice, const std::string& key) {
+  auto it = slice.stats.find(key);
+  if (it == slice.stats.end()) {
     ++misses_;
     return std::nullopt;
   }
   ++hits_;
-  return it->second.entry;
+  return it->second;
 }
 
-void PlannerStatsCache::Store(const std::string& key,
-                              const std::string& table_name, Entry entry) {
-  entries_[key] = Stored{table_name, entry};
+void PlannerStatsCache::Store(IndexSlice& slice, const std::string& key,
+                              SliceEstimate entry) {
+  slice.stats[key] = entry;
 }
 
 void PlannerStatsCache::InvalidateTable(const std::string& table_name) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.table == table_name) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+  ForgetSlices(catalog_->IndexesOnTable(table_name));
+}
+
+void PlannerStatsCache::Clear() {
+  for (const std::string& table : catalog_->TableNames()) {
+    ForgetSlices(catalog_->IndexesOnTable(table));
   }
 }
 
-void PlannerStatsCache::Clear() { entries_.clear(); }
+size_t PlannerStatsCache::size() const {
+  size_t n = 0;
+  for (const IndexInfo* index : catalog_->Indexes()) {
+    for (const IndexSlice& slice : index->slices) n += slice.stats.size();
+  }
+  return n;
+}
 
 }  // namespace exi

@@ -4,57 +4,48 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+
+#include "catalog/catalog.h"
 
 namespace exi {
 
-// Memoizes ODCIStatsSelectivity/ODCIStatsIndexCost results per
-// (index, normalized predicate, table cardinality) so repeated identical
-// queries stop paying planning-time ODCI round-trips (visible as flat
-// ODCIStats rows in V$ODCI_CALLS).
+// The planner's view of memoized ODCIStatsSelectivity/ODCIStatsIndexCost
+// answers, so repeated identical queries stop paying planning-time ODCI
+// round-trips (visible as flat ODCIStats rows in V$ODCI_CALLS).
 //
-// The cache is owned by the Database (the Planner is per-statement) and is
-// invalidated conservatively:
-//  * DML to a table drops every entry for indexes on that table — index
-//    contents changed, so cartridge statistics may change;
-//  * index DDL (CREATE/ALTER/DROP/TRUNCATE INDEX) clears the cache;
-//  * transaction rollback clears the cache, because entries computed inside
-//    the transaction may reflect uncommitted index state.
-// Both selectivity and cost are cached together: the planner always asks
-// for them as a pair, and IndexCost depends on the selectivity input.
+// It stores nothing itself: each domain-index slice owns its memo
+// (IndexSlice::stats, keyed by the normalized predicate), and the
+// DomainIndexManager code that changes a slice's contents — maintenance,
+// slice DDL, builds — forgets it, so a dropped index or partition takes
+// its entries along.  A transaction rollback clears every slice's memo,
+// because entries computed inside the transaction may reflect uncommitted
+// index state.  This class counts hits and misses over per-slice lookups.
+// Selectivity and cost are memoized together: the planner always asks for
+// them as a pair, and IndexCost depends on the selectivity input.
 class PlannerStatsCache {
  public:
-  struct Entry {
-    double selectivity = 0.0;
-    double cost = 0.0;
-  };
+  explicit PlannerStatsCache(Catalog* catalog) : catalog_(catalog) {}
 
-  // `key` is the planner's normalized (index, predicate, rows) string.
-  std::optional<Entry> Lookup(const std::string& key) const;
+  // `key` is the planner's normalized predicate string.
+  std::optional<SliceEstimate> Lookup(const IndexSlice& slice,
+                                      const std::string& key);
+  void Store(IndexSlice& slice, const std::string& key, SliceEstimate entry);
 
-  // Associates `key` with `entry`; `table_name` is the indexed base table,
-  // used by InvalidateTable.
-  void Store(const std::string& key, const std::string& table_name,
-             Entry entry);
-
-  // Drops all entries whose index lives on `table_name`.
+  // Forgets the memo of every slice of every index on `table_name`.
   void InvalidateTable(const std::string& table_name);
 
+  // Forgets every slice's memo.
   void Clear();
 
-  size_t size() const { return entries_.size(); }
+  // Memoized answers across every slice in the catalog.
+  size_t size() const;
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
  private:
-  struct Stored {
-    std::string table;
-    Entry entry;
-  };
-
-  std::unordered_map<std::string, Stored> entries_;
-  mutable uint64_t hits_ = 0;
-  mutable uint64_t misses_ = 0;
+  Catalog* catalog_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 }  // namespace exi

@@ -363,6 +363,39 @@ TEST_F(FaultToleranceTest, FailedAddPartitionTracesCleanupDrops) {
   EXPECT_EQ(Count("docs", "Contains(body, 'gamma')"), 2);
 }
 
+TEST_F(FaultToleranceTest, TransientStatsFailureIsRetried) {
+  ASSERT_TRUE(text::InstallTextCartridge(&conn_).ok());
+  conn_.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
+  conn_.MustExecute(
+      "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta gamma')");
+  conn_.MustExecute(
+      "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType");
+  const std::pair<const char*, const char*> sites[] = {
+      {"odci/stats_selectivity", "ODCIStatsSelectivity"},
+      {"odci/stats_index_cost", "ODCIStatsIndexCost"}};
+  const char* words[] = {"alpha", "gamma"};  // a fresh predicate per site
+  for (int i = 0; i < 2; ++i) {
+    const auto& [site, routine] = sites[i];
+    Arm(site, "once status=IoError");
+    TracerSnapshot before = Tracer::Global().Snapshot();
+    QueryResult r = conn_.MustExecute(
+        std::string("SELECT id FROM docs WHERE Contains(body, '") + words[i] +
+        "')");
+    EXPECT_EQ(r.rows.size(), 1u) << site;
+    RoutineStats traced;
+    for (const auto& [key, stats] :
+         TracerDelta(Tracer::Global().Snapshot(), before)) {
+      if (key.second == routine) {
+        traced.calls += stats.calls;
+        traced.errors += stats.errors;
+      }
+    }
+    EXPECT_EQ(traced.calls, 2u) << site;
+    EXPECT_EQ(traced.errors, 1u) << site;
+    Disarm(site);
+  }
+}
+
 TEST_F(FaultToleranceTest, BadFailpointSpecsAreRejected) {
   EXPECT_FALSE(conn_.Execute("SET FAILPOINT 'x' = 'bogus'").ok());
   EXPECT_FALSE(conn_.Execute("SET FAILPOINT 'x' = 'nth=abc'").ok());

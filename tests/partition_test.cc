@@ -473,6 +473,58 @@ TEST_F(PartitionTest, LocalSpatialIndexPartitionedEndToEnd) {
   EXPECT_EQ(got, want);
 }
 
+// The optimizer asks each LOCAL slice about its own rows, so a HASH-4
+// table and a plain table holding the same rows get the same estimated
+// selectivity, and both pick the domain index for a large window.
+TEST_F(PartitionTest, LocalAndGlobalSpatialEstimatesAgree) {
+  conn_.MustExecute(
+      "CREATE TABLE hparks (gid INTEGER, geometry OBJECT SDO_GEOMETRY) "
+      "PARTITION BY HASH (gid) PARTITIONS 4");
+  conn_.MustExecute(
+      "CREATE TABLE gparks (gid INTEGER, geometry OBJECT SDO_GEOMETRY)");
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    Row row = {Value::Integer(i),
+               spatial::ToValue(workload::RandomRect(&rng, 300.0))};
+    ASSERT_TRUE(db_.InsertRow("hparks", row, nullptr).ok());
+    ASSERT_TRUE(db_.InsertRow("gparks", row, nullptr).ok());
+  }
+  for (const char* table : {"hparks", "gparks"}) {
+    conn_.MustExecute(std::string("CREATE INDEX ") + table + "_tile ON " +
+                      table + "(geometry) INDEXTYPE IS SpatialIndexType");
+    conn_.MustExecute(std::string("ANALYZE ") + table);
+  }
+
+  // The domain-index candidate's "sel=" figure, and whether it won.
+  auto domain_candidate = [&](const std::string& table,
+                              const std::string& window) {
+    std::string plan =
+        conn_
+            .MustExecute("EXPLAIN SELECT gid FROM " + table +
+                         " WHERE Sdo_Relate(geometry, " + window +
+                         ", 'mask=ANYINTERACT')")
+            .message;
+    size_t at = plan.find("DomainIndex(" + table + "_tile)");
+    EXPECT_NE(at, std::string::npos) << plan;
+    size_t line = plan.rfind('\n', at) + 1;
+    size_t sel = plan.find("sel=", at) + 4;
+    return std::make_pair(plan.substr(sel, plan.find(' ', sel) - sel),
+                          plan.compare(line, 4, "  * ") == 0);
+  };
+  for (const char* window :
+       {"SDO_GEOMETRY(1000,1000,1800,1800)",
+        "SDO_GEOMETRY(2000,2000,5000,5000)",
+        "SDO_GEOMETRY(1500,1500,8500,8500)"}) {
+    EXPECT_EQ(domain_candidate("hparks", window).first,
+              domain_candidate("gparks", window).first)
+        << window;
+  }
+  EXPECT_TRUE(
+      domain_candidate("hparks", "SDO_GEOMETRY(1500,1500,8500,8500)").second);
+  EXPECT_TRUE(
+      domain_candidate("gparks", "SDO_GEOMETRY(1500,1500,8500,8500)").second);
+}
+
 TEST_F(PartitionTest, ParallelPartitionScanMatchesSerial) {
   CreatePartitionedDocs();
   conn_.MustExecute(

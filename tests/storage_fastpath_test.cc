@@ -389,10 +389,28 @@ class StatsCacheTest : public ::testing::Test {
     return PlanningStatsCalls() - before;
   }
 
+  // pdocs(id, body) RANGE-partitioned on id into p0 [..100), p1
+  // [100..200) and p2 [200..), one 'alpha' row in each, with a LOCAL text
+  // index: three slices.
+  void CreatePartitionedDocs() {
+    conn_.MustExecute(
+        "CREATE TABLE pdocs (id INTEGER, body VARCHAR) "
+        "PARTITION BY RANGE (id) (PARTITION p0 VALUES LESS THAN (100), "
+        "PARTITION p1 VALUES LESS THAN (200), "
+        "PARTITION p2 VALUES LESS THAN (MAXVALUE))");
+    conn_.MustExecute(
+        "INSERT INTO pdocs VALUES (1, 'alpha beta'), (150, 'alpha gamma'), "
+        "(250, 'alpha delta')");
+    conn_.MustExecute(
+        "CREATE INDEX pdocs_idx ON pdocs(body) INDEXTYPE IS TextIndexType");
+  }
+
   Database db_;
   Connection conn_;
   const std::string query_ =
       "SELECT COUNT(*) FROM docs WHERE Contains(body, 'alpha')";
+  const std::string pquery_ =
+      "SELECT COUNT(*) FROM pdocs WHERE Contains(body, 'alpha')";
 };
 
 TEST_F(StatsCacheTest, RepeatedIdenticalQueryPlansWithZeroStatsCalls) {
@@ -434,6 +452,41 @@ TEST_F(StatsCacheTest, IndexDdlClearsCache) {
   EXPECT_EQ(StatsCallsFor(query_), 2u);
   conn_.MustExecute("ALTER INDEX docs_idx PARAMETERS (':Ignore omega')");
   EXPECT_EQ(StatsCallsFor(query_), 2u);
+}
+
+// Per-slice memo: planning asks only the slices that survive pruning, and
+// a change to one slice re-asks only that slice.
+TEST_F(StatsCacheTest, PrunedQueryAsksOnlySurvivingSlice) {
+  CreatePartitionedDocs();
+  EXPECT_EQ(StatsCallsFor(pquery_ + " AND id < 100"), 2u);
+  EXPECT_EQ(StatsCallsFor(pquery_ + " AND id < 100"), 0u);
+}
+
+TEST_F(StatsCacheTest, InsertIntoOnePartitionReasksOnlyThatSlice) {
+  CreatePartitionedDocs();
+  EXPECT_EQ(StatsCallsFor(pquery_), 6u);
+  EXPECT_EQ(StatsCallsFor(pquery_), 0u);
+  conn_.MustExecute("INSERT INTO pdocs VALUES (160, 'alpha omega')");
+  EXPECT_EQ(StatsCallsFor(pquery_), 2u);
+  EXPECT_EQ(StatsCallsFor(pquery_), 0u);
+}
+
+TEST_F(StatsCacheTest, RecreatedIndexPaysFullStatsCost) {
+  CreatePartitionedDocs();
+  EXPECT_EQ(StatsCallsFor(pquery_), 6u);
+  conn_.MustExecute("DROP INDEX pdocs_idx");
+  conn_.MustExecute(
+      "CREATE INDEX pdocs_idx ON pdocs(body) INDEXTYPE IS TextIndexType");
+  EXPECT_EQ(StatsCallsFor(pquery_), 6u);
+}
+
+TEST_F(StatsCacheTest, DropPartitionTakesItsSliceEntries) {
+  CreatePartitionedDocs();
+  EXPECT_EQ(StatsCallsFor(pquery_), 6u);
+  EXPECT_EQ(db_.planner_stats().size(), 3u);
+  conn_.MustExecute("ALTER TABLE pdocs DROP PARTITION p1");
+  EXPECT_EQ(db_.planner_stats().size(), 2u);
+  EXPECT_EQ(StatsCallsFor(pquery_), 0u);
 }
 
 // ---- parallelism 4: batched DML alongside the worker pool ----
