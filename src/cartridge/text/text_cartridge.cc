@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/strings.h"
 #include "core/scan_context.h"
@@ -126,7 +128,11 @@ Tokenizer TextIndexMethods::MakeTokenizer(const IndexParameters& params) {
 Status TextIndexMethods::Create(const OdciIndexInfo& info,
                                 ServerContext& ctx) {
   EXI_RETURN_IF_ERROR(CreateStorage(info, ctx));
-  return Rebuild(info, ctx);
+  Status built = Rebuild(info, ctx);
+  // A failed build leaves no storage behind, so a retried Create starts
+  // afresh.
+  if (!built.ok()) (void)ctx.DropIot(PostingTableName(info.index_name));
+  return built;
 }
 
 Status TextIndexMethods::CreateStorage(const OdciIndexInfo& info,
@@ -137,28 +143,64 @@ Status TextIndexMethods::CreateStorage(const OdciIndexInfo& info,
 
 Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,
                                  ServerContext& ctx) {
-  std::string iot = PostingTableName(info.index_name);
   IndexParameters params = ParseParams(info.parameters);
   Tokenizer tokenizer = MakeTokenizer(params);
   int col = info.indexed_position();
   if (col < 0) {
     return Status::Internal("text index has no indexed column position");
   }
-  Status inner = Status::OK();
+  // Tokenize the whole table into compact postings, sort them into key
+  // order and load them with one callback instead of one upsert each.  All
+  // postings of a token share one token Value.
+  struct Posting {
+    uint32_t token;  // index into `tokens`, later its rank in string order
+    int64_t freq;
+    RowId rid;
+  };
+  std::vector<Posting> postings;
+  std::vector<Value> tokens;
+  std::unordered_map<std::string, uint32_t> token_ids;
+  std::vector<uint32_t> doc;  // one document's token ids
   EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
       info.table_name, [&](RowId rid, const Row& row) {
         const Value& v = row[col];
         if (v.is_null()) return true;
-        for (const auto& [token, freq] :
-             tokenizer.TokenFrequencies(v.AsVarchar())) {
-          inner = ctx.IotUpsert(
-              iot, {Value::Varchar(token), Value::Integer(int64_t(rid)),
-                    Value::Integer(freq)});
-          if (!inner.ok()) return false;
+        doc.clear();
+        for (const std::string& token : tokenizer.Tokenize(v.AsVarchar())) {
+          auto [it, added] = token_ids.try_emplace(token, tokens.size());
+          if (added) tokens.push_back(Value::Varchar(token));
+          doc.push_back(it->second);
+        }
+        std::sort(doc.begin(), doc.end());
+        for (size_t i = 0; i < doc.size();) {
+          size_t j = i;
+          while (j < doc.size() && doc[j] == doc[i]) ++j;
+          postings.push_back({doc[i], int64_t(j - i), rid});
+          i = j;
         }
         return true;
       }));
-  return inner;
+  // Renumber tokens in string order, so postings sort on integers alone.
+  std::vector<uint32_t> order(tokens.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return tokens[a].AsVarchar() < tokens[b].AsVarchar();
+  });
+  std::vector<uint32_t> rank(tokens.size());
+  for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  for (Posting& p : postings) p.token = rank[p.token];
+  std::sort(postings.begin(), postings.end(),
+            [](const Posting& a, const Posting& b) {
+              return a.token != b.token ? a.token < b.token : a.rid < b.rid;
+            });
+  std::vector<Row> rows;
+  rows.reserve(postings.size());
+  for (const Posting& p : postings) {
+    rows.push_back({tokens[order[p.token]], Value::Integer(int64_t(p.rid)),
+                    Value::Integer(p.freq)});
+  }
+  std::vector<Posting>().swap(postings);
+  return ctx.IotBulkLoad(PostingTableName(info.index_name), std::move(rows));
 }
 
 Status TextIndexMethods::Alter(const OdciIndexInfo& info,
@@ -329,7 +371,7 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
                                OdciFetchBatch* out, ServerContext& ctx) {
   if (!sctx.uses_handle()) {
     // Return State: the full remaining result set rides in the context.
-    size_t pos;
+    size_t pos = 0;
     std::vector<TextMatch> matches;
     EXI_RETURN_IF_ERROR(DecodeState(sctx.state, &pos, &matches));
     size_t end = std::min(matches.size(), pos + max_rows);

@@ -89,8 +89,8 @@ class TextIndexMethods : public OdciIndex {
                         const std::string& document, ServerContext& ctx);
   Status DeleteDocument(const OdciIndexInfo& info, RowId rid,
                         const std::string& document, ServerContext& ctx);
-  // Rebuilds the posting table from the base table (used by Alter when the
-  // stop-word list changes).
+  // Fills the empty posting table from the base table with one sorted
+  // IotBulkLoad (Create, and Alter after truncating).
   Status Rebuild(const OdciIndexInfo& info, ServerContext& ctx);
 };
 

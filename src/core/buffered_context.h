@@ -1,6 +1,7 @@
 #ifndef EXTIDX_CORE_BUFFERED_CONTEXT_H_
 #define EXTIDX_CORE_BUFFERED_CONTEXT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,9 +13,10 @@ namespace exi {
 // ServerContext handed to ODCIIndexInsert callbacks running on pool workers
 // during a parallel index build (DESIGN.md §5).  Catalog state is shared and
 // unsynchronized, so workers must not mutate it: this context queues IOT
-// writes into a thread-local buffer and the build coordinator replays each
-// worker's buffer serially through the real guarded context afterwards —
-// which is also where undo logging and CallbackMode enforcement happen.
+// writes into a thread-local buffer, and the build coordinator merges every
+// worker's buffer into one sorted load per IOT afterwards, through the real
+// guarded context — which is also where undo logging and CallbackMode
+// enforcement happen.
 //
 // Reads are forwarded to the catalog read-only (concurrent readers are safe:
 // index structures are immutable during the build and the logical-I/O
@@ -27,7 +29,7 @@ namespace exi {
 class BufferingServerContext : public ServerContext {
  public:
   explicit BufferingServerContext(Catalog* catalog)
-      : reads_(catalog, nullptr, CallbackMode::kScan) {}
+      : catalog_(catalog), reads_(catalog, nullptr, CallbackMode::kScan) {}
 
   CallbackMode mode() const override { return CallbackMode::kDefinition; }
 
@@ -36,11 +38,17 @@ class BufferingServerContext : public ServerContext {
   Status IotUpsert(const std::string& name, Row row) override;
   Status IotDelete(const std::string& name, const CompositeKey& key) override;
 
-  // Replays the queued writes, in queue order, against `ctx` (the real
-  // guarded definition context).  Clears the buffer on success.
-  Status Replay(ServerContext& ctx);
-
-  size_t buffered_op_count() const { return ops_.size(); }
+  // Applies the writes queued in `buffers`, taken in buffer order, to
+  // `ctx` (the real guarded definition context): each IOT's writes are
+  // merged into key order, repeats of a key resolved in queue order (a
+  // later write wins, a delete cancels an earlier write), and the result
+  // handed to one IotBulkLoad.  Returns the error the first failing write
+  // would get if the queue were applied one write at a time, and then
+  // loads nothing; NotSupported if a target IOT is not empty.  Empties
+  // the buffers.
+  static Status Replay(
+      const std::vector<std::unique_ptr<BufferingServerContext>>& buffers,
+      ServerContext& ctx);
 
   // ---- unbufferable mutations: force serial fallback ----
   Status CreateIot(const std::string& name, Schema schema,
@@ -93,6 +101,7 @@ class BufferingServerContext : public ServerContext {
     CompositeKey key;  // delete
   };
 
+  Catalog* catalog_;
   GuardedServerContext reads_;
   std::vector<BufferedOp> ops_;
 };

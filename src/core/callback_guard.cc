@@ -64,14 +64,14 @@ Status GuardedServerContext::IotUpsert(const std::string& name, Row row) {
   EXI_RETURN_IF_ERROR(RequireDml("IotUpsert"));
   EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_upsert"));
   EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  CompositeKey key = iot->KeyOf(row);
-  Result<Row> old = iot->Get(key);
-  EXI_RETURN_IF_ERROR(iot->Upsert(std::move(row)));
+  CompositeKey key = txn_ != nullptr ? iot->KeyOf(row) : CompositeKey{};
+  std::optional<Row> old;
+  EXI_RETURN_IF_ERROR(iot->Upsert(std::move(row), &old));
   if (txn_ != nullptr) {
-    if (old.ok()) {
-      Row old_row = std::move(old).value();
-      txn_->PushUndo(
-          [iot, old_row] { (void)iot->Upsert(old_row); });
+    if (old.has_value()) {
+      txn_->PushUndo([iot, old_row = std::move(*old)] {
+        (void)iot->Upsert(old_row);
+      });
     } else {
       txn_->PushUndo([iot, key] { (void)iot->Delete(key); });
     }
@@ -84,11 +84,24 @@ Status GuardedServerContext::IotDelete(const std::string& name,
   EXI_RETURN_IF_ERROR(RequireDml("IotDelete"));
   EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_delete"));
   EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  EXI_ASSIGN_OR_RETURN(Row old_row, iot->Get(key));
-  EXI_RETURN_IF_ERROR(iot->Delete(key));
+  Row old_row;
+  EXI_RETURN_IF_ERROR(iot->Delete(key, &old_row));
   if (txn_ != nullptr) {
-    txn_->PushUndo([iot, old_row] { (void)iot->Upsert(old_row); });
+    txn_->PushUndo([iot, old_row = std::move(old_row)] {
+      (void)iot->Upsert(old_row);
+    });
   }
+  return Status::OK();
+}
+
+Status GuardedServerContext::IotBulkLoad(const std::string& name,
+                                         std::vector<Row> rows) {
+  EXI_RETURN_IF_ERROR(RequireDdl("IotBulkLoad"));
+  EXI_RETURN_IF_ERROR(
+      FailPointRegistry::Global().Fire("callback/iot_bulk_load"));
+  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
+  EXI_RETURN_IF_ERROR(iot->BulkLoad(std::move(rows)));
+  if (txn_ != nullptr) txn_->PushUndo([iot] { iot->Truncate(); });
   return Status::OK();
 }
 

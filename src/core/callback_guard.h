@@ -55,6 +55,7 @@ class GuardedServerContext : public ServerContext {
   Status IotInsert(const std::string& name, Row row) override;
   Status IotUpsert(const std::string& name, Row row) override;
   Status IotDelete(const std::string& name, const CompositeKey& key) override;
+  Status IotBulkLoad(const std::string& name, std::vector<Row> rows) override;
 
   // ---- IOT queries ----
   Result<Row> IotGet(const std::string& name,

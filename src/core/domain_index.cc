@@ -225,8 +225,8 @@ Status DomainIndexManager::ParallelBuild(IndexInfo* info, OdciIndex* impl,
     buffers.push_back(std::make_unique<BufferingServerContext>(catalog_));
   }
 
-  // Contiguous chunks so the replay below preserves base-table scan order
-  // across the whole build, making contents deterministic per parallelism.
+  // Contiguous chunks, so the merge below resolves repeated keys in
+  // base-table scan order, making contents independent of parallelism.
   size_t chunk = (rows.size() + workers - 1) / workers;
   ThreadPool& workpool = pool();
   workpool.EnsureWorkerCount(workers);
@@ -260,12 +260,10 @@ Status DomainIndexManager::ParallelBuild(IndexInfo* info, OdciIndex* impl,
   }
   EXI_RETURN_IF_ERROR(build);
 
-  // Serial replay in chunk order through the real guarded context — undo
-  // logging and CallbackMode enforcement happen here, on this thread.
-  for (std::unique_ptr<BufferingServerContext>& buf : buffers) {
-    EXI_RETURN_IF_ERROR(buf->Replay(ctx));
-  }
-  return Status::OK();
+  // One sorted load per IOT, merged in chunk order, through the real
+  // guarded context — undo logging and CallbackMode enforcement happen
+  // here, on this thread.
+  return BufferingServerContext::Replay(buffers, ctx);
 }
 
 Result<std::shared_ptr<OdciIndex>> DomainIndexManager::NewImplFor(

@@ -288,10 +288,10 @@ class DomainIndexManager {
 
   // Split build protocol (DESIGN.md §5): CreateStorage on this thread,
   // ODCIIndexInsert callbacks concurrently on pool workers against
-  // per-worker BufferingServerContexts, then serial replay in chunk order
-  // through `ctx`.  NotSupported from any step means the cartridge opted
-  // out; BuildSlice then falls back to the classic serial Create, as it
-  // does on a transient failure.
+  // per-worker BufferingServerContexts, then one sorted IotBulkLoad per
+  // IOT through `ctx` (BufferingServerContext::Replay).  NotSupported from
+  // any step means the cartridge opted out; BuildSlice then falls back to
+  // the classic serial Create, as it does on a transient failure.
   Status ParallelBuild(IndexInfo* index, OdciIndex* impl,
                        const OdciIndexInfo& odci_info, const Schema& schema,
                        GuardedServerContext& ctx);

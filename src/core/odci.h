@@ -137,6 +137,18 @@ class ServerContext {
   virtual Status IotDelete(const std::string& name,
                            const CompositeKey& key) = 0;
 
+  // Sorted bulk load for index builds (requires kDefinition): fills the
+  // empty IOT `name` with `rows`, whose primary keys must be strictly
+  // ascending.  The server builds the B+-tree bottom-up with no per-row
+  // lookup, and undo (when a transaction is open) empties the IOT again.
+  // A non-empty IOT, unsorted or duplicate keys, or a row the schema
+  // rejects fail the whole call and load nothing.  This default loops
+  // IotInsert, so decorating contexts need not implement it.
+  virtual Status IotBulkLoad(const std::string& name, std::vector<Row> rows) {
+    for (Row& row : rows) EXI_RETURN_IF_ERROR(IotInsert(name, std::move(row)));
+    return Status::OK();
+  }
+
   // ---- IOT queries (any mode) ----
   virtual Result<Row> IotGet(const std::string& name,
                              const CompositeKey& key) const = 0;
@@ -199,8 +211,9 @@ class ServerContext {
 struct OdciCapabilities {
   // The framework may drive the initial index build by invoking Insert()
   // concurrently from pool workers, each against a write-buffering
-  // ServerContext whose queued mutations are merged (replayed serially)
-  // afterwards.  Requires:
+  // ServerContext.  Afterwards the queued writes are merged into key order
+  // per IOT (a later write wins, a delete cancels an earlier write) and
+  // loaded with one IotBulkLoad each.  Requires:
   //  * Insert() writes only through IotInsert/IotUpsert/IotDelete;
   //  * Insert() never reads index state it (or a sibling insert) wrote —
   //    buffered writes are invisible until the merge;

@@ -18,7 +18,8 @@ namespace exi {
 // "index entry is the row" metaphor).
 //
 // Structure: classic order-`kMaxKeys` tree; leaves are chained for range
-// scans.  Deletion is lazy (entries are removed from leaves, underfull
+// scans.  An empty tree can also be built bottom-up from sorted entries
+// (BulkLoad).  Deletion is lazy (entries are removed from leaves, underfull
 // leaves are tolerated and empty ones unlinked), the same strategy
 // PostgreSQL uses; lookup and scan costs are unaffected because node reads
 // are metered per node actually visited.
@@ -26,6 +27,11 @@ template <typename Payload>
 class BPlusTree {
  public:
   static constexpr size_t kMaxKeys = 64;
+  // Entries per leaf in a bulk-loaded tree: 7/8 full, so the first later
+  // inserts into a leaf neither split it nor move it into a doubled
+  // buffer.  Fully packed leaves raised text_ingest's peak RSS by 8 MB
+  // for no measurable change in DML latency.
+  static constexpr size_t kBulkLeafKeys = kMaxKeys * 7 / 8;
 
   BPlusTree() : root_(NewNode(/*leaf=*/true)) {}
 
@@ -49,36 +55,84 @@ class BPlusTree {
   }
 
   // Returns the payload slot for `key`, inserting a default-constructed
-  // payload (and splitting nodes) if absent.
+  // payload (and splitting nodes) if absent.  Unlike Upsert, does not
+  // meter the nodes it visits.
   Payload& GetOrInsert(const CompositeKey& key) {
-    InsertResult res = InsertRec(root_.get(), key);
-    if (res.split) {
-      // Root split: grow the tree by one level.
-      auto new_root = NewNode(/*leaf=*/false);
-      new_root->keys.push_back(res.split->first);
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(res.split->second));
-      root_ = std::move(new_root);
-      ++height_;
-      // The payload pointer may live in either child; re-find it.
-      Payload* p = Find(key);
-      assert(p != nullptr);
-      return *p;
-    }
-    return *res.payload;
+    return *Insert(key, /*metered=*/false).payload;
   }
 
-  // Removes the entry for `key`.  Returns false if absent.
-  bool Erase(const CompositeKey& key) {
+  // Stores `payload` under `key` in one descent, metering every node it
+  // visits.  Returns the payload it replaced, or nullopt for a new key.
+  std::optional<Payload> Upsert(const CompositeKey& key, Payload payload) {
+    InsertResult res = Insert(key, /*metered=*/true);
+    if (res.inserted) {
+      *res.payload = std::move(payload);
+      return std::nullopt;
+    }
+    return std::exchange(*res.payload, std::move(payload));
+  }
+
+  // Removes the entry for `key` in one descent and returns its payload, or
+  // nullopt if absent.
+  std::optional<Payload> Extract(const CompositeKey& key) {
     Node* leaf = DescendToLeaf(key);
     size_t pos = LowerBound(leaf->keys, key);
     if (pos >= leaf->keys.size() || CompareKeys(leaf->keys[pos], key) != 0) {
-      return false;
+      return std::nullopt;
     }
+    std::optional<Payload> removed(std::move(leaf->payloads[pos]));
     leaf->keys.erase(leaf->keys.begin() + pos);
     leaf->payloads.erase(leaf->payloads.begin() + pos);
     --size_;
-    return true;
+    return removed;
+  }
+
+  // Removes the entry for `key`.  Returns false if absent.
+  bool Erase(const CompositeKey& key) { return Extract(key).has_value(); }
+
+  // Builds the tree bottom-up from `n` entries, which `next(&key, &payload)`
+  // produces one at a time in strictly ascending key order: leaves are
+  // filled left to right and chained, then each internal level takes its
+  // children's first keys as separators.  The tree must be empty.  Leaves
+  // hold up to `kBulkLeafKeys` entries and internal nodes up to
+  // `kMaxKeys` + 1 children, spread evenly so no node is left nearly
+  // empty.
+  template <typename Next>
+  void BulkLoad(size_t n, Next next) {
+    assert(size_ == 0);
+    if (n == 0) return;
+    // (first key of the subtree, subtree root) for the level being built.
+    std::vector<std::pair<CompositeKey, std::unique_ptr<Node>>> level;
+    Node* prev = nullptr;
+    ForEachGroup(n, kBulkLeafKeys, [&](size_t begin, size_t end) {
+      auto leaf = NewNode(/*leaf=*/true);
+      leaf->keys.resize(end - begin);
+      leaf->payloads.resize(end - begin);
+      for (size_t i = 0; i < end - begin; ++i) {
+        next(&leaf->keys[i], &leaf->payloads[i]);
+      }
+      if (prev != nullptr) prev->next = leaf.get();
+      prev = leaf.get();
+      CompositeKey first = leaf->keys.front();
+      level.emplace_back(std::move(first), std::move(leaf));
+    });
+    size_t height = 1;
+    while (level.size() > 1) {
+      std::vector<std::pair<CompositeKey, std::unique_ptr<Node>>> parents;
+      ForEachGroup(level.size(), kMaxKeys + 1, [&](size_t begin, size_t end) {
+        auto node = NewNode(/*leaf=*/false);
+        for (size_t i = begin; i < end; ++i) {
+          if (i > begin) node->keys.push_back(std::move(level[i].first));
+          node->children.push_back(std::move(level[i].second));
+        }
+        parents.emplace_back(std::move(level[begin].first), std::move(node));
+      });
+      level = std::move(parents);
+      ++height;
+    }
+    root_ = std::move(level.front().second);
+    size_ = n;
+    height_ = height;
   }
 
   void Clear() {
@@ -153,6 +207,7 @@ class BPlusTree {
 
   struct InsertResult {
     Payload* payload = nullptr;
+    bool inserted = false;  // `payload` is a new default-constructed slot
     // Present when this child split: separator key + new right sibling.
     std::optional<std::pair<CompositeKey, std::unique_ptr<Node>>> split;
   };
@@ -206,23 +261,42 @@ class BPlusTree {
     return n;
   }
 
-  InsertResult InsertRec(Node* node, const CompositeKey& key) {
+  // Descends from the root, inserting a default payload if `key` is
+  // absent and growing the tree by one level when the root splits.
+  InsertResult Insert(const CompositeKey& key, bool metered) {
+    InsertResult res = InsertRec(root_.get(), key, metered);
+    if (res.split) {
+      // Root split: grow the tree by one level.  Nodes never move, so the
+      // payload pointer stays valid.
+      auto new_root = NewNode(/*leaf=*/false);
+      new_root->keys.push_back(std::move(res.split->first));
+      new_root->children.push_back(std::move(root_));
+      new_root->children.push_back(std::move(res.split->second));
+      root_ = std::move(new_root);
+      res.split.reset();
+      ++height_;
+    }
+    return res;
+  }
+
+  InsertResult InsertRec(Node* node, const CompositeKey& key, bool metered) {
+    if (metered) GlobalMetrics().index_nodes_read++;
     if (node->leaf) {
       size_t pos = LowerBound(node->keys, key);
       if (pos < node->keys.size() &&
           CompareKeys(node->keys[pos], key) == 0) {
-        return {&node->payloads[pos], std::nullopt};
+        return {&node->payloads[pos], false, std::nullopt};
       }
       node->keys.insert(node->keys.begin() + pos, key);
       node->payloads.insert(node->payloads.begin() + pos, Payload());
       ++size_;
       if (node->keys.size() <= kMaxKeys) {
-        return {&node->payloads[pos], std::nullopt};
+        return {&node->payloads[pos], true, std::nullopt};
       }
       return SplitLeaf(node, pos);
     }
     size_t ci = ChildIndex(node->keys, key);
-    InsertResult child_res = InsertRec(node->children[ci].get(), key);
+    InsertResult child_res = InsertRec(node->children[ci].get(), key, metered);
     if (!child_res.split) return child_res;
     // Absorb the child's split into this node.
     node->keys.insert(node->keys.begin() + ci,
@@ -230,10 +304,23 @@ class BPlusTree {
     node->children.insert(node->children.begin() + ci + 1,
                           std::move(child_res.split->second));
     child_res.split.reset();
-    if (node->keys.size() <= kMaxKeys) {
-      return {child_res.payload, std::nullopt};
-    }
+    if (node->keys.size() <= kMaxKeys) return child_res;
     return SplitInternal(node, child_res.payload);
+  }
+
+  // Calls visit(begin, end) for `n` items cut into the fewest groups of at
+  // most `cap`, with sizes differing by at most one.
+  template <typename Visit>
+  static void ForEachGroup(size_t n, size_t cap, Visit visit) {
+    size_t groups = (n + cap - 1) / cap;
+    size_t base = n / groups;
+    size_t extra = n % groups;
+    size_t begin = 0;
+    for (size_t g = 0; g < groups; ++g) {
+      size_t end = begin + base + (g < extra ? 1 : 0);
+      visit(begin, end);
+      begin = end;
+    }
   }
 
   InsertResult SplitLeaf(Node* node, size_t inserted_pos) {
@@ -254,6 +341,7 @@ class BPlusTree {
     CompositeKey sep = right->keys.front();
     InsertResult res;
     res.payload = payload;
+    res.inserted = true;
     res.split.emplace(std::move(sep), std::move(right));
     return res;
   }
@@ -271,6 +359,7 @@ class BPlusTree {
     node->children.resize(mid + 1);
     InsertResult res;
     res.payload = payload;
+    res.inserted = true;
     res.split.emplace(std::move(sep), std::move(right));
     return res;
   }

@@ -1,5 +1,6 @@
 #include "index/iot.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/metrics.h"
@@ -14,16 +15,23 @@ Iot::Iot(std::string name, Schema schema, size_t key_columns)
 }
 
 CompositeKey Iot::KeyOf(const Row& row) const {
-  return CompositeKey(row.begin(), row.begin() + key_columns_);
+  return CompositeKey(row.begin(),
+                      row.begin() + std::min(key_columns_, row.size()));
+}
+
+Status Iot::DuplicateKeyError(const CompositeKey& key) const {
+  return Status::AlreadyExists("duplicate key " + KeyToString(key) +
+                               " in IOT " + name_);
+}
+
+Status Iot::MissingKeyError(const CompositeKey& key) const {
+  return Status::NotFound("no key " + KeyToString(key) + " in IOT " + name_);
 }
 
 Status Iot::Insert(Row row) {
   EXI_RETURN_IF_ERROR(schema_.ValidateRow(row));
   CompositeKey key = KeyOf(row);
-  if (tree_.Find(key) != nullptr) {
-    return Status::AlreadyExists("duplicate key " + KeyToString(key) +
-                                 " in IOT " + name_);
-  }
+  if (tree_.Find(key) != nullptr) return DuplicateKeyError(key);
   tree_.GetOrInsert(key) = std::move(row);
   GlobalMetrics().index_entries_written++;
   return Status::OK();
@@ -37,19 +45,54 @@ Status Iot::Upsert(Row row) {
   return Status::OK();
 }
 
-Status Iot::Delete(const CompositeKey& key) {
-  if (!tree_.Erase(key)) {
-    return Status::NotFound("no key " + KeyToString(key) + " in IOT " + name_);
-  }
+Status Iot::Upsert(Row row, std::optional<Row>* old) {
+  EXI_RETURN_IF_ERROR(schema_.ValidateRow(row));
+  CompositeKey key = KeyOf(row);
+  *old = tree_.Upsert(key, std::move(row));
   GlobalMetrics().index_entries_written++;
   return Status::OK();
 }
 
+Status Iot::Delete(const CompositeKey& key, Row* old) {
+  std::optional<Row> removed = tree_.Extract(key);
+  if (!removed.has_value()) return MissingKeyError(key);
+  if (old != nullptr) *old = std::move(*removed);
+  GlobalMetrics().index_entries_written++;
+  return Status::OK();
+}
+
+Status Iot::BulkLoad(std::vector<Row> rows) {
+  if (tree_.size() != 0) {
+    return Status::NotSupported("bulk load into non-empty IOT " + name_);
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXI_RETURN_IF_ERROR(schema_.ValidateRow(rows[i]));
+    if (i > 0 && ComparePrimaryKeys(rows[i - 1], rows[i]) >= 0) {
+      return Status::InvalidArgument(
+          "bulk load keys not strictly ascending at " +
+          KeyToString(KeyOf(rows[i])) + " in IOT " + name_);
+    }
+  }
+  GlobalMetrics().index_entries_written += rows.size();
+  auto row = rows.begin();
+  tree_.BulkLoad(rows.size(), [&](CompositeKey* key, Row* payload) {
+    *key = KeyOf(*row);
+    *payload = std::move(*row++);
+  });
+  return Status::OK();
+}
+
+int Iot::ComparePrimaryKeys(const Row& a, const Row& b) const {
+  for (size_t i = 0; i < key_columns_; ++i) {
+    int c = TotalOrderCompare(a[i], b[i]);
+    if (c != 0) return c;
+  }
+  return 0;
+}
+
 Result<Row> Iot::Get(const CompositeKey& key) const {
   const Row* row = tree_.Find(key);
-  if (row == nullptr) {
-    return Status::NotFound("no key " + KeyToString(key) + " in IOT " + name_);
-  }
+  if (row == nullptr) return MissingKeyError(key);
   return *row;
 }
 
@@ -58,8 +101,9 @@ void Iot::ScanPrefix(const CompositeKey& prefix,
   for (auto it = tree_.Seek(prefix); it.Valid(); it.Next()) {
     const CompositeKey& key = it.key();
     if (key.size() < prefix.size()) break;
-    CompositeKey head(key.begin(), key.begin() + prefix.size());
-    if (CompareKeys(head, prefix) != 0) break;
+    for (size_t i = 0; i < prefix.size(); ++i) {
+      if (TotalOrderCompare(key[i], prefix[i]) != 0) return;
+    }
     if (!visit(it.payload())) break;
   }
 }

@@ -1,6 +1,7 @@
 #ifndef EXTIDX_INDEX_IOT_H_
 #define EXTIDX_INDEX_IOT_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,11 +33,26 @@ class Iot {
   // Inserts; errors with AlreadyExists on duplicate primary key.
   Status Insert(Row row);
 
-  // Inserts or replaces by primary key.
+  // Inserts or replaces by primary key without metering the descent; undo
+  // restores rows this way.
   Status Upsert(Row row);
 
-  // Deletes by primary key. Errors with NotFound if absent.
-  Status Delete(const CompositeKey& key);
+  // Inserts or replaces by primary key in one metered descent; `*old`
+  // receives the replaced row, or nullopt when the key was new.
+  Status Upsert(Row row, std::optional<Row>* old);
+
+  // Deletes by primary key in one descent, moving the removed row to
+  // `*old` when given.  Errors with NotFound if absent.
+  Status Delete(const CompositeKey& key, Row* old = nullptr);
+
+  // Loads `rows` into this empty IOT bottom-up.  Every row must pass the
+  // schema and keys must be strictly ascending; otherwise returns an error
+  // and leaves the IOT unchanged.
+  Status BulkLoad(std::vector<Row> rows);
+
+  // The errors Insert and Delete return for a present / absent key.
+  Status DuplicateKeyError(const CompositeKey& key) const;
+  Status MissingKeyError(const CompositeKey& key) const;
 
   // Fetches the row with exactly this primary key.
   Result<Row> Get(const CompositeKey& key) const;
@@ -59,6 +75,9 @@ class Iot {
   CompositeKey KeyOf(const Row& row) const;
 
  private:
+  // Orders two valid rows by their primary keys, in place.
+  int ComparePrimaryKeys(const Row& a, const Row& b) const;
+
   std::string name_;
   Schema schema_;
   size_t key_columns_;

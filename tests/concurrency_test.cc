@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -117,13 +118,29 @@ TEST_F(ConcurrencyTest, ConcurrentVirScansMatchSerial) {
 
 // ---- parallel build equivalence ----
 
+// Every IOT of `db` with its rows in key order.
+std::map<std::string, std::vector<Row>> AllIotRows(Database& db) {
+  std::map<std::string, std::vector<Row>> out;
+  for (const std::string& name : db.catalog().IotNames()) {
+    std::vector<Row>& rows = out[name];
+    (*db.catalog().GetIot(name))
+        ->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
+          rows.push_back(row);
+          return true;
+        });
+  }
+  return out;
+}
+
 // Builds the same seeded workload in two databases — one at parallelism 1,
-// one at parallelism 4 — and asserts the given query returns identical
-// rows from both.
+// one at parallelism 4 (the split build, merged into one sorted load per
+// IOT) — and asserts both leave identical IOT rows and the given query
+// returns identical rows from both.
 void ExpectBuildEquivalence(
     const std::function<Status(Connection*)>& build_table,
     const std::string& create_index, const std::string& query) {
   QueryResult serial, parallel;
+  std::map<std::string, std::vector<Row>> serial_iots, parallel_iots;
   {
     Database db;
     Connection conn(&db);
@@ -133,6 +150,7 @@ void ExpectBuildEquivalence(
     ASSERT_TRUE(build_table(&conn).ok());
     conn.MustExecute(create_index);
     serial = conn.MustExecute(query);
+    serial_iots = AllIotRows(db);
   }
   {
     Database db;
@@ -144,6 +162,16 @@ void ExpectBuildEquivalence(
     ASSERT_TRUE(build_table(&conn).ok());
     conn.MustExecute(create_index);
     parallel = conn.MustExecute(query);
+    parallel_iots = AllIotRows(db);
+  }
+  ASSERT_FALSE(serial_iots.empty());
+  ASSERT_EQ(serial_iots.size(), parallel_iots.size());
+  for (const auto& [name, rows] : serial_iots) {
+    const std::vector<Row>& other = parallel_iots[name];
+    ASSERT_EQ(rows.size(), other.size()) << name;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(CompareKeys(rows[i], other[i]), 0) << name << " row " << i;
+    }
   }
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
   for (size_t i = 0; i < serial.rows.size(); ++i) {

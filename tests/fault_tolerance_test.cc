@@ -396,6 +396,49 @@ TEST_F(FaultToleranceTest, TransientStatsFailureIsRetried) {
   }
 }
 
+// The text build's one sorted load has its own callback site.  A transient
+// failure there is retried with ODCIIndexCreate, which dropped its partial
+// posting table, so the retry starts afresh.
+TEST_F(FaultToleranceTest, TransientBulkLoadFailureRetriesCreate) {
+  ASSERT_TRUE(text::InstallTextCartridge(&conn_).ok());
+  conn_.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
+  conn_.MustExecute(
+      "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta gamma')");
+  Arm("callback/iot_bulk_load", "once status=IoError");
+  TracerSnapshot before = Tracer::Global().Snapshot();
+  ASSERT_TRUE(conn_
+                  .Execute("CREATE INDEX docs_text ON docs(body) "
+                           "INDEXTYPE IS TextIndexType")
+                  .ok());
+  Disarm("callback/iot_bulk_load");
+  RoutineStats create;
+  for (const auto& [key, stats] :
+       TracerDelta(Tracer::Global().Snapshot(), before)) {
+    if (key.second == "ODCIIndexCreate") {
+      create.calls += stats.calls;
+      create.errors += stats.errors;
+    }
+  }
+  EXPECT_EQ(create.calls, 2u);
+  EXPECT_EQ(create.errors, 1u);
+  EXPECT_EQ(VdollarStatus("docs_text").first, "VALID");
+  EXPECT_EQ(Count("docs", "Contains(body, 'beta')"), 2);
+}
+
+TEST_F(FaultToleranceTest, FatalBulkLoadFailureLeavesNoOrphan) {
+  ASSERT_TRUE(text::InstallTextCartridge(&conn_).ok());
+  conn_.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
+  conn_.MustExecute("INSERT INTO docs VALUES (1, 'alpha beta')");
+  Arm("callback/iot_bulk_load", "once status=Internal");
+  EXPECT_FALSE(conn_
+                   .Execute("CREATE INDEX docs_text ON docs(body) "
+                            "INDEXTYPE IS TextIndexType")
+                   .ok());
+  Disarm("callback/iot_bulk_load");
+  EXPECT_FALSE(db_.catalog().IndexExists("docs_text"));
+  EXPECT_TRUE(db_.catalog().IotNames().empty());
+}
+
 TEST_F(FaultToleranceTest, BadFailpointSpecsAreRejected) {
   EXPECT_FALSE(conn_.Execute("SET FAILPOINT 'x' = 'bogus'").ok());
   EXPECT_FALSE(conn_.Execute("SET FAILPOINT 'x' = 'nth=abc'").ok());

@@ -1,6 +1,7 @@
 // Unit + property tests for src/index: B+-tree, B-tree index, hash index,
 // bitmap index, IOT.  The property suites cross-check the B+-tree against
-// std::map on random operation sequences.
+// std::map on random operation sequences, and the bottom-up bulk loader
+// against incremental inserts.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,10 @@
 #include <map>
 #include <set>
 
+#include "catalog/catalog.h"
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "core/callback_guard.h"
 #include "index/bitmap_index.h"
 #include "index/bplus_tree.h"
 #include "index/bptree.h"
@@ -94,6 +98,151 @@ TEST(BPlusTreeTest, PropertyMatchesStdMap) {
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
+}
+
+// A bulk-loaded tree of keys 0..n-1 (payload = 3 * key).
+void BulkLoadInts(BPlusTree<int64_t>* tree, int64_t n) {
+  int64_t next = 0;
+  tree->BulkLoad(size_t(n), [&](CompositeKey* key, int64_t* payload) {
+    *key = IntKey(next);
+    *payload = 3 * next++;
+  });
+}
+
+// Height of a bulk-loaded tree of `n` entries: `kBulkLeafKeys` per leaf
+// and `kMaxKeys` + 1 children per internal node.
+size_t PackedHeight(size_t n) {
+  const size_t leaf = BPlusTree<int64_t>::kBulkLeafKeys;
+  const size_t fanout = BPlusTree<int64_t>::kMaxKeys + 1;
+  size_t nodes = (n + leaf - 1) / leaf;
+  size_t height = 1;
+  while (nodes > 1) {
+    nodes = (nodes + fanout - 1) / fanout;
+    ++height;
+  }
+  return height;
+}
+
+TEST(BPlusTreeBulkLoadTest, MatchesIncrementalInserts) {
+  // Edge sizes: one leaf full and one over; one full internal root of
+  // full leaves, and one over.
+  const int64_t leaf = int64_t(BPlusTree<int64_t>::kBulkLeafKeys);
+  const int64_t fanout = int64_t(BPlusTree<int64_t>::kMaxKeys) + 1;
+  for (int64_t n : {int64_t(0), int64_t(1), leaf, leaf + 1, leaf * fanout,
+                    leaf * fanout + 1, int64_t(50000)}) {
+    SCOPED_TRACE(n);
+    BPlusTree<int64_t> bulk;
+    BulkLoadInts(&bulk, n);
+    BPlusTree<int64_t> incremental;
+    for (int64_t i = 0; i < n; ++i) incremental.GetOrInsert(IntKey(i)) = 3 * i;
+    ASSERT_EQ(bulk.size(), size_t(n));
+    EXPECT_EQ(bulk.height(), PackedHeight(size_t(n)));
+    // Same entries in the same order.
+    auto a = bulk.Begin();
+    auto b = incremental.Begin();
+    for (; b.Valid(); a.Next(), b.Next()) {
+      ASSERT_TRUE(a.Valid());
+      ASSERT_EQ(CompareKeys(a.key(), b.key()), 0);
+      ASSERT_EQ(a.payload(), b.payload());
+    }
+    EXPECT_FALSE(a.Valid());
+    // Every key is found, and Seek lands on it.
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t* v = bulk.Find(IntKey(i));
+      ASSERT_NE(v, nullptr) << i;
+      ASSERT_EQ(*v, 3 * i);
+      auto it = bulk.Seek(IntKey(i));
+      ASSERT_TRUE(it.Valid());
+      ASSERT_EQ(it.key()[0].AsInteger(), i);
+    }
+    EXPECT_EQ(bulk.Find(IntKey(-1)), nullptr);
+    EXPECT_FALSE(bulk.Seek(IntKey(n)).Valid());
+  }
+}
+
+// Later inserts and erases split and shrink the packed nodes like any
+// others: the tree stays sorted and agrees with a std::map oracle.
+TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
+  BPlusTree<int64_t> tree;
+  std::map<int64_t, int64_t> oracle;
+  const int64_t n = 5000;
+  // Even keys loaded; writes then hit every leaf.
+  int64_t next = 0;
+  tree.BulkLoad(size_t(n), [&](CompositeKey* key, int64_t* payload) {
+    *key = IntKey(2 * next);
+    *payload = next;
+    oracle[2 * next] = next;
+    ++next;
+  });
+  Rng rng(17);
+  for (int op = 0; op < 20000; ++op) {
+    int64_t key = int64_t(rng.Uniform(2 * n + 100));
+    if (rng.Uniform(3) == 0) {
+      ASSERT_EQ(tree.Erase(IntKey(key)), oracle.erase(key) > 0) << op;
+    } else {
+      tree.GetOrInsert(IntKey(key)) = op;
+      oracle[key] = op;
+    }
+  }
+  ASSERT_EQ(tree.size(), oracle.size());
+  auto it = tree.Begin();
+  for (const auto& [key, value] : oracle) {
+    ASSERT_TRUE(it.Valid());
+    ASSERT_EQ(it.key()[0].AsInteger(), key);
+    ASSERT_EQ(it.payload(), value);
+    it.Next();
+  }
+  EXPECT_FALSE(it.Valid());
+}
+
+TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
+  BPlusTree<int64_t> tree;
+  EXPECT_FALSE(tree.Upsert(IntKey(1), 10).has_value());
+  std::optional<int64_t> old = tree.Upsert(IntKey(1), 11);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(*old, 10);
+  EXPECT_EQ(*tree.Find(IntKey(1)), 11);
+  old = tree.Extract(IntKey(1));
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(*old, 11);
+  EXPECT_FALSE(tree.Extract(IntKey(1)).has_value());
+  EXPECT_EQ(tree.size(), 0u);
+}
+
+// Random composite keys mixing NULL, INTEGER, VARCHAR (with embedded NULs
+// and lengths past the image capacity) and DOUBLE: comparing through the
+// images always agrees with CompareKeys.
+TEST(KeyImageTest, ImagedCompareMatchesCompareKeys) {
+  Rng rng(5);
+  auto random_value = [&rng]() {
+    switch (rng.Uniform(5)) {
+      case 0:
+        return Value::Null();
+      case 1:
+        return Value::Integer(int64_t(rng.Uniform(7)) - 3);
+      case 2:
+        return Value::Double(double(rng.Uniform(7)) - 3.0);
+      default: {
+        std::string s;
+        size_t len = rng.Uniform(3) == 0 ? rng.Uniform(30) : rng.Uniform(4);
+        for (size_t i = 0; i < len; ++i) s += char("ab\0"[rng.Uniform(3)]);
+        return Value::Varchar(s);
+      }
+    }
+  };
+  std::vector<CompositeKey> keys;
+  for (int i = 0; i < 400; ++i) {
+    keys.push_back({random_value(), random_value()});
+  }
+  for (const CompositeKey& a : keys) {
+    KeyImage ia = MakeKeyImage(a.data(), a.size());
+    for (const CompositeKey& b : keys) {
+      KeyImage ib = MakeKeyImage(b.data(), b.size());
+      ASSERT_EQ(CompareImagedKeys(ia, a.data(), ib, b.data(), 2),
+                CompareKeys(a, b))
+          << KeyToString(a) << " vs " << KeyToString(b);
+    }
+  }
 }
 
 TEST(BTreeIndexTest, NonUniquePostings) {
@@ -243,6 +392,145 @@ TEST(IotTest, PrefixScanIsOrderedAndBounded) {
     return ++count < 5;
   });
   EXPECT_EQ(count, 5);
+}
+
+Schema PostingSchema() {
+  Schema schema;
+  schema.AddColumn(Column{"token", DataType::Varchar(32), true});
+  schema.AddColumn(Column{"rid", DataType::Integer(), true});
+  schema.AddColumn(Column{"freq", DataType::Integer(), true});
+  return schema;
+}
+
+Row Posting(const std::string& token, int64_t rid, int64_t freq = 1) {
+  return {Value::Varchar(token), Value::Integer(rid), Value::Integer(freq)};
+}
+
+// The IOT's rows in key order.
+std::vector<Row> RowsOf(const Iot& iot) {
+  std::vector<Row> rows;
+  iot.ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
+    rows.push_back(row);
+    return true;
+  });
+  return rows;
+}
+
+TEST(IotTest, BulkLoadFillsAnEmptyIot) {
+  Iot iot("iot", PostingSchema(), 2);
+  std::vector<Row> rows = {Posting("a", 1), Posting("a", 2), Posting("b", 1)};
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  ASSERT_TRUE(iot.BulkLoad(rows).ok());
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).index_entries_written,
+            3u);
+  EXPECT_EQ(iot.row_count(), 3u);
+  EXPECT_EQ(RowsOf(iot).size(), 3u);
+  EXPECT_TRUE(iot.Get({Value::Varchar("b"), Value::Integer(1)}).ok());
+}
+
+// Every rejected load returns an error and leaves the IOT as it was.
+TEST(IotTest, BulkLoadRejectsAndChangesNothing) {
+  Iot iot("iot", PostingSchema(), 2);
+  const std::vector<std::vector<Row>> bad = {
+      {Posting("b", 1), Posting("a", 1)},  // unsorted
+      {Posting("a", 1), Posting("a", 1)},  // duplicate key
+      {Posting("a", 1), {Value::Varchar("b"), Value::Integer(1)}},  // short
+      {Posting("a", 1), {Value::Integer(7), Value::Integer(1),
+                         Value::Integer(1)}},  // wrong type
+  };
+  for (const std::vector<Row>& rows : bad) {
+    EXPECT_FALSE(iot.BulkLoad(rows).ok());
+    EXPECT_EQ(iot.row_count(), 0u);
+  }
+  ASSERT_TRUE(iot.Insert(Posting("a", 1)).ok());
+  const std::vector<Row> before = RowsOf(iot);
+  EXPECT_EQ(iot.BulkLoad({Posting("b", 1)}).code(),
+            StatusCode::kNotSupported);
+  ASSERT_EQ(RowsOf(iot).size(), before.size());
+  EXPECT_EQ(CompareKeys(RowsOf(iot)[0], before[0]), 0);
+}
+
+class IotCallbackTest : public ::testing::Test {
+ protected:
+  IotCallbackTest() {
+    GuardedServerContext ddl(&catalog_, nullptr, CallbackMode::kDefinition);
+    EXPECT_TRUE(ddl.CreateIot("p", PostingSchema(), 2).ok());
+  }
+
+  // index_nodes_read while `op` runs.
+  template <typename Op>
+  uint64_t NodesRead(Op op) {
+    StorageMetrics before = GlobalMetrics().Snapshot();
+    op();
+    return GlobalMetrics().Snapshot().Delta(before).index_nodes_read;
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(IotCallbackTest, BulkLoadIsADefinitionCallback) {
+  for (CallbackMode mode : {CallbackMode::kMaintenance, CallbackMode::kScan}) {
+    GuardedServerContext ctx(&catalog_, nullptr, mode);
+    EXPECT_EQ(ctx.IotBulkLoad("p", {Posting("a", 1)}).code(),
+              StatusCode::kCallbackViolation);
+  }
+  GuardedServerContext ddl(&catalog_, nullptr, CallbackMode::kDefinition);
+  EXPECT_TRUE(ddl.IotBulkLoad("p", {Posting("a", 1)}).ok());
+  EXPECT_EQ(*ddl.IotRowCount("p"), 1u);
+}
+
+TEST_F(IotCallbackTest, BulkLoadUndoEmptiesTheIot) {
+  Transaction txn(1);
+  GuardedServerContext ctx(&catalog_, &txn, CallbackMode::kDefinition);
+  ASSERT_TRUE(ctx.IotBulkLoad("p", {Posting("a", 1), Posting("b", 2)}).ok());
+  EXPECT_EQ(txn.undo_depth(), 1u);
+  txn.RunUndo();
+  EXPECT_EQ(*ctx.IotRowCount("p"), 0u);
+}
+
+// A row too short for the key is a schema error, also under undo logging,
+// which takes the key before the row is validated.
+TEST_F(IotCallbackTest, ShortRowIsAnErrorNotACrash) {
+  Transaction txn(1);
+  GuardedServerContext ctx(&catalog_, &txn, CallbackMode::kMaintenance);
+  EXPECT_EQ(ctx.IotUpsert("p", {Value::Varchar("a")}).code(),
+            StatusCode::kTypeMismatch);
+  EXPECT_EQ(ctx.IotInsert("p", {Value::Varchar("a")}).code(),
+            StatusCode::kTypeMismatch);
+  EXPECT_EQ(*ctx.IotRowCount("p"), 0u);
+}
+
+// IotUpsert and IotDelete each descend the tree once: `height` node reads.
+TEST_F(IotCallbackTest, UpsertAndDeleteTakeOneDescent) {
+  std::vector<Row> rows;
+  for (int64_t rid = 0; rid < 20000; ++rid) rows.push_back(Posting("t", rid));
+  Iot* iot = *catalog_.GetIot("p");
+  ASSERT_TRUE(iot->BulkLoad(std::move(rows)).ok());
+  const uint64_t height = 3;  // 20,000 rows, 56 to a leaf
+  Transaction txn(1);
+  GuardedServerContext ctx(&catalog_, &txn, CallbackMode::kMaintenance);
+  EXPECT_EQ(NodesRead([&] {
+              ASSERT_TRUE(ctx.IotUpsert("p", Posting("t", 5, 9)).ok());
+            }),
+            height);  // replaces
+  EXPECT_EQ(NodesRead([&] {
+              ASSERT_TRUE(ctx.IotUpsert("p", Posting("u", 1)).ok());
+            }),
+            height);  // inserts
+  EXPECT_EQ(NodesRead([&] {
+              ASSERT_TRUE(
+                  ctx.IotDelete("p", {Value::Varchar("t"), Value::Integer(7)})
+                      .ok());
+            }),
+            height);
+  // Undo restores the replaced row and the deleted one, and drops the new.
+  txn.RunUndo();
+  EXPECT_EQ((*ctx.IotGet("p", {Value::Varchar("t"), Value::Integer(5)}))[2]
+                .AsInteger(),
+            1);
+  EXPECT_TRUE(ctx.IotGet("p", {Value::Varchar("t"), Value::Integer(7)}).ok());
+  EXPECT_FALSE(ctx.IotGet("p", {Value::Varchar("u"), Value::Integer(1)}).ok());
+  EXPECT_EQ(*ctx.IotRowCount("p"), 20000u);
 }
 
 TEST(IotTest, RangeScanBounds) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "cartridge/text/legacy_text.h"
 #include "cartridge/text/text_cartridge.h"
 #include "cartridge/text/tokenizer.h"
@@ -335,6 +337,133 @@ TEST_F(TextCartridgeTest, ScoreFunctionInSelectAndOrderBy) {
   // Score() outside a query context is a clean error, not garbage.
   EXPECT_FALSE(conn_.Execute("DELETE FROM employees WHERE Score() > 1")
                    .ok());
+}
+
+// ---- build equivalence: bulk build, split build, per-row maintenance ----
+
+// The rows of an index's posting IOT, in key order.
+std::vector<Row> PostingRows(Database& db, const std::string& index) {
+  std::vector<Row> rows;
+  Result<Iot*> iot = db.catalog().GetIot(index + "$ptab");
+  EXPECT_TRUE(iot.ok()) << iot.status().ToString();
+  if (!iot.ok()) return rows;
+  (*iot)->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
+    rows.push_back(row);
+    return true;
+  });
+  return rows;
+}
+
+void ExpectSameRows(const std::vector<Row>& got,
+                    const std::vector<Row>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(CompareKeys(got[i], want[i]), 0)
+        << "row " << i << ": " << KeyToString(got[i]) << " vs "
+        << KeyToString(want[i]);
+  }
+}
+
+// Document bodies with repeated words, stop words and NULLs (nullopt).
+std::vector<std::optional<std::string>> Bodies(size_t n) {
+  const char* words[] = {"the", "oracle", "a", "index", "cartridge",
+                         "text", "an", "wizard", "query", "table"};
+  std::vector<std::optional<std::string>> bodies;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) {
+      bodies.push_back(std::nullopt);
+      continue;
+    }
+    std::string body;
+    for (size_t w = 0; w < 4 + i % 5; ++w) {
+      body += std::string(words[(i * 3 + w * w) % 10]) + " ";
+    }
+    bodies.push_back(body);
+  }
+  return bodies;
+}
+
+enum class Build { kBulk, kSplit, kPerRow };
+
+// docs(id, body) filled with `bodies` and text index `dtext` with
+// `params`: created over the filled table at parallelism 1 (the bulk
+// build) or 4 (the split build), or created over the empty table and
+// maintained row by row.  Rows get the same rowids every way.
+class BuiltDocs {
+ public:
+  BuiltDocs(Build how, const std::vector<std::optional<std::string>>& bodies,
+            const std::string& params)
+      : conn_(&db_) {
+    EXPECT_TRUE(InstallTextCartridge(&conn_).ok());
+    conn_.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(200))");
+    const std::string create =
+        "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType" +
+        (params.empty() ? "" : " PARAMETERS ('" + params + "')");
+    if (how == Build::kPerRow) conn_.MustExecute(create);
+    for (size_t i = 0; i < bodies.size(); ++i) {
+      conn_.MustExecute("INSERT INTO docs VALUES (" + std::to_string(i) +
+                        ", " +
+                        (bodies[i] ? "'" + *bodies[i] + "'" : "NULL") + ")");
+    }
+    if (how != Build::kPerRow) {
+      db_.set_parallelism(how == Build::kSplit ? 4 : 1);
+      conn_.MustExecute(create);
+    }
+  }
+
+  std::vector<Row> postings() { return PostingRows(db_, "dtext"); }
+  Connection& conn() { return conn_; }
+  Database& db() { return db_; }
+
+ private:
+  Database db_;
+  Connection conn_;
+};
+
+TEST(TextBuildEquivalenceTest, BulkSplitAndPerRowBuildsAgree) {
+  for (size_t n : {size_t(0), size_t(1), size_t(60)}) {
+    for (const char* params : {"", ":Ignore the a an"}) {
+      SCOPED_TRACE(std::to_string(n) + " docs, params '" + params + "'");
+      std::vector<Row> want = BuiltDocs(Build::kPerRow, Bodies(n), params)
+                                  .postings();
+      if (n == 60) {
+        ASSERT_FALSE(want.empty());
+      }
+      ExpectSameRows(BuiltDocs(Build::kBulk, Bodies(n), params).postings(),
+                     want);
+      ExpectSameRows(BuiltDocs(Build::kSplit, Bodies(n), params).postings(),
+                     want);
+    }
+  }
+}
+
+// ALTER INDEX ... PARAMETERS and REBUILD reload a bulk- or split-built
+// index; each then equals the per-row index with the combined parameters.
+TEST(TextBuildEquivalenceTest, AlterAndRebuildAgreeWithPerRow) {
+  std::vector<Row> want =
+      BuiltDocs(Build::kPerRow, Bodies(60), ":Ignore the a wizard")
+          .postings();
+  for (Build how : {Build::kBulk, Build::kSplit}) {
+    BuiltDocs docs(how, Bodies(60), ":Ignore the a");
+    docs.conn().MustExecute("ALTER INDEX dtext PARAMETERS (':Ignore wizard')");
+    ExpectSameRows(docs.postings(), want);
+    docs.conn().MustExecute("ALTER INDEX dtext REBUILD");
+    ExpectSameRows(docs.postings(), want);
+  }
+}
+
+// DML on a bulk-built index rolls back to exactly the loaded rows.
+TEST(TextBuildEquivalenceTest, RollbackRestoresBulkBuiltRows) {
+  BuiltDocs docs(Build::kBulk, Bodies(60), "");
+  const std::vector<Row> loaded = docs.postings();
+  docs.conn().MustExecute("BEGIN");
+  docs.conn().MustExecute("INSERT INTO docs VALUES (100, 'oracle zebra')");
+  docs.conn().MustExecute(
+      "UPDATE docs SET body = 'query wizard' WHERE id < 10");
+  docs.conn().MustExecute("DELETE FROM docs WHERE id > 50");
+  ASSERT_NE(docs.postings().size(), loaded.size());
+  docs.conn().MustExecute("ROLLBACK");
+  ExpectSameRows(docs.postings(), loaded);
 }
 
 TEST_F(TextCartridgeTest, DropIndexRemovesPostingTable) {
