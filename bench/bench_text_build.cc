@@ -1,15 +1,15 @@
-// Text index build: wall time of `CREATE INDEX ... INDEXTYPE IS
-// TextIndexType` at 10k, 20k and 50k documents, each at session parallelism
-// 1 (ODCIIndexCreate: tokenize the table, sort the postings, one sorted
-// IotBulkLoad) and 4 (the split build: ODCIIndexInsert on pool workers into
-// write buffers, merged into one sorted IotBulkLoad).  Emits
-// BENCH_text_build.json.
+// Index build: wall time of `CREATE INDEX` at session parallelism 1, where
+// every cartridge builds with one ODCIIndexCreate.  Text at 10k, 20k and
+// 50k documents (tokenize the table, sort the postings, one sorted
+// IotBulkLoad); the spatial tile index over 20k rectangles at :TileLevel 6
+// (sort the (tile, rid) pairs) and VIR over 20k images (sort the coarse
+// rows), each with one sorted IotBulkLoad.  Emits BENCH_text_build.json.
 //
 // Each configuration is built `kReps` times on the same table (DROP INDEX
 // in between) and reports the median, min and max build time.  Next to the
 // times it records host-independent work counts for one build (IOT entries
-// written, B+-tree nodes read) and the row count of an E1 query, which
-// must agree across parallelism.
+// written, B+-tree nodes read) and the row count of a query through the
+// index.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cartridge/spatial/spatial_cartridge.h"
 #include "cartridge/text/text_cartridge.h"
+#include "cartridge/vir/vir_cartridge.h"
 #include "engine/connection.h"
 #include "engine/workloads.h"
 
@@ -26,29 +28,61 @@ using namespace exi::bench;  // NOLINT
 
 namespace {
 
-constexpr int kReps = 3;
-constexpr const char* kE1Query = "w3 AND w11";  // E1's common pair
+constexpr int kReps = 5;
+
+// One indexed table: `create` builds index `bx`, `query` reads through it.
+struct BuildCase {
+  const char* cartridge;
+  uint64_t rows;
+  std::string create;
+  std::string query;
+};
 
 struct BuildStats {
-  uint64_t docs = 0;
-  size_t parallelism = 0;
+  const char* cartridge = "";
+  uint64_t rows = 0;
   std::vector<double> ms;  // one per repetition, sorted
   uint64_t entries_written = 0;
   uint64_t nodes_read = 0;
-  size_t e1_rows = 0;
+  size_t query_rows = 0;
 };
+
+// Builds `c`'s index kReps times over the table `conn` already holds.
+BuildStats Measure(Connection& conn, const BuildCase& c) {
+  BuildStats stats;
+  stats.cartridge = c.cartridge;
+  stats.rows = c.rows;
+  for (int rep = 0; rep < kReps; ++rep) {
+    MetricsWindow window;
+    Timer timer;
+    conn.MustExecute(c.create);
+    stats.ms.push_back(timer.ElapsedMs());
+    StorageMetrics delta = window.Delta();
+    stats.entries_written = delta.index_entries_written;
+    stats.nodes_read = delta.index_nodes_read;
+    stats.query_rows = conn.MustExecute(c.query).rows.size();
+    conn.MustExecute("DROP INDEX bx");
+  }
+  std::sort(stats.ms.begin(), stats.ms.end());
+  std::printf("%-12s %8llu | %10.1f %10.1f %10.1f | %12llu %12llu | %7zu\n",
+              stats.cartridge, (unsigned long long)stats.rows,
+              stats.ms[stats.ms.size() / 2], stats.ms.front(),
+              stats.ms.back(), (unsigned long long)stats.entries_written,
+              (unsigned long long)stats.nodes_read, stats.query_rows);
+  return stats;
+}
 
 }  // namespace
 
 int main() {
-  Header("Text index build: sorted bulk load, serial vs split build");
-  std::printf("%8s %5s | %10s %10s %10s | %12s %12s | %7s\n", "docs", "par",
-              "median_ms", "min_ms", "max_ms", "entries_wr", "nodes_read",
-              "e1_rows");
-  std::vector<uint64_t> sizes{10000, 20000, 50000};
-  if (SmokeMode()) sizes = {60};
+  Header("Index build: one ODCIIndexCreate per cartridge, parallelism 1");
+  std::printf("%-12s %8s | %10s %10s %10s | %12s %12s | %7s\n", "cartridge",
+              "rows", "median_ms", "min_ms", "max_ms", "entries_wr",
+              "nodes_read", "q_rows");
   std::vector<BuildStats> results;
-  for (uint64_t docs : sizes) {
+  std::vector<uint64_t> text_sizes{10000, 20000, 50000};
+  if (SmokeMode()) text_sizes = {60};
+  for (uint64_t docs : text_sizes) {
     Database db;
     Connection conn(&db);
     if (!text::InstallTextCartridge(&conn).ok()) return 1;
@@ -57,35 +91,41 @@ int main() {
              .ok()) {
       return 1;
     }
-    for (size_t parallelism : {size_t(1), size_t(4)}) {
-      db.set_parallelism(parallelism);
-      BuildStats stats;
-      stats.docs = docs;
-      stats.parallelism = parallelism;
-      for (int rep = 0; rep < kReps; ++rep) {
-        MetricsWindow window;
-        Timer timer;
-        conn.MustExecute(
-            "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType");
-        stats.ms.push_back(timer.ElapsedMs());
-        StorageMetrics delta = window.Delta();
-        stats.entries_written = delta.index_entries_written;
-        stats.nodes_read = delta.index_nodes_read;
-        stats.e1_rows =
-            conn.MustExecute(std::string("SELECT id FROM docs WHERE "
-                                         "Contains(body, '") +
-                             kE1Query + "')")
-                .rows.size();
-        conn.MustExecute("DROP INDEX dtext");
-      }
-      std::sort(stats.ms.begin(), stats.ms.end());
-      std::printf("%8llu %5zu | %10.1f %10.1f %10.1f | %12llu %12llu | %7zu\n",
-                  (unsigned long long)docs, parallelism,
-                  stats.ms[stats.ms.size() / 2], stats.ms.front(),
-                  stats.ms.back(), (unsigned long long)stats.entries_written,
-                  (unsigned long long)stats.nodes_read, stats.e1_rows);
-      results.push_back(std::move(stats));
+    results.push_back(Measure(
+        conn, {"text", docs,
+               "CREATE INDEX bx ON docs(body) INDEXTYPE IS TextIndexType",
+               "SELECT id FROM docs WHERE Contains(body, 'w3 AND w11')"}));
+  }
+  {
+    const uint64_t rects = Scaled(20000, 60);
+    Database db;
+    Connection conn(&db);
+    if (!spatial::InstallSpatialCartridge(&conn).ok() ||
+        !workload::BuildSpatialTable(&conn, "parcels", rects, 200.0, 6)
+             .ok()) {
+      return 1;
     }
+    results.push_back(Measure(
+        conn, {"spatial_tile", rects,
+               "CREATE INDEX bx ON parcels(geometry) INDEXTYPE IS "
+               "SpatialIndexType PARAMETERS (':TileLevel 6')",
+               "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, "
+               "SDO_GEOMETRY(2000,2000,4000,4000), 'mask=ANYINTERACT')"}));
+  }
+  {
+    const uint64_t images = Scaled(20000, 60);
+    Database db;
+    Connection conn(&db);
+    if (!vir::InstallVirCartridge(&conn).ok() ||
+        !workload::BuildImageTable(&conn, "imgs", images, 8, 0.1, 9).ok()) {
+      return 1;
+    }
+    results.push_back(Measure(
+        conn, {"vir", images,
+               "CREATE INDEX bx ON imgs(img) INDEXTYPE IS VirIndexType",
+               "SELECT id FROM imgs WHERE VIRSimilar(img, IMAGE_T(0.5,0.5,"
+               "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5), "
+               "'globalcolor=1', 1.5)"}));
   }
 
   std::string builds = "[";
@@ -94,15 +134,14 @@ int main() {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "%s\n    {\"docs\": %llu, \"parallelism\": %zu, \"reps\": %zu, "
-        "\"build_ms_median\": %.1f, \"build_ms_min\": %.1f, "
+        "%s\n    {\"cartridge\": \"%s\", \"rows\": %llu, \"parallelism\": 1, "
+        "\"reps\": %zu, \"build_ms_median\": %.1f, \"build_ms_min\": %.1f, "
         "\"build_ms_max\": %.1f, \"index_entries_written\": %llu, "
-        "\"index_nodes_read\": %llu, \"e1_query\": \"%s\", "
-        "\"e1_rows\": %zu}",
-        i == 0 ? "" : ",", (unsigned long long)s.docs, s.parallelism,
+        "\"index_nodes_read\": %llu, \"query_rows\": %zu}",
+        i == 0 ? "" : ",", s.cartridge, (unsigned long long)s.rows,
         s.ms.size(), s.ms[s.ms.size() / 2], s.ms.front(), s.ms.back(),
         (unsigned long long)s.entries_written,
-        (unsigned long long)s.nodes_read, kE1Query, s.e1_rows);
+        (unsigned long long)s.nodes_read, s.query_rows);
     builds += buf;
   }
   builds += "\n  ]";

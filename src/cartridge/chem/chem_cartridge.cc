@@ -151,9 +151,15 @@ Status ChemIndexMethods::Create(const OdciIndexInfo& info,
     EXI_RETURN_IF_ERROR(ctx.CreateIot(MetaTableName(info.index_name),
                                       MetaTableSchema(), 1));
     EXI_ASSIGN_OR_RETURN(LobId lob, ctx.CreateLob());
-    EXI_RETURN_IF_ERROR(ctx.IotUpsert(
+    // Drop finds the LOB through this row; until it is written, releasing
+    // the LOB is Create's job.
+    Status recorded = ctx.IotUpsert(
         MetaTableName(info.index_name),
-        {Value::Varchar("fp_lob"), Value::Integer(int64_t(lob))}));
+        {Value::Varchar("fp_lob"), Value::Integer(int64_t(lob))});
+    if (!recorded.ok()) {
+      (void)ctx.DropLob(lob);
+      return recorded;
+    }
   }
   EXI_ASSIGN_OR_RETURN(std::unique_ptr<RecordStore> store,
                        OpenStore(info, ctx));
@@ -204,9 +210,10 @@ Status ChemIndexMethods::Drop(const OdciIndexInfo& info, ServerContext& ctx) {
                          ctx.ExternalFiles(info.index_name));
     return files->Clear();
   }
-  EXI_ASSIGN_OR_RETURN(Row row, ctx.IotGet(MetaTableName(info.index_name),
-                                           {Value::Varchar("fp_lob")}));
-  EXI_RETURN_IF_ERROR(ctx.DropLob(LobId(row[1].AsInteger())));
+  // A failed Create may have left the metadata table without its row.
+  Result<Row> row = ctx.IotGet(MetaTableName(info.index_name),
+                               {Value::Varchar("fp_lob")});
+  if (row.ok()) EXI_RETURN_IF_ERROR(ctx.DropLob(LobId((*row)[1].AsInteger())));
   return ctx.DropIot(MetaTableName(info.index_name));
 }
 

@@ -39,11 +39,10 @@ class ChemIndexMethods : public OdciIndex {
   // has no random access, so per-row Insert costs one LOB append (or file
   // rewrite) each, while BatchInsert concatenates every new fingerprint
   // into a single append, and BatchDelete scans the store once for all the
-  // doomed rids instead of once per row.  The parallel capabilities stay
-  // off: maintenance mutates one shared packed store.
+  // doomed rids instead of once per row.  Scans stay serial: maintenance
+  // mutates one shared packed store.
   OdciCapabilities Capabilities() const override {
-    return {/*parallel_build=*/false, /*parallel_scan=*/false,
-            /*batch_maintenance=*/true};
+    return {.batch_maintenance = true};
   }
 
   Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;

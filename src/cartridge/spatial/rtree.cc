@@ -114,14 +114,6 @@ Result<uint64_t> LobRTree::AllocatePage(Meta* meta) {
 
 // ---- lifecycle ----
 
-Result<LobId> LobRTree::Create(ServerContext& ctx) {
-  EXI_ASSIGN_OR_RETURN(LobId lob, ctx.CreateLob());
-  LobRTree tree(&ctx, lob);
-  EXI_RETURN_IF_ERROR(tree.WriteMeta(Meta{}));
-  EXI_RETURN_IF_ERROR(tree.WriteNode(1, Node{}));
-  return lob;
-}
-
 Status LobRTree::Clear() {
   EXI_RETURN_IF_ERROR(WriteMeta(Meta{}));
   return WriteNode(1, Node{});

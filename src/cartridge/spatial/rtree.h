@@ -30,11 +30,8 @@ class LobRTree {
   static constexpr size_t kPageSize = 4096;
   static constexpr size_t kMaxEntries = 64;
 
-  // Opens an existing tree stored in `lob`.
+  // Opens the tree stored in `lob`; Clear() initializes a fresh LOB.
   LobRTree(ServerContext* ctx, LobId lob) : ctx_(ctx), lob_(lob) {}
-
-  // Allocates a LOB and initializes an empty tree in it.
-  static Result<LobId> Create(ServerContext& ctx);
 
   Status Insert(const Geometry& rect, uint64_t ref);
 
@@ -47,7 +44,7 @@ class LobRTree {
                 const std::function<bool(const Geometry&, uint64_t)>& visit)
       const;
 
-  // Resets to an empty tree.
+  // Writes an empty tree, over whatever the LOB held.
   Status Clear();
 
   Result<uint64_t> EntryCount() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "cartridge/spatial/rtree.h"
 #include "core/scan_context.h"
@@ -118,30 +119,15 @@ int SpatialIndexMethods::TileLevel(const std::string& parameters) {
   return level;
 }
 
-Status SpatialIndexMethods::Create(const OdciIndexInfo& info,
-                                   ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(CreateStorage(info, ctx));
-  int col = info.indexed_position();
-  Status inner = Status::OK();
-  EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
-      info.table_name, [&](RowId rid, const Row& row) {
-        inner = Insert(info, rid, row[col], ctx);
-        return inner.ok();
-      }));
-  return inner;
-}
+namespace {
 
-Status SpatialIndexMethods::CreateStorage(const OdciIndexInfo& info,
-                                          ServerContext& ctx) {
-  return ctx.CreateIot(TileTableName(info.index_name), TileTableSchema(), 2);
-}
-
-Status SpatialIndexMethods::Alter(const OdciIndexInfo& info,
-                                  ServerContext& ctx) {
-  // Tile level may have changed: rebuild.
-  EXI_RETURN_IF_ERROR(ctx.IotTruncate(TileTableName(info.index_name)));
+// Fills the empty tile table from the base table with one sorted
+// IotBulkLoad of every (tile, rid) pair (Create, and Alter after
+// truncating).
+Status LoadTiles(const OdciIndexInfo& info, ServerContext& ctx) {
   int col = info.indexed_position();
-  int level = TileLevel(info.parameters);
+  int level = SpatialIndexMethods::TileLevel(info.parameters);
+  std::vector<std::pair<uint64_t, RowId>> pairs;
   Status inner = Status::OK();
   EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
       info.table_name, [&](RowId rid, const Row& row) {
@@ -153,14 +139,37 @@ Status SpatialIndexMethods::Alter(const OdciIndexInfo& info,
           return false;
         }
         for (uint64_t tile : CoverTiles(*g, level)) {
-          inner = ctx.IotUpsert(TileTableName(info.index_name),
-                                {Value::Integer(int64_t(tile)),
-                                 Value::Integer(int64_t(rid))});
-          if (!inner.ok()) return false;
+          pairs.emplace_back(tile, rid);
         }
         return true;
       }));
-  return inner;
+  EXI_RETURN_IF_ERROR(inner);
+  // Each geometry's tiles are distinct, so the sorted pairs are strictly
+  // ascending IOT keys.
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<Row> rows;
+  rows.reserve(pairs.size());
+  for (const auto& [tile, rid] : pairs) {
+    rows.push_back(
+        {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))});
+  }
+  return ctx.IotBulkLoad(TileTableName(info.index_name), std::move(rows));
+}
+
+}  // namespace
+
+Status SpatialIndexMethods::Create(const OdciIndexInfo& info,
+                                   ServerContext& ctx) {
+  EXI_RETURN_IF_ERROR(
+      ctx.CreateIot(TileTableName(info.index_name), TileTableSchema(), 2));
+  return LoadTiles(info, ctx);
+}
+
+Status SpatialIndexMethods::Alter(const OdciIndexInfo& info,
+                                  ServerContext& ctx) {
+  // Tile level may have changed: rebuild.
+  EXI_RETURN_IF_ERROR(ctx.IotTruncate(TileTableName(info.index_name)));
+  return LoadTiles(info, ctx);
 }
 
 Status SpatialIndexMethods::Truncate(const OdciIndexInfo& info,
@@ -268,11 +277,18 @@ Status RtreeIndexMethods::Create(const OdciIndexInfo& info,
                                  ServerContext& ctx) {
   EXI_RETURN_IF_ERROR(
       ctx.CreateIot(MetaTableName(info.index_name), MetaTableSchema(), 1));
-  EXI_ASSIGN_OR_RETURN(LobId lob, LobRTree::Create(ctx));
-  EXI_RETURN_IF_ERROR(ctx.IotUpsert(
+  EXI_ASSIGN_OR_RETURN(LobId lob, ctx.CreateLob());
+  // Drop finds the LOB through this row; until it is written, releasing
+  // the LOB is Create's job.
+  Status recorded = ctx.IotUpsert(
       MetaTableName(info.index_name),
-      {Value::Varchar("rtree_lob"), Value::Integer(int64_t(lob))}));
+      {Value::Varchar("rtree_lob"), Value::Integer(int64_t(lob))});
+  if (!recorded.ok()) {
+    (void)ctx.DropLob(lob);
+    return recorded;
+  }
   LobRTree tree(&ctx, lob);
+  EXI_RETURN_IF_ERROR(tree.Clear());  // the empty tree
   int col = info.indexed_position();
   Status inner = Status::OK();
   EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
@@ -306,8 +322,9 @@ Status RtreeIndexMethods::Truncate(const OdciIndexInfo& info,
 
 Status RtreeIndexMethods::Drop(const OdciIndexInfo& info,
                                ServerContext& ctx) {
-  EXI_ASSIGN_OR_RETURN(LobId lob, RtreeLob(info, ctx));
-  EXI_RETURN_IF_ERROR(ctx.DropLob(lob));
+  // A failed Create may have left the metadata table without its row.
+  Result<LobId> lob = RtreeLob(info, ctx);
+  if (lob.ok()) EXI_RETURN_IF_ERROR(ctx.DropLob(*lob));
   return ctx.DropIot(MetaTableName(info.index_name));
 }
 

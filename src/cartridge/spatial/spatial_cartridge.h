@@ -19,17 +19,14 @@ namespace exi::spatial {
 // PARAMETERS:  ':TileLevel <n>'  grid refinement (default 6 => 64x64).
 class SpatialIndexMethods : public OdciIndex {
  public:
-  // Insert writes only via IotUpsert and never reads its own writes; tile
-  // keys embed the rid, so index contents are insertion-order-insensitive.
   // Start/Fetch/Close touch no mutable cartridge state (DESIGN.md §5).
   OdciCapabilities Capabilities() const override {
-    return {/*parallel_build=*/true, /*parallel_scan=*/true};
+    return {.parallel_scan = true};
   }
 
   const char* TraceLabel() const override { return "spatial_tile"; }
 
   Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status CreateStorage(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;

@@ -127,18 +127,9 @@ Tokenizer TextIndexMethods::MakeTokenizer(const IndexParameters& params) {
 
 Status TextIndexMethods::Create(const OdciIndexInfo& info,
                                 ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(CreateStorage(info, ctx));
-  Status built = Rebuild(info, ctx);
-  // A failed build leaves no storage behind, so a retried Create starts
-  // afresh.
-  if (!built.ok()) (void)ctx.DropIot(PostingTableName(info.index_name));
-  return built;
-}
-
-Status TextIndexMethods::CreateStorage(const OdciIndexInfo& info,
-                                       ServerContext& ctx) {
-  std::string iot = PostingTableName(info.index_name);
-  return ctx.CreateIot(iot, PostingTableSchema(), kPostingKeyColumns);
+  EXI_RETURN_IF_ERROR(ctx.CreateIot(PostingTableName(info.index_name),
+                                    PostingTableSchema(), kPostingKeyColumns));
+  return Rebuild(info, ctx);
 }
 
 Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,

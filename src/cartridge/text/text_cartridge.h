@@ -32,22 +32,18 @@ namespace exi::text {
 //                               precompute.
 class TextIndexMethods : public OdciIndex {
  public:
-  // Insert writes only via IotUpsert and never reads its own writes; posting
-  // keys embed the rid, so index contents are insertion-order-insensitive.
-  // Start/Fetch/Close touch no mutable cartridge state.  Both parallel
-  // capabilities hold (DESIGN.md §5), and the batched maintenance routines
-  // below amortize parameter parsing and tokenizer construction over a
-  // whole statement's rows.
+  // Start/Fetch/Close touch no mutable cartridge state, so scans may run
+  // in parallel (DESIGN.md §5), and the batched maintenance routines below
+  // amortize parameter parsing and tokenizer construction over a whole
+  // statement's rows.
   OdciCapabilities Capabilities() const override {
-    return {/*parallel_build=*/true, /*parallel_scan=*/true,
-            /*batch_maintenance=*/true};
+    return {.parallel_scan = true, .batch_maintenance = true};
   }
 
   const char* TraceLabel() const override { return "text"; }
 
   // ---- definition ----
   Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status CreateStorage(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;

@@ -1,8 +1,10 @@
 #include "cartridge/vir/vir_cartridge.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <mutex>
+#include <vector>
 
 #include "core/scan_context.h"
 
@@ -30,6 +32,14 @@ int64_t BucketOf(double coarse0) {
   if (b < 0) b = 0;
   if (b > VirIndexMethods::kBuckets - 1) b = VirIndexMethods::kBuckets - 1;
   return int64_t(b);
+}
+
+// The coarse-table row of image `sig` at `rid`.
+Row CoarseRow(RowId rid, const Signature& sig) {
+  std::array<double, kGroups> coarse = Coarse(sig);
+  return {Value::Integer(BucketOf(coarse[0])), Value::Integer(int64_t(rid)),
+          Value::Double(coarse[0]), Value::Double(coarse[1]),
+          Value::Double(coarse[2]), Value::Double(coarse[3])};
 }
 
 struct VirScanWorkspace {
@@ -72,12 +82,7 @@ VirIndexMethods::PhaseCounters VirIndexMethods::last_counters() {
 Status VirIndexMethods::IndexSignature(const OdciIndexInfo& info, RowId rid,
                                        const Signature& sig,
                                        ServerContext& ctx) {
-  std::array<double, kGroups> coarse = Coarse(sig);
-  return ctx.IotUpsert(CoarseTableName(info.index_name),
-                       {Value::Integer(BucketOf(coarse[0])),
-                        Value::Integer(int64_t(rid)),
-                        Value::Double(coarse[0]), Value::Double(coarse[1]),
-                        Value::Double(coarse[2]), Value::Double(coarse[3])});
+  return ctx.IotUpsert(CoarseTableName(info.index_name), CoarseRow(rid, sig));
 }
 
 Status VirIndexMethods::UnindexSignature(const OdciIndexInfo& info,
@@ -91,21 +96,31 @@ Status VirIndexMethods::UnindexSignature(const OdciIndexInfo& info,
 
 Status VirIndexMethods::Create(const OdciIndexInfo& info,
                                ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(CreateStorage(info, ctx));
+  EXI_RETURN_IF_ERROR(ctx.CreateIot(CoarseTableName(info.index_name),
+                                    CoarseTableSchema(), 2));
+  // Every image's coarse row, sorted on the (bucket, rid) key and loaded
+  // with one callback instead of one upsert each.
   int col = info.indexed_position();
+  std::vector<Row> rows;
   Status inner = Status::OK();
   EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
       info.table_name, [&](RowId rid, const Row& row) {
-        inner = Insert(info, rid, row[col], ctx);
-        return inner.ok();
+        if (row[col].is_null()) return true;
+        Result<Signature> sig = FromValue(row[col]);
+        if (!sig.ok()) {
+          inner = sig.status();
+          return false;
+        }
+        rows.push_back(CoarseRow(rid, *sig));
+        return true;
       }));
-  return inner;
-}
-
-Status VirIndexMethods::CreateStorage(const OdciIndexInfo& info,
-                                      ServerContext& ctx) {
-  return ctx.CreateIot(CoarseTableName(info.index_name), CoarseTableSchema(),
-                       2);
+  EXI_RETURN_IF_ERROR(inner);
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[0].AsInteger() != b[0].AsInteger()
+               ? a[0].AsInteger() < b[0].AsInteger()
+               : a[1].AsInteger() < b[1].AsInteger();
+  });
+  return ctx.IotBulkLoad(CoarseTableName(info.index_name), std::move(rows));
 }
 
 Status VirIndexMethods::Alter(const OdciIndexInfo& info, ServerContext& ctx) {

@@ -31,18 +31,15 @@ class VirIndexMethods : public OdciIndex {
  public:
   static constexpr int kBuckets = 100;
 
-  // Insert writes only via IotUpsert and never reads its own writes; coarse
-  // keys embed the rid, so index contents are insertion-order-insensitive.
   // Start precomputes into a private workspace; the shared phase-counter
   // snapshot is mutex-guarded (DESIGN.md §5).
   OdciCapabilities Capabilities() const override {
-    return {/*parallel_build=*/true, /*parallel_scan=*/true};
+    return {.parallel_scan = true};
   }
 
   const char* TraceLabel() const override { return "vir"; }
 
   Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status CreateStorage(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;

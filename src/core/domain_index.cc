@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <thread>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/tracer.h"
-#include "core/buffered_context.h"
 
 namespace exi {
 
@@ -49,14 +47,17 @@ Status DomainIndexManager::GuardedOdciCall(IndexInfo* index,
                                            const OdciIndex* impl,
                                            const char* site,
                                            const char* routine,
-                                           FunctionRef<Status()> call) {
+                                           FunctionRef<Status()> call,
+                                           FunctionRef<void()> on_failure) {
   const auto start = std::chrono::steady_clock::now();
   uint64_t backoff_us = retry_policy_.initial_backoff_us;
   for (int attempt = 1;; ++attempt) {
     // One trace entry per attempt: retries show up in V$ODCI_CALLS as
     // extra (failed) calls, exactly like re-issued dispatches would.
     Status s = Invoke(index, impl, site, routine, call);
-    if (s.ok() || !IsTransientStatus(s)) return s;
+    if (s.ok()) return s;
+    on_failure();
+    if (!IsTransientStatus(s)) return s;
     if (attempt >= retry_policy_.max_attempts) return s;
     const uint64_t elapsed_us = uint64_t(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -196,76 +197,6 @@ Status DomainIndexManager::CreateIndex(const std::string& index_name,
   return catalog_->AddIndex(std::move(info));
 }
 
-Status DomainIndexManager::ParallelBuild(IndexInfo* info, OdciIndex* impl,
-                                         const OdciIndexInfo& odci_info,
-                                         const Schema& schema,
-                                         GuardedServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(GuardedOdciCall(
-      info, impl, "odci/create_storage", "ODCIIndexCreateStorage",
-      [&] { return impl->CreateStorage(odci_info, ctx); }));
-
-  // Snapshot (rid, value) pairs for the indexed column up front; workers
-  // never touch shared catalog state except through read-only forwarding
-  // inside their BufferingServerContext.
-  int col = schema.FindColumn(info->columns[0]);
-  if (col < 0) {
-    return Status::Internal("indexed column vanished: " + info->columns[0]);
-  }
-  std::vector<std::pair<RowId, Value>> rows;
-  EXI_RETURN_IF_ERROR(
-      ctx.ScanBaseTable(info->table, [&](RowId rid, const Row& row) {
-        rows.emplace_back(rid, row[col]);
-        return true;
-      }));
-
-  size_t workers = std::min(parallelism_, std::max<size_t>(rows.size(), 1));
-  std::vector<std::unique_ptr<BufferingServerContext>> buffers;
-  buffers.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    buffers.push_back(std::make_unique<BufferingServerContext>(catalog_));
-  }
-
-  // Contiguous chunks, so the merge below resolves repeated keys in
-  // base-table scan order, making contents independent of parallelism.
-  size_t chunk = (rows.size() + workers - 1) / workers;
-  ThreadPool& workpool = pool();
-  workpool.EnsureWorkerCount(workers);
-  std::vector<std::future<Status>> pending;
-  pending.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    size_t begin = std::min(rows.size(), w * chunk);
-    size_t end = std::min(rows.size(), begin + chunk);
-    BufferingServerContext* buf = buffers[w].get();
-    // `info` outlives the futures drained below.
-    pending.push_back(workpool.Submit([info, impl, &odci_info, &rows, begin,
-                                       end, buf]() -> Status {
-      for (size_t i = begin; i < end; ++i) {
-        // No retry guard: workers must not mutate the per-index retry
-        // counter concurrently, and BuildSlice falls back to the serial
-        // build on a transient failure.
-        EXI_RETURN_IF_ERROR(
-            Invoke(info, impl, "odci/insert", "ODCIIndexInsert", [&] {
-              return impl->Insert(odci_info, rows[i].first, rows[i].second,
-                                  *buf);
-            }));
-      }
-      return Status::OK();
-    }));
-  }
-
-  Status build = Status::OK();
-  for (std::future<Status>& f : pending) {
-    Status s = f.get();  // drain every worker before propagating failure
-    if (build.ok() && !s.ok()) build = s;
-  }
-  EXI_RETURN_IF_ERROR(build);
-
-  // One sorted load per IOT, merged in chunk order, through the real
-  // guarded context — undo logging and CallbackMode enforcement happen
-  // here, on this thread.
-  return BufferingServerContext::Replay(buffers, ctx);
-}
-
 Result<std::shared_ptr<OdciIndex>> DomainIndexManager::NewImplFor(
     const IndexInfo* index) {
   EXI_ASSIGN_OR_RETURN(const IndexTypeDef* indextype,
@@ -285,29 +216,15 @@ Status DomainIndexManager::BuildSlice(IndexInfo* index, const Schema& schema,
   info.index_name = slice->name;
   GuardedServerContext ctx(catalog_, txn, CallbackMode::kDefinition);
   ctx.RestrictBaseScanToSegment(slice->segment);
-  // A failed build may leave partial storage; the best-effort drop makes
-  // sure no orphan survives it.
-  auto drop_partial = [&] {
-    (void)Invoke(index, impl, nullptr, "ODCIIndexDrop",
-                 [&] { return impl->Drop(info, ctx); });
-  };
-  // Segment 0 is the whole-table slice; any other is a partition's, which
-  // always builds serially.
-  Status built = Status::NotSupported("serial build");
-  if (slice->segment == 0 && parallelism_ > 1 &&
-      impl->Capabilities().parallel_build) {
-    built = ParallelBuild(index, impl, info, schema, ctx);
-    if (!built.ok()) drop_partial();
-  }
-  // NotSupported means the cartridge opted out of the split build (an
-  // unbufferable operation or no split build protocol); a transient
-  // failure there is never retried in place.  Both rebuild serially.
-  if (built.code() == StatusCode::kNotSupported || IsTransientStatus(built)) {
-    built = GuardedOdciCall(index, impl, "odci/create", "ODCIIndexCreate",
-                            [&] { return impl->Create(info, ctx); });
-    if (!built.ok()) drop_partial();
-  }
-  EXI_RETURN_IF_ERROR(built);
+  EXI_RETURN_IF_ERROR(GuardedOdciCall(
+      index, impl, "odci/create", "ODCIIndexCreate",
+      [&] { return impl->Create(info, ctx); },
+      // A failed attempt may leave partial storage: the best-effort drop
+      // lets a retry start afresh and leaves no orphan after the last.
+      [&] {
+        (void)Invoke(index, impl, nullptr, "ODCIIndexDrop",
+                     [&] { return impl->Drop(info, ctx); });
+      }));
   if (slice->segment != 0) GlobalMetrics().local_index_storages++;
   slice->impl = std::move(fresh);
   return Status::OK();

@@ -8,7 +8,6 @@
 
 #include "catalog/catalog.h"
 #include "common/function_ref.h"
-#include "common/thread_pool.h"
 #include "core/callback_guard.h"
 #include "core/odci.h"
 #include "txn/transaction.h"
@@ -44,18 +43,6 @@ class DomainIndexManager {
   explicit DomainIndexManager(Catalog* catalog) : catalog_(catalog) {}
 
   // ---- concurrency (DESIGN.md §5) ----
-
-  // Degree of parallelism for index builds driven by this manager; the
-  // session knob (Connection::set_parallelism) plumbs through here.  1 =
-  // strictly serial, the pre-parallelism code path.
-  void set_parallelism(size_t n) { parallelism_ = n ? n : 1; }
-  size_t parallelism() const { return parallelism_; }
-
-  // Worker pool used for parallel builds.  Null = the process-wide pool.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool& pool() const {
-    return pool_ != nullptr ? *pool_ : ThreadPool::Global();
-  }
 
   // True when `index_name` names a domain index whose cartridge declares
   // the parallel_scan capability (concurrent Start/Fetch/Close are safe).
@@ -137,8 +124,7 @@ class DomainIndexManager {
   // slice gets one batched ODCI dispatch when it holds several rows and the
   // cartridge declares batch_maintenance, and per-row ODCIIndexInsert /
   // Delete / Update calls otherwise, or when a batch routine returns
-  // NotSupported at runtime (same protocol as the CreateStorage split
-  // build).
+  // NotSupported at runtime.
   Status OnInsertBatch(const std::string& table_name,
                        const std::vector<std::pair<RowId, Row>>& rows,
                        Transaction* txn);
@@ -227,10 +213,13 @@ class DomainIndexManager {
 
   // The retrying ODCI call guard: Invoke, re-attempted on transient
   // failures per retry_policy_ (one trace entry per attempt, so retries are
-  // visible in V$ODCI_CALLS).  Metered by odci_retries / odci_call_timeouts.
-  Status GuardedOdciCall(IndexInfo* index, const OdciIndex* impl,
-                         const char* site, const char* routine,
-                         FunctionRef<Status()> call);
+  // visible in V$ODCI_CALLS).  `on_failure` runs after every failed
+  // attempt, before the next one or the return.  Metered by odci_retries /
+  // odci_call_timeouts.
+  Status GuardedOdciCall(
+      IndexInfo* index, const OdciIndex* impl, const char* site,
+      const char* routine, FunctionRef<Status()> call,
+      FunctionRef<void()> on_failure = [] {});
 
   // Runs `call` through the guard on each slice of `index` covering
   // `segment` (every slice when nullopt), in slice order, forgetting each
@@ -272,11 +261,10 @@ class DomainIndexManager {
   // The only code that creates slice storage (CREATE INDEX, ADD PARTITION
   // and REBUILD): forgets the slice's memoized statistics, then builds
   // `*slice` (name and segment set) of `index` with a fresh implementation
-  // instance and ODCIIndexCreate, the base-table scan restricted to the
-  // slice's segment.  The whole-table slice (segment 0) of a parallel_build
-  // cartridge gets the split build first when parallelism_ > 1.  Sets
-  // slice->impl on success; on failure drops whatever storage the build
-  // left and leaves slice->impl untouched.
+  // instance and ODCIIndexCreate under the retry guard, the base-table
+  // scan restricted to the slice's segment.  Every failed attempt is
+  // followed by a best-effort ODCIIndexDrop of whatever storage it left.
+  // Sets slice->impl on success and leaves it untouched on failure.
   Status BuildSlice(IndexInfo* index, const Schema& schema, IndexSlice* slice,
                     Transaction* txn);
 
@@ -286,19 +274,7 @@ class DomainIndexManager {
       const std::vector<std::pair<IndexInfo*, const IndexSlice*>>& slices,
       Transaction* txn);
 
-  // Split build protocol (DESIGN.md §5): CreateStorage on this thread,
-  // ODCIIndexInsert callbacks concurrently on pool workers against
-  // per-worker BufferingServerContexts, then one sorted IotBulkLoad per
-  // IOT through `ctx` (BufferingServerContext::Replay).  NotSupported from
-  // any step means the cartridge opted out; BuildSlice then falls back to
-  // the classic serial Create, as it does on a transient failure.
-  Status ParallelBuild(IndexInfo* index, OdciIndex* impl,
-                       const OdciIndexInfo& odci_info, const Schema& schema,
-                       GuardedServerContext& ctx);
-
   Catalog* catalog_;
-  size_t parallelism_ = 1;
-  ThreadPool* pool_ = nullptr;
   OdciRetryPolicy retry_policy_;
   IndexMaintenancePolicy maintenance_policy_ = IndexMaintenancePolicy::kStrict;
 };

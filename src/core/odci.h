@@ -206,20 +206,11 @@ class ServerContext {
 };
 
 // Concurrency capabilities a cartridge declares to the framework
-// (DESIGN.md §5).  Both default off: a cartridge that says nothing gets the
+// (DESIGN.md §5).  All default off: a cartridge that says nothing gets the
 // exact pre-parallelism serial behavior.
 struct OdciCapabilities {
-  // The framework may drive the initial index build by invoking Insert()
-  // concurrently from pool workers, each against a write-buffering
-  // ServerContext.  Afterwards the queued writes are merged into key order
-  // per IOT (a later write wins, a delete cancels an earlier write) and
-  // loaded with one IotBulkLoad each.  Requires:
-  //  * Insert() writes only through IotInsert/IotUpsert/IotDelete;
-  //  * Insert() never reads index state it (or a sibling insert) wrote —
-  //    buffered writes are invisible until the merge;
-  //  * the final index contents are insensitive to insert order (e.g. the
-  //    IOT key embeds the rowid).
-  // Cartridges implementing this also implement CreateStorage() below.
+  // No longer read by the engine: every index slice is built by one
+  // serial Create().  Kept so cartridges that still set it compile.
   bool parallel_build = false;
 
   // Start/Fetch/Close touch only per-scan state (the OdciScanContext /
@@ -232,9 +223,9 @@ struct OdciCapabilities {
 
   // The cartridge implements BatchInsert/BatchDelete/BatchUpdate, so the
   // engine may coalesce a multi-row DML statement's maintenance into one
-  // ODCI dispatch per index instead of one per row.  Like the split build
-  // protocol, a batch routine may still return NotSupported at runtime and
-  // the framework falls back to the serial per-row path.
+  // ODCI dispatch per index instead of one per row.  A batch routine may
+  // still return NotSupported at runtime and the framework falls back to
+  // the serial per-row path.
   bool batch_maintenance = false;
 };
 
@@ -254,14 +245,14 @@ class OdciIndex {
   virtual const char* TraceLabel() const { return "custom"; }
 
   // ---- index definition (§2.2.3 "ODCIIndex definition methods") ----
+  // A failed Create need not clean up after itself: the engine follows
+  // every failed attempt with Drop, which must tolerate partial storage,
+  // before it retries a transient failure.
   virtual Status Create(const OdciIndexInfo& info, ServerContext& ctx) = 0;
 
-  // Storage-only half of Create for the parallel build protocol: create
-  // the index's persistent structures without scanning the base table.
-  // The framework then populates the index through Insert() calls (on pool
-  // workers when Capabilities().parallel_build allows).  Cartridges that
-  // do not split their build keep the NotSupported default, which makes
-  // the framework fall back to classic serial Create().
+  // Storage-only half of Create, from a retired split-build protocol.  The
+  // engine no longer calls it; it stays so cartridges that override it
+  // compile.
   virtual Status CreateStorage(const OdciIndexInfo& info,
                                ServerContext& ctx) {
     (void)info;
@@ -285,8 +276,8 @@ class OdciIndex {
   // A multi-row DML statement maintains each domain index with a single
   // call carrying all affected rows (statement order preserved).  Gated on
   // Capabilities().batch_maintenance; the NotSupported defaults make the
-  // framework fall back to per-row Insert/Delete/Update, exactly like the
-  // CreateStorage split-build protocol.  Each vector is indexed by row:
+  // framework fall back to per-row Insert/Delete/Update.  Each vector is
+  // indexed by row:
   // values[i] belongs to rids[i].
   virtual Status BatchInsert(const OdciIndexInfo& info,
                              const std::vector<RowId>& rids,

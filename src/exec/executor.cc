@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "index/key.h"
 
 namespace exi {
@@ -229,7 +230,7 @@ bool DomainIndexScanNode::parallel_capable() const {
 }
 
 void DomainIndexScanNode::IssuePrefetch() {
-  inflight_ = manager_->pool().Submit(
+  inflight_ = ThreadPool::Global().Submit(
       [scan = scan_.get(), n = batch_size_, out = &next_batch_]() -> Status {
         return scan->NextBatch(n, out);
       });
@@ -253,12 +254,12 @@ Status DomainIndexScanNode::OpenImpl() {
   const bool parallel = parallel_capable();
   const size_t n = slices_.segments.size();
   prefetch_ = parallel && n == 1;
-  if (parallel) manager_->pool().EnsureWorkerCount(parallelism_);
+  if (parallel) ThreadPool::Global().EnsureWorkerCount(parallelism_);
   if (parallel && n > 1) {
     // Slice-wise fan-out: each pool task drives one slice's full
     // ODCIIndexStart/Fetch*/Close cycle.
     for (uint32_t segment : slices_.segments) {
-      fan_out_.push_back(manager_->pool().Submit(
+      fan_out_.push_back(ThreadPool::Global().Submit(
           [manager = manager_, index = index_name_, segment, pred = pred_,
            batch = batch_size_]() -> Result<OdciFetchBatch> {
             OdciFetchBatch all;
@@ -576,7 +577,7 @@ Status DomainIndexJoinNode::OpenImpl() {
   window_.clear();
   probe_ = OdciFetchBatch();
   probe_pos_ = 0;
-  if (window_limit_ > 1) manager_->pool().EnsureWorkerCount(parallelism_);
+  if (window_limit_ > 1) ThreadPool::Global().EnsureWorkerCount(parallelism_);
   return Status::OK();
 }
 
@@ -609,7 +610,7 @@ Result<bool> DomainIndexJoinNode::EnqueueProbe() {
     return all;
   };
   if (window_limit_ > 1) {
-    probe.result = manager_->pool().Submit(std::move(run));
+    probe.result = ThreadPool::Global().Submit(std::move(run));
   } else {
     // A window of 1 probes inline on the consumer thread, so a cartridge
     // without parallel_scan never runs on a pool worker.

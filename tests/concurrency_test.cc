@@ -1,8 +1,8 @@
 // Concurrency tests for the worker-pool execution paths (DESIGN.md §5):
 // simultaneous domain-index scans from pool threads must match a serial
-// scan exactly, parallel index builds must produce the same query results
-// as serial builds, and parallel domain-index joins must emit the same
-// rows in the same order as the serial plan.
+// scan exactly, an index built at parallelism 4 must equal one built at
+// parallelism 1, and parallel domain-index joins must emit the same rows
+// in the same order as the serial plan.
 //
 // Build with -DEXTIDX_SANITIZE=thread to run these under TSan.
 
@@ -18,7 +18,6 @@
 #include "cartridge/text/text_cartridge.h"
 #include "cartridge/vir/signature.h"
 #include "cartridge/vir/vir_cartridge.h"
-#include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "common/tracer.h"
 #include "core/domain_index.h"
@@ -116,7 +115,7 @@ TEST_F(ConcurrencyTest, ConcurrentVirScansMatchSerial) {
   ExpectConcurrentScansMatchSerial(&db_.domains(), "imgs_vir", pred);
 }
 
-// ---- parallel build equivalence ----
+// ---- build equivalence across parallelism ----
 
 // Every IOT of `db` with its rows in key order.
 std::map<std::string, std::vector<Row>> AllIotRows(Database& db) {
@@ -133,9 +132,9 @@ std::map<std::string, std::vector<Row>> AllIotRows(Database& db) {
 }
 
 // Builds the same seeded workload in two databases — one at parallelism 1,
-// one at parallelism 4 (the split build, merged into one sorted load per
-// IOT) — and asserts both leave identical IOT rows and the given query
-// returns identical rows from both.
+// one at parallelism 4 — and asserts both leave identical IOT rows and the
+// given query returns identical rows from both: the session parallelism
+// must not change what CREATE INDEX builds.
 void ExpectBuildEquivalence(
     const std::function<Status(Connection*)>& build_table,
     const std::string& create_index, const std::string& query) {
@@ -211,35 +210,6 @@ TEST(ParallelBuildTest, VirIndexMatchesSerialBuild) {
       "0.5,0.5), 'globalcolor=1', 0.9) ORDER BY id");
 }
 
-// A fresh database with the text cartridge, a seeded 200-doc table and the
-// given session parallelism.
-struct TextDocs {
-  static constexpr uint64_t kDocs = 200;
-  static constexpr const char* kCreate =
-      "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType";
-  static constexpr const char* kQuery =
-      "SELECT id FROM docs WHERE Contains(body, 'w1') ORDER BY id";
-
-  explicit TextDocs(size_t parallelism) : conn(&db) {
-    EXPECT_TRUE(text::InstallTextCartridge(&conn).ok());
-    db.set_parallelism(parallelism);
-    EXPECT_TRUE(
-        workload::BuildTextTable(&conn, "docs", kDocs, 15, 300, 0.8, 21).ok());
-  }
-
-  Database db;
-  Connection conn;
-};
-
-// The ids `kQuery` returns, in order.
-std::vector<int64_t> QueryIds(Connection& conn) {
-  std::vector<int64_t> ids;
-  for (const Row& row : conn.MustExecute(TextDocs::kQuery).rows) {
-    ids.push_back(row[0].AsInteger());
-  }
-  return ids;
-}
-
 // Calls of `routine` in a tracer window (all indextypes).
 uint64_t CallsIn(const TracerSnapshot& window, const std::string& routine) {
   uint64_t calls = 0;
@@ -249,44 +219,64 @@ uint64_t CallsIn(const TracerSnapshot& window, const std::string& routine) {
   return calls;
 }
 
-// A transient failure in a split-build worker (which has no retry guard)
-// discards the partial storage and falls back to one serial, guarded
-// ODCIIndexCreate, with the same contents as a parallelism-1 build.
-TEST(ParallelBuildTest, TransientSplitBuildFailureFallsBackToSerial) {
-  TextDocs serial(1);
-  serial.conn.MustExecute(TextDocs::kCreate);
-  std::vector<int64_t> expected = QueryIds(serial.conn);
-  ASSERT_FALSE(expected.empty());
-
-  TextDocs parallel(4);
-  FailPointRegistry::Global().ClearAll();
-  parallel.conn.MustExecute(
-      "SET FAILPOINT 'odci/insert' = 'once status=IoError'");
-  TracerSnapshot before = Tracer::Global().Snapshot();
-  Result<QueryResult> created = parallel.conn.Execute(TextDocs::kCreate);
-  TracerSnapshot window = TracerDelta(Tracer::Global().Snapshot(), before);
-  FailPointRegistry::Global().ClearAll();
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  EXPECT_EQ(CallsIn(window, "ODCIIndexCreate"), 1u);
-  EXPECT_EQ(QueryIds(parallel.conn), expected);
-}
-
-// A global REBUILD runs the CREATE INDEX build, so at parallelism > 1 a
-// parallel_build cartridge gets the split build.
-TEST(ParallelBuildTest, GlobalRebuildUsesSplitBuild) {
-  TextDocs docs(1);
-  docs.conn.MustExecute(TextDocs::kCreate);
-  std::vector<int64_t> expected = QueryIds(docs.conn);
-  ASSERT_FALSE(expected.empty());
-
-  docs.db.set_parallelism(4);
-  TracerSnapshot before = Tracer::Global().Snapshot();
-  docs.conn.MustExecute("ALTER INDEX docs_text REBUILD");
-  TracerSnapshot window = TracerDelta(Tracer::Global().Snapshot(), before);
-  EXPECT_EQ(CallsIn(window, "ODCIIndexCreateStorage"), 1u);
-  EXPECT_EQ(CallsIn(window, "ODCIIndexInsert"), TextDocs::kDocs);
-  EXPECT_EQ(CallsIn(window, "ODCIIndexCreate"), 0u);
-  EXPECT_EQ(QueryIds(docs.conn), expected);
+// At parallelism 4, CREATE INDEX and REBUILD build every slice, global or
+// LOCAL, with one ODCIIndexCreate: no ODCIIndexCreateStorage and no
+// per-row ODCIIndexInsert.
+TEST(ParallelBuildTest, EverySliceBuildsWithOneCreateAtParallelism4) {
+  struct Case {
+    const char* indextype;
+    const char* columns;  // column list of the tables built by `build`
+    const char* key;      // first column, the HASH partitioning key
+    const char* indexed;
+    std::function<Status(Connection*, const std::string&)> build;
+  };
+  const Case cases[] = {
+      {"TextIndexType", "(id INTEGER, body VARCHAR(4000))", "id", "body",
+       [](Connection* conn, const std::string& table) {
+         return workload::BuildTextTable(conn, table, 120, 10, 200, 0.8, 3);
+       }},
+      {"SpatialIndexType", "(gid INTEGER, geometry OBJECT SDO_GEOMETRY)",
+       "gid", "geometry",
+       [](Connection* conn, const std::string& table) {
+         return workload::BuildSpatialTable(conn, table, 120, 60.0, 3);
+       }},
+      {"VirIndexType", "(id INTEGER, img OBJECT IMAGE_T)", "id", "img",
+       [](Connection* conn, const std::string& table) {
+         return workload::BuildImageTable(conn, table, 120, 4, 0.1, 3);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.indextype);
+    Database db;
+    Connection conn(&db);
+    ASSERT_TRUE(text::InstallTextCartridge(&conn).ok());
+    ASSERT_TRUE(spatial::InstallSpatialCartridge(&conn).ok());
+    ASSERT_TRUE(vir::InstallVirCartridge(&conn).ok());
+    db.set_parallelism(4);
+    ASSERT_TRUE(c.build(&conn, "flat").ok());
+    conn.MustExecute(std::string("CREATE TABLE part ") + c.columns +
+                     " PARTITION BY HASH (" + c.key + ") PARTITIONS 4");
+    for (auto it = (*db.catalog().GetTable("flat"))->Scan(); it.Valid();
+         it.Next()) {
+      ASSERT_TRUE(db.InsertRow("part", it.row(), nullptr).ok());
+    }
+    for (const auto& [table, slices] :
+         {std::pair<std::string, uint64_t>{"flat", 1}, {"part", 4}}) {
+      // CREATE INDEX, then REBUILD, which runs the same slice build.
+      for (const std::string& ddl :
+           {"CREATE INDEX " + table + "_ix ON " + table + "(" + c.indexed +
+                ") INDEXTYPE IS " + c.indextype,
+            "ALTER INDEX " + table + "_ix REBUILD"}) {
+        TracerSnapshot before = Tracer::Global().Snapshot();
+        conn.MustExecute(ddl);
+        TracerSnapshot window =
+            TracerDelta(Tracer::Global().Snapshot(), before);
+        EXPECT_EQ(CallsIn(window, "ODCIIndexCreate"), slices) << ddl;
+        EXPECT_EQ(CallsIn(window, "ODCIIndexCreateStorage"), 0u) << ddl;
+        EXPECT_EQ(CallsIn(window, "ODCIIndexInsert"), 0u) << ddl;
+      }
+    }
+  }
 }
 
 // ---- parallel query equivalence (prefetch + windowed join probes) ----

@@ -6,8 +6,6 @@
 
 #include "cartridge/params.h"
 #include "catalog/catalog.h"
-#include "common/rng.h"
-#include "core/buffered_context.h"
 #include "core/callback_guard.h"
 #include "core/domain_index.h"
 #include "core/scan_context.h"
@@ -128,120 +126,6 @@ TEST_F(CallbackGuardTest, UndoLoggingThroughContext) {
   // IOT row gone, LOB gone.
   EXPECT_FALSE(ctx.IotGet("x", {Value::Varchar("a")}).ok());
   EXPECT_FALSE(catalog_.lobs().Exists(lob));
-}
-
-// ---- split-build replay: one merged, sorted load per IOT ----
-
-struct QueuedWrite {
-  int kind;  // 0 insert, 1 upsert, 2 delete
-  std::string iot;
-  Row row;
-  CompositeKey key;
-};
-
-Status Apply(ServerContext& ctx, const QueuedWrite& w) {
-  switch (w.kind) {
-    case 0:
-      return ctx.IotInsert(w.iot, w.row);
-    case 1:
-      return ctx.IotUpsert(w.iot, w.row);
-    default:
-      return ctx.IotDelete(w.iot, w.key);
-  }
-}
-
-std::vector<Row> IotRows(Catalog& catalog, const std::string& name) {
-  std::vector<Row> rows;
-  (*catalog.GetIot(name))
-      ->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
-        rows.push_back(row);
-        return true;
-      });
-  return rows;
-}
-
-// Random write queues over two IOTs, spread over three buffers: the merged
-// replay leaves the same rows and returns the same error as applying the
-// queue one write at a time, in buffer order.
-TEST(BufferedReplayTest, MergedLoadMatchesOneWriteAtATime) {
-  Rng rng(11);
-  size_t failures = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    SCOPED_TRACE(trial);
-    Catalog serial;
-    Catalog merged;
-    for (Catalog* c : {&serial, &merged}) {
-      ASSERT_TRUE(c->CreateIot("x", KvSchema(), 1).ok());
-      ASSERT_TRUE(c->CreateIot("y", KvSchema(), 1).ok());
-    }
-    std::vector<std::unique_ptr<BufferingServerContext>> buffers;
-    for (int b = 0; b < 3; ++b) {
-      buffers.push_back(std::make_unique<BufferingServerContext>(&merged));
-    }
-    std::vector<QueuedWrite> queue;
-    const size_t n = 1 + rng.Uniform(12);
-    for (size_t i = 0; i < n; ++i) {
-      QueuedWrite w;
-      w.kind = int(rng.Uniform(3));
-      w.iot = rng.Uniform(2) == 0 ? "x" : "y";
-      Value key = Value::Varchar(std::string(1, char('a' + rng.Uniform(4))));
-      w.row = {key, Value::Integer(int64_t(i))};
-      w.key = {key};
-      if (rng.Uniform(25) == 0) w.row[1] = Value::Varchar("not an int");
-      if (rng.Uniform(25) == 0) w.key.push_back(Value::Integer(1));
-      queue.push_back(w);
-    }
-    // Buffers hold consecutive runs of the queue, like worker chunks.
-    size_t cut1 = rng.Uniform(n + 1);
-    size_t cut2 = cut1 + rng.Uniform(n - cut1 + 1);
-    for (size_t i = 0; i < n; ++i) {
-      size_t b = i < cut1 ? 0 : (i < cut2 ? 1 : 2);
-      ASSERT_TRUE(Apply(*buffers[b], queue[i]).ok());
-    }
-
-    GuardedServerContext serial_ctx(&serial, nullptr,
-                                    CallbackMode::kDefinition);
-    Status want = Status::OK();
-    for (const QueuedWrite& w : queue) {
-      want = Apply(serial_ctx, w);
-      if (!want.ok()) break;
-    }
-    GuardedServerContext merged_ctx(&merged, nullptr,
-                                    CallbackMode::kDefinition);
-    Status got = BufferingServerContext::Replay(buffers, merged_ctx);
-    ASSERT_EQ(got.ToString(), want.ToString());
-    if (!want.ok()) {
-      ++failures;
-      continue;
-    }
-    for (const char* iot : {"x", "y"}) {
-      std::vector<Row> a = IotRows(serial, iot);
-      std::vector<Row> b = IotRows(merged, iot);
-      ASSERT_EQ(a.size(), b.size()) << iot;
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(CompareKeys(a[i], b[i]), 0) << iot << " row " << i;
-      }
-    }
-  }
-  // Both outcomes are exercised.
-  EXPECT_GT(failures, 30u);
-  EXPECT_LT(failures, 270u);
-}
-
-TEST(BufferedReplayTest, NonEmptyTargetIsNotSupported) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.CreateIot("x", KvSchema(), 1).ok());
-  GuardedServerContext ctx(&catalog, nullptr, CallbackMode::kDefinition);
-  ASSERT_TRUE(ctx.IotInsert("x", {Value::Varchar("a"), Value::Integer(1)})
-                  .ok());
-  std::vector<std::unique_ptr<BufferingServerContext>> buffers;
-  buffers.push_back(std::make_unique<BufferingServerContext>(&catalog));
-  ASSERT_TRUE(
-      buffers[0]->IotUpsert("x", {Value::Varchar("b"), Value::Integer(2)})
-          .ok());
-  EXPECT_EQ(BufferingServerContext::Replay(buffers, ctx).code(),
-            StatusCode::kNotSupported);
-  EXPECT_EQ(*ctx.IotRowCount("x"), 1u);
 }
 
 TEST(ScanWorkspaceRegistryTest, AllocateGetRelease) {

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cartridge/spatial/spatial_cartridge.h"
 #include "common/failpoint.h"
 #include "engine/connection.h"
 #include "test_cartridges.h"
@@ -25,8 +27,10 @@ size_t BulkRows() {
 
 // The canonical workload: every statement the lifecycle machinery guards —
 // DDL, single-row and batched DML, scans, stats, partition maintenance,
-// REBUILD, and drops.  Statements run through Execute with errors ignored;
-// with a fail-point armed, any of them may legitimately fail.
+// REBUILD, and drops — over the test-only FlakyType, plus a real
+// cartridge's build (the spatial tile index's one sorted IotBulkLoad).
+// Statements run through Execute with errors ignored; with a fail-point
+// armed, any of them may legitimately fail.
 std::vector<std::string> WorkloadSql() {
   std::string bulk = "INSERT INTO wt VALUES (10)";
   for (size_t i = 1; i < BulkRows(); ++i) {
@@ -62,6 +66,16 @@ std::vector<std::string> WorkloadSql() {
       "DROP TABLE wp",
       "DROP INDEX widx",
       "DROP TABLE wt",
+      "CREATE TABLE ws (gid INTEGER, geometry OBJECT SDO_GEOMETRY)",
+      "INSERT INTO ws VALUES (1, SDO_GEOMETRY(0,0,500,500)), "
+      "(2, SDO_GEOMETRY(400,400,900,900)), (3, NULL)",
+      "CREATE INDEX wsidx ON ws(geometry) INDEXTYPE IS SpatialIndexType "
+      "PARAMETERS (':TileLevel 4')",
+      "SELECT COUNT(*) FROM ws WHERE Sdo_Relate(geometry, "
+      "SDO_GEOMETRY(450,450,460,460), 'mask=ANYINTERACT')",
+      "ALTER INDEX wsidx REBUILD",
+      "DROP INDEX wsidx",
+      "DROP TABLE ws",
   };
 }
 
@@ -72,6 +86,7 @@ size_t RunWorkload(std::unique_ptr<Database>* out) {
   Connection conn(db.get());
   testcart::RegisterFlakyCartridge(db->catalog());
   for (const char* sql : testcart::kFlakySetupSql) conn.MustExecute(sql);
+  EXPECT_TRUE(spatial::InstallSpatialCartridge(&conn).ok());
   size_t failures = 0;
   for (const std::string& sql : WorkloadSql()) {
     if (!conn.Execute(sql).ok()) failures++;
@@ -80,13 +95,14 @@ size_t RunWorkload(std::unique_ptr<Database>* out) {
   return failures;
 }
 
-// The flaky cartridge names its storage `<index>$flaky`, with LOCAL slices
-// as `<index>#<partition>$flaky`.  Every surviving IOT must belong to an
-// index that still exists — anything else is orphaned storage.
+// Cartridges name their storage `<index>$<suffix>` (`$flaky`, the tile
+// table's `$ttab`), with LOCAL slices as `<index>#<partition>$<suffix>`.
+// Every surviving IOT must belong to an index that still exists — anything
+// else is orphaned storage.
 void ExpectNoOrphanStorage(Database& db, const std::string& when) {
   for (const std::string& iot : db.catalog().IotNames()) {
     std::string name = iot;
-    size_t dollar = name.rfind("$flaky");
+    size_t dollar = name.rfind('$');
     ASSERT_NE(dollar, std::string::npos) << iot << " " << when;
     name = name.substr(0, dollar);
     size_t hash = name.find('#');
@@ -134,6 +150,8 @@ TEST(FaultSweepTest, EverySiteFiredOnceDegradesCleanly) {
   }
   EXPECT_TRUE(saw_odci);
   EXPECT_TRUE(saw_callback);
+  EXPECT_NE(std::find(sites.begin(), sites.end(), "callback/iot_bulk_load"),
+            sites.end());
 
   for (const std::string& site : sites) {
     SCOPED_TRACE(site);
@@ -153,7 +171,9 @@ TEST(FaultSweepTest, EverySiteFiredOnceDegradesCleanly) {
 
 // Transient injection: one IoError at every site must be absorbed by the
 // retry guard on retryable paths or degrade exactly like a fatal error on
-// the rest — never corrupt the catalog.
+// the rest — never corrupt the catalog.  An IoError inside a Create (the
+// engine's odci/create site, or the spatial build's bulk load) is retried
+// after the failed attempt's storage is dropped, so no statement fails.
 TEST(FaultSweepTest, TransientSweepKeepsCatalogConsistent) {
   FailPointRegistry::Global().ClearAll();
   std::unique_ptr<Database> db;
@@ -166,8 +186,11 @@ TEST(FaultSweepTest, TransientSweepKeepsCatalogConsistent) {
                     .Set(site, "once status=IoError")
                     .ok());
     std::unique_ptr<Database> injected;
-    (void)RunWorkload(&injected);
+    size_t failures = RunWorkload(&injected);
     FailPointRegistry::Global().ClearAll();
+    if (site == "odci/create" || site == "callback/iot_bulk_load") {
+      EXPECT_EQ(failures, 0u);
+    }
     std::string when = "after transient " + site;
     ExpectNoOrphanStorage(*injected, when);
     ExpectNoIndexStuckInProgress(*injected, when);

@@ -6,16 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cartridge/chem/chem_cartridge.h"
+#include "cartridge/domain_btree/domain_btree.h"
+#include "cartridge/spatial/spatial_cartridge.h"
 #include "cartridge/text/text_cartridge.h"
+#include "cartridge/varray/varray_cartridge.h"
+#include "cartridge/vir/vir_cartridge.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/tracer.h"
 #include "core/odci.h"
 #include "engine/connection.h"
+#include "engine/workloads.h"
 #include "test_cartridges.h"
 
 namespace exi {
@@ -397,8 +405,8 @@ TEST_F(FaultToleranceTest, TransientStatsFailureIsRetried) {
 }
 
 // The text build's one sorted load has its own callback site.  A transient
-// failure there is retried with ODCIIndexCreate, which dropped its partial
-// posting table, so the retry starts afresh.
+// failure there is retried with ODCIIndexCreate after the engine dropped
+// the partial posting table, so the retry starts afresh.
 TEST_F(FaultToleranceTest, TransientBulkLoadFailureRetriesCreate) {
   ASSERT_TRUE(text::InstallTextCartridge(&conn_).ok());
   conn_.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
@@ -438,6 +446,177 @@ TEST_F(FaultToleranceTest, FatalBulkLoadFailureLeavesNoOrphan) {
   EXPECT_FALSE(db_.catalog().IndexExists("docs_text"));
   EXPECT_TRUE(db_.catalog().IotNames().empty());
 }
+
+// ---- a transient failure inside Create is retried, for every cartridge ----
+
+// One in-tree cartridge's CREATE INDEX over a seeded table `src`, with the
+// fail-point site its Create writes index data through.
+struct CreateRetryCase {
+  const char* cartridge;
+  const char* write_site;
+  Status (*install)(Connection*);
+  Status (*fill)(Connection*);  // creates and fills `src`
+  const char* create;
+};
+
+Status FillScalars(Connection* conn) {
+  EXI_RETURN_IF_ERROR(
+      conn->Execute("CREATE TABLE src (id INTEGER, v INTEGER)").status());
+  std::string sql = "INSERT INTO src VALUES (0, 0)";
+  for (int i = 1; i < 40; ++i) {
+    sql += ", (" + std::to_string(i) + ", " + std::to_string(i % 7) + ")";
+  }
+  return conn->Execute(sql).status();
+}
+
+Status FillCollections(Connection* conn) {
+  EXI_RETURN_IF_ERROR(
+      conn->Execute("CREATE TABLE src (name VARCHAR(40), hobbies VARRAY OF "
+                    "VARCHAR)")
+          .status());
+  return conn
+      ->Execute("INSERT INTO src VALUES ('alice', VARRAY_OF('Skiing', "
+                "'Chess')), ('bob', VARRAY_OF('Chess')), ('carol', "
+                "VARRAY_OF('Skiing', 'Running'))")
+      .status();
+}
+
+const CreateRetryCase kCreateRetryCases[] = {
+    {"text", "callback/iot_bulk_load", text::InstallTextCartridge,
+     [](Connection* conn) {
+       return workload::BuildTextTable(conn, "src", 40, 8, 60, 0.8, 1);
+     },
+     "CREATE INDEX six ON src(body) INDEXTYPE IS TextIndexType"},
+    {"spatial_tile", "callback/iot_bulk_load", spatial::InstallSpatialCartridge,
+     [](Connection* conn) {
+       return workload::BuildSpatialTable(conn, "src", 40, 800.0, 1);
+     },
+     "CREATE INDEX six ON src(geometry) INDEXTYPE IS SpatialIndexType"},
+    {"spatial_rtree", "callback/iot_upsert", spatial::InstallSpatialCartridge,
+     [](Connection* conn) {
+       return workload::BuildSpatialTable(conn, "src", 40, 800.0, 1);
+     },
+     "CREATE INDEX six ON src(geometry) INDEXTYPE IS RtreeIndexType"},
+    {"vir", "callback/iot_bulk_load", vir::InstallVirCartridge,
+     [](Connection* conn) {
+       return workload::BuildImageTable(conn, "src", 40, 3, 0.1, 1);
+     },
+     "CREATE INDEX six ON src(img) INDEXTYPE IS VirIndexType"},
+    {"chem", "callback/iot_upsert", chem::InstallChemCartridge,
+     [](Connection* conn) {
+       return workload::BuildMoleculeTable(conn, "src", 20, 8, 1);
+     },
+     "CREATE INDEX six ON src(smiles) INDEXTYPE IS ChemIndexType"},
+    {"domain_btree", "callback/iot_upsert", dbt::InstallDomainBtreeCartridge,
+     FillScalars, "CREATE INDEX six ON src(v) INDEXTYPE IS DomainBtreeType"},
+    {"varray", "callback/iot_upsert", varr::InstallVarrayCartridge,
+     FillCollections,
+     "CREATE INDEX six ON src(hobbies) INDEXTYPE IS VarrayIndexType"},
+};
+
+struct CreateRetryParam {
+  const CreateRetryCase* c;
+  const char* site;  // odci/create or the case's write_site
+};
+
+void PrintTo(const CreateRetryParam& p, std::ostream* os) {
+  *os << p.c->cartridge << " at " << p.site;
+}
+
+std::vector<CreateRetryParam> CreateRetryParams() {
+  std::vector<CreateRetryParam> out;
+  for (const CreateRetryCase& c : kCreateRetryCases) {
+    out.push_back({&c, "odci/create"});
+    out.push_back({&c, c.write_site});
+  }
+  return out;
+}
+
+// What a build left in storage, comparable across two databases: every
+// IOT's rows in key order and the number of live LOBs.  A `$meta` IOT maps
+// a key to a LOB id, and a retried build allocates a fresh id, so the dump
+// shows that LOB's bytes instead of its id.
+std::map<std::string, std::vector<std::string>> StorageOf(Database& db) {
+  Catalog& catalog = db.catalog();
+  std::map<std::string, std::vector<std::string>> out;
+  for (const std::string& name : catalog.IotNames()) {
+    const bool meta = name.ends_with("$meta");
+    std::vector<std::string>& rows = out[name];
+    (*catalog.GetIot(name))
+        ->ScanRange(nullptr, true, nullptr, true, [&](const Row& row) {
+          if (!meta) {
+            rows.push_back(KeyToString(row));
+            return true;
+          }
+          Result<std::vector<uint8_t>> lob =
+              catalog.lobs().ReadAll(LobId(row[1].AsInteger()));
+          rows.push_back(row[0].ToString() + " -> " +
+                         (lob.ok() ? std::string(lob->begin(), lob->end())
+                                   : lob.status().ToString()));
+          return true;
+        });
+  }
+  out["live LOBs"] = {std::to_string(catalog.lobs().lob_count())};
+  return out;
+}
+
+class CreateRetryTest : public ::testing::TestWithParam<CreateRetryParam> {
+ protected:
+  void SetUp() override { FailPointRegistry::Global().ClearAll(); }
+  void TearDown() override { FailPointRegistry::Global().ClearAll(); }
+};
+
+// One IoError inside CREATE INDEX — at the engine's ODCIIndexCreate site,
+// or in the callback the cartridge writes its index through — is absorbed
+// by the retry guard: the failed attempt's partial storage is dropped, the
+// second attempt builds the index, and the result equals an unfaulted
+// build.
+TEST_P(CreateRetryTest, TransientFailureRetriesCreate) {
+  const CreateRetryCase& c = *GetParam().c;
+  std::map<std::string, std::vector<std::string>> want;
+  {
+    Database db;
+    Connection conn(&db);
+    ASSERT_TRUE(c.install(&conn).ok());
+    ASSERT_TRUE(c.fill(&conn).ok());
+    conn.MustExecute(c.create);
+    want = StorageOf(db);
+  }
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(c.install(&conn).ok());
+  ASSERT_TRUE(c.fill(&conn).ok());
+  conn.MustExecute(std::string("SET FAILPOINT '") + GetParam().site +
+                   "' = 'once status=IoError'");
+  TracerSnapshot before = Tracer::Global().Snapshot();
+  Result<QueryResult> created = conn.Execute(c.create);
+  TracerSnapshot window = TracerDelta(Tracer::Global().Snapshot(), before);
+  FailPointRegistry::Global().ClearAll();
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  RoutineStats create;
+  for (const auto& [key, stats] : window) {
+    if (key.second == "ODCIIndexCreate") {
+      create.calls += stats.calls;
+      create.errors += stats.errors;
+    }
+  }
+  EXPECT_EQ(create.calls, 2u);
+  EXPECT_EQ(create.errors, 1u);
+  QueryResult status = conn.MustExecute(
+      "SELECT status FROM v$domain_indexes WHERE index_name = 'six'");
+  ASSERT_EQ(status.rows.size(), 1u);
+  EXPECT_EQ(status.rows[0][0].AsVarchar(), "VALID");
+  EXPECT_EQ(StorageOf(db), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cartridges, CreateRetryTest, ::testing::ValuesIn(CreateRetryParams()),
+    [](const ::testing::TestParamInfo<CreateRetryParam>& info) {
+      std::string name =
+          std::string(info.param.c->cartridge) + "_" + info.param.site;
+      std::replace(name.begin(), name.end(), '/', '_');
+      return name;
+    });
 
 TEST_F(FaultToleranceTest, BadFailpointSpecsAreRejected) {
   EXPECT_FALSE(conn_.Execute("SET FAILPOINT 'x' = 'bogus'").ok());

@@ -209,42 +209,6 @@ TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
   EXPECT_EQ(tree.size(), 0u);
 }
 
-// Random composite keys mixing NULL, INTEGER, VARCHAR (with embedded NULs
-// and lengths past the image capacity) and DOUBLE: comparing through the
-// images always agrees with CompareKeys.
-TEST(KeyImageTest, ImagedCompareMatchesCompareKeys) {
-  Rng rng(5);
-  auto random_value = [&rng]() {
-    switch (rng.Uniform(5)) {
-      case 0:
-        return Value::Null();
-      case 1:
-        return Value::Integer(int64_t(rng.Uniform(7)) - 3);
-      case 2:
-        return Value::Double(double(rng.Uniform(7)) - 3.0);
-      default: {
-        std::string s;
-        size_t len = rng.Uniform(3) == 0 ? rng.Uniform(30) : rng.Uniform(4);
-        for (size_t i = 0; i < len; ++i) s += char("ab\0"[rng.Uniform(3)]);
-        return Value::Varchar(s);
-      }
-    }
-  };
-  std::vector<CompositeKey> keys;
-  for (int i = 0; i < 400; ++i) {
-    keys.push_back({random_value(), random_value()});
-  }
-  for (const CompositeKey& a : keys) {
-    KeyImage ia = MakeKeyImage(a.data(), a.size());
-    for (const CompositeKey& b : keys) {
-      KeyImage ib = MakeKeyImage(b.data(), b.size());
-      ASSERT_EQ(CompareImagedKeys(ia, a.data(), ib, b.data(), 2),
-                CompareKeys(a, b))
-          << KeyToString(a) << " vs " << KeyToString(b);
-    }
-  }
-}
-
 TEST(BTreeIndexTest, NonUniquePostings) {
   BTreeIndex index("i");
   index.Insert(IntKey(5), 100);

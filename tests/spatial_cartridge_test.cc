@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cartridge/spatial/geometry.h"
 #include "cartridge/spatial/legacy_spatial.h"
@@ -87,9 +90,10 @@ class RTreeTest : public ::testing::Test {
 };
 
 TEST_F(RTreeTest, InsertAndSearch) {
-  Result<LobId> lob = LobRTree::Create(ctx_);
+  Result<LobId> lob = ctx_.CreateLob();
   ASSERT_TRUE(lob.ok());
   LobRTree tree(&ctx_, *lob);
+  ASSERT_TRUE(tree.Clear().ok());
   Rng rng(42);
   std::vector<Geometry> rects;
   for (uint64_t i = 0; i < 1000; ++i) {
@@ -120,9 +124,10 @@ TEST_F(RTreeTest, InsertAndSearch) {
 }
 
 TEST_F(RTreeTest, RemoveAndClear) {
-  Result<LobId> lob = LobRTree::Create(ctx_);
+  Result<LobId> lob = ctx_.CreateLob();
   ASSERT_TRUE(lob.ok());
   LobRTree tree(&ctx_, *lob);
+  ASSERT_TRUE(tree.Clear().ok());
   std::vector<Geometry> rects;
   for (uint64_t i = 0; i < 300; ++i) {
     Geometry g{double(i * 10), 0, double(i * 10 + 5), 5};
@@ -338,6 +343,103 @@ TEST_F(SpatialCartridgeTest, AlterTileLevelRebuilds) {
   EXPECT_EQ(QueryGids(where), std::vector<int64_t>{1});
   conn_.MustExecute("ALTER INDEX parks_sidx PARAMETERS (':TileLevel 8')");
   EXPECT_EQ(QueryGids(where), std::vector<int64_t>{1});
+}
+
+// ---- tile build equivalence: bulk Create, per-row maintenance, Alter ----
+
+// `n` rectangles with a NULL geometry every seventh row, as SQL literals.
+std::vector<std::string> Rects(size_t n) {
+  Rng rng(23);
+  std::vector<std::string> out;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) {
+      out.push_back("NULL");
+      continue;
+    }
+    double x = rng.NextDouble() * 9000;
+    double y = rng.NextDouble() * 9000;
+    double w = rng.NextDouble() * 900;
+    out.push_back("SDO_GEOMETRY(" + std::to_string(x) + "," +
+                  std::to_string(y) + "," + std::to_string(x + w) + "," +
+                  std::to_string(y + w / 2) + ")");
+  }
+  return out;
+}
+
+enum class TileBuild { kBulk, kPerRow, kAlter };
+
+// parks(gid, geometry) filled with `rects` and tile index ptile at
+// :TileLevel 5: created over the filled table (the bulk build), created
+// over the empty table and maintained row by row, or created at level 2
+// and altered to level 5.  Rows get the same rowids every way.
+class BuiltParks {
+ public:
+  BuiltParks(TileBuild how, const std::vector<std::string>& rects)
+      : conn_(&db_) {
+    EXPECT_TRUE(InstallSpatialCartridge(&conn_).ok());
+    conn_.MustExecute(
+        "CREATE TABLE parks (gid INTEGER, geometry OBJECT SDO_GEOMETRY)");
+    const std::string create =
+        "CREATE INDEX ptile ON parks(geometry) INDEXTYPE IS "
+        "SpatialIndexType PARAMETERS (':TileLevel ";
+    if (how == TileBuild::kPerRow) conn_.MustExecute(create + "5')");
+    for (size_t i = 0; i < rects.size(); ++i) {
+      conn_.MustExecute("INSERT INTO parks VALUES (" + std::to_string(i) +
+                        ", " + rects[i] + ")");
+    }
+    if (how == TileBuild::kBulk) conn_.MustExecute(create + "5')");
+    if (how == TileBuild::kAlter) {
+      conn_.MustExecute(create + "2')");
+      conn_.MustExecute("ALTER INDEX ptile PARAMETERS (':TileLevel 5')");
+    }
+  }
+
+  // The tile IOT's rows in key order.
+  std::vector<std::string> tiles() {
+    std::vector<std::string> rows;
+    Result<Iot*> iot = db_.catalog().GetIot("ptile$ttab");
+    EXPECT_TRUE(iot.ok()) << iot.status().ToString();
+    if (!iot.ok()) return rows;
+    (*iot)->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
+      rows.push_back(KeyToString(row));
+      return true;
+    });
+    return rows;
+  }
+  Connection& conn() { return conn_; }
+
+ private:
+  Database db_;
+  Connection conn_;
+};
+
+TEST(TileBuildEquivalenceTest, BulkPerRowAndAlterAgree) {
+  for (size_t n : {size_t(0), size_t(1), size_t(4), size_t(80)}) {
+    SCOPED_TRACE(std::to_string(n) + " rows");
+    std::vector<std::string> want = BuiltParks(TileBuild::kPerRow, Rects(n))
+                                        .tiles();
+    if (n == 80) {
+      ASSERT_GT(want.size(), 80u);
+    }
+    EXPECT_EQ(BuiltParks(TileBuild::kBulk, Rects(n)).tiles(), want);
+    EXPECT_EQ(BuiltParks(TileBuild::kAlter, Rects(n)).tiles(), want);
+  }
+}
+
+// DML on a bulk-built tile index rolls back to exactly the loaded rows.
+TEST(TileBuildEquivalenceTest, RollbackRestoresBulkBuiltRows) {
+  BuiltParks parks(TileBuild::kBulk, Rects(80));
+  const std::vector<std::string> loaded = parks.tiles();
+  parks.conn().MustExecute("BEGIN");
+  parks.conn().MustExecute(
+      "INSERT INTO parks VALUES (100, SDO_GEOMETRY(10,10,3000,3000))");
+  parks.conn().MustExecute(
+      "UPDATE parks SET geometry = SDO_GEOMETRY(5000,5000,5600,5100) "
+      "WHERE gid < 10");
+  parks.conn().MustExecute("DELETE FROM parks WHERE gid > 50");
+  ASSERT_NE(parks.tiles(), loaded);
+  parks.conn().MustExecute("ROLLBACK");
+  EXPECT_EQ(parks.tiles(), loaded);
 }
 
 }  // namespace

@@ -232,7 +232,7 @@ TEST(BatchFallbackTest, NonBatchCartridgeStaysPerRow) {
 
 // Text methods that claim the batch capability but refuse the batch
 // routines — the dispatch must record the failed batch attempt and fall
-// back to per-row maintenance (the CreateStorage protocol, §2.2.3).
+// back to per-row maintenance.
 class RefusingBatchTextMethods : public text::TextIndexMethods {
  public:
   Status BatchInsert(const OdciIndexInfo&, const std::vector<RowId>&,

@@ -339,7 +339,8 @@ TEST_F(TextCartridgeTest, ScoreFunctionInSelectAndOrderBy) {
                    .ok());
 }
 
-// ---- build equivalence: bulk build, split build, per-row maintenance ----
+// ---- build equivalence: bulk build at parallelism 1 and 4, per-row
+//      maintenance ----
 
 // The rows of an index's posting IOT, in key order.
 std::vector<Row> PostingRows(Database& db, const std::string& index) {
@@ -383,12 +384,12 @@ std::vector<std::optional<std::string>> Bodies(size_t n) {
   return bodies;
 }
 
-enum class Build { kBulk, kSplit, kPerRow };
+enum class Build { kBulk, kBulkAtParallelism4, kPerRow };
 
 // docs(id, body) filled with `bodies` and text index `dtext` with
-// `params`: created over the filled table at parallelism 1 (the bulk
-// build) or 4 (the split build), or created over the empty table and
-// maintained row by row.  Rows get the same rowids every way.
+// `params`: created over the filled table (the bulk build) at parallelism
+// 1 or 4, or created over the empty table and maintained row by row.  Rows
+// get the same rowids every way.
 class BuiltDocs {
  public:
   BuiltDocs(Build how, const std::vector<std::optional<std::string>>& bodies,
@@ -406,7 +407,7 @@ class BuiltDocs {
                         (bodies[i] ? "'" + *bodies[i] + "'" : "NULL") + ")");
     }
     if (how != Build::kPerRow) {
-      db_.set_parallelism(how == Build::kSplit ? 4 : 1);
+      db_.set_parallelism(how == Build::kBulkAtParallelism4 ? 4 : 1);
       conn_.MustExecute(create);
     }
   }
@@ -431,19 +432,21 @@ TEST(TextBuildEquivalenceTest, BulkSplitAndPerRowBuildsAgree) {
       }
       ExpectSameRows(BuiltDocs(Build::kBulk, Bodies(n), params).postings(),
                      want);
-      ExpectSameRows(BuiltDocs(Build::kSplit, Bodies(n), params).postings(),
-                     want);
+      ExpectSameRows(
+          BuiltDocs(Build::kBulkAtParallelism4, Bodies(n), params).postings(),
+          want);
     }
   }
 }
 
-// ALTER INDEX ... PARAMETERS and REBUILD reload a bulk- or split-built
-// index; each then equals the per-row index with the combined parameters.
+// ALTER INDEX ... PARAMETERS and REBUILD reload a bulk-built index (at
+// parallelism 1 or 4); each then equals the per-row index with the
+// combined parameters.
 TEST(TextBuildEquivalenceTest, AlterAndRebuildAgreeWithPerRow) {
   std::vector<Row> want =
       BuiltDocs(Build::kPerRow, Bodies(60), ":Ignore the a wizard")
           .postings();
-  for (Build how : {Build::kBulk, Build::kSplit}) {
+  for (Build how : {Build::kBulk, Build::kBulkAtParallelism4}) {
     BuiltDocs docs(how, Bodies(60), ":Ignore the a");
     docs.conn().MustExecute("ALTER INDEX dtext PARAMETERS (':Ignore wizard')");
     ExpectSameRows(docs.postings(), want);
