@@ -3,10 +3,14 @@
 //      LOB inside a transaction copies only the touched chunks for undo,
 //      where the old implementation deep-copied the whole LOB;
 //  (b) batched ODCI maintenance — a multi-row INSERT coalesces per-row
-//      ODCIIndexInsert dispatches into one ODCIIndexBatchInsert per index;
+//      ODCIIndexInsert dispatches into one ODCIIndexBatchInsert per index,
+//      which writes its postings as one sorted run (one B+-tree descent
+//      per leaf); B+-tree nodes read are recorded for the per-row and the
+//      batched INSERT and for ROLLBACK of the batch, times over repeats;
 //  (c) planner ODCIStats memoization — a repeated identical query plans
 //      with zero ODCIStatsSelectivity/IndexCost calls (V$ODCI_CALLS flat).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,6 +32,18 @@ uint64_t StatsCalls(const TracerSnapshot& window) {
     if (key.second.rfind("ODCIStats", 0) == 0) calls += stats.calls;
   }
   return calls;
+}
+
+// Median, min and max of repeated timings.
+struct Spread {
+  int64_t median;
+  int64_t min;
+  int64_t max;
+};
+
+Spread SpreadOf(std::vector<int64_t> us) {
+  std::sort(us.begin(), us.end());
+  return {us[us.size() / 2], us.front(), us.back()};
 }
 
 std::string DocBody(uint64_t i) {
@@ -104,57 +120,107 @@ int main() {
     report.Add("cow_chunks_copied", delta.lob_cow_chunks_copied);
   }
 
-  // ---- (b) batched maintenance: 1000 x INSERT vs 1 x 1000-row INSERT ----
+  // ---- (b) batched maintenance: 1000 x INSERT vs 1 x 1000-row INSERT,
+  //      then ROLLBACK of the batch ----
   {
     const uint64_t kRows = Scaled(1000, 32);
-    uint64_t serial_calls = 0;
-    uint64_t batch_calls = 0;
-    int64_t serial_us = 0;
-    int64_t batch_us = 0;
-    for (bool batched : {false, true}) {
-      Database db;
-      Connection conn(&db);
-      if (!text::InstallTextCartridge(&conn).ok()) return 1;
-      conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
-      conn.MustExecute(
-          "CREATE INDEX docs_idx ON docs(body) "
-          "INDEXTYPE IS TextIndexType");
-      MetricsWindow window;
-      Timer timer;
-      if (batched) {
+    const size_t kRepeats = Scaled(7, 1);
+    // Work counts are the same in every repeat; times are kept per repeat.
+    StorageMetrics serial;
+    StorageMetrics batch;
+    StorageMetrics rollback;
+    std::vector<int64_t> serial_us;
+    std::vector<int64_t> batch_us;
+    std::vector<int64_t> rollback_us;
+    for (size_t rep = 0; rep < kRepeats; ++rep) {
+      for (bool batched : {false, true}) {
+        Database db;
+        Connection conn(&db);
+        if (!text::InstallTextCartridge(&conn).ok()) return 1;
+        conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
+        conn.MustExecute(
+            "CREATE INDEX docs_idx ON docs(body) "
+            "INDEXTYPE IS TextIndexType");
+        if (!batched) {
+          MetricsWindow window;
+          Timer timer;
+          for (uint64_t i = 0; i < kRows; ++i) {
+            conn.MustExecute("INSERT INTO docs VALUES (" +
+                             std::to_string(i) + ", '" + DocBody(i) + "')");
+          }
+          serial_us.push_back(timer.ElapsedUs());
+          serial = window.Delta();
+          continue;
+        }
         std::string sql = "INSERT INTO docs VALUES ";
         for (uint64_t i = 0; i < kRows; ++i) {
           if (i > 0) sql += ", ";
           sql += "(" + std::to_string(i) + ", '" + DocBody(i) + "')";
         }
+        conn.MustExecute("BEGIN");
+        MetricsWindow window;
+        Timer timer;
         conn.MustExecute(sql);
-        batch_us = timer.ElapsedUs();
-        batch_calls = window.Delta().odci_maintenance_calls;
-      } else {
-        for (uint64_t i = 0; i < kRows; ++i) {
-          conn.MustExecute("INSERT INTO docs VALUES (" + std::to_string(i) +
-                           ", '" + DocBody(i) + "')");
+        batch_us.push_back(timer.ElapsedUs());
+        batch = window.Delta();
+        MetricsWindow undo_window;
+        timer.Reset();
+        conn.MustExecute("ROLLBACK");
+        rollback_us.push_back(timer.ElapsedUs());
+        rollback = undo_window.Delta();
+        if (conn.MustExecute("SELECT COUNT(*) FROM docs WHERE "
+                             "Contains(body, 'alpha')")
+                .rows[0][0]
+                .AsInteger() != 0) {
+          std::fprintf(stderr, "rollback left postings behind\n");
+          return 1;
         }
-        serial_us = timer.ElapsedUs();
-        serial_calls = window.Delta().odci_maintenance_calls;
       }
     }
+    const uint64_t serial_calls = serial.odci_maintenance_calls;
+    const uint64_t batch_calls = batch.odci_maintenance_calls;
     double call_reduction =
         double(serial_calls) / double(batch_calls == 0 ? 1 : batch_calls);
+    Spread serial_t = SpreadOf(serial_us);
+    Spread batch_t = SpreadOf(batch_us);
+    Spread rollback_t = SpreadOf(rollback_us);
     std::printf(
-        "(b) %llu rows: per-row=%llu maintenance calls (%lldus), "
-        "batched=%llu calls (%lldus), %.0fx fewer dispatches\n",
-        (unsigned long long)kRows, (unsigned long long)serial_calls,
-        (long long)serial_us, (unsigned long long)batch_calls,
-        (long long)batch_us, call_reduction);
+        "(b) %llu rows, %zu repeats, median [min-max] us:\n"
+        "    per-row: %llu maintenance calls, %llu index nodes read, "
+        "%lld [%lld-%lld]\n"
+        "    batched: %llu calls, %llu index nodes read, %lld [%lld-%lld]\n"
+        "    rollback of the batch: %llu index nodes read, %lld [%lld-%lld]\n",
+        (unsigned long long)kRows, kRepeats, (unsigned long long)serial_calls,
+        (unsigned long long)serial.index_nodes_read,
+        (long long)serial_t.median, (long long)serial_t.min,
+        (long long)serial_t.max, (unsigned long long)batch_calls,
+        (unsigned long long)batch.index_nodes_read,
+        (long long)batch_t.median, (long long)batch_t.min,
+        (long long)batch_t.max,
+        (unsigned long long)rollback.index_nodes_read,
+        (long long)rollback_t.median, (long long)rollback_t.min,
+        (long long)rollback_t.max);
     report.Add("dml_rows", kRows);
+    report.Add("repeats", uint64_t(kRepeats));
     report.Add("maintenance_calls_per_row", serial_calls);
     report.Add("maintenance_calls_batched", batch_calls);
     report.Add("maintenance_call_reduction_x", call_reduction);
     report.Add("rows_per_maintenance_call",
                double(kRows) / double(batch_calls == 0 ? 1 : batch_calls));
-    report.Add("serial_dml_us", serial_us);
-    report.Add("batched_dml_us", batch_us);
+    report.Add("index_entries_written_per_row", serial.index_entries_written);
+    report.Add("index_entries_written_batched", batch.index_entries_written);
+    report.Add("index_nodes_read_per_row", serial.index_nodes_read);
+    report.Add("index_nodes_read_batched", batch.index_nodes_read);
+    report.Add("index_nodes_read_batch_rollback", rollback.index_nodes_read);
+    report.Add("serial_dml_us", serial_t.median);
+    report.Add("serial_dml_us_min", serial_t.min);
+    report.Add("serial_dml_us_max", serial_t.max);
+    report.Add("batched_dml_us", batch_t.median);
+    report.Add("batched_dml_us_min", batch_t.min);
+    report.Add("batched_dml_us_max", batch_t.max);
+    report.Add("batch_rollback_us", rollback_t.median);
+    report.Add("batch_rollback_us_min", rollback_t.min);
+    report.Add("batch_rollback_us_max", rollback_t.max);
   }
 
   // ---- (c) planner stats memoization on a repeated identical query ----

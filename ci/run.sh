@@ -42,6 +42,18 @@ echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
     python3 -m json.tool "$j" >/dev/null
     echo "  json ok: $j"
   done
+  # Sorted posting runs: a batched text INSERT reads no more B+-tree nodes
+  # than the same rows inserted one statement at a time.  Node reads are
+  # counts, not times, so this holds on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_storage_fastpath.json"))
+batched = r["index_nodes_read_batched"]
+per_row = r["index_nodes_read_per_row"]
+print("  index nodes read: batched %d, per-row %d" % (batched, per_row))
+if batched > per_row:
+    sys.exit("batched INSERT read more B+-tree nodes than per-row")
+'
 )
 
 echo "==> fault smoke (EXTIDX_BENCH_SMOKE=1: fail-point sweep at tiny scale)"

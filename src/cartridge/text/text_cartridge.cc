@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <unordered_map>
 
@@ -214,42 +215,62 @@ Status TextIndexMethods::Drop(const OdciIndexInfo& info, ServerContext& ctx) {
 
 // ---- maintenance ----
 
-Status TextIndexMethods::InsertDocument(const OdciIndexInfo& info, RowId rid,
-                                        const std::string& document,
-                                        ServerContext& ctx) {
-  std::string iot = PostingTableName(info.index_name);
+Status TextIndexMethods::WritePostings(const OdciIndexInfo& info,
+                                       std::span<const RowId> rids,
+                                       std::span<const Value> values,
+                                       bool insert, ServerContext& ctx) {
   Tokenizer tokenizer = MakeTokenizer(ParseParams(info.parameters));
-  for (const auto& [token, freq] : tokenizer.TokenFrequencies(document)) {
-    EXI_RETURN_IF_ERROR(ctx.IotUpsert(
-        iot, {Value::Varchar(token), Value::Integer(int64_t(rid)),
-              Value::Integer(freq)}));
+  // Each document's token counts, kept alive while the postings point
+  // into them.
+  std::vector<std::map<std::string, int64_t>> docs;
+  docs.reserve(rids.size());
+  struct Posting {
+    const std::string* token;
+    RowId rid;
+    int64_t freq;
+  };
+  std::vector<Posting> postings;
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (values[i].is_null()) continue;
+    docs.push_back(tokenizer.TokenFrequencies(values[i].AsVarchar()));
+    for (const auto& [token, freq] : docs.back()) {
+      postings.push_back({&token, rids[i], freq});
+    }
   }
-  return Status::OK();
-}
-
-Status TextIndexMethods::DeleteDocument(const OdciIndexInfo& info, RowId rid,
-                                        const std::string& document,
-                                        ServerContext& ctx) {
+  if (postings.empty()) return Status::OK();
+  std::sort(postings.begin(), postings.end(),
+            [](const Posting& a, const Posting& b) {
+              int c = a.token->compare(*b.token);
+              return c != 0 ? c < 0 : a.rid < b.rid;
+            });
   std::string iot = PostingTableName(info.index_name);
-  Tokenizer tokenizer = MakeTokenizer(ParseParams(info.parameters));
-  for (const auto& [token, freq] : tokenizer.TokenFrequencies(document)) {
-    (void)freq;
-    EXI_RETURN_IF_ERROR(ctx.IotDelete(
-        iot, {Value::Varchar(token), Value::Integer(int64_t(rid))}));
+  if (insert) {
+    std::vector<Row> rows;
+    rows.reserve(postings.size());
+    for (const Posting& p : postings) {
+      rows.push_back({Value::Varchar(*p.token), Value::Integer(int64_t(p.rid)),
+                      Value::Integer(p.freq)});
+    }
+    return ctx.IotUpsertSorted(iot, std::move(rows));
   }
-  return Status::OK();
+  std::vector<CompositeKey> keys;
+  keys.reserve(postings.size());
+  for (const Posting& p : postings) {
+    keys.push_back({Value::Varchar(*p.token), Value::Integer(int64_t(p.rid))});
+  }
+  return ctx.IotDeleteSorted(iot, keys);
 }
 
 Status TextIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
                                 const Value& new_value, ServerContext& ctx) {
-  if (new_value.is_null()) return Status::OK();
-  return InsertDocument(info, rid, new_value.AsVarchar(), ctx);
+  return WritePostings(info, {&rid, 1}, {&new_value, 1}, /*insert=*/true,
+                       ctx);
 }
 
 Status TextIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
                                 const Value& old_value, ServerContext& ctx) {
-  if (old_value.is_null()) return Status::OK();
-  return DeleteDocument(info, rid, old_value.AsVarchar(), ctx);
+  return WritePostings(info, {&rid, 1}, {&old_value, 1}, /*insert=*/false,
+                       ctx);
 }
 
 Status TextIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
@@ -265,38 +286,14 @@ Status TextIndexMethods::BatchInsert(const OdciIndexInfo& info,
                                      const std::vector<RowId>& rids,
                                      const ValueList& new_values,
                                      ServerContext& ctx) {
-  std::string iot = PostingTableName(info.index_name);
-  Tokenizer tokenizer = MakeTokenizer(ParseParams(info.parameters));
-  for (size_t i = 0; i < rids.size(); ++i) {
-    const Value& v = new_values[i];
-    if (v.is_null()) continue;
-    for (const auto& [token, freq] :
-         tokenizer.TokenFrequencies(v.AsVarchar())) {
-      EXI_RETURN_IF_ERROR(ctx.IotUpsert(
-          iot, {Value::Varchar(token), Value::Integer(int64_t(rids[i])),
-                Value::Integer(freq)}));
-    }
-  }
-  return Status::OK();
+  return WritePostings(info, rids, new_values, /*insert=*/true, ctx);
 }
 
 Status TextIndexMethods::BatchDelete(const OdciIndexInfo& info,
                                      const std::vector<RowId>& rids,
                                      const ValueList& old_values,
                                      ServerContext& ctx) {
-  std::string iot = PostingTableName(info.index_name);
-  Tokenizer tokenizer = MakeTokenizer(ParseParams(info.parameters));
-  for (size_t i = 0; i < rids.size(); ++i) {
-    const Value& v = old_values[i];
-    if (v.is_null()) continue;
-    for (const auto& [token, freq] :
-         tokenizer.TokenFrequencies(v.AsVarchar())) {
-      (void)freq;
-      EXI_RETURN_IF_ERROR(ctx.IotDelete(
-          iot, {Value::Varchar(token), Value::Integer(int64_t(rids[i]))}));
-    }
-  }
-  return Status::OK();
+  return WritePostings(info, rids, old_values, /*insert=*/false, ctx);
 }
 
 Status TextIndexMethods::BatchUpdate(const OdciIndexInfo& info,

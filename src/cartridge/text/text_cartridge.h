@@ -2,6 +2,7 @@
 #define EXTIDX_CARTRIDGE_TEXT_TEXT_CARTRIDGE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "cartridge/params.h"
@@ -57,7 +58,7 @@ class TextIndexMethods : public OdciIndex {
                 const Value& new_value, ServerContext& ctx) override;
 
   // Batched maintenance (§2.2.3 extension): one parameter parse + one
-  // tokenizer for the whole batch, then a single posting-upsert pass.
+  // tokenizer for the whole batch, then one sorted run of postings.
   Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& new_values, ServerContext& ctx) override;
   Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
@@ -81,10 +82,14 @@ class TextIndexMethods : public OdciIndex {
   static Tokenizer MakeTokenizer(const IndexParameters& params);
 
  private:
-  Status InsertDocument(const OdciIndexInfo& info, RowId rid,
-                        const std::string& document, ServerContext& ctx);
-  Status DeleteDocument(const OdciIndexInfo& info, RowId rid,
-                        const std::string& document, ServerContext& ctx);
+  // Tokenizes `values` (NULLs skipped), sorts their (token, rid) postings
+  // and writes them with one IotUpsertSorted, or removes them with one
+  // IotDeleteSorted when `insert` is false.  Per-row and batch maintenance
+  // both come here; it calls no virtual routine, so a subclass that
+  // refuses the Batch* routines still maintains per row.
+  Status WritePostings(const OdciIndexInfo& info, std::span<const RowId> rids,
+                       std::span<const Value> values, bool insert,
+                       ServerContext& ctx);
   // Fills the empty posting table from the base table with one sorted
   // IotBulkLoad (Create, and Alter after truncating).
   Status Rebuild(const OdciIndexInfo& info, ServerContext& ctx);

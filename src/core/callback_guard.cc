@@ -61,37 +61,65 @@ Status GuardedServerContext::IotInsert(const std::string& name, Row row) {
 }
 
 Status GuardedServerContext::IotUpsert(const std::string& name, Row row) {
-  EXI_RETURN_IF_ERROR(RequireDml("IotUpsert"));
-  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_upsert"));
-  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  CompositeKey key = txn_ != nullptr ? iot->KeyOf(row) : CompositeKey{};
-  std::optional<Row> old;
-  EXI_RETURN_IF_ERROR(iot->Upsert(std::move(row), &old));
-  if (txn_ != nullptr) {
-    if (old.has_value()) {
-      txn_->PushUndo([iot, old_row = std::move(*old)] {
-        (void)iot->Upsert(old_row);
-      });
-    } else {
-      txn_->PushUndo([iot, key] { (void)iot->Delete(key); });
-    }
-  }
-  return Status::OK();
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return UpsertRun("IotUpsert", name, std::move(rows));
 }
 
 Status GuardedServerContext::IotDelete(const std::string& name,
                                        const CompositeKey& key) {
-  EXI_RETURN_IF_ERROR(RequireDml("IotDelete"));
+  return DeleteRun("IotDelete", name, {key});
+}
+
+Status GuardedServerContext::IotUpsertSorted(const std::string& name,
+                                             std::vector<Row> rows) {
+  return UpsertRun("IotUpsertSorted", name, std::move(rows));
+}
+
+Status GuardedServerContext::IotDeleteSorted(
+    const std::string& name, const std::vector<CompositeKey>& keys) {
+  return DeleteRun("IotDeleteSorted", name, keys);
+}
+
+Status GuardedServerContext::UpsertRun(const char* what,
+                                       const std::string& name,
+                                       std::vector<Row> rows) {
+  EXI_RETURN_IF_ERROR(RequireDml(what));
+  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_upsert"));
+  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
+  if (txn_ == nullptr) {
+    return iot->UpsertSorted(std::move(rows), nullptr, nullptr);
+  }
+  std::vector<CompositeKey> added;
+  std::vector<Row> replaced;
+  EXI_RETURN_IF_ERROR(iot->UpsertSorted(std::move(rows), &added, &replaced));
+  if (added.empty() && replaced.empty()) return Status::OK();
+  // One entry undoes the whole run: drop the new keys, restore the
+  // overwritten rows.  Both lists are sorted runs themselves.
+  txn_->PushUndo([iot, added = std::move(added),
+                  replaced = std::move(replaced)]() mutable {
+    (void)iot->DeleteSorted(added, nullptr);
+    (void)iot->UpsertSorted(std::move(replaced), nullptr, nullptr);
+  });
+  return Status::OK();
+}
+
+Status GuardedServerContext::DeleteRun(const char* what,
+                                       const std::string& name,
+                                       const std::vector<CompositeKey>& keys) {
+  EXI_RETURN_IF_ERROR(RequireDml(what));
   EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_delete"));
   EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  Row old_row;
-  EXI_RETURN_IF_ERROR(iot->Delete(key, &old_row));
-  if (txn_ != nullptr) {
-    txn_->PushUndo([iot, old_row = std::move(old_row)] {
-      (void)iot->Upsert(old_row);
+  std::vector<Row> removed;
+  // Logged even when a missing key stopped the run part way, so statement
+  // rollback restores what it did remove.
+  Status s = iot->DeleteSorted(keys, txn_ != nullptr ? &removed : nullptr);
+  if (!removed.empty()) {
+    txn_->PushUndo([iot, removed = std::move(removed)]() mutable {
+      (void)iot->UpsertSorted(std::move(removed), nullptr, nullptr);
     });
   }
-  return Status::OK();
+  return s;
 }
 
 Status GuardedServerContext::IotBulkLoad(const std::string& name,

@@ -56,6 +56,10 @@ class GuardedServerContext : public ServerContext {
   Status IotUpsert(const std::string& name, Row row) override;
   Status IotDelete(const std::string& name, const CompositeKey& key) override;
   Status IotBulkLoad(const std::string& name, std::vector<Row> rows) override;
+  Status IotUpsertSorted(const std::string& name,
+                         std::vector<Row> rows) override;
+  Status IotDeleteSorted(const std::string& name,
+                         const std::vector<CompositeKey>& keys) override;
 
   // ---- IOT queries ----
   Result<Row> IotGet(const std::string& name,
@@ -103,6 +107,13 @@ class GuardedServerContext : public ServerContext {
  private:
   Status RequireDdl(const char* what) const;
   Status RequireDml(const char* what) const;
+  // The sorted-run paths behind IotUpsert/IotUpsertSorted and
+  // IotDelete/IotDeleteSorted (a single-row call is a one-row run); `what`
+  // names the callback in mode errors.
+  Status UpsertRun(const char* what, const std::string& name,
+                   std::vector<Row> rows);
+  Status DeleteRun(const char* what, const std::string& name,
+                   const std::vector<CompositeKey>& keys);
   // Snapshots a LOB on first touch within the transaction.
   Status SnapshotLobForUndo(LobId id);
 

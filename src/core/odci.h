@@ -149,6 +149,29 @@ class ServerContext {
     return Status::OK();
   }
 
+  // Sorted runs for multi-entry maintenance (kDefinition or kMaintenance):
+  // IotUpsertSorted upserts `rows` and IotDeleteSorted deletes `keys`, in
+  // strictly ascending primary-key order.  The server walks a run with one
+  // B+-tree descent per leaf it enters, checks the mode and fires the
+  // callback's fail-point once per run, and logs one undo entry per run.
+  // Unsorted or duplicate keys, or a row the schema rejects, fail the run
+  // before anything changes.  A key missing from a delete run returns
+  // NotFound; the entries the run removed before it are in its undo entry,
+  // so statement rollback restores them.  These defaults loop IotUpsert /
+  // IotDelete, so decorating contexts need not implement them.
+  virtual Status IotUpsertSorted(const std::string& name,
+                                 std::vector<Row> rows) {
+    for (Row& row : rows) EXI_RETURN_IF_ERROR(IotUpsert(name, std::move(row)));
+    return Status::OK();
+  }
+  virtual Status IotDeleteSorted(const std::string& name,
+                                 const std::vector<CompositeKey>& keys) {
+    for (const CompositeKey& key : keys) {
+      EXI_RETURN_IF_ERROR(IotDelete(name, key));
+    }
+    return Status::OK();
+  }
+
   // ---- IOT queries (any mode) ----
   virtual Result<Row> IotGet(const std::string& name,
                              const CompositeKey& key) const = 0;

@@ -19,10 +19,11 @@ namespace exi {
 //
 // Structure: classic order-`kMaxKeys` tree; leaves are chained for range
 // scans.  An empty tree can also be built bottom-up from sorted entries
-// (BulkLoad).  Deletion is lazy (entries are removed from leaves, underfull
-// leaves are tolerated and empty ones unlinked), the same strategy
-// PostgreSQL uses; lookup and scan costs are unaffected because node reads
-// are metered per node actually visited.
+// (BulkLoad), and a run of sorted keys is written with one descent per
+// leaf it enters (UpsertRun, ExtractRun).  Deletion is lazy (entries are
+// removed from leaves, underfull leaves are tolerated and empty ones
+// unlinked), the same strategy PostgreSQL uses; lookup and scan costs are
+// unaffected because node reads are metered per node actually visited.
 template <typename Payload>
 class BPlusTree {
  public:
@@ -64,31 +65,57 @@ class BPlusTree {
   // Stores `payload` under `key` in one descent, metering every node it
   // visits.  Returns the payload it replaced, or nullopt for a new key.
   std::optional<Payload> Upsert(const CompositeKey& key, Payload payload) {
-    InsertResult res = Insert(key, /*metered=*/true);
-    if (res.inserted) {
-      *res.payload = std::move(payload);
-      return std::nullopt;
-    }
-    return std::exchange(*res.payload, std::move(payload));
+    return Store(Insert(key, /*metered=*/true), std::move(payload));
   }
 
   // Removes the entry for `key` in one descent and returns its payload, or
   // nullopt if absent.
   std::optional<Payload> Extract(const CompositeKey& key) {
-    Node* leaf = DescendToLeaf(key);
-    size_t pos = LowerBound(leaf->keys, key);
-    if (pos >= leaf->keys.size() || CompareKeys(leaf->keys[pos], key) != 0) {
-      return std::nullopt;
-    }
-    std::optional<Payload> removed(std::move(leaf->payloads[pos]));
-    leaf->keys.erase(leaf->keys.begin() + pos);
-    leaf->payloads.erase(leaf->payloads.begin() + pos);
-    --size_;
-    return removed;
+    return ExtractFromLeaf(DescendToLeaf(key), key);
   }
 
   // Removes the entry for `key`.  Returns false if absent.
   bool Erase(const CompositeKey& key) { return Extract(key).has_value(); }
+
+  // Writes a run: `keys[i]` gets `payloads[i]`, for keys in strictly
+  // ascending order.  The walk keeps a finger on the leaf its last descent
+  // reached (see Finger) and descends again only for a key at or above
+  // that leaf's fence, or when the leaf is full and might split; a key
+  // that lands in the fingered leaf reads no node.  `replaced(i, old)`
+  // receives the payload key i replaced, or nullopt for a new key.  The
+  // result is the tree the same Upserts one at a time would build, and no
+  // more nodes are read than they would read.
+  template <typename Replaced>
+  void UpsertRun(const std::vector<CompositeKey>& keys,
+                 std::vector<Payload> payloads, Replaced replaced) {
+    assert(keys.size() == payloads.size());
+    Finger finger;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      InsertResult res =
+          finger.Covers(keys[i]) && finger.leaf->keys.size() < kMaxKeys
+              ? InsertIntoLeaf(finger.leaf, keys[i])
+              : Insert(keys[i], /*metered=*/true, &finger);
+      replaced(i, Store(res, std::move(payloads[i])));
+    }
+  }
+
+  // Removes a run of strictly ascending keys, walking it with a finger as
+  // UpsertRun does (removal never splits, so the finger only moves when a
+  // key reaches its fence).  `removed(i, payload)` receives each removed
+  // payload.  Stops at the first absent key and returns its index, or
+  // keys.size() when every key was present.
+  template <typename Removed>
+  size_t ExtractRun(const std::vector<CompositeKey>& keys, Removed removed) {
+    Finger finger;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      Node* leaf = finger.Covers(keys[i]) ? finger.leaf
+                                          : DescendToLeaf(keys[i], &finger);
+      std::optional<Payload> payload = ExtractFromLeaf(leaf, keys[i]);
+      if (!payload.has_value()) return i;
+      removed(i, std::move(*payload));
+    }
+    return keys.size();
+  }
 
   // Builds the tree bottom-up from `n` entries, which `next(&key, &payload)`
   // produces one at a time in strictly ascending key order: leaves are
@@ -205,9 +232,25 @@ class BPlusTree {
     Node* next = nullptr;                         // leaf chain
   };
 
+  // The leaf a run's last descent reached, and that leaf's upper fence:
+  // the smallest separator to its right on the descent path (null: the
+  // rightmost leaf).  Keys of a run ascend, so every later key is at least
+  // the leaf's lower bound, and one below the fence belongs to the leaf.
+  // Any split may move separators, so the walk drops the finger after one.
+  struct Finger {
+    Node* leaf = nullptr;
+    const CompositeKey* fence = nullptr;
+
+    bool Covers(const CompositeKey& key) const {
+      return leaf != nullptr &&
+             (fence == nullptr || CompareKeys(key, *fence) < 0);
+    }
+  };
+
   struct InsertResult {
     Payload* payload = nullptr;
     bool inserted = false;  // `payload` is a new default-constructed slot
+    Node* leaf = nullptr;   // the leaf holding `payload`, unless it split
     // Present when this child split: separator key + new right sibling.
     std::optional<std::pair<CompositeKey, std::unique_ptr<Node>>> split;
   };
@@ -251,20 +294,47 @@ class BPlusTree {
     return lo;
   }
 
-  Node* DescendToLeaf(const CompositeKey& key) const {
+  // Descends to the leaf for `key`, metering every node; when `finger` is
+  // given, points it at that leaf and its fence.
+  Node* DescendToLeaf(const CompositeKey& key,
+                      Finger* finger = nullptr) const {
+    if (finger != nullptr) *finger = Finger();
     Node* n = root_.get();
     GlobalMetrics().index_nodes_read++;
     while (!n->leaf) {
-      n = n->children[ChildIndex(n->keys, key)].get();
+      size_t ci = ChildIndex(n->keys, key);
+      if (finger != nullptr && ci < n->keys.size()) {
+        finger->fence = &n->keys[ci];
+      }
+      n = n->children[ci].get();
       GlobalMetrics().index_nodes_read++;
     }
+    if (finger != nullptr) finger->leaf = n;
     return n;
   }
 
+  // Removes `key` from `leaf`, returning its payload, or nullopt if absent.
+  std::optional<Payload> ExtractFromLeaf(Node* leaf, const CompositeKey& key) {
+    size_t pos = LowerBound(leaf->keys, key);
+    if (pos >= leaf->keys.size() || CompareKeys(leaf->keys[pos], key) != 0) {
+      return std::nullopt;
+    }
+    std::optional<Payload> removed(std::move(leaf->payloads[pos]));
+    leaf->keys.erase(leaf->keys.begin() + pos);
+    leaf->payloads.erase(leaf->payloads.begin() + pos);
+    --size_;
+    return removed;
+  }
+
   // Descends from the root, inserting a default payload if `key` is
-  // absent and growing the tree by one level when the root splits.
-  InsertResult Insert(const CompositeKey& key, bool metered) {
-    InsertResult res = InsertRec(root_.get(), key, metered);
+  // absent and growing the tree by one level when the root splits.  When
+  // `finger` is given, points it at the leaf reached, or clears it if
+  // that leaf split.
+  InsertResult Insert(const CompositeKey& key, bool metered,
+                      Finger* finger = nullptr) {
+    if (finger != nullptr) *finger = Finger();
+    InsertResult res = InsertRec(root_.get(), key, metered, finger);
+    if (finger != nullptr) finger->leaf = res.leaf;
     if (res.split) {
       // Root split: grow the tree by one level.  Nodes never move, so the
       // payload pointer stays valid.
@@ -279,24 +349,16 @@ class BPlusTree {
     return res;
   }
 
-  InsertResult InsertRec(Node* node, const CompositeKey& key, bool metered) {
+  InsertResult InsertRec(Node* node, const CompositeKey& key, bool metered,
+                         Finger* finger) {
     if (metered) GlobalMetrics().index_nodes_read++;
-    if (node->leaf) {
-      size_t pos = LowerBound(node->keys, key);
-      if (pos < node->keys.size() &&
-          CompareKeys(node->keys[pos], key) == 0) {
-        return {&node->payloads[pos], false, std::nullopt};
-      }
-      node->keys.insert(node->keys.begin() + pos, key);
-      node->payloads.insert(node->payloads.begin() + pos, Payload());
-      ++size_;
-      if (node->keys.size() <= kMaxKeys) {
-        return {&node->payloads[pos], true, std::nullopt};
-      }
-      return SplitLeaf(node, pos);
-    }
+    if (node->leaf) return InsertIntoLeaf(node, key);
     size_t ci = ChildIndex(node->keys, key);
-    InsertResult child_res = InsertRec(node->children[ci].get(), key, metered);
+    if (finger != nullptr && ci < node->keys.size()) {
+      finger->fence = &node->keys[ci];
+    }
+    InsertResult child_res =
+        InsertRec(node->children[ci].get(), key, metered, finger);
     if (!child_res.split) return child_res;
     // Absorb the child's split into this node.
     node->keys.insert(node->keys.begin() + ci,
@@ -306,6 +368,33 @@ class BPlusTree {
     child_res.split.reset();
     if (node->keys.size() <= kMaxKeys) return child_res;
     return SplitInternal(node, child_res.payload);
+  }
+
+  // The slot for `key` in `leaf`, adding a default payload if absent and
+  // splitting the leaf when that overflows it.
+  InsertResult InsertIntoLeaf(Node* leaf, const CompositeKey& key) {
+    size_t pos = LowerBound(leaf->keys, key);
+    if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0) {
+      return {&leaf->payloads[pos], false, leaf, std::nullopt};
+    }
+    leaf->keys.insert(leaf->keys.begin() + pos, key);
+    leaf->payloads.insert(leaf->payloads.begin() + pos, Payload());
+    ++size_;
+    if (leaf->keys.size() <= kMaxKeys) {
+      return {&leaf->payloads[pos], true, leaf, std::nullopt};
+    }
+    return SplitLeaf(leaf, pos);
+  }
+
+  // Stores `payload` in the slot `res` found; returns the payload it
+  // replaced, or nullopt for a new slot.
+  static std::optional<Payload> Store(const InsertResult& res,
+                                      Payload payload) {
+    if (res.inserted) {
+      *res.payload = std::move(payload);
+      return std::nullopt;
+    }
+    return std::exchange(*res.payload, std::move(payload));
   }
 
   // Calls visit(begin, end) for `n` items cut into the fewest groups of at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "common/metrics.h"
 
@@ -37,26 +38,47 @@ Status Iot::Insert(Row row) {
   return Status::OK();
 }
 
-Status Iot::Upsert(Row row) {
-  EXI_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  CompositeKey key = KeyOf(row);
-  tree_.GetOrInsert(key) = std::move(row);
-  GlobalMetrics().index_entries_written++;
+Status Iot::UpsertSorted(std::vector<Row> rows,
+                         std::vector<CompositeKey>* added,
+                         std::vector<Row>* replaced) {
+  std::vector<CompositeKey> keys;
+  keys.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXI_RETURN_IF_ERROR(schema_.ValidateRow(rows[i]));
+    keys.push_back(KeyOf(rows[i]));
+    if (i > 0 && ComparePrimaryKeys(rows[i - 1], rows[i]) >= 0) {
+      return UnsortedKeyError("upsert", keys.back());
+    }
+  }
+  GlobalMetrics().index_entries_written += rows.size();
+  tree_.UpsertRun(keys, std::move(rows),
+                  [&](size_t i, std::optional<Row> old) {
+                    if (!old.has_value()) {
+                      if (added != nullptr) added->push_back(keys[i]);
+                    } else if (replaced != nullptr) {
+                      replaced->push_back(std::move(*old));
+                    }
+                  });
   return Status::OK();
 }
 
-Status Iot::Upsert(Row row, std::optional<Row>* old) {
-  EXI_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  CompositeKey key = KeyOf(row);
-  *old = tree_.Upsert(key, std::move(row));
-  GlobalMetrics().index_entries_written++;
+Status Iot::DeleteSorted(const std::vector<CompositeKey>& keys,
+                         std::vector<Row>* removed) {
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (CompareKeys(keys[i - 1], keys[i]) >= 0) {
+      return UnsortedKeyError("delete", keys[i]);
+    }
+  }
+  size_t done = tree_.ExtractRun(keys, [&](size_t, Row row) {
+    if (removed != nullptr) removed->push_back(std::move(row));
+  });
+  GlobalMetrics().index_entries_written += done;
+  if (done < keys.size()) return MissingKeyError(keys[done]);
   return Status::OK();
 }
 
-Status Iot::Delete(const CompositeKey& key, Row* old) {
-  std::optional<Row> removed = tree_.Extract(key);
-  if (!removed.has_value()) return MissingKeyError(key);
-  if (old != nullptr) *old = std::move(*removed);
+Status Iot::Delete(const CompositeKey& key) {
+  if (!tree_.Erase(key)) return MissingKeyError(key);
   GlobalMetrics().index_entries_written++;
   return Status::OK();
 }
@@ -68,9 +90,7 @@ Status Iot::BulkLoad(std::vector<Row> rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     EXI_RETURN_IF_ERROR(schema_.ValidateRow(rows[i]));
     if (i > 0 && ComparePrimaryKeys(rows[i - 1], rows[i]) >= 0) {
-      return Status::InvalidArgument(
-          "bulk load keys not strictly ascending at " +
-          KeyToString(KeyOf(rows[i])) + " in IOT " + name_);
+      return UnsortedKeyError("bulk load", KeyOf(rows[i]));
     }
   }
   GlobalMetrics().index_entries_written += rows.size();
@@ -88,6 +108,12 @@ int Iot::ComparePrimaryKeys(const Row& a, const Row& b) const {
     if (c != 0) return c;
   }
   return 0;
+}
+
+Status Iot::UnsortedKeyError(const char* call, const CompositeKey& key) const {
+  return Status::InvalidArgument(std::string(call) +
+                                 " keys not strictly ascending at " +
+                                 KeyToString(key) + " in IOT " + name_);
 }
 
 Result<Row> Iot::Get(const CompositeKey& key) const {

@@ -1,7 +1,6 @@
 #ifndef EXTIDX_INDEX_IOT_H_
 #define EXTIDX_INDEX_IOT_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,17 +32,26 @@ class Iot {
   // Inserts; errors with AlreadyExists on duplicate primary key.
   Status Insert(Row row);
 
-  // Inserts or replaces by primary key without metering the descent; undo
-  // restores rows this way.
-  Status Upsert(Row row);
+  // Inserts or replaces a run of rows whose primary keys are strictly
+  // ascending, with one metered descent per leaf the run enters
+  // (BPlusTree::UpsertRun).  When given, `*added` receives the keys that
+  // were new and `*replaced` the rows that were overwritten, both in key
+  // order.  An unsorted or duplicate key, or a row the schema rejects,
+  // returns an error before anything changes.
+  Status UpsertSorted(std::vector<Row> rows, std::vector<CompositeKey>* added,
+                      std::vector<Row>* replaced);
 
-  // Inserts or replaces by primary key in one metered descent; `*old`
-  // receives the replaced row, or nullopt when the key was new.
-  Status Upsert(Row row, std::optional<Row>* old);
+  // Deletes a run of strictly ascending primary keys, with one metered
+  // descent per leaf the run enters (BPlusTree::ExtractRun), moving the
+  // removed rows to `*removed` in key order when given.  Unsorted or
+  // duplicate keys return an error before anything changes.  An absent
+  // key stops the run with NotFound; the rows removed before it stay
+  // removed and are in `*removed`.
+  Status DeleteSorted(const std::vector<CompositeKey>& keys,
+                      std::vector<Row>* removed);
 
-  // Deletes by primary key in one descent, moving the removed row to
-  // `*old` when given.  Errors with NotFound if absent.
-  Status Delete(const CompositeKey& key, Row* old = nullptr);
+  // Deletes by primary key.  Errors with NotFound if absent.
+  Status Delete(const CompositeKey& key);
 
   // Loads `rows` into this empty IOT bottom-up.  Every row must pass the
   // schema and keys must be strictly ascending; otherwise returns an error
@@ -77,6 +85,9 @@ class Iot {
  private:
   // Orders two valid rows by their primary keys, in place.
   int ComparePrimaryKeys(const Row& a, const Row& b) const;
+
+  // The error for keys of a sorted call that do not strictly ascend.
+  Status UnsortedKeyError(const char* call, const CompositeKey& key) const;
 
   std::string name_;
   Schema schema_;

@@ -24,6 +24,7 @@
 #include "core/odci.h"
 #include "engine/connection.h"
 #include "engine/workloads.h"
+#include "posting_rows.h"
 #include "test_cartridges.h"
 
 namespace exi {
@@ -445,6 +446,69 @@ TEST_F(FaultToleranceTest, FatalBulkLoadFailureLeavesNoOrphan) {
   Disarm("callback/iot_bulk_load");
   EXPECT_FALSE(db_.catalog().IndexExists("docs_text"));
   EXPECT_TRUE(db_.catalog().IotNames().empty());
+}
+
+// ---- multi-row text DML: one posting run, one fail-point hit ----
+
+// A multi-row text DML writes its postings as one sorted run, which fires
+// its callback's fail-point once, before it changes anything.  Armed once
+// with a transient status, the guard retries the batch routine and the
+// statement leaves the postings of an unfaulted run; with a fatal status
+// the statement fails and the posting IOT is as it was.
+TEST_F(FaultToleranceTest, FaultedPostingRunRetriesOrChangesNothing) {
+  std::string rows;
+  for (int id = 0; id < 64; ++id) {
+    rows += std::string(id > 0 ? ", " : "") + "(" + std::to_string(id) +
+            ", 'alpha beta w" + std::to_string(id % 9) + "')";
+  }
+  const std::string insert = "INSERT INTO docs VALUES " + rows;
+  struct Case {
+    const char* site;
+    bool seeded;  // the 64 rows are inserted before the faulted statement
+    std::string dml;
+  };
+  const Case cases[] = {
+      {"callback/iot_upsert", false, insert},
+      {"callback/iot_delete", true, "DELETE FROM docs WHERE id < 40"},
+  };
+  for (const Case& c : cases) {
+    std::vector<Row> unfaulted;
+    for (const char* status : {"", "IoError", "Internal"}) {
+      SCOPED_TRACE(std::string(c.site) + " status=" + status);
+      Database db;
+      Connection conn(&db);
+      ASSERT_TRUE(text::InstallTextCartridge(&conn).ok());
+      conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
+      conn.MustExecute(
+          "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType");
+      if (c.seeded) conn.MustExecute(insert);
+      const std::vector<Row> before = PostingRows(db, "docs_text");
+      FailPointRegistry& failpoints = FailPointRegistry::Global();
+      if (status[0] != '\0') {
+        ASSERT_TRUE(
+            failpoints.Set(c.site, std::string("once status=") + status)
+                .ok());
+      }
+      const uint64_t hits = failpoints.Hits(c.site);
+      Result<QueryResult> r = conn.Execute(c.dml);
+      const uint64_t fired = failpoints.Hits(c.site) - hits;
+      failpoints.Clear(c.site);
+      if (status[0] == '\0') {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(fired, 1u);  // the whole statement is one run
+        unfaulted = PostingRows(db, "docs_text");
+        EXPECT_NE(unfaulted.size(), before.size());
+      } else if (std::string(status) == "IoError") {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(fired, 2u);  // the faulted run and its retry
+        ExpectSameRows(PostingRows(db, "docs_text"), unfaulted);
+      } else {
+        EXPECT_FALSE(r.ok());
+        EXPECT_EQ(fired, 1u);
+        ExpectSameRows(PostingRows(db, "docs_text"), before);
+      }
+    }
+  }
 }
 
 // ---- a transient failure inside Create is retried, for every cartridge ----

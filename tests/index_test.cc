@@ -1,7 +1,7 @@
 // Unit + property tests for src/index: B+-tree, B-tree index, hash index,
 // bitmap index, IOT.  The property suites cross-check the B+-tree against
-// std::map on random operation sequences, and the bottom-up bulk loader
-// against incremental inserts.
+// std::map on random operation sequences, the bottom-up bulk loader
+// against incremental inserts, and sorted runs against single-key writes.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <set>
 
 #include "catalog/catalog.h"
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "core/callback_guard.h"
@@ -18,6 +19,7 @@
 #include "index/bptree.h"
 #include "index/hash_index.h"
 #include "index/iot.h"
+#include "posting_rows.h"
 
 namespace exi {
 namespace {
@@ -195,6 +197,190 @@ TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
   EXPECT_FALSE(it.Valid());
 }
 
+// ---- sorted runs: one descent per leaf ----
+
+// index_nodes_read while `op` runs.
+template <typename Op>
+uint64_t NodesReadBy(Op op) {
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  op();
+  return GlobalMetrics().Snapshot().Delta(before).index_nodes_read;
+}
+
+// The tree's size and its entries in leaf-chain order equal the model's.
+void ExpectMatchesModel(BPlusTree<int64_t>& tree,
+                        const std::map<int64_t, int64_t>& model) {
+  ASSERT_EQ(tree.size(), model.size());
+  auto it = tree.Begin();
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(it.Valid());
+    ASSERT_EQ(it.key()[0].AsInteger(), key);
+    ASSERT_EQ(it.payload(), value);
+    it.Next();
+  }
+  EXPECT_FALSE(it.Valid());
+}
+
+// Random sorted upsert and delete runs, applied to one tree as runs and to
+// a twin key by key: after every run both match a std::map model and have
+// the same height, and the run read no more nodes than the single keys.
+// The first runs land in an empty tree and split leaves and the root;
+// later upsert runs mix new and replaced keys, and runs vary from a few
+// keys in one leaf to hundreds spread over many.
+TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    BPlusTree<int64_t> runs;
+    BPlusTree<int64_t> singles;
+    std::map<int64_t, int64_t> model;
+    for (int64_t step = 0; step < 300; ++step) {
+      const int64_t span = int64_t(16) << rng.Uniform(12);
+      const int64_t lo = int64_t(rng.Uniform(40000));
+      const bool upsert = model.empty() || rng.Uniform(3) != 0;
+      std::set<int64_t> picked;
+      if (upsert) {
+        const uint64_t n = 1 + rng.Uniform(step < 5 ? 600 : 150);
+        for (uint64_t i = 0; i < n; ++i) {
+          picked.insert(lo + int64_t(rng.Uniform(uint64_t(span))));
+        }
+      } else {
+        for (auto it = model.lower_bound(lo);
+             it != model.end() && it->first < lo + span; ++it) {
+          if (rng.Uniform(2) == 0) picked.insert(it->first);
+        }
+      }
+      std::vector<CompositeKey> keys;
+      std::vector<int64_t> payloads;
+      for (int64_t k : picked) {
+        keys.push_back(IntKey(k));
+        payloads.push_back(k * 1000 + step);
+      }
+      uint64_t run_reads = 0;
+      uint64_t single_reads = 0;
+      if (upsert) {
+        run_reads = NodesReadBy([&] {
+          runs.UpsertRun(keys, payloads,
+                         [&](size_t i, std::optional<int64_t> old) {
+                           auto it = model.find(keys[i][0].AsInteger());
+                           ASSERT_EQ(old.has_value(), it != model.end());
+                           if (old.has_value()) {
+                             ASSERT_EQ(*old, it->second);
+                           }
+                         });
+        });
+        single_reads = NodesReadBy([&] {
+          for (size_t i = 0; i < keys.size(); ++i) {
+            singles.Upsert(keys[i], payloads[i]);
+          }
+        });
+        for (size_t i = 0; i < keys.size(); ++i) {
+          model[keys[i][0].AsInteger()] = payloads[i];
+        }
+      } else {
+        run_reads = NodesReadBy([&] {
+          EXPECT_EQ(runs.ExtractRun(keys,
+                                    [&](size_t i, int64_t payload) {
+                                      ASSERT_EQ(payload, model.at(
+                                          keys[i][0].AsInteger()));
+                                    }),
+                    keys.size());
+        });
+        single_reads = NodesReadBy([&] {
+          for (const CompositeKey& key : keys) singles.Extract(key);
+        });
+        for (int64_t k : picked) model.erase(k);
+      }
+      ASSERT_LE(run_reads, single_reads) << "step " << step;
+      ExpectMatchesModel(runs, model);
+      ExpectMatchesModel(singles, model);
+      ASSERT_EQ(runs.height(), singles.height());
+    }
+    // The runs grew the tree past a split of an internal root.
+    EXPECT_GE(runs.height(), 3u);
+  }
+}
+
+// Keys 0, 2, 4, ... bulk-loaded: the first leaf holds 0 .. 110 with room
+// for 8 more entries, and the second leaf starts at 112.
+class BPlusTreeRunMeterTest : public ::testing::Test {
+ protected:
+  BPlusTreeRunMeterTest() {
+    int64_t next = 0;
+    tree_.BulkLoad(20000, [&](CompositeKey* key, int64_t* payload) {
+      *key = IntKey(2 * next);
+      *payload = next++;
+    });
+    EXPECT_EQ(tree_.height(), 3u);
+  }
+
+  static std::vector<CompositeKey> Keys(std::initializer_list<int64_t> ks) {
+    std::vector<CompositeKey> keys;
+    for (int64_t k : ks) keys.push_back(IntKey(k));
+    return keys;
+  }
+
+  BPlusTree<int64_t> tree_;
+};
+
+// A run that stays inside one leaf reads exactly the tree's height: one
+// descent, then the leaf it already holds.
+TEST_F(BPlusTreeRunMeterTest, RunInsideOneLeafReadsTheHeight) {
+  const uint64_t height = tree_.height();
+  std::vector<CompositeKey> keys = Keys({21, 23, 30, 32, 33});  // 2 replaced
+  EXPECT_EQ(NodesReadBy([&] {
+              tree_.UpsertRun(keys, {1, 2, 3, 4, 5},
+                              [](size_t, std::optional<int64_t>) {});
+            }),
+            height);
+  EXPECT_EQ(*tree_.Find(IntKey(30)), 3);
+  EXPECT_EQ(NodesReadBy([&] {
+              EXPECT_EQ(tree_.ExtractRun(keys, [](size_t, int64_t) {}),
+                        keys.size());
+            }),
+            height);
+  EXPECT_EQ(tree_.size(), 20000u - 2u);
+}
+
+// A run reaching the next leaf descends again, and the descent that splits
+// a full leaf and the one after it are metered too.
+TEST_F(BPlusTreeRunMeterTest, FenceAndSplitEachCostOneDescent) {
+  const uint64_t height = tree_.height();
+  EXPECT_EQ(NodesReadBy([&] {
+              tree_.UpsertRun(Keys({1, 113}), {0, 0},
+                              [](size_t, std::optional<int64_t>) {});
+            }),
+            2 * height);
+  // The first leaf now has 57 entries: 7 more fill it, the 8th key finds
+  // it full and descends to split it, and the 9th descends afresh.
+  EXPECT_EQ(NodesReadBy([&] {
+              tree_.UpsertRun(Keys({3, 5, 7, 9, 11, 13, 15, 17, 19}),
+                              std::vector<int64_t>(9, 0),
+                              [](size_t, std::optional<int64_t>) {});
+            }),
+            3 * height);
+  EXPECT_EQ(tree_.size(), 20000u + 11u);
+  int64_t prev = -1;
+  for (auto it = tree_.Begin(); it.Valid(); it.Next()) {
+    ASSERT_LT(prev, it.key()[0].AsInteger());
+    prev = it.key()[0].AsInteger();
+  }
+}
+
+// ExtractRun stops at the first absent key, having removed the ones
+// before it.
+TEST_F(BPlusTreeRunMeterTest, ExtractRunStopsAtTheFirstAbsentKey) {
+  std::vector<int64_t> removed;
+  EXPECT_EQ(tree_.ExtractRun(Keys({2, 4, 5, 6}),
+                             [&](size_t, int64_t payload) {
+                               removed.push_back(payload);
+                             }),
+            2u);
+  EXPECT_EQ(removed, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(tree_.Find(IntKey(4)), nullptr);
+  EXPECT_NE(tree_.Find(IntKey(6)), nullptr);
+}
+
 TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
   BPlusTree<int64_t> tree;
   EXPECT_FALSE(tree.Upsert(IntKey(1), 10).has_value());
@@ -317,13 +503,14 @@ TEST(IotTest, PrimaryKeySemantics) {
   ASSERT_TRUE(iot.Insert({Value::Varchar("a"), Value::Integer(1),
                           Value::Integer(3)})
                   .ok());
-  // Duplicate PK rejected; Upsert replaces.
+  // Duplicate PK rejected; an upsert replaces.
   EXPECT_EQ(iot.Insert({Value::Varchar("a"), Value::Integer(1),
                         Value::Integer(9)})
                 .code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE(iot.Upsert({Value::Varchar("a"), Value::Integer(1),
-                          Value::Integer(9)})
+  ASSERT_TRUE(iot.UpsertSorted({{Value::Varchar("a"), Value::Integer(1),
+                                 Value::Integer(9)}},
+                               nullptr, nullptr)
                   .ok());
   EXPECT_EQ((*iot.Get({Value::Varchar("a"), Value::Integer(1)}))[2]
                 .AsInteger(),
@@ -421,14 +608,6 @@ class IotCallbackTest : public ::testing::Test {
     EXPECT_TRUE(ddl.CreateIot("p", PostingSchema(), 2).ok());
   }
 
-  // index_nodes_read while `op` runs.
-  template <typename Op>
-  uint64_t NodesRead(Op op) {
-    StorageMetrics before = GlobalMetrics().Snapshot();
-    op();
-    return GlobalMetrics().Snapshot().Delta(before).index_nodes_read;
-  }
-
   Catalog catalog_;
 };
 
@@ -473,15 +652,15 @@ TEST_F(IotCallbackTest, UpsertAndDeleteTakeOneDescent) {
   const uint64_t height = 3;  // 20,000 rows, 56 to a leaf
   Transaction txn(1);
   GuardedServerContext ctx(&catalog_, &txn, CallbackMode::kMaintenance);
-  EXPECT_EQ(NodesRead([&] {
+  EXPECT_EQ(NodesReadBy([&] {
               ASSERT_TRUE(ctx.IotUpsert("p", Posting("t", 5, 9)).ok());
             }),
             height);  // replaces
-  EXPECT_EQ(NodesRead([&] {
+  EXPECT_EQ(NodesReadBy([&] {
               ASSERT_TRUE(ctx.IotUpsert("p", Posting("u", 1)).ok());
             }),
             height);  // inserts
-  EXPECT_EQ(NodesRead([&] {
+  EXPECT_EQ(NodesReadBy([&] {
               ASSERT_TRUE(
                   ctx.IotDelete("p", {Value::Varchar("t"), Value::Integer(7)})
                       .ok());
@@ -495,6 +674,101 @@ TEST_F(IotCallbackTest, UpsertAndDeleteTakeOneDescent) {
   EXPECT_TRUE(ctx.IotGet("p", {Value::Varchar("t"), Value::Integer(7)}).ok());
   EXPECT_FALSE(ctx.IotGet("p", {Value::Varchar("u"), Value::Integer(1)}).ok());
   EXPECT_EQ(*ctx.IotRowCount("p"), 20000u);
+}
+
+// Rejected runs return an error and leave the IOT as it was; a delete
+// run stopped by a missing key hands back what it removed before it.
+TEST(IotTest, SortedRunsRejectBadInputAndChangeNothing) {
+  Iot iot("iot", PostingSchema(), 2);
+  ASSERT_TRUE(iot.BulkLoad({Posting("a", 1), Posting("b", 1)}).ok());
+  const std::vector<Row> before = RowsOf(iot);
+  const std::vector<std::vector<Row>> bad_rows = {
+      {Posting("c", 1), Posting("a", 5)},                         // unsorted
+      {Posting("c", 1), Posting("c", 1)},                         // duplicate
+      {Posting("a", 0), {Value::Varchar("c"), Value::Integer(1)}},  // short
+      {Posting("a", 0), {Value::Integer(7), Value::Integer(1),
+                         Value::Integer(1)}},  // wrong type
+  };
+  for (const std::vector<Row>& rows : bad_rows) {
+    std::vector<CompositeKey> added;
+    std::vector<Row> replaced;
+    EXPECT_FALSE(iot.UpsertSorted(rows, &added, &replaced).ok());
+    EXPECT_TRUE(added.empty() && replaced.empty());
+    ExpectSameRows(RowsOf(iot), before);
+  }
+  auto key = [](const char* token, int64_t rid) {
+    return CompositeKey{Value::Varchar(token), Value::Integer(rid)};
+  };
+  const std::vector<std::vector<CompositeKey>> bad_keys = {
+      {key("b", 1), key("a", 1)},  // unsorted
+      {key("a", 1), key("a", 1)},  // duplicate
+  };
+  for (const std::vector<CompositeKey>& keys : bad_keys) {
+    EXPECT_EQ(iot.DeleteSorted(keys, nullptr).code(),
+              StatusCode::kInvalidArgument);
+    ExpectSameRows(RowsOf(iot), before);
+  }
+  std::vector<Row> removed;
+  EXPECT_EQ(
+      iot.DeleteSorted({key("a", 1), key("a", 2), key("b", 1)}, &removed)
+          .code(),
+      StatusCode::kNotFound);
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(CompareKeys(removed[0], Posting("a", 1)), 0);
+  EXPECT_EQ(iot.row_count(), 1u);
+}
+
+// A run is one mode check, one fail-point hit and one undo entry, and
+// undoing it restores the IOT exactly, also after a delete run that a
+// missing key stopped part way.
+TEST_F(IotCallbackTest, SortedRunsLogOneUndoEntryAndFireOnce) {
+  Iot* iot = *catalog_.GetIot("p");
+  ASSERT_TRUE(
+      iot->BulkLoad({Posting("a", 1), Posting("b", 1), Posting("c", 1)})
+          .ok());
+  const std::vector<Row> before = RowsOf(*iot);
+  FailPointRegistry& failpoints = FailPointRegistry::Global();
+  Transaction txn(1);
+  GuardedServerContext ctx(&catalog_, &txn, CallbackMode::kMaintenance);
+  const uint64_t upserts = failpoints.Hits("callback/iot_upsert");
+  ASSERT_TRUE(
+      ctx.IotUpsertSorted("p", {Posting("a", 2), Posting("b", 1, 7),
+                                Posting("d", 1)})
+          .ok());
+  EXPECT_EQ(failpoints.Hits("callback/iot_upsert") - upserts, 1u);
+  EXPECT_EQ(txn.undo_depth(), 1u);
+  EXPECT_EQ((*ctx.IotGet("p", {Value::Varchar("b"), Value::Integer(1)}))[2]
+                .AsInteger(),
+            7);
+  const uint64_t deletes = failpoints.Hits("callback/iot_delete");
+  EXPECT_EQ(ctx.IotDeleteSorted("p", {{Value::Varchar("a"), Value::Integer(1)},
+                                      {Value::Varchar("a"), Value::Integer(2)},
+                                      {Value::Varchar("z"), Value::Integer(1)}})
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(failpoints.Hits("callback/iot_delete") - deletes, 1u);
+  EXPECT_EQ(txn.undo_depth(), 2u);
+  EXPECT_EQ(*ctx.IotRowCount("p"), 3u);  // b, c, d
+  txn.RunUndo();
+  ExpectSameRows(RowsOf(*iot), before);
+}
+
+TEST_F(IotCallbackTest, SortedRunsAreDmlCallbacks) {
+  GuardedServerContext scan(&catalog_, nullptr, CallbackMode::kScan);
+  EXPECT_EQ(scan.IotUpsertSorted("p", {Posting("a", 1)}).code(),
+            StatusCode::kCallbackViolation);
+  EXPECT_EQ(
+      scan.IotDeleteSorted("p", {{Value::Varchar("a"), Value::Integer(1)}})
+          .code(),
+      StatusCode::kCallbackViolation);
+  for (CallbackMode mode :
+       {CallbackMode::kDefinition, CallbackMode::kMaintenance}) {
+    GuardedServerContext ctx(&catalog_, nullptr, mode);
+    EXPECT_TRUE(ctx.IotUpsertSorted("p", {Posting("a", 1)}).ok());
+    EXPECT_TRUE(
+        ctx.IotDeleteSorted("p", {{Value::Varchar("a"), Value::Integer(1)}})
+            .ok());
+  }
 }
 
 TEST(IotTest, RangeScanBounds) {

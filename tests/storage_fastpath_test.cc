@@ -4,7 +4,8 @@
 //  * batched ODCI maintenance must route multi-row DML through one
 //    ODCIIndexBatch* dispatch per index, fall back per-row on
 //    NotSupported, and produce index contents identical to the serial
-//    path for both the text and chem cartridges;
+//    path for both the text and chem cartridges (text writes each batch
+//    as one sorted posting run, and ROLLBACK restores it exactly);
 //  * the planner stats cache must eliminate planning-time ODCIStats calls
 //    for repeated identical queries and invalidate on DML and rollback.
 //
@@ -24,6 +25,7 @@
 #include "common/tracer.h"
 #include "core/callback_guard.h"
 #include "engine/connection.h"
+#include "posting_rows.h"
 #include "storage/lob_store.h"
 
 namespace exi {
@@ -250,23 +252,34 @@ class RefusingBatchTextMethods : public text::TextIndexMethods {
   }
 };
 
+// Installs the text cartridge and creates docs(id, body) with text index
+// docs_idx, of RefusingTextType (per-row fallback) when `refusing`.
+void CreateTextDocs(Database& db, Connection& conn, bool refusing) {
+  ASSERT_TRUE(text::InstallTextCartridge(&conn).ok());
+  std::string indextype = "TextIndexType";
+  if (refusing) {
+    ASSERT_TRUE(
+        db.catalog()
+            .implementations()
+            .Register(
+                "RefusingBatchTextMethods",
+                [] { return std::make_shared<RefusingBatchTextMethods>(); },
+                [] { return std::make_shared<text::TextStats>(); })
+            .ok());
+    conn.MustExecute(
+        "CREATE INDEXTYPE RefusingTextType FOR Contains(VARCHAR, VARCHAR) "
+        "USING RefusingBatchTextMethods");
+    indextype = "RefusingTextType";
+  }
+  conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
+  conn.MustExecute("CREATE INDEX docs_idx ON docs(body) INDEXTYPE IS " +
+                   indextype);
+}
+
 TEST(BatchFallbackTest, NotSupportedFallsBackToPerRowWithIdenticalContents) {
   Database db;
   Connection conn(&db);
-  ASSERT_TRUE(text::InstallTextCartridge(&conn).ok());
-  ASSERT_TRUE(db.catalog()
-                  .implementations()
-                  .Register(
-                      "RefusingBatchTextMethods",
-                      [] { return std::make_shared<RefusingBatchTextMethods>(); },
-                      [] { return std::make_shared<text::TextStats>(); })
-                  .ok());
-  conn.MustExecute(
-      "CREATE INDEXTYPE RefusingTextType FOR Contains(VARCHAR, VARCHAR) "
-      "USING RefusingBatchTextMethods");
-  conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
-  conn.MustExecute(
-      "CREATE INDEX docs_idx ON docs(body) INDEXTYPE IS RefusingTextType");
+  CreateTextDocs(db, conn, /*refusing=*/true);
   Tracer::Global().Reset();
   conn.MustExecute(
       "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta'), "
@@ -296,25 +309,7 @@ TEST(BatchEquivalenceTest, TextBatchMatchesSerialFallback) {
   for (int variant = 0; variant < 2; ++variant) {
     Database db;
     Connection conn(&db);
-    ASSERT_TRUE(text::InstallTextCartridge(&conn).ok());
-    std::string indextype = "TextIndexType";
-    if (variant == 1) {
-      ASSERT_TRUE(
-          db.catalog()
-              .implementations()
-              .Register(
-                  "RefusingBatchTextMethods",
-                  [] { return std::make_shared<RefusingBatchTextMethods>(); },
-                  [] { return std::make_shared<text::TextStats>(); })
-              .ok());
-      conn.MustExecute(
-          "CREATE INDEXTYPE RefusingTextType FOR Contains(VARCHAR, "
-          "VARCHAR) USING RefusingBatchTextMethods");
-      indextype = "RefusingTextType";
-    }
-    conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
-    conn.MustExecute("CREATE INDEX docs_idx ON docs(body) INDEXTYPE IS " +
-                     indextype);
+    CreateTextDocs(db, conn, /*refusing=*/variant == 1);
     for (const std::string& sql : script) conn.MustExecute(sql);
     for (const char* term : {"alpha", "beta", "gamma", "delta", "omega"}) {
       results[variant].push_back(
@@ -324,6 +319,65 @@ TEST(BatchEquivalenceTest, TextBatchMatchesSerialFallback) {
     }
   }
   EXPECT_EQ(results[0], results[1]);
+}
+
+// "(id, 'body'), ..." for ids [first, first + n): bodies repeat words, so
+// postings of one statement share terms and leaves.
+std::string DocValues(int first, int n) {
+  static const char* kWords[] = {"alpha", "beta",  "gamma", "delta", "omega",
+                                 "sigma", "kappa", "theta", "iota",  "rho"};
+  std::string sql;
+  for (int id = first; id < first + n; ++id) {
+    if (id > first) sql += ", ";
+    std::string body;
+    for (int w = 0; w < 3 + id % 6; ++w) {
+      body += std::string(kWords[(id * 7 + w * w) % 10]) + " ";
+    }
+    sql += "(" + std::to_string(id) + ", '" + body + "w" +
+           std::to_string(id) + "')";
+  }
+  return sql;
+}
+
+// Text maintenance through sorted runs (a 64-row INSERT, a multi-row
+// DELETE and a multi-row UPDATE) leaves exactly the postings of the
+// per-row fallback, and ROLLBACK of each statement restores the posting
+// IOT row for row.
+TEST(BatchEquivalenceTest, TextRunsMatchPerRowAndRollBackExactly) {
+  const std::vector<std::string> script = {
+      "INSERT INTO docs VALUES " + DocValues(0, 64),
+      "DELETE FROM docs WHERE id >= 10 AND id < 30",
+      "UPDATE docs SET body = 'omega rho fresh words' WHERE id >= 40",
+      "INSERT INTO docs VALUES " + DocValues(100, 64),
+  };
+  std::vector<Row> postings[2];
+  for (int variant = 0; variant < 2; ++variant) {
+    SCOPED_TRACE(variant == 0 ? "runs" : "per-row fallback");
+    Database db;
+    Connection conn(&db);
+    CreateTextDocs(db, conn, /*refusing=*/variant == 1);
+    for (const std::string& sql : script) {
+      SCOPED_TRACE(sql.substr(0, 40));
+      const std::vector<Row> before = PostingRows(db, "docs_idx");
+      conn.MustExecute("BEGIN");
+      Tracer::Global().Reset();
+      conn.MustExecute(sql);
+      // Runs dispatch one batch routine; the refusing type falls back.
+      auto [batch_calls, batch_errors] = ViewCallsErrors(
+          &conn, sql[0] == 'I'   ? "ODCIIndexBatchInsert"
+                 : sql[0] == 'D' ? "ODCIIndexBatchDelete"
+                                 : "ODCIIndexBatchUpdate");
+      EXPECT_EQ(batch_calls, 1);
+      EXPECT_EQ(batch_errors, variant);
+      EXPECT_NE(PostingRows(db, "docs_idx").size(), before.size());
+      conn.MustExecute("ROLLBACK");
+      ExpectSameRows(PostingRows(db, "docs_idx"), before);
+      conn.MustExecute(sql);
+    }
+    postings[variant] = PostingRows(db, "docs_idx");
+  }
+  EXPECT_FALSE(postings[0].empty());
+  ExpectSameRows(postings[0], postings[1]);
 }
 
 TEST(BatchEquivalenceTest, ChemBatchMatchesPerRowContents) {

@@ -13,6 +13,7 @@
 #include "common/metrics.h"
 #include "core/scan_context.h"
 #include "engine/connection.h"
+#include "posting_rows.h"
 
 namespace exi {
 namespace {
@@ -341,29 +342,6 @@ TEST_F(TextCartridgeTest, ScoreFunctionInSelectAndOrderBy) {
 
 // ---- build equivalence: bulk build at parallelism 1 and 4, per-row
 //      maintenance ----
-
-// The rows of an index's posting IOT, in key order.
-std::vector<Row> PostingRows(Database& db, const std::string& index) {
-  std::vector<Row> rows;
-  Result<Iot*> iot = db.catalog().GetIot(index + "$ptab");
-  EXPECT_TRUE(iot.ok()) << iot.status().ToString();
-  if (!iot.ok()) return rows;
-  (*iot)->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
-    rows.push_back(row);
-    return true;
-  });
-  return rows;
-}
-
-void ExpectSameRows(const std::vector<Row>& got,
-                    const std::vector<Row>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(CompareKeys(got[i], want[i]), 0)
-        << "row " << i << ": " << KeyToString(got[i]) << " vs "
-        << KeyToString(want[i]);
-  }
-}
 
 // Document bodies with repeated words, stop words and NULLs (nullopt).
 std::vector<std::optional<std::string>> Bodies(size_t n) {
