@@ -1,18 +1,18 @@
-// Parallelism sweep: domain-index join wall time at 1, 2, 4, and 8
-// workers, emitting BENCH_parallel.json.
+// Parallelism sweep: the domain-index join's probe window at 1, 2 and 4
+// workers on the real spatial tile cartridge, emitting BENCH_parallel.json.
 //
-// CPU-bound callbacks need cores to speed up with more threads.  Real
-// cartridge callbacks are often dominated by storage latency (the paper's
-// cartridges sit on LOBs, external files, and disk-resident IOTs); we model
-// that with a bench-local "Slow" spatial cartridge whose Start sleeps a
-// fixed latency.  The worker pool then hides that latency: N workers keep
-// N probes' worth of storage waits in flight, which is exactly the effect
-// the windowed join probes exist to exploit.  Index builds are serial at
-// any parallelism; E12 (bench_text_build) times them.
+// The join is the one operator the worker pool serves: each outer road is
+// one probe (ODCIIndexStart/Fetch*/Close) of the inner parks' tile index,
+// and the window keeps 2 x parallelism probes in flight, merged in outer
+// order.  Plain index scans are serial at every parallelism and are not
+// swept here (EXPERIMENTS.md E11 records why).  Worker counts are timed in
+// alternating rounds so drift on a shared host hits every count alike.
+// Result rows and ODCIIndexStart calls sit next to each time: both are
+// counts, so they must agree across worker counts on any host.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -25,117 +25,103 @@ using namespace exi::bench;  // NOLINT
 
 namespace {
 
-// Per-ODCIIndexStart latency modeled for the join-probe sweep.
-constexpr int64_t kProbeLatencyUs = 1500;
+constexpr size_t kRepeats = 7;
 
-// Spatial cartridge whose Start (one probe of the inner index per outer
-// row in a domain-index join) carries storage latency.
-class SlowSpatialIndexMethods : public spatial::SpatialIndexMethods {
- public:
-  Result<OdciScanContext> Start(const OdciIndexInfo& info,
-                                const OdciPredInfo& pred,
-                                ServerContext& ctx) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(kProbeLatencyUs));
-    return spatial::SpatialIndexMethods::Start(info, pred, ctx);
+// One worker count's repeated runs.
+struct Sweep {
+  size_t workers;
+  std::vector<double> ms;
+  uint64_t rows = 0;
+  uint64_t starts = 0;  // ODCIIndexStart calls in one run
+
+  double Median() const {
+    std::vector<double> s = ms;
+    std::sort(s.begin(), s.end());
+    return s[s.size() / 2];
   }
+  double Min() const { return *std::min_element(ms.begin(), ms.end()); }
+  double Max() const { return *std::max_element(ms.begin(), ms.end()); }
 };
 
-double Speedup(const std::vector<std::pair<size_t, double>>& rows,
-               size_t workers) {
-  double base = 0, at = 0;
-  for (const auto& [w, ms] : rows) {
-    if (w == 1) base = ms;
-    if (w == workers) at = ms;
+uint64_t StartCalls(const TracerSnapshot& window) {
+  uint64_t calls = 0;
+  for (const auto& [key, stats] : window) {
+    if (key.second == "ODCIIndexStart") calls += stats.calls;
   }
-  return at > 0 ? base / at : 0.0;
-}
-
-// `rows` as a JSON array of {"workers": w, "ms": t} objects.
-std::string MsArray(const std::vector<std::pair<size_t, double>>& rows) {
-  std::string out = "[";
-  for (const auto& [workers, ms] : rows) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s{\"workers\": %zu, \"ms\": %.1f}",
-                  out.size() > 1 ? ", " : "", workers, ms);
-    out += buf;
-  }
-  return out + "]";
+  return calls;
 }
 
 }  // namespace
 
 int main() {
-  Header("Parallelism sweep: domain-index join");
-  const std::vector<size_t> kWorkers = {1, 2, 4, 8};
+  Header("Parallelism sweep: domain-index join probe window");
+  const uint64_t roads = Scaled(2000, 40);
+  const uint64_t parks = Scaled(20000, 400);
 
-  // ---- parallel domain-index join ----
-  std::vector<std::pair<size_t, double>> join_ms;
-  size_t join_rows = 0;
-  const uint64_t outer_rows = Scaled(120, 20);
-  {
-    Database db;
-    Connection conn(&db);
-    if (!spatial::InstallSpatialCartridge(&conn).ok()) return 1;
-    if (!db.catalog()
-             .implementations()
-             .Register(
-                 "SlowSpatialIndexMethods",
-                 [] { return std::make_shared<SlowSpatialIndexMethods>(); },
-                 [] { return std::make_shared<spatial::SpatialStats>(); })
-             .ok()) {
-      return 1;
-    }
-    conn.MustExecute(
-        "CREATE INDEXTYPE SlowSpatialIndexType FOR Sdo_Relate("
-        "OBJECT SDO_GEOMETRY, OBJECT SDO_GEOMETRY, VARCHAR) "
-        "USING SlowSpatialIndexMethods");
-    if (!workload::BuildSpatialTable(&conn, "roads", outer_rows, 500.0, 7)
-             .ok() ||
-        !workload::BuildSpatialTable(&conn, "parks", Scaled(400, 40), 300.0,
-                                     8)
-             .ok()) {
-      return 1;
-    }
-    conn.MustExecute(
-        "CREATE INDEX p_tile ON parks(geometry) "
-        "INDEXTYPE IS SlowSpatialIndexType");
-    conn.MustExecute("ANALYZE roads");
-    conn.MustExecute("ANALYZE parks");
+  Database db;
+  Connection conn(&db);
+  if (!spatial::InstallSpatialCartridge(&conn).ok()) return 1;
+  if (!workload::BuildSpatialTable(&conn, "roads", roads, 500.0, 7).ok() ||
+      !workload::BuildSpatialTable(&conn, "parks", parks, 300.0, 8).ok()) {
+    return 1;
+  }
+  conn.MustExecute(
+      "CREATE INDEX p_tile ON parks(geometry) INDEXTYPE IS SpatialIndexType");
+  conn.MustExecute("ANALYZE roads");
+  conn.MustExecute("ANALYZE parks");
 
-    const std::string q =
-        "SELECT r.gid, p.gid FROM roads r, parks p "
-        "WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT')";
-    conn.MustExecute(q);  // warm
+  const std::string q =
+      "SELECT r.gid, p.gid FROM roads r, parks p "
+      "WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT')";
+  std::printf("\n%s\n", conn.MustExecute("EXPLAIN " + q).message.c_str());
+  conn.MustExecute(q);  // warm
 
-    std::printf("\njoin: %llu outer rows, %lldus per inner-index probe\n",
-                (unsigned long long)outer_rows, (long long)kProbeLatencyUs);
-    std::printf("%10s | %12s %10s %10s\n", "workers", "join_ms", "rows",
-                "speedup");
-    for (size_t w : kWorkers) {
-      db.set_parallelism(w);
+  std::vector<Sweep> sweeps = {{1, {}}, {2, {}}, {4, {}}};
+  for (size_t rep = 0; rep < kRepeats; ++rep) {
+    for (Sweep& s : sweeps) {
+      db.set_parallelism(s.workers);
+      TracerSnapshot before = Tracer::Global().Snapshot();
       Timer timer;
       QueryResult r = conn.MustExecute(q);
-      double ms = timer.ElapsedMs();
-      join_rows = r.rows.size();
-      join_ms.emplace_back(w, ms);
-      std::printf("%10zu | %12.1f %10zu %9.2fx\n", w, ms, join_rows,
-                  Speedup(join_ms, w));
+      s.ms.push_back(timer.ElapsedMs());
+      s.rows = r.rows.size();
+      s.starts = StartCalls(TracerDelta(Tracer::Global().Snapshot(), before));
     }
   }
+  db.set_parallelism(1);
 
-  // ---- machine-readable output ----
-  char note[256];
-  std::snprintf(note, sizeof(note),
-                "per-probe storage latency is simulated with a sleep "
-                "(%lldus per join probe) so worker threads hide latency "
-                "rather than compete for CPU",
-                (long long)kProbeLatencyUs);
+  std::printf("\njoin: %llu roads x %llu parks, %zu alternating repeats\n",
+              (unsigned long long)roads, (unsigned long long)parks, kRepeats);
+  std::printf("%8s | %10s %10s %10s | %8s %8s | %8s\n", "workers",
+              "median_ms", "min_ms", "max_ms", "rows", "starts", "speedup");
+  const double base = sweeps.front().Median();
+  std::string json = "[";
+  for (const Sweep& s : sweeps) {
+    std::printf("%8zu | %10.1f %10.1f %10.1f | %8llu %8llu | %7.2fx\n",
+                s.workers, s.Median(), s.Min(), s.Max(),
+                (unsigned long long)s.rows, (unsigned long long)s.starts,
+                base / s.Median());
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"workers\": %zu, \"ms_median\": %.1f, \"ms_min\": "
+                  "%.1f, \"ms_max\": %.1f, \"rows\": %llu, \"odci_starts\": "
+                  "%llu}",
+                  json.size() > 1 ? ", " : "", s.workers, s.Median(),
+                  s.Min(), s.Max(), (unsigned long long)s.rows,
+                  (unsigned long long)s.starts);
+    json += buf;
+  }
+  json += "]";
+
   JsonReport report("parallel");
-  report.Add("note", note);
-  report.AddRaw("join", MsArray(join_ms));
-  report.Add("join_result_rows", uint64_t(join_rows));
-  report.Add("join_speedup_4_workers", Speedup(join_ms, 4));
-  std::printf("\njoin 4w speedup %.2fx\n", Speedup(join_ms, 4));
+  report.Add("note",
+             "real spatial tile join, no simulated latency; worker counts "
+             "timed in alternating rounds");
+  report.Add("outer_rows", roads);
+  report.Add("inner_rows", parks);
+  report.Add("repeats", uint64_t(kRepeats));
+  report.AddRaw("join", json);
+  report.Add("join_speedup_4_workers", base / sweeps.back().Median());
   if (!report.Write()) return 1;
   return 0;
 }

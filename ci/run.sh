@@ -54,6 +54,16 @@ print("  index nodes read: batched %d, per-row %d" % (batched, per_row))
 if batched > per_row:
     sys.exit("batched INSERT read more B+-tree nodes than per-row")
 '
+  # Join probe window: the tile join returns the same non-zero row count
+  # at every worker count.  A count, not a time, so it holds on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_parallel.json"))
+rows = {j["workers"]: j["rows"] for j in r["join"]}
+print("  join rows by workers: %s" % rows)
+if len(set(rows.values())) != 1 or 0 in rows.values():
+    sys.exit("join row count differs across worker counts or is zero")
+'
 )
 
 echo "==> fault smoke (EXTIDX_BENCH_SMOKE=1: fail-point sweep at tiny scale)"

@@ -89,7 +89,7 @@ void ForEachMetric(const StorageMetrics& m, Fn&& fn) {
 }
 
 // The live counters: same fields as StorageMetrics, atomically updatable.
-// Increments from pool workers (scan prefetch, parallel build/join) and the
+// Increments from pool workers (domain-index join probes) and the
 // consumer thread interleave; Snapshot() reads a consistent-enough view for
 // accounting (individual loads are atomic; cross-counter skew is acceptable
 // for benchmarking, exactly like Oracle's v$ views).

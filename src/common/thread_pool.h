@@ -13,9 +13,9 @@
 
 namespace exi {
 
-// Fixed-function worker pool shared by the parallel domain-index build,
-// scan prefetch, and parallel domain-index joins (DESIGN.md §5).  Tasks
-// are plain closures; results travel back through std::future.
+// Fixed-function worker pool.  Its one engine user is the domain-index
+// join's probe window (DESIGN.md §5); builds and index scans are serial.
+// Tasks are plain closures; results travel back through std::future.
 //
 // The pool is deliberately dumb: no priorities, no work stealing, FIFO
 // dispatch.  Callers size their fan-out with the session `parallelism`

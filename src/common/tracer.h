@@ -20,9 +20,9 @@ namespace exi {
 // emitters.
 //
 // Concurrency: recording happens from the consumer thread and from pool
-// workers (parallel build inserts, scan prefetch, join probes — DESIGN.md
-// §5).  The tracer shards its tables by thread so workers almost never
-// contend; Snapshot() merges the shards into one consistent-enough view —
+// workers (domain-index join probes — DESIGN.md §5).  The tracer shards
+// its tables by thread so workers almost never contend; Snapshot() merges
+// the shards into one consistent-enough view —
 // per-entry counts are exact (each increment lands in exactly one shard),
 // cross-entry skew is acceptable, exactly like Oracle's v$ views.
 

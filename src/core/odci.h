@@ -238,8 +238,9 @@ struct OdciCapabilities {
 
   // Start/Fetch/Close touch only per-scan state (the OdciScanContext /
   // its workspace) plus read-only server callbacks, so distinct scans of
-  // the same index may run concurrently on pool threads (scan prefetch,
-  // parallel domain-index join probes).  Per §2.2.3 the scan context is
+  // the same index may run concurrently on pool threads.  The engine uses
+  // it for one thing: concurrent domain-index join probes.  Plain index
+  // scans are serial at every parallelism.  Per §2.2.3 the scan context is
   // already per-scan; this flag additionally promises no mutable globals
   // or non-atomic shared counters in the scan path.
   bool parallel_scan = false;

@@ -22,11 +22,11 @@ namespace exi {
 // domain index get distinct handles ("multiple sets of invocations of
 // operators can be interleaved", §2.2.3).
 //
-// The registry is internally synchronized: scan prefetch and parallel
-// domain-index joins allocate/release workspaces from pool threads
-// (DESIGN.md §5).  Workspace *contents* are not locked here — a workspace
-// is touched by at most one in-flight routine per scan, which the
-// framework's one-outstanding-Fetch-per-scan discipline guarantees.
+// The registry is internally synchronized: parallel domain-index join
+// probes allocate/release workspaces from pool threads (DESIGN.md §5).
+// Workspace *contents* are not locked here — a workspace is touched by at
+// most one in-flight routine per scan, because each scan's
+// Start/Fetch*/Close runs on one thread at a time.
 class ScanWorkspaceRegistry {
  public:
   ScanWorkspaceRegistry() = default;

@@ -45,9 +45,8 @@ class Connection {
 
   Database* db() { return db_; }
 
-  // Session knob: degree of parallelism for scan prefetch, slice fan-out
-  // and join probes (DESIGN.md §5).  Forwards to the database; 1 =
-  // strictly serial.
+  // Session knob: degree of parallelism for domain-index join probes
+  // (DESIGN.md §5).  Forwards to the database; 1 = strictly serial.
   void set_parallelism(size_t n) { db_->set_parallelism(n); }
   size_t parallelism() const { return db_->parallelism(); }
 

@@ -19,9 +19,9 @@ namespace exi {
 // catalog, then SQL DDL creates the corresponding schema objects.
 //
 // Single-session; open one Connection at a time.  The session itself is
-// single-threaded, but with parallelism > 1 the engine farms read-only
-// domain-index work (scan prefetch, slice fan-out, join probes) out to a
-// shared worker pool — see DESIGN.md §5 for the concurrency model.
+// single-threaded, but with parallelism > 1 the engine runs domain-index
+// join probes on a shared worker pool — see DESIGN.md §5 for the
+// concurrency model.
 class Database {
  public:
   Database();
@@ -47,10 +47,10 @@ class Database {
   size_t fetch_batch_size() const { return fetch_batch_size_; }
   void set_fetch_batch_size(size_t n) { fetch_batch_size_ = n ? n : 1; }
 
-  // Degree of parallelism for scan prefetch, LOCAL slice fan-out and
-  // domain-index join probes (DESIGN.md §5).  1 (the default) keeps every
-  // path strictly serial — byte-identical results and EXPLAIN output to the
-  // pre-parallelism engine.  Index builds are serial at any setting.
+  // Degree of parallelism for domain-index join probes (DESIGN.md §5).
+  // 1 (the default) keeps every path strictly serial — byte-identical
+  // results and EXPLAIN output to the pre-parallelism engine.  Index
+  // builds and index scans are serial at any setting.
   size_t parallelism() const { return parallelism_; }
   void set_parallelism(size_t n) { parallelism_ = n ? n : 1; }
 

@@ -41,8 +41,8 @@ int64_t NowUs() {
 }
 
 // One slice's full ODCIIndexStart/Fetch*/Close cycle, appending its rows to
-// `out` (ancillary values padded with NULL to one per row).  Runs a
-// DomainIndexScanNode fan-out task and each slice of a join probe.
+// `out` (ancillary values padded with NULL to one per row).  Runs each
+// slice of a DomainIndexJoinNode probe.
 Status DrainSlice(DomainIndexManager* manager, const std::string& index,
                   const OdciPredInfo& pred, uint32_t segment,
                   size_t batch_size, OdciFetchBatch* out) {
@@ -216,33 +216,13 @@ DomainIndexScanNode::DomainIndexScanNode(DomainIndexManager* manager,
                                          const HeapTable* table,
                                          std::string index_name,
                                          OdciPredInfo pred, SegmentList slices,
-                                         size_t batch_size, size_t parallelism)
+                                         size_t batch_size)
     : manager_(manager),
       table_(table),
       index_name_(std::move(index_name)),
       pred_(std::move(pred)),
       slices_(std::move(slices)),
-      batch_size_(batch_size),
-      parallelism_(parallelism ? parallelism : 1) {}
-
-bool DomainIndexScanNode::parallel_capable() const {
-  return parallelism_ > 1 && manager_->ScanIsParallelSafe(index_name_);
-}
-
-void DomainIndexScanNode::IssuePrefetch() {
-  inflight_ = ThreadPool::Global().Submit(
-      [scan = scan_.get(), n = batch_size_, out = &next_batch_]() -> Status {
-        return scan->NextBatch(n, out);
-      });
-}
-
-Status DomainIndexScanNode::OpenSlice() {
-  EXI_ASSIGN_OR_RETURN(
-      scan_, manager_->StartScan(index_name_, pred_,
-                                 slices_.segments[next_slice_++]));
-  if (prefetch_) IssuePrefetch();
-  return Status::OK();
-}
+      batch_size_(batch_size) {}
 
 Status DomainIndexScanNode::OpenImpl() {
   slices_.CountScan();
@@ -250,74 +230,26 @@ Status DomainIndexScanNode::OpenImpl() {
   scan_.reset();
   batch_ = OdciFetchBatch();
   batch_pos_ = 0;
-  fan_out_.clear();
-  const bool parallel = parallel_capable();
-  const size_t n = slices_.segments.size();
-  prefetch_ = parallel && n == 1;
-  if (parallel) ThreadPool::Global().EnsureWorkerCount(parallelism_);
-  if (parallel && n > 1) {
-    // Slice-wise fan-out: each pool task drives one slice's full
-    // ODCIIndexStart/Fetch*/Close cycle.
-    for (uint32_t segment : slices_.segments) {
-      fan_out_.push_back(ThreadPool::Global().Submit(
-          [manager = manager_, index = index_name_, segment, pred = pred_,
-           batch = batch_size_]() -> Result<OdciFetchBatch> {
-            OdciFetchBatch all;
-            EXI_RETURN_IF_ERROR(
-                DrainSlice(manager, index, pred, segment, batch, &all));
-            return all;
-          }));
-    }
-    next_slice_ = n;
-    return Status::OK();
-  }
-  if (n > 0) return OpenSlice();
   return Status::OK();
-}
-
-Status DomainIndexScanNode::MergeFanOut() {
-  Status failed = Status::OK();
-  for (auto& f : fan_out_) {
-    Result<OdciFetchBatch> r = f.get();
-    if (!r.ok()) {
-      if (failed.ok()) failed = r.status();
-      continue;
-    }
-    batch_.rids.insert(batch_.rids.end(), r->rids.begin(), r->rids.end());
-    batch_.ancillary.insert(batch_.ancillary.end(), r->ancillary.begin(),
-                            r->ancillary.end());
-  }
-  fan_out_.clear();
-  return failed;
 }
 
 Result<bool> DomainIndexScanNode::RefillBatch() {
   while (true) {
     if (scan_ == nullptr) {
       if (next_slice_ >= slices_.segments.size()) return false;
-      EXI_RETURN_IF_ERROR(OpenSlice());
+      EXI_ASSIGN_OR_RETURN(
+          scan_, manager_->StartScan(index_name_, pred_,
+                                     slices_.segments[next_slice_++]));
     }
-    if (prefetch_) {
-      // Take the batch the pool worker fetched while we were draining the
-      // previous one, and immediately start on the one after.
-      EXI_RETURN_IF_ERROR(inflight_.get());
-      batch_ = std::move(next_batch_);
-      next_batch_ = OdciFetchBatch();
-    } else {
-      EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
-    }
+    EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
     batch_pos_ = 0;
-    if (!batch_.end_of_scan()) {
-      if (prefetch_) IssuePrefetch();
-      return true;
-    }
+    if (!batch_.end_of_scan()) return true;
     EXI_RETURN_IF_ERROR(scan_->Close());
     scan_.reset();
   }
 }
 
 Result<bool> DomainIndexScanNode::NextImpl(ExecRow* out) {
-  if (!fan_out_.empty()) EXI_RETURN_IF_ERROR(MergeFanOut());
   while (true) {
     if (batch_pos_ >= batch_.rids.size()) {
       EXI_ASSIGN_OR_RETURN(bool more, RefillBatch());
@@ -339,10 +271,6 @@ Result<bool> DomainIndexScanNode::NextImpl(ExecRow* out) {
 }
 
 Status DomainIndexScanNode::CloseImpl() {
-  // Join outstanding pool work before closing the scan under it.
-  if (inflight_.valid()) (void)inflight_.get();
-  for (auto& f : fan_out_) (void)f.get();
-  fan_out_.clear();
   if (scan_ != nullptr) {
     Status st = scan_->Close();
     scan_.reset();
@@ -352,14 +280,9 @@ Status DomainIndexScanNode::CloseImpl() {
 }
 
 std::string DomainIndexScanNode::Describe() const {
-  std::string desc =
-      (slices_.partitions ? "PartitionedIndexScan(" : "DomainIndexScan(") +
-      index_name_ + ", op=" + pred_.operator_name + slices_.Suffix(", ") +
-      ", batch=" + std::to_string(batch_size_);
-  if (parallel_capable()) {
-    desc += slices_.segments.size() > 1 ? ", parallel" : ", prefetch";
-  }
-  return desc + ")";
+  return (slices_.partitions ? "PartitionedIndexScan(" : "DomainIndexScan(") +
+         index_name_ + ", op=" + pred_.operator_name + slices_.Suffix(", ") +
+         ", batch=" + std::to_string(batch_size_) + ")";
 }
 
 // ---- FilterNode ----

@@ -42,7 +42,7 @@ class ExecNode {
   // Runtime statistics for one node, Postgres EXPLAIN ANALYZE semantics:
   // `elapsed_us` and `storage` are inclusive of time/work in descendants
   // (the storage window spans Open..Close, so work done by pool workers on
-  // this node's behalf — prefetch, parallel probes — is included too).
+  // this node's behalf — parallel join probes — is included too).
   struct NodeStats {
     uint64_t loops = 0;       // completed Open() invocations
     uint64_t rows = 0;        // rows produced across all loops
@@ -152,19 +152,16 @@ class RowIdListScanNode : public ExecNode {
 // pipelined into base-table fetches.  `batch_size` is the ODCIIndexFetch
 // batch size (§2.5 batch interface).
 //
-// With `parallelism` == 1, or a cartridge without parallel_scan, slices
-// scan serially on the consumer thread.  Otherwise:
-//   - one slice double-buffers: while the consumer drains batch N, a pool
-//     task runs the ODCIIndexFetch for batch N+1 (at most one outstanding
-//     fetch — the Scan object is never touched by two threads at once);
-//   - several slices fan out across the pool, one task driving each
-//     slice's full scan, merged in slice order.
+// Scans are incremental and serial at every parallelism: a slice is
+// started only when the previous one is exhausted, and a batch is fetched
+// only when the consumer has drained the last one, all on the consumer
+// thread.  A LIMIT or first-row query therefore does no ODCI work past the
+// rows it takes.
 class DomainIndexScanNode : public ExecNode {
  public:
   DomainIndexScanNode(DomainIndexManager* manager, const HeapTable* table,
                       std::string index_name, OdciPredInfo pred,
-                      SegmentList slices, size_t batch_size = 64,
-                      size_t parallelism = 1);
+                      SegmentList slices, size_t batch_size = 64);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -172,15 +169,9 @@ class DomainIndexScanNode : public ExecNode {
   std::string Describe() const override;
 
  private:
-  bool parallel_capable() const;
-  // Starts the scan of the next slice (and its first prefetch).
-  Status OpenSlice();
-  // Refills batch_, moving on to the next slice as each one ends; false
+  // Refills batch_, starting the next slice's scan as each one ends; false
   // once the last slice is exhausted.
   Result<bool> RefillBatch();
-  void IssuePrefetch();
-  // Drains the fan-out tasks into batch_, in slice order.
-  Status MergeFanOut();
 
   DomainIndexManager* manager_;
   const HeapTable* table_;
@@ -188,22 +179,12 @@ class DomainIndexScanNode : public ExecNode {
   OdciPredInfo pred_;
   SegmentList slices_;
   size_t batch_size_;
-  size_t parallelism_;
 
-  // Serial / prefetch path: one live slice scan at a time.
+  // One live slice scan at a time.
   size_t next_slice_ = 0;
   std::unique_ptr<DomainIndexManager::Scan> scan_;
   OdciFetchBatch batch_;
   size_t batch_pos_ = 0;
-
-  // Prefetch state: `inflight_` is valid() iff a pool task is filling
-  // `next_batch_`; the consumer must get() before touching it.
-  bool prefetch_ = false;
-  std::future<Status> inflight_;
-  OdciFetchBatch next_batch_;
-
-  // Fan-out path: each future holds one slice's fully drained stream.
-  std::vector<std::future<Result<OdciFetchBatch>>> fan_out_;
 };
 
 // ---- relational operators ----

@@ -625,16 +625,15 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
         OdciPredInfo pred = dm->pred;
         DomainIndexManager* domains = domains_;
         size_t batch = fetch_batch_;
-        size_t dop = parallelism_;
         c.cost = CostModel::DomainIndexScan(odci_cost, matches, nb, nu);
         c.desc =
             (scan.partitions ? "PartitionedDomainIndex(" : "DomainIndex(") +
             idx->name + ") op=" + dm->operator_name +
             " sel=" + std::to_string(sel) + scan.Suffix(" ");
-        c.build = [domains, heap, index_name, pred, scan, batch,
-                   dop]() -> Result<std::unique_ptr<ExecNode>> {
+        c.build = [domains, heap, index_name, pred, scan,
+                   batch]() -> Result<std::unique_ptr<ExecNode>> {
           return std::unique_ptr<ExecNode>(new DomainIndexScanNode(
-              domains, heap, index_name, pred, scan, batch, dop));
+              domains, heap, index_name, pred, scan, batch));
         };
         candidates.push_back(std::move(c));
       }

@@ -37,9 +37,9 @@ class Planner {
  public:
   // `default_fetch_batch` is the ODCIIndexFetch batch size used by
   // domain-index scan nodes (experiment E7 sweeps it).  `parallelism` is
-  // the session's degree of parallelism (DESIGN.md §5): >1 enables scan
-  // prefetch and windowed join probes on capable cartridges; 1 keeps every
-  // plan on the serial path.  `stats_cache` memoizes ODCIStats answers
+  // the session's degree of parallelism (DESIGN.md §5): >1 widens the
+  // domain-index join's probe window on capable cartridges; index scans
+  // are serial at every setting.  `stats_cache` memoizes ODCIStats answers
   // per slice across statements (the Database owns it).
   Planner(Catalog* catalog, DomainIndexManager* domains,
           size_t default_fetch_batch, size_t parallelism,

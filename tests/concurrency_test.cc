@@ -1,8 +1,9 @@
 // Concurrency tests for the worker-pool execution paths (DESIGN.md §5):
 // simultaneous domain-index scans from pool threads must match a serial
 // scan exactly, an index built at parallelism 4 must equal one built at
-// parallelism 1, and parallel domain-index joins must emit the same rows
-// in the same order as the serial plan.
+// parallelism 1, parallel domain-index joins must emit the same rows in
+// the same order as the serial plan, and a plain index scan does the same
+// ODCI work at every parallelism.
 //
 // Build with -DEXTIDX_SANITIZE=thread to run these under TSan.
 
@@ -279,7 +280,7 @@ TEST(ParallelBuildTest, EverySliceBuildsWithOneCreateAtParallelism4) {
   }
 }
 
-// ---- parallel query equivalence (prefetch + windowed join probes) ----
+// ---- parallel query equivalence (serial scans + windowed join probes) ----
 
 class ParallelQueryTest : public ::testing::Test {
  protected:
@@ -292,7 +293,7 @@ class ParallelQueryTest : public ::testing::Test {
   Connection conn_;
 };
 
-TEST_F(ParallelQueryTest, PrefetchedScanMatchesSerial) {
+TEST_F(ParallelQueryTest, ScanMatchesSerialAtParallelism4) {
   ASSERT_TRUE(
       workload::BuildTextTable(&conn_, "docs", 500, 20, 400, 0.8, 13).ok());
   conn_.MustExecute(
@@ -333,26 +334,88 @@ TEST_F(ParallelQueryTest, ParallelJoinMatchesSerialRowForRow) {
   }
 }
 
-TEST_F(ParallelQueryTest, SerialExplainCarriesNoParallelMarkers) {
+// A plain index scan is one serial slice loop at every parallelism, so
+// its EXPLAIN carries no parallel marker; the tile join's probe window
+// does, and only above parallelism 1.
+TEST_F(ParallelQueryTest, ScanExplainIsTheSameAtEveryParallelism) {
   ASSERT_TRUE(
       workload::BuildTextTable(&conn_, "docs", 100, 15, 200, 0.8, 23).ok());
+  ASSERT_TRUE(
+      workload::BuildSpatialTable(&conn_, "roads", 30, 500.0, 17).ok());
+  ASSERT_TRUE(
+      workload::BuildSpatialTable(&conn_, "parks", 60, 300.0, 19).ok());
   conn_.MustExecute(
       "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType");
-  conn_.MustExecute("ANALYZE docs");
-  const std::string q =
+  conn_.MustExecute(
+      "CREATE INDEX p_tile ON parks(geometry) INDEXTYPE IS SpatialIndexType");
+  for (const char* table : {"docs", "roads", "parks"}) {
+    conn_.MustExecute(std::string("ANALYZE ") + table);
+  }
+  const std::string scan =
       "EXPLAIN SELECT id FROM docs WHERE Contains(body, 'w0')";
-  QueryResult serial = conn_.MustExecute(q);
-  EXPECT_EQ(serial.message.find("prefetch"), std::string::npos);
-  EXPECT_EQ(serial.message.find("parallel"), std::string::npos);
-
+  const std::string join =
+      "EXPLAIN SELECT r.gid, p.gid FROM roads r, parks p "
+      "WHERE Sdo_Relate(p.geometry, r.geometry, 'mask=ANYINTERACT')";
+  QueryResult scan1 = conn_.MustExecute(scan);
+  QueryResult join1 = conn_.MustExecute(join);
   db_.set_parallelism(4);
-  QueryResult parallel = conn_.MustExecute(q);
-  EXPECT_NE(parallel.message.find("prefetch"), std::string::npos);
+  QueryResult scan4 = conn_.MustExecute(scan);
+  QueryResult join4 = conn_.MustExecute(join);
 
-  // Dropping back to 1 restores the exact serial EXPLAIN text.
-  db_.set_parallelism(1);
-  QueryResult again = conn_.MustExecute(q);
-  EXPECT_EQ(serial.message, again.message);
+  EXPECT_NE(scan1.message.find("DomainIndexScan(docs_text"),
+            std::string::npos)
+      << scan1.message;
+  EXPECT_EQ(scan1.message, scan4.message);
+  EXPECT_EQ(scan4.message.find("parallel"), std::string::npos);
+
+  EXPECT_NE(join1.message.find("DomainIndexJoin("), std::string::npos)
+      << join1.message;
+  EXPECT_EQ(join1.message.find("parallel"), std::string::npos);
+  EXPECT_NE(join4.message.find("parallel=4"), std::string::npos)
+      << join4.message;
+}
+
+// A LIMIT scan starts, fetches and closes only what its first rows need,
+// whatever the parallelism: a LOCAL index opens one slice, not all four,
+// and a global index fetches no batch ahead of the consumer.
+TEST_F(ParallelQueryTest, LimitScanDoesTheSameOdciWorkAtEveryParallelism) {
+  ASSERT_TRUE(
+      workload::BuildTextTable(&conn_, "flat", 2000, 20, 400, 0.8, 29).ok());
+  conn_.MustExecute(
+      "CREATE TABLE part (id INTEGER, body VARCHAR(4000)) "
+      "PARTITION BY HASH (id) PARTITIONS 4");
+  for (auto it = (*db_.catalog().GetTable("flat"))->Scan(); it.Valid();
+       it.Next()) {
+    ASSERT_TRUE(db_.InsertRow("part", it.row(), nullptr).ok());
+  }
+  for (const char* table : {"flat", "part"}) {
+    SCOPED_TRACE(table);
+    conn_.MustExecute(std::string("CREATE INDEX ") + table +
+                      "_text ON " + table +
+                      "(body) INDEXTYPE IS TextIndexType");
+    conn_.MustExecute(std::string("ANALYZE ") + table);
+    const std::string q = std::string("SELECT id FROM ") + table +
+                          " WHERE Contains(body, 'w1') LIMIT 5";
+    // Start/Fetch/Close counts from the tracer, the ledger V$ODCI_CALLS
+    // reads.
+    std::map<size_t, std::vector<uint64_t>> calls;
+    for (size_t dop : {1, 4}) {
+      db_.set_parallelism(dop);
+      EXPECT_NE(conn_.MustExecute("EXPLAIN " + q).message.find("DomainIndex"),
+                std::string::npos);
+      TracerSnapshot before = Tracer::Global().Snapshot();
+      EXPECT_EQ(conn_.MustExecute(q).rows.size(), 5u);
+      TracerSnapshot window = TracerDelta(Tracer::Global().Snapshot(), before);
+      for (const char* routine :
+           {"ODCIIndexStart", "ODCIIndexFetch", "ODCIIndexClose"}) {
+        calls[dop].push_back(CallsIn(window, routine));
+      }
+    }
+    db_.set_parallelism(1);
+    EXPECT_EQ(calls[1], calls[4]);
+    EXPECT_EQ(calls[1][0], 1u) << "one slice started";
+    EXPECT_EQ(calls[1][2], 1u) << "one slice closed";
+  }
 }
 
 }  // namespace

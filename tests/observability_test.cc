@@ -242,8 +242,8 @@ TEST_F(ObservabilityTest, VOdciCallsSumPreservingAtParallelism4) {
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexCreateStorage"), 0);
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexInsert"), 0);
 
-  // Scans under prefetch run on pool workers and still pair Start/Close
-  // exactly: the worker shards merge without losing a call.
+  // A scan at parallelism 4 is the same serial Start/Fetch*/Close cycle
+  // as at parallelism 1, so Start and Close pair exactly.
   QueryResult direct = conn_.MustExecute(
       "SELECT id FROM docs WHERE Contains(body, 'w2')");
   ASSERT_GT(direct.rows.size(), 0u);

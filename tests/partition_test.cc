@@ -1,11 +1,12 @@
 // Partitioned tables with LOCAL domain indexes (DESIGN.md §7): partition
 // DDL and catalog metadata, DML routing into partition segments, static
 // partition pruning in the planner, per-partition index slices with O(1)
-// partition-level maintenance, and partition-wise parallel scans.
+// partition-level maintenance, and slice-by-slice scans that match at
+// every parallelism.
 //
 // The Tracer and GlobalMetrics are process-wide, so tests that assert
 // exact counts reset the tracer / snapshot the metrics first; tests in
-// this binary run serially (the parallel-scan cases spawn their own pool
+// this binary run serially (the parallel-join cases spawn their own pool
 // work internally and are TSan-clean).
 
 #include <gtest/gtest.h>
@@ -542,7 +543,7 @@ TEST_F(PartitionTest, ParallelPartitionScanMatchesSerial) {
   QueryResult parallel = conn_.MustExecute(q);
   db_.set_parallelism(1);
 
-  // The fan-out merges partition slices in partition order, so the row
+  // Slices scan in partition order at every parallelism, so the row
   // stream matches the serial plan exactly (not just as a set).
   ASSERT_EQ(parallel.rows.size(), serial.rows.size());
   for (size_t i = 0; i < serial.rows.size(); ++i) {
