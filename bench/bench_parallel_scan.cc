@@ -10,7 +10,6 @@
 // Result rows and ODCIIndexStart calls sit next to each time: both are
 // counts, so they must agree across worker counts on any host.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,14 +32,6 @@ struct Sweep {
   std::vector<double> ms;
   uint64_t rows = 0;
   uint64_t starts = 0;  // ODCIIndexStart calls in one run
-
-  double Median() const {
-    std::vector<double> s = ms;
-    std::sort(s.begin(), s.end());
-    return s[s.size() / 2];
-  }
-  double Min() const { return *std::min_element(ms.begin(), ms.end()); }
-  double Max() const { return *std::max_element(ms.begin(), ms.end()); }
 };
 
 uint64_t StartCalls(const TracerSnapshot& window) {
@@ -94,20 +85,21 @@ int main() {
               (unsigned long long)roads, (unsigned long long)parks, kRepeats);
   std::printf("%8s | %10s %10s %10s | %8s %8s | %8s\n", "workers",
               "median_ms", "min_ms", "max_ms", "rows", "starts", "speedup");
-  const double base = sweeps.front().Median();
+  const double base = SpreadOf(sweeps.front().ms).median;
   std::string json = "[";
   for (const Sweep& s : sweeps) {
+    const Spread<double> t = SpreadOf(s.ms);
     std::printf("%8zu | %10.1f %10.1f %10.1f | %8llu %8llu | %7.2fx\n",
-                s.workers, s.Median(), s.Min(), s.Max(),
+                s.workers, t.median, t.min, t.max,
                 (unsigned long long)s.rows, (unsigned long long)s.starts,
-                base / s.Median());
+                base / t.median);
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"workers\": %zu, \"ms_median\": %.1f, \"ms_min\": "
                   "%.1f, \"ms_max\": %.1f, \"rows\": %llu, \"odci_starts\": "
                   "%llu}",
-                  json.size() > 1 ? ", " : "", s.workers, s.Median(),
-                  s.Min(), s.Max(), (unsigned long long)s.rows,
+                  json.size() > 1 ? ", " : "", s.workers, t.median, t.min,
+                  t.max, (unsigned long long)s.rows,
                   (unsigned long long)s.starts);
     json += buf;
   }
@@ -121,7 +113,8 @@ int main() {
   report.Add("inner_rows", parks);
   report.Add("repeats", uint64_t(kRepeats));
   report.AddRaw("join", json);
-  report.Add("join_speedup_4_workers", base / sweeps.back().Median());
+  report.Add("join_speedup_4_workers",
+             base / SpreadOf(sweeps.back().ms).median);
   if (!report.Write()) return 1;
   return 0;
 }

@@ -10,7 +10,6 @@
 //  (c) planner ODCIStats memoization — a repeated identical query plans
 //      with zero ODCIStatsSelectivity/IndexCost calls (V$ODCI_CALLS flat).
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,18 +31,6 @@ uint64_t StatsCalls(const TracerSnapshot& window) {
     if (key.second.rfind("ODCIStats", 0) == 0) calls += stats.calls;
   }
   return calls;
-}
-
-// Median, min and max of repeated timings.
-struct Spread {
-  int64_t median;
-  int64_t min;
-  int64_t max;
-};
-
-Spread SpreadOf(std::vector<int64_t> us) {
-  std::sort(us.begin(), us.end());
-  return {us[us.size() / 2], us.front(), us.back()};
 }
 
 std::string DocBody(uint64_t i) {
@@ -181,9 +168,9 @@ int main() {
     const uint64_t batch_calls = batch.odci_maintenance_calls;
     double call_reduction =
         double(serial_calls) / double(batch_calls == 0 ? 1 : batch_calls);
-    Spread serial_t = SpreadOf(serial_us);
-    Spread batch_t = SpreadOf(batch_us);
-    Spread rollback_t = SpreadOf(rollback_us);
+    Spread<int64_t> serial_t = SpreadOf(serial_us);
+    Spread<int64_t> batch_t = SpreadOf(batch_us);
+    Spread<int64_t> rollback_t = SpreadOf(rollback_us);
     std::printf(
         "(b) %llu rows, %zu repeats, median [min-max] us:\n"
         "    per-row: %llu maintenance calls, %llu index nodes read, "

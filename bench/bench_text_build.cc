@@ -11,7 +11,6 @@
 // written, B+-tree nodes read) and the row count of a query through the
 // index.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -41,7 +40,7 @@ struct BuildCase {
 struct BuildStats {
   const char* cartridge = "";
   uint64_t rows = 0;
-  std::vector<double> ms;  // one per repetition, sorted
+  Spread<double> ms{};
   uint64_t entries_written = 0;
   uint64_t nodes_read = 0;
   size_t query_rows = 0;
@@ -52,22 +51,23 @@ BuildStats Measure(Connection& conn, const BuildCase& c) {
   BuildStats stats;
   stats.cartridge = c.cartridge;
   stats.rows = c.rows;
+  std::vector<double> ms;
   for (int rep = 0; rep < kReps; ++rep) {
     MetricsWindow window;
     Timer timer;
     conn.MustExecute(c.create);
-    stats.ms.push_back(timer.ElapsedMs());
+    ms.push_back(timer.ElapsedMs());
     StorageMetrics delta = window.Delta();
     stats.entries_written = delta.index_entries_written;
     stats.nodes_read = delta.index_nodes_read;
     stats.query_rows = conn.MustExecute(c.query).rows.size();
     conn.MustExecute("DROP INDEX bx");
   }
-  std::sort(stats.ms.begin(), stats.ms.end());
+  stats.ms = SpreadOf(ms);
   std::printf("%-12s %8llu | %10.1f %10.1f %10.1f | %12llu %12llu | %7zu\n",
               stats.cartridge, (unsigned long long)stats.rows,
-              stats.ms[stats.ms.size() / 2], stats.ms.front(),
-              stats.ms.back(), (unsigned long long)stats.entries_written,
+              stats.ms.median, stats.ms.min, stats.ms.max,
+              (unsigned long long)stats.entries_written,
               (unsigned long long)stats.nodes_read, stats.query_rows);
   return stats;
 }
@@ -135,11 +135,11 @@ int main() {
     std::snprintf(
         buf, sizeof(buf),
         "%s\n    {\"cartridge\": \"%s\", \"rows\": %llu, \"parallelism\": 1, "
-        "\"reps\": %zu, \"build_ms_median\": %.1f, \"build_ms_min\": %.1f, "
+        "\"reps\": %d, \"build_ms_median\": %.1f, \"build_ms_min\": %.1f, "
         "\"build_ms_max\": %.1f, \"index_entries_written\": %llu, "
         "\"index_nodes_read\": %llu, \"query_rows\": %zu}",
         i == 0 ? "" : ",", s.cartridge, (unsigned long long)s.rows,
-        s.ms.size(), s.ms[s.ms.size() / 2], s.ms.front(), s.ms.back(),
+        kReps, s.ms.median, s.ms.min, s.ms.max,
         (unsigned long long)s.entries_written,
         (unsigned long long)s.nodes_read, s.query_rows);
     builds += buf;

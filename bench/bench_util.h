@@ -47,6 +47,20 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+// Median, min and max of one configuration's repeated measurements.
+template <typename T>
+struct Spread {
+  T median;
+  T min;
+  T max;
+};
+
+template <typename T>
+Spread<T> SpreadOf(std::vector<T> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
 // Captures a metrics window.
 class MetricsWindow {
  public:

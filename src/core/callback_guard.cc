@@ -238,8 +238,9 @@ Status GuardedServerContext::SnapshotLobForUndo(LobId id) {
   // O(#chunks) pointer copy: chunks stay shared with the live LOB until a
   // write diverges them (copy-on-write in LobStore).
   EXI_ASSIGN_OR_RETURN(LobStore::LobSnapshot snapshot, lobs->Snapshot(id));
-  txn_->PushUndo([lobs, id, snapshot] {
+  txn_->PushUndo([txn = txn_, lobs, id, snapshot] {
     if (lobs->Exists(id)) (void)lobs->Restore(id, snapshot);
+    txn->ForgetLobTouched(id);
   });
   return Status::OK();
 }

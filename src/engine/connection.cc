@@ -173,7 +173,7 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
     case StmtKind::kDelete:
       return RunDelete(static_cast<sql::DeleteStmt*>(stmt));
     case StmtKind::kSelect:
-      return RunSelect(static_cast<sql::SelectStmt*>(stmt));
+      return RunQuery(static_cast<sql::SelectStmt*>(stmt), nullptr);
     case StmtKind::kBegin: {
       EXI_RETURN_IF_ERROR(db_->txns().Begin());
       QueryResult r;
@@ -192,8 +192,13 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
       r.message = "rolled back";
       return r;
     }
-    case StmtKind::kExplain:
-      return RunExplain(static_cast<sql::ExplainStmt*>(stmt));
+    case StmtKind::kExplain: {
+      auto* s = static_cast<sql::ExplainStmt*>(stmt);
+      if (s->inner->kind != StmtKind::kSelect) {
+        return Status::NotSupported("EXPLAIN supports SELECT only");
+      }
+      return RunQuery(static_cast<sql::SelectStmt*>(s->inner.get()), s);
+    }
     case StmtKind::kSet: {
       auto* s = static_cast<sql::SetStmt*>(stmt);
       QueryResult r;
@@ -214,6 +219,10 @@ Result<QueryResult> Connection::Dispatch(Statement* stmt) {
 }
 
 Result<QueryResult> Connection::RunCreateTable(sql::CreateTableStmt* stmt) {
+  if (Database::IsSystemView(stmt->table)) {
+    return Status::InvalidArgument("cannot create table " + stmt->table +
+                                   ": the name belongs to a system view");
+  }
   Schema schema;
   for (const sql::ColumnDef& def : stmt->columns) {
     EXI_ASSIGN_OR_RETURN(DataType type, DataType::FromString(def.type_text));
@@ -562,8 +571,22 @@ Planner Connection::MakePlanner() {
                  db_->parallelism(), &db_->planner_stats());
 }
 
+Result<QueryResult> Connection::RunQuery(sql::SelectStmt* stmt,
+                                         const sql::ExplainStmt* explain) {
+  std::vector<std::string> tables;
+  for (const sql::TableRef& ref : stmt->from) tables.push_back(ref.table);
+  Database::SystemViewScope views(db_);
+  EXI_RETURN_IF_ERROR(views.Materialize(tables));
+  if (explain == nullptr) return RunSelect(stmt);
+  if (explain->analyze) return RunExplainAnalyze(stmt);
+  Planner planner = MakePlanner();
+  EXI_ASSIGN_OR_RETURN(PlannedSelect plan, planner.PlanSelect(stmt));
+  QueryResult r;
+  r.message = plan.explain;
+  return r;
+}
+
 Result<QueryResult> Connection::RunSelect(sql::SelectStmt* stmt) {
-  EXI_RETURN_IF_ERROR(RefreshViewsFor(stmt));
   Planner planner = MakePlanner();
   EXI_ASSIGN_OR_RETURN(PlannedSelect plan, planner.PlanSelect(stmt));
   QueryResult r;
@@ -584,35 +607,7 @@ Result<QueryResult> Connection::RunSelect(sql::SelectStmt* stmt) {
   return r;
 }
 
-Status Connection::RefreshViewsFor(sql::SelectStmt* stmt) {
-  // Lazily materialize dictionary / performance views when a query names
-  // one.  Perf views snapshot the global Tracer and GlobalMetrics at this
-  // moment — cumulative since process start, Oracle v$ semantics.
-  bool dict = false, perf = false;
-  for (const sql::TableRef& ref : stmt->from) {
-    dict = dict || Database::IsDictionaryView(ref.table);
-    perf = perf || Database::IsPerfView(ref.table);
-  }
-  if (dict) EXI_RETURN_IF_ERROR(db_->RefreshDictionaryViews());
-  if (perf) EXI_RETURN_IF_ERROR(db_->RefreshPerfViews());
-  return Status::OK();
-}
-
-Result<QueryResult> Connection::RunExplain(sql::ExplainStmt* stmt) {
-  if (stmt->inner->kind != StmtKind::kSelect) {
-    return Status::NotSupported("EXPLAIN supports SELECT only");
-  }
-  auto* select = static_cast<sql::SelectStmt*>(stmt->inner.get());
-  if (stmt->analyze) return RunExplainAnalyze(select);
-  Planner planner = MakePlanner();
-  EXI_ASSIGN_OR_RETURN(PlannedSelect plan, planner.PlanSelect(select));
-  QueryResult r;
-  r.message = plan.explain;
-  return r;
-}
-
 Result<QueryResult> Connection::RunExplainAnalyze(sql::SelectStmt* stmt) {
-  EXI_RETURN_IF_ERROR(RefreshViewsFor(stmt));
   // Snapshot the ODCI window before planning: ODCIStatsSelectivity /
   // ODCIStatsIndexCost fire while the planner prices domain access paths,
   // and those dispatches belong to this statement.

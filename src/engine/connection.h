@@ -62,8 +62,12 @@ class Connection {
   Result<QueryResult> RunInsert(sql::InsertStmt* stmt);
   Result<QueryResult> RunUpdate(sql::UpdateStmt* stmt);
   Result<QueryResult> RunDelete(sql::DeleteStmt* stmt);
+  // SELECT (explain null), EXPLAIN or EXPLAIN ANALYZE of `stmt`: the one
+  // place a statement's system views are materialized, and dropped again
+  // when it returns.
+  Result<QueryResult> RunQuery(sql::SelectStmt* stmt,
+                               const sql::ExplainStmt* explain);
   Result<QueryResult> RunSelect(sql::SelectStmt* stmt);
-  Result<QueryResult> RunExplain(sql::ExplainStmt* stmt);
   // EXPLAIN ANALYZE: executes the plan with per-node stats collection and
   // renders actual rows/loops/time, the statement's ODCI-call window, and
   // its storage-counter delta.  Result rows are discarded.
@@ -71,9 +75,6 @@ class Connection {
 
   // The statement's planner, configured from the database's session knobs.
   Planner MakePlanner();
-
-  // Materializes any dictionary / perf views the SELECT's FROM list names.
-  Status RefreshViewsFor(sql::SelectStmt* stmt);
 
   // Runs `body` inside a statement-level transaction: commits an implicit
   // transaction on success, rolls back the statement's mutations on error.

@@ -8,11 +8,6 @@
 namespace exi {
 
 namespace {
-constexpr const char* kDictionaryViews[] = {
-    "user_tables", "user_indexes", "user_operators", "user_indextypes"};
-constexpr const char* kPerfViews[] = {"v$odci_calls", "v$storage_metrics",
-                                      "v$partitions", "v$domain_indexes"};
-
 // Routes a row to its owning heap segment: 0 for ordinary tables, else the
 // partition picked by the partition-key value (ORA-14400 when none fits).
 Result<uint32_t> SegmentFor(const std::string& table_name,
@@ -27,246 +22,241 @@ Result<uint32_t> SegmentFor(const std::string& table_name,
                        scheme.Route(row[scheme.key_index]));
   return part->segment_id;
 }
+
+// What every system view is computed from: the catalog as the statement
+// found it and one reading of the tracer and the storage counters.
+struct ViewSources {
+  Catalog& catalog;
+  const TracerSnapshot& traced;
+  const StorageMetrics& metrics;
+};
+
+// One system view: its name, its columns and the function building its
+// rows.  docs-check pins every schema (docs/golden/vdollar_schema.txt).
+struct SystemView {
+  const char* name;
+  std::vector<Column> columns;
+  void (*rows)(const ViewSources&, std::vector<Row>*);
+};
+
+const std::vector<SystemView>& SystemViews() {
+  static const std::vector<SystemView> views = {
+      {"user_tables",
+       {{"table_name", DataType::Varchar(128), true},
+        {"num_rows", DataType::Integer(), true},
+        {"num_columns", DataType::Integer(), true},
+        {"analyzed", DataType::Boolean(), true}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const std::string& name : in.catalog.TableNames()) {
+           TableInfo* info = *in.catalog.GetTableInfo(name);
+           rows->push_back(
+               {Value::Varchar(name),
+                Value::Integer(int64_t(info->heap->row_count())),
+                Value::Integer(int64_t(info->heap->schema().size())),
+                Value::Boolean(info->stats.analyzed)});
+         }
+       }},
+      {"user_indexes",
+       {{"index_name", DataType::Varchar(128), true},
+        {"table_name", DataType::Varchar(128), true},
+        {"column_name", DataType::Varchar(128), false},
+        {"index_type", DataType::Varchar(64), true},
+        {"parameters", DataType::Varchar(1000), false}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const IndexInfo* idx : in.catalog.Indexes()) {
+           rows->push_back(
+               {Value::Varchar(idx->name), Value::Varchar(idx->table),
+                idx->columns.empty() ? Value::Null()
+                                     : Value::Varchar(idx->columns[0]),
+                Value::Varchar(idx->is_domain() ? idx->indextype
+                                                : idx->builtin->kind()),
+                idx->parameters.empty() ? Value::Null()
+                                        : Value::Varchar(idx->parameters)});
+         }
+       }},
+      {"user_operators",
+       {{"operator_name", DataType::Varchar(128), true},
+        {"num_bindings", DataType::Integer(), true}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const OperatorDef* op : in.catalog.Operators()) {
+           rows->push_back({Value::Varchar(op->name),
+                            Value::Integer(int64_t(op->bindings.size()))});
+         }
+       }},
+      {"user_indextypes",
+       {{"indextype_name", DataType::Varchar(128), true},
+        {"implementation", DataType::Varchar(128), true},
+        {"operators", DataType::Varchar(1000), true}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const IndexTypeDef* it : in.catalog.IndexTypes()) {
+           std::vector<std::string> ops;
+           for (const SupportedOperator& so : it->operators) {
+             ops.push_back(so.operator_name);
+           }
+           rows->push_back({Value::Varchar(it->name),
+                            Value::Varchar(it->implementation),
+                            Value::Varchar(Join(ops, ", "))});
+         }
+       }},
+      // One row per traced (indextype, routine).
+      {"v$odci_calls",
+       {{"indextype", DataType::Varchar(128), true},
+        {"cartridge", DataType::Varchar(64), true},
+        {"routine", DataType::Varchar(64), true},
+        {"calls", DataType::Integer(), true},
+        {"errors", DataType::Integer(), true},
+        {"total_us", DataType::Integer(), true},
+        {"avg_us", DataType::Double(), true},
+        {"min_us", DataType::Integer(), true},
+        {"max_us", DataType::Integer(), true},
+        {"p50_us", DataType::Integer(), true},
+        {"p95_us", DataType::Integer(), true}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const auto& [key, stats] : in.traced) {
+           rows->push_back(
+               {Value::Varchar(key.first), Value::Varchar(stats.cartridge),
+                Value::Varchar(key.second),
+                Value::Integer(int64_t(stats.calls)),
+                Value::Integer(int64_t(stats.errors)),
+                Value::Integer(stats.total_us), Value::Double(stats.avg_us()),
+                Value::Integer(stats.min_us), Value::Integer(stats.max_us),
+                Value::Integer(stats.hist.ApproxPercentileUs(0.50)),
+                Value::Integer(stats.hist.ApproxPercentileUs(0.95))});
+         }
+       }},
+      // One row per engine counter.
+      {"v$storage_metrics",
+       {{"metric", DataType::Varchar(64), true},
+        {"value", DataType::Integer(), true}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         ForEachMetric(in.metrics, [&](const char* name, uint64_t value) {
+           rows->push_back(
+               {Value::Varchar(name), Value::Integer(int64_t(value))});
+         });
+       }},
+      // One row per table partition (DESIGN.md §7).  high_value is the RANGE
+      // upper bound ("MAXVALUE" for the catch-all) and NULL for HASH
+      // partitions; local_index_slices counts per-partition domain-index
+      // storage objects.
+      {"v$partitions",
+       {{"table_name", DataType::Varchar(128), true},
+        {"partition_name", DataType::Varchar(128), true},
+        {"method", DataType::Varchar(16), true},
+        {"key_column", DataType::Varchar(128), true},
+        {"high_value", DataType::Varchar(256), false},
+        {"segment_rows", DataType::Integer(), true},
+        {"local_index_slices", DataType::Integer(), true}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const std::string& name : in.catalog.TableNames()) {
+           TableInfo* info = *in.catalog.GetTableInfo(name);
+           const PartitionScheme& scheme = info->partitioning;
+           const bool range = scheme.method == PartitionMethod::kRange;
+           for (const PartitionDef& part : scheme.partitions) {
+             int64_t slices = 0;
+             for (IndexInfo* idx : in.catalog.IndexesOnTable(name)) {
+               if (idx->SliceForSegment(part.segment_id) != nullptr) slices++;
+             }
+             Value high = Value::Null();
+             if (range) {
+               high = Value::Varchar(part.upper_bound.has_value()
+                                         ? part.upper_bound->ToString()
+                                         : "MAXVALUE");
+             }
+             rows->push_back(
+                 {Value::Varchar(name), Value::Varchar(part.name),
+                  Value::Varchar(range ? "RANGE" : "HASH"),
+                  Value::Varchar(scheme.key_column), high,
+                  Value::Integer(
+                      int64_t(info->heap->SegmentRowCount(part.segment_id))),
+                  Value::Integer(slices)});
+           }
+         }
+       }},
+      // One row per domain index, with its lifecycle status
+      // (docs/fault-tolerance.md).  status is the effective status — the
+      // worst across the index's slices — and failed_slices counts slices
+      // currently FAILED or UNUSABLE.  Slice counts describe LOCAL
+      // indexes; a global index reports 0/0.
+      {"v$domain_indexes",
+       {{"index_name", DataType::Varchar(128), true},
+        {"table_name", DataType::Varchar(128), true},
+        {"indextype", DataType::Varchar(128), true},
+        {"status", DataType::Varchar(16), true},
+        {"total_slices", DataType::Integer(), true},
+        {"failed_slices", DataType::Integer(), true},
+        {"retries", DataType::Integer(), true},
+        {"last_error", DataType::Varchar(1000), false}},
+       [](const ViewSources& in, std::vector<Row>* rows) {
+         for (const IndexInfo* idx : in.catalog.Indexes()) {
+           if (!idx->is_domain()) continue;
+           TableInfo* table = *in.catalog.GetTableInfo(idx->table);
+           const bool local = table->partitioning.partitioned();
+           rows->push_back(
+               {Value::Varchar(idx->name), Value::Varchar(idx->table),
+                Value::Varchar(idx->indextype),
+                Value::Varchar(IndexStatusName(idx->effective_status())),
+                Value::Integer(local ? int64_t(idx->slices.size()) : 0),
+                Value::Integer(local ? int64_t(idx->failed_slices()) : 0),
+                Value::Integer(int64_t(idx->retries)),
+                idx->last_error.empty() ? Value::Null()
+                                        : Value::Varchar(idx->last_error)});
+         }
+       }},
+  };
+  return views;
+}
+
 }  // namespace
 
-bool Database::IsDictionaryView(const std::string& table_name) {
-  for (const char* view : kDictionaryViews) {
-    if (EqualsIgnoreCase(table_name, view)) return true;
+bool Database::IsSystemView(const std::string& table_name) {
+  for (const SystemView& view : SystemViews()) {
+    if (EqualsIgnoreCase(table_name, view.name)) return true;
   }
   return false;
 }
 
-Status Database::RefreshDictionaryViews() {
-  // Rebuild from scratch each time; dictionary views are tiny.
-  for (const char* view : kDictionaryViews) {
-    if (catalog_.TableExists(view)) {
-      EXI_RETURN_IF_ERROR(catalog_.DropTable(view));
-    }
-  }
-
-  Schema tables_schema;
-  tables_schema.AddColumn(Column{"table_name", DataType::Varchar(128), true});
-  tables_schema.AddColumn(Column{"num_rows", DataType::Integer(), true});
-  tables_schema.AddColumn(Column{"num_columns", DataType::Integer(), true});
-  tables_schema.AddColumn(Column{"analyzed", DataType::Boolean(), true});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("user_tables", tables_schema));
-
-  Schema indexes_schema;
-  indexes_schema.AddColumn(Column{"index_name", DataType::Varchar(128), true});
-  indexes_schema.AddColumn(Column{"table_name", DataType::Varchar(128), true});
-  indexes_schema.AddColumn(Column{"column_name", DataType::Varchar(128),
-                                  false});
-  indexes_schema.AddColumn(Column{"index_type", DataType::Varchar(64), true});
-  indexes_schema.AddColumn(Column{"parameters", DataType::Varchar(1000),
-                                  false});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("user_indexes", indexes_schema));
-
-  Schema ops_schema;
-  ops_schema.AddColumn(Column{"operator_name", DataType::Varchar(128), true});
-  ops_schema.AddColumn(Column{"num_bindings", DataType::Integer(), true});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("user_operators", ops_schema));
-
-  Schema it_schema;
-  it_schema.AddColumn(Column{"indextype_name", DataType::Varchar(128), true});
-  it_schema.AddColumn(Column{"implementation", DataType::Varchar(128), true});
-  it_schema.AddColumn(Column{"operators", DataType::Varchar(1000), true});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("user_indextypes", it_schema));
-
-  for (const std::string& name : catalog_.TableNames()) {
-    if (IsDictionaryView(name)) continue;
-    TableInfo* info = *catalog_.GetTableInfo(name);
-    EXI_RETURN_IF_ERROR(
-        InsertRow("user_tables",
-                  {Value::Varchar(name),
-                   Value::Integer(int64_t(info->heap->row_count())),
-                   Value::Integer(int64_t(info->heap->schema().size())),
-                   Value::Boolean(info->stats.analyzed)},
-                  nullptr)
-            .status());
-  }
-  for (const IndexInfo* idx : catalog_.Indexes()) {
-    EXI_RETURN_IF_ERROR(
-        InsertRow("user_indexes",
-                  {Value::Varchar(idx->name), Value::Varchar(idx->table),
-                   idx->columns.empty() ? Value::Null()
-                                        : Value::Varchar(idx->columns[0]),
-                   Value::Varchar(idx->is_domain() ? idx->indextype
-                                                   : idx->builtin->kind()),
-                   idx->parameters.empty() ? Value::Null()
-                                           : Value::Varchar(idx->parameters)},
-                  nullptr)
-            .status());
-  }
-  for (const OperatorDef* op : catalog_.Operators()) {
-    EXI_RETURN_IF_ERROR(
-        InsertRow("user_operators",
-                  {Value::Varchar(op->name),
-                   Value::Integer(int64_t(op->bindings.size()))},
-                  nullptr)
-            .status());
-  }
-  for (const IndexTypeDef* it : catalog_.IndexTypes()) {
-    std::vector<std::string> ops;
-    for (const SupportedOperator& so : it->operators) {
-      ops.push_back(so.operator_name);
-    }
-    EXI_RETURN_IF_ERROR(
-        InsertRow("user_indextypes",
-                  {Value::Varchar(it->name),
-                   Value::Varchar(it->implementation),
-                   Value::Varchar(Join(ops, ", "))},
-                  nullptr)
-            .status());
-  }
-  return Status::OK();
+std::vector<std::string> Database::SystemViewNames() {
+  std::vector<std::string> names;
+  for (const SystemView& view : SystemViews()) names.push_back(view.name);
+  return names;
 }
 
-bool Database::IsPerfView(const std::string& table_name) {
-  for (const char* view : kPerfViews) {
-    if (EqualsIgnoreCase(table_name, view)) return true;
+Database::SystemViewScope::~SystemViewScope() {
+  for (const std::string& view : views_) {
+    (void)db_->catalog().DropTable(view);
   }
-  return false;
 }
 
-Status Database::RefreshPerfViews() {
-  for (const char* view : kPerfViews) {
-    if (catalog_.TableExists(view)) {
-      EXI_RETURN_IF_ERROR(catalog_.DropTable(view));
+Status Database::SystemViewScope::Materialize(
+    const std::vector<std::string>& table_names) {
+  std::vector<const SystemView*> named;
+  for (const SystemView& view : SystemViews()) {
+    for (const std::string& table : table_names) {
+      if (EqualsIgnoreCase(table, view.name)) {
+        named.push_back(&view);
+        break;
+      }
     }
   }
+  if (named.empty()) return Status::OK();
 
-  // V$ODCI_CALLS: one row per traced (indextype, routine).  Keep this
-  // schema in sync with docs/golden/vdollar_schema.txt (docs-check).
-  Schema odci_schema;
-  odci_schema.AddColumn(Column{"indextype", DataType::Varchar(128), true});
-  odci_schema.AddColumn(Column{"cartridge", DataType::Varchar(64), true});
-  odci_schema.AddColumn(Column{"routine", DataType::Varchar(64), true});
-  odci_schema.AddColumn(Column{"calls", DataType::Integer(), true});
-  odci_schema.AddColumn(Column{"errors", DataType::Integer(), true});
-  odci_schema.AddColumn(Column{"total_us", DataType::Integer(), true});
-  odci_schema.AddColumn(Column{"avg_us", DataType::Double(), true});
-  odci_schema.AddColumn(Column{"min_us", DataType::Integer(), true});
-  odci_schema.AddColumn(Column{"max_us", DataType::Integer(), true});
-  odci_schema.AddColumn(Column{"p50_us", DataType::Integer(), true});
-  odci_schema.AddColumn(Column{"p95_us", DataType::Integer(), true});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("v$odci_calls", odci_schema));
-
-  // V$STORAGE_METRICS: one row per engine counter.
-  Schema storage_schema;
-  storage_schema.AddColumn(Column{"metric", DataType::Varchar(64), true});
-  storage_schema.AddColumn(Column{"value", DataType::Integer(), true});
-  EXI_RETURN_IF_ERROR(
-      catalog_.CreateTable("v$storage_metrics", storage_schema));
-
-  // V$PARTITIONS: one row per table partition (DESIGN.md §7).  high_value
-  // is the RANGE upper bound ("MAXVALUE" for the catch-all) and NULL for
-  // HASH partitions; local_index_slices counts per-partition domain-index
-  // storage objects.
-  Schema part_schema;
-  part_schema.AddColumn(Column{"table_name", DataType::Varchar(128), true});
-  part_schema.AddColumn(Column{"partition_name", DataType::Varchar(128),
-                               true});
-  part_schema.AddColumn(Column{"method", DataType::Varchar(16), true});
-  part_schema.AddColumn(Column{"key_column", DataType::Varchar(128), true});
-  part_schema.AddColumn(Column{"high_value", DataType::Varchar(256), false});
-  part_schema.AddColumn(Column{"segment_rows", DataType::Integer(), true});
-  part_schema.AddColumn(Column{"local_index_slices", DataType::Integer(),
-                               true});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("v$partitions", part_schema));
-
-  // V$DOMAIN_INDEXES: one row per domain index, with its lifecycle status
-  // (docs/fault-tolerance.md).  status is the effective status — the worst
-  // across the index's slices — and failed_slices counts slices
-  // currently FAILED or UNUSABLE.
-  Schema di_schema;
-  di_schema.AddColumn(Column{"index_name", DataType::Varchar(128), true});
-  di_schema.AddColumn(Column{"table_name", DataType::Varchar(128), true});
-  di_schema.AddColumn(Column{"indextype", DataType::Varchar(128), true});
-  di_schema.AddColumn(Column{"status", DataType::Varchar(16), true});
-  di_schema.AddColumn(Column{"total_slices", DataType::Integer(), true});
-  di_schema.AddColumn(Column{"failed_slices", DataType::Integer(), true});
-  di_schema.AddColumn(Column{"retries", DataType::Integer(), true});
-  di_schema.AddColumn(Column{"last_error", DataType::Varchar(1000), false});
-  EXI_RETURN_IF_ERROR(catalog_.CreateTable("v$domain_indexes", di_schema));
-
-  // Snapshot both sources before inserting: the inserts below bump the
-  // storage counters themselves, and a consistent pre-materialization
-  // reading is more useful than one skewed row by row.
+  // Every row is computed before any view table exists, so the filling
+  // below skews no counter reading and no view lists another.
   TracerSnapshot traced = Tracer::Global().Snapshot();
   StorageMetrics metrics = GlobalMetrics().Snapshot();
-
-  for (const auto& [key, stats] : traced) {
-    EXI_RETURN_IF_ERROR(
-        InsertRow("v$odci_calls",
-                  {Value::Varchar(key.first), Value::Varchar(stats.cartridge),
-                   Value::Varchar(key.second),
-                   Value::Integer(int64_t(stats.calls)),
-                   Value::Integer(int64_t(stats.errors)),
-                   Value::Integer(stats.total_us),
-                   Value::Double(stats.avg_us()), Value::Integer(stats.min_us),
-                   Value::Integer(stats.max_us),
-                   Value::Integer(stats.hist.ApproxPercentileUs(0.50)),
-                   Value::Integer(stats.hist.ApproxPercentileUs(0.95))},
-                  nullptr)
-            .status());
+  Catalog& catalog = db_->catalog();
+  std::vector<std::vector<Row>> rows(named.size());
+  for (size_t i = 0; i < named.size(); ++i) {
+    named[i]->rows({catalog, traced, metrics}, &rows[i]);
   }
-  Status insert = Status::OK();
-  ForEachMetric(metrics, [&](const char* name, uint64_t value) {
-    if (!insert.ok()) return;
-    insert = InsertRow("v$storage_metrics",
-                       {Value::Varchar(name), Value::Integer(int64_t(value))},
-                       nullptr)
-                 .status();
-  });
-  EXI_RETURN_IF_ERROR(insert);
-
-  for (const std::string& name : catalog_.TableNames()) {
-    if (IsDictionaryView(name) || IsPerfView(name)) continue;
-    TableInfo* info = *catalog_.GetTableInfo(name);
-    const PartitionScheme& scheme = info->partitioning;
-    if (!scheme.partitioned()) continue;
-    bool range = scheme.method == PartitionMethod::kRange;
-    for (const PartitionDef& part : scheme.partitions) {
-      int64_t slices = 0;
-      for (IndexInfo* idx : catalog_.IndexesOnTable(name)) {
-        if (idx->SliceForSegment(part.segment_id) != nullptr) slices++;
-      }
-      Value high = Value::Null();
-      if (range) {
-        high = Value::Varchar(part.upper_bound.has_value()
-                                  ? part.upper_bound->ToString()
-                                  : "MAXVALUE");
-      }
-      EXI_RETURN_IF_ERROR(
-          InsertRow("v$partitions",
-                    {Value::Varchar(name), Value::Varchar(part.name),
-                     Value::Varchar(range ? "RANGE" : "HASH"),
-                     Value::Varchar(scheme.key_column), high,
-                     Value::Integer(int64_t(
-                         info->heap->SegmentRowCount(part.segment_id))),
-                     Value::Integer(slices)},
-                    nullptr)
-              .status());
+  for (size_t i = 0; i < named.size(); ++i) {
+    EXI_RETURN_IF_ERROR(
+        catalog.CreateTable(named[i]->name, Schema(named[i]->columns)));
+    views_.push_back(named[i]->name);
+    HeapTable* table = *catalog.GetTable(named[i]->name);
+    for (Row& row : rows[i]) {
+      EXI_RETURN_IF_ERROR(table->Insert(std::move(row)).status());
     }
-  }
-
-  for (const IndexInfo* idx : catalog_.Indexes()) {
-    if (!idx->is_domain()) continue;
-    // Slice counts describe LOCAL indexes; a global index reports 0/0.
-    EXI_ASSIGN_OR_RETURN(TableInfo * table, catalog_.GetTableInfo(idx->table));
-    const bool local = table->partitioning.partitioned();
-    EXI_RETURN_IF_ERROR(
-        InsertRow("v$domain_indexes",
-                  {Value::Varchar(idx->name), Value::Varchar(idx->table),
-                   Value::Varchar(idx->indextype),
-                   Value::Varchar(IndexStatusName(idx->effective_status())),
-                   Value::Integer(local ? int64_t(idx->slices.size()) : 0),
-                   Value::Integer(local ? int64_t(idx->failed_slices()) : 0),
-                   Value::Integer(int64_t(idx->retries)),
-                   idx->last_error.empty() ? Value::Null()
-                                           : Value::Varchar(idx->last_error)},
-                  nullptr)
-            .status());
   }
   return Status::OK();
 }

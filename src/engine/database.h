@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "core/domain_index.h"
@@ -123,27 +124,37 @@ class Database {
   // Drops the table after dropping all its indexes.
   Status DropTableCascade(const std::string& table_name, Transaction* txn);
 
-  // (Re)materializes the Oracle-flavored dictionary views — USER_TABLES,
-  // USER_INDEXES, USER_OPERATORS, USER_INDEXTYPES — as ordinary queryable
-  // tables.  Connection refreshes them lazily whenever a query's FROM list
-  // names one.
-  Status RefreshDictionaryViews();
+  // ---- system views ----
+  // The dictionary (USER_*) and performance (V$*) views, listed once in the
+  // registry in database.cc, are ordinary tables that exist only while the
+  // statement naming them runs (docs/observability.md).
 
-  // True if `table_name` is one of the dictionary view names.
-  static bool IsDictionaryView(const std::string& table_name);
+  // True if `table_name` names a system view (any case).
+  static bool IsSystemView(const std::string& table_name);
 
-  // (Re)materializes the v$-style performance views — V$ODCI_CALLS (one
-  // row per traced (indextype, routine) pair, from the global Tracer) and
-  // V$STORAGE_METRICS (one row per GlobalMetrics counter) — as ordinary
-  // queryable tables.  Counters are cumulative since process start, Oracle
-  // v$ semantics; Connection refreshes them lazily like the dictionary
-  // views.  Note the materialization itself runs through the storage layer,
-  // so V$STORAGE_METRICS readings perturb the storage counters slightly
-  // (never the ODCI counters).
-  Status RefreshPerfViews();
+  // Every system view name, in registry order.
+  static std::vector<std::string> SystemViewNames();
 
-  // True if `table_name` is one of the performance view names.
-  static bool IsPerfView(const std::string& table_name);
+  // The system views one statement reads: Materialize builds the views
+  // among `table_names` (other names are ignored) from one reading of the
+  // catalog, the global Tracer and GlobalMetrics, taken before any view
+  // table exists, and the destructor drops exactly those tables.  Counters
+  // are cumulative since process start, Oracle v$ semantics.  Filling the
+  // tables runs through the storage layer, so V$STORAGE_METRICS readings
+  // perturb the storage counters slightly (never the ODCI counters).
+  class SystemViewScope {
+   public:
+    explicit SystemViewScope(Database* db) : db_(db) {}
+    SystemViewScope(const SystemViewScope&) = delete;
+    SystemViewScope& operator=(const SystemViewScope&) = delete;
+    ~SystemViewScope();
+
+    Status Materialize(const std::vector<std::string>& table_names);
+
+   private:
+    Database* db_;
+    std::vector<std::string> views_;
+  };
 
  private:
   // Maintains built-in indexes for one mutation, logging undo.

@@ -189,14 +189,8 @@ Status SaveSnapshot(Database* db, const std::string& path) {
   w.U32(kMagic);
   w.U32(kVersion);
 
-  // Tables (user tables only; dictionary and perf views are rebuilt on
-  // demand).
-  std::vector<std::string> tables;
-  for (const std::string& name : catalog.TableNames()) {
-    if (!Database::IsDictionaryView(name) && !Database::IsPerfView(name)) {
-      tables.push_back(name);
-    }
-  }
+  // Tables (rows included).
+  std::vector<std::string> tables = catalog.TableNames();
   w.U32(uint32_t(tables.size()));
   for (const std::string& name : tables) {
     HeapTable* table = *catalog.GetTable(name);
@@ -224,13 +218,7 @@ Status SaveSnapshot(Database* db, const std::string& path) {
   }
 
   // Index definitions (payloads are rebuilt on load).
-  std::vector<const IndexInfo*> indexes;
-  for (const IndexInfo* idx : catalog.Indexes()) {
-    if (!Database::IsDictionaryView(idx->table) &&
-        !Database::IsPerfView(idx->table)) {
-      indexes.push_back(idx);
-    }
-  }
+  std::vector<const IndexInfo*> indexes = catalog.Indexes();
   w.U32(uint32_t(indexes.size()));
   for (const IndexInfo* idx : indexes) {
     w.Str(idx->name);
@@ -255,12 +243,11 @@ Status SaveSnapshot(Database* db, const std::string& path) {
 
 Status LoadSnapshot(Database* db, Connection* conn,
                     const std::string& path) {
-  for (const std::string& name : db->catalog().TableNames()) {
-    if (!Database::IsDictionaryView(name) && !Database::IsPerfView(name)) {
-      return Status::InvalidArgument(
-          "LoadSnapshot requires a database without user tables; found " +
-          name);
-    }
+  std::vector<std::string> existing = db->catalog().TableNames();
+  if (!existing.empty()) {
+    return Status::InvalidArgument(
+        "LoadSnapshot requires a database without tables; found " +
+        existing.front());
   }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open snapshot file: " + path);

@@ -21,7 +21,7 @@ namespace exi {
 // storage layout and doubles as an end-to-end exercise of index builds.
 //
 // Prerequisites for LoadSnapshot: the target database must be fresh (no
-// user tables) and must already have the relevant cartridges installed
+// tables) and must already have the relevant cartridges installed
 // (implementations registered + operator/indextype DDL executed), since
 // cartridge code cannot be serialized.  Schema-object DDL (operators,
 // indextypes) is therefore not part of the snapshot.

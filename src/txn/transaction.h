@@ -38,9 +38,12 @@ class Transaction {
   // Runs the undo log newest-first and clears it.
   void RunUndo();
 
-  // First-touch tracking for LOB snapshots: returns true exactly once per
-  // (transaction, lob) pair so the caller snapshots before the first write.
+  // First-touch tracking for LOB snapshots: returns true when the LOB has
+  // no snapshot in the undo log yet, so the caller snapshots before the
+  // first write.  The snapshot's undo entry calls ForgetLobTouched, so a
+  // write after RollbackTo has undone the snapshot takes a new one.
   bool MarkLobTouched(LobId id) { return touched_lobs_.insert(id).second; }
+  void ForgetLobTouched(LobId id) { touched_lobs_.erase(id); }
 
   // Statement-level savepoints: a failed statement rolls back its own
   // mutations without aborting the enclosing transaction.

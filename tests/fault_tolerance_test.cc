@@ -303,6 +303,43 @@ TEST_F(FaultToleranceTest, JoinFallsBackWhileAnInnerSliceIsFailed) {
   conn_.MustExecute("SET INDEX_MAINTENANCE = STRICT");
 }
 
+// A failed statement rolls back to its savepoint, which restores a LOB it
+// wrote.  The next write to that LOB in the same transaction must snapshot
+// it again, or ROLLBACK cannot return it to its contents before BEGIN.
+TEST_F(FaultToleranceTest, RollbackRestoresLobRewrittenAfterFailedStatement) {
+  ASSERT_TRUE(chem::InstallChemCartridge(&conn_).ok());
+  ASSERT_TRUE(text::InstallTextCartridge(&conn_).ok());
+  conn_.MustExecute("CREATE TABLE mols (id INTEGER, smiles VARCHAR(200))");
+  conn_.MustExecute("INSERT INTO mols VALUES (1, 'CCO')");
+  conn_.MustExecute(
+      "CREATE INDEX mc ON mols(smiles) INDEXTYPE IS ChemIndexType");
+  conn_.MustExecute(
+      "CREATE INDEX mt ON mols(smiles) INDEXTYPE IS TextIndexType");
+  // Bytes in chem's fingerprint LOB, found through its metadata IOT.
+  auto fingerprint_bytes = [&] {
+    Result<Row> meta =
+        (*db_.catalog().GetIot("mc$meta"))->Get({Value::Varchar("fp_lob")});
+    EXPECT_TRUE(meta.ok());
+    return *db_.catalog().lobs().Size(LobId((*meta)[1].AsInteger()));
+  };
+  const uint64_t before = fingerprint_bytes();
+  ASSERT_GT(before, 0u);
+
+  conn_.MustExecute("BEGIN");
+  // The first ODCIIndexInsert is chem's, which appends a fingerprint; the
+  // second is text's and fails.
+  Arm("odci/insert", "nth=2 status=Internal");
+  EXPECT_FALSE(conn_.Execute("INSERT INTO mols VALUES (2, 'CCC')").ok());
+  Disarm("odci/insert");
+  EXPECT_EQ(fingerprint_bytes(), before);
+  conn_.MustExecute("INSERT INTO mols VALUES (3, 'CCN')");
+  EXPECT_EQ(fingerprint_bytes(), 2 * before);
+  conn_.MustExecute("ROLLBACK");
+
+  EXPECT_EQ(Count("mols", "id > 0"), 1);
+  EXPECT_EQ(fingerprint_bytes(), before);
+}
+
 TEST_F(FaultToleranceTest, RebuildOfHealthyGlobalIndexIsIdempotent) {
   conn_.MustExecute("CREATE INDEX fidx ON t(v) INDEXTYPE IS FlakyType");
   conn_.MustExecute("INSERT INTO t VALUES (1), (2)");

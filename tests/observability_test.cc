@@ -1,7 +1,8 @@
 // Observability-layer tests: EXPLAIN ANALYZE per-node actuals must match
 // what the query really returns, and the V$ODCI_CALLS view must account
 // for every dispatch exactly in serial runs and sum-preservingly when scans
-// run on the worker pool (parallelism 4).
+// run on the worker pool (parallelism 4).  The USER_* and V$ system views
+// must exist only for the statement that names them.
 //
 // The Tracer and GlobalMetrics are process-wide, so each test that asserts
 // exact counts resets the tracer first; tests in this binary run serially.
@@ -272,6 +273,83 @@ TEST_F(ObservabilityTest, VStorageMetricsListsEveryCounter) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// ---- system views exist only for the statement that reads them ----
+
+using SystemViewTest = ObservabilityTest;
+
+std::vector<std::string> Column0(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const Row& row : r.rows) out.push_back(row[0].AsVarchar());
+  return out;
+}
+
+TEST_F(SystemViewTest, UserTablesListsOnlyUserTablesAfterAPerfViewQuery) {
+  conn_.MustExecute("CREATE TABLE t (n INTEGER)");
+  conn_.MustExecute("SELECT COUNT(*) FROM v$partitions");
+  EXPECT_EQ(db_.catalog().TableNames(), std::vector<std::string>{"t"});
+  EXPECT_EQ(Column0(conn_.MustExecute("SELECT table_name FROM user_tables")),
+            std::vector<std::string>{"t"});
+  EXPECT_EQ(db_.catalog().TableNames(), std::vector<std::string>{"t"});
+}
+
+TEST_F(SystemViewTest, ExplainOverSystemViewsWorksOnAFreshDatabase) {
+  for (const char* view : {"v$odci_calls", "user_indexes"}) {
+    for (const char* explain : {"EXPLAIN ", "EXPLAIN ANALYZE "}) {
+      std::string sql = std::string(explain) + "SELECT * FROM " + view;
+      Result<QueryResult> r = conn_.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      EXPECT_NE(r->message.find(view), std::string::npos) << r->message;
+    }
+  }
+  EXPECT_TRUE(db_.catalog().TableNames().empty());
+}
+
+TEST_F(SystemViewTest, DmlAndDdlNamingASystemViewFail) {
+  conn_.MustExecute("CREATE TABLE t (n INTEGER)");
+  conn_.MustExecute("CREATE INDEX t_n ON t(n)");
+  conn_.MustExecute("SELECT COUNT(*) FROM user_indexes");
+  conn_.MustExecute("SELECT COUNT(*) FROM v$odci_calls");
+  for (const char* sql :
+       {"INSERT INTO user_indexes VALUES ('x', 't', 'n', 'BTREE', NULL)",
+        "UPDATE user_tables SET num_rows = 0", "DELETE FROM v$odci_calls",
+        "DROP TABLE user_indexes",
+        "CREATE INDEX ui ON user_indexes(index_name)"}) {
+    Result<QueryResult> r = conn_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
+        << sql << ": " << r.status().ToString();
+  }
+  EXPECT_EQ(Column0(conn_.MustExecute("SELECT index_name FROM user_indexes")),
+            std::vector<std::string>{"t_n"});
+}
+
+TEST_F(SystemViewTest, CreateTableWithASystemViewNameFails) {
+  for (const char* sql : {"CREATE TABLE user_indexes (x INTEGER)",
+                          "CREATE TABLE V$ODCI_CALLS (x INTEGER)"}) {
+    Result<QueryResult> r = conn_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+  conn_.MustExecute("CREATE TABLE t (x INTEGER)");
+  conn_.MustExecute("INSERT INTO t VALUES (42)");
+  EXPECT_EQ(
+      conn_.MustExecute("SELECT COUNT(*) FROM user_indexes").rows[0][0]
+          .AsInteger(),
+      0);
+  conn_.MustExecute("SELECT * FROM v$storage_metrics");
+  EXPECT_EQ(conn_.MustExecute("SELECT x FROM t").rows[0][0].AsInteger(), 42);
+  EXPECT_EQ(db_.catalog().TableNames(), std::vector<std::string>{"t"});
+}
+
+TEST_F(SystemViewTest, NamingOneViewBuildsOnlyThatView) {
+  // No table is partitioned, so V$PARTITIONS is empty; filling its siblings
+  // would write one row per counter or traced routine.
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  conn_.MustExecute("SELECT COUNT(*) FROM v$partitions");
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).table_rows_written, 0u);
 }
 
 }  // namespace

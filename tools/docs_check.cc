@@ -2,9 +2,10 @@
 //
 //  1. Every relative markdown link in the repo's *.md files must resolve
 //     to an existing file or directory — dead links rot silently.
-//  2. The live V$ view schemas (materialized by Database::RefreshPerfViews)
-//     must match docs/golden/vdollar_schema.txt, so the schemas documented
-//     in docs/observability.md cannot drift from the code.
+//  2. The live schemas of every system view (the USER_* and V$ views,
+//     materialized through Database::SystemViewScope) must match
+//     docs/golden/vdollar_schema.txt, so the schemas documented in
+//     docs/observability.md cannot drift from the code.
 //  3. The fail-point sites named by "odci/..." and "callback/..." string
 //     literals under src/ must equal the backticked names in the "Site
 //     inventory" of docs/fault-tolerance.md, so a site cannot be added,
@@ -104,11 +105,12 @@ int CheckLinks(const fs::path& root) {
   return findings;
 }
 
-// Renders the live perf-view schemas in the golden-file format.
-std::string LiveVdollarSchemas(exi::Database* db) {
+// Renders the live system-view schemas in the golden-file format, in
+// registry order.
+std::string LiveViewSchemas(exi::Database* db,
+                            const std::vector<std::string>& views) {
   std::ostringstream os;
-  for (const char* view : {"v$odci_calls", "v$storage_metrics",
-                           "v$partitions", "v$domain_indexes"}) {
+  for (const std::string& view : views) {
     os << view << "\n";
     exi::Result<exi::HeapTable*> table = db->catalog().GetTable(view);
     if (!table.ok()) {
@@ -144,16 +146,19 @@ int CheckVdollarGolden(const fs::path& root) {
   golden << in.rdbuf();
 
   exi::Database db;
-  exi::Status st = db.RefreshPerfViews();
+  const std::vector<std::string> views = exi::Database::SystemViewNames();
+  exi::Database::SystemViewScope scope(&db);
+  exi::Status st = scope.Materialize(views);
   if (!st.ok()) {
-    std::printf("RefreshPerfViews failed: %s\n", st.ToString().c_str());
+    std::printf("Materialize failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::string live = LiveVdollarSchemas(&db);
+  std::string live = LiveViewSchemas(&db, views);
   if (live != golden.str()) {
     std::printf(
-        "V$ schema drift: docs/golden/vdollar_schema.txt no longer matches "
-        "Database::RefreshPerfViews.\n---- golden ----\n%s---- live ----\n%s",
+        "system view schema drift: docs/golden/vdollar_schema.txt no longer "
+        "matches the registry in src/engine/database.cc.\n---- golden "
+        "----\n%s---- live ----\n%s",
         golden.str().c_str(), live.c_str());
     return 1;
   }
