@@ -2,11 +2,12 @@
 //  (a) chunk-level copy-on-write LOB snapshots — a small write to a large
 //      LOB inside a transaction copies only the touched chunks for undo,
 //      where the old implementation deep-copied the whole LOB;
-//  (b) batched ODCI maintenance — a multi-row INSERT coalesces per-row
-//      ODCIIndexInsert dispatches into one ODCIIndexBatchInsert per index,
-//      which writes its postings as one sorted run (one B+-tree descent
-//      per leaf); B+-tree nodes read are recorded for the per-row and the
-//      batched INSERT and for ROLLBACK of the batch, times over repeats;
+//  (b) array ODCI maintenance — a multi-row INSERT is one ODCIIndexInsert
+//      call per index, where the same rows as single-row INSERTs make one
+//      each, and writes its postings as one sorted run (one B+-tree
+//      descent per leaf); B+-tree nodes read are recorded for the per-row
+//      and the batched INSERT and for ROLLBACK of the batch, times over
+//      repeats;
 //  (c) planner ODCIStats memoization — a repeated identical query plans
 //      with zero ODCIStatsSelectivity/IndexCost calls (V$ODCI_CALLS flat).
 

@@ -120,18 +120,6 @@ Result<std::unique_ptr<RecordStore>> OpenStore(const OdciIndexInfo& info,
       new LobRecordStore(&ctx, LobId(row[1].AsInteger())));
 }
 
-// Finds the live record index for `rid`, or -1.
-Result<int64_t> FindRecordIndex(RecordStore* store, RowId rid) {
-  EXI_ASSIGN_OR_RETURN(std::vector<uint8_t> all, store->ReadAll());
-  size_t count = all.size() / kFingerprintRecordBytes;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t rec_rid;
-    std::memcpy(&rec_rid, all.data() + i * kFingerprintRecordBytes, 8);
-    if (rec_rid == rid) return int64_t(i);
-  }
-  return int64_t(-1);
-}
-
 struct ChemScanWorkspace {
   // (rid, score): score is Tanimoto for MolSim, 1.0 for MolContains.
   std::vector<std::pair<RowId, double>> matches;
@@ -217,33 +205,21 @@ Status ChemIndexMethods::Drop(const OdciIndexInfo& info, ServerContext& ctx) {
   return ctx.DropIot(MetaTableName(info.index_name));
 }
 
+// Per-row maintenance is the one-row case of the array routines below.
 Status ChemIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
                                 const Value& new_value, ServerContext& ctx) {
-  if (new_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Molecule mol,
-                       Molecule::ParseSmiles(new_value.AsVarchar()));
-  EXI_ASSIGN_OR_RETURN(std::unique_ptr<RecordStore> store,
-                       OpenStore(info, ctx));
-  std::vector<uint8_t> record;
-  AppendFingerprintRecord(&record, rid, ComputeFingerprint(mol));
-  return store->Append(record);
+  return BatchInsert(info, {rid}, {new_value}, ctx);
 }
 
 Status ChemIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
                                 const Value& old_value, ServerContext& ctx) {
-  if (old_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(std::unique_ptr<RecordStore> store,
-                       OpenStore(info, ctx));
-  EXI_ASSIGN_OR_RETURN(int64_t index, FindRecordIndex(store.get(), rid));
-  if (index < 0) return Status::OK();  // never indexed (e.g. NULL insert)
-  return store->Tombstone(size_t(index));
+  return BatchDelete(info, {rid}, {old_value}, ctx);
 }
 
 Status ChemIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
                                 const Value& old_value,
                                 const Value& new_value, ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
+  return BatchUpdate(info, {rid}, {old_value}, {new_value}, ctx);
 }
 
 Status ChemIndexMethods::BatchInsert(const OdciIndexInfo& info,
@@ -251,7 +227,7 @@ Status ChemIndexMethods::BatchInsert(const OdciIndexInfo& info,
                                      const ValueList& new_values,
                                      ServerContext& ctx) {
   // All fingerprints concatenate into one packed batch, appended with a
-  // single store operation — the per-row path pays one append per row.
+  // single store operation rather than one append per row.
   std::vector<uint8_t> batch;
   for (size_t i = 0; i < rids.size(); ++i) {
     const Value& v = new_values[i];
@@ -269,8 +245,8 @@ Status ChemIndexMethods::BatchDelete(const OdciIndexInfo& info,
                                      const std::vector<RowId>& rids,
                                      const ValueList& old_values,
                                      ServerContext& ctx) {
-  // One pass over the packed store locates every doomed record; the
-  // per-row path re-reads the whole store for each rid.
+  // One pass over the packed store locates every doomed record, rather
+  // than one pass per rid.
   EXI_ASSIGN_OR_RETURN(std::unique_ptr<RecordStore> store,
                        OpenStore(info, ctx));
   std::set<RowId> doomed;

@@ -33,17 +33,9 @@ namespace exi::chem {
 //       "op(...) relop <value>" form) evaluated entirely on index data.
 class ChemIndexMethods : public OdciIndex {
  public:
+  // No Capabilities(): scans stay serial, as maintenance mutates one
+  // shared packed store.
   const char* TraceLabel() const override { return "chem"; }
-
-  // Batched maintenance pays off especially here: the packed record store
-  // has no random access, so per-row Insert costs one LOB append (or file
-  // rewrite) each, while BatchInsert concatenates every new fingerprint
-  // into a single append, and BatchDelete scans the store once for all the
-  // doomed rids instead of once per row.  Scans stay serial: maintenance
-  // mutates one shared packed store.
-  OdciCapabilities Capabilities() const override {
-    return {.batch_maintenance = true};
-  }
 
   Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
@@ -57,6 +49,11 @@ class ChemIndexMethods : public OdciIndex {
   Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
                 const Value& new_value, ServerContext& ctx) override;
 
+  // Array maintenance pays off especially here: the packed record store
+  // has no random access, so BatchInsert concatenates every new
+  // fingerprint into a single LOB append (or file rewrite), and
+  // BatchDelete scans the store once for all the doomed rids.  The
+  // per-row routines are their one-row case.
   Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& new_values, ServerContext& ctx) override;
   Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,

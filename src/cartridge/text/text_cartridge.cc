@@ -79,34 +79,17 @@ PostingSource MakePostingSource(const std::string& iot_name,
   };
 }
 
-UniverseSource MakeUniverseSource(const std::string& table_name,
+// The rows a NOT query ranges over: those with a non-NULL indexed value,
+// as Contains over NULL is never TRUE.
+UniverseSource MakeUniverseSource(const OdciIndexInfo& info,
                                   ServerContext& ctx) {
-  return [table_name, &ctx](std::vector<RowId>* out) -> Status {
-    return ctx.ScanBaseTable(table_name,
-                             [out](RowId rid, const Row&) {
-                               out->push_back(rid);
-                               return true;
-                             });
+  return [table_name = info.table_name, col = info.indexed_position(),
+          &ctx](std::vector<RowId>* out) -> Status {
+    return ctx.ScanBaseTable(table_name, [out, col](RowId rid, const Row& row) {
+      if (!row[col].is_null()) out->push_back(rid);
+      return true;
+    });
   };
-}
-
-// The predicate bounds must admit TRUE (Contains(...) = 1 form, footnote
-// 1); anything else is not index-evaluable for a boolean operator.
-Status CheckBooleanBounds(const OdciPredInfo& pred) {
-  auto truthy = [](const Value& v) {
-    return (v.tag() == TypeTag::kBoolean && v.AsBoolean()) ||
-           (v.tag() == TypeTag::kInteger && v.AsInteger() != 0) ||
-           (v.tag() == TypeTag::kDouble && v.AsDouble() != 0.0);
-  };
-  if (pred.lower_bound.has_value() && !truthy(*pred.lower_bound)) {
-    return Status::NotSupported(
-        "text index scan supports only Contains(...) = TRUE predicates");
-  }
-  if (pred.upper_bound.has_value() && !truthy(*pred.upper_bound)) {
-    return Status::NotSupported(
-        "text index scan supports only Contains(...) = TRUE predicates");
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -310,7 +293,6 @@ Status TextIndexMethods::BatchUpdate(const OdciIndexInfo& info,
 Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
                                                 const OdciPredInfo& pred,
                                                 ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(CheckBooleanBounds(pred));
   if (pred.args.empty() || pred.args[0].tag() != TypeTag::kVarchar) {
     return Status::InvalidArgument(
         "Contains requires a keyword query string argument");
@@ -343,7 +325,7 @@ Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
   EXI_ASSIGN_OR_RETURN(
       std::vector<TextMatch> matches,
       EvaluateTextQuery(*query, MakePostingSource(iot, ctx),
-                        MakeUniverseSource(info.table_name, ctx)));
+                        MakeUniverseSource(info, ctx)));
   if (use_state) {
     EncodeState(matches, 0, &sctx.state);
   } else {

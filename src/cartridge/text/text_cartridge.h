@@ -34,11 +34,9 @@ namespace exi::text {
 class TextIndexMethods : public OdciIndex {
  public:
   // Start/Fetch/Close touch no mutable cartridge state, so scans may run
-  // in parallel (DESIGN.md §5), and the batched maintenance routines below
-  // amortize parameter parsing and tokenizer construction over a whole
-  // statement's rows.
+  // in parallel (DESIGN.md §5).
   OdciCapabilities Capabilities() const override {
-    return {.parallel_scan = true, .batch_maintenance = true};
+    return {.parallel_scan = true};
   }
 
   const char* TraceLabel() const override { return "text"; }
@@ -57,8 +55,8 @@ class TextIndexMethods : public OdciIndex {
   Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
                 const Value& new_value, ServerContext& ctx) override;
 
-  // Batched maintenance (§2.2.3 extension): one parameter parse + one
-  // tokenizer for the whole batch, then one sorted run of postings.
+  // Array maintenance (§2.2.3 extension): one parameter parse + one
+  // tokenizer for the statement's rows, then one sorted run of postings.
   Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& new_values, ServerContext& ctx) override;
   Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
@@ -85,8 +83,8 @@ class TextIndexMethods : public OdciIndex {
   // Tokenizes `values` (NULLs skipped), sorts their (token, rid) postings
   // and writes them with one IotUpsertSorted, or removes them with one
   // IotDeleteSorted when `insert` is false.  Per-row and batch maintenance
-  // both come here; it calls no virtual routine, so a subclass that
-  // refuses the Batch* routines still maintains per row.
+  // both come here; it calls no virtual routine, so a subclass whose Batch*
+  // routines loop the per-row ones writes the same postings row by row.
   Status WritePostings(const OdciIndexInfo& info, std::span<const RowId> rids,
                        std::span<const Value> values, bool insert,
                        ServerContext& ctx);

@@ -35,14 +35,13 @@ class GuardedServerContext : public ServerContext {
   void set_mode(CallbackMode mode) { mode_ = mode; }
   void set_transaction(Transaction* txn) { txn_ = txn; }
 
-  // Restricts ScanBaseTable to one heap segment, so a LOCAL index build
-  // (ODCIIndexCreate per partition) sees only its partition's rows while
-  // the cartridge keeps scanning "the table" as usual (DESIGN.md §7).
+  // Restricts ScanBaseTable to one heap segment, so a LOCAL slice's build
+  // and scans see only its partition's rows while the cartridge keeps
+  // scanning "the table" as usual (DESIGN.md §7).
   void RestrictBaseScanToSegment(uint32_t segment) {
     base_scan_segment_ = segment;
     base_scan_restricted_ = true;
   }
-  void ClearBaseScanRestriction() { base_scan_restricted_ = false; }
 
   // ---- IOT DDL ----
   Status CreateIot(const std::string& name, Schema schema,

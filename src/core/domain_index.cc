@@ -345,15 +345,11 @@ Status DomainIndexManager::TruncateIndex(const std::string& index_name,
 namespace {
 
 // Fail-point site and traced routine name per maintenance kind, indexed by
-// DomainIndexManager::Maintenance: per-row routines, then batch routines.
-constexpr const char* kRowSite[] = {"odci/insert", "odci/delete",
-                                    "odci/update"};
-constexpr const char* kRowRoutine[] = {"ODCIIndexInsert", "ODCIIndexDelete",
-                                       "ODCIIndexUpdate"};
-constexpr const char* kBatchSite[] = {"odci/batch_insert", "odci/batch_delete",
-                                      "odci/batch_update"};
-constexpr const char* kBatchRoutine[] = {
-    "ODCIIndexBatchInsert", "ODCIIndexBatchDelete", "ODCIIndexBatchUpdate"};
+// DomainIndexManager::Maintenance.
+constexpr const char* kMaintenanceSite[] = {"odci/insert", "odci/delete",
+                                            "odci/update"};
+constexpr const char* kMaintenanceRoutine[] = {
+    "ODCIIndexInsert", "ODCIIndexDelete", "ODCIIndexUpdate"};
 
 }  // namespace
 
@@ -363,46 +359,34 @@ Status DomainIndexManager::Dispatch(Maintenance kind, IndexInfo* index,
                                     const std::vector<RowId>& rids,
                                     const ValueList& values,
                                     const ValueList& new_values,
-                                    GuardedServerContext& ctx) {
+                                    GuardedServerContext& ctx,
+                                    Transaction* txn) {
   OdciIndex* impl = slice.impl.get();
-  const size_t k = size_t(kind);
-  if (rids.size() > 1 && impl->Capabilities().batch_maintenance) {
-    // One batched dispatch also counts as one maintenance call, so
-    // V$STORAGE_METRICS ratios stay comparable.
-    GlobalMetrics().odci_maintenance_calls++;
+  GlobalMetrics().odci_maintenance_calls++;
+  if (rids.size() > 1) {
     GlobalMetrics().odci_batch_maintenance_calls++;
     GlobalMetrics().odci_batch_maintenance_rows += rids.size();
-    Status s = GuardedOdciCall(
-        index, impl, kBatchSite[k], kBatchRoutine[k], [&] {
-          switch (kind) {
-            case Maintenance::kInsert:
-              return impl->BatchInsert(info, rids, values, ctx);
-            case Maintenance::kDelete:
-              return impl->BatchDelete(info, rids, values, ctx);
-            case Maintenance::kUpdate:
-              break;
-          }
-          return impl->BatchUpdate(info, rids, values, new_values, ctx);
-        });
-    // NotSupported: opted out at runtime; fall back to the per-row path.
-    if (s.code() != StatusCode::kNotSupported) return s;
   }
-  for (size_t i = 0; i < rids.size(); ++i) {
-    GlobalMetrics().odci_maintenance_calls++;
-    EXI_RETURN_IF_ERROR(GuardedOdciCall(
-        index, impl, kRowSite[k], kRowRoutine[k], [&] {
-          switch (kind) {
-            case Maintenance::kInsert:
-              return impl->Insert(info, rids[i], values[i], ctx);
-            case Maintenance::kDelete:
-              return impl->Delete(info, rids[i], values[i], ctx);
-            case Maintenance::kUpdate:
-              break;
-          }
-          return impl->Update(info, rids[i], values[i], new_values[i], ctx);
-        }));
-  }
-  return Status::OK();
+  const size_t savepoint = txn != nullptr ? txn->Savepoint() : 0;
+  return GuardedOdciCall(
+      index, impl, kMaintenanceSite[size_t(kind)],
+      kMaintenanceRoutine[size_t(kind)],
+      [&] {
+        switch (kind) {
+          case Maintenance::kInsert:
+            return impl->BatchInsert(info, rids, values, ctx);
+          case Maintenance::kDelete:
+            return impl->BatchDelete(info, rids, values, ctx);
+          case Maintenance::kUpdate:
+            break;
+        }
+        return impl->BatchUpdate(info, rids, values, new_values, ctx);
+      },
+      // A failed attempt may have written part of its rows: undo them, so
+      // a retry starts from the state before the call.
+      [&] {
+        if (txn != nullptr) txn->RollbackTo(savepoint);
+      });
 }
 
 Status DomainIndexManager::Maintain(
@@ -449,7 +433,7 @@ Status DomainIndexManager::Maintain(
       }
       info.index_name = slice.name;
       Status s = Dispatch(kind, index, slice, info, rids, values, new_values,
-                          ctx);
+                          ctx, txn);
       if (!s.ok()) EXI_RETURN_IF_ERROR(MaintenanceFailed(index, &slice, s));
     }
   }
@@ -500,6 +484,9 @@ DomainIndexManager::StartScan(const std::string& index_name,
   info.index_name = slice->name;
   auto ctx = std::make_unique<GuardedServerContext>(catalog_, nullptr,
                                                     CallbackMode::kScan);
+  // A scan that reads the base table (text's NOT universe) sees only the
+  // rows its slice covers.
+  ctx->RestrictBaseScanToSegment(slice->segment);
   GlobalMetrics().odci_start_calls++;
   OdciScanContext sctx;
   EXI_RETURN_IF_ERROR(

@@ -120,11 +120,9 @@ class DomainIndexManager {
 
   // Invoked by the DML executor with every row a statement touched, in
   // statement order (a single-row statement passes a one-row batch).  Rows
-  // are routed to the slice owning their heap segment; each touched VALID
-  // slice gets one batched ODCI dispatch when it holds several rows and the
-  // cartridge declares batch_maintenance, and per-row ODCIIndexInsert /
-  // Delete / Update calls otherwise, or when a batch routine returns
-  // NotSupported at runtime.
+  // are routed to the slice owning their heap segment, and each touched
+  // VALID slice gets one ODCIIndexInsert / Delete / Update call carrying
+  // all of its rows (Dispatch).
   Status OnInsertBatch(const std::string& table_name,
                        const std::vector<std::pair<RowId, Row>>& rows,
                        Transaction* txn);
@@ -245,14 +243,16 @@ class DomainIndexManager {
                   const std::vector<std::pair<RowId, Row>>& rows,
                   const std::vector<Row>* new_rows, Transaction* txn);
 
-  // One slice's maintenance: a batched dispatch of several rows when the
-  // cartridge supports it, else per-row calls.  `values` holds the indexed
-  // column of `rows` (new values for insert, old for delete/update);
-  // `new_values` the replacements (update only).
+  // One slice's maintenance: one guarded BatchInsert / BatchDelete /
+  // BatchUpdate call with all of `rids`, traced as the per-kind routine.
+  // `values` holds the indexed column of the rows (new values for insert,
+  // old for delete/update); `new_values` the replacements (update only).
+  // Every attempt starts from a savepoint of `txn`, to which a failed
+  // attempt rolls back; with no transaction, retries roll nothing back.
   Status Dispatch(Maintenance kind, IndexInfo* index, IndexSlice& slice,
                   const OdciIndexInfo& info, const std::vector<RowId>& rids,
                   const ValueList& values, const ValueList& new_values,
-                  GuardedServerContext& ctx);
+                  GuardedServerContext& ctx, Transaction* txn);
 
   // Instantiates a fresh implementation object for `index`'s indextype
   // (every slice has its own).

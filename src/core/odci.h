@@ -244,13 +244,6 @@ struct OdciCapabilities {
   // already per-scan; this flag additionally promises no mutable globals
   // or non-atomic shared counters in the scan path.
   bool parallel_scan = false;
-
-  // The cartridge implements BatchInsert/BatchDelete/BatchUpdate, so the
-  // engine may coalesce a multi-row DML statement's maintenance into one
-  // ODCI dispatch per index instead of one per row.  A batch routine may
-  // still return NotSupported at runtime and the framework falls back to
-  // the serial per-row path.
-  bool batch_maintenance = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -296,41 +289,40 @@ class OdciIndex {
                         const Value& old_value, const Value& new_value,
                         ServerContext& ctx) = 0;
 
-  // ---- batched maintenance (optional fast path) ----
-  // A multi-row DML statement maintains each domain index with a single
-  // call carrying all affected rows (statement order preserved).  Gated on
-  // Capabilities().batch_maintenance; the NotSupported defaults make the
-  // framework fall back to per-row Insert/Delete/Update.  Each vector is
-  // indexed by row:
-  // values[i] belongs to rids[i].
+  // ---- array maintenance ----
+  // The engine maintains each index slice with one of these calls per DML
+  // statement and kind, carrying every row the statement routed to the
+  // slice in statement order (one row for a single-row statement);
+  // values[i] belongs to rids[i].  They are traced and fault-injected as
+  // ODCIIndexInsert / ODCIIndexDelete / ODCIIndexUpdate, and a failed
+  // attempt's in-database writes are rolled back before a retry.  These
+  // defaults loop the per-row routines; override them when a run of rows
+  // is cheaper than its rows one at a time.
   virtual Status BatchInsert(const OdciIndexInfo& info,
                              const std::vector<RowId>& rids,
                              const ValueList& new_values, ServerContext& ctx) {
-    (void)info;
-    (void)rids;
-    (void)new_values;
-    (void)ctx;
-    return Status::NotSupported("cartridge has no batch maintenance protocol");
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXI_RETURN_IF_ERROR(Insert(info, rids[i], new_values[i], ctx));
+    }
+    return Status::OK();
   }
   virtual Status BatchDelete(const OdciIndexInfo& info,
                              const std::vector<RowId>& rids,
                              const ValueList& old_values, ServerContext& ctx) {
-    (void)info;
-    (void)rids;
-    (void)old_values;
-    (void)ctx;
-    return Status::NotSupported("cartridge has no batch maintenance protocol");
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXI_RETURN_IF_ERROR(Delete(info, rids[i], old_values[i], ctx));
+    }
+    return Status::OK();
   }
   virtual Status BatchUpdate(const OdciIndexInfo& info,
                              const std::vector<RowId>& rids,
                              const ValueList& old_values,
                              const ValueList& new_values, ServerContext& ctx) {
-    (void)info;
-    (void)rids;
-    (void)old_values;
-    (void)new_values;
-    (void)ctx;
-    return Status::NotSupported("cartridge has no batch maintenance protocol");
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXI_RETURN_IF_ERROR(
+          Update(info, rids[i], old_values[i], new_values[i], ctx));
+    }
+    return Status::OK();
   }
 
   // ---- index scan (§2.2.3 "ODCIIndex scan methods") ----

@@ -1,6 +1,7 @@
 #include "optimizer/planner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
@@ -160,6 +161,27 @@ std::string StatsCacheKey(const OdciPredInfo& pred) {
   return key;
 }
 
+// Whether bounds on a BOOLEAN operator's value select exactly the rows
+// where it is TRUE, comparing TRUE as 1 and FALSE as 0: they admit TRUE and
+// exclude FALSE.  Only such a predicate is what the operator's index
+// returns; a bound that is neither boolean nor numeric admits neither.
+bool SelectsTrueOnly(const std::optional<Value>& lower, bool lower_incl,
+                     const std::optional<Value>& upper, bool upper_incl) {
+  auto as_number = [](const Value& v) -> std::optional<double> {
+    if (v.tag() == TypeTag::kBoolean) return v.AsBoolean() ? 1.0 : 0.0;
+    if (DataType(v.tag()).is_numeric()) return v.AsDouble();
+    return std::nullopt;
+  };
+  const std::optional<double> lo = lower ? as_number(*lower) : -INFINITY;
+  const std::optional<double> hi = upper ? as_number(*upper) : INFINITY;
+  if (!lo || !hi) return false;
+  auto admits = [&](double x) {
+    return (lower_incl ? x >= *lo : x > *lo) &&
+           (upper_incl ? x <= *hi : x < *hi);
+  };
+  return admits(1.0) && !admits(0.0);
+}
+
 Result<std::optional<DomainOpMatch>> MatchDomainOp(const Evaluator& eval,
                                                    Expr* e,
                                                    const BoundTable& table) {
@@ -230,6 +252,14 @@ Result<std::optional<DomainOpMatch>> MatchDomainOp(const Evaluator& eval,
   }
 
   if (call->children.empty()) return std::optional<DomainOpMatch>();
+  if (call->result_type.tag() == TypeTag::kBoolean) {
+    if (!SelectsTrueOnly(lower, lower_incl, upper, upper_incl)) {
+      return std::optional<DomainOpMatch>();
+    }
+    // Every form the index serves reaches the cartridge as `op(...) = TRUE`.
+    lower = upper = Value::Boolean(true);
+    lower_incl = upper_incl = true;
+  }
   const Expr& first = *call->children[0];
   if (first.kind != ExprKind::kColumnRef || first.slot < 0 ||
       size_t(first.slot) < table.slot_offset ||

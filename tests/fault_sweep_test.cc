@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cartridge/spatial/spatial_cartridge.h"
+#include "cartridge/text/text_cartridge.h"
 #include "common/failpoint.h"
 #include "engine/connection.h"
 #include "test_cartridges.h"
@@ -26,17 +27,31 @@ size_t BulkRows() {
 }
 
 // The canonical workload: every statement the lifecycle machinery guards —
-// DDL, single-row and batched DML, scans, stats, partition maintenance,
-// REBUILD, and drops — over the test-only FlakyType, plus a real
-// cartridge's build (the spatial tile index's one sorted IotBulkLoad).
-// Statements run through Execute with errors ignored; with a fail-point
-// armed, any of them may legitimately fail.
+// DDL, single-row and multi-row DML, scans, stats, partition maintenance,
+// REBUILD, and drops — over the test-only FlakyType, plus two real
+// cartridges: multi-row text DML (sorted posting runs) and the spatial
+// tile index (its one sorted IotBulkLoad, and a multi-row UPDATE).  The
+// text statements come first, so each maintenance site and IOT write
+// callback is first hit by a multi-row statement; the UPDATE's upsert run
+// follows its delete run within one call.  Statements run through Execute
+// with errors ignored; with a fail-point armed, any of them may
+// legitimately fail.
 std::vector<std::string> WorkloadSql() {
   std::string bulk = "INSERT INTO wt VALUES (10)";
   for (size_t i = 1; i < BulkRows(); ++i) {
     bulk += ", (" + std::to_string(10 + i) + ")";
   }
   return {
+      "CREATE TABLE wd (id INTEGER, body VARCHAR(64))",
+      "INSERT INTO wd VALUES (1, 'alpha beta'), (2, 'beta gamma'), "
+      "(3, 'gamma alpha')",
+      "CREATE INDEX wdidx ON wd(body) INDEXTYPE IS TextIndexType",
+      "UPDATE wd SET body = 'omega zeta' WHERE id <= 2",
+      "INSERT INTO wd VALUES (4, 'alpha omega'), (5, 'zeta')",
+      "DELETE FROM wd WHERE id >= 3",
+      "SELECT COUNT(*) FROM wd WHERE Contains(body, 'omega')",
+      "DROP INDEX wdidx",
+      "DROP TABLE wd",
       "CREATE TABLE wt (v INTEGER)",
       "CREATE INDEX widx ON wt(v) INDEXTYPE IS FlakyType",
       "INSERT INTO wt VALUES (1)",
@@ -71,6 +86,7 @@ std::vector<std::string> WorkloadSql() {
       "(2, SDO_GEOMETRY(400,400,900,900)), (3, NULL)",
       "CREATE INDEX wsidx ON ws(geometry) INDEXTYPE IS SpatialIndexType "
       "PARAMETERS (':TileLevel 4')",
+      "UPDATE ws SET geometry = SDO_GEOMETRY(100,100,450,450) WHERE gid <= 2",
       "SELECT COUNT(*) FROM ws WHERE Sdo_Relate(geometry, "
       "SDO_GEOMETRY(450,450,460,460), 'mask=ANYINTERACT')",
       "ALTER INDEX wsidx REBUILD",
@@ -87,6 +103,7 @@ size_t RunWorkload(std::unique_ptr<Database>* out) {
   testcart::RegisterFlakyCartridge(db->catalog());
   for (const char* sql : testcart::kFlakySetupSql) conn.MustExecute(sql);
   EXPECT_TRUE(spatial::InstallSpatialCartridge(&conn).ok());
+  EXPECT_TRUE(text::InstallTextCartridge(&conn).ok());
   size_t failures = 0;
   for (const std::string& sql : WorkloadSql()) {
     if (!conn.Execute(sql).ok()) failures++;
@@ -173,7 +190,9 @@ TEST(FaultSweepTest, EverySiteFiredOnceDegradesCleanly) {
 // retry guard on retryable paths or degrade exactly like a fatal error on
 // the rest — never corrupt the catalog.  An IoError inside a Create (the
 // engine's odci/create site, or the spatial build's bulk load) is retried
-// after the failed attempt's storage is dropped, so no statement fails.
+// after the failed attempt's storage is dropped, and one inside a
+// maintenance call (its odci/ site, or a posting run's IOT write) is
+// retried from the call's savepoint, so no statement fails.
 TEST(FaultSweepTest, TransientSweepKeepsCatalogConsistent) {
   FailPointRegistry::Global().ClearAll();
   std::unique_ptr<Database> db;
@@ -188,8 +207,11 @@ TEST(FaultSweepTest, TransientSweepKeepsCatalogConsistent) {
     std::unique_ptr<Database> injected;
     size_t failures = RunWorkload(&injected);
     FailPointRegistry::Global().ClearAll();
-    if (site == "odci/create" || site == "callback/iot_bulk_load") {
-      EXPECT_EQ(failures, 0u);
+    for (const char* absorbed :
+         {"odci/create", "callback/iot_bulk_load", "odci/insert",
+          "odci/update", "odci/delete", "callback/iot_upsert",
+          "callback/iot_delete"}) {
+      if (site == absorbed) EXPECT_EQ(failures, 0u);
     }
     std::string when = "after transient " + site;
     ExpectNoOrphanStorage(*injected, when);

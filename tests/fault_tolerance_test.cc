@@ -548,6 +548,100 @@ TEST_F(FaultToleranceTest, FaultedPostingRunRetriesOrChangesNothing) {
   }
 }
 
+// ---- a failed maintenance attempt is retried from a savepoint ----
+
+// Runs `setup` and then `dml` on a fresh engine, with callback/iot_upsert
+// armed once with IoError when `faulted`.  The statement must succeed;
+// returns the rows of IOT `iot` after it and sets `*retries` to the
+// statement's odci_retries.
+std::vector<Row> RowsAfterUpsertFault(Status (*install)(Connection*),
+                                      const std::vector<std::string>& setup,
+                                      const std::string& dml,
+                                      const std::string& iot, bool faulted,
+                                      uint64_t* retries) {
+  Database db;
+  Connection conn(&db);
+  EXPECT_TRUE(install(&conn).ok());
+  for (const std::string& sql : setup) conn.MustExecute(sql);
+  if (faulted) {
+    EXPECT_TRUE(FailPointRegistry::Global()
+                    .Set("callback/iot_upsert", "once status=IoError")
+                    .ok());
+  }
+  const uint64_t before = GlobalMetrics().Snapshot().odci_retries;
+  Result<QueryResult> r = conn.Execute(dml);
+  FailPointRegistry::Global().Clear("callback/iot_upsert");
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  *retries = GlobalMetrics().Snapshot().odci_retries - before;
+  return IotRows(db, iot);
+}
+
+// An UPDATE's maintenance deletes the old entries before it upserts the
+// new ones.  A transient failure of the upsert rolls the call back to its
+// savepoint, so the retry deletes the old entries again instead of failing
+// with NotFound, and the index ends as after an unfaulted run.
+void ExpectUpdateRetriesFromSavepoint(Status (*install)(Connection*),
+                                      const std::vector<std::string>& setup,
+                                      const std::string& dml,
+                                      const std::string& iot) {
+  uint64_t retries = 0;
+  const std::vector<Row> unfaulted =
+      RowsAfterUpsertFault(install, setup, dml, iot, false, &retries);
+  EXPECT_EQ(retries, 0u);
+  const std::vector<Row> faulted =
+      RowsAfterUpsertFault(install, setup, dml, iot, true, &retries);
+  EXPECT_EQ(retries, 1u);
+  EXPECT_FALSE(unfaulted.empty());
+  ExpectSameRows(faulted, unfaulted);
+}
+
+TEST_F(FaultToleranceTest, TransientFailureInTextUpdateRetriesFromSavepoint) {
+  ExpectUpdateRetriesFromSavepoint(
+      text::InstallTextCartridge,
+      {"CREATE TABLE docs (id INTEGER, body VARCHAR(64))",
+       "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType",
+       "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta gamma'), "
+       "(3, 'gamma alpha')"},
+      "UPDATE docs SET body = 'omega zeta' WHERE id <= 2", "docs_text$ptab");
+}
+
+TEST_F(FaultToleranceTest, TransientFailureInTileUpdateRetriesFromSavepoint) {
+  ExpectUpdateRetriesFromSavepoint(
+      spatial::InstallSpatialCartridge,
+      {"CREATE TABLE parks (gid INTEGER, geometry OBJECT SDO_GEOMETRY)",
+       "CREATE INDEX px ON parks(geometry) INDEXTYPE IS SpatialIndexType",
+       "INSERT INTO parks VALUES (1, SDO_GEOMETRY(0,0,10,10)), "
+       "(2, SDO_GEOMETRY(50,50,60,60)), (3, SDO_GEOMETRY(100,100,110,110))"},
+      "UPDATE parks SET geometry = SDO_GEOMETRY(200,200,210,210) "
+      "WHERE gid = 1",
+      "px$ttab");
+}
+
+// A per-row-only cartridge gets one call per statement too: the OdciIndex
+// default loops its Delete.  A transient failure at the third row undoes
+// the first two deletes before the retry, which deletes all four again.
+TEST_F(FaultToleranceTest, TransientFailureMidStatementRetriesFromSavepoint) {
+  conn_.MustExecute("CREATE INDEX fidx ON t(v) INDEXTYPE IS FlakyType");
+  conn_.MustExecute("INSERT INTO t VALUES (1), (2), (3), (4), (5)");
+  TracerSnapshot traced = Tracer::Global().Snapshot();
+  const uint64_t before = GlobalMetrics().Snapshot().odci_retries;
+  Arm("flaky/delete", "nth=3 status=IoError");
+  Result<QueryResult> r = conn_.Execute("DELETE FROM t WHERE v <= 4");
+  Disarm("flaky/delete");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(GlobalMetrics().Snapshot().odci_retries - before, 1u);
+  RoutineStats deletes;
+  for (const auto& [key, stats] :
+       TracerDelta(Tracer::Global().Snapshot(), traced)) {
+    if (key.second == "ODCIIndexDelete") deletes = stats;
+  }
+  EXPECT_EQ(deletes.calls, 2u);  // the failed attempt and its retry
+  EXPECT_EQ(deletes.errors, 1u);
+  const std::vector<Row> left = IotRows(db_, "fidx$flaky");
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0][0].AsInteger(), 5);
+}
+
 // ---- a transient failure inside Create is retried, for every cartridge ----
 
 // One in-tree cartridge's CREATE INDEX over a seeded table `src`, with the

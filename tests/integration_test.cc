@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cartridge/chem/chem_cartridge.h"
 #include "cartridge/domain_btree/domain_btree.h"
@@ -32,6 +35,23 @@ class IntegrationTest : public ::testing::Test {
     EXPECT_TRUE(chem::InstallChemCartridge(&conn_).ok());
     EXPECT_TRUE(dbt::InstallDomainBtreeCartridge(&conn_).ok());
     EXPECT_TRUE(varr::InstallVarrayCartridge(&conn_).ok());
+  }
+
+  // The first column of `sql`'s rows, sorted, duplicates kept.
+  std::vector<int64_t> Ids(const std::string& sql) {
+    std::vector<int64_t> ids;
+    for (const Row& row : conn_.MustExecute(sql).rows) {
+      ids.push_back(row[0].AsInteger());
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+
+  // Whether `sql` is planned as a scan of domain index `index` (global or
+  // LOCAL).
+  bool ScansIndex(const std::string& sql, const std::string& index) {
+    return conn_.MustExecute("EXPLAIN " + sql).message.find(
+               "IndexScan(" + index) != std::string::npos;
   }
 
   // Declared first so the directory outlives the database using it.
@@ -224,6 +244,109 @@ TEST_F(IntegrationTest, DomainIndexSurvivesHeavyMixedWorkload) {
   std::set<int64_t> found;
   for (const Row& row : r.rows) found.insert(row[0].AsInteger());
   EXPECT_EQ(found, with_needle);
+}
+
+// A domain index returns the rows where its boolean operator is TRUE, so
+// only bounds that admit TRUE and exclude FALSE are planned on it:
+// `op(...) = 0` and `op(...) = FALSE` stay filters and equal functional
+// evaluation over an unindexed copy, while `op(...) = 1` scans the index.
+TEST_F(IntegrationTest, BooleanOperatorFalseBoundsMatchFunctionalEvaluation) {
+  auto image = [](const char* v) {
+    std::string lit = "IMAGE_T(";
+    for (int i = 0; i < 16; ++i) lit += std::string(i ? "," : "") + v;
+    return lit + ")";
+  };
+  const std::string images =
+      "(1, " + image("0.5") + "), (2, " + image("0.1") + ")";
+  const std::string similar =
+      "VIRSimilar(img, " + image("0.5") + ", 'globalcolor=1', 0.9)";
+  const char* boxes =
+      "(1, SDO_GEOMETRY(0,0,10,10)), (2, SDO_GEOMETRY(100,100,110,110))";
+  const char* relate =
+      "Sdo_Relate(g, SDO_GEOMETRY(5,5,6,6), 'mask=ANYINTERACT')";
+  const struct {
+    std::string columns;
+    std::string rows;
+    std::string column;
+    std::string indextype;
+    std::string pred;
+  } cases[] = {
+      {"id INTEGER, v DOUBLE", "(1, 10), (2, 20), (3, 30)", "v",
+       "DomainBtreeType", "DEq(v, 20)"},
+      {"id INTEGER, v DOUBLE", "(1, 10), (2, 20), (3, 30)", "v",
+       "DomainBtreeType", "DBetween(v, 15, 35)"},
+      {"id INTEGER, tags VARRAY OF VARCHAR",
+       "(1, VARRAY_OF('a', 'b')), (2, VARRAY_OF('c'))", "tags",
+       "VarrayIndexType", "VContains(tags, 'a')"},
+      {"id INTEGER, smiles VARCHAR(64)",
+       "(1, 'CCO'), (2, 'CCC'), (3, 'CCN'), (4, 'OCCO')", "smiles",
+       "ChemIndexType", "MolContains(smiles, 'CO')"},
+      {"id INTEGER, g OBJECT SDO_GEOMETRY", boxes, "g", "SpatialIndexType",
+       relate},
+      {"id INTEGER, g OBJECT SDO_GEOMETRY", boxes, "g", "RtreeIndexType",
+       relate},
+      {"id INTEGER, body VARCHAR(64)",
+       "(1, 'alpha beta'), (2, 'alpha'), (3, 'gamma')", "body",
+       "TextIndexType", "Contains(body, 'alpha')"},
+      {"id INTEGER, img OBJECT IMAGE_T", images, "img", "VirIndexType",
+       similar},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.indextype + ": " + c.pred);
+    for (const char* table : {"x", "f"}) {
+      conn_.MustExecute(std::string("CREATE TABLE ") + table + " (" +
+                        c.columns + ")");
+      conn_.MustExecute(std::string("INSERT INTO ") + table + " VALUES " +
+                        c.rows);
+    }
+    conn_.MustExecute("CREATE INDEX xi ON x(" + c.column + ") INDEXTYPE IS " +
+                      c.indextype);
+    for (const std::string form : {" = 0", " = FALSE", " = 1"}) {
+      const std::string where = " WHERE " + c.pred + form;
+      EXPECT_EQ(Ids("SELECT id FROM x" + where),
+                Ids("SELECT id FROM f" + where))
+          << form;
+      EXPECT_EQ(ScansIndex("SELECT id FROM x" + where, "xi"), form == " = 1")
+          << form;
+    }
+    conn_.MustExecute("DROP TABLE x");
+    conn_.MustExecute("DROP TABLE f");
+  }
+  // A non-boolean operator keeps its range form on the index.
+  conn_.MustExecute("CREATE TABLE m (id INTEGER, smiles VARCHAR(64))");
+  conn_.MustExecute("INSERT INTO m VALUES (1, 'CCO'), (2, 'CCC')");
+  conn_.MustExecute("CREATE INDEX mi ON m(smiles) INDEXTYPE IS ChemIndexType");
+  EXPECT_TRUE(
+      ScansIndex("SELECT id FROM m WHERE MolSim(smiles, 'CCO') >= 0.5", "mi"));
+}
+
+// Text `NOT` ranges over the scanned slice's rows whose indexed value is
+// not NULL, as functional Contains does: a LOCAL index returns no row of
+// another partition and no duplicate, and no index returns a NULL body.
+TEST_F(IntegrationTest, TextNotQueriesMatchFunctionalEvaluation) {
+  conn_.MustExecute("CREATE TABLE f (id INTEGER, body VARCHAR(64))");
+  const char* rows =
+      " VALUES (1, 'alpha'), (2, 'beta'), (11, 'alpha'), (12, 'gamma'), "
+      "(13, NULL)";
+  conn_.MustExecute(std::string("INSERT INTO f") + rows);
+  for (const char* layout :
+       {"", " PARTITION BY RANGE (id) (PARTITION p0 VALUES LESS THAN (10), "
+            "PARTITION p1 VALUES LESS THAN (MAXVALUE))"}) {
+    SCOPED_TRACE(*layout ? "LOCAL" : "global");
+    conn_.MustExecute(
+        std::string("CREATE TABLE x (id INTEGER, body VARCHAR(64))") + layout);
+    conn_.MustExecute(std::string("INSERT INTO x") + rows);
+    conn_.MustExecute("CREATE INDEX xi ON x(body) INDEXTYPE IS TextIndexType");
+    for (const char* query : {"NOT alpha", "beta OR NOT alpha"}) {
+      const std::string where =
+          std::string(" WHERE Contains(body, '") + query + "')";
+      EXPECT_TRUE(ScansIndex("SELECT id FROM x" + where, "xi")) << query;
+      EXPECT_EQ(Ids("SELECT id FROM x" + where),
+                Ids("SELECT id FROM f" + where))
+          << query;
+    }
+    conn_.MustExecute("DROP TABLE x");
+  }
 }
 
 }  // namespace

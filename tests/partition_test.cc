@@ -373,7 +373,6 @@ TEST_F(PartitionTest, DropPartitionWithLocalIndexDoesZeroRowDeletes) {
   Tracer::Global().Reset();
   conn_.MustExecute("ALTER TABLE docs DROP PARTITION d1");
   EXPECT_EQ(TracedCalls("ODCIIndexDelete"), 0u);
-  EXPECT_EQ(TracedCalls("ODCIIndexBatchDelete"), 0u);
   EXPECT_EQ(TracedCalls("ODCIIndexDrop"), 1u);
   // V$ODCI_CALLS (snapshotting the same tracer) agrees.
   QueryResult v = conn_.MustExecute(
@@ -660,8 +659,7 @@ std::vector<StatementTrace> RunParityScript(Connection* conn,
   };
   const std::vector<std::string> routines = {
       "ODCIIndexInsert", "ODCIIndexUpdate", "ODCIIndexDelete",
-      "ODCIIndexBatchInsert", "ODCIIndexStart", "ODCIIndexFetch",
-      "ODCIIndexClose"};
+      "ODCIIndexStart",  "ODCIIndexFetch",  "ODCIIndexClose"};
   std::vector<StatementTrace> out;
   for (const std::string& sql : script) {
     Tracer::Global().Reset();

@@ -1,5 +1,6 @@
-// The rows of a text index's posting IOT, and an exact comparison of two
-// such row lists, for tests that check index contents row for row.
+// The rows of an IOT (such as a text index's posting IOT), and an exact
+// comparison of two such row lists, for tests that check index contents
+// row for row.
 
 #ifndef EXTIDX_TESTS_POSTING_ROWS_H_
 #define EXTIDX_TESTS_POSTING_ROWS_H_
@@ -13,10 +14,10 @@
 
 namespace exi {
 
-// The rows of text index `index`'s posting IOT, in key order.
-inline std::vector<Row> PostingRows(Database& db, const std::string& index) {
+// The rows of IOT `name`, in key order.
+inline std::vector<Row> IotRows(Database& db, const std::string& name) {
   std::vector<Row> rows;
-  Result<Iot*> iot = db.catalog().GetIot(index + "$ptab");
+  Result<Iot*> iot = db.catalog().GetIot(name);
   EXPECT_TRUE(iot.ok()) << iot.status().ToString();
   if (!iot.ok()) return rows;
   (*iot)->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
@@ -24,6 +25,11 @@ inline std::vector<Row> PostingRows(Database& db, const std::string& index) {
     return true;
   });
   return rows;
+}
+
+// The rows of text index `index`'s posting IOT, in key order.
+inline std::vector<Row> PostingRows(Database& db, const std::string& index) {
+  return IotRows(db, index + "$ptab");
 }
 
 // Same rows in the same order, every column equal.

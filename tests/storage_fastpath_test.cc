@@ -1,11 +1,12 @@
 // Cooperative-storage fast-path tests (PR 3):
 //  * chunk-level COW LOB snapshots must keep Restore semantics byte-exact
 //    under rollback while copying only the touched chunks;
-//  * batched ODCI maintenance must route multi-row DML through one
-//    ODCIIndexBatch* dispatch per index, fall back per-row on
-//    NotSupported, and produce index contents identical to the serial
-//    path for both the text and chem cartridges (text writes each batch
-//    as one sorted posting run, and ROLLBACK restores it exactly);
+//  * ODCI maintenance must route each DML statement through one
+//    ODCIIndexInsert / Delete / Update call per index, for cartridges with
+//    array routines and for those with per-row routines only, and produce
+//    index contents identical to per-row maintenance for both the text and
+//    chem cartridges (text writes each statement as one sorted posting
+//    run, and ROLLBACK restores it exactly);
 //  * the planner stats cache must eliminate planning-time ODCIStats calls
 //    for repeated identical queries and invalidate on DML and rollback.
 //
@@ -139,7 +140,7 @@ TEST(CowLobSnapshotTest, CommitKeepsWritesAndSharedChunksStayIntact) {
   EXPECT_EQ(all->size(), kSize);
 }
 
-// ---- batched maintenance: routing and exact V$ODCI_CALLS counts ----
+// ---- array maintenance: routing and exact V$ODCI_CALLS counts ----
 
 class BatchMaintenanceTest : public ::testing::Test {
  protected:
@@ -160,8 +161,7 @@ TEST_F(BatchMaintenanceTest, MultiRowInsertDispatchesOneBatchCall) {
   conn_.MustExecute(
       "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta gamma'), "
       "(3, 'gamma alpha')");
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexBatchInsert"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexInsert"), 0);
+  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexInsert"), 1);
   StorageMetrics delta = GlobalMetrics().Snapshot().Delta(before);
   EXPECT_EQ(delta.odci_batch_maintenance_calls, 1u);
   EXPECT_EQ(delta.odci_batch_maintenance_rows, 3u);
@@ -172,15 +172,17 @@ TEST_F(BatchMaintenanceTest, MultiRowInsertDispatchesOneBatchCall) {
 }
 
 TEST_F(BatchMaintenanceTest, SingleRowDmlKeepsPerRowDispatch) {
+  // One-row calls are not metered as multi-row dispatches.
+  StorageMetrics before = GlobalMetrics().Snapshot();
   conn_.MustExecute("INSERT INTO docs VALUES (1, 'alpha')");
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexInsert"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexBatchInsert"), 0);
   conn_.MustExecute("UPDATE docs SET body = 'beta' WHERE id = 1");
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexUpdate"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexBatchUpdate"), 0);
   conn_.MustExecute("DELETE FROM docs WHERE id = 1");
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexDelete"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexBatchDelete"), 0);
+  StorageMetrics delta = GlobalMetrics().Snapshot().Delta(before);
+  EXPECT_EQ(delta.odci_maintenance_calls, 3u);
+  EXPECT_EQ(delta.odci_batch_maintenance_calls, 0u);
 }
 
 TEST_F(BatchMaintenanceTest, MultiRowUpdateAndDeleteBatch) {
@@ -188,14 +190,12 @@ TEST_F(BatchMaintenanceTest, MultiRowUpdateAndDeleteBatch) {
       "INSERT INTO docs VALUES (1, 'alpha'), (2, 'alpha'), (3, 'beta')");
   Tracer::Global().Reset();
   conn_.MustExecute("UPDATE docs SET body = 'delta' WHERE id <= 2");
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexBatchUpdate"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexUpdate"), 0);
+  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexUpdate"), 1);
   EXPECT_EQ(SortedIds(&conn_, "SELECT id FROM docs WHERE "
                               "Contains(body, 'delta')"),
             (std::vector<int64_t>{1, 2}));
   conn_.MustExecute("DELETE FROM docs WHERE id <= 2");
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexBatchDelete"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexDelete"), 0);
+  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexDelete"), 1);
   EXPECT_TRUE(
       SortedIds(&conn_, "SELECT id FROM docs WHERE Contains(body, 'delta')")
           .empty());
@@ -216,88 +216,97 @@ TEST_F(BatchMaintenanceTest, MultiRowInsertRollsBackAtomically) {
 }
 
 TEST(BatchFallbackTest, NonBatchCartridgeStaysPerRow) {
-  // DomainBtreeMethods advertises no batch capability: multi-row DML must
-  // dispatch per row with no batch routine ever traced.
+  // DomainBtreeMethods implements only the per-row routines; the OdciIndex
+  // array defaults loop them.  Each 3-row statement is still one traced
+  // call, and the index answers like functional evaluation over an
+  // unindexed copy of the table.
   Database db;
   Connection conn(&db);
   ASSERT_TRUE(dbt::InstallDomainBtreeCartridge(&conn).ok());
-  conn.MustExecute("CREATE TABLE t (id INTEGER, v INTEGER)");
+  for (const char* table : {"t", "f"}) {
+    conn.MustExecute(std::string("CREATE TABLE ") + table +
+                     " (id INTEGER, v INTEGER)");
+    conn.MustExecute(std::string("INSERT INTO ") + table +
+                     " VALUES (7, 70), (8, 80), (9, 90)");
+  }
   conn.MustExecute(
       "CREATE INDEX t_idx ON t(v) INDEXTYPE IS DomainBtreeType");
-  Tracer::Global().Reset();
-  conn.MustExecute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
-  EXPECT_EQ(ViewCalls(&conn, "ODCIIndexInsert"), 3);
-  EXPECT_EQ(ViewCalls(&conn, "ODCIIndexBatchInsert"), 0);
-  EXPECT_EQ(SortedIds(&conn, "SELECT id FROM t WHERE DEq(v, 20)"),
-            (std::vector<int64_t>{2}));
+  const struct {
+    const char* dml;  // over table %
+    const char* routine;
+  } steps[] = {
+      {"INSERT INTO % VALUES (1, 10), (2, 20), (3, 30)", "ODCIIndexInsert"},
+      {"UPDATE % SET v = v + 5 WHERE id <= 3", "ODCIIndexUpdate"},
+      {"DELETE FROM % WHERE id <= 3", "ODCIIndexDelete"},
+  };
+  auto on = [](std::string sql, const char* table) {
+    sql.replace(sql.find('%'), 1, table);
+    return sql;
+  };
+  for (const auto& step : steps) {
+    SCOPED_TRACE(step.dml);
+    Tracer::Global().Reset();
+    conn.MustExecute(on(step.dml, "t"));
+    EXPECT_EQ(ViewCalls(&conn, step.routine), 1);
+    conn.MustExecute(on(step.dml, "f"));
+    for (const char* pred : {"DEq(v, 15)", "DEq(v, 20)", "DEq(v, 90)",
+                             "DBetween(v, 12, 40)"}) {
+      const std::string q = std::string("SELECT id FROM % WHERE ") + pred;
+      EXPECT_NE(conn.MustExecute("EXPLAIN " + on(q, "t"))
+                    .message.find("DomainIndexScan(t_idx"),
+                std::string::npos);
+      EXPECT_EQ(SortedIds(&conn, on(q, "t")), SortedIds(&conn, on(q, "f")))
+          << pred;
+    }
+  }
 }
 
-// Text methods that claim the batch capability but refuse the batch
-// routines — the dispatch must record the failed batch attempt and fall
-// back to per-row maintenance.
-class RefusingBatchTextMethods : public text::TextIndexMethods {
+// Text methods whose array routines are the OdciIndex defaults, which loop
+// the per-row routines: the per-row reference for text's sorted runs.
+class PerRowTextMethods : public text::TextIndexMethods {
  public:
-  Status BatchInsert(const OdciIndexInfo&, const std::vector<RowId>&,
-                     const ValueList&, ServerContext&) override {
-    return Status::NotSupported("refused");
+  Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                     const ValueList& values, ServerContext& ctx) override {
+    return OdciIndex::BatchInsert(info, rids, values, ctx);
   }
-  Status BatchDelete(const OdciIndexInfo&, const std::vector<RowId>&,
-                     const ValueList&, ServerContext&) override {
-    return Status::NotSupported("refused");
+  Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                     const ValueList& values, ServerContext& ctx) override {
+    return OdciIndex::BatchDelete(info, rids, values, ctx);
   }
-  Status BatchUpdate(const OdciIndexInfo&, const std::vector<RowId>&,
-                     const ValueList&, const ValueList&,
-                     ServerContext&) override {
-    return Status::NotSupported("refused");
+  Status BatchUpdate(const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                     const ValueList& old_values, const ValueList& new_values,
+                     ServerContext& ctx) override {
+    return OdciIndex::BatchUpdate(info, rids, old_values, new_values, ctx);
   }
 };
 
 // Installs the text cartridge and creates docs(id, body) with text index
-// docs_idx, of RefusingTextType (per-row fallback) when `refusing`.
-void CreateTextDocs(Database& db, Connection& conn, bool refusing) {
+// docs_idx, of PerRowTextType when `per_row`.
+void CreateTextDocs(Database& db, Connection& conn, bool per_row) {
   ASSERT_TRUE(text::InstallTextCartridge(&conn).ok());
   std::string indextype = "TextIndexType";
-  if (refusing) {
-    ASSERT_TRUE(
-        db.catalog()
-            .implementations()
-            .Register(
-                "RefusingBatchTextMethods",
-                [] { return std::make_shared<RefusingBatchTextMethods>(); },
-                [] { return std::make_shared<text::TextStats>(); })
-            .ok());
+  if (per_row) {
+    ASSERT_TRUE(db.catalog()
+                    .implementations()
+                    .Register(
+                        "PerRowTextMethods",
+                        [] { return std::make_shared<PerRowTextMethods>(); },
+                        [] { return std::make_shared<text::TextStats>(); })
+                    .ok());
     conn.MustExecute(
-        "CREATE INDEXTYPE RefusingTextType FOR Contains(VARCHAR, VARCHAR) "
-        "USING RefusingBatchTextMethods");
-    indextype = "RefusingTextType";
+        "CREATE INDEXTYPE PerRowTextType FOR Contains(VARCHAR, VARCHAR) "
+        "USING PerRowTextMethods");
+    indextype = "PerRowTextType";
   }
   conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
   conn.MustExecute("CREATE INDEX docs_idx ON docs(body) INDEXTYPE IS " +
                    indextype);
 }
 
-TEST(BatchFallbackTest, NotSupportedFallsBackToPerRowWithIdenticalContents) {
-  Database db;
-  Connection conn(&db);
-  CreateTextDocs(db, conn, /*refusing=*/true);
-  Tracer::Global().Reset();
-  conn.MustExecute(
-      "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta'), "
-      "(3, 'alpha')");
-  auto [batch_calls, batch_errors] =
-      ViewCallsErrors(&conn, "ODCIIndexBatchInsert");
-  EXPECT_EQ(batch_calls, 1);
-  EXPECT_EQ(batch_errors, 1);
-  EXPECT_EQ(ViewCalls(&conn, "ODCIIndexInsert"), 3);
-  EXPECT_EQ(SortedIds(&conn, "SELECT id FROM docs WHERE "
-                             "Contains(body, 'alpha')"),
-            (std::vector<int64_t>{1, 3}));
-}
+// ---- sorted runs vs per-row: identical index contents ----
 
-// ---- batch vs serial: identical index contents ----
-
-// Runs the same DML script against a batch-capable indextype and the
-// refusing (per-row fallback) one, comparing index-backed results.
+// Runs the same DML script against the text indextype and its per-row
+// reference, comparing index-backed results.
 TEST(BatchEquivalenceTest, TextBatchMatchesSerialFallback) {
   std::vector<std::string> script = {
       "INSERT INTO docs VALUES (1, 'alpha beta gamma'), (2, 'beta beta'), "
@@ -309,7 +318,7 @@ TEST(BatchEquivalenceTest, TextBatchMatchesSerialFallback) {
   for (int variant = 0; variant < 2; ++variant) {
     Database db;
     Connection conn(&db);
-    CreateTextDocs(db, conn, /*refusing=*/variant == 1);
+    CreateTextDocs(db, conn, /*per_row=*/variant == 1);
     for (const std::string& sql : script) conn.MustExecute(sql);
     for (const char* term : {"alpha", "beta", "gamma", "delta", "omega"}) {
       results[variant].push_back(
@@ -341,7 +350,7 @@ std::string DocValues(int first, int n) {
 
 // Text maintenance through sorted runs (a 64-row INSERT, a multi-row
 // DELETE and a multi-row UPDATE) leaves exactly the postings of the
-// per-row fallback, and ROLLBACK of each statement restores the posting
+// per-row reference, and ROLLBACK of each statement restores the posting
 // IOT row for row.
 TEST(BatchEquivalenceTest, TextRunsMatchPerRowAndRollBackExactly) {
   const std::vector<std::string> script = {
@@ -352,23 +361,23 @@ TEST(BatchEquivalenceTest, TextRunsMatchPerRowAndRollBackExactly) {
   };
   std::vector<Row> postings[2];
   for (int variant = 0; variant < 2; ++variant) {
-    SCOPED_TRACE(variant == 0 ? "runs" : "per-row fallback");
+    SCOPED_TRACE(variant == 0 ? "runs" : "per-row reference");
     Database db;
     Connection conn(&db);
-    CreateTextDocs(db, conn, /*refusing=*/variant == 1);
+    CreateTextDocs(db, conn, /*per_row=*/variant == 1);
     for (const std::string& sql : script) {
       SCOPED_TRACE(sql.substr(0, 40));
       const std::vector<Row> before = PostingRows(db, "docs_idx");
       conn.MustExecute("BEGIN");
       Tracer::Global().Reset();
       conn.MustExecute(sql);
-      // Runs dispatch one batch routine; the refusing type falls back.
-      auto [batch_calls, batch_errors] = ViewCallsErrors(
-          &conn, sql[0] == 'I'   ? "ODCIIndexBatchInsert"
-                 : sql[0] == 'D' ? "ODCIIndexBatchDelete"
-                                 : "ODCIIndexBatchUpdate");
-      EXPECT_EQ(batch_calls, 1);
-      EXPECT_EQ(batch_errors, variant);
+      // Both variants take one call per statement.
+      auto [calls, errors] = ViewCallsErrors(
+          &conn, sql[0] == 'I'   ? "ODCIIndexInsert"
+                 : sql[0] == 'D' ? "ODCIIndexDelete"
+                                 : "ODCIIndexUpdate");
+      EXPECT_EQ(calls, 1);
+      EXPECT_EQ(errors, 0);
       EXPECT_NE(PostingRows(db, "docs_idx").size(), before.size());
       conn.MustExecute("ROLLBACK");
       ExpectSameRows(PostingRows(db, "docs_idx"), before);
