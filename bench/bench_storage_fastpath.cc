@@ -4,8 +4,9 @@
 //      where the old implementation deep-copied the whole LOB;
 //  (b) array ODCI maintenance — a multi-row INSERT is one ODCIIndexInsert
 //      call per index, where the same rows as single-row INSERTs make one
-//      each, and writes its postings as one sorted run (one B+-tree
-//      descent per leaf); B+-tree nodes read are recorded for the per-row
+//      each, and writes its postings as one sorted run (each key past the
+//      held leaf re-descends from the lowest held B+-tree node covering
+//      it); B+-tree nodes read are recorded for the per-row
 //      and the batched INSERT and for ROLLBACK of the batch, times over
 //      repeats;
 //  (c) planner ODCIStats memoization — a repeated identical query plans

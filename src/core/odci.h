@@ -151,9 +151,11 @@ class ServerContext {
 
   // Sorted runs for multi-entry maintenance (kDefinition or kMaintenance):
   // IotUpsertSorted upserts `rows` and IotDeleteSorted deletes `keys`, in
-  // strictly ascending primary-key order.  The server walks a run with one
-  // B+-tree descent per leaf it enters, checks the mode and fires the
-  // callback's fail-point once per run, and logs one undo entry per run.
+  // strictly ascending primary-key order.  The server walks a run along
+  // its held root-to-leaf B+-tree path: a key past the held leaf
+  // re-descends from the lowest held node that covers it, metering every
+  // node searched.  It checks the mode and fires the callback's
+  // fail-point once per run, and logs one undo entry per run.
   // Unsorted or duplicate keys, or a row the schema rejects, fail the run
   // before anything changes.  A key missing from a delete run returns
   // NotFound; the entries the run removed before it are in its undo entry,

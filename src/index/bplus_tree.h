@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,11 +20,12 @@ namespace exi {
 //
 // Structure: classic order-`kMaxKeys` tree; leaves are chained for range
 // scans.  An empty tree can also be built bottom-up from sorted entries
-// (BulkLoad), and a run of sorted keys is written with one descent per
-// leaf it enters (UpsertRun, ExtractRun).  Deletion is lazy (entries are
-// removed from leaves, underfull leaves are tolerated and empty ones
-// unlinked), the same strategy PostgreSQL uses; lookup and scan costs are
-// unaffected because node reads are metered per node actually visited.
+// (BulkLoad), and a run of sorted keys (UpsertRun, ExtractRun) holds its
+// root-to-leaf path, so each key re-descends only from the lowest held
+// node that covers it.  Deletion is lazy, the same strategy PostgreSQL
+// uses: entries are removed from leaves, and underfull and empty leaves
+// stay in the tree and on the leaf chain.  Scans step over empty leaves,
+// and every node a lookup or scan visits is metered, empty leaves included.
 template <typename Payload>
 class BPlusTree {
  public:
@@ -44,7 +46,8 @@ class BPlusTree {
 
   // Returns the payload for `key`, or nullptr.
   Payload* Find(const CompositeKey& key) {
-    Node* leaf = DescendToLeaf(key);
+    Path path;
+    Node* leaf = Descend(key, &path, /*metered=*/true);
     size_t pos = LowerBound(leaf->keys, key);
     if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0) {
       return &leaf->payloads[pos];
@@ -59,58 +62,58 @@ class BPlusTree {
   // payload (and splitting nodes) if absent.  Unlike Upsert, does not
   // meter the nodes it visits.
   Payload& GetOrInsert(const CompositeKey& key) {
-    return *Insert(key, /*metered=*/false).payload;
+    Path path;
+    return *Insert(key, &path, /*metered=*/false).payload;
   }
 
   // Stores `payload` under `key` in one descent, metering every node it
   // visits.  Returns the payload it replaced, or nullopt for a new key.
   std::optional<Payload> Upsert(const CompositeKey& key, Payload payload) {
-    return Store(Insert(key, /*metered=*/true), std::move(payload));
+    Path path;
+    return Store(Insert(key, &path, /*metered=*/true), std::move(payload));
   }
 
   // Removes the entry for `key` in one descent and returns its payload, or
   // nullopt if absent.
   std::optional<Payload> Extract(const CompositeKey& key) {
-    return ExtractFromLeaf(DescendToLeaf(key), key);
+    Path path;
+    return ExtractFromLeaf(Descend(key, &path, /*metered=*/true), key);
   }
 
   // Removes the entry for `key`.  Returns false if absent.
   bool Erase(const CompositeKey& key) { return Extract(key).has_value(); }
 
   // Writes a run: `keys[i]` gets `payloads[i]`, for keys in strictly
-  // ascending order.  The walk keeps a finger on the leaf its last descent
-  // reached (see Finger) and descends again only for a key at or above
-  // that leaf's fence, or when the leaf is full and might split; a key
-  // that lands in the fingered leaf reads no node.  `replaced(i, old)`
-  // receives the payload key i replaced, or nullopt for a new key.  The
-  // result is the tree the same Upserts one at a time would build, and no
-  // more nodes are read than they would read.
+  // ascending order.  The walk holds its root-to-leaf path (see Path): a
+  // key inside the held leaf's fence reads no node, and any other key
+  // re-descends from the lowest held node whose fence covers it, metering
+  // that node and each one below it.  A leaf split is absorbed into the
+  // held parents without a fresh descent.  `replaced(i, old)` receives the
+  // payload key i replaced, or nullopt for a new key.  The result is the
+  // tree the same Upserts one at a time would build, and no more nodes are
+  // read than they would read.
   template <typename Replaced>
   void UpsertRun(const std::vector<CompositeKey>& keys,
                  std::vector<Payload> payloads, Replaced replaced) {
     assert(keys.size() == payloads.size());
-    Finger finger;
+    Path path;
     for (size_t i = 0; i < keys.size(); ++i) {
-      InsertResult res =
-          finger.Covers(keys[i]) && finger.leaf->keys.size() < kMaxKeys
-              ? InsertIntoLeaf(finger.leaf, keys[i])
-              : Insert(keys[i], /*metered=*/true, &finger);
-      replaced(i, Store(res, std::move(payloads[i])));
+      replaced(i, Store(Insert(keys[i], &path, /*metered=*/true),
+                        std::move(payloads[i])));
     }
   }
 
-  // Removes a run of strictly ascending keys, walking it with a finger as
-  // UpsertRun does (removal never splits, so the finger only moves when a
-  // key reaches its fence).  `removed(i, payload)` receives each removed
+  // Removes a run of strictly ascending keys, walking it along a held path
+  // as UpsertRun does (removal never splits, so the path only moves when a
+  // key reaches a fence).  `removed(i, payload)` receives each removed
   // payload.  Stops at the first absent key and returns its index, or
   // keys.size() when every key was present.
   template <typename Removed>
   size_t ExtractRun(const std::vector<CompositeKey>& keys, Removed removed) {
-    Finger finger;
+    Path path;
     for (size_t i = 0; i < keys.size(); ++i) {
-      Node* leaf = finger.Covers(keys[i]) ? finger.leaf
-                                          : DescendToLeaf(keys[i], &finger);
-      std::optional<Payload> payload = ExtractFromLeaf(leaf, keys[i]);
+      std::optional<Payload> payload = ExtractFromLeaf(
+          Descend(keys[i], &path, /*metered=*/true), keys[i]);
       if (!payload.has_value()) return i;
       removed(i, std::move(*payload));
     }
@@ -200,8 +203,9 @@ class BPlusTree {
 
   // Iterator at the first entry with key >= `key`.
   Iterator Seek(const CompositeKey& key) {
+    Path path;
     Iterator it;
-    it.leaf_ = DescendToLeaf(key);
+    it.leaf_ = Descend(key, &path, /*metered=*/true);
     it.pos_ = LowerBound(it.leaf_->keys, key);
     // LowerBound may land past the last entry of this leaf.
     it.SkipEmpty();
@@ -232,27 +236,24 @@ class BPlusTree {
     Node* next = nullptr;                         // leaf chain
   };
 
-  // The leaf a run's last descent reached, and that leaf's upper fence:
-  // the smallest separator to its right on the descent path (null: the
-  // rightmost leaf).  Keys of a run ascend, so every later key is at least
-  // the leaf's lower bound, and one below the fence belongs to the leaf.
-  // Any split may move separators, so the walk drops the finger after one.
-  struct Finger {
-    Node* leaf = nullptr;
-    const CompositeKey* fence = nullptr;
-
-    bool Covers(const CompositeKey& key) const {
-      return leaf != nullptr &&
-             (fence == nullptr || CompareKeys(key, *fence) < 0);
-    }
+  // One level of a held root-to-leaf path (see Path): a node, its upper
+  // fence (the smallest separator to its right among its ancestors; null:
+  // the right edge of the tree) and, for an internal node, the child its
+  // last search took.
+  struct Level {
+    Node* node;
+    const CompositeKey* fence;
+    size_t child = 0;
   };
+  // A held root-to-leaf path, root first.  Keys of a run ascend, so every
+  // later key is at least each held node's lower bound, and one below a
+  // node's fence belongs to that node's subtree.  Fences fall or stay
+  // level by level.
+  using Path = std::vector<Level>;
 
   struct InsertResult {
     Payload* payload = nullptr;
     bool inserted = false;  // `payload` is a new default-constructed slot
-    Node* leaf = nullptr;   // the leaf holding `payload`, unless it split
-    // Present when this child split: separator key + new right sibling.
-    std::optional<std::pair<CompositeKey, std::unique_ptr<Node>>> split;
   };
 
   static std::unique_ptr<Node> NewNode(bool leaf) {
@@ -294,23 +295,32 @@ class BPlusTree {
     return lo;
   }
 
-  // Descends to the leaf for `key`, metering every node; when `finger` is
-  // given, points it at that leaf and its fence.
-  Node* DescendToLeaf(const CompositeKey& key,
-                      Finger* finger = nullptr) const {
-    if (finger != nullptr) *finger = Finger();
-    Node* n = root_.get();
-    GlobalMetrics().index_nodes_read++;
-    while (!n->leaf) {
-      size_t ci = ChildIndex(n->keys, key);
-      if (finger != nullptr && ci < n->keys.size()) {
-        finger->fence = &n->keys[ci];
-      }
-      n = n->children[ci].get();
-      GlobalMetrics().index_nodes_read++;
+  // Returns the leaf for `key`, extending `path` to it from the lowest
+  // held node whose fence covers `key` (from the root if none is held).
+  // Every node whose keys are searched is metered, the node the descent
+  // resumes from included; a held leaf that covers `key` reads no node.
+  Node* Descend(const CompositeKey& key, Path* path, bool metered) {
+    while (!path->empty() && path->back().fence != nullptr &&
+           CompareKeys(key, *path->back().fence) >= 0) {
+      path->pop_back();
     }
-    if (finger != nullptr) finger->leaf = n;
-    return n;
+    if (path->empty()) {
+      path->reserve(height_);
+      path->push_back({root_.get(), nullptr});
+    } else if (path->back().node->leaf) {
+      return path->back().node;
+    }
+    while (true) {
+      Level& level = path->back();
+      if (metered) GlobalMetrics().index_nodes_read++;
+      if (level.node->leaf) return level.node;
+      level.child = ChildIndex(level.node->keys, key);
+      Node* child = level.node->children[level.child].get();
+      const CompositeKey* fence = level.child < level.node->keys.size()
+                                      ? &level.node->keys[level.child]
+                                      : level.fence;
+      path->push_back({child, fence});
+    }
   }
 
   // Removes `key` from `leaf`, returning its payload, or nullopt if absent.
@@ -326,64 +336,54 @@ class BPlusTree {
     return removed;
   }
 
-  // Descends from the root, inserting a default payload if `key` is
-  // absent and growing the tree by one level when the root splits.  When
-  // `finger` is given, points it at the leaf reached, or clears it if
-  // that leaf split.
-  InsertResult Insert(const CompositeKey& key, bool metered,
-                      Finger* finger = nullptr) {
-    if (finger != nullptr) *finger = Finger();
-    InsertResult res = InsertRec(root_.get(), key, metered, finger);
-    if (finger != nullptr) finger->leaf = res.leaf;
-    if (res.split) {
-      // Root split: grow the tree by one level.  Nodes never move, so the
-      // payload pointer stays valid.
-      auto new_root = NewNode(/*leaf=*/false);
-      new_root->keys.push_back(std::move(res.split->first));
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(res.split->second));
-      root_ = std::move(new_root);
-      res.split.reset();
-      ++height_;
-    }
-    return res;
-  }
-
-  InsertResult InsertRec(Node* node, const CompositeKey& key, bool metered,
-                         Finger* finger) {
-    if (metered) GlobalMetrics().index_nodes_read++;
-    if (node->leaf) return InsertIntoLeaf(node, key);
-    size_t ci = ChildIndex(node->keys, key);
-    if (finger != nullptr && ci < node->keys.size()) {
-      finger->fence = &node->keys[ci];
-    }
-    InsertResult child_res =
-        InsertRec(node->children[ci].get(), key, metered, finger);
-    if (!child_res.split) return child_res;
-    // Absorb the child's split into this node.
-    node->keys.insert(node->keys.begin() + ci,
-                      std::move(child_res.split->first));
-    node->children.insert(node->children.begin() + ci + 1,
-                          std::move(child_res.split->second));
-    child_res.split.reset();
-    if (node->keys.size() <= kMaxKeys) return child_res;
-    return SplitInternal(node, child_res.payload);
-  }
-
-  // The slot for `key` in `leaf`, adding a default payload if absent and
-  // splitting the leaf when that overflows it.
-  InsertResult InsertIntoLeaf(Node* leaf, const CompositeKey& key) {
+  // The slot for `key` in the leaf `path` descends to, adding a default
+  // payload if absent.  A leaf that overflows splits, and the split is
+  // absorbed into the held ancestors (see AbsorbSplit).
+  InsertResult Insert(const CompositeKey& key, Path* path, bool metered) {
+    Node* leaf = Descend(key, path, metered);
     size_t pos = LowerBound(leaf->keys, key);
     if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0) {
-      return {&leaf->payloads[pos], false, leaf, std::nullopt};
+      return {&leaf->payloads[pos], false};
     }
     leaf->keys.insert(leaf->keys.begin() + pos, key);
     leaf->payloads.insert(leaf->payloads.begin() + pos, Payload());
     ++size_;
-    if (leaf->keys.size() <= kMaxKeys) {
-      return {&leaf->payloads[pos], true, leaf, std::nullopt};
+    if (leaf->keys.size() <= kMaxKeys) return {&leaf->payloads[pos], true};
+    auto [sep, right] = Split(leaf);
+    // Nodes never move, so the slot stays valid once the split is absorbed.
+    Payload* slot = pos < leaf->keys.size()
+                        ? &leaf->payloads[pos]
+                        : &right->payloads[pos - leaf->keys.size()];
+    AbsorbSplit(path, std::move(sep), std::move(right));
+    return {slot, true};
+  }
+
+  // Absorbs a split of the path's deepest node (separator `sep`, new right
+  // sibling `right`) bottom-up into the held ancestors, splitting each one
+  // that overflows and growing a new root when the root splits.  The path
+  // is cut back to the highest node that changed, whose own fence still
+  // holds.
+  void AbsorbSplit(Path* path, CompositeKey sep, std::unique_ptr<Node> right) {
+    while (true) {
+      path->pop_back();
+      if (path->empty()) {
+        auto root = NewNode(/*leaf=*/false);
+        root->keys.push_back(std::move(sep));
+        root->children.push_back(std::move(root_));
+        root->children.push_back(std::move(right));
+        root_ = std::move(root);
+        ++height_;
+        path->push_back({root_.get(), nullptr});
+        return;
+      }
+      Node* parent = path->back().node;
+      size_t ci = path->back().child;
+      parent->keys.insert(parent->keys.begin() + ci, std::move(sep));
+      parent->children.insert(parent->children.begin() + ci + 1,
+                              std::move(right));
+      if (parent->keys.size() <= kMaxKeys) return;
+      std::tie(sep, right) = Split(parent);
     }
-    return SplitLeaf(leaf, pos);
   }
 
   // Stores `payload` in the slot `res` found; returns the payload it
@@ -412,33 +412,26 @@ class BPlusTree {
     }
   }
 
-  InsertResult SplitLeaf(Node* node, size_t inserted_pos) {
+  // Splits an overflowing node in half and returns the separator for its
+  // parent and the new right sibling; a leaf also links the sibling into
+  // the leaf chain.
+  std::pair<CompositeKey, std::unique_ptr<Node>> Split(Node* node) {
     size_t mid = node->keys.size() / 2;
-    auto right = NewNode(/*leaf=*/true);
-    right->keys.assign(std::make_move_iterator(node->keys.begin() + mid),
-                       std::make_move_iterator(node->keys.end()));
-    right->payloads.assign(
-        std::make_move_iterator(node->payloads.begin() + mid),
-        std::make_move_iterator(node->payloads.end()));
-    node->keys.resize(mid);
-    node->payloads.resize(mid);
-    right->next = node->next;
-    node->next = right.get();
-    Payload* payload = inserted_pos < mid
-                           ? &node->payloads[inserted_pos]
-                           : &right->payloads[inserted_pos - mid];
-    CompositeKey sep = right->keys.front();
-    InsertResult res;
-    res.payload = payload;
-    res.inserted = true;
-    res.split.emplace(std::move(sep), std::move(right));
-    return res;
-  }
-
-  InsertResult SplitInternal(Node* node, Payload* payload) {
-    size_t mid = node->keys.size() / 2;
+    auto right = NewNode(node->leaf);
+    if (node->leaf) {
+      right->keys.assign(std::make_move_iterator(node->keys.begin() + mid),
+                         std::make_move_iterator(node->keys.end()));
+      right->payloads.assign(
+          std::make_move_iterator(node->payloads.begin() + mid),
+          std::make_move_iterator(node->payloads.end()));
+      node->keys.resize(mid);
+      node->payloads.resize(mid);
+      right->next = node->next;
+      node->next = right.get();
+      CompositeKey sep = right->keys.front();
+      return {std::move(sep), std::move(right)};
+    }
     CompositeKey sep = std::move(node->keys[mid]);
-    auto right = NewNode(/*leaf=*/false);
     right->keys.assign(std::make_move_iterator(node->keys.begin() + mid + 1),
                        std::make_move_iterator(node->keys.end()));
     right->children.assign(
@@ -446,11 +439,7 @@ class BPlusTree {
         std::make_move_iterator(node->children.end()));
     node->keys.resize(mid);
     node->children.resize(mid + 1);
-    InsertResult res;
-    res.payload = payload;
-    res.inserted = true;
-    res.split.emplace(std::move(sep), std::move(right));
-    return res;
+    return {std::move(sep), std::move(right)};
   }
 
   std::unique_ptr<Node> root_;

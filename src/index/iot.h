@@ -33,16 +33,18 @@ class Iot {
   Status Insert(Row row);
 
   // Inserts or replaces a run of rows whose primary keys are strictly
-  // ascending, with one metered descent per leaf the run enters
-  // (BPlusTree::UpsertRun).  When given, `*added` receives the keys that
+  // ascending along one held B+-tree path (BPlusTree::UpsertRun): a key
+  // past the held leaf re-descends from the lowest held node that covers
+  // it, and every node searched is metered.  When given, `*added` receives the keys that
   // were new and `*replaced` the rows that were overwritten, both in key
   // order.  An unsorted or duplicate key, or a row the schema rejects,
   // returns an error before anything changes.
   Status UpsertSorted(std::vector<Row> rows, std::vector<CompositeKey>* added,
                       std::vector<Row>* replaced);
 
-  // Deletes a run of strictly ascending primary keys, with one metered
-  // descent per leaf the run enters (BPlusTree::ExtractRun), moving the
+  // Deletes a run of strictly ascending primary keys along one held
+  // B+-tree path, re-descending from the lowest covering held node and
+  // metering every node searched (BPlusTree::ExtractRun); moves the
   // removed rows to `*removed` in key order when given.  Unsorted or
   // duplicate keys return an error before anything changes.  An absent
   // key stops the run with NotFound; the rows removed before it stay

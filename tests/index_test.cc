@@ -197,7 +197,7 @@ TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
   EXPECT_FALSE(it.Valid());
 }
 
-// ---- sorted runs: one descent per leaf ----
+// ---- sorted runs: one held root-to-leaf path per run ----
 
 // index_nodes_read while `op` runs.
 template <typename Op>
@@ -302,7 +302,8 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
 }
 
 // Keys 0, 2, 4, ... bulk-loaded: the first leaf holds 0 .. 110 with room
-// for 8 more entries, and the second leaf starts at 112.
+// for 8 more entries, and the second leaf starts at 112.  The 358 leaves
+// hang under 6 parents; the first parent's 60 leaves end at key 6718.
 class BPlusTreeRunMeterTest : public ::testing::Test {
  protected:
   BPlusTreeRunMeterTest() {
@@ -342,28 +343,94 @@ TEST_F(BPlusTreeRunMeterTest, RunInsideOneLeafReadsTheHeight) {
   EXPECT_EQ(tree_.size(), 20000u - 2u);
 }
 
-// A run reaching the next leaf descends again, and the descent that splits
-// a full leaf and the one after it are metered too.
+// A run reaching the next leaf under the same parent re-descends from
+// that held parent: 2 nodes, not the height.  A split is absorbed by the
+// held parent with no node read, and the next key re-descends from it.
 TEST_F(BPlusTreeRunMeterTest, FenceAndSplitEachCostOneDescent) {
   const uint64_t height = tree_.height();
   EXPECT_EQ(NodesReadBy([&] {
               tree_.UpsertRun(Keys({1, 113}), {0, 0},
                               [](size_t, std::optional<int64_t>) {});
             }),
-            2 * height);
-  // The first leaf now has 57 entries: 7 more fill it, the 8th key finds
-  // it full and descends to split it, and the 9th descends afresh.
+            height + 2);
+  // The first leaf now has 57 entries: 7 more fill it, the 8th key splits
+  // it in place, and the 9th reads the parent and the leaf it lands in.
   EXPECT_EQ(NodesReadBy([&] {
               tree_.UpsertRun(Keys({3, 5, 7, 9, 11, 13, 15, 17, 19}),
                               std::vector<int64_t>(9, 0),
                               [](size_t, std::optional<int64_t>) {});
             }),
-            3 * height);
+            height + 2);
   EXPECT_EQ(tree_.size(), 20000u + 11u);
   int64_t prev = -1;
   for (auto it = tree_.Begin(); it.Valid(); it.Next()) {
     ASSERT_LT(prev, it.key()[0].AsInteger());
     prev = it.key()[0].AsInteger();
+  }
+}
+
+// An ExtractRun crossing into the second parent re-descends from the
+// root, and crossing a leaf fence under a held parent reads 2 nodes.
+TEST_F(BPlusTreeRunMeterTest, ExtractRunAcrossTwoParents) {
+  const uint64_t height = tree_.height();
+  std::vector<int64_t> removed;
+  EXPECT_EQ(NodesReadBy([&] {
+              EXPECT_EQ(tree_.ExtractRun(Keys({0, 2, 112, 6720, 6832}),
+                                         [&](size_t, int64_t payload) {
+                                           removed.push_back(payload);
+                                         }),
+                        5u);
+            }),
+            height + 2 + height + 2);
+  EXPECT_EQ(removed, (std::vector<int64_t>{0, 1, 56, 3360, 3416}));
+  EXPECT_EQ(tree_.size(), 20000u - 5u);
+  EXPECT_EQ(tree_.Find(IntKey(6720)), nullptr);
+  EXPECT_NE(tree_.Find(IntKey(6722)), nullptr);
+}
+
+// A run into a tree whose internal nodes are all full splits a leaf, its
+// parent and the root in one key, and the tree grows a level.  The rest
+// of the run re-descends from the new root.
+TEST(BPlusTreeRunTest, SplitCascadesThroughHeldParentsToANewRoot) {
+  const int64_t leaf = int64_t(BPlusTree<int64_t>::kBulkLeafKeys);
+  const int64_t fanout = int64_t(BPlusTree<int64_t>::kMaxKeys) + 1;
+  BPlusTree<int64_t> tree;
+  std::map<int64_t, int64_t> model;
+  int64_t next = 0;
+  tree.BulkLoad(size_t(leaf * fanout * fanout),
+                [&](CompositeKey* key, int64_t* payload) {
+                  *key = IntKey(2 * next);
+                  *payload = next;
+                  model[2 * next] = next;
+                  ++next;
+                });
+  const size_t height = tree.height();
+  ASSERT_EQ(height, 3u);
+  // 9 new keys overflow the first leaf; 3 more follow in later leaves.
+  std::vector<CompositeKey> keys;
+  std::vector<int64_t> payloads;
+  for (int64_t k : std::initializer_list<int64_t>{
+           1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 113, 2 * next + 1}) {
+    keys.push_back(IntKey(k));
+    payloads.push_back(-k);
+    model[k] = -k;
+  }
+  // One descent for the first key, none for the split, then one from the
+  // new root for 19, one from the held parent for 113, and one from the
+  // root for the last key.
+  EXPECT_EQ(NodesReadBy([&] {
+              tree.UpsertRun(keys, payloads,
+                             [](size_t, std::optional<int64_t> old) {
+                               EXPECT_FALSE(old.has_value());
+                             });
+            }),
+            height + (height + 1) + 2 + (height + 1));
+  EXPECT_EQ(tree.height(), height + 1);
+  ExpectMatchesModel(tree, model);
+  for (const auto& [key, value] : model) {
+    const int64_t* found = tree.Find(IntKey(key));
+    ASSERT_NE(found, nullptr) << key;
+    ASSERT_EQ(*found, value);
   }
 }
 
@@ -716,6 +783,40 @@ TEST(IotTest, SortedRunsRejectBadInputAndChangeNothing) {
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(CompareKeys(removed[0], Posting("a", 1)), 0);
   EXPECT_EQ(iot.row_count(), 1u);
+}
+
+// A delete run that empties whole leaves leaves them on the leaf chain: a
+// range scan steps over them, reading each one, and returns exactly the
+// rows that are left on either side.
+TEST(IotTest, ScanRangeStepsOverLeavesADeleteRunEmptied) {
+  Iot iot("iot", PostingSchema(), 2);
+  std::vector<Row> rows;
+  for (int64_t rid = 0; rid < 1000; ++rid) rows.push_back(Posting("t", rid));
+  ASSERT_TRUE(iot.BulkLoad(std::move(rows)).ok());
+  // 18 leaves under one root, the first ten of 56 rows: rids 56 .. 279
+  // are exactly leaves 1 to 4.
+  std::vector<CompositeKey> keys;
+  for (int64_t rid = 56; rid < 280; ++rid) {
+    keys.push_back({Value::Varchar("t"), Value::Integer(rid)});
+  }
+  ASSERT_TRUE(iot.DeleteSorted(keys, nullptr).ok());
+  const CompositeKey lo{Value::Varchar("t"), Value::Integer(40)};
+  const CompositeKey hi{Value::Varchar("t"), Value::Integer(300)};
+  std::vector<int64_t> rids;
+  // The root, the first leaf, the four empty leaves, and the leaf holding
+  // rids 280 .. 335.
+  EXPECT_EQ(NodesReadBy([&] {
+              iot.ScanRange(&lo, true, &hi, true, [&rids](const Row& row) {
+                rids.push_back(row[1].AsInteger());
+                return true;
+              });
+            }),
+            2u + 4u + 1u);
+  std::vector<int64_t> expected;
+  for (int64_t rid = 40; rid < 56; ++rid) expected.push_back(rid);
+  for (int64_t rid = 280; rid <= 300; ++rid) expected.push_back(rid);
+  EXPECT_EQ(rids, expected);
+  EXPECT_EQ(RowsOf(iot).size(), 1000u - keys.size());
 }
 
 // A run is one mode check, one fail-point hit and one undo entry, and

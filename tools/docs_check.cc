@@ -10,6 +10,9 @@
 //     literals under src/ must equal the backticked names in the "Site
 //     inventory" of docs/fault-tolerance.md, so a site cannot be added,
 //     renamed or lost without the inventory following.
+//  4. Every "routine" of an `odci_calls` entry in a committed BENCH_*.json
+//     at the repo root must appear as a string literal under src/, so a
+//     renamed or deleted ODCI routine cannot linger in committed results.
 //
 // Usage: docs_check <repo_root>
 // Exit 0 = clean; 1 = findings (each printed on its own line).
@@ -182,17 +185,28 @@ void CollectSiteNames(const std::string& text, char quote,
   }
 }
 
-int CheckSiteInventory(const fs::path& root) {
-  std::set<std::string> in_code;
+std::string ReadFile(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Every .h and .cc file under src/, concatenated.
+std::string SourceText(const fs::path& root) {
+  std::string out;
   for (const fs::directory_entry& e :
        fs::recursive_directory_iterator(root / "src")) {
     const fs::path ext = e.path().extension();
     if (!e.is_regular_file() || (ext != ".h" && ext != ".cc")) continue;
-    std::ifstream in(e.path());
-    std::ostringstream text;
-    text << in.rdbuf();
-    CollectSiteNames(text.str(), '"', &in_code);
+    out += ReadFile(e.path());
   }
+  return out;
+}
+
+int CheckSiteInventory(const fs::path& root, const std::string& source) {
+  std::set<std::string> in_code;
+  CollectSiteNames(source, '"', &in_code);
 
   std::ifstream doc(root / "docs" / "fault-tolerance.md");
   std::string line, section;
@@ -229,6 +243,45 @@ int CheckSiteInventory(const fs::path& root) {
   return findings;
 }
 
+// The "routine" names of the entries in the `odci_calls` array of one
+// BENCH_*.json.
+std::vector<std::string> BenchRoutines(const std::string& json) {
+  std::vector<std::string> out;
+  const size_t begin = json.find("\"odci_calls\"");
+  if (begin == std::string::npos) return out;
+  const size_t end = json.find(']', begin);
+  const std::string needle = "\"routine\": \"";
+  for (size_t pos = json.find(needle, begin); pos < end;
+       pos = json.find(needle, pos)) {
+    const size_t start = pos + needle.size();
+    const size_t close = json.find('"', start);
+    if (close == std::string::npos) break;
+    out.push_back(json.substr(start, close - start));
+    pos = close + 1;
+  }
+  return out;
+}
+
+int CheckBenchRoutines(const fs::path& root, const std::string& source) {
+  int findings = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(root)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("BENCH_", 0) != 0 || e.path().extension() != ".json") {
+      continue;
+    }
+    for (const std::string& routine : BenchRoutines(ReadFile(e.path()))) {
+      if (source.find('"' + routine + '"') == std::string::npos) {
+        std::printf(
+            "%s names ODCI routine %s in odci_calls, which no src/ string "
+            "literal names; re-run the bench that writes it\n",
+            name.c_str(), routine.c_str());
+        ++findings;
+      }
+    }
+  }
+  return findings;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,8 +290,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   fs::path root = argv[1];
+  const std::string source = SourceText(root);
   int findings = CheckLinks(root) + CheckVdollarGolden(root) +
-                 CheckSiteInventory(root);
+                 CheckSiteInventory(root, source) +
+                 CheckBenchRoutines(root, source);
   if (findings == 0) {
     std::printf("docs-check: OK\n");
     return 0;
