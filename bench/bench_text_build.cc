@@ -8,8 +8,13 @@
 // Each configuration is built `kReps` times on the same table (DROP INDEX
 // in between) and reports the median, min and max build time.  Next to the
 // times it records host-independent work counts for one build (IOT entries
-// written, B+-tree nodes read) and the row count of a query through the
-// index.
+// written, B+-tree nodes read), the row count of a query through the index,
+// and `heap_bytes_per_entry`: the growth of glibc's in-use heap
+// (`mallinfo2().uordblks`) across the first build, divided by the IOT
+// entries it wrote.  That is what the finished index keeps in memory per
+// entry: the row, its key and their share of the B+-tree nodes.
+
+#include <malloc.h>
 
 #include <cstdio>
 #include <string>
@@ -44,6 +49,7 @@ struct BuildStats {
   uint64_t entries_written = 0;
   uint64_t nodes_read = 0;
   size_t query_rows = 0;
+  double heap_bytes_per_entry = 0;
 };
 
 // Builds `c`'s index kReps times over the table `conn` already holds.
@@ -54,21 +60,28 @@ BuildStats Measure(Connection& conn, const BuildCase& c) {
   std::vector<double> ms;
   for (int rep = 0; rep < kReps; ++rep) {
     MetricsWindow window;
+    const size_t heap_before = mallinfo2().uordblks;
     Timer timer;
     conn.MustExecute(c.create);
     ms.push_back(timer.ElapsedMs());
+    const size_t heap_after = mallinfo2().uordblks;
     StorageMetrics delta = window.Delta();
     stats.entries_written = delta.index_entries_written;
+    if (rep == 0 && stats.entries_written > 0) {
+      stats.heap_bytes_per_entry =
+          (double(heap_after) - double(heap_before)) / stats.entries_written;
+    }
     stats.nodes_read = delta.index_nodes_read;
     stats.query_rows = conn.MustExecute(c.query).rows.size();
     conn.MustExecute("DROP INDEX bx");
   }
   stats.ms = SpreadOf(ms);
-  std::printf("%-12s %8llu | %10.1f %10.1f %10.1f | %12llu %12llu | %7zu\n",
-              stats.cartridge, (unsigned long long)stats.rows,
-              stats.ms.median, stats.ms.min, stats.ms.max,
-              (unsigned long long)stats.entries_written,
-              (unsigned long long)stats.nodes_read, stats.query_rows);
+  std::printf(
+      "%-12s %8llu | %10.1f %10.1f %10.1f | %12llu %12llu | %7zu | %8.1f\n",
+      stats.cartridge, (unsigned long long)stats.rows, stats.ms.median,
+      stats.ms.min, stats.ms.max, (unsigned long long)stats.entries_written,
+      (unsigned long long)stats.nodes_read, stats.query_rows,
+      stats.heap_bytes_per_entry);
   return stats;
 }
 
@@ -76,9 +89,9 @@ BuildStats Measure(Connection& conn, const BuildCase& c) {
 
 int main() {
   Header("Index build: one ODCIIndexCreate per cartridge, parallelism 1");
-  std::printf("%-12s %8s | %10s %10s %10s | %12s %12s | %7s\n", "cartridge",
-              "rows", "median_ms", "min_ms", "max_ms", "entries_wr",
-              "nodes_read", "q_rows");
+  std::printf("%-12s %8s | %10s %10s %10s | %12s %12s | %7s | %8s\n",
+              "cartridge", "rows", "median_ms", "min_ms", "max_ms",
+              "entries_wr", "nodes_read", "q_rows", "heap_B/e");
   std::vector<BuildStats> results;
   std::vector<uint64_t> text_sizes{10000, 20000, 50000};
   if (SmokeMode()) text_sizes = {60};
@@ -137,11 +150,13 @@ int main() {
         "%s\n    {\"cartridge\": \"%s\", \"rows\": %llu, \"parallelism\": 1, "
         "\"reps\": %d, \"build_ms_median\": %.1f, \"build_ms_min\": %.1f, "
         "\"build_ms_max\": %.1f, \"index_entries_written\": %llu, "
-        "\"index_nodes_read\": %llu, \"query_rows\": %zu}",
+        "\"index_nodes_read\": %llu, \"query_rows\": %zu, "
+        "\"heap_bytes_per_entry\": %.1f}",
         i == 0 ? "" : ",", s.cartridge, (unsigned long long)s.rows,
         kReps, s.ms.median, s.ms.min, s.ms.max,
         (unsigned long long)s.entries_written,
-        (unsigned long long)s.nodes_read, s.query_rows);
+        (unsigned long long)s.nodes_read, s.query_rows,
+        s.heap_bytes_per_entry);
     builds += buf;
   }
   builds += "\n  ]";

@@ -10,66 +10,81 @@ namespace exi {
 Value Value::Boolean(bool b) {
   Value v;
   v.tag_ = TypeTag::kBoolean;
-  v.bool_ = b;
+  v.u_.b = b;
   return v;
 }
 
 Value Value::Integer(int64_t i) {
   Value v;
   v.tag_ = TypeTag::kInteger;
-  v.int_ = i;
+  v.u_.i = i;
   return v;
 }
 
 Value Value::Double(double d) {
   Value v;
   v.tag_ = TypeTag::kDouble;
-  v.double_ = d;
+  v.u_.d = d;
+  return v;
+}
+
+template <typename T>
+Value Value::Boxed(TypeTag tag, T payload) {
+  Value v;
+  v.tag_ = tag;
+  v.u_.box = new BoxOf<T>(std::move(payload));
   return v;
 }
 
 Value Value::Varchar(std::string s) {
-  Value v;
-  v.tag_ = TypeTag::kVarchar;
-  v.str_ = std::make_shared<std::string>(std::move(s));
-  return v;
+  return Boxed(TypeTag::kVarchar, std::move(s));
 }
 
 Value Value::Blob(std::vector<uint8_t> bytes) {
-  Value v;
-  v.tag_ = TypeTag::kBlob;
-  v.blob_ = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
-  return v;
+  return Boxed(TypeTag::kBlob, std::move(bytes));
 }
 
 Value Value::Lob(LobId id) {
   Value v;
   v.tag_ = TypeTag::kLob;
-  v.lob_ = id;
+  v.u_.id = id;
   return v;
 }
 
 Value Value::Varray(ValueList elements) {
-  Value v;
-  v.tag_ = TypeTag::kVarray;
-  v.list_ = std::make_shared<ValueList>(std::move(elements));
-  return v;
+  return Boxed(TypeTag::kVarray, std::move(elements));
 }
 
 Value Value::Object(std::string type_name, ValueList attributes) {
-  Value v;
-  v.tag_ = TypeTag::kObject;
-  v.object_ = std::make_shared<ObjectValue>();
-  v.object_->type_name = std::move(type_name);
-  v.object_->attributes = std::move(attributes);
-  return v;
+  return Boxed(TypeTag::kObject,
+               ObjectValue{std::move(type_name), std::move(attributes)});
 }
 
 Value Value::FromRowId(RowId rid) {
   Value v;
   v.tag_ = TypeTag::kRowId;
-  v.rowid_ = rid;
+  v.u_.id = rid;
   return v;
+}
+
+void Value::Unref() noexcept {
+  if (u_.box->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  switch (tag_) {
+    case TypeTag::kVarchar:
+      delete static_cast<BoxOf<std::string>*>(u_.box);
+      return;
+    case TypeTag::kBlob:
+      delete static_cast<BoxOf<std::vector<uint8_t>>*>(u_.box);
+      return;
+    case TypeTag::kVarray:
+      delete static_cast<BoxOf<ValueList>*>(u_.box);
+      return;
+    case TypeTag::kObject:
+      delete static_cast<BoxOf<ObjectValue>*>(u_.box);
+      return;
+    default:
+      return;
+  }
 }
 
 bool Value::ConformsTo(const DataType& type) const {
@@ -79,7 +94,7 @@ bool Value::ConformsTo(const DataType& type) const {
       return tag_ == TypeTag::kDouble || tag_ == TypeTag::kInteger;
     case TypeTag::kVarray:
       if (tag_ != TypeTag::kVarray) return false;
-      for (const Value& e : *list_) {
+      for (const Value& e : AsVarray()) {
         if (!e.is_null() && e.tag() != type.element_tag() &&
             !(type.element_tag() == TypeTag::kDouble &&
               e.tag() == TypeTag::kInteger)) {
@@ -89,7 +104,7 @@ bool Value::ConformsTo(const DataType& type) const {
       return true;
     case TypeTag::kObject:
       return tag_ == TypeTag::kObject &&
-             EqualsIgnoreCase(object_->type_name, type.object_type());
+             EqualsIgnoreCase(AsObject().type_name, type.object_type());
     default:
       return tag_ == type.tag();
   }
@@ -103,8 +118,8 @@ Result<int> Value::Compare(const Value& a, const Value& b) {
   if ((a.tag_ == TypeTag::kInteger || a.tag_ == TypeTag::kDouble) &&
       (b.tag_ == TypeTag::kInteger || b.tag_ == TypeTag::kDouble)) {
     if (a.tag_ == TypeTag::kInteger && b.tag_ == TypeTag::kInteger) {
-      if (a.int_ < b.int_) return -1;
-      if (a.int_ > b.int_) return 1;
+      if (a.u_.i < b.u_.i) return -1;
+      if (a.u_.i > b.u_.i) return 1;
       return 0;
     }
     double da = a.AsDouble();
@@ -120,23 +135,20 @@ Result<int> Value::Compare(const Value& a, const Value& b) {
   }
   switch (a.tag_) {
     case TypeTag::kBoolean:
-      return int(a.bool_) - int(b.bool_);
+      return int(a.u_.b) - int(b.u_.b);
     case TypeTag::kVarchar: {
-      int c = a.str_->compare(*b.str_);
+      int c = a.AsVarchar().compare(b.AsVarchar());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeTag::kBlob: {
-      if (*a.blob_ < *b.blob_) return -1;
-      if (*b.blob_ < *a.blob_) return 1;
+      if (a.AsBlob() < b.AsBlob()) return -1;
+      if (b.AsBlob() < a.AsBlob()) return 1;
       return 0;
     }
     case TypeTag::kRowId:
-      if (a.rowid_ < b.rowid_) return -1;
-      if (a.rowid_ > b.rowid_) return 1;
-      return 0;
     case TypeTag::kLob:
-      if (a.lob_ < b.lob_) return -1;
-      if (a.lob_ > b.lob_) return 1;
+      if (a.u_.id < b.u_.id) return -1;
+      if (a.u_.id > b.u_.id) return 1;
       return 0;
     default:
       return Status::TypeMismatch(std::string("type not comparable: ") +
@@ -158,35 +170,36 @@ bool Value::Equals(const Value& other) const {
     case TypeTag::kNull:
       return true;
     case TypeTag::kBoolean:
-      return bool_ == other.bool_;
+      return u_.b == other.u_.b;
     case TypeTag::kInteger:
-      return int_ == other.int_;
+      return u_.i == other.u_.i;
     case TypeTag::kDouble:
-      return double_ == other.double_;
+      return u_.d == other.u_.d;
     case TypeTag::kVarchar:
-      return *str_ == *other.str_;
+      return AsVarchar() == other.AsVarchar();
     case TypeTag::kBlob:
-      return *blob_ == *other.blob_;
+      return AsBlob() == other.AsBlob();
     case TypeTag::kLob:
-      return lob_ == other.lob_;
     case TypeTag::kRowId:
-      return rowid_ == other.rowid_;
+      return u_.id == other.u_.id;
     case TypeTag::kVarray: {
-      if (list_->size() != other.list_->size()) return false;
-      for (size_t i = 0; i < list_->size(); ++i) {
-        if (!(*list_)[i].Equals((*other.list_)[i])) return false;
+      const ValueList& list = AsVarray();
+      const ValueList& other_list = other.AsVarray();
+      if (list.size() != other_list.size()) return false;
+      for (size_t i = 0; i < list.size(); ++i) {
+        if (!list[i].Equals(other_list[i])) return false;
       }
       return true;
     }
     case TypeTag::kObject: {
-      if (!EqualsIgnoreCase(object_->type_name, other.object_->type_name) ||
-          object_->attributes.size() != other.object_->attributes.size()) {
+      const ObjectValue& obj = AsObject();
+      const ObjectValue& other_obj = other.AsObject();
+      if (!EqualsIgnoreCase(obj.type_name, other_obj.type_name) ||
+          obj.attributes.size() != other_obj.attributes.size()) {
         return false;
       }
-      for (size_t i = 0; i < object_->attributes.size(); ++i) {
-        if (!object_->attributes[i].Equals(other.object_->attributes[i])) {
-          return false;
-        }
+      for (size_t i = 0; i < obj.attributes.size(); ++i) {
+        if (!obj.attributes[i].Equals(other_obj.attributes[i])) return false;
       }
       return true;
     }
@@ -199,13 +212,13 @@ uint64_t Value::Hash() const {
     case TypeTag::kNull:
       return 0x9E3779B9;
     case TypeTag::kBoolean:
-      return bool_ ? 0xB5297A4D : 0x68E31DA4;
+      return u_.b ? 0xB5297A4D : 0x68E31DA4;
     case TypeTag::kInteger:
-      return Fnv1a64(&int_, sizeof(int_));
+      return Fnv1a64(&u_.i, sizeof(u_.i));
     case TypeTag::kDouble: {
       // Hash integral doubles like the equal integer so cross-type equality
       // implies equal hashes.
-      double d = double_;
+      double d = u_.d;
       if (d == std::floor(d) && d >= -9.2e18 && d <= 9.2e18) {
         int64_t i = static_cast<int64_t>(d);
         return Fnv1a64(&i, sizeof(i));
@@ -213,21 +226,20 @@ uint64_t Value::Hash() const {
       return Fnv1a64(&d, sizeof(d));
     }
     case TypeTag::kVarchar:
-      return Fnv1a64(*str_);
+      return Fnv1a64(AsVarchar());
     case TypeTag::kBlob:
-      return Fnv1a64(blob_->data(), blob_->size());
+      return Fnv1a64(AsBlob().data(), AsBlob().size());
     case TypeTag::kLob:
-      return Fnv1a64(&lob_, sizeof(lob_));
     case TypeTag::kRowId:
-      return Fnv1a64(&rowid_, sizeof(rowid_));
+      return Fnv1a64(&u_.id, sizeof(u_.id));
     case TypeTag::kVarray: {
       uint64_t h = 0x1234;
-      for (const Value& e : *list_) h = h * 1099511628211ULL ^ e.Hash();
+      for (const Value& e : AsVarray()) h = h * 1099511628211ULL ^ e.Hash();
       return h;
     }
     case TypeTag::kObject: {
-      uint64_t h = Fnv1a64(ToLower(object_->type_name));
-      for (const Value& e : object_->attributes) {
+      uint64_t h = Fnv1a64(ToLower(AsObject().type_name));
+      for (const Value& e : AsObject().attributes) {
         h = h * 1099511628211ULL ^ e.Hash();
       }
       return h;
@@ -242,38 +254,40 @@ std::string Value::ToString() const {
     case TypeTag::kNull:
       return "NULL";
     case TypeTag::kBoolean:
-      return bool_ ? "TRUE" : "FALSE";
+      return u_.b ? "TRUE" : "FALSE";
     case TypeTag::kInteger:
-      os << int_;
+      os << u_.i;
       return os.str();
     case TypeTag::kDouble:
-      os << double_;
+      os << u_.d;
       return os.str();
     case TypeTag::kVarchar:
-      return "'" + *str_ + "'";
+      return "'" + AsVarchar() + "'";
     case TypeTag::kBlob:
-      os << "BLOB(" << blob_->size() << " bytes)";
+      os << "BLOB(" << AsBlob().size() << " bytes)";
       return os.str();
     case TypeTag::kLob:
-      os << "LOB#" << lob_;
+      os << "LOB#" << u_.id;
       return os.str();
     case TypeTag::kRowId:
-      os << "ROWID(" << rowid_ << ")";
+      os << "ROWID(" << u_.id << ")";
       return os.str();
     case TypeTag::kVarray: {
       os << "VARRAY(";
-      for (size_t i = 0; i < list_->size(); ++i) {
+      const ValueList& list = AsVarray();
+      for (size_t i = 0; i < list.size(); ++i) {
         if (i) os << ", ";
-        os << (*list_)[i].ToString();
+        os << list[i].ToString();
       }
       os << ")";
       return os.str();
     }
     case TypeTag::kObject: {
-      os << object_->type_name << "(";
-      for (size_t i = 0; i < object_->attributes.size(); ++i) {
+      const ObjectValue& obj = AsObject();
+      os << obj.type_name << "(";
+      for (size_t i = 0; i < obj.attributes.size(); ++i) {
         if (i) os << ", ";
-        os << object_->attributes[i].ToString();
+        os << obj.attributes[i].ToString();
       }
       os << ")";
       return os.str();

@@ -1,6 +1,7 @@
 #ifndef EXTIDX_TYPES_VALUE_H_
 #define EXTIDX_TYPES_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -30,11 +31,51 @@ struct ObjectValue {
   ValueList attributes;
 };
 
-// Dynamically typed runtime value.  Small scalars are stored inline; BLOB /
-// VARRAY / OBJECT payloads are shared_ptr so copying rows stays cheap.
+// Dynamically typed runtime value, 16 bytes: a one-byte tag and one 8-byte
+// union.  BOOLEAN, INTEGER, DOUBLE, LOB and ROWID live in the union itself.
+// VARCHAR, BLOB, VARRAY and OBJECT keep their payload (the std::string, the
+// bytes, the ValueList, the ObjectValue) in one heap box that starts with an
+// atomic reference count, and the union holds the box pointer.  Copying a
+// Value adds a reference and shares the payload; moving steals the pointer
+// and leaves the source NULL; the last reference frees the box.  The count
+// is atomic because join probes hand rows to pool threads.  Payloads are
+// immutable once built, so sharing them needs no further locking.
+//
+// An accessor called on a Value of another tag returns the zero of its type
+// (AsDouble converts an INTEGER); AsVarchar/AsBlob/AsVarray/AsObject
+// require their own tag.
 class Value {
  public:
-  Value() : tag_(TypeTag::kNull) {}
+  Value() noexcept : tag_(TypeTag::kNull) { u_.i = 0; }
+  Value(const Value& other) noexcept : tag_(other.tag_), u_(other.u_) {
+    if (boxed()) Ref();
+  }
+  Value(Value&& other) noexcept : tag_(other.tag_), u_(other.u_) {
+    other.tag_ = TypeTag::kNull;
+    other.u_.i = 0;
+  }
+  Value& operator=(const Value& other) noexcept {
+    // Reference the new payload before releasing the old one, so
+    // self-assignment never frees what it is about to share.
+    if (other.boxed()) other.Ref();
+    if (boxed()) Unref();
+    tag_ = other.tag_;
+    u_ = other.u_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      if (boxed()) Unref();
+      tag_ = other.tag_;
+      u_ = other.u_;
+      other.tag_ = TypeTag::kNull;
+      other.u_.i = 0;
+    }
+    return *this;
+  }
+  ~Value() {
+    if (boxed()) Unref();
+  }
 
   static Value Null() { return Value(); }
   static Value Boolean(bool b);
@@ -50,16 +91,22 @@ class Value {
   TypeTag tag() const { return tag_; }
   bool is_null() const { return tag_ == TypeTag::kNull; }
 
-  bool AsBoolean() const { return bool_; }
-  int64_t AsInteger() const { return int_; }
-  double AsDouble() const { return tag_ == TypeTag::kDouble ? double_
-                                                            : double(int_); }
-  const std::string& AsVarchar() const { return *str_; }
-  const std::vector<uint8_t>& AsBlob() const { return *blob_; }
-  LobId AsLob() const { return lob_; }
-  const ValueList& AsVarray() const { return *list_; }
-  const ObjectValue& AsObject() const { return *object_; }
-  RowId AsRowId() const { return rowid_; }
+  bool AsBoolean() const { return tag_ == TypeTag::kBoolean && u_.b; }
+  int64_t AsInteger() const { return tag_ == TypeTag::kInteger ? u_.i : 0; }
+  double AsDouble() const {
+    if (tag_ == TypeTag::kDouble) return u_.d;
+    return tag_ == TypeTag::kInteger ? double(u_.i) : 0.0;
+  }
+  const std::string& AsVarchar() const { return Payload<std::string>(); }
+  const std::vector<uint8_t>& AsBlob() const {
+    return Payload<std::vector<uint8_t>>();
+  }
+  LobId AsLob() const { return tag_ == TypeTag::kLob ? u_.id : kInvalidLobId; }
+  const ValueList& AsVarray() const { return Payload<ValueList>(); }
+  const ObjectValue& AsObject() const { return Payload<ObjectValue>(); }
+  RowId AsRowId() const {
+    return tag_ == TypeTag::kRowId ? u_.id : kInvalidRowId;
+  }
 
   // Returns true if this value's physical type can be stored in a column of
   // `type` (NULL is storable anywhere; INTEGER promotes to DOUBLE).
@@ -79,17 +126,42 @@ class Value {
   std::string ToString() const;
 
  private:
+  // The shared part of every payload box: its reference count.
+  struct Box {
+    std::atomic<uint32_t> refs{1};
+  };
+  template <typename T>
+  struct BoxOf : Box {
+    explicit BoxOf(T v) : value(std::move(v)) {}
+    T value;
+  };
+
+  // True for the tags whose payload lives in a box.
+  bool boxed() const {
+    return tag_ == TypeTag::kVarchar || tag_ == TypeTag::kBlob ||
+           tag_ == TypeTag::kVarray || tag_ == TypeTag::kObject;
+  }
+  template <typename T>
+  static Value Boxed(TypeTag tag, T payload);
+  template <typename T>
+  const T& Payload() const {
+    return static_cast<const BoxOf<T>*>(u_.box)->value;
+  }
+  void Ref() const { u_.box->refs.fetch_add(1, std::memory_order_relaxed); }
+  // Drops one reference; the last one frees the box by its tag.
+  void Unref() noexcept;
+
   TypeTag tag_;
-  bool bool_ = false;
-  int64_t int_ = 0;
-  double double_ = 0.0;
-  LobId lob_ = kInvalidLobId;
-  RowId rowid_ = kInvalidRowId;
-  std::shared_ptr<std::string> str_;
-  std::shared_ptr<std::vector<uint8_t>> blob_;
-  std::shared_ptr<ValueList> list_;
-  std::shared_ptr<ObjectValue> object_;
+  union {
+    bool b;
+    int64_t i;
+    double d;
+    uint64_t id;  // LobId or RowId
+    Box* box;
+  } u_;
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag and one 8-byte union");
 
 // A tuple of values; layout is positional against a Schema.
 using Row = ValueList;

@@ -2,8 +2,9 @@
 // simultaneous domain-index scans from pool threads must match a serial
 // scan exactly, an index built at parallelism 4 must equal one built at
 // parallelism 1, parallel domain-index joins must emit the same rows in
-// the same order as the serial plan, and a plain index scan does the same
-// ODCI work at every parallelism.
+// the same order as the serial plan, a plain index scan does the same
+// ODCI work at every parallelism, and Values shared across threads keep an
+// exact payload reference count.
 //
 // Build with -DEXTIDX_SANITIZE=thread to run these under TSan.
 
@@ -12,6 +13,7 @@
 #include <future>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "cartridge/spatial/geometry.h"
@@ -416,6 +418,47 @@ TEST_F(ParallelQueryTest, LimitScanDoesTheSameOdciWorkAtEveryParallelism) {
     EXPECT_EQ(calls[1][0], 1u) << "one slice started";
     EXPECT_EQ(calls[1][2], 1u) << "one slice closed";
   }
+}
+
+// Rows cross threads by copy (join probes hand them to pool threads), so
+// four threads copying, comparing, moving and dropping copies of the same
+// VARCHAR and OBJECT Values must leave each payload alive, unchanged and
+// shared until the last owner drops it.  TSan checks the count for races;
+// the ASan stage checks that each payload is freed once and not leaked.
+TEST(ValueRefcountTest, FourThreadsCopyAndDropSharedPayloads) {
+  Value text = Value::Varchar(std::string(64, 'v'));
+  Value object = Value::Object(
+      "Shape", {Value::Varchar("square"), Value::Varray({text, text})});
+  const std::string* text_payload = &text.AsVarchar();
+  const ObjectValue* object_payload = &object.AsObject();
+
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        ValueList row{text, object};
+        Value kept = row[0];
+        Value taken = std::move(row[1]);
+        bool same = &kept.AsVarchar() == text_payload &&
+                    &taken.AsObject() == object_payload &&
+                    row[1].is_null() && *Value::Compare(kept, text) == 0 &&
+                    taken.Equals(object);
+        if (!same) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  EXPECT_EQ(&text.AsVarchar(), text_payload);
+  EXPECT_EQ(text.AsVarchar(), std::string(64, 'v'));
+  EXPECT_EQ(&object.AsObject(), object_payload);
+  EXPECT_EQ(object.AsObject().attributes[1].AsVarray()[0].AsVarchar(),
+            std::string(64, 'v'));
+  Value last = object;
+  object = Value::Null();
+  EXPECT_EQ(&last.AsObject(), object_payload);
 }
 
 }  // namespace

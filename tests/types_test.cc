@@ -101,6 +101,88 @@ TEST(ValueTest, ToStringForms) {
             "VARRAY(1, 2)");
 }
 
+TEST(ValueTest, CopySharesPayloadAndMoveLeavesNull) {
+  Value s = Value::Varchar("shared payload");
+  Value copy = s;
+  EXPECT_EQ(&copy.AsVarchar(), &s.AsVarchar());
+  Value obj = Value::Object("T", {Value::Integer(1)});
+  Value obj_copy(obj);
+  EXPECT_EQ(&obj_copy.AsObject(), &obj.AsObject());
+
+  const std::string* payload = &s.AsVarchar();
+  Value moved = std::move(s);
+  EXPECT_TRUE(s.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&moved.AsVarchar(), payload);
+  Value assigned;
+  assigned = std::move(moved);
+  EXPECT_TRUE(moved.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&assigned.AsVarchar(), payload);
+  EXPECT_EQ(copy.AsVarchar(), "shared payload");
+}
+
+TEST(ValueTest, SelfAssignmentKeepsThePayload) {
+  Value s = Value::Varchar("self");
+  Value& alias = s;
+  s = alias;
+  EXPECT_EQ(s.AsVarchar(), "self");
+  s = std::move(alias);
+  EXPECT_EQ(s.AsVarchar(), "self");
+  Value list = Value::Varray({Value::Varchar("a"), Value::Varchar("b")});
+  Value& list_alias = list;
+  list = list_alias;
+  list = std::move(list_alias);
+  ASSERT_EQ(list.AsVarray().size(), 2u);
+  EXPECT_EQ(list.AsVarray()[1].AsVarchar(), "b");
+}
+
+TEST(ValueTest, WrongTagAccessorsReturnZero) {
+  std::vector<Value> values{Value::Null(),         Value::Boolean(true),
+                            Value::Integer(7),     Value::Double(2.5),
+                            Value::Varchar("x"),   Value::Blob({1, 2}),
+                            Value::Lob(9),         Value::Varray({}),
+                            Value::Object("T", {}), Value::FromRowId(11)};
+  for (const Value& v : values) {
+    SCOPED_TRACE(v.ToString());
+    if (v.tag() != TypeTag::kInteger) {
+      EXPECT_EQ(v.AsInteger(), 0);
+    }
+    if (v.tag() != TypeTag::kBoolean) {
+      EXPECT_FALSE(v.AsBoolean());
+    }
+    if (v.tag() != TypeTag::kLob) {
+      EXPECT_EQ(v.AsLob(), kInvalidLobId);
+    }
+    if (v.tag() != TypeTag::kRowId) {
+      EXPECT_EQ(v.AsRowId(), kInvalidRowId);
+    }
+  }
+  EXPECT_EQ(Value::Null().AsDouble(), 0.0);
+  EXPECT_EQ(Value::Integer(7).AsDouble(), 7.0);
+  EXPECT_TRUE(Value::Boolean(true).AsBoolean());
+  EXPECT_EQ(Value::Lob(9).AsLob(), 9u);
+  EXPECT_EQ(Value::FromRowId(11).AsRowId(), 11u);
+}
+
+TEST(ValueTest, NestedCollectionsCopyAndDestroyCleanly) {
+  // Each level holds boxed payloads; the sanitizer build checks that every
+  // box is freed once when the last copy goes.
+  Value inner = Value::Varray({Value::Varchar("p"), Value::Varchar("q")});
+  Value outer = Value::Object(
+      "Outer", {inner, Value::Object("Inner", {Value::Varchar("r"), inner})});
+  {
+    ValueList rows(3, outer);
+    rows.push_back(Value::Varray({outer, Value::Blob({7})}));
+    EXPECT_TRUE(rows[3].AsVarray()[0].Equals(outer));
+  }
+  inner = Value::Null();
+  const ObjectValue& o = outer.AsObject();
+  EXPECT_EQ(o.attributes[0].AsVarray()[1].AsVarchar(), "q");
+  EXPECT_EQ(o.attributes[1].AsObject().attributes[1].AsVarray()[0].AsVarchar(),
+            "p");
+  EXPECT_EQ(outer.ToString(),
+            "Outer(VARRAY('p', 'q'), Inner('r', VARRAY('p', 'q')))");
+}
+
 TEST(SchemaTest, ValidateRow) {
   Schema schema;
   schema.AddColumn(Column{"id", DataType::Integer(), true});
