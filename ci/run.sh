@@ -64,6 +64,17 @@ print("  join rows by workers: %s" % rows)
 if len(set(rows.values())) != 1 or 0 in rows.values():
     sys.exit("join row count differs across worker counts or is zero")
 '
+  # One copy of each IOT row: a text posting keeps no key copy beside its
+  # row.  Smoke scale reads about 117 B per posting with one copy and 189 B
+  # with a key copy per row; heap bytes, not times, so it holds on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_text_build.json"))
+text = next(b for b in r["builds"] if b["cartridge"] == "text")
+print("  text heap bytes per entry: %.1f" % text["heap_bytes_per_entry"])
+if text["heap_bytes_per_entry"] >= 140:
+    sys.exit("text index keeps >= 140 heap bytes per posting")
+'
 )
 
 echo "==> fault smoke (EXTIDX_BENCH_SMOKE=1: fail-point sweep at tiny scale)"

@@ -52,7 +52,8 @@ Status GuardedServerContext::IotInsert(const std::string& name, Row row) {
   EXI_RETURN_IF_ERROR(RequireDml("IotInsert"));
   EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_insert"));
   EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  CompositeKey key = iot->KeyOf(row);
+  KeySpan row_key = iot->KeyOf(row);
+  CompositeKey key(row_key.begin(), row_key.end());
   EXI_RETURN_IF_ERROR(iot->Insert(std::move(row)));
   if (txn_ != nullptr) {
     txn_->PushUndo([iot, key] { (void)iot->Delete(key); });

@@ -13,10 +13,28 @@
 
 namespace exi {
 
-// In-memory B+-tree over composite Value keys, parameterized by the leaf
-// payload.  Shared by the native B-tree index (payload = posting list of
-// RowIds) and by index-organized tables (payload = full row, the paper's
-// "index entry is the row" metaphor).
+// An entry that carries its own key beside its value, such as the
+// built-in B-tree index's (key, posting list).  KeyedEntryKey reads it.
+template <typename T>
+struct KeyedEntry {
+  CompositeKey key;
+  T value;
+};
+
+struct KeyedEntryKey {
+  template <typename T>
+  KeySpan operator()(const KeyedEntry<T>& entry) const {
+    return entry.key;
+  }
+};
+
+// In-memory B+-tree over composite Value keys.  Each leaf slot holds one
+// `Entry`, and the tree reads the entry's key in place through `KeyFn`
+// (`KeySpan operator()(const Entry&)`), so a leaf keeps no key copies.
+// Shared by the native B-tree index (entry = key plus posting list of
+// RowIds) and by index-organized tables (entry = the full row, keyed by
+// its leading columns: the paper's "index entry is the row" metaphor).
+// Internal nodes own their separator keys, one per child after the first.
 //
 // Structure: classic order-`kMaxKeys` tree; leaves are chained for range
 // scans.  An empty tree can also be built bottom-up from sorted entries
@@ -26,7 +44,7 @@ namespace exi {
 // uses: entries are removed from leaves, and underfull and empty leaves
 // stay in the tree and on the leaf chain.  Scans step over empty leaves,
 // and every node a lookup or scan visits is metered, empty leaves included.
-template <typename Payload>
+template <typename Entry, typename KeyFn = KeyedEntryKey>
 class BPlusTree {
  public:
   static constexpr size_t kMaxKeys = 64;
@@ -36,7 +54,8 @@ class BPlusTree {
   // for no measurable change in DML latency.
   static constexpr size_t kBulkLeafKeys = kMaxKeys * 7 / 8;
 
-  BPlusTree() : root_(NewNode(/*leaf=*/true)) {}
+  explicit BPlusTree(KeyFn key_of = KeyFn())
+      : key_of_(std::move(key_of)), root_(NewNode(/*leaf=*/true)) {}
 
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
@@ -44,89 +63,91 @@ class BPlusTree {
   size_t size() const { return size_; }
   size_t height() const { return height_; }
 
-  // Returns the payload for `key`, or nullptr.
-  Payload* Find(const CompositeKey& key) {
+  // The key of `entry`, read in place: valid while the entry is unchanged.
+  KeySpan KeyOf(const Entry& entry) const { return key_of_(entry); }
+
+  // Returns the entry for `key`, or nullptr.
+  Entry* Find(KeySpan key) {
     Path path;
     Node* leaf = Descend(key, &path, /*metered=*/true);
-    size_t pos = LowerBound(leaf->keys, key);
-    if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0) {
-      return &leaf->payloads[pos];
-    }
-    return nullptr;
+    size_t pos = LowerBound(leaf, key);
+    return Holds(leaf, pos, key) ? &leaf->entries[pos] : nullptr;
   }
-  const Payload* Find(const CompositeKey& key) const {
+  const Entry* Find(KeySpan key) const {
     return const_cast<BPlusTree*>(this)->Find(key);
   }
 
-  // Returns the payload slot for `key`, inserting a default-constructed
-  // payload (and splitting nodes) if absent.  Unlike Upsert, does not
-  // meter the nodes it visits.
-  Payload& GetOrInsert(const CompositeKey& key) {
+  // Returns the entry for `key`, inserting `make()` (an entry whose key
+  // equals `key`) if absent and splitting nodes as needed.  Unlike Upsert,
+  // does not meter the nodes it visits.
+  template <typename Make>
+  Entry& GetOrInsert(KeySpan key, Make make) {
     Path path;
-    return *Insert(key, &path, /*metered=*/false).payload;
+    return *Insert(key, &path, /*metered=*/false, make).entry;
   }
 
-  // Stores `payload` under `key` in one descent, metering every node it
-  // visits.  Returns the payload it replaced, or nullopt for a new key.
-  std::optional<Payload> Upsert(const CompositeKey& key, Payload payload) {
+  // Stores `entry` under its key in one descent, metering every node it
+  // visits.  Returns the entry it replaced, or nullopt for a new key.
+  std::optional<Entry> Upsert(Entry entry) {
     Path path;
-    return Store(Insert(key, &path, /*metered=*/true), std::move(payload));
+    std::optional<Entry> old;
+    Put(std::move(entry), &path, &old);
+    return old;
   }
 
-  // Removes the entry for `key` in one descent and returns its payload, or
-  // nullopt if absent.
-  std::optional<Payload> Extract(const CompositeKey& key) {
+  // Removes the entry for `key` in one descent and returns it, or nullopt
+  // if absent.
+  std::optional<Entry> Extract(KeySpan key) {
     Path path;
     return ExtractFromLeaf(Descend(key, &path, /*metered=*/true), key);
   }
 
   // Removes the entry for `key`.  Returns false if absent.
-  bool Erase(const CompositeKey& key) { return Extract(key).has_value(); }
+  bool Erase(KeySpan key) { return Extract(key).has_value(); }
 
-  // Writes a run: `keys[i]` gets `payloads[i]`, for keys in strictly
-  // ascending order.  The walk holds its root-to-leaf path (see Path): a
-  // key inside the held leaf's fence reads no node, and any other key
-  // re-descends from the lowest held node whose fence covers it, metering
-  // that node and each one below it.  A leaf split is absorbed into the
-  // held parents without a fresh descent.  `replaced(i, old)` receives the
-  // payload key i replaced, or nullopt for a new key.  The result is the
-  // tree the same Upserts one at a time would build, and no more nodes are
-  // read than they would read.
+  // Writes a run of `entries` whose keys strictly ascend.  The walk holds
+  // its root-to-leaf path (see Path): a key inside the held leaf's fence
+  // reads no node, and any other key re-descends from the lowest held node
+  // whose fence covers it, metering that node and each one below it.  A
+  // leaf split is absorbed into the held parents without a fresh descent.
+  // For each entry in order, `replaced(stored, old)` receives the entry
+  // now in the tree (valid only during the call) and the entry it
+  // replaced, or nullopt for a new key.  The result is the tree the same
+  // Upserts one at a time would build, and no more nodes are read than
+  // they would read.
   template <typename Replaced>
-  void UpsertRun(const std::vector<CompositeKey>& keys,
-                 std::vector<Payload> payloads, Replaced replaced) {
-    assert(keys.size() == payloads.size());
+  void UpsertRun(std::vector<Entry> entries, Replaced replaced) {
     Path path;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      replaced(i, Store(Insert(keys[i], &path, /*metered=*/true),
-                        std::move(payloads[i])));
+    for (Entry& entry : entries) {
+      std::optional<Entry> old;
+      const Entry& stored = Put(std::move(entry), &path, &old);
+      replaced(stored, std::move(old));
     }
   }
 
   // Removes a run of strictly ascending keys, walking it along a held path
   // as UpsertRun does (removal never splits, so the path only moves when a
-  // key reaches a fence).  `removed(i, payload)` receives each removed
-  // payload.  Stops at the first absent key and returns its index, or
+  // key reaches a fence).  `removed(i, entry)` receives each removed
+  // entry.  Stops at the first absent key and returns its index, or
   // keys.size() when every key was present.
   template <typename Removed>
   size_t ExtractRun(const std::vector<CompositeKey>& keys, Removed removed) {
     Path path;
     for (size_t i = 0; i < keys.size(); ++i) {
-      std::optional<Payload> payload = ExtractFromLeaf(
+      std::optional<Entry> entry = ExtractFromLeaf(
           Descend(keys[i], &path, /*metered=*/true), keys[i]);
-      if (!payload.has_value()) return i;
-      removed(i, std::move(*payload));
+      if (!entry.has_value()) return i;
+      removed(i, std::move(*entry));
     }
     return keys.size();
   }
 
-  // Builds the tree bottom-up from `n` entries, which `next(&key, &payload)`
-  // produces one at a time in strictly ascending key order: leaves are
-  // filled left to right and chained, then each internal level takes its
-  // children's first keys as separators.  The tree must be empty.  Leaves
-  // hold up to `kBulkLeafKeys` entries and internal nodes up to
-  // `kMaxKeys` + 1 children, spread evenly so no node is left nearly
-  // empty.
+  // Builds the tree bottom-up from `n` entries, which `next()` returns one
+  // at a time in strictly ascending key order: leaves are filled left to
+  // right and chained, then each internal level takes its children's
+  // first keys as separators.  The tree must be empty.  Leaves hold up to
+  // `kBulkLeafKeys` entries and internal nodes up to `kMaxKeys` + 1
+  // children, spread evenly so no node is left nearly empty.
   template <typename Next>
   void BulkLoad(size_t n, Next next) {
     assert(size_ == 0);
@@ -136,14 +157,11 @@ class BPlusTree {
     Node* prev = nullptr;
     ForEachGroup(n, kBulkLeafKeys, [&](size_t begin, size_t end) {
       auto leaf = NewNode(/*leaf=*/true);
-      leaf->keys.resize(end - begin);
-      leaf->payloads.resize(end - begin);
-      for (size_t i = 0; i < end - begin; ++i) {
-        next(&leaf->keys[i], &leaf->payloads[i]);
-      }
+      leaf->entries.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) leaf->entries.push_back(next());
       if (prev != nullptr) prev->next = leaf.get();
       prev = leaf.get();
-      CompositeKey first = leaf->keys.front();
+      CompositeKey first = CopyKey(leaf->entries.front());
       level.emplace_back(std::move(first), std::move(leaf));
     });
     size_t height = 1;
@@ -171,14 +189,16 @@ class BPlusTree {
     height_ = 1;
   }
 
-  // Forward iterator over (key, payload) entries in key order.
+  // Forward iterator over entries in key order.
   class Iterator {
    public:
     Iterator() = default;
 
-    bool Valid() const { return leaf_ != nullptr && pos_ < leaf_->keys.size(); }
-    const CompositeKey& key() const { return leaf_->keys[pos_]; }
-    Payload& payload() const { return leaf_->payloads[pos_]; }
+    bool Valid() const {
+      return leaf_ != nullptr && pos_ < leaf_->entries.size();
+    }
+    KeySpan key() const { return tree_->KeyOf(entry()); }
+    Entry& entry() const { return leaf_->entries[pos_]; }
 
     void Next() {
       ++pos_;
@@ -190,23 +210,25 @@ class BPlusTree {
 
     // Advances across empty / exhausted leaves to the next live entry.
     void SkipEmpty() {
-      while (leaf_ != nullptr && pos_ >= leaf_->keys.size()) {
+      while (leaf_ != nullptr && pos_ >= leaf_->entries.size()) {
         leaf_ = leaf_->next;
         pos_ = 0;
         if (leaf_ != nullptr) GlobalMetrics().index_nodes_read++;
       }
     }
 
+    const BPlusTree* tree_ = nullptr;
     typename BPlusTree::Node* leaf_ = nullptr;
     size_t pos_ = 0;
   };
 
   // Iterator at the first entry with key >= `key`.
-  Iterator Seek(const CompositeKey& key) {
+  Iterator Seek(KeySpan key) {
     Path path;
     Iterator it;
+    it.tree_ = this;
     it.leaf_ = Descend(key, &path, /*metered=*/true);
-    it.pos_ = LowerBound(it.leaf_->keys, key);
+    it.pos_ = LowerBound(it.leaf_, key);
     // LowerBound may land past the last entry of this leaf.
     it.SkipEmpty();
     return it;
@@ -221,6 +243,7 @@ class BPlusTree {
       GlobalMetrics().index_nodes_read++;
     }
     Iterator it;
+    it.tree_ = this;
     it.leaf_ = n;
     it.pos_ = 0;
     it.SkipEmpty();
@@ -230,9 +253,9 @@ class BPlusTree {
  private:
   struct Node {
     bool leaf;
-    std::vector<CompositeKey> keys;
+    std::vector<CompositeKey> keys;               // internal: separators
     std::vector<std::unique_ptr<Node>> children;  // internal nodes only
-    std::vector<Payload> payloads;                // leaves only
+    std::vector<Entry> entries;                   // leaves only
     Node* next = nullptr;                         // leaf chain
   };
 
@@ -252,8 +275,8 @@ class BPlusTree {
   using Path = std::vector<Level>;
 
   struct InsertResult {
-    Payload* payload = nullptr;
-    bool inserted = false;  // `payload` is a new default-constructed slot
+    Entry* entry = nullptr;
+    bool inserted = false;  // `entry` was made by this insert
   };
 
   static std::unique_ptr<Node> NewNode(bool leaf) {
@@ -262,14 +285,19 @@ class BPlusTree {
     return n;
   }
 
-  // First position with keys[pos] >= key.
-  static size_t LowerBound(const std::vector<CompositeKey>& keys,
-                           const CompositeKey& key) {
+  // An owned copy of `entry`'s key, for a separator.
+  CompositeKey CopyKey(const Entry& entry) const {
+    KeySpan key = KeyOf(entry);
+    return CompositeKey(key.begin(), key.end());
+  }
+
+  // First position in `leaf` whose entry's key is >= key.
+  size_t LowerBound(const Node* leaf, KeySpan key) const {
     size_t lo = 0;
-    size_t hi = keys.size();
+    size_t hi = leaf->entries.size();
     while (lo < hi) {
       size_t mid = (lo + hi) / 2;
-      if (CompareKeys(keys[mid], key) < 0) {
+      if (CompareKeys(KeyOf(leaf->entries[mid]), key) < 0) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -278,10 +306,16 @@ class BPlusTree {
     return lo;
   }
 
+  // True if the entry at `pos` in `leaf` has exactly `key`.
+  bool Holds(const Node* leaf, size_t pos, KeySpan key) const {
+    return pos < leaf->entries.size() &&
+           CompareKeys(KeyOf(leaf->entries[pos]), key) == 0;
+  }
+
   // Child index to follow for `key` in an internal node: first separator
   // strictly greater than key.
   static size_t ChildIndex(const std::vector<CompositeKey>& seps,
-                           const CompositeKey& key) {
+                           KeySpan key) {
     size_t lo = 0;
     size_t hi = seps.size();
     while (lo < hi) {
@@ -299,7 +333,7 @@ class BPlusTree {
   // held node whose fence covers `key` (from the root if none is held).
   // Every node whose keys are searched is metered, the node the descent
   // resumes from included; a held leaf that covers `key` reads no node.
-  Node* Descend(const CompositeKey& key, Path* path, bool metered) {
+  Node* Descend(KeySpan key, Path* path, bool metered) {
     while (!path->empty() && path->back().fence != nullptr &&
            CompareKeys(key, *path->back().fence) >= 0) {
       path->pop_back();
@@ -323,39 +357,46 @@ class BPlusTree {
     }
   }
 
-  // Removes `key` from `leaf`, returning its payload, or nullopt if absent.
-  std::optional<Payload> ExtractFromLeaf(Node* leaf, const CompositeKey& key) {
-    size_t pos = LowerBound(leaf->keys, key);
-    if (pos >= leaf->keys.size() || CompareKeys(leaf->keys[pos], key) != 0) {
-      return std::nullopt;
-    }
-    std::optional<Payload> removed(std::move(leaf->payloads[pos]));
-    leaf->keys.erase(leaf->keys.begin() + pos);
-    leaf->payloads.erase(leaf->payloads.begin() + pos);
+  // Removes the entry for `key` from `leaf` and returns it, or nullopt if
+  // absent.
+  std::optional<Entry> ExtractFromLeaf(Node* leaf, KeySpan key) {
+    size_t pos = LowerBound(leaf, key);
+    if (!Holds(leaf, pos, key)) return std::nullopt;
+    std::optional<Entry> removed(std::move(leaf->entries[pos]));
+    leaf->entries.erase(leaf->entries.begin() + pos);
     --size_;
     return removed;
   }
 
-  // The slot for `key` in the leaf `path` descends to, adding a default
-  // payload if absent.  A leaf that overflows splits, and the split is
-  // absorbed into the held ancestors (see AbsorbSplit).
-  InsertResult Insert(const CompositeKey& key, Path* path, bool metered) {
+  // The entry for `key` in the leaf `path` descends to; if absent, `make()`
+  // is inserted there.  `key` may view the entry make() moves from, so it
+  // is not read after make() runs.  A leaf that overflows splits, and the
+  // split is absorbed into the held ancestors (see AbsorbSplit).
+  template <typename Make>
+  InsertResult Insert(KeySpan key, Path* path, bool metered, Make& make) {
     Node* leaf = Descend(key, path, metered);
-    size_t pos = LowerBound(leaf->keys, key);
-    if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0) {
-      return {&leaf->payloads[pos], false};
-    }
-    leaf->keys.insert(leaf->keys.begin() + pos, key);
-    leaf->payloads.insert(leaf->payloads.begin() + pos, Payload());
+    size_t pos = LowerBound(leaf, key);
+    if (Holds(leaf, pos, key)) return {&leaf->entries[pos], false};
+    leaf->entries.insert(leaf->entries.begin() + pos, make());
     ++size_;
-    if (leaf->keys.size() <= kMaxKeys) return {&leaf->payloads[pos], true};
+    if (leaf->entries.size() <= kMaxKeys) return {&leaf->entries[pos], true};
     auto [sep, right] = Split(leaf);
     // Nodes never move, so the slot stays valid once the split is absorbed.
-    Payload* slot = pos < leaf->keys.size()
-                        ? &leaf->payloads[pos]
-                        : &right->payloads[pos - leaf->keys.size()];
+    Entry* slot = pos < leaf->entries.size()
+                      ? &leaf->entries[pos]
+                      : &right->entries[pos - leaf->entries.size()];
     AbsorbSplit(path, std::move(sep), std::move(right));
     return {slot, true};
+  }
+
+  // Stores `entry` along `path`, metering each node searched: a new key is
+  // inserted, and a present key's entry is swapped out into `*old`.
+  // Returns the stored entry.
+  Entry& Put(Entry entry, Path* path, std::optional<Entry>* old) {
+    auto take = [&] { return std::move(entry); };
+    InsertResult res = Insert(KeyOf(entry), path, /*metered=*/true, take);
+    if (!res.inserted) *old = std::exchange(*res.entry, std::move(entry));
+    return *res.entry;
   }
 
   // Absorbs a split of the path's deepest node (separator `sep`, new right
@@ -386,17 +427,6 @@ class BPlusTree {
     }
   }
 
-  // Stores `payload` in the slot `res` found; returns the payload it
-  // replaced, or nullopt for a new slot.
-  static std::optional<Payload> Store(const InsertResult& res,
-                                      Payload payload) {
-    if (res.inserted) {
-      *res.payload = std::move(payload);
-      return std::nullopt;
-    }
-    return std::exchange(*res.payload, std::move(payload));
-  }
-
   // Calls visit(begin, end) for `n` items cut into the fewest groups of at
   // most `cap`, with sizes differing by at most one.
   template <typename Visit>
@@ -414,23 +444,21 @@ class BPlusTree {
 
   // Splits an overflowing node in half and returns the separator for its
   // parent and the new right sibling; a leaf also links the sibling into
-  // the leaf chain.
+  // the leaf chain, and its separator copies the sibling's first key.
   std::pair<CompositeKey, std::unique_ptr<Node>> Split(Node* node) {
-    size_t mid = node->keys.size() / 2;
     auto right = NewNode(node->leaf);
     if (node->leaf) {
-      right->keys.assign(std::make_move_iterator(node->keys.begin() + mid),
-                         std::make_move_iterator(node->keys.end()));
-      right->payloads.assign(
-          std::make_move_iterator(node->payloads.begin() + mid),
-          std::make_move_iterator(node->payloads.end()));
-      node->keys.resize(mid);
-      node->payloads.resize(mid);
+      size_t mid = node->entries.size() / 2;
+      right->entries.assign(
+          std::make_move_iterator(node->entries.begin() + mid),
+          std::make_move_iterator(node->entries.end()));
+      node->entries.erase(node->entries.begin() + mid, node->entries.end());
       right->next = node->next;
       node->next = right.get();
-      CompositeKey sep = right->keys.front();
+      CompositeKey sep = CopyKey(right->entries.front());
       return {std::move(sep), std::move(right)};
     }
+    size_t mid = node->keys.size() / 2;
     CompositeKey sep = std::move(node->keys[mid]);
     right->keys.assign(std::make_move_iterator(node->keys.begin() + mid + 1),
                        std::make_move_iterator(node->keys.end()));
@@ -442,6 +470,7 @@ class BPlusTree {
     return {std::move(sep), std::move(right)};
   }
 
+  [[no_unique_address]] KeyFn key_of_;
   std::unique_ptr<Node> root_;
   size_t size_ = 0;
   size_t height_ = 1;

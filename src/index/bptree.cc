@@ -7,27 +7,28 @@
 namespace exi {
 
 void BTreeIndex::Insert(const CompositeKey& key, RowId rid) {
-  std::vector<RowId>& postings = tree_.GetOrInsert(key);
-  postings.push_back(rid);
+  auto make = [&] { return KeyedEntry<std::vector<RowId>>{key, {}}; };
+  tree_.GetOrInsert(key, make).value.push_back(rid);
   ++entry_count_;
   GlobalMetrics().index_entries_written++;
 }
 
 void BTreeIndex::Delete(const CompositeKey& key, RowId rid) {
-  std::vector<RowId>* postings = tree_.Find(key);
-  if (postings == nullptr) return;
-  auto it = std::find(postings->begin(), postings->end(), rid);
-  if (it == postings->end()) return;
-  postings->erase(it);
+  auto* entry = tree_.Find(key);
+  if (entry == nullptr) return;
+  std::vector<RowId>& postings = entry->value;
+  auto it = std::find(postings.begin(), postings.end(), rid);
+  if (it == postings.end()) return;
+  postings.erase(it);
   --entry_count_;
   GlobalMetrics().index_entries_written++;
-  if (postings->empty()) tree_.Erase(key);
+  if (postings.empty()) tree_.Erase(key);
 }
 
 std::vector<RowId> BTreeIndex::ScanEqual(const CompositeKey& key) const {
-  const std::vector<RowId>* postings = tree_.Find(key);
-  if (postings == nullptr) return {};
-  return *postings;
+  const auto* entry = tree_.Find(key);
+  if (entry == nullptr) return {};
+  return entry->value;
 }
 
 Result<std::vector<RowId>> BTreeIndex::ScanRange(
@@ -44,7 +45,7 @@ Result<std::vector<RowId>> BTreeIndex::ScanRange(
       int c = CompareKeys(it.key(), hi->key);
       if (c > 0 || (c == 0 && !hi->inclusive)) break;
     }
-    const std::vector<RowId>& postings = it.payload();
+    const std::vector<RowId>& postings = it.entry().value;
     out.insert(out.end(), postings.begin(), postings.end());
   }
   return out;
@@ -54,11 +55,12 @@ Result<std::vector<RowId>> BTreeIndex::ScanLeadingPrefix(
     const CompositeKey& prefix) const {
   std::vector<RowId> out;
   for (auto it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-    const CompositeKey& key = it.key();
-    if (key.size() < prefix.size()) break;
-    CompositeKey head(key.begin(), key.begin() + prefix.size());
-    if (CompareKeys(head, prefix) != 0) break;
-    const std::vector<RowId>& postings = it.payload();
+    KeySpan key = it.key();
+    if (key.size() < prefix.size() ||
+        CompareKeys(key.first(prefix.size()), prefix) != 0) {
+      break;
+    }
+    const std::vector<RowId>& postings = it.entry().value;
     out.insert(out.end(), postings.begin(), postings.end());
   }
   return out;

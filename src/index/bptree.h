@@ -43,7 +43,8 @@ class BTreeIndex : public BuiltinIndex {
 
  private:
   std::string name_;
-  mutable BPlusTree<std::vector<RowId>> tree_;
+  // Each entry is a distinct key with its posting list.
+  mutable BPlusTree<KeyedEntry<std::vector<RowId>>> tree_;
   uint64_t entry_count_ = 0;
 };
 

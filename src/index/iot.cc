@@ -1,6 +1,5 @@
 #include "index/iot.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -11,29 +10,25 @@ namespace exi {
 Iot::Iot(std::string name, Schema schema, size_t key_columns)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      key_columns_(key_columns) {
+      key_columns_(key_columns),
+      tree_(RowKey{key_columns}) {
   assert(key_columns_ > 0 && key_columns_ <= schema_.size());
 }
 
-CompositeKey Iot::KeyOf(const Row& row) const {
-  return CompositeKey(row.begin(),
-                      row.begin() + std::min(key_columns_, row.size()));
-}
-
-Status Iot::DuplicateKeyError(const CompositeKey& key) const {
+Status Iot::DuplicateKeyError(KeySpan key) const {
   return Status::AlreadyExists("duplicate key " + KeyToString(key) +
                                " in IOT " + name_);
 }
 
-Status Iot::MissingKeyError(const CompositeKey& key) const {
+Status Iot::MissingKeyError(KeySpan key) const {
   return Status::NotFound("no key " + KeyToString(key) + " in IOT " + name_);
 }
 
 Status Iot::Insert(Row row) {
   EXI_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  CompositeKey key = KeyOf(row);
+  KeySpan key = KeyOf(row);
   if (tree_.Find(key) != nullptr) return DuplicateKeyError(key);
-  tree_.GetOrInsert(key) = std::move(row);
+  tree_.GetOrInsert(key, [&] { return std::move(row); });
   GlobalMetrics().index_entries_written++;
   return Status::OK();
 }
@@ -41,20 +36,19 @@ Status Iot::Insert(Row row) {
 Status Iot::UpsertSorted(std::vector<Row> rows,
                          std::vector<CompositeKey>* added,
                          std::vector<Row>* replaced) {
-  std::vector<CompositeKey> keys;
-  keys.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXI_RETURN_IF_ERROR(schema_.ValidateRow(rows[i]));
-    keys.push_back(KeyOf(rows[i]));
-    if (i > 0 && ComparePrimaryKeys(rows[i - 1], rows[i]) >= 0) {
-      return UnsortedKeyError("upsert", keys.back());
+    if (i > 0 && CompareKeys(KeyOf(rows[i - 1]), KeyOf(rows[i])) >= 0) {
+      return UnsortedKeyError("upsert", KeyOf(rows[i]));
     }
   }
   GlobalMetrics().index_entries_written += rows.size();
-  tree_.UpsertRun(keys, std::move(rows),
-                  [&](size_t i, std::optional<Row> old) {
+  tree_.UpsertRun(std::move(rows),
+                  [&](const Row& stored, std::optional<Row> old) {
                     if (!old.has_value()) {
-                      if (added != nullptr) added->push_back(keys[i]);
+                      if (added == nullptr) return;
+                      KeySpan key = KeyOf(stored);
+                      added->emplace_back(key.begin(), key.end());
                     } else if (replaced != nullptr) {
                       replaced->push_back(std::move(*old));
                     }
@@ -89,28 +83,17 @@ Status Iot::BulkLoad(std::vector<Row> rows) {
   }
   for (size_t i = 0; i < rows.size(); ++i) {
     EXI_RETURN_IF_ERROR(schema_.ValidateRow(rows[i]));
-    if (i > 0 && ComparePrimaryKeys(rows[i - 1], rows[i]) >= 0) {
+    if (i > 0 && CompareKeys(KeyOf(rows[i - 1]), KeyOf(rows[i])) >= 0) {
       return UnsortedKeyError("bulk load", KeyOf(rows[i]));
     }
   }
   GlobalMetrics().index_entries_written += rows.size();
   auto row = rows.begin();
-  tree_.BulkLoad(rows.size(), [&](CompositeKey* key, Row* payload) {
-    *key = KeyOf(*row);
-    *payload = std::move(*row++);
-  });
+  tree_.BulkLoad(rows.size(), [&] { return std::move(*row++); });
   return Status::OK();
 }
 
-int Iot::ComparePrimaryKeys(const Row& a, const Row& b) const {
-  for (size_t i = 0; i < key_columns_; ++i) {
-    int c = TotalOrderCompare(a[i], b[i]);
-    if (c != 0) return c;
-  }
-  return 0;
-}
-
-Status Iot::UnsortedKeyError(const char* call, const CompositeKey& key) const {
+Status Iot::UnsortedKeyError(const char* call, KeySpan key) const {
   return Status::InvalidArgument(std::string(call) +
                                  " keys not strictly ascending at " +
                                  KeyToString(key) + " in IOT " + name_);
@@ -125,12 +108,12 @@ Result<Row> Iot::Get(const CompositeKey& key) const {
 void Iot::ScanPrefix(const CompositeKey& prefix,
                      FunctionRef<bool(const Row&)> visit) const {
   for (auto it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-    const CompositeKey& key = it.key();
-    if (key.size() < prefix.size()) break;
-    for (size_t i = 0; i < prefix.size(); ++i) {
-      if (TotalOrderCompare(key[i], prefix[i]) != 0) return;
+    KeySpan key = it.key();
+    if (key.size() < prefix.size() ||
+        CompareKeys(key.first(prefix.size()), prefix) != 0) {
+      break;
     }
-    if (!visit(it.payload())) break;
+    if (!visit(it.entry())) break;
   }
 }
 
@@ -146,7 +129,7 @@ void Iot::ScanRange(const CompositeKey* lo, bool lo_inclusive,
       int c = CompareKeys(it.key(), *hi);
       if (c > 0 || (c == 0 && !hi_inclusive)) break;
     }
-    if (!visit(it.payload())) break;
+    if (!visit(it.entry())) break;
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef EXTIDX_INDEX_IOT_H_
 #define EXTIDX_INDEX_IOT_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,10 +14,12 @@
 namespace exi {
 
 // Index-organized table: the paper's "index modeled as a table, where each
-// row is an index entry".  Rows live in B+-tree leaves, keyed by the first
-// `key_columns` schema columns (the primary key).  Cartridges use IOTs as
-// the canonical store for index data — e.g. the text cartridge's inverted
-// index is an IOT keyed (token, doc_rowid).
+// row is an index entry".  Each row is stored once, in one B+-tree leaf
+// slot, keyed by its first `key_columns` schema columns (the primary key);
+// the tree reads that key in place from the row, so no copy of it is kept
+// beside the row.  Cartridges use IOTs as the canonical store for index
+// data — e.g. the text cartridge's inverted index is an IOT keyed
+// (token, doc_rowid).
 class Iot {
  public:
   Iot(std::string name, Schema schema, size_t key_columns);
@@ -35,10 +38,10 @@ class Iot {
   // Inserts or replaces a run of rows whose primary keys are strictly
   // ascending along one held B+-tree path (BPlusTree::UpsertRun): a key
   // past the held leaf re-descends from the lowest held node that covers
-  // it, and every node searched is metered.  When given, `*added` receives the keys that
-  // were new and `*replaced` the rows that were overwritten, both in key
-  // order.  An unsorted or duplicate key, or a row the schema rejects,
-  // returns an error before anything changes.
+  // it, and every node searched is metered.  When given, `*added` receives
+  // copies of the keys that were new and `*replaced` the rows that were
+  // overwritten, both in key order.  An unsorted or duplicate key, or a row
+  // the schema rejects, returns an error before anything changes.
   Status UpsertSorted(std::vector<Row> rows, std::vector<CompositeKey>* added,
                       std::vector<Row>* replaced);
 
@@ -61,8 +64,8 @@ class Iot {
   Status BulkLoad(std::vector<Row> rows);
 
   // The errors Insert and Delete return for a present / absent key.
-  Status DuplicateKeyError(const CompositeKey& key) const;
-  Status MissingKeyError(const CompositeKey& key) const;
+  Status DuplicateKeyError(KeySpan key) const;
+  Status MissingKeyError(KeySpan key) const;
 
   // Fetches the row with exactly this primary key.
   Result<Row> Get(const CompositeKey& key) const;
@@ -81,20 +84,26 @@ class Iot {
 
   void Truncate() { tree_.Clear(); }
 
-  // Extracts the primary-key values from a full row.
-  CompositeKey KeyOf(const Row& row) const;
+  // The primary-key values of a full row, read in place: the span lives
+  // as long as the row.
+  KeySpan KeyOf(const Row& row) const { return tree_.KeyOf(row); }
 
  private:
-  // Orders two valid rows by their primary keys, in place.
-  int ComparePrimaryKeys(const Row& a, const Row& b) const;
+  // Reads a row's primary key: its first `columns` values.
+  struct RowKey {
+    size_t columns;
+    KeySpan operator()(const Row& row) const {
+      return KeySpan(row).first(std::min(columns, row.size()));
+    }
+  };
 
   // The error for keys of a sorted call that do not strictly ascend.
-  Status UnsortedKeyError(const char* call, const CompositeKey& key) const;
+  Status UnsortedKeyError(const char* call, KeySpan key) const;
 
   std::string name_;
   Schema schema_;
   size_t key_columns_;
-  mutable BPlusTree<Row> tree_;
+  mutable BPlusTree<Row, RowKey> tree_;
 };
 
 }  // namespace exi

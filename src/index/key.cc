@@ -25,7 +25,7 @@ int TotalOrderCompare(const Value& a, const Value& b) {
   return sa < sb ? -1 : (sa > sb ? 1 : 0);
 }
 
-int CompareKeys(const CompositeKey& a, const CompositeKey& b) {
+int CompareKeys(KeySpan a, KeySpan b) {
   size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
     int c = TotalOrderCompare(a[i], b[i]);
@@ -36,7 +36,7 @@ int CompareKeys(const CompositeKey& a, const CompositeKey& b) {
   return 0;
 }
 
-std::string KeyToString(const CompositeKey& key) {
+std::string KeyToString(KeySpan key) {
   std::string out = "[";
   for (size_t i = 0; i < key.size(); ++i) {
     if (i) out += ", ";

@@ -1,6 +1,7 @@
 #ifndef EXTIDX_INDEX_KEY_H_
 #define EXTIDX_INDEX_KEY_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,10 @@ namespace exi {
 // Composite index key: one Value per indexed column.
 using CompositeKey = std::vector<Value>;
 
+// A key read in place: the leading values of a row, or a whole
+// CompositeKey (which converts to one implicitly).  It does not own them.
+using KeySpan = std::span<const Value>;
+
 // Total order over single values: Value::Compare where defined, with a
 // deterministic tag-based fallback so heterogeneous keys (which a
 // well-formed index never produces) still sort stably instead of erroring.
@@ -18,9 +23,9 @@ int TotalOrderCompare(const Value& a, const Value& b);
 
 // Lexicographic total order over composite keys.  A shorter key that is a
 // prefix of a longer key sorts first, which is what prefix scans rely on.
-int CompareKeys(const CompositeKey& a, const CompositeKey& b);
+int CompareKeys(KeySpan a, KeySpan b);
 
-std::string KeyToString(const CompositeKey& key);
+std::string KeyToString(KeySpan key);
 
 }  // namespace exi
 

@@ -211,7 +211,9 @@ TEST(FaultSweepTest, TransientSweepKeepsCatalogConsistent) {
          {"odci/create", "callback/iot_bulk_load", "odci/insert",
           "odci/update", "odci/delete", "callback/iot_upsert",
           "callback/iot_delete"}) {
-      if (site == absorbed) EXPECT_EQ(failures, 0u);
+      if (site == absorbed) {
+        EXPECT_EQ(failures, 0u);
+      }
     }
     std::string when = "after transient " + site;
     ExpectNoOrphanStorage(*injected, when);

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "catalog/catalog.h"
 #include "common/failpoint.h"
@@ -26,15 +29,38 @@ namespace {
 
 CompositeKey IntKey(int64_t v) { return {Value::Integer(v)}; }
 
+// The B+-tree tests key a small entry by one INTEGER.
+using IntEntry = KeyedEntry<int64_t>;
+using IntTree = BPlusTree<IntEntry>;
+
+template <typename T>
+KeyedEntry<T> Entry(int64_t key, T value) {
+  return {IntKey(key), value};
+}
+
+// The value stored under `key`, inserted as T() if absent (unmetered).
+template <typename T>
+T& Slot(BPlusTree<KeyedEntry<T>>& tree, int64_t key) {
+  return tree.GetOrInsert(IntKey(key), [&] { return Entry(key, T()); })
+      .value;
+}
+
+// The value stored under `key`, or nullptr.
+template <typename T>
+T* FindValue(BPlusTree<KeyedEntry<T>>& tree, int64_t key) {
+  KeyedEntry<T>* entry = tree.Find(IntKey(key));
+  return entry == nullptr ? nullptr : &entry->value;
+}
+
 TEST(BPlusTreeTest, InsertFindErase) {
-  BPlusTree<int> tree;
+  BPlusTree<KeyedEntry<int>> tree;
   for (int64_t i = 0; i < 1000; ++i) {
-    tree.GetOrInsert(IntKey(i)) = int(i * 2);
+    Slot(tree, i) = int(i * 2);
   }
   EXPECT_EQ(tree.size(), 1000u);
   EXPECT_GT(tree.height(), 1u);
   for (int64_t i = 0; i < 1000; ++i) {
-    int* v = tree.Find(IntKey(i));
+    int* v = FindValue(tree, i);
     ASSERT_NE(v, nullptr) << i;
     EXPECT_EQ(*v, int(i * 2));
   }
@@ -46,13 +72,13 @@ TEST(BPlusTreeTest, InsertFindErase) {
 }
 
 TEST(BPlusTreeTest, IterationIsSorted) {
-  BPlusTree<int> tree;
+  BPlusTree<KeyedEntry<int>> tree;
   Rng rng(3);
   std::set<int64_t> keys;
   for (int i = 0; i < 2000; ++i) {
     int64_t k = int64_t(rng.Uniform(100000));
     keys.insert(k);
-    tree.GetOrInsert(IntKey(k)) = 0;
+    Slot(tree, k) = 0;
   }
   std::vector<int64_t> seen;
   for (auto it = tree.Begin(); it.Valid(); it.Next()) {
@@ -63,8 +89,8 @@ TEST(BPlusTreeTest, IterationIsSorted) {
 }
 
 TEST(BPlusTreeTest, SeekSemantics) {
-  BPlusTree<int> tree;
-  for (int64_t i = 0; i < 100; i += 10) tree.GetOrInsert(IntKey(i)) = 1;
+  BPlusTree<KeyedEntry<int>> tree;
+  for (int64_t i = 0; i < 100; i += 10) Slot(tree, i) = 1;
   auto it = tree.Seek(IntKey(25));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key()[0].AsInteger(), 30);
@@ -76,7 +102,7 @@ TEST(BPlusTreeTest, SeekSemantics) {
 
 // Property test: random interleaved insert/erase vs std::map oracle.
 TEST(BPlusTreeTest, PropertyMatchesStdMap) {
-  BPlusTree<int64_t> tree;
+  IntTree tree;
   std::map<int64_t, int64_t> oracle;
   Rng rng(99);
   for (int op = 0; op < 20000; ++op) {
@@ -87,7 +113,7 @@ TEST(BPlusTreeTest, PropertyMatchesStdMap) {
       ASSERT_EQ(tree_erased, oracle_erased) << "op " << op;
     } else {
       int64_t value = int64_t(rng.Next());
-      tree.GetOrInsert(IntKey(key)) = value;
+      Slot(tree, key) = value;
       oracle[key] = value;
     }
   }
@@ -96,26 +122,26 @@ TEST(BPlusTreeTest, PropertyMatchesStdMap) {
   for (const auto& [key, value] : oracle) {
     ASSERT_TRUE(it.Valid());
     EXPECT_EQ(it.key()[0].AsInteger(), key);
-    EXPECT_EQ(it.payload(), value);
+    EXPECT_EQ(it.entry().value, value);
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
 }
 
-// A bulk-loaded tree of keys 0..n-1 (payload = 3 * key).
-void BulkLoadInts(BPlusTree<int64_t>* tree, int64_t n) {
+// A bulk-loaded tree of keys 0..n-1 (value = 3 * key).
+void BulkLoadInts(IntTree* tree, int64_t n) {
   int64_t next = 0;
-  tree->BulkLoad(size_t(n), [&](CompositeKey* key, int64_t* payload) {
-    *key = IntKey(next);
-    *payload = 3 * next++;
+  tree->BulkLoad(size_t(n), [&] {
+    int64_t key = next++;
+    return Entry(key, 3 * key);
   });
 }
 
 // Height of a bulk-loaded tree of `n` entries: `kBulkLeafKeys` per leaf
 // and `kMaxKeys` + 1 children per internal node.
 size_t PackedHeight(size_t n) {
-  const size_t leaf = BPlusTree<int64_t>::kBulkLeafKeys;
-  const size_t fanout = BPlusTree<int64_t>::kMaxKeys + 1;
+  const size_t leaf = IntTree::kBulkLeafKeys;
+  const size_t fanout = IntTree::kMaxKeys + 1;
   size_t nodes = (n + leaf - 1) / leaf;
   size_t height = 1;
   while (nodes > 1) {
@@ -128,15 +154,15 @@ size_t PackedHeight(size_t n) {
 TEST(BPlusTreeBulkLoadTest, MatchesIncrementalInserts) {
   // Edge sizes: one leaf full and one over; one full internal root of
   // full leaves, and one over.
-  const int64_t leaf = int64_t(BPlusTree<int64_t>::kBulkLeafKeys);
-  const int64_t fanout = int64_t(BPlusTree<int64_t>::kMaxKeys) + 1;
+  const int64_t leaf = int64_t(IntTree::kBulkLeafKeys);
+  const int64_t fanout = int64_t(IntTree::kMaxKeys) + 1;
   for (int64_t n : {int64_t(0), int64_t(1), leaf, leaf + 1, leaf * fanout,
                     leaf * fanout + 1, int64_t(50000)}) {
     SCOPED_TRACE(n);
-    BPlusTree<int64_t> bulk;
+    IntTree bulk;
     BulkLoadInts(&bulk, n);
-    BPlusTree<int64_t> incremental;
-    for (int64_t i = 0; i < n; ++i) incremental.GetOrInsert(IntKey(i)) = 3 * i;
+    IntTree incremental;
+    for (int64_t i = 0; i < n; ++i) Slot(incremental, i) = 3 * i;
     ASSERT_EQ(bulk.size(), size_t(n));
     EXPECT_EQ(bulk.height(), PackedHeight(size_t(n)));
     // Same entries in the same order.
@@ -145,19 +171,19 @@ TEST(BPlusTreeBulkLoadTest, MatchesIncrementalInserts) {
     for (; b.Valid(); a.Next(), b.Next()) {
       ASSERT_TRUE(a.Valid());
       ASSERT_EQ(CompareKeys(a.key(), b.key()), 0);
-      ASSERT_EQ(a.payload(), b.payload());
+      ASSERT_EQ(a.entry().value, b.entry().value);
     }
     EXPECT_FALSE(a.Valid());
     // Every key is found, and Seek lands on it.
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t* v = bulk.Find(IntKey(i));
+      const int64_t* v = FindValue(bulk, i);
       ASSERT_NE(v, nullptr) << i;
       ASSERT_EQ(*v, 3 * i);
       auto it = bulk.Seek(IntKey(i));
       ASSERT_TRUE(it.Valid());
       ASSERT_EQ(it.key()[0].AsInteger(), i);
     }
-    EXPECT_EQ(bulk.Find(IntKey(-1)), nullptr);
+    EXPECT_EQ(FindValue(bulk, -1), nullptr);
     EXPECT_FALSE(bulk.Seek(IntKey(n)).Valid());
   }
 }
@@ -165,16 +191,15 @@ TEST(BPlusTreeBulkLoadTest, MatchesIncrementalInserts) {
 // Later inserts and erases split and shrink the packed nodes like any
 // others: the tree stays sorted and agrees with a std::map oracle.
 TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
-  BPlusTree<int64_t> tree;
+  IntTree tree;
   std::map<int64_t, int64_t> oracle;
   const int64_t n = 5000;
   // Even keys loaded; writes then hit every leaf.
   int64_t next = 0;
-  tree.BulkLoad(size_t(n), [&](CompositeKey* key, int64_t* payload) {
-    *key = IntKey(2 * next);
-    *payload = next;
+  tree.BulkLoad(size_t(n), [&] {
     oracle[2 * next] = next;
     ++next;
+    return Entry(2 * (next - 1), next - 1);
   });
   Rng rng(17);
   for (int op = 0; op < 20000; ++op) {
@@ -182,7 +207,7 @@ TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
     if (rng.Uniform(3) == 0) {
       ASSERT_EQ(tree.Erase(IntKey(key)), oracle.erase(key) > 0) << op;
     } else {
-      tree.GetOrInsert(IntKey(key)) = op;
+      Slot(tree, key) = op;
       oracle[key] = op;
     }
   }
@@ -191,7 +216,7 @@ TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
   for (const auto& [key, value] : oracle) {
     ASSERT_TRUE(it.Valid());
     ASSERT_EQ(it.key()[0].AsInteger(), key);
-    ASSERT_EQ(it.payload(), value);
+    ASSERT_EQ(it.entry().value, value);
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
@@ -208,14 +233,14 @@ uint64_t NodesReadBy(Op op) {
 }
 
 // The tree's size and its entries in leaf-chain order equal the model's.
-void ExpectMatchesModel(BPlusTree<int64_t>& tree,
+void ExpectMatchesModel(IntTree& tree,
                         const std::map<int64_t, int64_t>& model) {
   ASSERT_EQ(tree.size(), model.size());
   auto it = tree.Begin();
   for (const auto& [key, value] : model) {
     ASSERT_TRUE(it.Valid());
     ASSERT_EQ(it.key()[0].AsInteger(), key);
-    ASSERT_EQ(it.payload(), value);
+    ASSERT_EQ(it.entry().value, value);
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
@@ -231,8 +256,8 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
-    BPlusTree<int64_t> runs;
-    BPlusTree<int64_t> singles;
+    IntTree runs;
+    IntTree singles;
     std::map<int64_t, int64_t> model;
     for (int64_t step = 0; step < 300; ++step) {
       const int64_t span = int64_t(16) << rng.Uniform(12);
@@ -251,37 +276,35 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
         }
       }
       std::vector<CompositeKey> keys;
-      std::vector<int64_t> payloads;
+      std::vector<IntEntry> entries;
       for (int64_t k : picked) {
         keys.push_back(IntKey(k));
-        payloads.push_back(k * 1000 + step);
+        entries.push_back(Entry(k, k * 1000 + step));
       }
       uint64_t run_reads = 0;
       uint64_t single_reads = 0;
       if (upsert) {
         run_reads = NodesReadBy([&] {
-          runs.UpsertRun(keys, payloads,
-                         [&](size_t i, std::optional<int64_t> old) {
-                           auto it = model.find(keys[i][0].AsInteger());
-                           ASSERT_EQ(old.has_value(), it != model.end());
-                           if (old.has_value()) {
-                             ASSERT_EQ(*old, it->second);
-                           }
-                         });
+          runs.UpsertRun(entries, [&](const IntEntry& stored,
+                                      std::optional<IntEntry> old) {
+            auto it = model.find(stored.key[0].AsInteger());
+            ASSERT_EQ(old.has_value(), it != model.end());
+            if (old.has_value()) {
+              ASSERT_EQ(old->value, it->second);
+            }
+          });
         });
         single_reads = NodesReadBy([&] {
-          for (size_t i = 0; i < keys.size(); ++i) {
-            singles.Upsert(keys[i], payloads[i]);
-          }
+          for (const IntEntry& entry : entries) singles.Upsert(entry);
         });
-        for (size_t i = 0; i < keys.size(); ++i) {
-          model[keys[i][0].AsInteger()] = payloads[i];
+        for (const IntEntry& entry : entries) {
+          model[entry.key[0].AsInteger()] = entry.value;
         }
       } else {
         run_reads = NodesReadBy([&] {
           EXPECT_EQ(runs.ExtractRun(keys,
-                                    [&](size_t i, int64_t payload) {
-                                      ASSERT_EQ(payload, model.at(
+                                    [&](size_t i, IntEntry entry) {
+                                      ASSERT_EQ(entry.value, model.at(
                                           keys[i][0].AsInteger()));
                                     }),
                     keys.size());
@@ -308,9 +331,9 @@ class BPlusTreeRunMeterTest : public ::testing::Test {
  protected:
   BPlusTreeRunMeterTest() {
     int64_t next = 0;
-    tree_.BulkLoad(20000, [&](CompositeKey* key, int64_t* payload) {
-      *key = IntKey(2 * next);
-      *payload = next++;
+    tree_.BulkLoad(20000, [&] {
+      int64_t i = next++;
+      return Entry(2 * i, i);
     });
     EXPECT_EQ(tree_.height(), 3u);
   }
@@ -321,7 +344,17 @@ class BPlusTreeRunMeterTest : public ::testing::Test {
     return keys;
   }
 
-  BPlusTree<int64_t> tree_;
+  // Entries for `ks` with values `vs`.
+  static std::vector<IntEntry> Entries(std::initializer_list<int64_t> ks,
+                                       std::vector<int64_t> vs) {
+    std::vector<IntEntry> entries;
+    for (int64_t k : ks) entries.push_back(Entry(k, vs[entries.size()]));
+    return entries;
+  }
+
+  static void IgnoreReplaced(const IntEntry&, std::optional<IntEntry>) {}
+
+  IntTree tree_;
 };
 
 // A run that stays inside one leaf reads exactly the tree's height: one
@@ -330,13 +363,13 @@ TEST_F(BPlusTreeRunMeterTest, RunInsideOneLeafReadsTheHeight) {
   const uint64_t height = tree_.height();
   std::vector<CompositeKey> keys = Keys({21, 23, 30, 32, 33});  // 2 replaced
   EXPECT_EQ(NodesReadBy([&] {
-              tree_.UpsertRun(keys, {1, 2, 3, 4, 5},
-                              [](size_t, std::optional<int64_t>) {});
+              tree_.UpsertRun(Entries({21, 23, 30, 32, 33}, {1, 2, 3, 4, 5}),
+                              IgnoreReplaced);
             }),
             height);
-  EXPECT_EQ(*tree_.Find(IntKey(30)), 3);
+  EXPECT_EQ(*FindValue(tree_, 30), 3);
   EXPECT_EQ(NodesReadBy([&] {
-              EXPECT_EQ(tree_.ExtractRun(keys, [](size_t, int64_t) {}),
+              EXPECT_EQ(tree_.ExtractRun(keys, [](size_t, IntEntry) {}),
                         keys.size());
             }),
             height);
@@ -349,16 +382,15 @@ TEST_F(BPlusTreeRunMeterTest, RunInsideOneLeafReadsTheHeight) {
 TEST_F(BPlusTreeRunMeterTest, FenceAndSplitEachCostOneDescent) {
   const uint64_t height = tree_.height();
   EXPECT_EQ(NodesReadBy([&] {
-              tree_.UpsertRun(Keys({1, 113}), {0, 0},
-                              [](size_t, std::optional<int64_t>) {});
+              tree_.UpsertRun(Entries({1, 113}, {0, 0}), IgnoreReplaced);
             }),
             height + 2);
   // The first leaf now has 57 entries: 7 more fill it, the 8th key splits
   // it in place, and the 9th reads the parent and the leaf it lands in.
   EXPECT_EQ(NodesReadBy([&] {
-              tree_.UpsertRun(Keys({3, 5, 7, 9, 11, 13, 15, 17, 19}),
-                              std::vector<int64_t>(9, 0),
-                              [](size_t, std::optional<int64_t>) {});
+              tree_.UpsertRun(Entries({3, 5, 7, 9, 11, 13, 15, 17, 19},
+                                      std::vector<int64_t>(9, 0)),
+                              IgnoreReplaced);
             }),
             height + 2);
   EXPECT_EQ(tree_.size(), 20000u + 11u);
@@ -376,51 +408,47 @@ TEST_F(BPlusTreeRunMeterTest, ExtractRunAcrossTwoParents) {
   std::vector<int64_t> removed;
   EXPECT_EQ(NodesReadBy([&] {
               EXPECT_EQ(tree_.ExtractRun(Keys({0, 2, 112, 6720, 6832}),
-                                         [&](size_t, int64_t payload) {
-                                           removed.push_back(payload);
+                                         [&](size_t, IntEntry entry) {
+                                           removed.push_back(entry.value);
                                          }),
                         5u);
             }),
             height + 2 + height + 2);
   EXPECT_EQ(removed, (std::vector<int64_t>{0, 1, 56, 3360, 3416}));
   EXPECT_EQ(tree_.size(), 20000u - 5u);
-  EXPECT_EQ(tree_.Find(IntKey(6720)), nullptr);
-  EXPECT_NE(tree_.Find(IntKey(6722)), nullptr);
+  EXPECT_EQ(FindValue(tree_, 6720), nullptr);
+  EXPECT_NE(FindValue(tree_, 6722), nullptr);
 }
 
 // A run into a tree whose internal nodes are all full splits a leaf, its
 // parent and the root in one key, and the tree grows a level.  The rest
 // of the run re-descends from the new root.
 TEST(BPlusTreeRunTest, SplitCascadesThroughHeldParentsToANewRoot) {
-  const int64_t leaf = int64_t(BPlusTree<int64_t>::kBulkLeafKeys);
-  const int64_t fanout = int64_t(BPlusTree<int64_t>::kMaxKeys) + 1;
-  BPlusTree<int64_t> tree;
+  const int64_t leaf = int64_t(IntTree::kBulkLeafKeys);
+  const int64_t fanout = int64_t(IntTree::kMaxKeys) + 1;
+  IntTree tree;
   std::map<int64_t, int64_t> model;
   int64_t next = 0;
-  tree.BulkLoad(size_t(leaf * fanout * fanout),
-                [&](CompositeKey* key, int64_t* payload) {
-                  *key = IntKey(2 * next);
-                  *payload = next;
-                  model[2 * next] = next;
-                  ++next;
-                });
+  tree.BulkLoad(size_t(leaf * fanout * fanout), [&] {
+    int64_t i = next++;
+    model[2 * i] = i;
+    return Entry(2 * i, i);
+  });
   const size_t height = tree.height();
   ASSERT_EQ(height, 3u);
   // 9 new keys overflow the first leaf; 3 more follow in later leaves.
-  std::vector<CompositeKey> keys;
-  std::vector<int64_t> payloads;
+  std::vector<IntEntry> entries;
   for (int64_t k : std::initializer_list<int64_t>{
            1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 113, 2 * next + 1}) {
-    keys.push_back(IntKey(k));
-    payloads.push_back(-k);
+    entries.push_back(Entry(k, -k));
     model[k] = -k;
   }
   // One descent for the first key, none for the split, then one from the
   // new root for 19, one from the held parent for 113, and one from the
   // root for the last key.
   EXPECT_EQ(NodesReadBy([&] {
-              tree.UpsertRun(keys, payloads,
-                             [](size_t, std::optional<int64_t> old) {
+              tree.UpsertRun(entries,
+                             [](const IntEntry&, std::optional<IntEntry> old) {
                                EXPECT_FALSE(old.has_value());
                              });
             }),
@@ -428,7 +456,7 @@ TEST(BPlusTreeRunTest, SplitCascadesThroughHeldParentsToANewRoot) {
   EXPECT_EQ(tree.height(), height + 1);
   ExpectMatchesModel(tree, model);
   for (const auto& [key, value] : model) {
-    const int64_t* found = tree.Find(IntKey(key));
+    const int64_t* found = FindValue(tree, key);
     ASSERT_NE(found, nullptr) << key;
     ASSERT_EQ(*found, value);
   }
@@ -439,25 +467,25 @@ TEST(BPlusTreeRunTest, SplitCascadesThroughHeldParentsToANewRoot) {
 TEST_F(BPlusTreeRunMeterTest, ExtractRunStopsAtTheFirstAbsentKey) {
   std::vector<int64_t> removed;
   EXPECT_EQ(tree_.ExtractRun(Keys({2, 4, 5, 6}),
-                             [&](size_t, int64_t payload) {
-                               removed.push_back(payload);
+                             [&](size_t, IntEntry entry) {
+                               removed.push_back(entry.value);
                              }),
             2u);
   EXPECT_EQ(removed, (std::vector<int64_t>{1, 2}));
-  EXPECT_EQ(tree_.Find(IntKey(4)), nullptr);
-  EXPECT_NE(tree_.Find(IntKey(6)), nullptr);
+  EXPECT_EQ(FindValue(tree_, 4), nullptr);
+  EXPECT_NE(FindValue(tree_, 6), nullptr);
 }
 
 TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
-  BPlusTree<int64_t> tree;
-  EXPECT_FALSE(tree.Upsert(IntKey(1), 10).has_value());
-  std::optional<int64_t> old = tree.Upsert(IntKey(1), 11);
+  IntTree tree;
+  EXPECT_FALSE(tree.Upsert(Entry<int64_t>(1, 10)).has_value());
+  std::optional<IntEntry> old = tree.Upsert(Entry<int64_t>(1, 11));
   ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(*old, 10);
-  EXPECT_EQ(*tree.Find(IntKey(1)), 11);
+  EXPECT_EQ(old->value, 10);
+  EXPECT_EQ(*FindValue(tree, 1), 11);
   old = tree.Extract(IntKey(1));
   ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(*old, 11);
+  EXPECT_EQ(old->value, 11);
   EXPECT_FALSE(tree.Extract(IntKey(1)).has_value());
   EXPECT_EQ(tree.size(), 0u);
 }
@@ -632,6 +660,252 @@ std::vector<Row> RowsOf(const Iot& iot) {
     return true;
   });
   return rows;
+}
+
+CompositeKey PostingKey(const std::string& token, int64_t rid) {
+  return {Value::Varchar(token), Value::Integer(rid)};
+}
+
+// A model of a text-like posting IOT: (token, rid) -> freq.
+using PostingModel = std::map<std::pair<std::string, int64_t>, int64_t>;
+
+constexpr int64_t kMinRid = std::numeric_limits<int64_t>::min();
+
+// The model's rows in [begin, end), in key order.
+std::vector<Row> ModelRows(PostingModel::const_iterator begin,
+                           PostingModel::const_iterator end) {
+  std::vector<Row> rows;
+  for (auto it = begin; it != end; ++it) {
+    rows.push_back(Posting(it->first.first, it->first.second, it->second));
+  }
+  return rows;
+}
+
+std::vector<Row> ModelRows(const PostingModel& model) {
+  return ModelRows(model.begin(), model.end());
+}
+
+// Random writes to a (token, rid, freq) IOT keyed by (token, rid), on
+// every write path: a bulk load of about 5,000 postings (three levels),
+// then sorted upsert runs that add postings and change the freq of
+// present ones, sorted delete runs, and single inserts and deletes.  The
+// IOT's rows, the keys each run reports as added and the rows it reports
+// as replaced or removed all match a std::map model.
+TEST(IotTest, RandomPostingWritesMatchStdMap) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    auto token = [&rng] { return "t" + std::to_string(rng.Uniform(80)); };
+    auto rid = [&rng] { return int64_t(rng.Uniform(1000)); };
+    auto freq = [&rng] { return int64_t(1 + rng.Uniform(9)); };
+    Iot iot("p", PostingSchema(), 2);
+    PostingModel model;
+    for (int i = 0; i < 5000; ++i) model[{token(), rid()}] = freq();
+    ASSERT_TRUE(iot.BulkLoad(ModelRows(model)).ok());
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      const std::string t = token();
+      switch (rng.Uniform(4)) {
+        case 0: {
+          std::map<int64_t, int64_t> run;  // rid -> freq
+          const uint64_t n = 1 + rng.Uniform(80);
+          for (uint64_t i = 0; i < n; ++i) run[rid()] = freq();
+          std::vector<Row> rows;
+          std::vector<CompositeKey> want_added;
+          std::vector<Row> want_replaced;
+          for (const auto& [r, f] : run) {
+            rows.push_back(Posting(t, r, f));
+            auto it = model.find({t, r});
+            if (it == model.end()) {
+              want_added.push_back(PostingKey(t, r));
+            } else {
+              want_replaced.push_back(Posting(t, r, it->second));
+            }
+            model[{t, r}] = f;
+          }
+          std::vector<CompositeKey> added;
+          std::vector<Row> replaced;
+          ASSERT_TRUE(
+              iot.UpsertSorted(std::move(rows), &added, &replaced).ok());
+          ExpectSameRows(added, want_added);
+          ExpectSameRows(replaced, want_replaced);
+          break;
+        }
+        case 1: {
+          std::vector<CompositeKey> keys;
+          std::vector<Row> want_removed;
+          auto it = model.lower_bound({t, kMinRid});
+          while (it != model.end() && it->first.first == t) {
+            if (rng.Uniform(2) == 0) {
+              ++it;
+              continue;
+            }
+            keys.push_back(PostingKey(t, it->first.second));
+            want_removed.push_back(Posting(t, it->first.second, it->second));
+            it = model.erase(it);
+          }
+          std::vector<Row> removed;
+          ASSERT_TRUE(iot.DeleteSorted(keys, &removed).ok());
+          ExpectSameRows(removed, want_removed);
+          break;
+        }
+        case 2: {
+          const int64_t r = rid();
+          const int64_t f = freq();
+          const bool present = model.count({t, r}) > 0;
+          ASSERT_EQ(iot.Insert(Posting(t, r, f)).code(),
+                    present ? StatusCode::kAlreadyExists : StatusCode::kOk);
+          if (!present) model[{t, r}] = f;
+          break;
+        }
+        default: {
+          const int64_t r = rid();
+          ASSERT_EQ(iot.Delete(PostingKey(t, r)).ok(),
+                    model.erase({t, r}) > 0);
+          break;
+        }
+      }
+      ASSERT_EQ(iot.row_count(), model.size());
+      if (step % 25 == 0) ExpectSameRows(RowsOf(iot), ModelRows(model));
+    }
+    ExpectSameRows(RowsOf(iot), ModelRows(model));
+    for (const auto& [key, f] : model) {
+      Result<Row> row = iot.Get(PostingKey(key.first, key.second));
+      ASSERT_TRUE(row.ok()) << key.first << " " << key.second;
+      ASSERT_EQ((*row)[2].AsInteger(), f);
+    }
+  }
+}
+
+// A leaf that overflows splits at its middle entry, and a copy of the
+// right half's first key becomes the parent's separator.  Here the new row
+// itself lands at the split point: 64 even rids fill the root leaf, and
+// rid 63 is the 33rd of 65 entries.  The split is made once by Insert and
+// once by a sorted run.  Every row stays reachable, also after the row the
+// separator was copied from is deleted and written again.
+TEST(IotTest, SplitAtTheNewRowMakesItTheSeparator) {
+  for (bool run : {false, true}) {
+    SCOPED_TRACE(run);
+    Iot iot("p", PostingSchema(), 2);
+    PostingModel model;
+    for (int64_t r = 0; r < 128; r += 2) {
+      ASSERT_TRUE(iot.Insert(Posting("a", r, r)).ok());
+      model[{"a", r}] = r;
+    }
+    // One leaf: a lookup reads one node.
+    EXPECT_EQ(
+        NodesReadBy([&] { ASSERT_TRUE(iot.Get(PostingKey("a", 2)).ok()); }),
+        1u);
+    if (run) {
+      ASSERT_TRUE(iot.UpsertSorted({Posting("a", 63, 63)}, nullptr, nullptr)
+                      .ok());
+    } else {
+      ASSERT_TRUE(iot.Insert(Posting("a", 63, 63)).ok());
+    }
+    model[{"a", 63}] = 63;
+    // A root over two leaves: a lookup reads two nodes.
+    EXPECT_EQ(
+        NodesReadBy([&] { ASSERT_TRUE(iot.Get(PostingKey("a", 63)).ok()); }),
+        2u);
+    ExpectSameRows(RowsOf(iot), ModelRows(model));
+    EXPECT_EQ(iot.Insert(Posting("a", 63, 1)).code(),
+              StatusCode::kAlreadyExists);
+    // The separator is its own copy: deleting its row leaves it valid.
+    ASSERT_TRUE(iot.Delete(PostingKey("a", 63)).ok());
+    model.erase({"a", 63});
+    EXPECT_EQ(iot.Get(PostingKey("a", 63)).status().code(),
+              StatusCode::kNotFound);
+    CompositeKey split = PostingKey("a", 63);
+    std::vector<Row> from_split;
+    iot.ScanRange(&split, true, nullptr, true, [&](const Row& row) {
+      from_split.push_back(row);
+      return true;
+    });
+    ExpectSameRows(from_split,
+                   ModelRows(model.lower_bound({"a", 63}), model.end()));
+    std::vector<CompositeKey> added;
+    ASSERT_TRUE(
+        iot.UpsertSorted({Posting("a", 61, 5), Posting("a", 63, 7)}, &added,
+                         nullptr)
+            .ok());
+    model[{"a", 61}] = 5;
+    model[{"a", 63}] = 7;
+    ExpectSameRows(added, {PostingKey("a", 61), PostingKey("a", 63)});
+    ExpectSameRows(RowsOf(iot), ModelRows(model));
+    for (const auto& [key, f] : model) {
+      Result<Row> row = iot.Get(PostingKey(key.first, key.second));
+      ASSERT_TRUE(row.ok()) << key.second;
+      ASSERT_EQ((*row)[2].AsInteger(), f);
+    }
+  }
+}
+
+// Range scans with exclusive and inclusive bounds of one and two columns,
+// and prefix scans of one and two columns, over postings of the tokens
+// "a", "ab" and "b" spread over nine leaves, match a std::map model.
+TEST(IotTest, ScanBoundsAndPrefixesMatchStdMap) {
+  Iot iot("p", PostingSchema(), 2);
+  PostingModel model;
+  for (const char* t : {"a", "ab", "b"}) {
+    for (int64_t r = 0; r < 150; ++r) model[{t, r}] = r % 7;
+  }
+  ASSERT_TRUE(iot.BulkLoad(ModelRows(model)).ok());
+  auto range = [&](const CompositeKey* lo, bool lo_inclusive,
+                   const CompositeKey* hi, bool hi_inclusive) {
+    std::vector<Row> rows;
+    iot.ScanRange(lo, lo_inclusive, hi, hi_inclusive, [&](const Row& row) {
+      rows.push_back(row);
+      return true;
+    });
+    return rows;
+  };
+  auto prefix = [&](const CompositeKey& key) {
+    std::vector<Row> rows;
+    iot.ScanPrefix(key, [&](const Row& row) {
+      rows.push_back(row);
+      return true;
+    });
+    return rows;
+  };
+  // Two-column bounds across a leaf boundary.
+  const CompositeKey lo = PostingKey("a", 140);
+  const CompositeKey hi = PostingKey("ab", 10);
+  ExpectSameRows(range(&lo, false, &hi, false),
+                 ModelRows(model.upper_bound({"a", 140}),
+                           model.lower_bound({"ab", 10})));
+  ExpectSameRows(range(&lo, true, &hi, true),
+                 ModelRows(model.lower_bound({"a", 140}),
+                           model.upper_bound({"ab", 10})));
+  ExpectSameRows(range(&lo, false, nullptr, true),
+                 ModelRows(model.upper_bound({"a", 140}), model.end()));
+  ExpectSameRows(range(nullptr, true, &hi, false),
+                 ModelRows(model.begin(), model.lower_bound({"ab", 10})));
+  // One-column bounds: a row ("ab", r) sorts after the key ("ab"), so an
+  // exclusive lower bound ("ab") keeps every "ab" row and an exclusive
+  // upper bound ("b") stops before every "b" row.
+  const CompositeKey ab = {Value::Varchar("ab")};
+  const CompositeKey b = {Value::Varchar("b")};
+  ExpectSameRows(range(&ab, false, &b, false),
+                 ModelRows(model.lower_bound({"ab", kMinRid}),
+                           model.lower_bound({"b", kMinRid})));
+  // An absent exclusive bound past the last "ab" row, and an exclusive
+  // upper bound at the first row.
+  const CompositeKey past = PostingKey("ab", 1000);
+  const CompositeKey first = PostingKey("a", 0);
+  ExpectSameRows(range(&past, false, nullptr, true),
+                 ModelRows(model.lower_bound({"b", kMinRid}), model.end()));
+  EXPECT_TRUE(range(nullptr, true, &first, false).empty());
+  // One-column prefixes: "a" is a string prefix of "ab" but takes only its
+  // own rows.
+  ExpectSameRows(prefix({Value::Varchar("a")}),
+                 ModelRows(model.lower_bound({"a", kMinRid}),
+                           model.lower_bound({"ab", kMinRid})));
+  ExpectSameRows(prefix(ab), ModelRows(model.lower_bound({"ab", kMinRid}),
+                                       model.lower_bound({"b", kMinRid})));
+  EXPECT_TRUE(prefix({Value::Varchar("aa")}).empty());
+  // Two-column prefixes: one posting or none.
+  ExpectSameRows(prefix(PostingKey("ab", 75)), {Posting("ab", 75, 75 % 7)});
+  EXPECT_TRUE(prefix(PostingKey("ab", 150)).empty());
 }
 
 TEST(IotTest, BulkLoadFillsAnEmptyIot) {
