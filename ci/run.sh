@@ -84,15 +84,17 @@ echo "==> perfbench self-test (builds perfbench against src/, tiny scale)"
 python3 perfbench/selftest.py
 
 if [[ "${1:-}" != "quick" ]]; then
-  echo "==> TSan: concurrency_test + observability_test + storage_fastpath_test + partition_test + fault_sweep_test"
+  echo "==> TSan: concurrency_test + observability_test + storage_fastpath_test + partition_test + fault_sweep_test + precomputed_cursor_test"
   cmake -B build-tsan -S . -DEXTIDX_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target concurrency_test \
-      observability_test storage_fastpath_test partition_test fault_sweep_test
+      observability_test storage_fastpath_test partition_test fault_sweep_test \
+      precomputed_cursor_test
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/observability_test
   ./build-tsan/tests/storage_fastpath_test
   ./build-tsan/tests/partition_test
   ./build-tsan/tests/fault_sweep_test
+  ./build-tsan/tests/precomputed_cursor_test
 
   echo "==> ASan+UBSan: full ctest"
   cmake -B build-asan -S . -DEXTIDX_SANITIZE=address,undefined >/dev/null

@@ -11,7 +11,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -114,13 +113,13 @@ class TrigramIndexMethods : public OdciIndex {
       if (candidates.empty()) break;
     }
     // Exact re-check (short needles produce no trigrams => scan all).
-    auto ws = std::make_shared<std::vector<RowId>>();
+    std::vector<RowId> matches;
     int col = info.indexed_position();
     auto check = [&](RowId rid, const Row& row) {
       const Value& v = row[col];
       if (!v.is_null() &&
           v.AsVarchar().find(needle) != std::string::npos) {
-        ws->push_back(rid);
+        matches.push_back(rid);
       }
     };
     if (tris.empty()) {
@@ -135,30 +134,19 @@ class TrigramIndexMethods : public OdciIndex {
         if (row.ok()) check(rid, *row);
       }
     }
-    OdciScanContext sctx;
-    // Return Handle mechanism: park the result set in a workspace.
-    sctx.handle = ScanWorkspaceRegistry::Global().Allocate(
-        std::shared_ptr<void>(ws));
-    pos_by_handle_[sctx.handle] = 0;
-    return sctx;
+    // Precompute-All with Return Handle: park the result set; Fetch pages
+    // through it and Close releases it.
+    return PrecomputedCursor::Park(std::move(matches));
   }
 
   Status Fetch(const OdciIndexInfo&, OdciScanContext& sctx, size_t max_rows,
                OdciFetchBatch* out, ServerContext&) override {
-    EXI_ASSIGN_OR_RETURN(
-        auto ws, ScanWorkspaceRegistry::Global()
-                     .GetAs<std::vector<RowId>>(sctx.handle));
-    size_t& pos = pos_by_handle_[sctx.handle];
-    while (pos < ws->size() && out->rids.size() < max_rows) {
-      out->rids.push_back((*ws)[pos++]);
-    }
-    return Status::OK();
+    return PrecomputedCursor::Fetch(sctx, max_rows, out);
   }
 
   Status Close(const OdciIndexInfo&, OdciScanContext& sctx,
                ServerContext&) override {
-    pos_by_handle_.erase(sctx.handle);
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
+    return PrecomputedCursor::Close(sctx);
   }
 
  private:
@@ -174,8 +162,6 @@ class TrigramIndexMethods : public OdciIndex {
     }
     return Status::OK();
   }
-
-  std::map<uint64_t, size_t> pos_by_handle_;
 };
 
 }  // namespace

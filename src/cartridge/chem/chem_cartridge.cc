@@ -120,12 +120,6 @@ Result<std::unique_ptr<RecordStore>> OpenStore(const OdciIndexInfo& info,
       new LobRecordStore(&ctx, LobId(row[1].AsInteger())));
 }
 
-struct ChemScanWorkspace {
-  // (rid, score): score is Tanimoto for MolSim, 1.0 for MolContains.
-  std::vector<std::pair<RowId, double>> matches;
-  size_t pos = 0;
-};
-
 }  // namespace
 
 bool ChemIndexMethods::UsesFileStorage(const std::string& parameters) {
@@ -291,7 +285,8 @@ Result<OdciScanContext> ChemIndexMethods::Start(const OdciIndexInfo& info,
   EXI_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, store->ReadAll());
   std::vector<FingerprintRecord> records = DecodeFingerprintRecords(raw);
 
-  auto ws = std::make_shared<ChemScanWorkspace>();
+  // (rid, score): score is Tanimoto for MolSim, 1.0 for MolContains.
+  std::vector<std::pair<RowId, double>> matches;
   if (EqualsIgnoreCase(pred.operator_name, "MolSim")) {
     // Similarity: evaluated entirely on index data; the planner's bounds
     // (MolSim(...) >= t etc.) become the similarity window.
@@ -307,10 +302,10 @@ Result<OdciScanContext> ChemIndexMethods::Start(const OdciIndexInfo& info,
       double sim = Tanimoto(rec.fp, qfp);
       bool above_lo = pred.lower_inclusive ? sim >= lo : sim > lo;
       bool below_hi = pred.upper_inclusive ? sim <= hi : sim < hi;
-      if (above_lo && below_hi) ws->matches.emplace_back(rec.rid, sim);
+      if (above_lo && below_hi) matches.emplace_back(rec.rid, sim);
     }
     // Rank most-similar first (the paper's fast nearest-neighbor use).
-    std::sort(ws->matches.begin(), ws->matches.end(),
+    std::sort(matches.begin(), matches.end(),
               [](const auto& a, const auto& b) {
                 return a.second > b.second;
               });
@@ -326,13 +321,13 @@ Result<OdciScanContext> ChemIndexMethods::Start(const OdciIndexInfo& info,
       EXI_ASSIGN_OR_RETURN(Molecule mol,
                            Molecule::ParseSmiles(v.AsVarchar()));
       if (mol.ContainsSubstructure(query)) {
-        ws->matches.emplace_back(rec.rid, 1.0);
+        matches.emplace_back(rec.rid, 1.0);
       }
     }
   }
-  OdciScanContext sctx;
-  sctx.handle = ScanWorkspaceRegistry::Global().Allocate(ws);
-  return sctx;
+  return PrecomputedCursor::Park(std::move(matches), [](const auto& m) {
+    return std::pair{m.first, Value::Double(m.second)};
+  });
 }
 
 Status ChemIndexMethods::Fetch(const OdciIndexInfo& info,
@@ -340,26 +335,14 @@ Status ChemIndexMethods::Fetch(const OdciIndexInfo& info,
                                OdciFetchBatch* out, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  EXI_ASSIGN_OR_RETURN(
-      std::shared_ptr<ChemScanWorkspace> ws,
-      ScanWorkspaceRegistry::Global().GetAs<ChemScanWorkspace>(sctx.handle));
-  size_t end = std::min(ws->matches.size(), ws->pos + max_rows);
-  for (size_t i = ws->pos; i < end; ++i) {
-    out->rids.push_back(ws->matches[i].first);
-    out->ancillary.push_back(Value::Double(ws->matches[i].second));
-  }
-  ws->pos = end;
-  return Status::OK();
+  return PrecomputedCursor::Fetch(sctx, max_rows, out);
 }
 
 Status ChemIndexMethods::Close(const OdciIndexInfo& info,
                                OdciScanContext& sctx, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  if (sctx.uses_handle()) {
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
-  }
-  return Status::OK();
+  return PrecomputedCursor::Close(sctx);
 }
 
 // ---- stats ----

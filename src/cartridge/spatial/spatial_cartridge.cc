@@ -34,12 +34,6 @@ Schema MetaTableSchema() {
   return schema;
 }
 
-// Shared scan workspace: exact-filtered candidates, iterated by Fetch.
-struct SpatialScanWorkspace {
-  std::vector<RowId> matches;
-  size_t pos = 0;
-};
-
 // Parses the scan predicate common to both indextypes:
 // args = (query geometry, 'mask=...').
 Status ParseRelatePred(const OdciPredInfo& pred, Geometry* query,
@@ -75,34 +69,6 @@ Result<std::vector<RowId>> ExactFilter(const OdciIndexInfo& info,
     if (Relate(g, query, mask)) out.push_back(rid);
   }
   return out;
-}
-
-Result<OdciScanContext> MakeScanContext(std::vector<RowId> matches) {
-  auto ws = std::make_shared<SpatialScanWorkspace>();
-  ws->matches = std::move(matches);
-  OdciScanContext sctx;
-  sctx.handle = ScanWorkspaceRegistry::Global().Allocate(ws);
-  return sctx;
-}
-
-Status FetchFromWorkspace(OdciScanContext& sctx, size_t max_rows,
-                          OdciFetchBatch* out) {
-  EXI_ASSIGN_OR_RETURN(std::shared_ptr<SpatialScanWorkspace> ws,
-                       ScanWorkspaceRegistry::Global()
-                           .GetAs<SpatialScanWorkspace>(sctx.handle));
-  size_t end = std::min(ws->matches.size(), ws->pos + max_rows);
-  for (size_t i = ws->pos; i < end; ++i) {
-    out->rids.push_back(ws->matches[i]);
-  }
-  ws->pos = end;
-  return Status::OK();
-}
-
-Status CloseWorkspace(OdciScanContext& sctx) {
-  if (sctx.uses_handle()) {
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -239,7 +205,7 @@ Result<OdciScanContext> SpatialIndexMethods::Start(const OdciIndexInfo& info,
       ExactFilter(info,
                   std::vector<RowId>(candidates.begin(), candidates.end()),
                   query, mask, ctx));
-  return MakeScanContext(std::move(matches));
+  return PrecomputedCursor::Park(std::move(matches));
 }
 
 Status SpatialIndexMethods::Fetch(const OdciIndexInfo& info,
@@ -247,7 +213,7 @@ Status SpatialIndexMethods::Fetch(const OdciIndexInfo& info,
                                   OdciFetchBatch* out, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  return FetchFromWorkspace(sctx, max_rows, out);
+  return PrecomputedCursor::Fetch(sctx, max_rows, out);
 }
 
 Status SpatialIndexMethods::Close(const OdciIndexInfo& info,
@@ -255,7 +221,7 @@ Status SpatialIndexMethods::Close(const OdciIndexInfo& info,
                                   ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  return CloseWorkspace(sctx);
+  return PrecomputedCursor::Close(sctx);
 }
 
 // ===========================================================================
@@ -373,7 +339,7 @@ Result<OdciScanContext> RtreeIndexMethods::Start(const OdciIndexInfo& info,
   std::sort(candidates.begin(), candidates.end());
   EXI_ASSIGN_OR_RETURN(std::vector<RowId> matches,
                        ExactFilter(info, candidates, query, mask, ctx));
-  return MakeScanContext(std::move(matches));
+  return PrecomputedCursor::Park(std::move(matches));
 }
 
 Status RtreeIndexMethods::Fetch(const OdciIndexInfo& info,
@@ -381,14 +347,14 @@ Status RtreeIndexMethods::Fetch(const OdciIndexInfo& info,
                                 OdciFetchBatch* out, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  return FetchFromWorkspace(sctx, max_rows, out);
+  return PrecomputedCursor::Fetch(sctx, max_rows, out);
 }
 
 Status RtreeIndexMethods::Close(const OdciIndexInfo& info,
                                 OdciScanContext& sctx, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  return CloseWorkspace(sctx);
+  return PrecomputedCursor::Close(sctx);
 }
 
 // ===========================================================================

@@ -5,6 +5,7 @@
 #include <map>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "common/strings.h"
 #include "core/scan_context.h"
@@ -13,18 +14,13 @@ namespace exi::text {
 
 namespace {
 
-// ---- scan workspace (Return Handle mechanism) ----
+// ---- Incremental scan workspace (Return Handle mechanism) ----
 
-// One struct serves both scan strategies (§2.2.3):
-//  * Precompute-All: `matches` holds the full result set; `pos` iterates.
-//  * Incremental: single-term queries stream candidates straight off the
-//    posting IOT, resuming after (`term`, `last_rid`) on each Fetch.
+// Incremental computation (§2.2.3): a single-term query streams candidates
+// straight off the posting IOT, resuming after (`term`, `last_rid`) on each
+// Fetch.  A Return Handle Precompute-All scan parks a PrecomputedCursor
+// instead.
 struct TextScanWorkspace {
-  bool incremental = false;
-  // Precompute-All state.
-  std::vector<TextMatch> matches;
-  size_t pos = 0;
-  // Incremental state.
   std::string term;
   RowId last_rid = 0;
   bool started = false;
@@ -314,7 +310,6 @@ Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
       !tokenizer.IsStopWord(query->term)) {
     // Incremental computation: stream the posting list a batch at a time.
     auto ws = std::make_shared<TextScanWorkspace>();
-    ws->incremental = true;
     ws->term = query->term;
     sctx.handle = ScanWorkspaceRegistry::Global().Allocate(ws);
     return sctx;
@@ -328,12 +323,11 @@ Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
                         MakeUniverseSource(info, ctx)));
   if (use_state) {
     EncodeState(matches, 0, &sctx.state);
-  } else {
-    auto ws = std::make_shared<TextScanWorkspace>();
-    ws->matches = std::move(matches);
-    sctx.handle = ScanWorkspaceRegistry::Global().Allocate(ws);
+    return sctx;
   }
-  return sctx;
+  return PrecomputedCursor::Park(std::move(matches), [](const TextMatch& m) {
+    return std::pair{m.rid, Value::Integer(m.score)};
+  });
 }
 
 Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
@@ -352,18 +346,12 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
     EncodeState(matches, end, &sctx.state);
     return Status::OK();
   }
+  if (!ScanWorkspaceRegistry::Global().Holds<TextScanWorkspace>(sctx.handle)) {
+    return PrecomputedCursor::Fetch(sctx, max_rows, out);
+  }
   EXI_ASSIGN_OR_RETURN(
       std::shared_ptr<TextScanWorkspace> ws,
       ScanWorkspaceRegistry::Global().GetAs<TextScanWorkspace>(sctx.handle));
-  if (!ws->incremental) {
-    size_t end = std::min(ws->matches.size(), ws->pos + max_rows);
-    for (size_t i = ws->pos; i < end; ++i) {
-      out->rids.push_back(ws->matches[i].rid);
-      out->ancillary.push_back(Value::Integer(ws->matches[i].score));
-    }
-    ws->pos = end;
-    return Status::OK();
-  }
   // Incremental: resume the IOT cursor after (term, last_rid).
   std::string iot = PostingTableName(info.index_name);
   CompositeKey lo = {Value::Varchar(ws->term),
@@ -391,6 +379,7 @@ Status TextIndexMethods::Close(const OdciIndexInfo& info,
   (void)info;
   (void)ctx;
   if (sctx.uses_handle()) {
+    // Either workspace: a PrecomputedCursor or an Incremental one.
     return ScanWorkspaceRegistry::Global().Release(sctx.handle);
   }
   sctx.state.clear();

@@ -1,6 +1,5 @@
 #include "cartridge/varray/varray_cartridge.h"
 
-#include <algorithm>
 #include <set>
 
 #include "core/scan_context.h"
@@ -19,11 +18,6 @@ Schema ElemTableSchema() {
   schema.AddColumn(Column{"rid", DataType::Integer(), true});
   return schema;
 }
-
-struct VarrayScanWorkspace {
-  std::vector<RowId> matches;
-  size_t pos = 0;
-};
 
 // Distinct string elements of a VARRAY value.
 std::set<std::string> ElementsOf(const Value& v) {
@@ -112,16 +106,14 @@ Result<OdciScanContext> VarrayIndexMethods::Start(const OdciIndexInfo& info,
     return Status::InvalidArgument(
         "VContains index scan expects one string element");
   }
-  auto ws = std::make_shared<VarrayScanWorkspace>();
+  std::vector<RowId> matches;
   EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(
       ElemTableName(info.index_name),
       {Value::Varchar(pred.args[0].AsVarchar())}, [&](const Row& row) {
-        ws->matches.push_back(RowId(row[1].AsInteger()));
+        matches.push_back(RowId(row[1].AsInteger()));
         return true;
       }));
-  OdciScanContext sctx;
-  sctx.handle = ScanWorkspaceRegistry::Global().Allocate(ws);
-  return sctx;
+  return PrecomputedCursor::Park(std::move(matches));
 }
 
 Status VarrayIndexMethods::Fetch(const OdciIndexInfo& info,
@@ -129,25 +121,14 @@ Status VarrayIndexMethods::Fetch(const OdciIndexInfo& info,
                                  OdciFetchBatch* out, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  EXI_ASSIGN_OR_RETURN(std::shared_ptr<VarrayScanWorkspace> ws,
-                       ScanWorkspaceRegistry::Global()
-                           .GetAs<VarrayScanWorkspace>(sctx.handle));
-  size_t end = std::min(ws->matches.size(), ws->pos + max_rows);
-  for (size_t i = ws->pos; i < end; ++i) {
-    out->rids.push_back(ws->matches[i]);
-  }
-  ws->pos = end;
-  return Status::OK();
+  return PrecomputedCursor::Fetch(sctx, max_rows, out);
 }
 
 Status VarrayIndexMethods::Close(const OdciIndexInfo& info,
                                  OdciScanContext& sctx, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  if (sctx.uses_handle()) {
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
-  }
-  return Status::OK();
+  return PrecomputedCursor::Close(sctx);
 }
 
 Status InstallVarrayCartridge(Connection* conn) {

@@ -42,12 +42,6 @@ Row CoarseRow(RowId rid, const Signature& sig) {
           Value::Double(coarse[2]), Value::Double(coarse[3])};
 }
 
-struct VirScanWorkspace {
-  // (rid, distance) pairs sorted by distance (most similar first).
-  std::vector<std::pair<RowId, double>> matches;
-  size_t pos = 0;
-};
-
 // Parses VIRSimilar scan arguments: (query image, weights, threshold).
 Status ParseSimilarPred(const OdciPredInfo& pred, Signature* query,
                         Weights* weights, double* threshold) {
@@ -214,7 +208,8 @@ Result<OdciScanContext> VirIndexMethods::Start(const OdciIndexInfo& info,
 
   // ---- Phase 3: full signature comparison.
   int col = info.indexed_position();
-  auto ws = std::make_shared<VirScanWorkspace>();
+  // (rid, distance) pairs, sorted below by distance (most similar first).
+  std::vector<std::pair<RowId, double>> matches;
   for (const Candidate& c : phase2) {
     Result<Row> row = ctx.GetBaseTableRow(info.table_name, c.rid);
     if (!row.ok()) continue;
@@ -222,22 +217,22 @@ Result<OdciScanContext> VirIndexMethods::Start(const OdciIndexInfo& info,
     if (v.is_null()) continue;
     EXI_ASSIGN_OR_RETURN(Signature sig, FromValue(v));
     double d = Distance(sig, query, weights);
-    if (d <= threshold) ws->matches.emplace_back(c.rid, d);
+    if (d <= threshold) matches.emplace_back(c.rid, d);
   }
   // Ranking over the whole result set — the Precompute-All exemplar
   // (§2.2.3: "operators involving some sort of ranking ... require looking
   // at the entire result set").
-  std::sort(ws->matches.begin(), ws->matches.end(),
+  std::sort(matches.begin(), matches.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
-  counters.matches = ws->matches.size();
+  counters.matches = matches.size();
   {
     std::lock_guard<std::mutex> lock(g_counters_mu);
     g_last_counters = counters;
   }
 
-  OdciScanContext sctx;
-  sctx.handle = ScanWorkspaceRegistry::Global().Allocate(ws);
-  return sctx;
+  return PrecomputedCursor::Park(std::move(matches), [](const auto& m) {
+    return std::pair{m.first, Value::Double(m.second)};
+  });
 }
 
 Status VirIndexMethods::Fetch(const OdciIndexInfo& info,
@@ -245,26 +240,14 @@ Status VirIndexMethods::Fetch(const OdciIndexInfo& info,
                               OdciFetchBatch* out, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  EXI_ASSIGN_OR_RETURN(
-      std::shared_ptr<VirScanWorkspace> ws,
-      ScanWorkspaceRegistry::Global().GetAs<VirScanWorkspace>(sctx.handle));
-  size_t end = std::min(ws->matches.size(), ws->pos + max_rows);
-  for (size_t i = ws->pos; i < end; ++i) {
-    out->rids.push_back(ws->matches[i].first);
-    out->ancillary.push_back(Value::Double(ws->matches[i].second));
-  }
-  ws->pos = end;
-  return Status::OK();
+  return PrecomputedCursor::Fetch(sctx, max_rows, out);
 }
 
 Status VirIndexMethods::Close(const OdciIndexInfo& info,
                               OdciScanContext& sctx, ServerContext& ctx) {
   (void)info;
   (void)ctx;
-  if (sctx.uses_handle()) {
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
-  }
-  return Status::OK();
+  return PrecomputedCursor::Close(sctx);
 }
 
 // ---- stats ----

@@ -393,6 +393,10 @@ Status DomainIndexManager::Maintain(
     Maintenance kind, const std::string& table_name,
     const std::vector<std::pair<RowId, Row>>& rows,
     const std::vector<Row>* new_rows, Transaction* txn) {
+  if (kind == Maintenance::kUpdate &&
+      (new_rows == nullptr || new_rows->size() != rows.size())) {
+    return Status::Internal("Maintain: old/new row count mismatch");
+  }
   if (rows.empty()) return Status::OK();
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_->GetTable(table_name));
   const Schema& schema = table->schema();
@@ -438,28 +442,6 @@ Status DomainIndexManager::Maintain(
     }
   }
   return Status::OK();
-}
-
-Status DomainIndexManager::OnInsertBatch(
-    const std::string& table_name,
-    const std::vector<std::pair<RowId, Row>>& rows, Transaction* txn) {
-  return Maintain(Maintenance::kInsert, table_name, rows, nullptr, txn);
-}
-
-Status DomainIndexManager::OnDeleteBatch(
-    const std::string& table_name,
-    const std::vector<std::pair<RowId, Row>>& old_rows, Transaction* txn) {
-  return Maintain(Maintenance::kDelete, table_name, old_rows, nullptr, txn);
-}
-
-Status DomainIndexManager::OnUpdateBatch(
-    const std::string& table_name,
-    const std::vector<std::pair<RowId, Row>>& old_rows,
-    const std::vector<Row>& new_rows, Transaction* txn) {
-  if (old_rows.size() != new_rows.size()) {
-    return Status::Internal("OnUpdateBatch: old/new row count mismatch");
-  }
-  return Maintain(Maintenance::kUpdate, table_name, old_rows, &new_rows, txn);
 }
 
 // ---- scans ----

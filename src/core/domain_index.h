@@ -118,21 +118,20 @@ class DomainIndexManager {
 
   // ---- implicit maintenance (§2.4.1) ----
 
+  enum class Maintenance { kInsert, kDelete, kUpdate };
+
   // Invoked by the DML executor with every row a statement touched, in
-  // statement order (a single-row statement passes a one-row batch).  Rows
-  // are routed to the slice owning their heap segment, and each touched
-  // VALID slice gets one ODCIIndexInsert / Delete / Update call carrying
-  // all of its rows (Dispatch).
-  Status OnInsertBatch(const std::string& table_name,
-                       const std::vector<std::pair<RowId, Row>>& rows,
-                       Transaction* txn);
-  Status OnDeleteBatch(const std::string& table_name,
-                       const std::vector<std::pair<RowId, Row>>& old_rows,
-                       Transaction* txn);
-  // new_rows[i] replaces old_rows[i].second for rowid old_rows[i].first.
-  Status OnUpdateBatch(const std::string& table_name,
-                       const std::vector<std::pair<RowId, Row>>& old_rows,
-                       const std::vector<Row>& new_rows, Transaction* txn);
+  // statement order (a single-row statement passes a one-row batch): the
+  // inserted rows, or the old rows of a delete or update.  For kUpdate,
+  // (*new_rows)[i] replaces rows[i].second for rowid rows[i].first; the
+  // other kinds pass nullptr.  Groups the rows by owning slice of every
+  // domain index on the table, forgets each receiving slice's memoized
+  // statistics, skips non-VALID slices, gives each touched slice one
+  // ODCIIndexInsert / Delete / Update call carrying all of its rows
+  // (Dispatch), and applies MaintenanceFailed.
+  Status Maintain(Maintenance kind, const std::string& table_name,
+                  const std::vector<std::pair<RowId, Row>>& rows,
+                  const std::vector<Row>* new_rows, Transaction* txn);
 
   // ---- index scan (§2.4.2) ----
 
@@ -189,9 +188,6 @@ class DomainIndexManager {
                                       const OdciPredInfo& pred);
 
  private:
-  // Maintenance kinds sharing one routing and dispatch path.
-  enum class Maintenance { kInsert, kDelete, kUpdate };
-
   // A definition-mode ODCI routine applied to one slice.
   using SliceRoutine = FunctionRef<Status(OdciIndex& impl,
                                           const OdciIndexInfo& info,
@@ -233,15 +229,6 @@ class DomainIndexManager {
   // last_error, and returns OK so the DML commits.
   Status MaintenanceFailed(IndexInfo* index, IndexSlice* slice,
                            const Status& error);
-
-  // The routing helper shared by insert, delete and update: groups `rows`
-  // by owning slice of every domain index on the table, forgets each
-  // receiving slice's memoized statistics, skips non-VALID slices,
-  // dispatches each group, and applies MaintenanceFailed.
-  // `new_rows` is used by kUpdate only.
-  Status Maintain(Maintenance kind, const std::string& table_name,
-                  const std::vector<std::pair<RowId, Row>>& rows,
-                  const std::vector<Row>* new_rows, Transaction* txn);
 
   // One slice's maintenance: one guarded BatchInsert / BatchDelete /
   // BatchUpdate call with all of `rids`, traced as the per-kind routine.

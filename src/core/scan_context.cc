@@ -1,6 +1,7 @@
 #include "core/scan_context.h"
 
-#include "core/odci.h"
+#include <algorithm>
+#include <string>
 
 namespace exi {
 
@@ -27,14 +28,15 @@ const char* CallbackModeName(CallbackMode mode) {
   return "unknown";
 }
 
-uint64_t ScanWorkspaceRegistry::Allocate(std::shared_ptr<void> workspace) {
+uint64_t ScanWorkspaceRegistry::Store(std::shared_ptr<void> workspace,
+                                      const std::type_info& type) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t handle = next_handle_++;
-  workspaces_[handle] = std::move(workspace);
+  workspaces_[handle] = Entry{std::move(workspace), &type};
   return handle;
 }
 
-Result<std::shared_ptr<void>> ScanWorkspaceRegistry::Get(
+Result<ScanWorkspaceRegistry::Entry> ScanWorkspaceRegistry::Find(
     uint64_t handle) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = workspaces_.find(handle);
@@ -43,6 +45,12 @@ Result<std::shared_ptr<void>> ScanWorkspaceRegistry::Get(
                             std::to_string(handle));
   }
   return it->second;
+}
+
+Result<std::shared_ptr<void>> ScanWorkspaceRegistry::Get(
+    uint64_t handle) const {
+  EXI_ASSIGN_OR_RETURN(Entry entry, Find(handle));
+  return entry.workspace;
 }
 
 Status ScanWorkspaceRegistry::Release(uint64_t handle) {
@@ -57,6 +65,41 @@ Status ScanWorkspaceRegistry::Release(uint64_t handle) {
 ScanWorkspaceRegistry& ScanWorkspaceRegistry::Global() {
   static ScanWorkspaceRegistry* registry = new ScanWorkspaceRegistry();
   return *registry;
+}
+
+OdciScanContext PrecomputedCursor::Park(std::vector<RowId> rids) {
+  size_t size = rids.size();
+  return ParkAppender(size, [rids = std::move(rids)](size_t begin, size_t end,
+                                                     OdciFetchBatch* out) {
+    out->rids.insert(out->rids.end(), rids.begin() + begin,
+                     rids.begin() + end);
+  });
+}
+
+OdciScanContext PrecomputedCursor::ParkAppender(size_t size,
+                                                Appender append) {
+  auto cursor = std::make_shared<PrecomputedCursor>();
+  cursor->size_ = size;
+  cursor->append_ = std::move(append);
+  OdciScanContext sctx;
+  sctx.handle = ScanWorkspaceRegistry::Global().Allocate(std::move(cursor));
+  return sctx;
+}
+
+Status PrecomputedCursor::Fetch(const OdciScanContext& sctx, size_t max_rows,
+                                OdciFetchBatch* out) {
+  EXI_ASSIGN_OR_RETURN(
+      std::shared_ptr<PrecomputedCursor> cursor,
+      ScanWorkspaceRegistry::Global().GetAs<PrecomputedCursor>(sctx.handle));
+  size_t end = std::min(cursor->size_, cursor->pos_ + max_rows);
+  cursor->append_(cursor->pos_, end, out);
+  cursor->pos_ = end;
+  return Status::OK();
+}
+
+Status PrecomputedCursor::Close(const OdciScanContext& sctx) {
+  if (!sctx.uses_handle()) return Status::OK();
+  return ScanWorkspaceRegistry::Global().Release(sctx.handle);
 }
 
 }  // namespace exi

@@ -356,7 +356,9 @@ Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
     rids.push_back(rid);
     inserted.emplace_back(rid, std::move(row));
   }
-  EXI_RETURN_IF_ERROR(domains_.OnInsertBatch(table_name, inserted, txn));
+  EXI_RETURN_IF_ERROR(
+      domains_.Maintain(DomainIndexManager::Maintenance::kInsert, table_name,
+                        inserted, nullptr, txn));
   return rids;
 }
 
@@ -402,7 +404,8 @@ Status Database::UpdateRows(const std::string& table_name,
     old_rows.emplace_back(rid, std::move(old_row));
     new_rows.push_back(std::move(new_row));
   }
-  return domains_.OnUpdateBatch(table_name, old_rows, new_rows, txn);
+  return domains_.Maintain(DomainIndexManager::Maintenance::kUpdate,
+                           table_name, old_rows, &new_rows, txn);
 }
 
 Status Database::DeleteRow(const std::string& table_name, RowId rid,
@@ -428,7 +431,8 @@ Status Database::DeleteRows(const std::string& table_name,
         MaintainBuiltinOnDelete(table_name, rid, old_row, txn));
     deleted.emplace_back(rid, std::move(old_row));
   }
-  return domains_.OnDeleteBatch(table_name, deleted, txn);
+  return domains_.Maintain(DomainIndexManager::Maintenance::kDelete,
+                           table_name, deleted, nullptr, txn);
 }
 
 Status Database::TruncateTable(const std::string& table_name,
