@@ -85,10 +85,10 @@ Status Catalog::DropTable(const std::string& name) {
   std::string key = Key(name);
   auto it = tables_.find(key);
   if (it == tables_.end()) return Status::NotFound("no table: " + name);
-  if (!it->second.index_names.empty()) {
+  size_t indexes = IndexesOnTable(name).size();
+  if (indexes > 0) {
     return Status::InvalidArgument("table " + name + " still has " +
-                                   std::to_string(
-                                       it->second.index_names.size()) +
+                                   std::to_string(indexes) +
                                    " index(es); drop them first");
   }
   tables_.erase(it);
@@ -253,11 +253,9 @@ Status Catalog::AddIndex(std::unique_ptr<IndexInfo> info) {
   if (indexes_.count(key) > 0) {
     return Status::AlreadyExists("index exists: " + info->name);
   }
-  auto table_it = tables_.find(Key(info->table));
-  if (table_it == tables_.end()) {
+  if (tables_.count(Key(info->table)) == 0) {
     return Status::NotFound("no table: " + info->table);
   }
-  table_it->second.index_names.push_back(info->name);
   indexes_[key] = std::move(info);
   return Status::OK();
 }
@@ -265,16 +263,6 @@ Status Catalog::AddIndex(std::unique_ptr<IndexInfo> info) {
 Status Catalog::RemoveIndex(const std::string& name) {
   auto it = indexes_.find(Key(name));
   if (it == indexes_.end()) return Status::NotFound("no index: " + name);
-  auto table_it = tables_.find(Key(it->second->table));
-  if (table_it != tables_.end()) {
-    auto& names = table_it->second.index_names;
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (EqualsIgnoreCase(names[i], name)) {
-        names.erase(names.begin() + i);
-        break;
-      }
-    }
-  }
   indexes_.erase(it);
   return Status::OK();
 }

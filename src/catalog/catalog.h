@@ -161,10 +161,9 @@ struct IndexInfo {
   OdciIndexInfo ToOdciInfo(const Schema& table_schema) const;
 };
 
-// Dictionary record for a table plus the names of its indexes.
+// Dictionary record for a table (its indexes: Catalog::IndexesOnTable).
 struct TableInfo {
   std::unique_ptr<HeapTable> heap;
-  std::vector<std::string> index_names;
   TableStats stats;
   PartitionScheme partitioning;  // method == kNone for ordinary tables
 };

@@ -375,16 +375,10 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
     return Status::InvalidArgument("unknown index method: " + stmt->method);
   }
   // Backfill from existing rows.
-  BuiltinIndex* bidx = info->builtin.get();
   for (auto it = table->Scan(); it.Valid(); it.Next()) {
-    CompositeKey key;
-    bool null_key = false;
-    for (const std::string& col : info->columns) {
-      int c = table->schema().FindColumn(col);
-      key.push_back(it.row()[c]);
-    }
-    if (!key.empty() && key[0].is_null()) null_key = true;
-    if (!null_key) bidx->Insert(key, it.row_id());
+    EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
+                         Database::KeyFor(*info, table->schema(), it.row()));
+    if (key.has_value()) info->builtin->Insert(*key, it.row_id());
   }
   EXI_RETURN_IF_ERROR(db_->catalog().AddIndex(std::move(info)));
   QueryResult r;
@@ -439,7 +433,6 @@ Result<QueryResult> Connection::RunInsert(sql::InsertStmt* stmt) {
                          db_->catalog().GetTable(stmt->table));
     const Schema& schema = table->schema();
     Binder binder(&db_->catalog());
-    Evaluator eval(&db_->catalog());
 
     // Map column names to schema positions (empty list = positional).
     std::vector<int> positions;
@@ -465,7 +458,7 @@ Result<QueryResult> Connection::RunInsert(sql::InsertStmt* stmt) {
       Row row(schema.size(), Value::Null());
       for (size_t i = 0; i < exprs.size(); ++i) {
         EXI_RETURN_IF_ERROR(binder.BindConstant(exprs[i].get()));
-        EXI_ASSIGN_OR_RETURN(Value v, eval.Eval(*exprs[i], {}));
+        EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*exprs[i], {}));
         row[positions[i]] = std::move(v);
       }
       rows.push_back(std::move(row));
@@ -489,7 +482,6 @@ Result<std::vector<std::pair<RowId, Row>>> Connection::CollectMatches(
   EXI_ASSIGN_OR_RETURN(HeapTable * table,
                        db_->catalog().GetTable(table_name));
   Binder binder(&db_->catalog());
-  Evaluator eval(&db_->catalog());
   std::vector<BoundTable> tables = {
       BoundTable{table->name(), table_name, &table->schema(), 0}};
   if (where != nullptr) {
@@ -498,7 +490,8 @@ Result<std::vector<std::pair<RowId, Row>>> Connection::CollectMatches(
   std::vector<std::pair<RowId, Row>> matches;
   for (auto it = table->Scan(); it.Valid(); it.Next()) {
     if (where != nullptr) {
-      EXI_ASSIGN_OR_RETURN(bool pass, eval.EvalPredicate(*where, it.row()));
+      EXI_ASSIGN_OR_RETURN(bool pass,
+                           Evaluator::EvalPredicate(*where, it.row()));
       if (!pass) continue;
     }
     matches.emplace_back(it.row_id(), it.row());
@@ -512,7 +505,6 @@ Result<QueryResult> Connection::RunUpdate(sql::UpdateStmt* stmt) {
                          db_->catalog().GetTable(stmt->table));
     const Schema& schema = table->schema();
     Binder binder(&db_->catalog());
-    Evaluator eval(&db_->catalog());
     std::vector<BoundTable> tables = {
         BoundTable{table->name(), stmt->table, &schema, 0}};
 
@@ -533,7 +525,7 @@ Result<QueryResult> Connection::RunUpdate(sql::UpdateStmt* stmt) {
     for (auto& [rid, old_row] : matches) {
       Row new_row = old_row;
       for (auto& [c, expr] : sets) {
-        EXI_ASSIGN_OR_RETURN(Value v, eval.Eval(*expr, old_row));
+        EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*expr, old_row));
         new_row[c] = std::move(v);
       }
       updates.emplace_back(rid, std::move(new_row));

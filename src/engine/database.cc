@@ -273,7 +273,7 @@ Database::Database()
 Database::~Database() { events_.Unregister(rollback_handler_); }
 
 Result<std::optional<CompositeKey>> Database::KeyFor(
-    const IndexInfo& index, const Schema& schema, const Row& row) const {
+    const IndexInfo& index, const Schema& schema, const Row& row) {
   CompositeKey key;
   for (const std::string& col : index.columns) {
     int c = schema.FindColumn(col);

@@ -124,6 +124,13 @@ class Database {
   // Drops the table after dropping all its indexes.
   Status DropTableCascade(const std::string& table_name, Transaction* txn);
 
+  // Builds the composite key for a built-in index from a base-table row;
+  // returns an empty optional when the leading key value is NULL (NULLs
+  // are not indexed, Oracle B-tree semantics).
+  static Result<std::optional<CompositeKey>> KeyFor(const IndexInfo& index,
+                                                    const Schema& schema,
+                                                    const Row& row);
+
   // ---- system views ----
   // The dictionary (USER_*) and performance (V$*) views, listed once in the
   // registry in database.cc, are ordinary tables that exist only while the
@@ -167,13 +174,6 @@ class Database {
   // (DROP/TRUNCATE PARTITION groundwork; built-in indexes are global).
   Status RemoveBuiltinEntriesForSegment(const std::string& table_name,
                                         uint32_t segment);
-
-  // Builds the composite key for an index from a base-table row; returns
-  // an empty optional when the leading key value is NULL (NULLs are not
-  // indexed, Oracle B-tree semantics).
-  Result<std::optional<CompositeKey>> KeyFor(const IndexInfo& index,
-                                             const Schema& schema,
-                                             const Row& row) const;
 
   Catalog catalog_;
   EventManager events_;

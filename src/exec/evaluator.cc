@@ -1,9 +1,6 @@
 #include "exec/evaluator.h"
 
-#include <cmath>
-
 #include "common/metrics.h"
-#include "common/strings.h"
 
 namespace exi {
 
@@ -51,7 +48,7 @@ bool Evaluator::LikeMatch(const std::string& text,
 }
 
 Result<Value> Evaluator::EvalBinary(const Expr& expr, const Row& row,
-                                    const Value* ancillary) const {
+                                    const Value* ancillary) {
   // AND/OR get short-circuit three-valued logic.
   if (expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr) {
     EXI_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.children[0], row, ancillary));
@@ -155,8 +152,8 @@ Result<Value> Evaluator::EvalBinary(const Expr& expr, const Row& row,
 }
 
 Result<Value> Evaluator::EvalFunction(const Expr& expr, const Row& row,
-                                      const Value* ancillary) const {
-  if (expr.is_score) {
+                                      const Value* ancillary) {
+  if (expr.call == sql::CallKind::kScore) {
     if (ancillary == nullptr) {
       return Status::InvalidArgument(
           "Score() is only available in queries, fed by a domain-index "
@@ -164,60 +161,21 @@ Result<Value> Evaluator::EvalFunction(const Expr& expr, const Row& row,
     }
     return *ancillary;
   }
+  if (!expr.fn) return Status::Internal("unbound function: " + expr.function);
   ValueList args;
   args.reserve(expr.children.size());
   for (const auto& child : expr.children) {
     EXI_ASSIGN_OR_RETURN(Value v, Eval(*child, row, ancillary));
     args.push_back(std::move(v));
   }
-  if (expr.is_user_operator) {
-    EXI_ASSIGN_OR_RETURN(const OperatorDef* op,
-                         catalog_->GetOperator(expr.function));
-    const OperatorBinding& binding = op->bindings[expr.binding_index];
-    EXI_ASSIGN_OR_RETURN(OperatorFunction fn,
-                         catalog_->functions().Get(binding.function_name));
+  if (expr.call != sql::CallKind::kBuiltin) {
     GlobalMetrics().functional_evaluations++;
-    return fn(args);
   }
-  if (catalog_->functions().Contains(expr.function)) {
-    EXI_ASSIGN_OR_RETURN(OperatorFunction fn,
-                         catalog_->functions().Get(expr.function));
-    GlobalMetrics().functional_evaluations++;
-    return fn(args);
-  }
-  // Built-ins.
-  if (EqualsIgnoreCase(expr.function, "lower") ||
-      EqualsIgnoreCase(expr.function, "upper")) {
-    if (args[0].is_null()) return Value::Null();
-    if (args[0].tag() != TypeTag::kVarchar) {
-      return Status::TypeMismatch(expr.function + " expects VARCHAR");
-    }
-    return Value::Varchar(EqualsIgnoreCase(expr.function, "lower")
-                              ? ToLower(args[0].AsVarchar())
-                              : ToUpper(args[0].AsVarchar()));
-  }
-  if (EqualsIgnoreCase(expr.function, "length")) {
-    if (args[0].is_null()) return Value::Null();
-    if (args[0].tag() != TypeTag::kVarchar) {
-      return Status::TypeMismatch("length expects VARCHAR");
-    }
-    return Value::Integer(int64_t(args[0].AsVarchar().size()));
-  }
-  if (EqualsIgnoreCase(expr.function, "abs")) {
-    if (args[0].is_null()) return Value::Null();
-    if (args[0].tag() == TypeTag::kInteger) {
-      return Value::Integer(std::llabs(args[0].AsInteger()));
-    }
-    if (args[0].tag() == TypeTag::kDouble) {
-      return Value::Double(std::fabs(args[0].AsDouble()));
-    }
-    return Status::TypeMismatch("abs expects a number");
-  }
-  return Status::Internal("unbound function: " + expr.function);
+  return expr.fn(args);
 }
 
 Result<Value> Evaluator::Eval(const Expr& expr, const Row& row,
-                              const Value* ancillary) const {
+                              const Value* ancillary) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
@@ -276,7 +234,7 @@ Result<Value> Evaluator::Eval(const Expr& expr, const Row& row,
 }
 
 Result<bool> Evaluator::EvalPredicate(const Expr& expr, const Row& row,
-                                      const Value* ancillary) const {
+                                      const Value* ancillary) {
   EXI_ASSIGN_OR_RETURN(Value v, Eval(expr, row, ancillary));
   if (v.is_null()) return false;
   return IsTruthy(v);

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "catalog/catalog.h"
 #include "common/result.h"
 #include "sql/ast.h"
 #include "types/value.h"
@@ -14,24 +13,24 @@ namespace exi {
 //
 // Semantics: SQL-style NULL propagation — comparisons and arithmetic over
 // NULL yield NULL; AND/OR use three-valued logic; a predicate holds only if
-// its value is definitely true.  A user-defined operator evaluated here is
-// the *functional* implementation path (§2.2.1) — the per-row fallback used
-// when the optimizer does not pick a domain-index scan — and is counted in
-// StorageMetrics::functional_evaluations.
+// its value is definitely true.  A function call runs the callable the
+// Binder resolved, with no catalog lookup.  A user-defined operator
+// evaluated here is the *functional* implementation path (§2.2.1) — the
+// per-row fallback used when the optimizer does not pick a domain-index
+// scan — and, like a registered function, is counted in
+// StorageMetrics::functional_evaluations.  The Evaluator holds no state.
 class Evaluator {
  public:
-  explicit Evaluator(const Catalog* catalog) : catalog_(catalog) {}
-
   // `ancillary` feeds the Score() pseudo-function with the row's
   // domain-index ancillary value; nullptr means Score() is unavailable in
   // this context (e.g. DML predicates) and evaluates to an error.
-  Result<Value> Eval(const sql::Expr& expr, const Row& row,
-                     const Value* ancillary = nullptr) const;
+  static Result<Value> Eval(const sql::Expr& expr, const Row& row,
+                            const Value* ancillary = nullptr);
 
   // True iff the expression evaluates to a definitely-true value
   // (Boolean TRUE, or a nonzero number — the paper's Contains(...)=1 form).
-  Result<bool> EvalPredicate(const sql::Expr& expr, const Row& row,
-                             const Value* ancillary = nullptr) const;
+  static Result<bool> EvalPredicate(const sql::Expr& expr, const Row& row,
+                                    const Value* ancillary = nullptr);
 
   // Shared truthiness rule for operator return values.
   static bool IsTruthy(const Value& v);
@@ -40,12 +39,10 @@ class Evaluator {
   static bool LikeMatch(const std::string& text, const std::string& pattern);
 
  private:
-  Result<Value> EvalBinary(const sql::Expr& expr, const Row& row,
-                           const Value* ancillary) const;
-  Result<Value> EvalFunction(const sql::Expr& expr, const Row& row,
-                             const Value* ancillary) const;
-
-  const Catalog* catalog_;
+  static Result<Value> EvalBinary(const sql::Expr& expr, const Row& row,
+                                  const Value* ancillary);
+  static Result<Value> EvalFunction(const sql::Expr& expr, const Row& row,
+                                    const Value* ancillary);
 };
 
 }  // namespace exi

@@ -288,8 +288,8 @@ std::string DomainIndexScanNode::Describe() const {
 // ---- FilterNode ----
 
 FilterNode::FilterNode(std::unique_ptr<ExecNode> child,
-                       const sql::Expr* predicate, const Catalog* catalog)
-    : child_(std::move(child)), predicate_(predicate), evaluator_(catalog) {}
+                       const sql::Expr* predicate)
+    : child_(std::move(child)), predicate_(predicate) {}
 
 Status FilterNode::OpenImpl() { return child_->Open(); }
 
@@ -299,7 +299,7 @@ Result<bool> FilterNode::NextImpl(ExecRow* out) {
     if (!have) return false;
     EXI_ASSIGN_OR_RETURN(
         bool pass,
-        evaluator_.EvalPredicate(*predicate_, out->values,
+        Evaluator::EvalPredicate(*predicate_, out->values,
                                  &out->ancillary));
     if (pass) return true;
   }
@@ -318,10 +318,8 @@ std::vector<const ExecNode*> FilterNode::Children() const {
 // ---- ProjectNode ----
 
 ProjectNode::ProjectNode(std::unique_ptr<ExecNode> child,
-                         std::vector<const sql::Expr*> exprs,
-                         const Catalog* catalog)
-    : child_(std::move(child)), exprs_(std::move(exprs)),
-      evaluator_(catalog) {}
+                         std::vector<const sql::Expr*> exprs)
+    : child_(std::move(child)), exprs_(std::move(exprs)) {}
 
 Status ProjectNode::OpenImpl() { return child_->Open(); }
 
@@ -333,7 +331,7 @@ Result<bool> ProjectNode::NextImpl(ExecRow* out) {
   out->values.reserve(exprs_.size());
   for (const sql::Expr* e : exprs_) {
     EXI_ASSIGN_OR_RETURN(Value v,
-                         evaluator_.Eval(*e, in.values, &in.ancillary));
+                         Evaluator::Eval(*e, in.values, &in.ancillary));
     out->values.push_back(std::move(v));
   }
   out->rid = in.rid;
@@ -412,13 +410,11 @@ std::vector<const ExecNode*> NestedLoopJoinNode::Children() const {
 IndexJoinNode::IndexJoinNode(std::unique_ptr<ExecNode> left,
                              const HeapTable* inner,
                              const BuiltinIndex* inner_index,
-                             const sql::Expr* key_expr,
-                             const Catalog* catalog)
+                             const sql::Expr* key_expr)
     : left_(std::move(left)),
       inner_(inner),
       inner_index_(inner_index),
-      key_expr_(key_expr),
-      evaluator_(catalog) {}
+      key_expr_(key_expr) {}
 
 Status IndexJoinNode::OpenImpl() {
   EXI_RETURN_IF_ERROR(left_->Open());
@@ -435,7 +431,7 @@ Result<bool> IndexJoinNode::NextImpl(ExecRow* out) {
       if (!have) return false;
       have_left_ = true;
       EXI_ASSIGN_OR_RETURN(Value key,
-                           evaluator_.Eval(*key_expr_, left_row_.values));
+                           Evaluator::Eval(*key_expr_, left_row_.values));
       matches_ = key.is_null() ? std::vector<RowId>{}
                                : inner_index_->ScanEqual({key});
       match_pos_ = 0;
@@ -472,8 +468,8 @@ DomainIndexJoinNode::DomainIndexJoinNode(
     DomainIndexManager* manager, const HeapTable* inner, size_t inner_offset,
     size_t inner_width, std::string index_name,
     std::vector<uint32_t> inner_slices, std::string op_name,
-    std::vector<const sql::Expr*> arg_exprs, const Catalog* catalog,
-    size_t batch_size, size_t parallelism)
+    std::vector<const sql::Expr*> arg_exprs, size_t batch_size,
+    size_t parallelism)
     : outer_(std::move(outer)),
       outer_offset_(outer_offset),
       outer_width_(outer_width),
@@ -485,7 +481,6 @@ DomainIndexJoinNode::DomainIndexJoinNode(
       inner_slices_(std::move(inner_slices)),
       op_name_(std::move(op_name)),
       arg_exprs_(std::move(arg_exprs)),
-      evaluator_(catalog),
       batch_size_(batch_size),
       parallelism_(parallelism ? parallelism : 1) {}
 
@@ -518,7 +513,7 @@ Result<bool> DomainIndexJoinNode::EnqueueProbe() {
   OdciPredInfo pred;
   pred.operator_name = op_name_;
   for (const sql::Expr* e : arg_exprs_) {
-    EXI_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*e, probe.padded));
+    EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*e, probe.padded));
     pred.args.push_back(std::move(v));
   }
   pred.lower_bound = Value::Boolean(true);
@@ -599,11 +594,10 @@ std::vector<const ExecNode*> DomainIndexJoinNode::Children() const {
 
 SortNode::SortNode(std::unique_ptr<ExecNode> child,
                    std::vector<const sql::Expr*> keys,
-                   std::vector<bool> ascending, const Catalog* catalog)
+                   std::vector<bool> ascending)
     : child_(std::move(child)),
       keys_(std::move(keys)),
-      ascending_(std::move(ascending)),
-      evaluator_(catalog) {}
+      ascending_(std::move(ascending)) {}
 
 Status SortNode::OpenImpl() {
   EXI_RETURN_IF_ERROR(child_->Open());
@@ -627,7 +621,7 @@ Status SortNode::OpenImpl() {
     for (const sql::Expr* k : keys_) {
       EXI_ASSIGN_OR_RETURN(
           Value v,
-          evaluator_.Eval(*k, rows_[i].values, &rows_[i].ancillary));
+          Evaluator::Eval(*k, rows_[i].values, &rows_[i].ancillary));
       keyed[i].keys.push_back(std::move(v));
     }
   }
@@ -776,12 +770,11 @@ struct KeyLess {
 GroupByNode::GroupByNode(std::unique_ptr<ExecNode> child,
                          std::vector<const sql::Expr*> keys,
                          std::vector<const sql::Expr*> aggs,
-                         std::vector<Output> outputs, const Catalog* catalog)
+                         std::vector<Output> outputs)
     : child_(std::move(child)),
       keys_(std::move(keys)),
       aggs_(std::move(aggs)),
-      outputs_(std::move(outputs)),
-      evaluator_(catalog) {}
+      outputs_(std::move(outputs)) {}
 
 Status GroupByNode::OpenImpl() {
   EXI_RETURN_IF_ERROR(child_->Open());
@@ -794,7 +787,7 @@ Status GroupByNode::OpenImpl() {
     key.reserve(keys_.size());
     for (const sql::Expr* k : keys_) {
       EXI_ASSIGN_OR_RETURN(Value v,
-                           evaluator_.Eval(*k, row.values, &row.ancillary));
+                           Evaluator::Eval(*k, row.values, &row.ancillary));
       key.push_back(std::move(v));
     }
     auto [it, inserted] = groups.try_emplace(std::move(key));
@@ -807,7 +800,7 @@ Status GroupByNode::OpenImpl() {
       }
       EXI_ASSIGN_OR_RETURN(
           Value v,
-          evaluator_.Eval(*e->children[0], row.values, &row.ancillary));
+          Evaluator::Eval(*e->children[0], row.values, &row.ancillary));
       it->second[a].Add(v);
     }
   }

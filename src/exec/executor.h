@@ -191,8 +191,7 @@ class DomainIndexScanNode : public ExecNode {
 
 class FilterNode : public ExecNode {
  public:
-  FilterNode(std::unique_ptr<ExecNode> child, const sql::Expr* predicate,
-             const Catalog* catalog);
+  FilterNode(std::unique_ptr<ExecNode> child, const sql::Expr* predicate);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -203,13 +202,12 @@ class FilterNode : public ExecNode {
  private:
   std::unique_ptr<ExecNode> child_;
   const sql::Expr* predicate_;
-  Evaluator evaluator_;
 };
 
 class ProjectNode : public ExecNode {
  public:
   ProjectNode(std::unique_ptr<ExecNode> child,
-              std::vector<const sql::Expr*> exprs, const Catalog* catalog);
+              std::vector<const sql::Expr*> exprs);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -220,7 +218,6 @@ class ProjectNode : public ExecNode {
  private:
   std::unique_ptr<ExecNode> child_;
   std::vector<const sql::Expr*> exprs_;
-  Evaluator evaluator_;
 };
 
 // Block nested-loop join: materializes the right input at Open, then emits
@@ -252,8 +249,7 @@ class NestedLoopJoinNode : public ExecNode {
 class IndexJoinNode : public ExecNode {
  public:
   IndexJoinNode(std::unique_ptr<ExecNode> left, const HeapTable* inner,
-                const BuiltinIndex* inner_index, const sql::Expr* key_expr,
-                const Catalog* catalog);
+                const BuiltinIndex* inner_index, const sql::Expr* key_expr);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -266,7 +262,6 @@ class IndexJoinNode : public ExecNode {
   const HeapTable* inner_;
   const BuiltinIndex* inner_index_;
   const sql::Expr* key_expr_;
-  Evaluator evaluator_;
   ExecRow left_row_;
   bool have_left_ = false;
   std::vector<RowId> matches_;
@@ -286,12 +281,12 @@ class IndexJoinNode : public ExecNode {
 // heap segments in `inner_slices`, in slice order; {0} for a global index),
 // results concatenated in slice order.  The node keeps one ordered window
 // of probes: outer rows are drafted (and their operator arguments
-// evaluated, on the consumer thread — Evaluator is not audited for
-// concurrent use) and merged strictly in outer order.  The window holds
-// 2 x `parallelism` probes running as pool tasks when the inner cartridge
-// declares parallel_scan, and 1 otherwise — the serial case, where the
-// probe runs inline on the consumer thread.  Join probes are not
-// partition-aware: they move no partition counters.
+// evaluated, on the consumer thread — a registered function is not
+// assumed safe for concurrent use) and merged strictly in outer order.
+// The window holds 2 x `parallelism` probes running as pool tasks when
+// the inner cartridge declares parallel_scan, and 1 otherwise — the
+// serial case, where the probe runs inline on the consumer thread.  Join
+// probes are not partition-aware: they move no partition counters.
 class DomainIndexJoinNode : public ExecNode {
  public:
   DomainIndexJoinNode(std::unique_ptr<ExecNode> outer, size_t outer_offset,
@@ -300,8 +295,7 @@ class DomainIndexJoinNode : public ExecNode {
                       size_t inner_width, std::string index_name,
                       std::vector<uint32_t> inner_slices, std::string op_name,
                       std::vector<const sql::Expr*> arg_exprs,
-                      const Catalog* catalog, size_t batch_size = 64,
-                      size_t parallelism = 1);
+                      size_t batch_size = 64, size_t parallelism = 1);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -326,7 +320,6 @@ class DomainIndexJoinNode : public ExecNode {
   std::vector<uint32_t> inner_slices_;
   std::string op_name_;
   std::vector<const sql::Expr*> arg_exprs_;
-  Evaluator evaluator_;
   size_t batch_size_;
   size_t parallelism_;
 
@@ -346,8 +339,7 @@ class DomainIndexJoinNode : public ExecNode {
 class SortNode : public ExecNode {
  public:
   SortNode(std::unique_ptr<ExecNode> child,
-           std::vector<const sql::Expr*> keys, std::vector<bool> ascending,
-           const Catalog* catalog);
+           std::vector<const sql::Expr*> keys, std::vector<bool> ascending);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -359,7 +351,6 @@ class SortNode : public ExecNode {
   std::unique_ptr<ExecNode> child_;
   std::vector<const sql::Expr*> keys_;
   std::vector<bool> ascending_;
-  Evaluator evaluator_;
   std::vector<ExecRow> rows_;
   size_t pos_ = 0;
 };
@@ -422,7 +413,7 @@ class GroupByNode : public ExecNode {
   GroupByNode(std::unique_ptr<ExecNode> child,
               std::vector<const sql::Expr*> keys,
               std::vector<const sql::Expr*> aggs,
-              std::vector<Output> outputs, const Catalog* catalog);
+              std::vector<Output> outputs);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -435,7 +426,6 @@ class GroupByNode : public ExecNode {
   std::vector<const sql::Expr*> keys_;
   std::vector<const sql::Expr*> aggs_;
   std::vector<Output> outputs_;
-  Evaluator evaluator_;
   std::vector<Row> results_;
   size_t pos_ = 0;
 };

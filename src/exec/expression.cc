@@ -1,5 +1,8 @@
 #include "exec/expression.h"
 
+#include <cmath>
+#include <cstdlib>
+
 #include "common/strings.h"
 
 namespace exi {
@@ -10,15 +13,53 @@ using sql::ExprKind;
 
 namespace {
 
-// Built-in scalar functions and their result types.
+// Built-in scalar functions: result type and implementation.  Each takes
+// one argument and maps NULL to NULL.
+Result<Value> LowerFn(const ValueList& args) {
+  if (args[0].is_null()) return Value::Null();
+  if (args[0].tag() != TypeTag::kVarchar) {
+    return Status::TypeMismatch("lower expects VARCHAR");
+  }
+  return Value::Varchar(ToLower(args[0].AsVarchar()));
+}
+
+Result<Value> UpperFn(const ValueList& args) {
+  if (args[0].is_null()) return Value::Null();
+  if (args[0].tag() != TypeTag::kVarchar) {
+    return Status::TypeMismatch("upper expects VARCHAR");
+  }
+  return Value::Varchar(ToUpper(args[0].AsVarchar()));
+}
+
+Result<Value> LengthFn(const ValueList& args) {
+  if (args[0].is_null()) return Value::Null();
+  if (args[0].tag() != TypeTag::kVarchar) {
+    return Status::TypeMismatch("length expects VARCHAR");
+  }
+  return Value::Integer(int64_t(args[0].AsVarchar().size()));
+}
+
+Result<Value> AbsFn(const ValueList& args) {
+  if (args[0].is_null()) return Value::Null();
+  if (args[0].tag() == TypeTag::kInteger) {
+    return Value::Integer(std::llabs(args[0].AsInteger()));
+  }
+  if (args[0].tag() == TypeTag::kDouble) {
+    return Value::Double(std::fabs(args[0].AsDouble()));
+  }
+  return Status::TypeMismatch("abs expects a number");
+}
+
 struct BuiltinFn {
   const char* name;
-  size_t arity;
   TypeTag result;
+  Result<Value> (*impl)(const ValueList& args);
 };
 constexpr BuiltinFn kBuiltinFns[] = {
-    {"lower", 1, TypeTag::kVarchar},  {"upper", 1, TypeTag::kVarchar},
-    {"length", 1, TypeTag::kInteger}, {"abs", 1, TypeTag::kDouble},
+    {"lower", TypeTag::kVarchar, LowerFn},
+    {"upper", TypeTag::kVarchar, UpperFn},
+    {"length", TypeTag::kInteger, LengthFn},
+    {"abs", TypeTag::kDouble, AbsFn},
 };
 
 const BuiltinFn* FindBuiltin(const std::string& name) {
@@ -119,11 +160,11 @@ Status Binder::BindFunctionCall(Expr* expr,
   if (expr->children.empty() && EqualsIgnoreCase(expr->function, "score") &&
       !catalog_->OperatorExists(expr->function) &&
       !catalog_->functions().Contains(expr->function)) {
-    expr->is_score = true;
+    expr->call = sql::CallKind::kScore;
     expr->result_type = DataType::Double();
     return Status::OK();
   }
-  // User-defined operator?
+  // User-defined operator: bind the chosen binding's function (§2.2.2).
   if (catalog_->OperatorExists(expr->function)) {
     EXI_ASSIGN_OR_RETURN(const OperatorDef* op,
                          catalog_->GetOperator(expr->function));
@@ -137,22 +178,26 @@ Status Binder::BindFunctionCall(Expr* expr,
                                " matches argument types in " +
                                expr->ToString());
     }
-    expr->is_user_operator = true;
-    expr->binding_index = binding;
-    expr->result_type = op->bindings[binding].return_type;
+    const OperatorBinding& chosen = op->bindings[binding];
+    EXI_ASSIGN_OR_RETURN(expr->fn,
+                         catalog_->functions().Get(chosen.function_name));
+    expr->call = sql::CallKind::kOperator;
+    expr->result_type = chosen.return_type;
     return Status::OK();
   }
   // Registered plain function (callable without an operator)?
   if (catalog_->functions().Contains(expr->function)) {
-    expr->is_user_operator = false;
-    expr->binding_index = -1;
+    EXI_ASSIGN_OR_RETURN(expr->fn, catalog_->functions().Get(expr->function));
+    expr->call = sql::CallKind::kFunction;
     expr->result_type = DataType::Null();  // dynamic
     return Status::OK();
   }
   if (const BuiltinFn* fn = FindBuiltin(expr->function)) {
-    if (expr->children.size() != fn->arity) {
+    if (expr->children.size() != 1) {
       return Status::BindError("wrong argument count for " + expr->function);
     }
+    expr->fn = fn->impl;
+    expr->call = sql::CallKind::kBuiltin;
     expr->result_type = DataType(fn->result);
     return Status::OK();
   }

@@ -21,7 +21,10 @@ struct BoundTable {
 };
 
 // Resolves names and types in a parsed expression tree, annotating Expr
-// nodes in place (slot, attr_index, result_type, user-operator binding).
+// nodes in place (slot, attr_index, result_type, and for a call its kind
+// and the callable it runs).  A call binds to the function registered at
+// bind time; registering or unregistering a function later affects only
+// statements bound after that.
 class Binder {
  public:
   explicit Binder(const Catalog* catalog) : catalog_(catalog) {}

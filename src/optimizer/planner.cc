@@ -14,6 +14,7 @@
 namespace exi {
 
 using sql::BinaryOp;
+using sql::CallKind;
 using sql::Expr;
 using sql::ExprKind;
 using sql::SelectStmt;
@@ -29,7 +30,7 @@ bool HasColumnRef(const Expr& e) {
 }
 
 bool HasUserOperator(const Expr& e) {
-  if (e.kind == ExprKind::kFunctionCall && e.is_user_operator) return true;
+  if (e.call == CallKind::kOperator) return true;
   for (const auto& c : e.children) {
     if (HasUserOperator(*c)) return true;
   }
@@ -71,7 +72,7 @@ BinaryOp FlipComparison(BinaryOp op) {
 }
 
 Result<std::optional<ColumnComparison>> MatchColumnComparison(
-    const Evaluator& eval, Expr* e, const BoundTable& table) {
+    Expr* e, const BoundTable& table) {
   if (e->kind != ExprKind::kBinary) return std::optional<ColumnComparison>();
   switch (e->bop) {
     case BinaryOp::kEq:
@@ -103,7 +104,7 @@ Result<std::optional<ColumnComparison>> MatchColumnComparison(
   } else {
     return std::optional<ColumnComparison>();
   }
-  EXI_ASSIGN_OR_RETURN(Value bound, eval.Eval(*constant, {}));
+  EXI_ASSIGN_OR_RETURN(Value bound, Evaluator::Eval(*constant, {}));
   ColumnComparison cc;
   cc.local_column = col->slot - int(table.slot_offset);
   cc.column_name = table.schema->column(cc.local_column).name;
@@ -182,8 +183,7 @@ bool SelectsTrueOnly(const std::optional<Value>& lower, bool lower_incl,
   return admits(1.0) && !admits(0.0);
 }
 
-Result<std::optional<DomainOpMatch>> MatchDomainOp(const Evaluator& eval,
-                                                   Expr* e,
+Result<std::optional<DomainOpMatch>> MatchDomainOp(Expr* e,
                                                    const BoundTable& table) {
   Expr* call = nullptr;
   std::optional<Value> lower;
@@ -216,7 +216,7 @@ Result<std::optional<DomainOpMatch>> MatchDomainOp(const Evaluator& eval,
     }
   };
 
-  if (e->kind == ExprKind::kFunctionCall && e->is_user_operator) {
+  if (e->call == CallKind::kOperator) {
     call = e;
     lower = Value::Boolean(true);
     upper = Value::Boolean(true);
@@ -234,15 +234,13 @@ Result<std::optional<DomainOpMatch>> MatchDomainOp(const Evaluator& eval,
     Expr* lhs = e->children[0].get();
     Expr* rhs = e->children[1].get();
     BinaryOp op = e->bop;
-    if (lhs->kind == ExprKind::kFunctionCall && lhs->is_user_operator &&
-        IsConstant(*rhs)) {
+    if (lhs->call == CallKind::kOperator && IsConstant(*rhs)) {
       call = lhs;
-      EXI_ASSIGN_OR_RETURN(Value b, eval.Eval(*rhs, {}));
+      EXI_ASSIGN_OR_RETURN(Value b, Evaluator::Eval(*rhs, {}));
       fold_bounds(op, std::move(b));
-    } else if (rhs->kind == ExprKind::kFunctionCall &&
-               rhs->is_user_operator && IsConstant(*lhs)) {
+    } else if (rhs->call == CallKind::kOperator && IsConstant(*lhs)) {
       call = rhs;
-      EXI_ASSIGN_OR_RETURN(Value b, eval.Eval(*lhs, {}));
+      EXI_ASSIGN_OR_RETURN(Value b, Evaluator::Eval(*lhs, {}));
       fold_bounds(FlipComparison(op), std::move(b));
     } else {
       return std::optional<DomainOpMatch>();
@@ -274,7 +272,7 @@ Result<std::optional<DomainOpMatch>> MatchDomainOp(const Evaluator& eval,
     if (!IsConstant(*call->children[i])) {
       return std::optional<DomainOpMatch>();
     }
-    EXI_ASSIGN_OR_RETURN(Value v, eval.Eval(*call->children[i], {}));
+    EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*call->children[i], {}));
     m.args.push_back(std::move(v));
   }
   m.pred.operator_name = m.operator_name;
@@ -469,7 +467,6 @@ Result<Planner::TableEnv> Planner::ResolveFrom(const SelectStmt& stmt) {
 Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     const BoundTable& table, const HeapTable* heap,
     std::vector<Expr*>* conjuncts, std::string* explain) {
-  Evaluator eval(catalog_);
   EXI_ASSIGN_OR_RETURN(TableInfo * tinfo,
                        catalog_->GetTableInfo(table.table_name));
   const TableStats& stats = tinfo->stats;
@@ -488,8 +485,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
   std::map<int, ColumnRange> ranges;
   for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
     EXI_ASSIGN_OR_RETURN(std::optional<ColumnComparison> cc,
-                         MatchColumnComparison(eval, (*conjuncts)[ci],
-                                               table));
+                         MatchColumnComparison((*conjuncts)[ci], table));
     if (cc.has_value()) ranges[cc->local_column].Absorb(int(ci), *cc);
   }
 
@@ -609,7 +605,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     Expr* conjunct = (*conjuncts)[ci];
     // Domain index paths.
     EXI_ASSIGN_OR_RETURN(std::optional<DomainOpMatch> dm,
-                         MatchDomainOp(eval, conjunct, table));
+                         MatchDomainOp(conjunct, table));
     if (dm.has_value()) {
       const DataType& col_type =
           table.schema->column(dm->local_column).type;
@@ -696,8 +692,7 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
   if (env.tables.size() != 2) return std::unique_ptr<ExecNode>();
   for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
     Expr* e = (*conjuncts)[ci];
-    if (e->kind != ExprKind::kFunctionCall || !e->is_user_operator ||
-        e->children.empty()) {
+    if (e->call != CallKind::kOperator || e->children.empty()) {
       continue;
     }
     const Expr& first = *e->children[0];
@@ -757,8 +752,8 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
           std::move(outer_scan), outer_t.slot_offset,
           outer_t.schema->size(), domains_, env.heaps[inner_idx],
           inner_t.slot_offset, inner_t.schema->size(), idx->name,
-          std::move(slices), e->function, std::move(arg_exprs), catalog_,
-          fetch_batch_, parallelism_);
+          std::move(slices), e->function, std::move(arg_exprs), fetch_batch_,
+          parallelism_);
       conjuncts->erase(conjuncts->begin() + ci);
       return std::unique_ptr<ExecNode>(std::move(node));
     }
@@ -850,7 +845,7 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
                               idx->name + "\n";
               node = std::make_unique<IndexJoinNode>(
                   std::move(node), env.heaps[t], idx->builtin.get(),
-                  key_side, catalog_);
+                  key_side);
               conjuncts.erase(conjuncts.begin() + ci);
               joined = true;
               break;
@@ -870,7 +865,7 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
 
   // Residual predicates.
   for (Expr* c : conjuncts) {
-    node = std::make_unique<FilterNode>(std::move(node), c, catalog_);
+    node = std::make_unique<FilterNode>(std::move(node), c);
   }
 
   // Grouping, aggregation, or plain projection.
@@ -920,7 +915,7 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
           item.alias.empty() ? item.expr->ToString() : item.alias);
     }
     node = std::make_unique<GroupByNode>(std::move(node), keys, aggs,
-                                         std::move(outputs), catalog_);
+                                         std::move(outputs));
     if (grouped && stmt->limit.has_value()) {
       node = std::make_unique<LimitNode>(std::move(node), *stmt->limit);
     }
@@ -933,8 +928,7 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
         keys.push_back(item.expr.get());
         ascending.push_back(item.ascending);
       }
-      node = std::make_unique<SortNode>(std::move(node), keys, ascending,
-                                        catalog_);
+      node = std::make_unique<SortNode>(std::move(node), keys, ascending);
     }
     if (stmt->limit.has_value()) {
       node = std::make_unique<LimitNode>(std::move(node), *stmt->limit);
@@ -961,8 +955,7 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
             item.alias.empty() ? item.expr->ToString() : item.alias);
       }
     }
-    node = std::make_unique<ProjectNode>(std::move(node), projections,
-                                         catalog_);
+    node = std::make_unique<ProjectNode>(std::move(node), projections);
     if (stmt->distinct) {
       node = std::make_unique<DistinctNode>(std::move(node));
     }

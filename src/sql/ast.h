@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/operator_registry.h"
 #include "types/datatype.h"
 #include "types/value.h"
 
@@ -37,6 +38,16 @@ enum class BinaryOp {
 enum class UnaryOp { kNot, kNeg };
 
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
+
+// What the binder resolved a kFunctionCall to.
+enum class CallKind {
+  kNone,      // not a call, or not yet bound
+  kOperator,  // a user-defined operator's chosen binding (§2.2.2)
+  kFunction,  // a registered plain function
+  kBuiltin,   // lower / upper / length / abs
+  kScore,     // the Score() pseudo-function: the row's domain-index
+              // ancillary value (§2.4.2 ancillary operators)
+};
 
 const char* BinaryOpName(BinaryOp op);
 
@@ -72,12 +83,10 @@ struct Expr {
   int slot = -1;           // input-row slot for resolved column refs
   int attr_index = -1;     // first object-attribute index (single level)
   DataType result_type;
-  bool is_user_operator = false;  // kFunctionCall bound to a user operator
-  int binding_index = -1;         // chosen operator binding
-  // kFunctionCall bound to the Score() pseudo-function, which reads the
-  // ancillary value produced by a domain-index scan (§2.4.2 ancillary
-  // operators, e.g. text relevance or image distance).
-  bool is_score = false;
+  CallKind call = CallKind::kNone;
+  // The callable a kFunctionCall resolved to (empty for kScore).  Held by
+  // value, so unregistering the function later leaves it intact.
+  OperatorFunction fn;
 
   std::string ToString() const;
 

@@ -25,25 +25,51 @@ std::unique_ptr<sql::Expr> ParseExpr(const std::string& text) {
 
 class EvaluatorTest : public ::testing::Test {
  protected:
-  EvaluatorTest() : conn_(&db_), evaluator_(&db_.catalog()) {
+  EvaluatorTest() : conn_(&db_) {
     conn_.MustExecute(
         "CREATE TABLE t (a INTEGER, b VARCHAR(20), c DOUBLE)");
   }
 
-  Result<Value> Eval(const std::string& text, const Row& row) {
+  Result<std::unique_ptr<sql::Expr>> Bind(const std::string& text) {
     auto expr = ParseExpr(text);
     Binder binder(&db_.catalog());
     HeapTable* table = *db_.catalog().GetTable("t");
     std::vector<BoundTable> tables = {
         BoundTable{"t", "t", &table->schema(), 0}};
-    Status st = binder.Bind(expr.get(), tables);
-    if (!st.ok()) return st;
-    return evaluator_.Eval(*expr, row);
+    EXI_RETURN_IF_ERROR(binder.Bind(expr.get(), tables));
+    return expr;
+  }
+
+  Result<Value> Eval(const std::string& text, const Row& row) {
+    EXI_ASSIGN_OR_RETURN(std::unique_ptr<sql::Expr> expr, Bind(text));
+    return Evaluator::Eval(*expr, row);
+  }
+
+  // Registers TwiceFn and the operator Twice(INTEGER) bound to it.
+  void CreateTwice() {
+    ASSERT_TRUE(db_.catalog()
+                    .functions()
+                    .Register("TwiceFn",
+                              [](const ValueList& args) -> Result<Value> {
+                                if (args[0].is_null()) return Value::Null();
+                                return Value::Integer(args[0].AsInteger() *
+                                                      2);
+                              })
+                    .ok());
+    conn_.MustExecute(
+        "CREATE OPERATOR Twice BINDING (INTEGER) RETURN INTEGER USING "
+        "TwiceFn");
+  }
+
+  // How far functional_evaluations moves while `sql` runs.
+  uint64_t FunctionalEvaluations(const std::string& sql) {
+    StorageMetrics before = GlobalMetrics().Snapshot();
+    conn_.MustExecute(sql);
+    return GlobalMetrics().Snapshot().Delta(before).functional_evaluations;
   }
 
   Database db_;
   Connection conn_;
-  Evaluator evaluator_;
 };
 
 TEST_F(EvaluatorTest, ArithmeticAndComparison) {
@@ -102,6 +128,48 @@ TEST_F(EvaluatorTest, BinderErrors) {
             StatusCode::kBindError);
   // Attribute access on a non-object column.
   EXPECT_EQ(Eval("b.attr = 1", row).status().code(),
+            StatusCode::kBindError);
+}
+
+TEST_F(EvaluatorTest, FunctionalEvaluationsCountUserCallsOnly) {
+  CreateTwice();
+  conn_.MustExecute(
+      "INSERT INTO t VALUES (1, 'a', 1.5), (2, 'B', -2.5), (3, 'c', 3.0)");
+  // Once per row for a user operator and for a registered function.
+  EXPECT_EQ(FunctionalEvaluations("SELECT Twice(a) FROM t"), 3u);
+  EXPECT_EQ(FunctionalEvaluations("SELECT TwiceFn(a) FROM t"), 3u);
+  EXPECT_EQ(FunctionalEvaluations("SELECT a FROM t WHERE Twice(a) = 4"),
+            3u);
+  // Never for built-ins or LIKE.
+  EXPECT_EQ(FunctionalEvaluations(
+                "SELECT LOWER(b), ABS(c) FROM t WHERE UPPER(b) LIKE '%'"),
+            0u);
+  // Nor for Score(), which reads the row's ancillary value.
+  Result<std::unique_ptr<sql::Expr>> score = Bind("Score()");
+  ASSERT_TRUE(score.ok()) << score.status().ToString();
+  Value ancillary = Value::Double(0.5);
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  Result<Value> v = Evaluator::Eval(**score, {}, &ancillary);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v->AsDouble(), 0.5);
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).functional_evaluations,
+            0u);
+}
+
+TEST_F(EvaluatorTest, CallsBindToTheirFunctionOnce) {
+  CreateTwice();
+  Result<std::unique_ptr<sql::Expr>> bound = Bind("Twice(a)");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  ASSERT_TRUE(db_.catalog().functions().Unregister("TwiceFn").ok());
+  // An expression bound before the function went keeps its callable.
+  Result<Value> v = Evaluator::Eval(**bound, {Value::Integer(21)});
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v->AsInteger(), 42);
+  // A statement bound later fails at bind time: the operator's function
+  // is gone.
+  Result<QueryResult> r = conn_.Execute("SELECT Twice(a) FROM t");
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(conn_.Execute("SELECT NoSuchFn(a) FROM t").status().code(),
             StatusCode::kBindError);
 }
 

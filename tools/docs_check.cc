@@ -73,6 +73,35 @@ std::vector<std::string> LinkTargets(const std::string& line) {
   return out;
 }
 
+// Drops inline code spans: brackets inside them are code, not links.  As
+// in CommonMark, a span opens with a run of backticks and closes with the
+// next run of the same length; a run with no match is kept as text.
+std::string WithoutCodeSpans(const std::string& line) {
+  auto run_end = [&](size_t at) {
+    size_t end = line.find_first_not_of('`', at);
+    return end == std::string::npos ? line.size() : end;
+  };
+  std::string out;
+  size_t pos = 0;
+  size_t open;
+  while ((open = line.find('`', pos)) != std::string::npos) {
+    size_t width = run_end(open) - open;
+    size_t close = open + width;
+    while ((close = line.find('`', close)) != std::string::npos &&
+           run_end(close) - close != width) {
+      close = run_end(close);
+    }
+    if (close == std::string::npos) {  // unmatched run: plain text
+      out += line.substr(pos, open + width - pos);
+      pos = open + width;
+    } else {
+      out += line.substr(pos, open - pos);
+      pos = close + width;
+    }
+  }
+  return out + line.substr(pos);
+}
+
 bool IsExternal(const std::string& target) {
   return target.rfind("http://", 0) == 0 || target.rfind("https://", 0) == 0 ||
          target.rfind("mailto:", 0) == 0 || target.empty() ||
@@ -88,9 +117,13 @@ int CheckLinks(const fs::path& root) {
     bool in_code_fence = false;
     while (std::getline(in, line)) {
       ++lineno;
-      if (line.rfind("```", 0) == 0) in_code_fence = !in_code_fence;
+      // A fence may be indented, e.g. inside a list item.
+      size_t first = line.find_first_not_of(" \t");
+      if (first != std::string::npos && line.compare(first, 3, "```") == 0) {
+        in_code_fence = !in_code_fence;
+      }
       if (in_code_fence) continue;
-      for (std::string target : LinkTargets(line)) {
+      for (std::string target : LinkTargets(WithoutCodeSpans(line))) {
         if (IsExternal(target)) continue;
         size_t hash = target.find('#');
         if (hash != std::string::npos) target.resize(hash);
