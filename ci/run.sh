@@ -84,17 +84,16 @@ echo "==> perfbench self-test (builds perfbench against src/, tiny scale)"
 python3 perfbench/selftest.py
 
 if [[ "${1:-}" != "quick" ]]; then
-  echo "==> TSan: concurrency_test + observability_test + storage_fastpath_test + partition_test + fault_sweep_test + precomputed_cursor_test"
+  # The suites run under TSan.
+  tsan_suites=(concurrency_test observability_test storage_fastpath_test
+               partition_test fault_sweep_test precomputed_cursor_test
+               operator_forms_test)
+  echo "==> TSan: ${tsan_suites[*]}"
   cmake -B build-tsan -S . -DEXTIDX_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target concurrency_test \
-      observability_test storage_fastpath_test partition_test fault_sweep_test \
-      precomputed_cursor_test
-  ./build-tsan/tests/concurrency_test
-  ./build-tsan/tests/observability_test
-  ./build-tsan/tests/storage_fastpath_test
-  ./build-tsan/tests/partition_test
-  ./build-tsan/tests/fault_sweep_test
-  ./build-tsan/tests/precomputed_cursor_test
+  cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
+  for t in "${tsan_suites[@]}"; do
+    "./build-tsan/tests/$t"
+  done
 
   echo "==> ASan+UBSan: full ctest"
   cmake -B build-asan -S . -DEXTIDX_SANITIZE=address,undefined >/dev/null

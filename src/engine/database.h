@@ -72,9 +72,8 @@ class Database {
 
   // A DML statement's rows go through the *Rows forms: heap and built-in
   // index maintenance run per row (in statement order), then domain-index
-  // maintenance is dispatched once per touched index slice, batched when
-  // the cartridge supports it (core/domain_index.h).  The single-row forms
-  // are one-row batches.
+  // maintenance is dispatched as one array call per touched index slice
+  // (core/domain_index.h).  The single-row forms are one-row batches.
   Result<RowId> InsertRow(const std::string& table_name, Row row,
                           Transaction* txn);
   Status UpdateRow(const std::string& table_name, RowId rid, Row new_row,

@@ -467,7 +467,7 @@ DomainIndexJoinNode::DomainIndexJoinNode(
     std::unique_ptr<ExecNode> outer, size_t outer_offset, size_t outer_width,
     DomainIndexManager* manager, const HeapTable* inner, size_t inner_offset,
     size_t inner_width, std::string index_name,
-    std::vector<uint32_t> inner_slices, std::string op_name,
+    std::vector<uint32_t> inner_slices, OdciPredInfo pred,
     std::vector<const sql::Expr*> arg_exprs, size_t batch_size,
     size_t parallelism)
     : outer_(std::move(outer)),
@@ -479,7 +479,7 @@ DomainIndexJoinNode::DomainIndexJoinNode(
       inner_width_(inner_width),
       index_name_(std::move(index_name)),
       inner_slices_(std::move(inner_slices)),
-      op_name_(std::move(op_name)),
+      pred_(std::move(pred)),
       arg_exprs_(std::move(arg_exprs)),
       batch_size_(batch_size),
       parallelism_(parallelism ? parallelism : 1) {}
@@ -510,14 +510,11 @@ Result<bool> DomainIndexJoinNode::EnqueueProbe() {
   }
   // Argument expressions are evaluated here, on the consumer thread; only
   // the cartridge probe itself (Start/Fetch*/Close) may run on the pool.
-  OdciPredInfo pred;
-  pred.operator_name = op_name_;
+  OdciPredInfo pred = pred_;
   for (const sql::Expr* e : arg_exprs_) {
     EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*e, probe.padded));
     pred.args.push_back(std::move(v));
   }
-  pred.lower_bound = Value::Boolean(true);
-  pred.upper_bound = Value::Boolean(true);
   auto run = [manager = manager_, index = index_name_, pred = std::move(pred),
               slices = inner_slices_,
               n = batch_size_]() -> Result<OdciFetchBatch> {
@@ -579,7 +576,7 @@ Status DomainIndexJoinNode::CloseImpl() {
 
 std::string DomainIndexJoinNode::Describe() const {
   std::string desc = "DomainIndexJoin(inner=" + inner_->name() + " via " +
-                     index_name_ + ", op=" + op_name_;
+                     index_name_ + ", op=" + pred_.operator_name;
   if (parallel_enabled()) {
     desc += ", parallel=" + std::to_string(parallelism_);
   }

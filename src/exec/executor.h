@@ -270,9 +270,11 @@ class IndexJoinNode : public ExecNode {
 
 // Domain-index nested-loop join (the paper's spatial layer join, §3.2.2):
 // for each outer row, re-executes a domain-index scan on the inner table's
-// index, passing the outer row's operator arguments in the predicate —
-// e.g. Sdo_Relate(parks.geometry, roads.geometry, 'mask=OVERLAPS') probes
-// the parks index once per roads row.
+// index with a copy of `pred` (the planner's matched operator and
+// normalized bounds, no arguments) carrying that row's values of
+// `arg_exprs` as its arguments — e.g. Sdo_Relate(parks.geometry,
+// roads.geometry, 'mask=OVERLAPS') probes the parks index once per roads
+// row.
 //
 // Output rows are full-width in FROM order regardless of which side drives:
 // outer values land at `outer_offset`, inner values at `inner_offset`.
@@ -293,7 +295,7 @@ class DomainIndexJoinNode : public ExecNode {
                       size_t outer_width, DomainIndexManager* manager,
                       const HeapTable* inner, size_t inner_offset,
                       size_t inner_width, std::string index_name,
-                      std::vector<uint32_t> inner_slices, std::string op_name,
+                      std::vector<uint32_t> inner_slices, OdciPredInfo pred,
                       std::vector<const sql::Expr*> arg_exprs,
                       size_t batch_size = 64, size_t parallelism = 1);
 
@@ -318,7 +320,7 @@ class DomainIndexJoinNode : public ExecNode {
   size_t inner_width_;
   std::string index_name_;
   std::vector<uint32_t> inner_slices_;
-  std::string op_name_;
+  OdciPredInfo pred_;
   std::vector<const sql::Expr*> arg_exprs_;
   size_t batch_size_;
   size_t parallelism_;

@@ -21,14 +21,6 @@ using sql::SelectStmt;
 
 namespace {
 
-bool HasColumnRef(const Expr& e) {
-  if (e.kind == ExprKind::kColumnRef) return true;
-  for (const auto& c : e.children) {
-    if (HasColumnRef(*c)) return true;
-  }
-  return false;
-}
-
 bool HasUserOperator(const Expr& e) {
   if (e.call == CallKind::kOperator) return true;
   for (const auto& c : e.children) {
@@ -48,18 +40,22 @@ bool RefsOnlyRange(const Expr& e, size_t lo, size_t hi) {
   return true;
 }
 
-bool IsConstant(const Expr& e) {
-  return !HasColumnRef(e) && e.kind != ExprKind::kAggregate &&
-         e.kind != ExprKind::kStar;
+// Whether `e` can be the value side of a matched predicate: no aggregate or
+// `*`, and column references only in slots [lo, hi).  An empty range admits
+// constants only, which the matchers fold at plan time.
+bool IsOperand(const Expr& e, size_t lo, size_t hi) {
+  return e.kind != ExprKind::kAggregate && e.kind != ExprKind::kStar &&
+         RefsOnlyRange(e, lo, hi);
 }
 
-// `col relop constant` over the given table's slot range.
-struct ColumnComparison {
-  int local_column;  // index within the table schema
-  std::string column_name;
-  BinaryOp op;  // normalized so the column is on the left
-  Value bound;
-};
+bool IsConstant(const Expr& e) { return IsOperand(e, 0, 0); }
+
+// A plain (non-attribute) reference to a column of `table`.
+bool IsColumnOf(const Expr& e, const BoundTable& table) {
+  return e.kind == ExprKind::kColumnRef && e.attr_index < 0 &&
+         RefsOnlyRange(e, table.slot_offset,
+                       table.slot_offset + table.schema->size());
+}
 
 BinaryOp FlipComparison(BinaryOp op) {
   switch (op) {
@@ -71,9 +67,18 @@ BinaryOp FlipComparison(BinaryOp op) {
   }
 }
 
-Result<std::optional<ColumnComparison>> MatchColumnComparison(
-    Expr* e, const BoundTable& table) {
-  if (e->kind != ExprKind::kBinary) return std::optional<ColumnComparison>();
+// `key relop operand` read from either side of a comparison conjunct, with
+// `op` normalized so the key is on the left.
+struct Comparison {
+  Expr* key;
+  Expr* operand;
+  BinaryOp op;
+};
+
+template <typename IsKey>
+std::optional<Comparison> SplitComparison(Expr* e, IsKey is_key, size_t lo,
+                                          size_t hi) {
+  if (e->kind != ExprKind::kBinary) return std::nullopt;
   switch (e->bop) {
     case BinaryOp::kEq:
     case BinaryOp::kLt:
@@ -82,55 +87,64 @@ Result<std::optional<ColumnComparison>> MatchColumnComparison(
     case BinaryOp::kGe:
       break;
     default:
-      return std::optional<ColumnComparison>();
+      return std::nullopt;
   }
   Expr* lhs = e->children[0].get();
   Expr* rhs = e->children[1].get();
-  Expr* col = nullptr;
-  Expr* constant = nullptr;
-  BinaryOp op = e->bop;
-  auto is_plain_col = [&table](const Expr& x) {
-    return x.kind == ExprKind::kColumnRef && x.attr_index < 0 &&
-           x.slot >= 0 && size_t(x.slot) >= table.slot_offset &&
-           size_t(x.slot) < table.slot_offset + table.schema->size();
-  };
-  if (is_plain_col(*lhs) && IsConstant(*rhs)) {
-    col = lhs;
-    constant = rhs;
-  } else if (is_plain_col(*rhs) && IsConstant(*lhs)) {
-    col = rhs;
-    constant = lhs;
-    op = FlipComparison(op);
-  } else {
-    return std::optional<ColumnComparison>();
+  if (is_key(*lhs) && IsOperand(*rhs, lo, hi)) {
+    return Comparison{lhs, rhs, e->bop};
   }
-  EXI_ASSIGN_OR_RETURN(Value bound, Evaluator::Eval(*constant, {}));
+  if (is_key(*rhs) && IsOperand(*lhs, lo, hi)) {
+    return Comparison{rhs, lhs, FlipComparison(e->bop)};
+  }
+  return std::nullopt;
+}
+
+// `col relop operand` on a column of one table, where the operand references
+// only slots [lo, hi): constants for an access path, earlier tables for an
+// index join.
+struct ColumnComparison {
+  int local_column;  // index within the table schema
+  std::string column_name;
+  BinaryOp op;  // normalized so the column is on the left
+  const Expr* operand;
+  Value bound;  // the folded operand, for an empty slot range only
+};
+
+Result<std::optional<ColumnComparison>> MatchColumnComparison(
+    Expr* e, const BoundTable& table, size_t lo, size_t hi) {
+  std::optional<Comparison> cmp = SplitComparison(
+      e, [&table](const Expr& x) { return IsColumnOf(x, table); }, lo, hi);
+  if (!cmp.has_value()) return std::optional<ColumnComparison>();
   ColumnComparison cc;
-  cc.local_column = col->slot - int(table.slot_offset);
+  cc.local_column = cmp->key->slot - int(table.slot_offset);
   cc.column_name = table.schema->column(cc.local_column).name;
-  cc.op = op;
-  // Coerce boolean/numeric bounds to the column's family so index keys
-  // match (mirrors the evaluator's comparison coercion).
-  const DataType& col_type = table.schema->column(cc.local_column).type;
-  if (col_type.tag() == TypeTag::kBoolean &&
-      DataType(bound.tag()).is_numeric()) {
-    bound = Value::Boolean(bound.AsDouble() != 0.0);
-  } else if (col_type.is_numeric() && bound.tag() == TypeTag::kBoolean) {
-    bound = Value::Integer(bound.AsBoolean() ? 1 : 0);
+  cc.op = cmp->op;
+  cc.operand = cmp->operand;
+  if (lo == hi) {
+    EXI_ASSIGN_OR_RETURN(Value bound, Evaluator::Eval(*cc.operand, {}));
+    // Coerce boolean/numeric bounds to the column's family so index keys
+    // match (mirrors the evaluator's comparison coercion).
+    const DataType& col_type = table.schema->column(cc.local_column).type;
+    if (col_type.tag() == TypeTag::kBoolean &&
+        DataType(bound.tag()).is_numeric()) {
+      bound = Value::Boolean(bound.AsDouble() != 0.0);
+    } else if (col_type.is_numeric() && bound.tag() == TypeTag::kBoolean) {
+      bound = Value::Integer(bound.AsBoolean() ? 1 : 0);
+    }
+    cc.bound = std::move(bound);
   }
-  cc.bound = std::move(bound);
   return std::optional<ColumnComparison>(std::move(cc));
 }
 
-// A user-operator predicate evaluable by a domain index on this table:
-// either a bare call `Op(col, const...)` (truth-valued, paper footnote 1)
-// or `Op(col, const...) relop const`.
+// A user-operator conjunct a domain index on the first argument's column
+// can answer: the operator, normalized bounds and the argument expressions
+// after the column.
 struct DomainOpMatch {
-  std::string operator_name;
   int local_column;
   std::string column_name;
-  ValueList args;  // operator arguments after the column, folded
-  OdciPredInfo pred;
+  std::vector<const Expr*> args;
+  OdciPredInfo pred;  // args folded only for an empty argument slot range
 };
 
 // Normalized memoization key for one slice's ODCIStats pair
@@ -166,121 +180,90 @@ std::string StatsCacheKey(const OdciPredInfo& pred) {
 // where it is TRUE, comparing TRUE as 1 and FALSE as 0: they admit TRUE and
 // exclude FALSE.  Only such a predicate is what the operator's index
 // returns; a bound that is neither boolean nor numeric admits neither.
-bool SelectsTrueOnly(const std::optional<Value>& lower, bool lower_incl,
-                     const std::optional<Value>& upper, bool upper_incl) {
+bool SelectsTrueOnly(const OdciPredInfo& pred) {
   auto as_number = [](const Value& v) -> std::optional<double> {
     if (v.tag() == TypeTag::kBoolean) return v.AsBoolean() ? 1.0 : 0.0;
     if (DataType(v.tag()).is_numeric()) return v.AsDouble();
     return std::nullopt;
   };
-  const std::optional<double> lo = lower ? as_number(*lower) : -INFINITY;
-  const std::optional<double> hi = upper ? as_number(*upper) : INFINITY;
+  const std::optional<double> lo =
+      pred.lower_bound ? as_number(*pred.lower_bound) : -INFINITY;
+  const std::optional<double> hi =
+      pred.upper_bound ? as_number(*pred.upper_bound) : INFINITY;
   if (!lo || !hi) return false;
   auto admits = [&](double x) {
-    return (lower_incl ? x >= *lo : x > *lo) &&
-           (upper_incl ? x <= *hi : x < *hi);
+    return (pred.lower_inclusive ? x >= *lo : x > *lo) &&
+           (pred.upper_inclusive ? x <= *hi : x < *hi);
   };
   return admits(1.0) && !admits(0.0);
 }
 
+// Whether an absent or present bound is of the family of a non-BOOLEAN
+// operator's return type, so the operator's index and the evaluator
+// compare it alike: numeric for INTEGER/DOUBLE, VARCHAR for VARCHAR.
+bool InReturnFamily(const DataType& ret, const std::optional<Value>& bound) {
+  if (!bound.has_value()) return true;
+  const DataType type(bound->tag());
+  return ret.is_numeric() ? type.is_numeric()
+                          : ret.tag() == TypeTag::kVarchar &&
+                                type.tag() == TypeTag::kVarchar;
+}
+
+// The one matcher from conjunct to OdciPredInfo.  `e` is `op(col, args...)`
+// bare or compared with a constant, `col` a column of `table`, and every
+// other argument references only slots [lo, hi): constants for an access
+// path, the outer table for a join probe.  A bare call reads as
+// `op(...) = TRUE` (paper footnote 1).  A BOOLEAN operator matches when the
+// bounds select its TRUE rows, and reaches the cartridge as `= TRUE`; any
+// other operator matches when both bounds are of its return-type family.
+// Every other form stays a functional filter.
 Result<std::optional<DomainOpMatch>> MatchDomainOp(Expr* e,
-                                                   const BoundTable& table) {
-  Expr* call = nullptr;
-  std::optional<Value> lower;
-  std::optional<Value> upper;
-  bool lower_incl = true;
-  bool upper_incl = true;
-
-  auto fold_bounds = [&](BinaryOp op, Value bound) {
-    switch (op) {
-      case BinaryOp::kEq:
-        lower = bound;
-        upper = bound;
-        break;
-      case BinaryOp::kGe:
-        lower = bound;
-        break;
-      case BinaryOp::kGt:
-        lower = bound;
-        lower_incl = false;
-        break;
-      case BinaryOp::kLe:
-        upper = bound;
-        break;
-      case BinaryOp::kLt:
-        upper = bound;
-        upper_incl = false;
-        break;
-      default:
-        break;
-    }
-  };
-
-  if (e->call == CallKind::kOperator) {
-    call = e;
-    lower = Value::Boolean(true);
-    upper = Value::Boolean(true);
-  } else if (e->kind == ExprKind::kBinary) {
-    switch (e->bop) {
-      case BinaryOp::kEq:
-      case BinaryOp::kLt:
-      case BinaryOp::kLe:
-      case BinaryOp::kGt:
-      case BinaryOp::kGe:
-        break;
-      default:
-        return std::optional<DomainOpMatch>();
-    }
-    Expr* lhs = e->children[0].get();
-    Expr* rhs = e->children[1].get();
-    BinaryOp op = e->bop;
-    if (lhs->call == CallKind::kOperator && IsConstant(*rhs)) {
-      call = lhs;
-      EXI_ASSIGN_OR_RETURN(Value b, Evaluator::Eval(*rhs, {}));
-      fold_bounds(op, std::move(b));
-    } else if (rhs->call == CallKind::kOperator && IsConstant(*lhs)) {
-      call = rhs;
-      EXI_ASSIGN_OR_RETURN(Value b, Evaluator::Eval(*lhs, {}));
-      fold_bounds(FlipComparison(op), std::move(b));
-    } else {
-      return std::optional<DomainOpMatch>();
-    }
-  } else {
-    return std::optional<DomainOpMatch>();
-  }
-
-  if (call->children.empty()) return std::optional<DomainOpMatch>();
-  if (call->result_type.tag() == TypeTag::kBoolean) {
-    if (!SelectsTrueOnly(lower, lower_incl, upper, upper_incl)) {
-      return std::optional<DomainOpMatch>();
-    }
-    // Every form the index serves reaches the cartridge as `op(...) = TRUE`.
-    lower = upper = Value::Boolean(true);
-    lower_incl = upper_incl = true;
-  }
-  const Expr& first = *call->children[0];
-  if (first.kind != ExprKind::kColumnRef || first.slot < 0 ||
-      size_t(first.slot) < table.slot_offset ||
-      size_t(first.slot) >= table.slot_offset + table.schema->size()) {
-    return std::optional<DomainOpMatch>();
-  }
+                                                   const BoundTable& table,
+                                                   size_t lo, size_t hi) {
   DomainOpMatch m;
-  m.operator_name = call->function;
-  m.local_column = first.slot - int(table.slot_offset);
+  OdciPredInfo& pred = m.pred;
+  Expr* call = e;
+  if (e->call == CallKind::kOperator) {
+    pred.lower_bound = pred.upper_bound = Value::Boolean(true);
+  } else {
+    std::optional<Comparison> cmp = SplitComparison(
+        e, [](const Expr& x) { return x.call == CallKind::kOperator; }, 0, 0);
+    if (!cmp.has_value()) return std::optional<DomainOpMatch>();
+    call = cmp->key;
+    EXI_ASSIGN_OR_RETURN(Value bound, Evaluator::Eval(*cmp->operand, {}));
+    if (cmp->op != BinaryOp::kLt && cmp->op != BinaryOp::kLe) {
+      pred.lower_bound = bound;
+      pred.lower_inclusive = cmp->op != BinaryOp::kGt;
+    }
+    if (cmp->op != BinaryOp::kGt && cmp->op != BinaryOp::kGe) {
+      pred.upper_bound = bound;
+      pred.upper_inclusive = cmp->op != BinaryOp::kLt;
+    }
+  }
+  if (call->children.empty() || !IsColumnOf(*call->children[0], table)) {
+    return std::optional<DomainOpMatch>();
+  }
+  const DataType& ret = call->result_type;
+  if (ret.tag() == TypeTag::kBoolean) {
+    if (!SelectsTrueOnly(pred)) return std::optional<DomainOpMatch>();
+    pred.lower_bound = pred.upper_bound = Value::Boolean(true);
+    pred.lower_inclusive = pred.upper_inclusive = true;
+  } else if (!InReturnFamily(ret, pred.lower_bound) ||
+             !InReturnFamily(ret, pred.upper_bound)) {
+    return std::optional<DomainOpMatch>();
+  }
+  pred.operator_name = call->function;
+  m.local_column = call->children[0]->slot - int(table.slot_offset);
   m.column_name = table.schema->column(m.local_column).name;
   for (size_t i = 1; i < call->children.size(); ++i) {
-    if (!IsConstant(*call->children[i])) {
-      return std::optional<DomainOpMatch>();
+    const Expr& arg = *call->children[i];
+    if (!IsOperand(arg, lo, hi)) return std::optional<DomainOpMatch>();
+    m.args.push_back(&arg);
+    if (lo == hi) {
+      EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(arg, {}));
+      pred.args.push_back(std::move(v));
     }
-    EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*call->children[i], {}));
-    m.args.push_back(std::move(v));
   }
-  m.pred.operator_name = m.operator_name;
-  m.pred.args = m.args;
-  m.pred.lower_bound = lower;
-  m.pred.lower_inclusive = lower_incl;
-  m.pred.upper_bound = upper;
-  m.pred.upper_inclusive = upper_incl;
   return std::optional<DomainOpMatch>(std::move(m));
 }
 
@@ -485,7 +468,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
   std::map<int, ColumnRange> ranges;
   for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
     EXI_ASSIGN_OR_RETURN(std::optional<ColumnComparison> cc,
-                         MatchColumnComparison((*conjuncts)[ci], table));
+                         MatchColumnComparison((*conjuncts)[ci], table, 0, 0));
     if (cc.has_value()) ranges[cc->local_column].Absorb(int(ci), *cc);
   }
 
@@ -605,7 +588,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     Expr* conjunct = (*conjuncts)[ci];
     // Domain index paths.
     EXI_ASSIGN_OR_RETURN(std::optional<DomainOpMatch> dm,
-                         MatchDomainOp(conjunct, table));
+                         MatchDomainOp(conjunct, table, 0, 0));
     if (dm.has_value()) {
       const DataType& col_type =
           table.schema->column(dm->local_column).type;
@@ -615,7 +598,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
         // otherwise the predicate stays a residual filter over the seq scan.
         EXI_ASSIGN_OR_RETURN(
             bool usable,
-            UsableDomainIndex(*catalog_, *idx, dm->operator_name, col_type,
+            UsableDomainIndex(*catalog_, *idx, dm->pred.operator_name, col_type,
                               scan.segments, "seq-scan", explain));
         if (!usable) continue;
         // Each surviving slice prices itself (memoized on the slice); the
@@ -654,7 +637,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
         c.cost = CostModel::DomainIndexScan(odci_cost, matches, nb, nu);
         c.desc =
             (scan.partitions ? "PartitionedDomainIndex(" : "DomainIndex(") +
-            idx->name + ") op=" + dm->operator_name +
+            idx->name + ") op=" + dm->pred.operator_name +
             " sel=" + std::to_string(sel) + scan.Suffix(" ");
         c.build = [domains, heap, index_name, pred, scan,
                    batch]() -> Result<std::unique_ptr<ExecNode>> {
@@ -691,71 +674,44 @@ Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
     std::string* explain) {
   if (env.tables.size() != 2) return std::unique_ptr<ExecNode>();
   for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-    Expr* e = (*conjuncts)[ci];
-    if (e->call != CallKind::kOperator || e->children.empty()) {
-      continue;
-    }
-    const Expr& first = *e->children[0];
-    if (first.kind != ExprKind::kColumnRef || first.slot < 0) continue;
-    // Which table does the first (indexed) argument belong to?
-    int inner_idx = -1;
-    for (size_t t = 0; t < env.tables.size(); ++t) {
-      const BoundTable& bt = env.tables[t];
-      if (size_t(first.slot) >= bt.slot_offset &&
-          size_t(first.slot) < bt.slot_offset + bt.schema->size()) {
-        inner_idx = int(t);
-        break;
-      }
-    }
-    if (inner_idx < 0) continue;
-    int outer_idx = 1 - inner_idx;
-    const BoundTable& inner_t = env.tables[inner_idx];
-    const BoundTable& outer_t = env.tables[outer_idx];
-    // Remaining args must reference only the outer table (or constants).
-    bool args_ok = true;
-    for (size_t i = 1; i < e->children.size(); ++i) {
-      if (!RefsOnlyRange(*e->children[i], outer_t.slot_offset,
-                         outer_t.slot_offset + outer_t.schema->size())) {
-        args_ok = false;
-        break;
-      }
-    }
-    if (!args_ok) continue;
-    // A domain index on the first argument's column supporting the op?
-    std::string col_name =
-        inner_t.schema->column(first.slot - int(inner_t.slot_offset)).name;
-    const DataType& col_type =
-        inner_t.schema->column(first.slot - int(inner_t.slot_offset)).type;
-    for (IndexInfo* idx :
-         catalog_->IndexesOnColumn(inner_t.table_name, col_name)) {
-      // Every probe scans every slice, so all of them must be VALID;
-      // otherwise the nested-loop fallback evaluates the operator
-      // functionally.
-      std::vector<uint32_t> slices;
-      for (const IndexSlice& slice : idx->slices) {
-        slices.push_back(slice.segment);
-      }
+    for (size_t inner_idx : {0, 1}) {
+      const size_t outer_idx = 1 - inner_idx;
+      const BoundTable& inner_t = env.tables[inner_idx];
+      const BoundTable& outer_t = env.tables[outer_idx];
+      // The operator's other arguments may reference only the outer table.
       EXI_ASSIGN_OR_RETURN(
-          bool usable, UsableDomainIndex(*catalog_, *idx, e->function,
-                                         col_type, slices, "join", explain));
-      if (!usable) continue;
-      *explain += "domain-index join: probing " + idx->name +
-                  " once per " + outer_t.alias + " row (op=" + e->function +
-                  ")\n";
-      std::vector<const Expr*> arg_exprs;
-      for (size_t i = 1; i < e->children.size(); ++i) {
-        arg_exprs.push_back(e->children[i].get());
+          std::optional<DomainOpMatch> dm,
+          MatchDomainOp((*conjuncts)[ci], inner_t, outer_t.slot_offset,
+                        outer_t.slot_offset + outer_t.schema->size()));
+      if (!dm.has_value()) continue;
+      const std::string& op = dm->pred.operator_name;
+      const DataType& col_type = inner_t.schema->column(dm->local_column).type;
+      for (IndexInfo* idx :
+           catalog_->IndexesOnColumn(inner_t.table_name, dm->column_name)) {
+        // Every probe scans every slice, so all of them must be VALID;
+        // otherwise the nested-loop fallback evaluates the operator
+        // functionally.
+        std::vector<uint32_t> slices;
+        for (const IndexSlice& slice : idx->slices) {
+          slices.push_back(slice.segment);
+        }
+        EXI_ASSIGN_OR_RETURN(
+            bool usable, UsableDomainIndex(*catalog_, *idx, op, col_type,
+                                           slices, "join", explain));
+        if (!usable) continue;
+        *explain += "domain-index join: probing " + idx->name + " once per " +
+                    outer_t.alias + " row (op=" + op + ")\n";
+        auto outer_scan = std::make_unique<SeqScanNode>(
+            env.heaps[outer_idx], SegmentList::All(*env.heaps[outer_idx]));
+        auto node = std::make_unique<DomainIndexJoinNode>(
+            std::move(outer_scan), outer_t.slot_offset,
+            outer_t.schema->size(), domains_, env.heaps[inner_idx],
+            inner_t.slot_offset, inner_t.schema->size(), idx->name,
+            std::move(slices), std::move(dm->pred), std::move(dm->args),
+            fetch_batch_, parallelism_);
+        conjuncts->erase(conjuncts->begin() + ci);
+        return std::unique_ptr<ExecNode>(std::move(node));
       }
-      auto outer_scan = std::make_unique<SeqScanNode>(
-          env.heaps[outer_idx], SegmentList::All(*env.heaps[outer_idx]));
-      auto node = std::make_unique<DomainIndexJoinNode>(
-          std::move(outer_scan), outer_t.slot_offset,
-          outer_t.schema->size(), domains_, env.heaps[inner_idx],
-          inner_t.slot_offset, inner_t.schema->size(), idx->name,
-          std::move(slices), e->function, std::move(arg_exprs), fetch_batch_,
-          parallelism_);
-      conjuncts->erase(conjuncts->begin() + ci);
-      return std::unique_ptr<ExecNode>(std::move(node));
     }
   }
   return std::unique_ptr<ExecNode>();
@@ -811,45 +767,30 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
 
       for (size_t t = 1; t < env.tables.size(); ++t) {
         const BoundTable& bt = env.tables[t];
-        size_t lo = bt.slot_offset;
-        size_t hi = bt.slot_offset + bt.schema->size();
-        // Look for an equi-join conjunct probing a built-in index on this
-        // table.
+        // Look for an equi-join conjunct `t.col = <expr over earlier
+        // tables>` probing a built-in index on this table.
         bool joined = false;
         for (size_t ci = 0; ci < conjuncts.size() && !joined; ++ci) {
-          Expr* e = conjuncts[ci];
-          if (e->kind != ExprKind::kBinary || e->bop != BinaryOp::kEq) {
+          EXI_ASSIGN_OR_RETURN(
+              std::optional<ColumnComparison> cc,
+              MatchColumnComparison(conjuncts[ci], bt, 0, bt.slot_offset));
+          if (!cc.has_value() || cc->op != BinaryOp::kEq ||
+              IsConstant(*cc->operand)) {
             continue;
           }
-          for (int side = 0; side < 2 && !joined; ++side) {
-            Expr* col_side = e->children[side].get();
-            Expr* key_side = e->children[1 - side].get();
-            if (col_side->kind != ExprKind::kColumnRef ||
-                col_side->attr_index >= 0 || col_side->slot < 0 ||
-                size_t(col_side->slot) < lo ||
-                size_t(col_side->slot) >= hi) {
-              continue;
-            }
-            if (!RefsOnlyRange(*key_side, 0, lo) ||
-                !HasColumnRef(*key_side)) {
-              continue;
-            }
-            std::string col_name =
-                bt.schema->column(col_side->slot - int(lo)).name;
-            for (IndexInfo* idx :
-                 catalog_->IndexesOnColumn(bt.table_name, col_name)) {
-              // Only single-column built-in indexes can be probed with the
-              // join key; composite ones would need a prefix probe per row.
-              if (idx->is_domain() || idx->columns.size() != 1) continue;
-              plan.explain += "index join: " + bt.alias + " via " +
-                              idx->name + "\n";
-              node = std::make_unique<IndexJoinNode>(
-                  std::move(node), env.heaps[t], idx->builtin.get(),
-                  key_side);
-              conjuncts.erase(conjuncts.begin() + ci);
-              joined = true;
-              break;
-            }
+          for (IndexInfo* idx :
+               catalog_->IndexesOnColumn(bt.table_name, cc->column_name)) {
+            // Only single-column built-in indexes can be probed with the
+            // join key; composite ones would need a prefix probe per row.
+            if (idx->is_domain() || idx->columns.size() != 1) continue;
+            plan.explain +=
+                "index join: " + bt.alias + " via " + idx->name + "\n";
+            node = std::make_unique<IndexJoinNode>(
+                std::move(node), env.heaps[t], idx->builtin.get(),
+                cc->operand);
+            conjuncts.erase(conjuncts.begin() + ci);
+            joined = true;
+            break;
           }
         }
         if (!joined) {
