@@ -64,16 +64,20 @@ print("  join rows by workers: %s" % rows)
 if len(set(rows.values())) != 1 or 0 in rows.values():
     sys.exit("join row count differs across worker counts or is zero")
 '
-  # One copy of each IOT row: a text posting keeps no key copy beside its
-  # row.  Smoke scale reads about 117 B per posting with one copy and 189 B
-  # with a key copy per row; heap bytes, not times, so it holds on any host.
+  # Block-compressed postings: the text index keeps under 40 heap bytes
+  # per posting.  Read at the largest smoke text build (2,000 documents,
+  # about 21 B per posting), where a 1,024-rid block holds many postings;
+  # at 60 documents a term has about two.  Heap bytes, not times, so it
+  # holds on any host.
   python3 -c '
 import json, sys
 r = json.load(open("BENCH_text_build.json"))
-text = next(b for b in r["builds"] if b["cartridge"] == "text")
-print("  text heap bytes per entry: %.1f" % text["heap_bytes_per_entry"])
-if text["heap_bytes_per_entry"] >= 140:
-    sys.exit("text index keeps >= 140 heap bytes per posting")
+text = max((b for b in r["builds"] if b["cartridge"] == "text"),
+           key=lambda b: b["rows"])
+print("  text heap bytes per posting at %d docs: %.1f"
+      % (text["rows"], text["heap_bytes_per_posting"]))
+if text["heap_bytes_per_posting"] >= 40:
+    sys.exit("text index keeps >= 40 heap bytes per posting")
 '
 )
 

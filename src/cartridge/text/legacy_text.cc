@@ -23,13 +23,12 @@ Status LegacyTextQuery(
   if (root == nullptr) return Status::InvalidArgument(error);
 
   // --- Step 1: evaluate the text predicate into a temporary result table.
-  PostingSource source = [postings](const std::string& term,
-                                    const PostingVisitor& visit) -> Status {
-    postings->ScanPrefix({Value::Varchar(term)}, [&visit](const Row& row) {
-      return visit(RowId(row[1].AsInteger()), row[2].AsInteger());
-    });
-    return Status::OK();
-  };
+  PostingSource source = BlockPostingSource(
+      [postings](const CompositeKey& prefix,
+                 FunctionRef<bool(const Row&)> visit) {
+        postings->ScanPrefix(prefix, visit);
+        return Status::OK();
+      });
   UniverseSource universe = [base](std::vector<RowId>* out) -> Status {
     for (auto it = base->Scan(); it.Valid(); it.Next()) {
       out->push_back(it.row_id());

@@ -66,13 +66,11 @@ Status DecodeState(const std::vector<uint8_t>& state, size_t* pos,
 // Posting source over the index's IOT through server callbacks.
 PostingSource MakePostingSource(const std::string& iot_name,
                                 ServerContext& ctx) {
-  return [iot_name, &ctx](const std::string& term,
-                          const PostingVisitor& visit) -> Status {
-    return ctx.IotScanPrefix(
-        iot_name, {Value::Varchar(term)}, [&visit](const Row& row) {
-          return visit(RowId(row[1].AsInteger()), row[2].AsInteger());
-        });
-  };
+  return BlockPostingSource(
+      [iot_name, &ctx](const CompositeKey& prefix,
+                       FunctionRef<bool(const Row&)> visit) {
+        return ctx.IotScanPrefix(iot_name, prefix, visit);
+      });
 }
 
 // The rows a NOT query ranges over: those with a non-NULL indexed value,
@@ -121,14 +119,14 @@ Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,
     return Status::Internal("text index has no indexed column position");
   }
   // Tokenize the whole table into compact postings, sort them into key
-  // order and load them with one callback instead of one upsert each.  All
-  // postings of a token share one token Value.
-  struct Posting {
+  // order and load their blocks with one callback instead of one write
+  // each.  All blocks of a token share one token Value.
+  struct TokenPosting {
     uint32_t token;  // index into `tokens`, later its rank in string order
-    int64_t freq;
+    uint32_t freq;
     RowId rid;
   };
-  std::vector<Posting> postings;
+  std::vector<TokenPosting> postings;
   std::vector<Value> tokens;
   std::unordered_map<std::string, uint32_t> token_ids;
   std::vector<uint32_t> doc;  // one document's token ids
@@ -146,7 +144,7 @@ Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,
         for (size_t i = 0; i < doc.size();) {
           size_t j = i;
           while (j < doc.size() && doc[j] == doc[i]) ++j;
-          postings.push_back({doc[i], int64_t(j - i), rid});
+          postings.push_back({doc[i], uint32_t(j - i), rid});
           i = j;
         }
         return true;
@@ -159,18 +157,25 @@ Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,
   });
   std::vector<uint32_t> rank(tokens.size());
   for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-  for (Posting& p : postings) p.token = rank[p.token];
+  for (TokenPosting& p : postings) p.token = rank[p.token];
   std::sort(postings.begin(), postings.end(),
-            [](const Posting& a, const Posting& b) {
+            [](const TokenPosting& a, const TokenPosting& b) {
               return a.token != b.token ? a.token < b.token : a.rid < b.rid;
             });
   std::vector<Row> rows;
-  rows.reserve(postings.size());
-  for (const Posting& p : postings) {
-    rows.push_back({tokens[order[p.token]], Value::Integer(int64_t(p.rid)),
-                    Value::Integer(p.freq)});
+  std::vector<Posting> block;
+  for (size_t i = 0; i < postings.size();) {
+    const uint32_t token = postings[i].token;
+    const int64_t id = PostingBlock(postings[i].rid);
+    block.clear();
+    for (; i < postings.size() && postings[i].token == token &&
+           PostingBlock(postings[i].rid) == id;
+         ++i) {
+      block.push_back({postings[i].rid, int64_t(postings[i].freq)});
+    }
+    rows.push_back(EncodePostingBlock(tokens[order[token]], id, block));
   }
-  std::vector<Posting>().swap(postings);
+  std::vector<TokenPosting>().swap(postings);
   return ctx.IotBulkLoad(PostingTableName(info.index_name), std::move(rows));
 }
 
@@ -203,12 +208,12 @@ Status TextIndexMethods::WritePostings(const OdciIndexInfo& info,
   // into them.
   std::vector<std::map<std::string, int64_t>> docs;
   docs.reserve(rids.size());
-  struct Posting {
+  struct TokenPosting {
     const std::string* token;
     RowId rid;
     int64_t freq;
   };
-  std::vector<Posting> postings;
+  std::vector<TokenPosting> postings;
   for (size_t i = 0; i < rids.size(); ++i) {
     if (values[i].is_null()) continue;
     docs.push_back(tokenizer.TokenFrequencies(values[i].AsVarchar()));
@@ -218,26 +223,32 @@ Status TextIndexMethods::WritePostings(const OdciIndexInfo& info,
   }
   if (postings.empty()) return Status::OK();
   std::sort(postings.begin(), postings.end(),
-            [](const Posting& a, const Posting& b) {
+            [](const TokenPosting& a, const TokenPosting& b) {
               int c = a.token->compare(*b.token);
               return c != 0 ? c < 0 : a.rid < b.rid;
             });
-  std::string iot = PostingTableName(info.index_name);
-  if (insert) {
-    std::vector<Row> rows;
-    rows.reserve(postings.size());
-    for (const Posting& p : postings) {
-      rows.push_back({Value::Varchar(*p.token), Value::Integer(int64_t(p.rid)),
-                      Value::Integer(p.freq)});
-    }
-    return ctx.IotUpsertSorted(iot, std::move(rows));
-  }
+  // One key per (token, block), and where its postings start in `call`.
   std::vector<CompositeKey> keys;
-  keys.reserve(postings.size());
-  for (const Posting& p : postings) {
-    keys.push_back({Value::Varchar(*p.token), Value::Integer(int64_t(p.rid))});
+  std::vector<size_t> starts;
+  std::vector<Posting> call;
+  call.reserve(postings.size());
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const int64_t id = PostingBlock(postings[i].rid);
+    if (i == 0 || *postings[i].token != *postings[i - 1].token ||
+        id != PostingBlock(postings[i - 1].rid)) {
+      keys.push_back({Value::Varchar(*postings[i].token), Value::Integer(id)});
+      starts.push_back(i);
+    }
+    call.push_back({postings[i].rid, postings[i].freq});
   }
-  return ctx.IotDeleteSorted(iot, keys);
+  starts.push_back(postings.size());
+  return ctx.IotMergeSorted(
+      PostingTableName(info.index_name), keys,
+      [&](size_t k, const Row* current) {
+        return MergePostingBlock(
+            current, keys[k][0], keys[k][1].AsInteger(),
+            {call.data() + starts[k], call.data() + starts[k + 1]}, insert);
+      });
 }
 
 Status TextIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
@@ -352,21 +363,25 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
   EXI_ASSIGN_OR_RETURN(
       std::shared_ptr<TextScanWorkspace> ws,
       ScanWorkspaceRegistry::Global().GetAs<TextScanWorkspace>(sctx.handle));
-  // Incremental: resume the IOT cursor after (term, last_rid).
+  // Incremental: resume the IOT cursor at the block of (term, last_rid)
+  // and skip the rids up to last_rid.
   std::string iot = PostingTableName(info.index_name);
-  CompositeKey lo = {Value::Varchar(ws->term),
-                     Value::Integer(int64_t(ws->last_rid))};
-  CompositeKey start_prefix = {Value::Varchar(ws->term)};
-  const CompositeKey* lo_key = ws->started ? &lo : &start_prefix;
-  std::string term = ws->term;
+  CompositeKey lo = {Value::Varchar(ws->term)};
+  if (ws->started) lo.push_back(Value::Integer(PostingBlock(ws->last_rid)));
+  Status status;
   EXI_RETURN_IF_ERROR(ctx.IotScanRange(
-      iot, lo_key, /*lo_inclusive=*/!ws->started, /*hi=*/nullptr, true,
+      iot, &lo, /*lo_inclusive=*/true, /*hi=*/nullptr, true,
       [&](const Row& row) {
-        if (row[0].AsVarchar() != term) return false;  // past this term
-        out->rids.push_back(RowId(row[1].AsInteger()));
-        out->ancillary.push_back(Value::Integer(row[2].AsInteger()));
-        return out->rids.size() < max_rows;
+        if (row[0].AsVarchar() != ws->term) return false;  // past this term
+        status = DecodePostingBlock(row, [&](RowId rid, int64_t freq) {
+          if (ws->started && rid <= ws->last_rid) return true;
+          out->rids.push_back(rid);
+          out->ancillary.push_back(Value::Integer(freq));
+          return out->rids.size() < max_rows;
+        });
+        return status.ok() && out->rids.size() < max_rows;
       }));
+  EXI_RETURN_IF_ERROR(status);
   if (!out->rids.empty()) {
     ws->started = true;
     ws->last_rid = out->rids.back();
@@ -390,13 +405,14 @@ Status TextIndexMethods::Close(const OdciIndexInfo& info,
 
 namespace {
 
-// Document frequency of one term (posting-list length).
+// Document frequency of one term (posting-list length): the sum of its
+// blocks' stored df, with no posting decoded.
 Result<uint64_t> TermDocFreq(const std::string& iot_name,
                              const std::string& term, ServerContext& ctx) {
   uint64_t df = 0;
   EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(iot_name, {Value::Varchar(term)},
-                                        [&df](const Row&) {
-                                          ++df;
+                                        [&df](const Row& row) {
+                                          df += uint64_t(row[2].AsInteger());
                                           return true;
                                         }));
   return df;

@@ -80,16 +80,20 @@ class TextIndexMethods : public OdciIndex {
   static Tokenizer MakeTokenizer(const IndexParameters& params);
 
  private:
-  // Tokenizes `values` (NULLs skipped), sorts their (token, rid) postings
-  // and writes them with one IotUpsertSorted, or removes them with one
-  // IotDeleteSorted when `insert` is false.  Per-row and batch maintenance
-  // both come here; it calls no virtual routine, so a subclass whose Batch*
-  // routines loop the per-row ones writes the same postings row by row.
+  // Tokenizes `values` (NULLs skipped), sorts their (token, rid) postings,
+  // groups them by (token, block) and makes one IotMergeSorted run over
+  // those keys: each block is read where the run's held path already is
+  // and merged with the call's postings by MergePostingBlock (added, or
+  // removed when `insert` is false), or deleted once empty.
+  // Per-row and batch maintenance both come here; it calls no virtual
+  // routine, so a subclass whose Batch* routines loop the per-row ones
+  // writes the same blocks row by row.
   Status WritePostings(const OdciIndexInfo& info, std::span<const RowId> rids,
                        std::span<const Value> values, bool insert,
                        ServerContext& ctx);
   // Fills the empty posting table from the base table with one sorted
-  // IotBulkLoad (Create, and Alter after truncating).
+  // IotBulkLoad of block rows, encoded straight from the sorted postings
+  // (Create, and Alter after truncating).
   Status Rebuild(const OdciIndexInfo& info, ServerContext& ctx);
 };
 

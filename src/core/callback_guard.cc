@@ -62,62 +62,47 @@ Status GuardedServerContext::IotInsert(const std::string& name, Row row) {
 }
 
 Status GuardedServerContext::IotUpsert(const std::string& name, Row row) {
-  std::vector<Row> rows;
-  rows.push_back(std::move(row));
-  return UpsertRun("IotUpsert", name, std::move(rows));
+  EXI_RETURN_IF_ERROR(RequireDml("IotUpsert"));
+  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_upsert"));
+  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
+  KeySpan key = iot->KeyOf(row);
+  return MergeRun(iot, {CompositeKey(key.begin(), key.end())},
+                  [&row](size_t, const Row*) -> Result<std::optional<Row>> {
+                    return std::optional<Row>(std::move(row));
+                  });
 }
 
 Status GuardedServerContext::IotDelete(const std::string& name,
                                        const CompositeKey& key) {
-  return DeleteRun("IotDelete", name, {key});
-}
-
-Status GuardedServerContext::IotUpsertSorted(const std::string& name,
-                                             std::vector<Row> rows) {
-  return UpsertRun("IotUpsertSorted", name, std::move(rows));
-}
-
-Status GuardedServerContext::IotDeleteSorted(
-    const std::string& name, const std::vector<CompositeKey>& keys) {
-  return DeleteRun("IotDeleteSorted", name, keys);
-}
-
-Status GuardedServerContext::UpsertRun(const char* what,
-                                       const std::string& name,
-                                       std::vector<Row> rows) {
-  EXI_RETURN_IF_ERROR(RequireDml(what));
-  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_upsert"));
-  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  if (txn_ == nullptr) {
-    return iot->UpsertSorted(std::move(rows), nullptr, nullptr);
-  }
-  std::vector<CompositeKey> added;
-  std::vector<Row> replaced;
-  EXI_RETURN_IF_ERROR(iot->UpsertSorted(std::move(rows), &added, &replaced));
-  if (added.empty() && replaced.empty()) return Status::OK();
-  // One entry undoes the whole run: drop the new keys, restore the
-  // overwritten rows.  Both lists are sorted runs themselves.
-  txn_->PushUndo([iot, added = std::move(added),
-                  replaced = std::move(replaced)]() mutable {
-    (void)iot->DeleteSorted(added, nullptr);
-    (void)iot->UpsertSorted(std::move(replaced), nullptr, nullptr);
-  });
-  return Status::OK();
-}
-
-Status GuardedServerContext::DeleteRun(const char* what,
-                                       const std::string& name,
-                                       const std::vector<CompositeKey>& keys) {
-  EXI_RETURN_IF_ERROR(RequireDml(what));
+  EXI_RETURN_IF_ERROR(RequireDml("IotDelete"));
   EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_delete"));
   EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  std::vector<Row> removed;
-  // Logged even when a missing key stopped the run part way, so statement
-  // rollback restores what it did remove.
-  Status s = iot->DeleteSorted(keys, txn_ != nullptr ? &removed : nullptr);
-  if (!removed.empty()) {
-    txn_->PushUndo([iot, removed = std::move(removed)]() mutable {
-      (void)iot->UpsertSorted(std::move(removed), nullptr, nullptr);
+  return MergeRun(
+      iot, {key},
+      [iot, &key](size_t, const Row* current) -> Result<std::optional<Row>> {
+        if (current == nullptr) return iot->MissingKeyError(key);
+        return std::optional<Row>();
+      });
+}
+
+Status GuardedServerContext::IotMergeSorted(
+    const std::string& name, const std::vector<CompositeKey>& keys,
+    RowMerge merge) {
+  EXI_RETURN_IF_ERROR(RequireDml("IotMergeSorted"));
+  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_merge"));
+  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
+  return MergeRun(iot, keys, merge);
+}
+
+Status GuardedServerContext::MergeRun(Iot* iot,
+                                      const std::vector<CompositeKey>& keys,
+                                      RowMerge merge) {
+  if (txn_ == nullptr) return iot->MergeSorted(keys, merge, nullptr);
+  Iot::MergeUndo undo;
+  Status s = iot->MergeSorted(keys, merge, &undo);
+  if (!undo.empty()) {
+    txn_->PushUndo([iot, undo = std::move(undo)]() mutable {
+      iot->Revert(std::move(undo));
     });
   }
   return s;

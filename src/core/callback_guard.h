@@ -55,10 +55,9 @@ class GuardedServerContext : public ServerContext {
   Status IotUpsert(const std::string& name, Row row) override;
   Status IotDelete(const std::string& name, const CompositeKey& key) override;
   Status IotBulkLoad(const std::string& name, std::vector<Row> rows) override;
-  Status IotUpsertSorted(const std::string& name,
-                         std::vector<Row> rows) override;
-  Status IotDeleteSorted(const std::string& name,
-                         const std::vector<CompositeKey>& keys) override;
+  Status IotMergeSorted(const std::string& name,
+                        const std::vector<CompositeKey>& keys,
+                        RowMerge merge) override;
 
   // ---- IOT queries ----
   Result<Row> IotGet(const std::string& name,
@@ -106,13 +105,11 @@ class GuardedServerContext : public ServerContext {
  private:
   Status RequireDdl(const char* what) const;
   Status RequireDml(const char* what) const;
-  // The sorted-run paths behind IotUpsert/IotUpsertSorted and
-  // IotDelete/IotDeleteSorted (a single-row call is a one-row run); `what`
-  // names the callback in mode errors.
-  Status UpsertRun(const char* what, const std::string& name,
-                   std::vector<Row> rows);
-  Status DeleteRun(const char* what, const std::string& name,
-                   const std::vector<CompositeKey>& keys);
+  // The merge run behind IotUpsert, IotDelete (one-key runs) and
+  // IotMergeSorted: logs one undo entry for what the run changed, also
+  // when an error ended it part way.
+  Status MergeRun(Iot* iot, const std::vector<CompositeKey>& keys,
+                  RowMerge merge);
   // Snapshots a LOB on first touch within the transaction.
   Status SnapshotLobForUndo(LobId id);
 

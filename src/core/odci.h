@@ -11,6 +11,7 @@
 #include "common/function_ref.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "index/iot.h"
 #include "index/key.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -149,27 +150,37 @@ class ServerContext {
     return Status::OK();
   }
 
-  // Sorted runs for multi-entry maintenance (kDefinition or kMaintenance):
-  // IotUpsertSorted upserts `rows` and IotDeleteSorted deletes `keys`, in
-  // strictly ascending primary-key order.  The server walks a run along
-  // its held root-to-leaf B+-tree path: a key past the held leaf
-  // re-descends from the lowest held node that covers it, metering every
-  // node searched.  It checks the mode and fires the callback's
-  // fail-point once per run, and logs one undo entry per run.
-  // Unsorted or duplicate keys, or a row the schema rejects, fail the run
-  // before anything changes.  A key missing from a delete run returns
-  // NotFound; the entries the run removed before it are in its undo entry,
-  // so statement rollback restores them.  These defaults loop IotUpsert /
-  // IotDelete, so decorating contexts need not implement them.
-  virtual Status IotUpsertSorted(const std::string& name,
-                                 std::vector<Row> rows) {
-    for (Row& row : rows) EXI_RETURN_IF_ERROR(IotUpsert(name, std::move(row)));
-    return Status::OK();
-  }
-  virtual Status IotDeleteSorted(const std::string& name,
-                                 const std::vector<CompositeKey>& keys) {
-    for (const CompositeKey& key : keys) {
-      EXI_RETURN_IF_ERROR(IotDelete(name, key));
+  // Read-modify-write of a sorted run (kDefinition or kMaintenance), for
+  // multi-entry maintenance: `keys` strictly ascend, and for each key in
+  // order `merge(i, current)` sees the row stored under keys[i] (nullptr
+  // if none) and returns the row the key is to hold, whose primary key is
+  // keys[i], or nullopt to hold none (a present row is deleted).  The
+  // server walks the run along its held root-to-leaf B+-tree path: a key
+  // past the held leaf re-descends from the lowest held node that covers
+  // it, metering every node searched, so reading the current row costs no
+  // extra descent.  It checks the mode and fires `callback/iot_merge` once
+  // per run, before the run changes anything, and logs one undo entry per
+  // run: the keys it added and the rows it replaced or deleted.  Unsorted
+  // or duplicate keys fail the run before anything changes.  An error
+  // returned by `merge`, or a row the schema rejects, ends the run there;
+  // the keys changed before it are in its undo entry, so statement
+  // rollback restores them.  This default loops IotGet / IotUpsert /
+  // IotDelete, so decorating contexts need not implement it.
+  virtual Status IotMergeSorted(const std::string& name,
+                                const std::vector<CompositeKey>& keys,
+                                RowMerge merge) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      Result<Row> current = IotGet(name, keys[i]);
+      if (!current.ok() && current.status().code() != StatusCode::kNotFound) {
+        return current.status();
+      }
+      EXI_ASSIGN_OR_RETURN(std::optional<Row> next,
+                           merge(i, current.ok() ? &*current : nullptr));
+      if (next.has_value()) {
+        EXI_RETURN_IF_ERROR(IotUpsert(name, std::move(*next)));
+      } else if (current.ok()) {
+        EXI_RETURN_IF_ERROR(IotDelete(name, keys[i]));
+      }
     }
     return Status::OK();
   }

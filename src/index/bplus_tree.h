@@ -38,12 +38,12 @@ struct KeyedEntryKey {
 //
 // Structure: classic order-`kMaxKeys` tree; leaves are chained for range
 // scans.  An empty tree can also be built bottom-up from sorted entries
-// (BulkLoad), and a run of sorted keys (UpsertRun, ExtractRun) holds its
-// root-to-leaf path, so each key re-descends only from the lowest held
-// node that covers it.  Deletion is lazy, the same strategy PostgreSQL
-// uses: entries are removed from leaves, and underfull and empty leaves
-// stay in the tree and on the leaf chain.  Scans step over empty leaves,
-// and every node a lookup or scan visits is metered, empty leaves included.
+// (BulkLoad), and a run of sorted keys (MergeRun) holds its root-to-leaf
+// path, so each key re-descends only from the lowest held node that covers
+// it.  Deletion is lazy, the same strategy PostgreSQL uses: entries are
+// removed from leaves, and underfull and empty leaves stay in the tree and
+// on the leaf chain.  Scans step over empty leaves, and every node a
+// lookup or scan visits is metered, empty leaves included.
 template <typename Entry, typename KeyFn = KeyedEntryKey>
 class BPlusTree {
  public:
@@ -105,41 +105,49 @@ class BPlusTree {
   // Removes the entry for `key`.  Returns false if absent.
   bool Erase(KeySpan key) { return Extract(key).has_value(); }
 
-  // Writes a run of `entries` whose keys strictly ascend.  The walk holds
-  // its root-to-leaf path (see Path): a key inside the held leaf's fence
-  // reads no node, and any other key re-descends from the lowest held node
-  // whose fence covers it, metering that node and each one below it.  A
-  // leaf split is absorbed into the held parents without a fresh descent.
-  // For each entry in order, `replaced(stored, old)` receives the entry
-  // now in the tree (valid only during the call) and the entry it
-  // replaced, or nullopt for a new key.  The result is the tree the same
-  // Upserts one at a time would build, and no more nodes are read than
-  // they would read.
-  template <typename Replaced>
-  void UpsertRun(std::vector<Entry> entries, Replaced replaced) {
+  // Walks a run of `n` strictly ascending keys, `key_at(i)` the i-th, along
+  // one held root-to-leaf path (see Path): a key inside the held leaf's
+  // fence reads no node, and any other key re-descends from the lowest held
+  // node whose fence covers it, metering that node and each one below it.
+  // For each key in order, `merge(i, current, &next)` sees the entry stored
+  // under the key (nullptr if none) and leaves in `next` the entry the key
+  // is to hold, or nullopt to hold none; it returns false to end the run
+  // there, before the key changes.  The key is not read after `merge`
+  // runs, so it may view the entry `merge` moves into `next`.  The tree
+  // then inserts, replaces or removes the key's entry (a leaf split is
+  // absorbed into the held parents without a fresh descent) and, if it
+  // changed, calls `done(i, old, stored)` with the entry it replaced or
+  // removed (nullopt for a new key) and the entry now stored (nullptr once
+  // removed; valid only during the call).  Returns the index the run ended
+  // at, or n.  No more nodes are read than the same keys looked up one at a
+  // time would read.
+  template <typename KeyAt, typename Merge, typename Done>
+  size_t MergeRun(size_t n, KeyAt key_at, Merge merge, Done done) {
     Path path;
-    for (Entry& entry : entries) {
+    for (size_t i = 0; i < n; ++i) {
+      KeySpan key = key_at(i);
+      Node* leaf = Descend(key, &path, /*metered=*/true);
+      size_t pos = LowerBound(leaf, key);
+      Entry* current = Holds(leaf, pos, key) ? &leaf->entries[pos] : nullptr;
+      std::optional<Entry> next;
+      if (!merge(i, static_cast<const Entry*>(current), &next)) return i;
       std::optional<Entry> old;
-      const Entry& stored = Put(std::move(entry), &path, &old);
-      replaced(stored, std::move(old));
+      const Entry* stored = nullptr;
+      if (current != nullptr && next.has_value()) {
+        old = std::exchange(*current, std::move(*next));
+        stored = current;
+      } else if (current != nullptr) {
+        old = std::move(*current);
+        leaf->entries.erase(leaf->entries.begin() + pos);
+        --size_;
+      } else if (next.has_value()) {
+        stored = InsertAt(leaf, pos, &path, std::move(*next));
+      } else {
+        continue;
+      }
+      done(i, std::move(old), stored);
     }
-  }
-
-  // Removes a run of strictly ascending keys, walking it along a held path
-  // as UpsertRun does (removal never splits, so the path only moves when a
-  // key reaches a fence).  `removed(i, entry)` receives each removed
-  // entry.  Stops at the first absent key and returns its index, or
-  // keys.size() when every key was present.
-  template <typename Removed>
-  size_t ExtractRun(const std::vector<CompositeKey>& keys, Removed removed) {
-    Path path;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      std::optional<Entry> entry = ExtractFromLeaf(
-          Descend(keys[i], &path, /*metered=*/true), keys[i]);
-      if (!entry.has_value()) return i;
-      removed(i, std::move(*entry));
-    }
-    return keys.size();
+    return n;
   }
 
   // Builds the tree bottom-up from `n` entries, which `next()` returns one
@@ -370,23 +378,29 @@ class BPlusTree {
 
   // The entry for `key` in the leaf `path` descends to; if absent, `make()`
   // is inserted there.  `key` may view the entry make() moves from, so it
-  // is not read after make() runs.  A leaf that overflows splits, and the
-  // split is absorbed into the held ancestors (see AbsorbSplit).
+  // is not read after make() runs.
   template <typename Make>
   InsertResult Insert(KeySpan key, Path* path, bool metered, Make& make) {
     Node* leaf = Descend(key, path, metered);
     size_t pos = LowerBound(leaf, key);
     if (Holds(leaf, pos, key)) return {&leaf->entries[pos], false};
-    leaf->entries.insert(leaf->entries.begin() + pos, make());
+    return {InsertAt(leaf, pos, path, make()), true};
+  }
+
+  // Inserts `entry` at `pos` of `leaf`, the deepest node of `path`, and
+  // returns it.  A leaf that overflows splits, and the split is absorbed
+  // into the held ancestors (see AbsorbSplit).
+  Entry* InsertAt(Node* leaf, size_t pos, Path* path, Entry entry) {
+    leaf->entries.insert(leaf->entries.begin() + pos, std::move(entry));
     ++size_;
-    if (leaf->entries.size() <= kMaxKeys) return {&leaf->entries[pos], true};
+    if (leaf->entries.size() <= kMaxKeys) return &leaf->entries[pos];
     auto [sep, right] = Split(leaf);
     // Nodes never move, so the slot stays valid once the split is absorbed.
     Entry* slot = pos < leaf->entries.size()
                       ? &leaf->entries[pos]
                       : &right->entries[pos - leaf->entries.size()];
     AbsorbSplit(path, std::move(sep), std::move(right));
-    return {slot, true};
+    return slot;
   }
 
   // Stores `entry` along `path`, metering each node searched: a new key is

@@ -33,42 +33,72 @@ Status Iot::Insert(Row row) {
   return Status::OK();
 }
 
-Status Iot::UpsertSorted(std::vector<Row> rows,
-                         std::vector<CompositeKey>* added,
-                         std::vector<Row>* replaced) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXI_RETURN_IF_ERROR(schema_.ValidateRow(rows[i]));
-    if (i > 0 && CompareKeys(KeyOf(rows[i - 1]), KeyOf(rows[i])) >= 0) {
-      return UnsortedKeyError("upsert", KeyOf(rows[i]));
-    }
-  }
-  GlobalMetrics().index_entries_written += rows.size();
-  tree_.UpsertRun(std::move(rows),
-                  [&](const Row& stored, std::optional<Row> old) {
-                    if (!old.has_value()) {
-                      if (added == nullptr) return;
-                      KeySpan key = KeyOf(stored);
-                      added->emplace_back(key.begin(), key.end());
-                    } else if (replaced != nullptr) {
-                      replaced->push_back(std::move(*old));
-                    }
-                  });
-  return Status::OK();
-}
-
-Status Iot::DeleteSorted(const std::vector<CompositeKey>& keys,
-                         std::vector<Row>* removed) {
+Status Iot::MergeSorted(const std::vector<CompositeKey>& keys,
+                        RowMerge merge, MergeUndo* undo) {
   for (size_t i = 1; i < keys.size(); ++i) {
     if (CompareKeys(keys[i - 1], keys[i]) >= 0) {
-      return UnsortedKeyError("delete", keys[i]);
+      return UnsortedKeyError("merge", keys[i]);
     }
   }
-  size_t done = tree_.ExtractRun(keys, [&](size_t, Row row) {
-    if (removed != nullptr) removed->push_back(std::move(row));
-  });
-  GlobalMetrics().index_entries_written += done;
-  if (done < keys.size()) return MissingKeyError(keys[done]);
-  return Status::OK();
+  Status status;
+  tree_.MergeRun(
+      keys.size(), [&](size_t i) { return KeySpan(keys[i]); },
+      [&](size_t i, const Row* current, std::optional<Row>* next) {
+        Result<std::optional<Row>> merged = merge(i, current);
+        if (!merged.ok()) {
+          status = merged.status();
+          return false;
+        }
+        *next = std::move(*merged);
+        if (!next->has_value()) return true;
+        status = schema_.ValidateRow(**next);
+        if (status.ok() && CompareKeys(KeyOf(**next), keys[i]) != 0) {
+          status = Status::InvalidArgument(
+              "merged row key " + KeyToString(KeyOf(**next)) +
+              " differs from run key " + KeyToString(keys[i]) + " in IOT " +
+              name_);
+        }
+        return status.ok();
+      },
+      [&](size_t i, std::optional<Row> old, const Row*) {
+        GlobalMetrics().index_entries_written++;
+        if (undo == nullptr) return;
+        if (old.has_value()) {
+          undo->replaced.push_back(std::move(*old));
+        } else {
+          undo->added.push_back(keys[i]);
+        }
+      });
+  return status;
+}
+
+void Iot::Revert(MergeUndo undo) {
+  // One run over both lists in key order: an added key is deleted, a
+  // replaced key gets its old row back.
+  std::vector<CompositeKey> keys;
+  std::vector<Row*> rows;  // nullptr for an added key
+  keys.reserve(undo.added.size() + undo.replaced.size());
+  size_t a = 0;
+  for (Row& row : undo.replaced) {
+    KeySpan key = KeyOf(row);
+    for (; a < undo.added.size() && CompareKeys(undo.added[a], key) < 0; ++a) {
+      keys.push_back(std::move(undo.added[a]));
+      rows.push_back(nullptr);
+    }
+    keys.emplace_back(key.begin(), key.end());
+    rows.push_back(&row);
+  }
+  for (; a < undo.added.size(); ++a) {
+    keys.push_back(std::move(undo.added[a]));
+    rows.push_back(nullptr);
+  }
+  (void)MergeSorted(
+      keys,
+      [&rows](size_t i, const Row*) -> Result<std::optional<Row>> {
+        if (rows[i] == nullptr) return std::optional<Row>();
+        return std::optional<Row>(std::move(*rows[i]));
+      },
+      nullptr);
 }
 
 Status Iot::Delete(const CompositeKey& key) {

@@ -2,6 +2,7 @@
 #define EXTIDX_INDEX_IOT_H_
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,13 +14,18 @@
 
 namespace exi {
 
+// A merge run's callback: given the i-th key's stored row (nullptr if
+// none), the row the key is to hold, nullopt to hold none, or an error
+// that ends the run (see Iot::MergeSorted).
+using RowMerge = FunctionRef<Result<std::optional<Row>>(size_t, const Row*)>;
+
 // Index-organized table: the paper's "index modeled as a table, where each
 // row is an index entry".  Each row is stored once, in one B+-tree leaf
 // slot, keyed by its first `key_columns` schema columns (the primary key);
 // the tree reads that key in place from the row, so no copy of it is kept
 // beside the row.  Cartridges use IOTs as the canonical store for index
 // data — e.g. the text cartridge's inverted index is an IOT keyed
-// (token, doc_rowid).
+// (token, rid block).
 class Iot {
  public:
   Iot(std::string name, Schema schema, size_t key_columns);
@@ -35,25 +41,30 @@ class Iot {
   // Inserts; errors with AlreadyExists on duplicate primary key.
   Status Insert(Row row);
 
-  // Inserts or replaces a run of rows whose primary keys are strictly
-  // ascending along one held B+-tree path (BPlusTree::UpsertRun): a key
-  // past the held leaf re-descends from the lowest held node that covers
-  // it, and every node searched is metered.  When given, `*added` receives
-  // copies of the keys that were new and `*replaced` the rows that were
-  // overwritten, both in key order.  An unsorted or duplicate key, or a row
-  // the schema rejects, returns an error before anything changes.
-  Status UpsertSorted(std::vector<Row> rows, std::vector<CompositeKey>* added,
-                      std::vector<Row>* replaced);
+  // What a merge run changed: the keys it added and the rows it replaced
+  // or deleted, each in key order.  Revert puts them back.
+  struct MergeUndo {
+    std::vector<CompositeKey> added;
+    std::vector<Row> replaced;
+    bool empty() const { return added.empty() && replaced.empty(); }
+  };
 
-  // Deletes a run of strictly ascending primary keys along one held
-  // B+-tree path, re-descending from the lowest covering held node and
-  // metering every node searched (BPlusTree::ExtractRun); moves the
-  // removed rows to `*removed` in key order when given.  Unsorted or
-  // duplicate keys return an error before anything changes.  An absent
-  // key stops the run with NotFound; the rows removed before it stay
-  // removed and are in `*removed`.
-  Status DeleteSorted(const std::vector<CompositeKey>& keys,
-                      std::vector<Row>* removed);
+  // Read-modify-writes a run of strictly ascending primary keys along one
+  // held B+-tree path (BPlusTree::MergeRun): a key past the held leaf
+  // re-descends from the lowest held node that covers it, and every node
+  // searched is metered.  For each key, `merge(i, current)` sees the row
+  // stored under keys[i] (nullptr if none) and returns the row the key is
+  // to hold, whose primary key must be keys[i], or nullopt to hold none.
+  // Unsorted or duplicate keys return an error before anything changes.
+  // An error from `merge`, or a row the schema rejects or whose key
+  // differs, ends the run there: the keys before it stay changed.  When
+  // given, `*undo` receives what the run changed, also when an error ended
+  // it.
+  Status MergeSorted(const std::vector<CompositeKey>& keys, RowMerge merge,
+                     MergeUndo* undo);
+
+  // Puts back the rows a merge run changed, as one merge run.
+  void Revert(MergeUndo undo);
 
   // Deletes by primary key.  Errors with NotFound if absent.
   Status Delete(const CompositeKey& key);

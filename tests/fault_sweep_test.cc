@@ -210,7 +210,7 @@ TEST(FaultSweepTest, TransientSweepKeepsCatalogConsistent) {
     for (const char* absorbed :
          {"odci/create", "callback/iot_bulk_load", "odci/insert",
           "odci/update", "odci/delete", "callback/iot_upsert",
-          "callback/iot_delete"}) {
+          "callback/iot_delete", "callback/iot_merge"}) {
       if (site == absorbed) {
         EXPECT_EQ(failures, 0u);
       }

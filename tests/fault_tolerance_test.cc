@@ -487,8 +487,8 @@ TEST_F(FaultToleranceTest, FatalBulkLoadFailureLeavesNoOrphan) {
 
 // ---- multi-row text DML: one posting run, one fail-point hit ----
 
-// A multi-row text DML writes its postings as one sorted run, which fires
-// its callback's fail-point once, before it changes anything.  Armed once
+// A multi-row text DML writes its postings as one sorted merge run, which
+// fires callback/iot_merge once, before it changes anything.  Armed once
 // with a transient status, the guard retries the batch routine and the
 // statement leaves the postings of an unfaulted run; with a fatal status
 // the statement fails and the posting IOT is as it was.
@@ -505,8 +505,8 @@ TEST_F(FaultToleranceTest, FaultedPostingRunRetriesOrChangesNothing) {
     std::string dml;
   };
   const Case cases[] = {
-      {"callback/iot_upsert", false, insert},
-      {"callback/iot_delete", true, "DELETE FROM docs WHERE id < 40"},
+      {"callback/iot_merge", false, insert},
+      {"callback/iot_merge", true, "DELETE FROM docs WHERE id < 40"},
   };
   for (const Case& c : cases) {
     std::vector<Row> unfaulted;
@@ -550,51 +550,54 @@ TEST_F(FaultToleranceTest, FaultedPostingRunRetriesOrChangesNothing) {
 
 // ---- a failed maintenance attempt is retried from a savepoint ----
 
-// Runs `setup` and then `dml` on a fresh engine, with callback/iot_upsert
-// armed once with IoError when `faulted`.  The statement must succeed;
-// returns the rows of IOT `iot` after it and sets `*retries` to the
-// statement's odci_retries.
-std::vector<Row> RowsAfterUpsertFault(Status (*install)(Connection*),
-                                      const std::vector<std::string>& setup,
-                                      const std::string& dml,
-                                      const std::string& iot, bool faulted,
-                                      uint64_t* retries) {
+// Runs `setup` and then `dml` on a fresh engine, with fail-point `site`
+// armed with `spec` when `faulted`.  The statement must succeed; returns
+// the rows of IOT `iot` after it and sets `*retries` to the statement's
+// odci_retries.
+std::vector<Row> RowsAfterWriteFault(Status (*install)(Connection*),
+                                     const std::vector<std::string>& setup,
+                                     const std::string& dml,
+                                     const std::string& iot,
+                                     const char* site, const char* spec,
+                                     bool faulted, uint64_t* retries) {
   Database db;
   Connection conn(&db);
   EXPECT_TRUE(install(&conn).ok());
   for (const std::string& sql : setup) conn.MustExecute(sql);
   if (faulted) {
-    EXPECT_TRUE(FailPointRegistry::Global()
-                    .Set("callback/iot_upsert", "once status=IoError")
-                    .ok());
+    EXPECT_TRUE(FailPointRegistry::Global().Set(site, spec).ok());
   }
   const uint64_t before = GlobalMetrics().Snapshot().odci_retries;
   Result<QueryResult> r = conn.Execute(dml);
-  FailPointRegistry::Global().Clear("callback/iot_upsert");
+  FailPointRegistry::Global().Clear(site);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   *retries = GlobalMetrics().Snapshot().odci_retries - before;
   return IotRows(db, iot);
 }
 
-// An UPDATE's maintenance deletes the old entries before it upserts the
-// new ones.  A transient failure of the upsert rolls the call back to its
-// savepoint, so the retry deletes the old entries again instead of failing
-// with NotFound, and the index ends as after an unfaulted run.
+// An UPDATE's maintenance deletes the old entries before it writes the
+// new ones.  A transient failure of the write (fail-point `site` armed
+// with `spec`) rolls the call back to its savepoint, so the retry deletes
+// the old entries again instead of failing with NotFound, and the index
+// ends as after an unfaulted run.
 void ExpectUpdateRetriesFromSavepoint(Status (*install)(Connection*),
                                       const std::vector<std::string>& setup,
                                       const std::string& dml,
-                                      const std::string& iot) {
+                                      const std::string& iot,
+                                      const char* site, const char* spec) {
   uint64_t retries = 0;
-  const std::vector<Row> unfaulted =
-      RowsAfterUpsertFault(install, setup, dml, iot, false, &retries);
+  const std::vector<Row> unfaulted = RowsAfterWriteFault(
+      install, setup, dml, iot, site, spec, false, &retries);
   EXPECT_EQ(retries, 0u);
-  const std::vector<Row> faulted =
-      RowsAfterUpsertFault(install, setup, dml, iot, true, &retries);
+  const std::vector<Row> faulted = RowsAfterWriteFault(
+      install, setup, dml, iot, site, spec, true, &retries);
   EXPECT_EQ(retries, 1u);
   EXPECT_FALSE(unfaulted.empty());
   ExpectSameRows(faulted, unfaulted);
 }
 
+// Text maintenance makes two merge runs per UPDATE, the delete run first:
+// the second callback/iot_merge hit is the write run.
 TEST_F(FaultToleranceTest, TransientFailureInTextUpdateRetriesFromSavepoint) {
   ExpectUpdateRetriesFromSavepoint(
       text::InstallTextCartridge,
@@ -602,7 +605,8 @@ TEST_F(FaultToleranceTest, TransientFailureInTextUpdateRetriesFromSavepoint) {
        "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType",
        "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'beta gamma'), "
        "(3, 'gamma alpha')"},
-      "UPDATE docs SET body = 'omega zeta' WHERE id <= 2", "docs_text$ptab");
+      "UPDATE docs SET body = 'omega zeta' WHERE id <= 2", "docs_text$ptab",
+      "callback/iot_merge", "nth=2 status=IoError");
 }
 
 TEST_F(FaultToleranceTest, TransientFailureInTileUpdateRetriesFromSavepoint) {
@@ -614,7 +618,7 @@ TEST_F(FaultToleranceTest, TransientFailureInTileUpdateRetriesFromSavepoint) {
        "(2, SDO_GEOMETRY(50,50,60,60)), (3, SDO_GEOMETRY(100,100,110,110))"},
       "UPDATE parks SET geometry = SDO_GEOMETRY(200,200,210,210) "
       "WHERE gid = 1",
-      "px$ttab");
+      "px$ttab", "callback/iot_upsert", "once status=IoError");
 }
 
 // A per-row-only cartridge gets one call per statement too: the OdciIndex

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -232,6 +234,39 @@ uint64_t NodesReadBy(Op op) {
   return GlobalMetrics().Snapshot().Delta(before).index_nodes_read;
 }
 
+// Writes `entries`, whose keys strictly ascend, as one MergeRun; for each
+// entry `replaced(stored, old)` receives the stored entry and the one it
+// replaced (nullopt for a new key).
+template <typename Replaced>
+void UpsertRun(IntTree& tree, std::vector<IntEntry> entries,
+               Replaced replaced) {
+  tree.MergeRun(
+      entries.size(), [&](size_t i) { return KeySpan(entries[i].key); },
+      [&](size_t i, const IntEntry*, std::optional<IntEntry>* next) {
+        *next = std::move(entries[i]);
+        return true;
+      },
+      [&](size_t, std::optional<IntEntry> old, const IntEntry* stored) {
+        replaced(*stored, std::move(old));
+      });
+}
+
+// Removes the strictly ascending `keys` as one MergeRun, handing each
+// removed entry to `removed(i, entry)`.  Stops at the first absent key and
+// returns its index, or keys.size().
+template <typename Removed>
+size_t ExtractRun(IntTree& tree, const std::vector<CompositeKey>& keys,
+                  Removed removed) {
+  return tree.MergeRun(
+      keys.size(), [&](size_t i) { return KeySpan(keys[i]); },
+      [](size_t, const IntEntry* current, std::optional<IntEntry>*) {
+        return current != nullptr;
+      },
+      [&](size_t i, std::optional<IntEntry> old, const IntEntry*) {
+        removed(i, std::move(*old));
+      });
+}
+
 // The tree's size and its entries in leaf-chain order equal the model's.
 void ExpectMatchesModel(IntTree& tree,
                         const std::map<int64_t, int64_t>& model) {
@@ -285,8 +320,8 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
       uint64_t single_reads = 0;
       if (upsert) {
         run_reads = NodesReadBy([&] {
-          runs.UpsertRun(entries, [&](const IntEntry& stored,
-                                      std::optional<IntEntry> old) {
+          UpsertRun(runs, entries, [&](const IntEntry& stored,
+                                       std::optional<IntEntry> old) {
             auto it = model.find(stored.key[0].AsInteger());
             ASSERT_EQ(old.has_value(), it != model.end());
             if (old.has_value()) {
@@ -302,11 +337,11 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
         }
       } else {
         run_reads = NodesReadBy([&] {
-          EXPECT_EQ(runs.ExtractRun(keys,
-                                    [&](size_t i, IntEntry entry) {
-                                      ASSERT_EQ(entry.value, model.at(
-                                          keys[i][0].AsInteger()));
-                                    }),
+          EXPECT_EQ(ExtractRun(runs, keys,
+                               [&](size_t i, IntEntry entry) {
+                                 ASSERT_EQ(entry.value,
+                                           model.at(keys[i][0].AsInteger()));
+                               }),
                     keys.size());
         });
         single_reads = NodesReadBy([&] {
@@ -363,13 +398,14 @@ TEST_F(BPlusTreeRunMeterTest, RunInsideOneLeafReadsTheHeight) {
   const uint64_t height = tree_.height();
   std::vector<CompositeKey> keys = Keys({21, 23, 30, 32, 33});  // 2 replaced
   EXPECT_EQ(NodesReadBy([&] {
-              tree_.UpsertRun(Entries({21, 23, 30, 32, 33}, {1, 2, 3, 4, 5}),
-                              IgnoreReplaced);
+              UpsertRun(tree_,
+                        Entries({21, 23, 30, 32, 33}, {1, 2, 3, 4, 5}),
+                        IgnoreReplaced);
             }),
             height);
   EXPECT_EQ(*FindValue(tree_, 30), 3);
   EXPECT_EQ(NodesReadBy([&] {
-              EXPECT_EQ(tree_.ExtractRun(keys, [](size_t, IntEntry) {}),
+              EXPECT_EQ(ExtractRun(tree_, keys, [](size_t, IntEntry) {}),
                         keys.size());
             }),
             height);
@@ -382,15 +418,16 @@ TEST_F(BPlusTreeRunMeterTest, RunInsideOneLeafReadsTheHeight) {
 TEST_F(BPlusTreeRunMeterTest, FenceAndSplitEachCostOneDescent) {
   const uint64_t height = tree_.height();
   EXPECT_EQ(NodesReadBy([&] {
-              tree_.UpsertRun(Entries({1, 113}, {0, 0}), IgnoreReplaced);
+              UpsertRun(tree_, Entries({1, 113}, {0, 0}), IgnoreReplaced);
             }),
             height + 2);
   // The first leaf now has 57 entries: 7 more fill it, the 8th key splits
   // it in place, and the 9th reads the parent and the leaf it lands in.
   EXPECT_EQ(NodesReadBy([&] {
-              tree_.UpsertRun(Entries({3, 5, 7, 9, 11, 13, 15, 17, 19},
-                                      std::vector<int64_t>(9, 0)),
-                              IgnoreReplaced);
+              UpsertRun(tree_,
+                        Entries({3, 5, 7, 9, 11, 13, 15, 17, 19},
+                                std::vector<int64_t>(9, 0)),
+                        IgnoreReplaced);
             }),
             height + 2);
   EXPECT_EQ(tree_.size(), 20000u + 11u);
@@ -407,10 +444,10 @@ TEST_F(BPlusTreeRunMeterTest, ExtractRunAcrossTwoParents) {
   const uint64_t height = tree_.height();
   std::vector<int64_t> removed;
   EXPECT_EQ(NodesReadBy([&] {
-              EXPECT_EQ(tree_.ExtractRun(Keys({0, 2, 112, 6720, 6832}),
-                                         [&](size_t, IntEntry entry) {
-                                           removed.push_back(entry.value);
-                                         }),
+              EXPECT_EQ(ExtractRun(tree_, Keys({0, 2, 112, 6720, 6832}),
+                                   [&](size_t, IntEntry entry) {
+                                     removed.push_back(entry.value);
+                                   }),
                         5u);
             }),
             height + 2 + height + 2);
@@ -447,10 +484,10 @@ TEST(BPlusTreeRunTest, SplitCascadesThroughHeldParentsToANewRoot) {
   // new root for 19, one from the held parent for 113, and one from the
   // root for the last key.
   EXPECT_EQ(NodesReadBy([&] {
-              tree.UpsertRun(entries,
-                             [](const IntEntry&, std::optional<IntEntry> old) {
-                               EXPECT_FALSE(old.has_value());
-                             });
+              UpsertRun(tree, entries,
+                        [](const IntEntry&, std::optional<IntEntry> old) {
+                          EXPECT_FALSE(old.has_value());
+                        });
             }),
             height + (height + 1) + 2 + (height + 1));
   EXPECT_EQ(tree.height(), height + 1);
@@ -466,14 +503,57 @@ TEST(BPlusTreeRunTest, SplitCascadesThroughHeldParentsToANewRoot) {
 // before it.
 TEST_F(BPlusTreeRunMeterTest, ExtractRunStopsAtTheFirstAbsentKey) {
   std::vector<int64_t> removed;
-  EXPECT_EQ(tree_.ExtractRun(Keys({2, 4, 5, 6}),
-                             [&](size_t, IntEntry entry) {
-                               removed.push_back(entry.value);
-                             }),
+  EXPECT_EQ(ExtractRun(tree_, Keys({2, 4, 5, 6}),
+                       [&](size_t, IntEntry entry) {
+                         removed.push_back(entry.value);
+                       }),
             2u);
   EXPECT_EQ(removed, (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(FindValue(tree_, 4), nullptr);
   EXPECT_NE(FindValue(tree_, 6), nullptr);
+}
+
+// One MergeRun inside one leaf replaces, inserts, removes and skips keys
+// for the tree's height in node reads, reports each change with the entry
+// it displaced, and ends where the merge callback says stop.
+TEST_F(BPlusTreeRunMeterTest, MergeRunReplacesInsertsAndRemovesInOneWalk) {
+  const uint64_t height = tree_.height();
+  // 20 replaced, 21 inserted, 22 removed, 23 absent and left so, then a
+  // stop before 24.
+  std::vector<CompositeKey> keys = Keys({20, 21, 22, 23, 24});
+  std::vector<std::pair<size_t, std::optional<int64_t>>> changes;
+  size_t ended = 0;
+  EXPECT_EQ(NodesReadBy([&] {
+              ended = tree_.MergeRun(
+                  keys.size(), [&](size_t i) { return KeySpan(keys[i]); },
+                  [&](size_t i, const IntEntry* current,
+                      std::optional<IntEntry>* next) {
+                    const int64_t k = keys[i][0].AsInteger();
+                    EXPECT_EQ(current != nullptr, k % 2 == 0);
+                    if (k == 24) return false;
+                    if (k == 20 || k == 21) *next = Entry(k, -k);
+                    return true;
+                  },
+                  [&](size_t i, std::optional<IntEntry> old,
+                      const IntEntry* stored) {
+                    EXPECT_EQ(stored != nullptr,
+                              keys[i][0].AsInteger() != 22);
+                    changes.emplace_back(
+                        i, old.has_value() ? std::optional(old->value)
+                                           : std::nullopt);
+                  });
+            }),
+            height);
+  EXPECT_EQ(ended, 4u);
+  using Change = std::pair<size_t, std::optional<int64_t>>;
+  EXPECT_EQ(changes, (std::vector<Change>{{0, 10}, {1, std::nullopt},
+                                          {2, 11}}));
+  EXPECT_EQ(*FindValue(tree_, 20), -20);
+  EXPECT_EQ(*FindValue(tree_, 21), -21);
+  EXPECT_EQ(FindValue(tree_, 22), nullptr);
+  EXPECT_EQ(FindValue(tree_, 23), nullptr);
+  EXPECT_EQ(*FindValue(tree_, 24), 12);
+  EXPECT_EQ(tree_.size(), 20000u);
 }
 
 TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
@@ -588,6 +668,39 @@ TEST(BitmapIndexTest, LowCardinalityIndexing) {
   EXPECT_EQ(index.ScanEqual({Value::Varchar("red")}).size(), 99u);
 }
 
+// The primary keys of posting rows: their first two values, or fewer.
+std::vector<CompositeKey> KeysOf(const std::vector<Row>& rows) {
+  std::vector<CompositeKey> keys;
+  for (const Row& row : rows) {
+    keys.emplace_back(row.begin(),
+                      row.begin() + std::min<size_t>(2, row.size()));
+  }
+  return keys;
+}
+
+// A merge callback that stores rows[i] under the i-th key: an upsert run.
+auto Store(std::vector<Row>& rows) {
+  return [&rows](size_t i, const Row*) -> Result<std::optional<Row>> {
+    return std::optional<Row>(std::move(rows[i]));
+  };
+}
+
+// A merge callback that deletes each key and fails at an absent one: a
+// delete run.
+const auto Remove = [](size_t,
+                        const Row* current) -> Result<std::optional<Row>> {
+  if (current == nullptr) return Status::NotFound("absent posting");
+  return std::optional<Row>();
+};
+
+// Upserts `rows` into `iot` as one merge run.
+Status UpsertRun(Iot& iot, std::vector<Row> rows,
+                 Iot::MergeUndo* undo = nullptr) {
+  std::vector<CompositeKey> keys = KeysOf(rows);
+  return iot.MergeSorted(keys, Store(rows), undo);
+}
+
+
 TEST(IotTest, PrimaryKeySemantics) {
   Schema schema;
   schema.AddColumn(Column{"token", DataType::Varchar(32), true});
@@ -603,9 +716,8 @@ TEST(IotTest, PrimaryKeySemantics) {
                         Value::Integer(9)})
                 .code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE(iot.UpsertSorted({{Value::Varchar("a"), Value::Integer(1),
-                                 Value::Integer(9)}},
-                               nullptr, nullptr)
+  ASSERT_TRUE(UpsertRun(iot, {{Value::Varchar("a"), Value::Integer(1),
+                               Value::Integer(9)}})
                   .ok());
   EXPECT_EQ((*iot.Get({Value::Varchar("a"), Value::Integer(1)}))[2]
                 .AsInteger(),
@@ -687,10 +799,11 @@ std::vector<Row> ModelRows(const PostingModel& model) {
 
 // Random writes to a (token, rid, freq) IOT keyed by (token, rid), on
 // every write path: a bulk load of about 5,000 postings (three levels),
-// then sorted upsert runs that add postings and change the freq of
-// present ones, sorted delete runs, and single inserts and deletes.  The
-// IOT's rows, the keys each run reports as added and the rows it reports
-// as replaced or removed all match a std::map model.
+// then merge runs that upsert (add postings and change the freq of
+// present ones), delete, or read-modify-write (bump a present posting's
+// freq or delete it, add an absent one), and single inserts and deletes.
+// The IOT's rows, the keys each run reports as added and the rows it
+// reports as replaced or removed all match a std::map model.
 TEST(IotTest, RandomPostingWritesMatchStdMap) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
@@ -705,7 +818,7 @@ TEST(IotTest, RandomPostingWritesMatchStdMap) {
     for (int step = 0; step < 400; ++step) {
       SCOPED_TRACE(step);
       const std::string t = token();
-      switch (rng.Uniform(4)) {
+      switch (rng.Uniform(5)) {
         case 0: {
           std::map<int64_t, int64_t> run;  // rid -> freq
           const uint64_t n = 1 + rng.Uniform(80);
@@ -723,12 +836,10 @@ TEST(IotTest, RandomPostingWritesMatchStdMap) {
             }
             model[{t, r}] = f;
           }
-          std::vector<CompositeKey> added;
-          std::vector<Row> replaced;
-          ASSERT_TRUE(
-              iot.UpsertSorted(std::move(rows), &added, &replaced).ok());
-          ExpectSameRows(added, want_added);
-          ExpectSameRows(replaced, want_replaced);
+          Iot::MergeUndo undo;
+          ASSERT_TRUE(UpsertRun(iot, std::move(rows), &undo).ok());
+          ExpectSameRows(undo.added, want_added);
+          ExpectSameRows(undo.replaced, want_replaced);
           break;
         }
         case 1: {
@@ -744,12 +855,55 @@ TEST(IotTest, RandomPostingWritesMatchStdMap) {
             want_removed.push_back(Posting(t, it->first.second, it->second));
             it = model.erase(it);
           }
-          std::vector<Row> removed;
-          ASSERT_TRUE(iot.DeleteSorted(keys, &removed).ok());
-          ExpectSameRows(removed, want_removed);
+          Iot::MergeUndo undo;
+          ASSERT_TRUE(iot.MergeSorted(keys, Remove, &undo).ok());
+          EXPECT_TRUE(undo.added.empty());
+          ExpectSameRows(undo.replaced, want_removed);
           break;
         }
         case 2: {
+          std::set<int64_t> rids;
+          const uint64_t n = 1 + rng.Uniform(80);
+          for (uint64_t i = 0; i < n; ++i) rids.insert(rid());
+          std::vector<CompositeKey> keys;
+          for (int64_t r : rids) keys.push_back(PostingKey(t, r));
+          PostingModel before = model;
+          std::vector<CompositeKey> want_added;
+          std::vector<Row> want_replaced;
+          auto merge = [&](size_t i,
+                           const Row* current) -> Result<std::optional<Row>> {
+            const int64_t r = keys[i][1].AsInteger();
+            auto it = model.find({t, r});
+            EXPECT_EQ(current != nullptr, it != model.end());
+            if (current == nullptr) {
+              want_added.push_back(keys[i]);
+              model[{t, r}] = 1;
+              return std::optional<Row>(Posting(t, r, 1));
+            }
+            want_replaced.push_back(*current);
+            if (r % 3 == 0) {
+              model.erase(it);
+              return std::optional<Row>();
+            }
+            it->second = (*current)[2].AsInteger() + 1;
+            return std::optional<Row>(Posting(t, r, it->second));
+          };
+          Iot::MergeUndo undo;
+          ASSERT_TRUE(iot.MergeSorted(keys, merge, &undo).ok());
+          ExpectSameRows(undo.added, want_added);
+          ExpectSameRows(undo.replaced, want_replaced);
+          // Reverting the run, then running it again, changes nothing.
+          if (step % 10 == 0) {
+            iot.Revert(std::move(undo));
+            ExpectSameRows(RowsOf(iot), ModelRows(before));
+            model = before;
+            want_added.clear();
+            want_replaced.clear();
+            ASSERT_TRUE(iot.MergeSorted(keys, merge, nullptr).ok());
+          }
+          break;
+        }
+        case 3: {
           const int64_t r = rid();
           const int64_t f = freq();
           const bool present = model.count({t, r}) > 0;
@@ -797,8 +951,7 @@ TEST(IotTest, SplitAtTheNewRowMakesItTheSeparator) {
         NodesReadBy([&] { ASSERT_TRUE(iot.Get(PostingKey("a", 2)).ok()); }),
         1u);
     if (run) {
-      ASSERT_TRUE(iot.UpsertSorted({Posting("a", 63, 63)}, nullptr, nullptr)
-                      .ok());
+      ASSERT_TRUE(UpsertRun(iot, {Posting("a", 63, 63)}).ok());
     } else {
       ASSERT_TRUE(iot.Insert(Posting("a", 63, 63)).ok());
     }
@@ -823,11 +976,11 @@ TEST(IotTest, SplitAtTheNewRowMakesItTheSeparator) {
     });
     ExpectSameRows(from_split,
                    ModelRows(model.lower_bound({"a", 63}), model.end()));
-    std::vector<CompositeKey> added;
+    Iot::MergeUndo undo;
     ASSERT_TRUE(
-        iot.UpsertSorted({Posting("a", 61, 5), Posting("a", 63, 7)}, &added,
-                         nullptr)
+        UpsertRun(iot, {Posting("a", 61, 5), Posting("a", 63, 7)}, &undo)
             .ok());
+    const std::vector<CompositeKey>& added = undo.added;
     model[{"a", 61}] = 5;
     model[{"a", 63}] = 7;
     ExpectSameRows(added, {PostingKey("a", 61), PostingKey("a", 63)});
@@ -1017,8 +1170,10 @@ TEST_F(IotCallbackTest, UpsertAndDeleteTakeOneDescent) {
   EXPECT_EQ(*ctx.IotRowCount("p"), 20000u);
 }
 
-// Rejected runs return an error and leave the IOT as it was; a delete
-// run stopped by a missing key hands back what it removed before it.
+// Rejected runs return an error and leave the IOT as it was: unsorted
+// or duplicate keys, and a first row the schema rejects or whose key is
+// not its run key.  A delete run stopped by a missing key hands back what
+// it removed before it.
 TEST(IotTest, SortedRunsRejectBadInputAndChangeNothing) {
   Iot iot("iot", PostingSchema(), 2);
   ASSERT_TRUE(iot.BulkLoad({Posting("a", 1), Posting("b", 1)}).ok());
@@ -1026,37 +1181,68 @@ TEST(IotTest, SortedRunsRejectBadInputAndChangeNothing) {
   const std::vector<std::vector<Row>> bad_rows = {
       {Posting("c", 1), Posting("a", 5)},                         // unsorted
       {Posting("c", 1), Posting("c", 1)},                         // duplicate
-      {Posting("a", 0), {Value::Varchar("c"), Value::Integer(1)}},  // short
-      {Posting("a", 0), {Value::Integer(7), Value::Integer(1),
-                         Value::Integer(1)}},  // wrong type
+      {{Value::Varchar("c"), Value::Integer(1)}, Posting("d", 0)},  // short
+      {{Value::Integer(7), Value::Integer(1), Value::Integer(1)},
+       Posting("d", 0)},  // wrong type
   };
-  for (const std::vector<Row>& rows : bad_rows) {
-    std::vector<CompositeKey> added;
-    std::vector<Row> replaced;
-    EXPECT_FALSE(iot.UpsertSorted(rows, &added, &replaced).ok());
-    EXPECT_TRUE(added.empty() && replaced.empty());
+  for (std::vector<Row> rows : bad_rows) {
+    Iot::MergeUndo undo;
+    EXPECT_FALSE(UpsertRun(iot, std::move(rows), &undo).ok());
+    EXPECT_TRUE(undo.empty());
     ExpectSameRows(RowsOf(iot), before);
   }
   auto key = [](const char* token, int64_t rid) {
     return CompositeKey{Value::Varchar(token), Value::Integer(rid)};
   };
+  Iot::MergeUndo undo;
+  EXPECT_EQ(iot.MergeSorted(
+                {key("a", 0)},
+                [](size_t, const Row*) -> Result<std::optional<Row>> {
+                  return std::optional<Row>(Posting("a", 9));
+                },
+                &undo)
+                .code(),
+            StatusCode::kInvalidArgument);  // the row's key is not the run's
+  EXPECT_TRUE(undo.empty());
   const std::vector<std::vector<CompositeKey>> bad_keys = {
       {key("b", 1), key("a", 1)},  // unsorted
       {key("a", 1), key("a", 1)},  // duplicate
   };
   for (const std::vector<CompositeKey>& keys : bad_keys) {
-    EXPECT_EQ(iot.DeleteSorted(keys, nullptr).code(),
+    EXPECT_EQ(iot.MergeSorted(keys, Remove, nullptr).code(),
               StatusCode::kInvalidArgument);
     ExpectSameRows(RowsOf(iot), before);
   }
-  std::vector<Row> removed;
   EXPECT_EQ(
-      iot.DeleteSorted({key("a", 1), key("a", 2), key("b", 1)}, &removed)
+      iot.MergeSorted({key("a", 1), key("a", 2), key("b", 1)}, Remove, &undo)
           .code(),
       StatusCode::kNotFound);
-  ASSERT_EQ(removed.size(), 1u);
-  EXPECT_EQ(CompareKeys(removed[0], Posting("a", 1)), 0);
+  ASSERT_EQ(undo.replaced.size(), 1u);
+  EXPECT_EQ(CompareKeys(undo.replaced[0], Posting("a", 1)), 0);
   EXPECT_EQ(iot.row_count(), 1u);
+}
+
+// A row the schema rejects part way through a run ends the run there: the
+// keys before it stay changed and are in the undo record, and reverting
+// it restores the IOT exactly.
+TEST(IotTest, SchemaErrorEndsARunAndItsUndoRestoresTheIot) {
+  Iot iot("iot", PostingSchema(), 2);
+  ASSERT_TRUE(iot.BulkLoad({Posting("a", 1), Posting("b", 1)}).ok());
+  const std::vector<Row> before = RowsOf(iot);
+  Iot::MergeUndo undo;
+  EXPECT_EQ(UpsertRun(iot,
+                      {Posting("a", 0), Posting("a", 1, 5),
+                       {Value::Varchar("c"), Value::Integer(1)},
+                       Posting("d", 1)},
+                      &undo)
+                .code(),
+            StatusCode::kTypeMismatch);
+  ExpectSameRows(undo.added, {PostingKey("a", 0)});
+  ExpectSameRows(undo.replaced, {Posting("a", 1)});
+  EXPECT_EQ((*iot.Get(PostingKey("a", 1)))[2].AsInteger(), 5);
+  EXPECT_FALSE(iot.Get(PostingKey("d", 1)).ok());
+  iot.Revert(std::move(undo));
+  ExpectSameRows(RowsOf(iot), before);
 }
 
 // A delete run that empties whole leaves leaves them on the leaf chain: a
@@ -1073,7 +1259,7 @@ TEST(IotTest, ScanRangeStepsOverLeavesADeleteRunEmptied) {
   for (int64_t rid = 56; rid < 280; ++rid) {
     keys.push_back({Value::Varchar("t"), Value::Integer(rid)});
   }
-  ASSERT_TRUE(iot.DeleteSorted(keys, nullptr).ok());
+  ASSERT_TRUE(iot.MergeSorted(keys, Remove, nullptr).ok());
   const CompositeKey lo{Value::Varchar("t"), Value::Integer(40)};
   const CompositeKey hi{Value::Varchar("t"), Value::Integer(300)};
   std::vector<int64_t> rids;
@@ -1105,23 +1291,23 @@ TEST_F(IotCallbackTest, SortedRunsLogOneUndoEntryAndFireOnce) {
   FailPointRegistry& failpoints = FailPointRegistry::Global();
   Transaction txn(1);
   GuardedServerContext ctx(&catalog_, &txn, CallbackMode::kMaintenance);
-  const uint64_t upserts = failpoints.Hits("callback/iot_upsert");
-  ASSERT_TRUE(
-      ctx.IotUpsertSorted("p", {Posting("a", 2), Posting("b", 1, 7),
-                                Posting("d", 1)})
-          .ok());
-  EXPECT_EQ(failpoints.Hits("callback/iot_upsert") - upserts, 1u);
+  const uint64_t merges = failpoints.Hits("callback/iot_merge");
+  std::vector<Row> rows = {Posting("a", 2), Posting("b", 1, 7),
+                           Posting("d", 1)};
+  ASSERT_TRUE(ctx.IotMergeSorted("p", KeysOf(rows), Store(rows)).ok());
+  EXPECT_EQ(failpoints.Hits("callback/iot_merge") - merges, 1u);
   EXPECT_EQ(txn.undo_depth(), 1u);
   EXPECT_EQ((*ctx.IotGet("p", {Value::Varchar("b"), Value::Integer(1)}))[2]
                 .AsInteger(),
             7);
-  const uint64_t deletes = failpoints.Hits("callback/iot_delete");
-  EXPECT_EQ(ctx.IotDeleteSorted("p", {{Value::Varchar("a"), Value::Integer(1)},
-                                      {Value::Varchar("a"), Value::Integer(2)},
-                                      {Value::Varchar("z"), Value::Integer(1)}})
+  EXPECT_EQ(ctx.IotMergeSorted("p",
+                               {{Value::Varchar("a"), Value::Integer(1)},
+                                {Value::Varchar("a"), Value::Integer(2)},
+                                {Value::Varchar("z"), Value::Integer(1)}},
+                               Remove)
                 .code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(failpoints.Hits("callback/iot_delete") - deletes, 1u);
+  EXPECT_EQ(failpoints.Hits("callback/iot_merge") - merges, 2u);
   EXPECT_EQ(txn.undo_depth(), 2u);
   EXPECT_EQ(*ctx.IotRowCount("p"), 3u);  // b, c, d
   txn.RunUndo();
@@ -1129,21 +1315,79 @@ TEST_F(IotCallbackTest, SortedRunsLogOneUndoEntryAndFireOnce) {
 }
 
 TEST_F(IotCallbackTest, SortedRunsAreDmlCallbacks) {
+  const CompositeKey a1 = {Value::Varchar("a"), Value::Integer(1)};
+  std::vector<Row> rows = {Posting("a", 1)};
   GuardedServerContext scan(&catalog_, nullptr, CallbackMode::kScan);
-  EXPECT_EQ(scan.IotUpsertSorted("p", {Posting("a", 1)}).code(),
+  EXPECT_EQ(scan.IotMergeSorted("p", {a1}, Store(rows)).code(),
             StatusCode::kCallbackViolation);
-  EXPECT_EQ(
-      scan.IotDeleteSorted("p", {{Value::Varchar("a"), Value::Integer(1)}})
-          .code(),
-      StatusCode::kCallbackViolation);
   for (CallbackMode mode :
        {CallbackMode::kDefinition, CallbackMode::kMaintenance}) {
     GuardedServerContext ctx(&catalog_, nullptr, mode);
-    EXPECT_TRUE(ctx.IotUpsertSorted("p", {Posting("a", 1)}).ok());
-    EXPECT_TRUE(
-        ctx.IotDeleteSorted("p", {{Value::Varchar("a"), Value::Integer(1)}})
-            .ok());
+    rows = {Posting("a", 1)};
+    EXPECT_TRUE(ctx.IotMergeSorted("p", {a1}, Store(rows)).ok());
+    EXPECT_TRUE(ctx.IotMergeSorted("p", {a1}, Remove).ok());
   }
+}
+
+// The guard with ServerContext's default IotMergeSorted, which loops
+// IotGet / IotUpsert / IotDelete, as a decorating context gets it.
+class PerKeyMergeContext : public GuardedServerContext {
+ public:
+  using GuardedServerContext::GuardedServerContext;
+  Status IotMergeSorted(const std::string& name,
+                        const std::vector<CompositeKey>& keys,
+                        RowMerge merge) override {
+    return ServerContext::IotMergeSorted(name, keys, merge);
+  }
+};
+
+// The default IotMergeSorted leaves the rows the guard's one-walk run
+// leaves, and its per-key undo entries restore them as the run's one
+// entry does.
+TEST(IotCallbackDefaultTest, DefaultMergeMatchesTheGuardsRun) {
+  std::vector<Row> after[2];
+  for (int per_key = 0; per_key < 2; ++per_key) {
+    Catalog catalog;
+    GuardedServerContext ddl(&catalog, nullptr, CallbackMode::kDefinition);
+    ASSERT_TRUE(ddl.CreateIot("p", PostingSchema(), 2).ok());
+    std::vector<Row> rows;
+    for (int64_t rid = 0; rid < 300; rid += 2) {
+      rows.push_back(Posting("t", rid));
+    }
+    ASSERT_TRUE(ddl.IotBulkLoad("p", std::move(rows)).ok());
+    const std::vector<Row> before = RowsOf(**catalog.GetIot("p"));
+    Transaction txn(1);
+    std::unique_ptr<GuardedServerContext> ctx =
+        per_key ? std::make_unique<PerKeyMergeContext>(
+                      &catalog, &txn, CallbackMode::kMaintenance)
+                : std::make_unique<GuardedServerContext>(
+                      &catalog, &txn, CallbackMode::kMaintenance);
+    // Every third rid: present rids divisible by 12 get freq 2, the other
+    // present ones are deleted, and absent ones are added.
+    std::vector<CompositeKey> keys;
+    for (int64_t rid = 0; rid < 300; rid += 3) {
+      keys.push_back(PostingKey("t", rid));
+    }
+    ASSERT_TRUE(
+        ctx->IotMergeSorted(
+               "p", keys,
+               [&](size_t i, const Row* current) -> Result<std::optional<Row>> {
+                 const int64_t rid = keys[i][1].AsInteger();
+                 if (current == nullptr) {
+                   return std::optional<Row>(Posting("t", rid, 3));
+                 }
+                 if (rid % 12 == 0) {
+                   return std::optional<Row>(Posting("t", rid, 2));
+                 }
+                 return std::optional<Row>();
+               })
+            .ok());
+    after[per_key] = RowsOf(**catalog.GetIot("p"));
+    txn.RunUndo();
+    ExpectSameRows(RowsOf(**catalog.GetIot("p")), before);
+  }
+  EXPECT_EQ(after[0].size(), 150u - 25u + 50u);
+  ExpectSameRows(after[1], after[0]);
 }
 
 TEST(IotTest, RangeScanBounds) {

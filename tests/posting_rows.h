@@ -1,6 +1,6 @@
-// The rows of an IOT (such as a text index's posting IOT), and an exact
-// comparison of two such row lists, for tests that check index contents
-// row for row.
+// The rows of an IOT, a text index's postings decoded from its block
+// rows, and an exact comparison of two such row lists, for tests that
+// check index contents row for row.
 
 #ifndef EXTIDX_TESTS_POSTING_ROWS_H_
 #define EXTIDX_TESTS_POSTING_ROWS_H_
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cartridge/text/inverted_index.h"
 #include "engine/database.h"
 
 namespace exi {
@@ -27,9 +28,25 @@ inline std::vector<Row> IotRows(Database& db, const std::string& name) {
   return rows;
 }
 
-// The rows of text index `index`'s posting IOT, in key order.
+// The block rows of text index `index`'s posting IOT, in key order.
+inline std::vector<Row> PostingBlockRows(Database& db,
+                                         const std::string& index) {
+  return IotRows(db, text::PostingTableName(index));
+}
+
+// Text index `index`'s postings as (token, rid, freq) rows, in key order,
+// decoded from its block rows.
 inline std::vector<Row> PostingRows(Database& db, const std::string& index) {
-  return IotRows(db, index + "$ptab");
+  std::vector<Row> postings;
+  for (const Row& block : PostingBlockRows(db, index)) {
+    Status s = text::DecodePostingBlock(block, [&](RowId rid, int64_t freq) {
+      postings.push_back(
+          {block[0], Value::Integer(int64_t(rid)), Value::Integer(freq)});
+      return true;
+    });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  return postings;
 }
 
 // Same rows in the same order, every column equal.

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <set>
 
 #include "cartridge/text/legacy_text.h"
 #include "cartridge/text/text_cartridge.h"
 #include "cartridge/text/tokenizer.h"
 #include "common/metrics.h"
+#include "common/rng.h"
+#include "core/callback_guard.h"
 #include "core/scan_context.h"
 #include "engine/connection.h"
 #include "posting_rows.h"
@@ -391,6 +395,7 @@ class BuiltDocs {
   }
 
   std::vector<Row> postings() { return PostingRows(db_, "dtext"); }
+  std::vector<Row> blocks() { return PostingBlockRows(db_, "dtext"); }
   Connection& conn() { return conn_; }
   Database& db() { return db_; }
 
@@ -403,16 +408,18 @@ TEST(TextBuildEquivalenceTest, BulkSplitAndPerRowBuildsAgree) {
   for (size_t n : {size_t(0), size_t(1), size_t(60)}) {
     for (const char* params : {"", ":Ignore the a an"}) {
       SCOPED_TRACE(std::to_string(n) + " docs, params '" + params + "'");
-      std::vector<Row> want = BuiltDocs(Build::kPerRow, Bodies(n), params)
-                                  .postings();
+      BuiltDocs per_row(Build::kPerRow, Bodies(n), params);
+      std::vector<Row> want = per_row.postings();
       if (n == 60) {
         ASSERT_FALSE(want.empty());
       }
-      ExpectSameRows(BuiltDocs(Build::kBulk, Bodies(n), params).postings(),
-                     want);
-      ExpectSameRows(
-          BuiltDocs(Build::kBulkAtParallelism4, Bodies(n), params).postings(),
-          want);
+      for (Build how : {Build::kBulk, Build::kBulkAtParallelism4}) {
+        BuiltDocs bulk(how, Bodies(n), params);
+        ExpectSameRows(bulk.postings(), want);
+        // The blocks themselves are byte-identical: the encoding is
+        // canonical.
+        ExpectSameRows(bulk.blocks(), per_row.blocks());
+      }
     }
   }
 }
@@ -453,6 +460,437 @@ TEST_F(TextCartridgeTest, DropIndexRemovesPostingTable) {
   EXPECT_TRUE(db_.catalog().IotExists("rti$ptab"));
   conn_.MustExecute("DROP INDEX rti");
   EXPECT_FALSE(db_.catalog().IotExists("rti$ptab"));
+}
+
+// ---- block-compressed postings ----
+
+using text::DecodePostingBlock;
+using text::EncodePostingBlock;
+using text::kPostingBlockRids;
+using text::Posting;
+using text::PostingBlock;
+
+// The postings of a block row, decoded; the decode must succeed.
+std::vector<std::pair<RowId, int64_t>> Decoded(const Row& row) {
+  std::vector<std::pair<RowId, int64_t>> out;
+  Status s = DecodePostingBlock(row, [&](RowId rid, int64_t freq) {
+    out.emplace_back(rid, freq);
+    return true;
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return out;
+}
+
+// Rids at a block's first and last slot land in that block and round-trip
+// with freqs of one and several varint bytes, also under a LOCAL
+// segment's high bits; df is the posting count; equal postings encode to
+// equal bytes.
+TEST(PostingBlockCodecTest, RoundTripsBlockEdgesLocalRidsAndLongFreqs) {
+  for (RowId segment : {RowId(0), RowId(5)}) {
+    const RowId k = 7;
+    const RowId base = (segment << 44) + k * kPostingBlockRids;
+    EXPECT_EQ(PostingBlock(base - 1), PostingBlock(base) - 1);
+    EXPECT_EQ(PostingBlock(base + kPostingBlockRids - 1), PostingBlock(base));
+    EXPECT_EQ(RowId(PostingBlock(base)) * kPostingBlockRids >> 44, segment);
+    const std::vector<Posting> postings = {{base, 1},
+                                           {base + 1, 127},
+                                           {base + 200, 128},
+                                           {base + 1023, 300000}};
+    const Value token = Value::Varchar("w");
+    const Row row = EncodePostingBlock(token, PostingBlock(base), postings);
+    ASSERT_EQ(row.size(), 4u);
+    EXPECT_EQ(row[2].AsInteger(), 4);  // df
+    std::vector<std::pair<RowId, int64_t>> want;
+    for (const Posting& p : postings) want.emplace_back(p.rid, p.freq);
+    EXPECT_EQ(Decoded(row), want);
+    EXPECT_TRUE(row[3].Equals(
+        EncodePostingBlock(token, PostingBlock(base), postings)[3]));
+    // 1-byte delta and freq, then 1 + 1, 2 + 2, and 2 + 3 bytes.
+    EXPECT_EQ(row[3].AsBlob().size(), 2u + 2u + 4u + 5u);
+  }
+}
+
+// Random inserts (new rids and new freqs for stored ones) and deletes
+// merged into random blocks, LOCAL ones included, give exactly the bytes
+// EncodePostingBlock gives for the model's postings, or no row once the
+// block is empty; deleting an absent rid is NotFound.
+TEST(PostingBlockCodecTest, MergeMatchesEncodingTheModel) {
+  using text::MergePostingBlock;
+  Rng rng(11);
+  const Value token = Value::Varchar("w");
+  for (int step = 0; step < 2000; ++step) {
+    SCOPED_TRACE(step);
+    const int64_t block =
+        3 + (step % 2 == 0 ? 0 : PostingBlock(RowId(2) << 44));
+    const RowId base = RowId(block) * kPostingBlockRids;
+    std::map<RowId, int64_t> model;
+    const uint64_t n = rng.Uniform(6) == 0 ? 0 : 1 + rng.Uniform(40);
+    for (uint64_t i = 0; i < n; ++i) {
+      model[base + rng.Uniform(kPostingBlockRids)] =
+          1 + int64_t(rng.Uniform(300));
+    }
+    std::vector<Posting> stored;
+    for (const auto& [rid, freq] : model) stored.push_back({rid, freq});
+    const std::optional<Row> current =
+        stored.empty() ? std::nullopt
+                       : std::optional<Row>(
+                             EncodePostingBlock(token, block, stored));
+    const bool insert = rng.Uniform(2) == 0;
+    std::map<RowId, int64_t> changes;
+    const uint64_t m = 1 + rng.Uniform(8);
+    for (uint64_t i = 0; i < m; ++i) {
+      RowId rid = base + rng.Uniform(kPostingBlockRids);
+      if (!insert && !model.empty() && rng.Uniform(4) != 0) {
+        rid = std::next(model.begin(), rng.Uniform(model.size()))->first;
+      }
+      changes[rid] = 1 + int64_t(rng.Uniform(200));
+    }
+    bool absent = false;
+    for (const auto& [rid, freq] : changes) {
+      if (insert) {
+        model[rid] = freq;
+      } else {
+        absent |= model.erase(rid) == 0;
+      }
+    }
+    std::vector<Posting> call;
+    for (const auto& [rid, freq] : changes) call.push_back({rid, freq});
+    Result<std::optional<Row>> merged = MergePostingBlock(
+        current ? &*current : nullptr, token, block, call, insert);
+    if (absent) {
+      EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    if (model.empty()) {
+      EXPECT_FALSE(merged->has_value());
+      continue;
+    }
+    std::vector<Posting> want;
+    for (const auto& [rid, freq] : model) want.push_back({rid, freq});
+    ASSERT_TRUE(merged->has_value());
+    const Row expected = EncodePostingBlock(token, block, want);
+    EXPECT_EQ(CompareKeys(**merged, expected), 0);
+    EXPECT_EQ((**merged)[3].AsBlob().capacity(),
+              (**merged)[3].AsBlob().size());
+  }
+}
+
+// Malformed block rows are errors, never crashes or wrong postings.
+TEST(PostingBlockCodecTest, MalformedBlocksAreErrors) {
+  const Value token = Value::Varchar("w");
+  const Row good = EncodePostingBlock(token, 3, std::vector<Posting>{
+                                                    {3 * 1024 + 5, 2},
+                                                    {3 * 1024 + 9, 200}});
+  auto with_bytes = [&](std::vector<uint8_t> bytes, int64_t df) {
+    return Row{token, good[1], Value::Integer(df),
+               Value::Blob(std::move(bytes))};
+  };
+  const std::vector<uint8_t> bytes = good[3].AsBlob();  // 05 02 04 c8 01
+  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+  std::vector<uint8_t> past_block = {0x80, 0x08, 0x01};  // delta 1024
+  std::vector<uint8_t> repeated = {0x05, 0x01, 0x00, 0x01};
+  std::vector<uint8_t> zero_freq = {0x05, 0x00};
+  std::vector<uint8_t> overlong(11, 0xff);
+  const std::vector<Row> bad = {
+      with_bytes(truncated, 2),
+      with_bytes(bytes, 3),  // df mismatch
+      with_bytes(bytes, 1),
+      with_bytes(past_block, 1),
+      with_bytes(repeated, 2),
+      with_bytes(zero_freq, 1),
+      with_bytes(overlong, 1),
+      with_bytes({}, 0),  // empty block
+      {token, good[1], good[2]},
+      {token, good[1], good[2], Value::Varchar("x")},
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    Status s = DecodePostingBlock(bad[i], [](RowId, int64_t) { return true; });
+    EXPECT_EQ(s.code(), StatusCode::kInternal);
+  }
+}
+
+// docs(id, body) with a text index built as `params` says; ids start at 0
+// and get rowids id + 1, so id 1022 holds the last rid of block 0 and id
+// 1023 the first of block 1.
+class TextBlockTest : public ::testing::Test {
+ protected:
+  TextBlockTest() : conn_(&db_) {
+    EXPECT_TRUE(InstallTextCartridge(&conn_).ok());
+    conn_.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(400))");
+  }
+
+  void CreateIndex(const std::string& params) {
+    conn_.MustExecute(
+        "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType" +
+        (params.empty() ? "" : " PARAMETERS ('" + params + "')"));
+  }
+
+  // Inserts ids [first, first + n), 100 rows to a statement.  Every body
+  // holds "all"; ids 1022 and 1023 hold "edge"; id 5 holds "heavy" 130
+  // times.
+  void InsertDocs(int first, int n) {
+    for (int id = first; id < first + n;) {
+      std::string sql = "INSERT INTO docs VALUES ";
+      for (int end = std::min(first + n, id + 100); id < end; ++id) {
+        std::string body = "all w" + std::to_string(id % 13);
+        if (id == 1022 || id == 1023) body += " edge";
+        if (id == 5) {
+          for (int i = 0; i < 130; ++i) body += " heavy";
+        }
+        sql += (sql.back() == ' ' ? "" : ", ") + std::string("(") +
+               std::to_string(id) + ", '" + body + "')";
+      }
+      conn_.MustExecute(sql);
+    }
+  }
+
+  std::vector<int64_t> Ids(const std::string& query) {
+    std::vector<int64_t> ids;
+    for (const Row& row :
+         conn_.MustExecute("SELECT id FROM docs WHERE Contains(body, '" +
+                           query + "') ORDER BY id")
+             .rows) {
+      ids.push_back(row[0].AsInteger());
+    }
+    return ids;
+  }
+
+  // The index's (block, df) pairs for `token`, in block order.
+  std::vector<std::pair<int64_t, int64_t>> Blocks(const std::string& token) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& row : PostingBlockRows(db_, "dtext")) {
+      if (row[0].AsVarchar() == token) {
+        out.emplace_back(row[1].AsInteger(), row[2].AsInteger());
+      }
+    }
+    return out;
+  }
+
+  // Every block row decodes, holds at least one posting, keeps its df
+  // equal to the postings it holds, and every rid lies in its block.
+  void ExpectWellFormedBlocks() {
+    for (const Row& row : PostingBlockRows(db_, "dtext")) {
+      std::vector<std::pair<RowId, int64_t>> postings = Decoded(row);
+      ASSERT_FALSE(postings.empty()) << KeyToString(row);
+      ASSERT_EQ(int64_t(postings.size()), row[2].AsInteger());
+      for (const auto& [rid, freq] : postings) {
+        ASSERT_EQ(PostingBlock(rid), row[1].AsInteger());
+      }
+    }
+  }
+
+  // The rids and scores a scan of `query` returns, fetched `max_rows` at a
+  // time through the ODCI routines.
+  std::vector<std::pair<RowId, int64_t>> Scan(const std::string& params,
+                                              const std::string& query,
+                                              size_t max_rows) {
+    OdciIndexInfo info;
+    info.index_name = "dtext";
+    info.table_name = "docs";
+    info.column_positions = {1};
+    info.parameters = params;
+    text::TextIndexMethods methods;
+    GuardedServerContext ctx(&db_.catalog(), nullptr, CallbackMode::kScan);
+    Result<OdciScanContext> sctx = methods.Start(
+        info, OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(query)}),
+        ctx);
+    EXPECT_TRUE(sctx.ok()) << sctx.status().ToString();
+    std::vector<std::pair<RowId, int64_t>> out;
+    if (!sctx.ok()) return out;
+    while (true) {
+      OdciFetchBatch batch;
+      Status s = methods.Fetch(info, *sctx, max_rows, &batch, ctx);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      if (!s.ok() || batch.end_of_scan()) break;
+      EXPECT_LE(batch.rids.size(), max_rows);
+      for (size_t i = 0; i < batch.rids.size(); ++i) {
+        out.emplace_back(batch.rids[i], batch.ancillary[i].AsInteger());
+      }
+    }
+    EXPECT_TRUE(methods.Close(info, *sctx, ctx).ok());
+    return out;
+  }
+
+  Database db_;
+  Connection conn_;
+};
+
+// Postings on both sides of a block edge live in two rows; deleting a
+// block's last posting deletes its row; a freq of 130 takes a two-byte
+// varint and round-trips; df always equals the decoded count.
+TEST_F(TextBlockTest, BlockEdgesAndEmptiedBlocks) {
+  CreateIndex("");
+  InsertDocs(0, 1030);
+  using Blocks = std::vector<std::pair<int64_t, int64_t>>;
+  EXPECT_EQ(this->Blocks("all"), (Blocks{{0, 1023}, {1, 7}}));
+  EXPECT_EQ(this->Blocks("edge"), (Blocks{{0, 1}, {1, 1}}));
+  EXPECT_EQ(Ids("edge"), (std::vector<int64_t>{1022, 1023}));
+  bool heavy = false;
+  for (const Row& p : PostingRows(db_, "dtext")) {
+    if (p[0].AsVarchar() == "heavy") {
+      EXPECT_EQ(p[1].AsInteger(), 6);  // id 5
+      EXPECT_EQ(p[2].AsInteger(), 130);
+      heavy = true;
+    }
+  }
+  EXPECT_TRUE(heavy);
+  ExpectWellFormedBlocks();
+
+  conn_.MustExecute("DELETE FROM docs WHERE id = 1023");
+  EXPECT_EQ(this->Blocks("edge"), (Blocks{{0, 1}}));
+  EXPECT_EQ(Ids("edge"), (std::vector<int64_t>{1022}));
+  conn_.MustExecute("DELETE FROM docs WHERE id >= 1023");
+  EXPECT_EQ(this->Blocks("all"), (Blocks{{0, 1023}}));
+  conn_.MustExecute("DELETE FROM docs WHERE id = 5");
+  EXPECT_TRUE(this->Blocks("heavy").empty());
+  ExpectWellFormedBlocks();
+  EXPECT_EQ(Ids("all").size(), 1022u);
+}
+
+// Incremental Fetch resumes inside a block and across block edges at any
+// batch size, and returns what Precompute-All returns through a handle
+// or through Return State.
+TEST_F(TextBlockTest, IncrementalFetchCrossesBlockEdgesAtAnyBatchSize) {
+  CreateIndex("");
+  InsertDocs(0, 2100);
+  std::vector<std::pair<RowId, int64_t>> want;
+  for (RowId rid = 1; rid <= 2100; ++rid) want.emplace_back(rid, 1);
+  for (size_t max_rows : {size_t(1), size_t(3), size_t(1023), size_t(1024),
+                          size_t(5000)}) {
+    SCOPED_TRACE(max_rows);
+    EXPECT_EQ(Scan(":Mode incremental", "all", max_rows), want);
+    EXPECT_EQ(Scan("", "all", max_rows), want);
+    EXPECT_EQ(Scan(":ContextMode state", "all", max_rows), want);
+    EXPECT_EQ(Scan(":Mode incremental", "edge", max_rows),
+              (std::vector<std::pair<RowId, int64_t>>{{1023, 1}, {1024, 1}}));
+  }
+  EXPECT_EQ(ScanWorkspaceRegistry::Global().active_count(), 0u);
+}
+
+// A block row damaged in the IOT (a truncated varint, a df that differs
+// from its postings) makes scans and maintenance that read it fail with an
+// error, in every scan mode.
+TEST(TextCorruptBlockTest, CorruptBlocksAreErrorsNotCrashes) {
+  for (const char* params : {"", ":Mode incremental", ":ContextMode state"}) {
+    for (int damage = 0; damage < 2; ++damage) {
+      SCOPED_TRACE(std::string(params) +
+                   (damage == 0 ? " truncated varint" : " df mismatch"));
+      Database db;
+      Connection conn(&db);
+      ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+      conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
+      conn.MustExecute(
+          "INSERT INTO docs VALUES (1, 'alpha beta'), (2, 'alpha'), "
+          "(3, 'alpha gamma')");
+      conn.MustExecute(
+          std::string("CREATE INDEX dtext ON docs(body) INDEXTYPE IS "
+                      "TextIndexType PARAMETERS ('") +
+          params + "')");
+      Iot* iot = *db.catalog().GetIot("dtext$ptab");
+      const CompositeKey key = {Value::Varchar("alpha"), Value::Integer(0)};
+      Row row = *iot->Get(key);
+      std::vector<uint8_t> bytes = row[3].AsBlob();
+      if (damage == 0) {
+        bytes.back() |= 0x80;  // the last freq now claims another byte
+      } else {
+        row[2] = Value::Integer(row[2].AsInteger() + 1);
+      }
+      row[3] = Value::Blob(bytes);
+      ASSERT_TRUE(
+          iot->MergeSorted(
+                 {key},
+                 [&row](size_t, const Row*) -> Result<std::optional<Row>> {
+                   return std::optional<Row>(row);
+                 },
+                 nullptr)
+              .ok());
+      EXPECT_FALSE(
+          conn.Execute("SELECT id FROM docs WHERE Contains(body, 'alpha')")
+              .ok());
+      EXPECT_FALSE(conn.Execute("INSERT INTO docs VALUES (4, 'alpha')").ok());
+      EXPECT_FALSE(conn.Execute("DELETE FROM docs WHERE id = 2").ok());
+    }
+  }
+}
+
+// A LOCAL index keeps each partition's rids, segment bits included, in
+// blocks of their own, and answers as the functional evaluation does.
+TEST(TextLocalBlockTest, LocalSlicesKeepSegmentBitsInTheirBlocks) {
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+  conn.MustExecute(
+      "CREATE TABLE docs (id INTEGER, body VARCHAR(64)) "
+      "PARTITION BY RANGE (id) (PARTITION d0 VALUES LESS THAN (1500), "
+      "PARTITION d1 VALUES LESS THAN (MAXVALUE))");
+  for (int id = 0; id < 3000; id += 100) {
+    std::string sql = "INSERT INTO docs VALUES ";
+    for (int i = id; i < id + 100; ++i) {
+      sql += std::string(i > id ? ", " : "") + "(" + std::to_string(i) +
+             ", 'all w" + std::to_string(i % 7) + "')";
+    }
+    conn.MustExecute(sql);
+  }
+  const std::string query =
+      "SELECT id FROM docs WHERE Contains(body, 'w3') ORDER BY id";
+  QueryResult functional = conn.MustExecute(query);
+  conn.MustExecute(
+      "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType");
+  QueryResult indexed = conn.MustExecute(query);
+  ASSERT_EQ(indexed.rows.size(), functional.rows.size());
+  for (size_t i = 0; i < indexed.rows.size(); ++i) {
+    ASSERT_EQ(indexed.rows[i][0].AsInteger(),
+              functional.rows[i][0].AsInteger());
+  }
+  std::set<uint32_t> segments;
+  size_t postings = 0;
+  for (const std::string& name : db.catalog().IotNames()) {
+    for (const Row& row : IotRows(db, name)) {
+      for (const auto& [rid, freq] : Decoded(row)) {
+        ASSERT_EQ(PostingBlock(rid), row[1].AsInteger());
+        segments.insert(HeapTable::SegmentOf(rid));
+        ++postings;
+      }
+    }
+  }
+  EXPECT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments.count(0), 0u);  // every rid is a partition's
+  EXPECT_EQ(postings, 3000u * 2u);
+}
+
+// Maintained blocks equal bulk-built ones byte for byte across several
+// blocks, after inserts, deletes and updates that re-encode them.
+TEST(TextBuildEquivalenceTest, BulkAndMaintainedBlocksAreByteIdentical) {
+  std::vector<Row> blocks[2];
+  for (int maintained = 0; maintained < 2; ++maintained) {
+    Database db;
+    Connection conn(&db);
+    ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+    conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(200))");
+    const std::string create =
+        "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType";
+    if (maintained) conn.MustExecute(create);
+    for (int id = 0; id < 2500; id += 100) {
+      std::string sql = "INSERT INTO docs VALUES ";
+      for (int i = id; i < id + 100; ++i) {
+        std::string body;
+        for (int w = 0; w < 3 + i % 5; ++w) {
+          body += "w" + std::to_string((i * 7 + w * w) % 40) + " ";
+        }
+        sql += std::string(i > id ? ", " : "") + "(" + std::to_string(i) +
+               ", '" + body + "')";
+      }
+      conn.MustExecute(sql);
+    }
+    conn.MustExecute("DELETE FROM docs WHERE id >= 1000 AND id < 1100");
+    conn.MustExecute("UPDATE docs SET body = 'w1 w1 w2 fresh' WHERE id < 30");
+    if (!maintained) conn.MustExecute(create);
+    blocks[maintained] = PostingBlockRows(db, "dtext");
+  }
+  ASSERT_GT(blocks[0].size(), 100u);
+  ExpectSameRows(blocks[1], blocks[0]);
 }
 
 }  // namespace
