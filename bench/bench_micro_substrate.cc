@@ -1,8 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate components the
-// experiments ride on: B+-tree, hash index, tokenizer, SQL parse+plan,
-// fingerprints, and ODCI dispatch.  Not tied to a paper table; used to
-// sanity-check that experiment-level differences are not substrate
-// artifacts.
+// experiments ride on: B+-tree, tokenizer, SQL parse+plan, fingerprints,
+// and ODCI dispatch.  Not tied to a paper table; used to sanity-check that
+// experiment-level differences are not substrate artifacts.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +11,6 @@
 #include "common/rng.h"
 #include "engine/connection.h"
 #include "index/bptree.h"
-#include "index/hash_index.h"
 #include "sql/parser.h"
 
 namespace {
@@ -48,21 +46,6 @@ void BM_BtreeLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BtreeLookup);
-
-void BM_HashLookup(benchmark::State& state) {
-  HashIndex index("bm");
-  Rng rng(42);
-  for (int64_t i = 0; i < 100000; ++i) {
-    index.Insert({Value::Integer(int64_t(i))}, RowId(i + 1));
-  }
-  for (auto _ : state) {
-    auto rids =
-        index.ScanEqual({Value::Integer(int64_t(rng.Next() % 100000))});
-    benchmark::DoNotOptimize(rids);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HashLookup);
 
 void BM_Tokenize(benchmark::State& state) {
   text::Tokenizer tokenizer;

@@ -19,7 +19,7 @@ cmake --build build -j "$JOBS"
 echo "==> tests"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-echo "==> docs-check (markdown links + V\$ schema golden + fail-point inventory + bench routine names)"
+echo "==> docs-check (markdown links + V\$ schema golden + fail-point inventory + bench routine names + source paths)"
 cmake --build build --target docs-check
 
 echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"

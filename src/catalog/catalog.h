@@ -12,7 +12,7 @@
 #include "core/indextype.h"
 #include "core/odci.h"
 #include "core/operator_registry.h"
-#include "index/builtin_index.h"
+#include "index/bptree.h"
 #include "index/iot.h"
 #include "storage/file_store.h"
 #include "storage/heap_table.h"
@@ -110,8 +110,8 @@ struct IndexInfo {
   std::string table;
   std::vector<std::string> columns;
 
-  // Built-in index: non-null access structure.
-  std::unique_ptr<BuiltinIndex> builtin;
+  // Built-in index: non-null B-tree.
+  std::unique_ptr<BTreeIndex> builtin;
 
   // Domain index: indextype name, uninterpreted PARAMETERS string, the
   // statistics instance, and the storage slices in partition order.

@@ -25,7 +25,7 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 // Joins pieces with `sep`.
 std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
 
-// 64-bit FNV-1a over bytes; used by the hash index and fingerprints.
+// 64-bit FNV-1a over bytes; used by Value::Hash and fingerprints.
 uint64_t Fnv1a64(std::string_view bytes);
 uint64_t Fnv1a64(const void* data, size_t len);
 

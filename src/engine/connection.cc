@@ -13,9 +13,7 @@
 #include "index/key.h"
 #include "exec/evaluator.h"
 #include "exec/expression.h"
-#include "index/bitmap_index.h"
 #include "index/bptree.h"
-#include "index/hash_index.h"
 #include "optimizer/stats.h"
 #include "sql/parser.h"
 
@@ -365,15 +363,7 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
     }
     info->columns.push_back(table->schema().column(c).name);
   }
-  if (stmt->method == "BTREE") {
-    info->builtin = std::make_unique<BTreeIndex>(stmt->index);
-  } else if (stmt->method == "HASH") {
-    info->builtin = std::make_unique<HashIndex>(stmt->index);
-  } else if (stmt->method == "BITMAP") {
-    info->builtin = std::make_unique<BitmapIndex>(stmt->index);
-  } else {
-    return Status::InvalidArgument("unknown index method: " + stmt->method);
-  }
+  info->builtin = std::make_unique<BTreeIndex>(stmt->index);
   // Backfill from existing rows.
   for (auto it = table->Scan(); it.Valid(); it.Next()) {
     EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,

@@ -69,7 +69,7 @@ const std::vector<SystemView>& SystemViews() {
                 idx->columns.empty() ? Value::Null()
                                      : Value::Varchar(idx->columns[0]),
                 Value::Varchar(idx->is_domain() ? idx->indextype
-                                                : idx->builtin->kind()),
+                                                : "BTREE"),
                 idx->parameters.empty() ? Value::Null()
                                         : Value::Varchar(idx->parameters)});
          }
@@ -298,7 +298,7 @@ Status Database::MaintainBuiltinOnInsert(const std::string& table_name,
     EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
                          KeyFor(*index, table->schema(), row));
     if (!key.has_value()) continue;
-    BuiltinIndex* bidx = index->builtin.get();
+    BTreeIndex* bidx = index->builtin.get();
     bidx->Insert(*key, rid);
     if (txn != nullptr) {
       CompositeKey k = *key;
@@ -317,7 +317,7 @@ Status Database::MaintainBuiltinOnDelete(const std::string& table_name,
     EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
                          KeyFor(*index, table->schema(), row));
     if (!key.has_value()) continue;
-    BuiltinIndex* bidx = index->builtin.get();
+    BTreeIndex* bidx = index->builtin.get();
     bidx->Delete(*key, rid);
     if (txn != nullptr) {
       CompositeKey k = *key;

@@ -409,7 +409,7 @@ std::vector<const ExecNode*> NestedLoopJoinNode::Children() const {
 
 IndexJoinNode::IndexJoinNode(std::unique_ptr<ExecNode> left,
                              const HeapTable* inner,
-                             const BuiltinIndex* inner_index,
+                             const BTreeIndex* inner_index,
                              const sql::Expr* key_expr)
     : left_(std::move(left)),
       inner_(inner),

@@ -249,7 +249,7 @@ class NestedLoopJoinNode : public ExecNode {
 class IndexJoinNode : public ExecNode {
  public:
   IndexJoinNode(std::unique_ptr<ExecNode> left, const HeapTable* inner,
-                const BuiltinIndex* inner_index, const sql::Expr* key_expr);
+                const BTreeIndex* inner_index, const sql::Expr* key_expr);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -260,7 +260,7 @@ class IndexJoinNode : public ExecNode {
  private:
   std::unique_ptr<ExecNode> left_;
   const HeapTable* inner_;
-  const BuiltinIndex* inner_index_;
+  const BTreeIndex* inner_index_;
   const sql::Expr* key_expr_;
   ExecRow left_row_;
   bool have_left_ = false;

@@ -31,7 +31,7 @@ std::vector<RowId> BTreeIndex::ScanEqual(const CompositeKey& key) const {
   return entry->value;
 }
 
-Result<std::vector<RowId>> BTreeIndex::ScanRange(
+std::vector<RowId> BTreeIndex::ScanRange(
     const std::optional<KeyBound>& lo,
     const std::optional<KeyBound>& hi) const {
   std::vector<RowId> out;
@@ -51,7 +51,7 @@ Result<std::vector<RowId>> BTreeIndex::ScanRange(
   return out;
 }
 
-Result<std::vector<RowId>> BTreeIndex::ScanLeadingPrefix(
+std::vector<RowId> BTreeIndex::ScanLeadingPrefix(
     const CompositeKey& prefix) const {
   std::vector<RowId> out;
   for (auto it = tree_.Seek(prefix); it.Valid(); it.Next()) {

@@ -25,10 +25,10 @@ struct CostModel {
             user_op_preds * kUserFuncEvalCost);
   }
 
-  // B-tree/hash/bitmap probe returning `matches` rows, then fetching them
-  // and evaluating residual predicates.
-  static double BuiltinIndexScan(double height, double matches,
-                                 int residual_builtin, int residual_user) {
+  // B-tree probe returning `matches` rows, then fetching them and
+  // evaluating residual predicates.
+  static double BTreeIndexScan(double height, double matches,
+                               int residual_builtin, int residual_user) {
     return height * kIndexNodeCost +
            matches * (kRowFetchCost + residual_builtin * kBuiltinPredCost +
                       residual_user * kUserFuncEvalCost);

@@ -132,6 +132,15 @@ Result<std::optional<ColumnComparison>> MatchColumnComparison(
     } else if (col_type.is_numeric() && bound.tag() == TypeTag::kBoolean) {
       bound = Value::Integer(bound.AsBoolean() ? 1 : 0);
     }
+    // A bound of another family is one Value::Compare rejects, while the
+    // index would order it across families and answer; leave the conjunct
+    // to the filter, which raises the evaluator's TypeMismatch.
+    const bool same_family =
+        col_type.is_numeric() ? DataType(bound.tag()).is_numeric()
+                              : bound.tag() == col_type.tag();
+    if (!bound.is_null() && !same_family) {
+      return std::optional<ColumnComparison>();
+    }
     cc.bound = std::move(bound);
   }
   return std::optional<ColumnComparison>(std::move(cc));
@@ -531,31 +540,27 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     for (IndexInfo* idx :
          catalog_->IndexesOnColumn(table.table_name, range.column_name)) {
       if (idx->is_domain()) continue;
-      if (!range.has_eq && !idx->builtin->SupportsRange()) continue;
       // A multi-column index can only answer a single-column predicate on
-      // its leading column as a key-prefix scan, which requires an ordered
-      // structure and an equality bound.
+      // its leading column as a key-prefix scan, which needs an equality
+      // bound.
       bool is_prefix_probe = idx->columns.size() > 1;
-      if (is_prefix_probe &&
-          (!range.has_eq || !idx->builtin->SupportsRange())) {
-        continue;
-      }
+      if (is_prefix_probe && !range.has_eq) continue;
       int nb;
       int nu;
       CountResidual(*conjuncts, range.conjuncts, &nb, &nu);
       double matches = sel * double(n);
       Candidate c;
-      c.cost = CostModel::BuiltinIndexScan(3.0, matches, nb, nu);
-      c.desc = std::string(idx->builtin->kind()) + "(" + idx->name +
-               ") on " + range.column_name + " sel=" + std::to_string(sel);
+      c.cost = CostModel::BTreeIndexScan(3.0, matches, nb, nu);
+      c.desc = "BTREE(" + idx->name + ") on " + range.column_name +
+               " sel=" + std::to_string(sel);
       c.consumed = range.conjuncts;
       ColumnRange r = range;
-      BuiltinIndex* bidx = idx->builtin.get();
+      const BTreeIndex* bidx = idx->builtin.get();
       c.build = [heap, bidx, r,
                  is_prefix_probe]() -> Result<std::unique_ptr<ExecNode>> {
         std::vector<RowId> rids;
         if (is_prefix_probe) {
-          EXI_ASSIGN_OR_RETURN(rids, bidx->ScanLeadingPrefix({r.eq}));
+          rids = bidx->ScanLeadingPrefix({r.eq});
         } else if (r.has_eq) {
           rids = bidx->ScanEqual({r.eq});
           // Residual bounds over an equality are unusual (e.g. v = 5 AND
@@ -574,11 +579,10 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
             if (!keep) rids.clear();
           }
         } else {
-          EXI_ASSIGN_OR_RETURN(rids, bidx->ScanRange(r.lo, r.hi));
+          rids = bidx->ScanRange(r.lo, r.hi);
         }
         return std::unique_ptr<ExecNode>(new RowIdListScanNode(
-            heap, std::move(rids),
-            std::string(bidx->kind()) + "Scan(" + bidx->name() + ")"));
+            heap, std::move(rids), "BTREEScan(" + bidx->name() + ")"));
       };
       candidates.push_back(std::move(c));
     }

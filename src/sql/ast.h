@@ -166,16 +166,15 @@ struct AlterTableStmt : Statement {
   PartitionSpec partition;
 };
 
-// CREATE INDEX name ON table(col)
-//   [USING BTREE|HASH|BITMAP]                      -- built-in access method
+// CREATE INDEX name ON table(col, ...)
+//   [USING BTREE]                                  -- the built-in B-tree
 //   [INDEXTYPE IS typ [PARAMETERS ('...')]]        -- domain index (§2.3)
 struct CreateIndexStmt : Statement {
   CreateIndexStmt() : Statement(StmtKind::kCreateIndex) {}
   std::string index;
   std::string table;
   std::vector<std::string> columns;
-  std::string method = "BTREE";  // built-in kind when no INDEXTYPE clause
-  std::string indextype;         // non-empty => domain index
+  std::string indextype;  // non-empty => domain index
   std::string parameters;
 };
 

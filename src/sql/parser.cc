@@ -356,9 +356,13 @@ Result<std::unique_ptr<Statement>> Parser::ParseCreateIndex() {
   }
   EXI_RETURN_IF_ERROR(ExpectOperator(")"));
   if (MatchKeyword("USING")) {
-    EXI_ASSIGN_OR_RETURN(std::string method,
-                         ExpectIdentifier("index method"));
-    stmt->method = ToUpper(method);
+    // The B-tree is the one built-in access method; any other is a domain
+    // index.
+    if (!MatchWord("BTREE")) {
+      return Error("unsupported index method '" + Peek().text +
+                   "': only BTREE is built in; declare other access "
+                   "methods with INDEXTYPE IS");
+    }
   } else if (MatchKeyword("INDEXTYPE")) {
     EXI_RETURN_IF_ERROR(ExpectKeyword("IS"));
     EXI_ASSIGN_OR_RETURN(stmt->indextype,

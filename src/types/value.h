@@ -119,7 +119,7 @@ class Value {
   // equals NULL, callers handle SQL ternary logic).
   bool Equals(const Value& other) const;
 
-  // Key for hashing (hash index, grouping).
+  // Key for hashing (ANALYZE's distinct-value counts).
   uint64_t Hash() const;
 
   std::string ToString() const;

@@ -51,8 +51,8 @@ TEST_P(BtreeOracleProperty, RangeScansMatchReference) {
     int64_t hi = lo + int64_t(rng.Uniform(100));
     bool lo_incl = rng.Uniform(2) == 0;
     bool hi_incl = rng.Uniform(2) == 0;
-    auto rids = *index.ScanRange(KeyBound{{Value::Integer(lo)}, lo_incl},
-                                 KeyBound{{Value::Integer(hi)}, hi_incl});
+    auto rids = index.ScanRange(KeyBound{{Value::Integer(lo)}, lo_incl},
+                                KeyBound{{Value::Integer(hi)}, hi_incl});
     std::multiset<RowId> got(rids.begin(), rids.end());
     std::multiset<RowId> expected;
     for (const auto& [k, rid] : oracle) {

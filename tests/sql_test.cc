@@ -63,14 +63,25 @@ TEST(ParserTest, CreateDomainIndexLikeThePaper) {
 }
 
 TEST(ParserTest, CreateBuiltinIndexVariants) {
-  auto hash_stmt = *Parse("CREATE INDEX i ON t(a, b) USING HASH");
-  auto* ci = static_cast<CreateIndexStmt*>(hash_stmt.get());
-  EXPECT_EQ(ci->method, "HASH");
+  auto btree_stmt = *Parse("CREATE INDEX i ON t(a, b) USING BTREE");
+  auto* ci = static_cast<CreateIndexStmt*>(btree_stmt.get());
   EXPECT_EQ(ci->columns.size(), 2u);
   EXPECT_TRUE(ci->indextype.empty());
   auto plain_stmt = *Parse("CREATE INDEX i ON t(a)");
   ci = static_cast<CreateIndexStmt*>(plain_stmt.get());
-  EXPECT_EQ(ci->method, "BTREE");
+  EXPECT_EQ(ci->columns.size(), 1u);
+  EXPECT_TRUE(ci->indextype.empty());
+  // The B-tree is the only built-in method; any other names itself in a
+  // ParseError that points to INDEXTYPE IS.
+  for (const char* method : {"HASH", "BITMAP", "FOO"}) {
+    auto bad = Parse(std::string("CREATE INDEX i ON t(a) USING ") + method);
+    ASSERT_FALSE(bad.ok()) << method;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << method;
+    EXPECT_NE(bad.status().message().find(method), std::string::npos)
+        << bad.status().ToString();
+    EXPECT_NE(bad.status().message().find("INDEXTYPE IS"), std::string::npos)
+        << bad.status().ToString();
+  }
 }
 
 TEST(ParserTest, CreateOperatorWithSchemaPrefix) {

@@ -13,6 +13,9 @@
 //  4. Every "routine" of an `odci_calls` entry in a committed BENCH_*.json
 //     at the repo root must appear as a string literal under src/, so a
 //     renamed or deleted ODCI routine cannot linger in committed results.
+//  5. Every backticked src/, tests/, bench/, tools/ or examples/ path in
+//     README.md, DESIGN.md, EXPERIMENTS.md and docs/ must exist (ROADMAP.md
+//     and CHANGES.md record history and are not checked).
 //
 // Usage: docs_check <repo_root>
 // Exit 0 = clean; 1 = findings (each printed on its own line).
@@ -315,6 +318,42 @@ int CheckBenchRoutines(const fs::path& root, const std::string& source) {
   return findings;
 }
 
+// The repo source path an inline code span names, cut at the first space
+// or ':' (a line number); empty for any other span and for globs.
+std::string SourcePath(std::string span) {
+  span = span.substr(0, span.find_first_of(" :"));
+  if (span.find_first_of("*?{<") != std::string::npos) return "";
+  for (const char* dir : {"src/", "tests/", "bench/", "tools/", "examples/"}) {
+    if (span.rfind(dir, 0) == 0) return span;
+  }
+  return "";
+}
+
+int CheckSourcePaths(const fs::path& root) {
+  std::vector<fs::path> docs = {root / "README.md", root / "DESIGN.md",
+                                root / "EXPERIMENTS.md"};
+  for (const fs::path& md : MarkdownFiles(root / "docs")) docs.push_back(md);
+  int findings = 0;
+  for (const fs::path& md : docs) {
+    std::ifstream in(md);
+    std::string line;
+    for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+      for (size_t open = line.find('`'), close;
+           open != std::string::npos &&
+           (close = line.find('`', open + 1)) != std::string::npos;
+           open = line.find('`', close + 1)) {
+        std::string path = SourcePath(line.substr(open + 1, close - open - 1));
+        if (path.empty() || fs::exists(root / path)) continue;
+        std::printf("%s:%zu: no such source path: %s\n",
+                    fs::relative(md, root).string().c_str(), lineno,
+                    path.c_str());
+        ++findings;
+      }
+    }
+  }
+  return findings;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -326,7 +365,7 @@ int main(int argc, char** argv) {
   const std::string source = SourceText(root);
   int findings = CheckLinks(root) + CheckVdollarGolden(root) +
                  CheckSiteInventory(root, source) +
-                 CheckBenchRoutines(root, source);
+                 CheckBenchRoutines(root, source) + CheckSourcePaths(root);
   if (findings == 0) {
     std::printf("docs-check: OK\n");
     return 0;
