@@ -91,7 +91,7 @@ if [[ "${1:-}" != "quick" ]]; then
   # The suites run under TSan.
   tsan_suites=(concurrency_test observability_test storage_fastpath_test
                partition_test fault_sweep_test precomputed_cursor_test
-               operator_forms_test)
+               operator_forms_test join_order_test)
   echo "==> TSan: ${tsan_suites[*]}"
   cmake -B build-tsan -S . -DEXTIDX_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"

@@ -8,6 +8,23 @@ using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprKind;
 
+std::optional<Value> Evaluator::CoerceKey(const DataType& column,
+                                          const Value& v) {
+  if (v.is_null()) return v;
+  const DataType type(v.tag());
+  if (column.tag() == TypeTag::kBoolean && type.is_numeric()) {
+    if (v.AsDouble() != 0.0 && v.AsDouble() != 1.0) return std::nullopt;
+    return Value::Boolean(v.AsDouble() == 1.0);
+  }
+  if (column.is_numeric() && type.tag() == TypeTag::kBoolean) {
+    return Value::Integer(v.AsBoolean() ? 1 : 0);
+  }
+  if (column.is_numeric() ? type.is_numeric() : type.tag() == column.tag()) {
+    return v;
+  }
+  return std::nullopt;
+}
+
 bool Evaluator::IsTruthy(const Value& v) {
   switch (v.tag()) {
     case TypeTag::kBoolean:

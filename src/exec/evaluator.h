@@ -1,6 +1,7 @@
 #ifndef EXTIDX_EXEC_EVALUATOR_H_
 #define EXTIDX_EXEC_EVALUATOR_H_
 
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -31,6 +32,15 @@ class Evaluator {
   // (Boolean TRUE, or a nonzero number — the paper's Contains(...)=1 form).
   static Result<bool> EvalPredicate(const sql::Expr& expr, const Row& row,
                                     const Value* ancillary = nullptr);
+
+  // `v` as an index key on a column of type `column`, so that an index
+  // lookup answers `column relop v` as the comparison does: a BOOLEAN
+  // becomes the INTEGER 0 or 1, and a number becomes a BOOLEAN only when it
+  // is 0 or 1.  nullopt when no key stands for `v`: another type family
+  // (which `=` never matches and an ordering comparison rejects), or a
+  // number other than 0 or 1 against a BOOLEAN column.  NULL stays NULL.
+  static std::optional<Value> CoerceKey(const DataType& column,
+                                        const Value& v);
 
   // Shared truthiness rule for operator return values.
   static bool IsTruthy(const Value& v);

@@ -40,21 +40,17 @@ int64_t NowUs() {
       .count();
 }
 
-// One slice's full ODCIIndexStart/Fetch*/Close cycle, appending its rows to
-// `out` (ancillary values padded with NULL to one per row).  Runs each
-// slice of a DomainIndexJoinNode probe.
+// One slice's full ODCIIndexStart/Fetch*/Close cycle, appending its rowids
+// to `out`.  Runs each slice of a ProbeJoinNode's domain-index probe.
 Status DrainSlice(DomainIndexManager* manager, const std::string& index,
                   const OdciPredInfo& pred, uint32_t segment,
-                  size_t batch_size, OdciFetchBatch* out) {
+                  size_t batch_size, std::vector<RowId>* out) {
   EXI_ASSIGN_OR_RETURN(auto scan, manager->StartScan(index, pred, segment));
   OdciFetchBatch b;
   while (true) {
     EXI_RETURN_IF_ERROR(scan->NextBatch(batch_size, &b));
     if (b.end_of_scan()) break;
-    out->rids.insert(out->rids.end(), b.rids.begin(), b.rids.end());
-    out->ancillary.insert(out->ancillary.end(), b.ancillary.begin(),
-                          b.ancillary.end());
-    out->ancillary.resize(out->rids.size(), Value::Null());
+    out->insert(out->end(), b.rids.begin(), b.rids.end());
   }
   return scan->Close();
 }
@@ -288,20 +284,26 @@ std::string DomainIndexScanNode::Describe() const {
 // ---- FilterNode ----
 
 FilterNode::FilterNode(std::unique_ptr<ExecNode> child,
-                       const sql::Expr* predicate)
-    : child_(std::move(child)), predicate_(predicate) {}
+                       const sql::Expr* predicate, size_t slot_offset)
+    : child_(std::move(child)),
+      predicate_(predicate),
+      slot_offset_(slot_offset) {}
 
 Status FilterNode::OpenImpl() { return child_->Open(); }
 
 Result<bool> FilterNode::NextImpl(ExecRow* out) {
+  Row& row = out->values;
   while (true) {
     EXI_ASSIGN_OR_RETURN(bool have, child_->Next(out));
     if (!have) return false;
-    EXI_ASSIGN_OR_RETURN(
-        bool pass,
-        Evaluator::EvalPredicate(*predicate_, out->values,
-                                 &out->ancillary));
-    if (pass) return true;
+    // The evaluator reads row[slot]: shift the row to its FROM slots for the
+    // predicate, and back.
+    row.insert(row.begin(), slot_offset_, Value::Null());
+    Result<bool> pass =
+        Evaluator::EvalPredicate(*predicate_, row, &out->ancillary);
+    row.erase(row.begin(), row.begin() + slot_offset_);
+    if (!pass.ok()) return pass.status();
+    if (*pass) return true;
   }
 }
 
@@ -405,142 +407,102 @@ std::vector<const ExecNode*> NestedLoopJoinNode::Children() const {
   return {left_.get(), right_.get()};
 }
 
-// ---- IndexJoinNode ----
+// ---- ProbeJoinNode ----
 
-IndexJoinNode::IndexJoinNode(std::unique_ptr<ExecNode> left,
-                             const HeapTable* inner,
-                             const BTreeIndex* inner_index,
-                             const sql::Expr* key_expr)
-    : left_(std::move(left)),
-      inner_(inner),
-      inner_index_(inner_index),
-      key_expr_(key_expr) {}
-
-Status IndexJoinNode::OpenImpl() {
-  EXI_RETURN_IF_ERROR(left_->Open());
-  have_left_ = false;
-  matches_.clear();
-  match_pos_ = 0;
-  return Status::OK();
-}
-
-Result<bool> IndexJoinNode::NextImpl(ExecRow* out) {
-  while (true) {
-    if (!have_left_) {
-      EXI_ASSIGN_OR_RETURN(bool have, left_->Next(&left_row_));
-      if (!have) return false;
-      have_left_ = true;
-      EXI_ASSIGN_OR_RETURN(Value key,
-                           Evaluator::Eval(*key_expr_, left_row_.values));
-      matches_ = key.is_null() ? std::vector<RowId>{}
-                               : inner_index_->ScanEqual({key});
-      match_pos_ = 0;
-    }
-    while (match_pos_ < matches_.size()) {
-      RowId rid = matches_[match_pos_++];
-      Result<Row> row = inner_->Get(rid);
-      if (!row.ok()) continue;
-      out->values = left_row_.values;
-      out->values.insert(out->values.end(), row->begin(), row->end());
-      out->rid = kInvalidRowId;
-      out->ancillary = Value::Null();
-      return true;
-    }
-    have_left_ = false;
-  }
-}
-
-Status IndexJoinNode::CloseImpl() { return left_->Close(); }
-
-std::string IndexJoinNode::Describe() const {
-  return "IndexJoin(inner=" + inner_->name() + " via " +
-         inner_index_->name() + ", key=" + key_expr_->ToString() + ")";
-}
-
-std::vector<const ExecNode*> IndexJoinNode::Children() const {
-  return {left_.get()};
-}
-
-// ---- DomainIndexJoinNode ----
-
-DomainIndexJoinNode::DomainIndexJoinNode(
-    std::unique_ptr<ExecNode> outer, size_t outer_offset, size_t outer_width,
-    DomainIndexManager* manager, const HeapTable* inner, size_t inner_offset,
-    size_t inner_width, std::string index_name,
-    std::vector<uint32_t> inner_slices, OdciPredInfo pred,
-    std::vector<const sql::Expr*> arg_exprs, size_t batch_size,
-    size_t parallelism)
+ProbeJoinNode::ProbeJoinNode(std::unique_ptr<ExecNode> outer,
+                             size_t outer_offset, size_t outer_width,
+                             const HeapTable* inner, size_t inner_offset,
+                             size_t inner_width, JoinProbe probe,
+                             size_t parallelism)
     : outer_(std::move(outer)),
       outer_offset_(outer_offset),
       outer_width_(outer_width),
-      manager_(manager),
       inner_(inner),
       inner_offset_(inner_offset),
       inner_width_(inner_width),
-      index_name_(std::move(index_name)),
-      inner_slices_(std::move(inner_slices)),
-      pred_(std::move(pred)),
-      arg_exprs_(std::move(arg_exprs)),
-      batch_size_(batch_size),
+      probe_(std::move(probe)),
       parallelism_(parallelism ? parallelism : 1) {}
 
-bool DomainIndexJoinNode::parallel_enabled() const {
-  return parallelism_ > 1 && manager_->ScanIsParallelSafe(index_name_);
+bool ProbeJoinNode::parallel_enabled() const {
+  return probe_.btree == nullptr && parallelism_ > 1 &&
+         probe_.manager->ScanIsParallelSafe(probe_.index);
 }
 
-Status DomainIndexJoinNode::OpenImpl() {
+Status ProbeJoinNode::OpenImpl() {
   EXI_RETURN_IF_ERROR(outer_->Open());
   window_limit_ = parallel_enabled() ? parallelism_ * 2 : 1;
   outer_done_ = false;
   window_.clear();
-  probe_ = OdciFetchBatch();
-  probe_pos_ = 0;
+  matches_.clear();
+  match_pos_ = 0;
   if (window_limit_ > 1) ThreadPool::Global().EnsureWorkerCount(parallelism_);
   return Status::OK();
 }
 
-Result<bool> DomainIndexJoinNode::EnqueueProbe() {
-  ExecRow outer_row;
-  EXI_ASSIGN_OR_RETURN(bool have, outer_->Next(&outer_row));
+Result<bool> ProbeJoinNode::EnqueueProbe() {
+  EXI_ASSIGN_OR_RETURN(bool have, outer_->Next(&outer_row_));
   if (!have) return false;
-  PendingProbe probe;
+  PendingProbe& probe = window_.emplace_back();
   probe.padded.assign(outer_width_ + inner_width_, Value::Null());
-  for (size_t i = 0; i < outer_row.values.size(); ++i) {
-    probe.padded[outer_offset_ + i] = std::move(outer_row.values[i]);
+  for (size_t i = 0; i < outer_row_.values.size(); ++i) {
+    probe.padded[outer_offset_ + i] = std::move(outer_row_.values[i]);
   }
-  // Argument expressions are evaluated here, on the consumer thread; only
-  // the cartridge probe itself (Start/Fetch*/Close) may run on the pool.
-  OdciPredInfo pred = pred_;
-  for (const sql::Expr* e : arg_exprs_) {
+  // Probe arguments are evaluated here, on the consumer thread; only the
+  // cartridge probe itself (Start/Fetch*/Close) may run on the pool.
+  if (probe_.btree != nullptr) {
+    EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*probe_.key, probe.padded));
+    // A key of another family, or a number other than 0 or 1 against a
+    // BOOLEAN column, equals no row.
+    std::optional<Value> key = Evaluator::CoerceKey(probe_.key_type, v);
+    if (key.has_value() && !key->is_null()) {
+      probe.matches = probe_.btree->ScanEqual({*key});
+    }
+    return true;
+  }
+  OdciPredInfo pred = probe_.pred;
+  bool null_arg = false;
+  for (const sql::Expr* e : probe_.args) {
     EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*e, probe.padded));
+    null_arg = null_arg || v.is_null();
     pred.args.push_back(std::move(v));
   }
-  auto run = [manager = manager_, index = index_name_, pred = std::move(pred),
-              slices = inner_slices_,
-              n = batch_size_]() -> Result<OdciFetchBatch> {
-    OdciFetchBatch all;
+  if (null_arg) {
+    // The operator's functional answer, as a nested loop would give it.
+    std::vector<RowId> rids;
+    Row joined = probe.padded;
+    for (auto it = inner_->Scan(); it.Valid(); it.Next()) {
+      std::copy(it.row().begin(), it.row().end(),
+                joined.begin() + inner_offset_);
+      EXI_ASSIGN_OR_RETURN(bool keep,
+                           Evaluator::EvalPredicate(*probe_.conjunct, joined));
+      if (keep) rids.push_back(it.row_id());
+    }
+    probe.matches = std::move(rids);
+    return true;
+  }
+  auto run = [manager = probe_.manager, index = probe_.index,
+              pred = std::move(pred), slices = probe_.slices,
+              n = probe_.batch_size]() -> Result<std::vector<RowId>> {
+    std::vector<RowId> all;
     for (uint32_t segment : slices) {
       EXI_RETURN_IF_ERROR(DrainSlice(manager, index, pred, segment, n, &all));
     }
     return all;
   };
+  // A window of 1 probes inline on the consumer thread, so a cartridge
+  // without parallel_scan never runs on a pool worker.
   if (window_limit_ > 1) {
-    probe.result = ThreadPool::Global().Submit(std::move(run));
+    probe.task = ThreadPool::Global().Submit(std::move(run));
   } else {
-    // A window of 1 probes inline on the consumer thread, so a cartridge
-    // without parallel_scan never runs on a pool worker.
-    std::promise<Result<OdciFetchBatch>> done;
-    done.set_value(run());
-    probe.result = done.get_future();
+    probe.matches = run();
   }
-  window_.push_back(std::move(probe));
   return true;
 }
 
-Result<bool> DomainIndexJoinNode::NextImpl(ExecRow* out) {
+Result<bool> ProbeJoinNode::NextImpl(ExecRow* out) {
   while (true) {
-    if (probe_pos_ < probe_.rids.size()) {
-      RowId rid = probe_.rids[probe_pos_++];
+    if (match_pos_ < matches_.size()) {
+      RowId rid = matches_[match_pos_++];
       Result<Row> inner_row = inner_->Get(rid);
       if (!inner_row.ok()) continue;  // stale rowid
       out->values = padded_;
@@ -558,32 +520,40 @@ Result<bool> DomainIndexJoinNode::NextImpl(ExecRow* out) {
       if (!have) outer_done_ = true;
     }
     if (window_.empty()) return false;
-    PendingProbe probe = std::move(window_.front());
+    PendingProbe& front = window_.front();
+    if (front.task.valid()) front.matches = front.task.get();
+    if (!front.matches.ok()) return front.matches.status();
+    matches_ = std::move(*front.matches);
+    match_pos_ = 0;
+    padded_ = std::move(front.padded);
     window_.pop_front();
-    EXI_ASSIGN_OR_RETURN(probe_, probe.result.get());
-    probe_pos_ = 0;
-    padded_ = std::move(probe.padded);
   }
 }
 
-Status DomainIndexJoinNode::CloseImpl() {
+Status ProbeJoinNode::CloseImpl() {
   // Join outstanding probes before tearing anything down; each probe closes
   // its own scans.
-  for (PendingProbe& probe : window_) (void)probe.result.get();
+  for (PendingProbe& probe : window_) {
+    if (probe.task.valid()) (void)probe.task.get();
+  }
   window_.clear();
   return outer_->Close();
 }
 
-std::string DomainIndexJoinNode::Describe() const {
+std::string ProbeJoinNode::Describe() const {
+  if (probe_.btree != nullptr) {
+    return "IndexJoin(inner=" + inner_->name() + " via " +
+           probe_.btree->name() + ", key=" + probe_.key->ToString() + ")";
+  }
   std::string desc = "DomainIndexJoin(inner=" + inner_->name() + " via " +
-                     index_name_ + ", op=" + pred_.operator_name;
+                     probe_.index + ", op=" + probe_.pred.operator_name;
   if (parallel_enabled()) {
     desc += ", parallel=" + std::to_string(parallelism_);
   }
   return desc + ")";
 }
 
-std::vector<const ExecNode*> DomainIndexJoinNode::Children() const {
+std::vector<const ExecNode*> ProbeJoinNode::Children() const {
   return {outer_.get()};
 }
 

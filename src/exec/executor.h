@@ -91,17 +91,12 @@ std::string DescribePlanWithStats(const ExecNode& root);
 // The heap segments a scan reads, in order, and the static partition
 // pruning that chose them (DESIGN.md §7).  An unpartitioned table is the
 // one-segment case {0}.  `partitions` is the partition count before
-// pruning, or 0 when the scan is not partition-aware (an unpartitioned
-// table, or a join input reading every segment): such a scan moves no
-// partition counters and keeps its plain EXPLAIN name.
+// pruning, or 0 for an unpartitioned table: such a scan moves no partition
+// counters and keeps its plain EXPLAIN name.
 struct SegmentList {
   std::vector<uint32_t> segments;
   size_t partitions = 0;
 
-  // Every segment of `table`, not partition-aware.
-  static SegmentList All(const HeapTable& table) {
-    return SegmentList{table.SegmentIds(), 0};
-  }
   size_t pruned() const { return partitions - segments.size(); }
   // Bumps partitions_scanned / partitions_pruned for a partition-aware scan.
   void CountScan() const;
@@ -189,9 +184,14 @@ class DomainIndexScanNode : public ExecNode {
 
 // ---- relational operators ----
 
+// Passes the child's rows that satisfy `predicate`.  The predicate is bound
+// to FROM-wide slots; `slot_offset` is the FROM slot of the child's first
+// column, non-zero when the child is the access node of a later FROM table
+// (whose rows are table-width).
 class FilterNode : public ExecNode {
  public:
-  FilterNode(std::unique_ptr<ExecNode> child, const sql::Expr* predicate);
+  FilterNode(std::unique_ptr<ExecNode> child, const sql::Expr* predicate,
+             size_t slot_offset = 0);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -202,6 +202,7 @@ class FilterNode : public ExecNode {
  private:
   std::unique_ptr<ExecNode> child_;
   const sql::Expr* predicate_;
+  size_t slot_offset_;
 };
 
 class ProjectNode : public ExecNode {
@@ -222,7 +223,8 @@ class ProjectNode : public ExecNode {
 
 // Block nested-loop join: materializes the right input at Open, then emits
 // left x right concatenations (the join predicate lives in a FilterNode
-// above).
+// above).  The right input is the next FROM table, so the concatenation is
+// in FROM order.
 class NestedLoopJoinNode : public ExecNode {
  public:
   NestedLoopJoinNode(std::unique_ptr<ExecNode> left,
@@ -243,61 +245,54 @@ class NestedLoopJoinNode : public ExecNode {
   size_t right_pos_ = 0;
 };
 
-// Index nested-loop join: for each left row, evaluates `key_expr` and
-// probes a built-in index on the inner table, concatenating matching inner
-// rows.
-class IndexJoinNode : public ExecNode {
- public:
-  IndexJoinNode(std::unique_ptr<ExecNode> left, const HeapTable* inner,
-                const BTreeIndex* inner_index, const sql::Expr* key_expr);
+// What a ProbeJoinNode looks up in the inner table for one outer row.
+struct JoinProbe {
+  // A domain-index probe (the paper's spatial layer join, §3.2.2): a copy
+  // of `pred` (the planner's matched operator and normalized bounds, no
+  // arguments) carrying the outer row's values of `args` as its arguments,
+  // run as one ODCIIndexStart/Fetch*/Close cycle per slice of `index` (the
+  // heap segments in `slices`, in slice order; {0} for a global index),
+  // results concatenated in slice order.  E.g. Sdo_Relate(parks.geometry,
+  // roads.geometry, 'mask=OVERLAPS') probes the parks index per roads row.
+  // An outer row with a NULL argument is not handed to the cartridge: its
+  // matches are the inner rows for which `conjunct`, the join conjunct the
+  // probe answers, evaluates true functionally.
+  DomainIndexManager* manager = nullptr;
+  std::string index;
+  std::vector<uint32_t> slices;
+  OdciPredInfo pred;
+  std::vector<const sql::Expr*> args;
+  const sql::Expr* conjunct = nullptr;
+  size_t batch_size = 64;
 
-  Status OpenImpl() override;
-  Result<bool> NextImpl(ExecRow* out) override;
-  Status CloseImpl() override;
-  std::string Describe() const override;
-  std::vector<const ExecNode*> Children() const override;
-
- private:
-  std::unique_ptr<ExecNode> left_;
-  const HeapTable* inner_;
-  const BTreeIndex* inner_index_;
-  const sql::Expr* key_expr_;
-  ExecRow left_row_;
-  bool have_left_ = false;
-  std::vector<RowId> matches_;
-  size_t match_pos_ = 0;
+  // A B-tree equality probe, when `btree` is set: ScanEqual on the outer
+  // row's value of `key`, coerced to the indexed column's `key_type`
+  // (Evaluator::CoerceKey, as the planner coerces a constant bound).
+  const BTreeIndex* btree = nullptr;
+  const sql::Expr* key = nullptr;
+  DataType key_type;
 };
 
-// Domain-index nested-loop join (the paper's spatial layer join, §3.2.2):
-// for each outer row, re-executes a domain-index scan on the inner table's
-// index with a copy of `pred` (the planner's matched operator and
-// normalized bounds, no arguments) carrying that row's values of
-// `arg_exprs` as its arguments — e.g. Sdo_Relate(parks.geometry,
-// roads.geometry, 'mask=OVERLAPS') probes the parks index once per roads
-// row.
+// Index nested-loop join: for each outer row, looks up the matching inner
+// rows through `probe` and emits one joined row per match.
 //
 // Output rows are full-width in FROM order regardless of which side drives:
 // outer values land at `outer_offset`, inner values at `inner_offset`.
 //
-// A probe is one ODCIIndexStart/Fetch*/Close cycle per inner slice (the
-// heap segments in `inner_slices`, in slice order; {0} for a global index),
-// results concatenated in slice order.  The node keeps one ordered window
-// of probes: outer rows are drafted (and their operator arguments
-// evaluated, on the consumer thread — a registered function is not
-// assumed safe for concurrent use) and merged strictly in outer order.
-// The window holds 2 x `parallelism` probes running as pool tasks when
-// the inner cartridge declares parallel_scan, and 1 otherwise — the
-// serial case, where the probe runs inline on the consumer thread.  Join
-// probes are not partition-aware: they move no partition counters.
-class DomainIndexJoinNode : public ExecNode {
+// The node keeps one ordered window of probes: outer rows are drafted (and
+// their probe arguments evaluated, on the consumer thread — a registered
+// function is not assumed safe for concurrent use) and merged strictly in
+// outer order.  The window holds 2 x `parallelism` probes running as pool
+// tasks for a domain-index probe whose cartridge declares parallel_scan,
+// and 1 otherwise — the serial case, where the probe runs inline on the
+// consumer thread.  Join probes are not partition-aware: they move no
+// partition counters.
+class ProbeJoinNode : public ExecNode {
  public:
-  DomainIndexJoinNode(std::unique_ptr<ExecNode> outer, size_t outer_offset,
-                      size_t outer_width, DomainIndexManager* manager,
-                      const HeapTable* inner, size_t inner_offset,
-                      size_t inner_width, std::string index_name,
-                      std::vector<uint32_t> inner_slices, OdciPredInfo pred,
-                      std::vector<const sql::Expr*> arg_exprs,
-                      size_t batch_size = 64, size_t parallelism = 1);
+  ProbeJoinNode(std::unique_ptr<ExecNode> outer, size_t outer_offset,
+                size_t outer_width, const HeapTable* inner,
+                size_t inner_offset, size_t inner_width, JoinProbe probe,
+                size_t parallelism = 1);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -314,28 +309,26 @@ class DomainIndexJoinNode : public ExecNode {
   std::unique_ptr<ExecNode> outer_;
   size_t outer_offset_;
   size_t outer_width_;
-  DomainIndexManager* manager_;
   const HeapTable* inner_;
   size_t inner_offset_;
   size_t inner_width_;
-  std::string index_name_;
-  std::vector<uint32_t> inner_slices_;
-  OdciPredInfo pred_;
-  std::vector<const sql::Expr*> arg_exprs_;
-  size_t batch_size_;
+  JoinProbe probe_;
   size_t parallelism_;
 
   // The probe window.  FIFO pops preserve outer order.
   struct PendingProbe {
     Row padded;  // full-width row with this probe's outer values installed
-    std::future<Result<OdciFetchBatch>> result;
+    // The matches of an inline probe, or the pool task computing them.
+    Result<std::vector<RowId>> matches = std::vector<RowId>();
+    std::future<Result<std::vector<RowId>>> task;
   };
   size_t window_limit_ = 1;
   bool outer_done_ = false;
   std::deque<PendingProbe> window_;
+  ExecRow outer_row_;  // the outer input's current row, reused
   Row padded_;  // the merged probe's padded row
-  OdciFetchBatch probe_;
-  size_t probe_pos_ = 0;
+  std::vector<RowId> matches_;
+  size_t match_pos_ = 0;
 };
 
 class SortNode : public ExecNode {

@@ -40,6 +40,18 @@ bool RefsOnlyRange(const Expr& e, size_t lo, size_t hi) {
   return true;
 }
 
+// Whether `e` calls Score().
+bool CallsScore(const Expr& e) {
+  if (e.kind == ExprKind::kFunctionCall &&
+      e.call == sql::CallKind::kScore) {
+    return true;
+  }
+  for (const auto& c : e.children) {
+    if (CallsScore(*c)) return true;
+  }
+  return false;
+}
+
 // Whether `e` can be the value side of a matched predicate: no aggregate or
 // `*`, and column references only in slots [lo, hi).  An empty range admits
 // constants only, which the matchers fold at plan time.
@@ -47,8 +59,6 @@ bool IsOperand(const Expr& e, size_t lo, size_t hi) {
   return e.kind != ExprKind::kAggregate && e.kind != ExprKind::kStar &&
          RefsOnlyRange(e, lo, hi);
 }
-
-bool IsConstant(const Expr& e) { return IsOperand(e, 0, 0); }
 
 // A plain (non-attribute) reference to a column of `table`.
 bool IsColumnOf(const Expr& e, const BoundTable& table) {
@@ -101,8 +111,8 @@ std::optional<Comparison> SplitComparison(Expr* e, IsKey is_key, size_t lo,
 }
 
 // `col relop operand` on a column of one table, where the operand references
-// only slots [lo, hi): constants for an access path, earlier tables for an
-// index join.
+// only slots [lo, hi): constants for an access path, the outer side for a
+// join probe.
 struct ColumnComparison {
   int local_column;  // index within the table schema
   std::string column_name;
@@ -123,25 +133,13 @@ Result<std::optional<ColumnComparison>> MatchColumnComparison(
   cc.operand = cmp->operand;
   if (lo == hi) {
     EXI_ASSIGN_OR_RETURN(Value bound, Evaluator::Eval(*cc.operand, {}));
-    // Coerce boolean/numeric bounds to the column's family so index keys
-    // match (mirrors the evaluator's comparison coercion).
-    const DataType& col_type = table.schema->column(cc.local_column).type;
-    if (col_type.tag() == TypeTag::kBoolean &&
-        DataType(bound.tag()).is_numeric()) {
-      bound = Value::Boolean(bound.AsDouble() != 0.0);
-    } else if (col_type.is_numeric() && bound.tag() == TypeTag::kBoolean) {
-      bound = Value::Integer(bound.AsBoolean() ? 1 : 0);
-    }
-    // A bound of another family is one Value::Compare rejects, while the
-    // index would order it across families and answer; leave the conjunct
-    // to the filter, which raises the evaluator's TypeMismatch.
-    const bool same_family =
-        col_type.is_numeric() ? DataType(bound.tag()).is_numeric()
-                              : bound.tag() == col_type.tag();
-    if (!bound.is_null() && !same_family) {
-      return std::optional<ColumnComparison>();
-    }
-    cc.bound = std::move(bound);
+    // A bound no index key stands for is one the evaluator compares
+    // otherwise than the index would (or rejects with TypeMismatch); leave
+    // the conjunct to the filter.
+    std::optional<Value> key = Evaluator::CoerceKey(
+        table.schema->column(cc.local_column).type, bound);
+    if (!key.has_value()) return std::optional<ColumnComparison>();
+    cc.bound = std::move(*key);
   }
   return std::optional<ColumnComparison>(std::move(cc));
 }
@@ -221,7 +219,7 @@ bool InReturnFamily(const DataType& ret, const std::optional<Value>& bound) {
 // The one matcher from conjunct to OdciPredInfo.  `e` is `op(col, args...)`
 // bare or compared with a constant, `col` a column of `table`, and every
 // other argument references only slots [lo, hi): constants for an access
-// path, the outer table for a join probe.  A bare call reads as
+// path, the outer side for a join probe.  A bare call reads as
 // `op(...) = TRUE` (paper footnote 1).  A BOOLEAN operator matches when the
 // bounds select its TRUE rows, and reaches the cartridge as `= TRUE`; any
 // other operator matches when both bounds are of its return-type family.
@@ -270,6 +268,9 @@ Result<std::optional<DomainOpMatch>> MatchDomainOp(Expr* e,
     m.args.push_back(&arg);
     if (lo == hi) {
       EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(arg, {}));
+      // A NULL argument is not handed to the cartridge; the conjunct is
+      // evaluated functionally.
+      if (v.is_null()) return std::optional<DomainOpMatch>();
       pred.args.push_back(std::move(v));
     }
   }
@@ -452,13 +453,13 @@ Result<Planner::TableEnv> Planner::ResolveFrom(const SelectStmt& stmt) {
     env.tables.push_back(std::move(bt));
     env.heaps.push_back(heap);
   }
-  env.total_width = offset;
   return env;
 }
 
 Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     const BoundTable& table, const HeapTable* heap,
-    std::vector<Expr*>* conjuncts, std::string* explain) {
+    const std::vector<Expr*>& conjuncts, std::string* explain,
+    bool* indexed) {
   EXI_ASSIGN_OR_RETURN(TableInfo * tinfo,
                        catalog_->GetTableInfo(table.table_name));
   const TableStats& stats = tinfo->stats;
@@ -475,9 +476,9 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
   // Accumulate comparison conjuncts into per-column ranges so that
   // `v >= a AND v <= b` becomes one bounded scan.
   std::map<int, ColumnRange> ranges;
-  for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
+  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     EXI_ASSIGN_OR_RETURN(std::optional<ColumnComparison> cc,
-                         MatchColumnComparison((*conjuncts)[ci], table, 0, 0));
+                         MatchColumnComparison(conjuncts[ci], table, 0, 0));
     if (cc.has_value()) ranges[cc->local_column].Absorb(int(ci), *cc);
   }
 
@@ -507,7 +508,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
   {
     int nb;
     int nu;
-    CountResidual(*conjuncts, {}, &nb, &nu);
+    CountResidual(conjuncts, {}, &nb, &nu);
     Candidate c;
     c.cost = CostModel::SeqScan(surviving_rows, nb, nu);
     c.desc = (scan.partitions ? "PartitionSeqScan(" : "SeqScan(") +
@@ -547,7 +548,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
       if (is_prefix_probe && !range.has_eq) continue;
       int nb;
       int nu;
-      CountResidual(*conjuncts, range.conjuncts, &nb, &nu);
+      CountResidual(conjuncts, range.conjuncts, &nb, &nu);
       double matches = sel * double(n);
       Candidate c;
       c.cost = CostModel::BTreeIndexScan(3.0, matches, nb, nu);
@@ -588,8 +589,8 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
     }
   }
 
-  for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-    Expr* conjunct = (*conjuncts)[ci];
+  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+    Expr* conjunct = conjuncts[ci];
     // Domain index paths.
     EXI_ASSIGN_OR_RETURN(std::optional<DomainOpMatch> dm,
                          MatchDomainOp(conjunct, table, 0, 0));
@@ -631,7 +632,7 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
                          : sel_sum / double(scan.segments.size());
         int nb;
         int nu;
-        CountResidual(*conjuncts, {int(ci)}, &nb, &nu);
+        CountResidual(conjuncts, {int(ci)}, &nb, &nu);
         Candidate c;
         c.consumed = {int(ci)};
         std::string index_name = idx->name;
@@ -667,58 +668,198 @@ Result<std::unique_ptr<ExecNode>> Planner::PlanTableAccess(
   *explain += os.str();
 
   EXI_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node, candidates[best].build());
-  std::vector<int> consumed = candidates[best].consumed;
-  std::sort(consumed.rbegin(), consumed.rend());
-  for (int ci : consumed) conjuncts->erase(conjuncts->begin() + ci);
+  const std::vector<int>& consumed = candidates[best].consumed;
+  if (indexed != nullptr) *indexed = !consumed.empty();
+  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+    if (std::find(consumed.begin(), consumed.end(), int(ci)) ==
+        consumed.end()) {
+      node = std::make_unique<FilterNode>(std::move(node), conjuncts[ci],
+                                          table.slot_offset);
+    }
+  }
   return node;
 }
 
-Result<std::unique_ptr<ExecNode>> Planner::TryDomainIndexJoin(
-    const TableEnv& env, std::vector<Expr*>* conjuncts,
-    std::string* explain) {
-  if (env.tables.size() != 2) return std::unique_ptr<ExecNode>();
-  for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-    for (size_t inner_idx : {0, 1}) {
-      const size_t outer_idx = 1 - inner_idx;
-      const BoundTable& inner_t = env.tables[inner_idx];
-      const BoundTable& outer_t = env.tables[outer_idx];
-      // The operator's other arguments may reference only the outer table.
+Result<std::optional<Planner::Probe>> Planner::FindProbe(
+    const BoundTable& table, size_t lo, size_t hi,
+    const std::vector<Expr*>& joins, std::string* explain) {
+  for (size_t ci = 0; ci < joins.size(); ++ci) {
+    EXI_ASSIGN_OR_RETURN(std::optional<DomainOpMatch> dm,
+                         MatchDomainOp(joins[ci], table, lo, hi));
+    if (!dm.has_value()) continue;
+    const DataType& col_type = table.schema->column(dm->local_column).type;
+    for (IndexInfo* idx :
+         catalog_->IndexesOnColumn(table.table_name, dm->column_name)) {
+      // Every probe scans every slice, so all of them must be VALID;
+      // otherwise the nested-loop fallback evaluates the operator
+      // functionally.
+      std::vector<uint32_t> slices;
+      for (const IndexSlice& slice : idx->slices) {
+        slices.push_back(slice.segment);
+      }
       EXI_ASSIGN_OR_RETURN(
-          std::optional<DomainOpMatch> dm,
-          MatchDomainOp((*conjuncts)[ci], inner_t, outer_t.slot_offset,
-                        outer_t.slot_offset + outer_t.schema->size()));
-      if (!dm.has_value()) continue;
-      const std::string& op = dm->pred.operator_name;
-      const DataType& col_type = inner_t.schema->column(dm->local_column).type;
-      for (IndexInfo* idx :
-           catalog_->IndexesOnColumn(inner_t.table_name, dm->column_name)) {
-        // Every probe scans every slice, so all of them must be VALID;
-        // otherwise the nested-loop fallback evaluates the operator
-        // functionally.
-        std::vector<uint32_t> slices;
-        for (const IndexSlice& slice : idx->slices) {
-          slices.push_back(slice.segment);
-        }
-        EXI_ASSIGN_OR_RETURN(
-            bool usable, UsableDomainIndex(*catalog_, *idx, op, col_type,
-                                           slices, "join", explain));
-        if (!usable) continue;
-        *explain += "domain-index join: probing " + idx->name + " once per " +
-                    outer_t.alias + " row (op=" + op + ")\n";
-        auto outer_scan = std::make_unique<SeqScanNode>(
-            env.heaps[outer_idx], SegmentList::All(*env.heaps[outer_idx]));
-        auto node = std::make_unique<DomainIndexJoinNode>(
-            std::move(outer_scan), outer_t.slot_offset,
-            outer_t.schema->size(), domains_, env.heaps[inner_idx],
-            inner_t.slot_offset, inner_t.schema->size(), idx->name,
-            std::move(slices), std::move(dm->pred), std::move(dm->args),
-            fetch_batch_, parallelism_);
-        conjuncts->erase(conjuncts->begin() + ci);
-        return std::unique_ptr<ExecNode>(std::move(node));
+          bool usable,
+          UsableDomainIndex(*catalog_, *idx, dm->pred.operator_name, col_type,
+                            slices, "join", explain));
+      if (!usable) continue;
+      Probe p{ci, {}};
+      p.probe.manager = domains_;
+      p.probe.index = idx->name;
+      p.probe.slices = std::move(slices);
+      p.probe.pred = std::move(dm->pred);
+      p.probe.args = std::move(dm->args);
+      p.probe.conjunct = joins[ci];
+      p.probe.batch_size = fetch_batch_;
+      return std::optional<Probe>(std::move(p));
+    }
+  }
+  for (size_t ci = 0; ci < joins.size(); ++ci) {
+    EXI_ASSIGN_OR_RETURN(std::optional<ColumnComparison> cc,
+                         MatchColumnComparison(joins[ci], table, lo, hi));
+    if (!cc.has_value() || cc->op != BinaryOp::kEq) continue;
+    for (IndexInfo* idx :
+         catalog_->IndexesOnColumn(table.table_name, cc->column_name)) {
+      // Only single-column built-in indexes can be probed with the join
+      // key; composite ones would need a prefix probe per row.
+      if (idx->is_domain() || idx->columns.size() != 1) continue;
+      Probe p{ci, {}};
+      p.probe.btree = idx->builtin.get();
+      p.probe.key = cc->operand;
+      p.probe.key_type = table.schema->column(cc->local_column).type;
+      return std::optional<Probe>(std::move(p));
+    }
+  }
+  return std::optional<Probe>();
+}
+
+Result<std::unique_ptr<ExecNode>> Planner::PlanJoins(
+    const TableEnv& env, const std::vector<Expr*>& conjuncts,
+    std::string* explain) {
+  const size_t n = env.tables.size();
+  auto end_of = [&env](size_t t) {
+    return env.tables[t].slot_offset + env.tables[t].schema->size();
+  };
+  // A conjunct is local to the first table whose slots hold every column it
+  // references (a constant one to the first table); the rest join tables.
+  // Score() reads the ancillary value of a single-table domain-index scan,
+  // which no joined row carries, so in a join a conjunct calling it joins
+  // tables: every FROM order evaluates it over the joined rows.
+  std::vector<std::vector<Expr*>> local(n);
+  std::vector<Expr*> joins;
+  for (Expr* c : conjuncts) {
+    size_t t = n > 1 && CallsScore(*c) ? n : 0;
+    while (t < n && !RefsOnlyRange(*c, env.tables[t].slot_offset, end_of(t))) {
+      ++t;
+    }
+    (t < n ? local[t] : joins).push_back(c);
+  }
+
+  // Each table's access path over its local conjuncts, planned when first
+  // asked for (each table is used once); its EXPLAIN lines are added when
+  // the path is used.
+  struct Access {
+    std::unique_ptr<ExecNode> node;
+    std::string explain;
+    bool indexed = false;
+  };
+  std::vector<Access> access(n);
+  auto plan_access = [&](size_t t) -> Status {
+    Access& a = access[t];
+    if (a.node == nullptr) {
+      EXI_ASSIGN_OR_RETURN(a.node,
+                           PlanTableAccess(env.tables[t], env.heaps[t],
+                                           local[t], &a.explain, &a.indexed));
+    }
+    return Status::OK();
+  };
+  auto use_access = [&](size_t t) -> Result<std::unique_ptr<ExecNode>> {
+    EXI_RETURN_IF_ERROR(plan_access(t));
+    *explain += access[t].explain;
+    return std::move(access[t].node);
+  };
+  // A probe of table t from the outer slots [lo, hi).  A B-tree probe is
+  // declined when t's own access path reads t through an index: that local
+  // predicate narrows t once, where a probe per outer row would fetch every
+  // key match and filter them afterwards.
+  auto find_probe = [&](size_t t, size_t lo,
+                        size_t hi) -> Result<std::optional<Probe>> {
+    EXI_ASSIGN_OR_RETURN(std::optional<Probe> p,
+                         FindProbe(env.tables[t], lo, hi, joins, explain));
+    if (p.has_value() && p->probe.btree != nullptr && !local[t].empty()) {
+      EXI_RETURN_IF_ERROR(plan_access(t));
+      if (access[t].indexed) p.reset();
+    }
+    return p;
+  };
+
+  // Left-deep in FROM order, except that of two tables the inner is the one
+  // with a probe: a domain-index probe before a B-tree one, the second
+  // table on a tie.
+  std::vector<size_t> order(n);
+  for (size_t t = 0; t < n; ++t) order[t] = t;
+  std::optional<Probe> probe2;  // the two-table join's probe
+  if (n == 2) {
+    EXI_ASSIGN_OR_RETURN(probe2, find_probe(1, 0, end_of(0)));
+    EXI_ASSIGN_OR_RETURN(std::optional<Probe> probe0,
+                         find_probe(0, end_of(0), end_of(1)));
+    auto is_domain = [](const std::optional<Probe>& p) {
+      return p.has_value() && p->probe.btree == nullptr;
+    };
+    if (probe0.has_value() &&
+        (!probe2.has_value() || (is_domain(probe0) && !is_domain(probe2)))) {
+      order = {1, 0};
+      probe2 = std::move(probe0);
+    }
+  }
+
+  const size_t first = order[0];
+  EXI_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node, use_access(first));
+  // The outer side's slots [lo, hi) and aliases.
+  size_t lo = env.tables[first].slot_offset;
+  size_t hi = end_of(first);
+  std::string outer_name = env.tables[first].alias;
+  for (size_t k = 1; k < n; ++k) {
+    const size_t t = order[k];
+    const BoundTable& bt = env.tables[t];
+    std::optional<Probe> probe = std::move(probe2);
+    if (n > 2) {
+      EXI_ASSIGN_OR_RETURN(probe, find_probe(t, lo, hi));
+    }
+    if (probe.has_value()) {
+      const JoinProbe& jp = probe->probe;
+      *explain += jp.btree != nullptr
+                      ? "index join: " + bt.alias + " via " +
+                            jp.btree->name() + "\n"
+                      : "domain-index join: probing " + jp.index +
+                            " once per " + outer_name + " row (op=" +
+                            jp.pred.operator_name + ")\n";
+      node = std::make_unique<ProbeJoinNode>(
+          std::move(node), lo, hi - lo, env.heaps[t], bt.slot_offset,
+          bt.schema->size(), std::move(probe->probe), parallelism_);
+      // The probe is the inner's access path: its local conjuncts filter
+      // the joined rows.
+      joins.erase(joins.begin() + probe->conjunct);
+      joins.insert(joins.end(), local[t].begin(), local[t].end());
+    } else {
+      *explain += "nested-loop join: " + bt.alias + "\n";
+      EXI_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> inner, use_access(t));
+      node = std::make_unique<NestedLoopJoinNode>(std::move(node),
+                                                  std::move(inner));
+    }
+    lo = std::min(lo, bt.slot_offset);
+    hi = std::max(hi, end_of(t));
+    outer_name += ", " + bt.alias;
+    // A conjunct no probe consumed filters the rows as soon as its tables
+    // are joined, in WHERE order.
+    for (Expr* c : conjuncts) {
+      auto it = std::find(joins.begin(), joins.end(), c);
+      if (it != joins.end() && RefsOnlyRange(*c, lo, hi)) {
+        joins.erase(it);
+        node = std::make_unique<FilterNode>(std::move(node), c);
       }
     }
   }
-  return std::unique_ptr<ExecNode>();
+  return node;
 }
 
 Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
@@ -744,74 +885,8 @@ Result<PlannedSelect> Planner::PlanSelect(SelectStmt* stmt) {
   std::vector<Expr*> conjuncts;
   SplitConjuncts(stmt->where.get(), &conjuncts);
 
-  std::unique_ptr<ExecNode> node;
-  if (env.tables.size() == 1) {
-    EXI_ASSIGN_OR_RETURN(
-        node, PlanTableAccess(env.tables[0], env.heaps[0], &conjuncts,
-                              &plan.explain));
-  } else {
-    EXI_ASSIGN_OR_RETURN(node,
-                         TryDomainIndexJoin(env, &conjuncts, &plan.explain));
-    if (node == nullptr) {
-      // Left-deep nested loops in FROM order.  The first table gets full
-      // access-path planning over its local conjuncts.
-      std::vector<Expr*> local0;
-      for (size_t i = 0; i < conjuncts.size();) {
-        if (RefsOnlyRange(*conjuncts[i], 0, env.tables[0].schema->size())) {
-          local0.push_back(conjuncts[i]);
-          conjuncts.erase(conjuncts.begin() + i);
-        } else {
-          ++i;
-        }
-      }
-      EXI_ASSIGN_OR_RETURN(
-          node, PlanTableAccess(env.tables[0], env.heaps[0], &local0,
-                                &plan.explain));
-      conjuncts.insert(conjuncts.end(), local0.begin(), local0.end());
-
-      for (size_t t = 1; t < env.tables.size(); ++t) {
-        const BoundTable& bt = env.tables[t];
-        // Look for an equi-join conjunct `t.col = <expr over earlier
-        // tables>` probing a built-in index on this table.
-        bool joined = false;
-        for (size_t ci = 0; ci < conjuncts.size() && !joined; ++ci) {
-          EXI_ASSIGN_OR_RETURN(
-              std::optional<ColumnComparison> cc,
-              MatchColumnComparison(conjuncts[ci], bt, 0, bt.slot_offset));
-          if (!cc.has_value() || cc->op != BinaryOp::kEq ||
-              IsConstant(*cc->operand)) {
-            continue;
-          }
-          for (IndexInfo* idx :
-               catalog_->IndexesOnColumn(bt.table_name, cc->column_name)) {
-            // Only single-column built-in indexes can be probed with the
-            // join key; composite ones would need a prefix probe per row.
-            if (idx->is_domain() || idx->columns.size() != 1) continue;
-            plan.explain +=
-                "index join: " + bt.alias + " via " + idx->name + "\n";
-            node = std::make_unique<IndexJoinNode>(
-                std::move(node), env.heaps[t], idx->builtin.get(),
-                cc->operand);
-            conjuncts.erase(conjuncts.begin() + ci);
-            joined = true;
-            break;
-          }
-        }
-        if (!joined) {
-          plan.explain += "nested-loop join: " + bt.alias + "\n";
-          auto inner = std::make_unique<SeqScanNode>(
-              env.heaps[t], SegmentList::All(*env.heaps[t]));
-          node = std::make_unique<NestedLoopJoinNode>(std::move(node),
-                                                      std::move(inner));
-        }
-      }
-    }
-  }
-
-  // Residual predicates.
-  for (Expr* c : conjuncts) {
-    node = std::make_unique<FilterNode>(std::move(node), c);
-  }
+  EXI_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node,
+                       PlanJoins(env, conjuncts, &plan.explain));
 
   // Grouping, aggregation, or plain projection.
   bool has_agg = false;

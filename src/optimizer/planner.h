@@ -2,6 +2,7 @@
 #define EXTIDX_OPTIMIZER_PLANNER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,24 +62,48 @@ class Planner {
   struct TableEnv {
     std::vector<BoundTable> tables;
     std::vector<const HeapTable*> heaps;
-    size_t total_width = 0;
   };
 
   Result<TableEnv> ResolveFrom(const sql::SelectStmt& stmt);
 
   // Plans the access path for one table given the conjuncts that reference
-  // only that table (bound at slot offset `table.slot_offset`).  Appends
-  // candidate descriptions to `explain`.  Consumed conjuncts are removed
-  // from `conjuncts`.
+  // only that table (bound at slot offset `table.slot_offset`), and applies
+  // the conjuncts the path does not consume as filters over it.  The node
+  // yields the table's rows, table-width.  Appends candidate descriptions
+  // to `explain`, and sets `*indexed` to whether the path reads the table
+  // through an index that consumes a conjunct.
   Result<std::unique_ptr<ExecNode>> PlanTableAccess(
       const BoundTable& table, const HeapTable* heap,
-      std::vector<sql::Expr*>* conjuncts, std::string* explain);
+      const std::vector<sql::Expr*>& conjuncts, std::string* explain,
+      bool* indexed);
 
-  // Attempts the two-table domain-index join rewrite; returns nullptr if
-  // not applicable.
-  Result<std::unique_ptr<ExecNode>> TryDomainIndexJoin(
-      const TableEnv& env, std::vector<sql::Expr*>* conjuncts,
+  // Plans the FROM tables, their joins and every WHERE conjunct.  A
+  // conjunct is local to one table or joins tables.  Each table gets its
+  // access path over its local conjuncts; a join step probes the inner
+  // table through an index when a join conjunct allows it (the probe is
+  // then the inner's access path), else it is a nested loop.  A join
+  // conjunct no probe consumes filters the joined rows once its tables are
+  // all joined.
+  Result<std::unique_ptr<ExecNode>> PlanJoins(
+      const TableEnv& env, const std::vector<sql::Expr*>& conjuncts,
       std::string* explain);
+
+  // A probe of one inner table found by FindProbe.
+  struct Probe {
+    size_t conjunct;  // the join conjunct it consumes
+    JoinProbe probe;
+  };
+
+  // A probe of the inner `table` for each row of the outer side, whose
+  // columns are the slots [lo, hi): a usable domain index answering one of
+  // the join conjuncts `joins`, else a single-column B-tree answering an
+  // equality.  The probe's arguments read the outer side: a conjunct over
+  // the inner table and constants alone is local to it, never a join
+  // conjunct, so it is a scan of that table and never a probe.
+  Result<std::optional<Probe>> FindProbe(const BoundTable& table, size_t lo,
+                                         size_t hi,
+                                         const std::vector<sql::Expr*>& joins,
+                                         std::string* explain);
 
   Catalog* catalog_;
   DomainIndexManager* domains_;

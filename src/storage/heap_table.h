@@ -72,12 +72,6 @@ class HeapTable {
   bool HasSegment(uint32_t segment) const {
     return segments_.count(segment) > 0;
   }
-  // Every segment id, ascending: the order a full Scan() visits them.
-  std::vector<uint32_t> SegmentIds() const {
-    std::vector<uint32_t> ids;
-    for (const auto& [id, segment] : segments_) ids.push_back(id);
-    return ids;
-  }
   uint64_t SegmentRowCount(uint32_t segment) const;
 
   // Validates against the schema and stores the row in segment 0.

@@ -344,6 +344,43 @@ TEST(PlannerTest, BooleanColumnIndexProbeCoercion) {
                 .rows[0][0]
                 .AsInteger(),
             50);
+  // A number other than 0 or 1 equals neither TRUE (1) nor FALSE (0), and
+  // 0.5 lies between them: no index key stands for such a bound.
+  EXPECT_EQ(conn.MustExecute("SELECT COUNT(*) FROM t WHERE flag = 2")
+                .rows[0][0]
+                .AsInteger(),
+            0);
+  EXPECT_EQ(conn.MustExecute("SELECT COUNT(*) FROM t WHERE flag > 0.5")
+                .rows[0][0]
+                .AsInteger(),
+            50);
+
+  // A join probe coerces each outer key the same way.
+  conn.MustExecute("CREATE TABLE o (k INTEGER)");
+  conn.MustExecute("CREATE TABLE i (flag BOOLEAN, n INTEGER)");
+  conn.MustExecute("INSERT INTO o VALUES (1), (0)");
+  conn.MustExecute("INSERT INTO i VALUES (TRUE, 1), (FALSE, 2), (TRUE, 3)");
+  const std::string join = "SELECT o.k, i.n FROM o, i WHERE i.flag = o.k";
+  auto pairs = [&conn](const std::string& sql) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& row : conn.MustExecute(sql).rows) {
+      out.emplace_back(row[0].AsInteger(), row[1].AsInteger());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::pair<int64_t, int64_t>> want = {
+      {0, 2}, {1, 1}, {1, 3}};
+  EXPECT_EQ(pairs(join), want);
+  conn.MustExecute("CREATE INDEX i_flag ON i(flag)");
+  ex = conn.MustExecute("EXPLAIN " + join);
+  EXPECT_NE(ex.message.find("IndexJoin(inner=i via i_flag, key=o.k)"),
+            std::string::npos)
+      << ex.message;
+  EXPECT_EQ(pairs(join), want);
+  // An outer key of 2 equals no flag.
+  conn.MustExecute("INSERT INTO o VALUES (2)");
+  EXPECT_EQ(pairs(join), want);
 }
 
 TEST(ExecNodeTest, IndexJoinSkipsCompositeInnerIndex) {
