@@ -17,15 +17,22 @@ namespace {
 
 using namespace exi;  // NOLINT
 
+// The key of the B-tree benchmarks: one INTEGER column.
+Schema IntKeySchema() {
+  Schema schema;
+  schema.AddColumn(Column{"k", DataType::Integer(), false});
+  return schema;
+}
+
 void BM_BtreeInsert(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    BTreeIndex index("bm");
+    BTreeIndex index("bm", IntKeySchema());
     Rng rng(42);
     state.ResumeTiming();
     for (int64_t i = 0; i < state.range(0); ++i) {
-      index.Insert({Value::Integer(int64_t(rng.Next() % 1000000))},
-                   RowId(i + 1));
+      (void)index.Insert({Value::Integer(int64_t(rng.Next() % 1000000))},
+                         RowId(i + 1));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -33,10 +40,10 @@ void BM_BtreeInsert(benchmark::State& state) {
 BENCHMARK(BM_BtreeInsert)->Arg(1000)->Arg(10000);
 
 void BM_BtreeLookup(benchmark::State& state) {
-  BTreeIndex index("bm");
+  BTreeIndex index("bm", IntKeySchema());
   Rng rng(42);
   for (int64_t i = 0; i < 100000; ++i) {
-    index.Insert({Value::Integer(int64_t(i))}, RowId(i + 1));
+    (void)index.Insert({Value::Integer(int64_t(i))}, RowId(i + 1));
   }
   for (auto _ : state) {
     auto rids =

@@ -12,8 +12,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Every tree is built with -Werror: a compiler warning fails CI.
+WERROR=-DCMAKE_CXX_FLAGS=-Werror
+
 echo "==> configure + build"
-cmake -B build -S . >/dev/null
+cmake -B build -S . "$WERROR" >/dev/null
 cmake --build build -j "$JOBS"
 
 echo "==> tests"
@@ -93,14 +96,15 @@ if [[ "${1:-}" != "quick" ]]; then
                partition_test fault_sweep_test precomputed_cursor_test
                operator_forms_test join_order_test)
   echo "==> TSan: ${tsan_suites[*]}"
-  cmake -B build-tsan -S . -DEXTIDX_SANITIZE=thread >/dev/null
+  cmake -B build-tsan -S . -DEXTIDX_SANITIZE=thread "$WERROR" >/dev/null
   cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
   for t in "${tsan_suites[@]}"; do
     "./build-tsan/tests/$t"
   done
 
   echo "==> ASan+UBSan: full ctest"
-  cmake -B build-asan -S . -DEXTIDX_SANITIZE=address,undefined >/dev/null
+  cmake -B build-asan -S . -DEXTIDX_SANITIZE=address,undefined "$WERROR" \
+    >/dev/null
   cmake --build build-asan -j "$JOBS"
   (cd build-asan &&
     UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$JOBS")

@@ -25,9 +25,6 @@ struct Fingerprint {
   FingerprintData bits{};
 
   void SetBit(size_t i) { bits[i / 64] |= (1ULL << (i % 64)); }
-  bool TestBit(size_t i) const {
-    return (bits[i / 64] >> (i % 64)) & 1;
-  }
   uint32_t PopCount() const;
 
   // Screening test: every bit of `query` is set here.

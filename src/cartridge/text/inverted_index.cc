@@ -69,80 +69,49 @@ size_t PostingsSize(RowId prev, std::span<const Posting> postings) {
   return size;
 }
 
-// Walks a block row's postings in rid order, checking each one: the one
-// decoder behind DecodePostingBlock and MergePostingBlock.
-class BlockCursor {
- public:
-  explicit BlockCursor(const Row& row) : row_(row) {}
-
-  // Checks the row's columns; Next may be called only after it succeeds.
-  Status Open() {
-    if (row_.size() != 4 || row_[1].tag() != TypeTag::kInteger ||
-        row_[2].tag() != TypeTag::kInteger ||
-        row_[3].tag() != TypeTag::kBlob || row_[1].AsInteger() < 0) {
-      return CorruptBlock(row_, "not a (token, block, df, postings) row");
-    }
-    bytes_ = &row_[3].AsBlob();
-    base_ = RowId(row_[1].AsInteger()) * kPostingBlockRids;
-    return Status::OK();
-  }
-
-  const std::vector<uint8_t>& bytes() const { return *bytes_; }
-  RowId base() const { return base_; }
-
-  // Reads the next posting into rid(), freq() and its byte range
-  // [begin(), end()).  False at the end of the bytes, or on a fault, which
-  // sets `*status`.
-  bool Next(Status* status) {
-    if (end_ >= bytes_->size()) return false;
-    begin_ = end_;
-    uint64_t delta;
-    uint64_t freq;
-    if (!GetVarint(*bytes_, &end_, &delta) ||
-        !GetVarint(*bytes_, &end_, &freq)) {
-      *status = CorruptBlock(row_, "truncated or overlong varint");
-      return false;
-    }
-    if ((count_ > 0 && delta == 0) || delta >= kPostingBlockRids - offset_) {
-      *status = CorruptBlock(row_, "rid outside the block or out of order");
-      return false;
-    }
-    if (freq == 0 || freq > uint64_t(INT64_MAX)) {
-      *status = CorruptBlock(row_, "freq out of range");
-      return false;
-    }
-    offset_ += delta;
-    freq_ = int64_t(freq);
-    ++count_;
-    return true;
-  }
-
-  RowId rid() const { return base_ + offset_; }
-  int64_t freq() const { return freq_; }
-  size_t begin() const { return begin_; }
-  size_t end() const { return end_; }
-
-  // Once Next has returned false without a fault: checks that df is the
-  // number of postings read.
-  Status CheckDf() const {
-    if (count_ == 0 || count_ != row_[2].AsInteger()) {
-      return CorruptBlock(row_, "df differs from the postings it holds");
-    }
-    return Status::OK();
-  }
-
- private:
-  const Row& row_;
-  const std::vector<uint8_t>* bytes_ = nullptr;
-  RowId base_ = 0;
-  uint64_t offset_ = 0;  // of the last rid read, within the block
-  int64_t freq_ = 0;
-  int64_t count_ = 0;
-  size_t begin_ = 0;
-  size_t end_ = 0;
-};
-
 }  // namespace
+
+Status BlockCursor::Open() {
+  if (row_.size() != 4 || row_[1].tag() != TypeTag::kInteger ||
+      row_[2].tag() != TypeTag::kInteger ||
+      row_[3].tag() != TypeTag::kBlob || row_[1].AsInteger() < 0) {
+    return CorruptBlock(row_, "not a (token, block, df, postings) row");
+  }
+  bytes_ = &row_[3].AsBlob();
+  base_ = RowId(row_[1].AsInteger()) * kPostingBlockRids;
+  return Status::OK();
+}
+
+bool BlockCursor::Next(Status* status) {
+  if (end_ >= bytes_->size()) return false;
+  begin_ = end_;
+  uint64_t delta;
+  uint64_t freq;
+  if (!GetVarint(*bytes_, &end_, &delta) ||
+      !GetVarint(*bytes_, &end_, &freq)) {
+    *status = CorruptBlock(row_, "truncated or overlong varint");
+    return false;
+  }
+  if ((count_ > 0 && delta == 0) || delta >= kPostingBlockRids - offset_) {
+    *status = CorruptBlock(row_, "rid outside the block or out of order");
+    return false;
+  }
+  if (freq == 0 || freq > uint64_t(INT64_MAX)) {
+    *status = CorruptBlock(row_, "freq out of range");
+    return false;
+  }
+  offset_ += delta;
+  freq_ = int64_t(freq);
+  ++count_;
+  return true;
+}
+
+Status BlockCursor::CheckDf() const {
+  if (count_ == 0 || count_ != row_[2].AsInteger()) {
+    return CorruptBlock(row_, "df differs from the postings it holds");
+  }
+  return Status::OK();
+}
 
 Row EncodePostingBlock(const Value& token, int64_t block,
                        std::span<const Posting> postings) {

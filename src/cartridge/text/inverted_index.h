@@ -78,8 +78,47 @@ Result<std::optional<Row>> MergePostingBlock(const Row* current,
                                              std::span<const Posting> changes,
                                              bool insert);
 
+// Walks a block row's postings in rid order, checking each one: the one
+// decoder, behind DecodePostingBlock, MergePostingBlock and the
+// incremental scan, which resumes it across Fetch calls.  It reads `row`
+// in place, so the row must outlive it.
+class BlockCursor {
+ public:
+  explicit BlockCursor(const Row& row) : row_(row) {}
+
+  // Checks the row's columns; Next may be called only after it succeeds.
+  Status Open();
+
+  const std::vector<uint8_t>& bytes() const { return *bytes_; }
+  RowId base() const { return base_; }
+
+  // Reads the next posting into rid(), freq() and its byte range
+  // [begin(), end()).  False at the end of the bytes, or on a fault, which
+  // sets `*status`.
+  bool Next(Status* status);
+
+  RowId rid() const { return base_ + offset_; }
+  int64_t freq() const { return freq_; }
+  size_t begin() const { return begin_; }
+  size_t end() const { return end_; }
+
+  // Once Next has returned false without a fault: checks that df is the
+  // number of postings read.
+  Status CheckDf() const;
+
+ private:
+  const Row& row_;
+  const std::vector<uint8_t>* bytes_ = nullptr;
+  RowId base_ = 0;
+  uint64_t offset_ = 0;  // of the last rid read, within the block
+  int64_t freq_ = 0;
+  int64_t count_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
+
 // Visits the postings of one block row in rid order until `visit` returns
-// false.  Every reader of the posting IOT decodes through here.  A row
+// false.  Every reader of the posting IOT decodes through BlockCursor.  A row
 // that is not a well-formed block (wrong column types, a truncated or
 // overlong varint, a rid outside the block or out of order, a freq below
 // 1, or, once every posting is visited, a df other than their number)

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -17,13 +18,18 @@ namespace {
 // ---- Incremental scan workspace (Return Handle mechanism) ----
 
 // Incremental computation (§2.2.3): a single-term query streams candidates
-// straight off the posting IOT, resuming after (`term`, `last_rid`) on each
-// Fetch.  A Return Handle Precompute-All scan parks a PrecomputedCursor
-// instead.
+// straight off the posting IOT, one block at a time.  The workspace keeps
+// the current block row and a cursor at the rest of its postings, so each
+// block is read once per scan and each posting decoded once, when a Fetch
+// returns it: a Fetch resumes the cursor, then reads the term's first
+// block at or past `next_block`.  A Return Handle Precompute-All scan
+// parks a PrecomputedCursor instead.
 struct TextScanWorkspace {
   std::string term;
-  RowId last_rid = 0;
-  bool started = false;
+  Row block;                          // shares the stored row's boxes
+  std::optional<BlockCursor> cursor;  // over `block`; none between blocks
+  int64_t next_block = 0;
+  bool exhausted = false;  // the term has no block at or past next_block
 };
 
 // ---- Return State serialization ----
@@ -363,28 +369,36 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
   EXI_ASSIGN_OR_RETURN(
       std::shared_ptr<TextScanWorkspace> ws,
       ScanWorkspaceRegistry::Global().GetAs<TextScanWorkspace>(sctx.handle));
-  // Incremental: resume the IOT cursor at the block of (term, last_rid)
-  // and skip the rids up to last_rid.
   std::string iot = PostingTableName(info.index_name);
-  CompositeKey lo = {Value::Varchar(ws->term)};
-  if (ws->started) lo.push_back(Value::Integer(PostingBlock(ws->last_rid)));
-  Status status;
-  EXI_RETURN_IF_ERROR(ctx.IotScanRange(
-      iot, &lo, /*lo_inclusive=*/true, /*hi=*/nullptr, true,
-      [&](const Row& row) {
-        if (row[0].AsVarchar() != ws->term) return false;  // past this term
-        status = DecodePostingBlock(row, [&](RowId rid, int64_t freq) {
-          if (ws->started && rid <= ws->last_rid) return true;
-          out->rids.push_back(rid);
-          out->ancillary.push_back(Value::Integer(freq));
-          return out->rids.size() < max_rows;
-        });
-        return status.ok() && out->rids.size() < max_rows;
-      }));
-  EXI_RETURN_IF_ERROR(status);
-  if (!out->rids.empty()) {
-    ws->started = true;
-    ws->last_rid = out->rids.back();
+  while (out->rids.size() < max_rows) {
+    if (ws->cursor.has_value()) {
+      Status status;
+      if (ws->cursor->Next(&status)) {
+        out->rids.push_back(ws->cursor->rid());
+        out->ancillary.push_back(Value::Integer(ws->cursor->freq()));
+        continue;
+      }
+      EXI_RETURN_IF_ERROR(status);
+      EXI_RETURN_IF_ERROR(ws->cursor->CheckDf());
+      ws->cursor.reset();
+    }
+    if (ws->exhausted) break;
+    CompositeKey lo = {Value::Varchar(ws->term),
+                       Value::Integer(ws->next_block)};
+    ws->exhausted = true;
+    EXI_RETURN_IF_ERROR(ctx.IotScanRange(
+        iot, &lo, /*lo_inclusive=*/true, /*hi=*/nullptr, true,
+        [&](const Row& row) {
+          if (row[0].AsVarchar() == ws->term) {
+            ws->block = row;
+            ws->exhausted = false;
+          }
+          return false;
+        }));
+    if (ws->exhausted) break;
+    ws->cursor.emplace(ws->block);
+    EXI_RETURN_IF_ERROR(ws->cursor->Open());
+    ws->next_block = ws->block[1].AsInteger() + 1;
   }
   return Status::OK();
 }

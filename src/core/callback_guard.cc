@@ -48,64 +48,59 @@ Status GuardedServerContext::IotTruncate(const std::string& name) {
 
 // ---- IOT DML ----
 
-Status GuardedServerContext::IotInsert(const std::string& name, Row row) {
-  EXI_RETURN_IF_ERROR(RequireDml("IotInsert"));
-  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_insert"));
+Status GuardedServerContext::WriteIot(
+    const char* call, const char* fail_point, const std::string& name,
+    FunctionRef<Status(Iot&, Iot::MergeUndo*)> write) {
+  EXI_RETURN_IF_ERROR(RequireDml(call));
+  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire(fail_point));
   EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  KeySpan row_key = iot->KeyOf(row);
-  CompositeKey key(row_key.begin(), row_key.end());
-  EXI_RETURN_IF_ERROR(iot->Insert(std::move(row)));
-  if (txn_ != nullptr) {
-    txn_->PushUndo([iot, key] { (void)iot->Delete(key); });
-  }
-  return Status::OK();
-}
-
-Status GuardedServerContext::IotUpsert(const std::string& name, Row row) {
-  EXI_RETURN_IF_ERROR(RequireDml("IotUpsert"));
-  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_upsert"));
-  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  KeySpan key = iot->KeyOf(row);
-  return MergeRun(iot, {CompositeKey(key.begin(), key.end())},
-                  [&row](size_t, const Row*) -> Result<std::optional<Row>> {
-                    return std::optional<Row>(std::move(row));
-                  });
-}
-
-Status GuardedServerContext::IotDelete(const std::string& name,
-                                       const CompositeKey& key) {
-  EXI_RETURN_IF_ERROR(RequireDml("IotDelete"));
-  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_delete"));
-  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  return MergeRun(
-      iot, {key},
-      [iot, &key](size_t, const Row* current) -> Result<std::optional<Row>> {
-        if (current == nullptr) return iot->MissingKeyError(key);
-        return std::optional<Row>();
-      });
-}
-
-Status GuardedServerContext::IotMergeSorted(
-    const std::string& name, const std::vector<CompositeKey>& keys,
-    RowMerge merge) {
-  EXI_RETURN_IF_ERROR(RequireDml("IotMergeSorted"));
-  EXI_RETURN_IF_ERROR(FailPointRegistry::Global().Fire("callback/iot_merge"));
-  EXI_ASSIGN_OR_RETURN(Iot * iot, catalog_->GetIot(name));
-  return MergeRun(iot, keys, merge);
-}
-
-Status GuardedServerContext::MergeRun(Iot* iot,
-                                      const std::vector<CompositeKey>& keys,
-                                      RowMerge merge) {
-  if (txn_ == nullptr) return iot->MergeSorted(keys, merge, nullptr);
+  if (txn_ == nullptr) return write(*iot, nullptr);
   Iot::MergeUndo undo;
-  Status s = iot->MergeSorted(keys, merge, &undo);
+  Status s = write(*iot, &undo);
   if (!undo.empty()) {
     txn_->PushUndo([iot, undo = std::move(undo)]() mutable {
       iot->Revert(std::move(undo));
     });
   }
   return s;
+}
+
+Status GuardedServerContext::IotInsert(const std::string& name, Row row) {
+  return WriteIot("IotInsert", "callback/iot_insert", name,
+                  [&row](Iot& iot, Iot::MergeUndo* undo) {
+                    return iot.Insert(std::move(row), undo);
+                  });
+}
+
+Status GuardedServerContext::IotUpsert(const std::string& name, Row row) {
+  return WriteIot(
+      "IotUpsert", "callback/iot_upsert", name,
+      [&row](Iot& iot, Iot::MergeUndo* undo) {
+        KeySpan key = iot.KeyOf(row);
+        return iot.MergeSorted(
+            {CompositeKey(key.begin(), key.end())},
+            [&row](size_t, const Row*) -> Result<std::optional<Row>> {
+              return std::optional<Row>(std::move(row));
+            },
+            undo);
+      });
+}
+
+Status GuardedServerContext::IotDelete(const std::string& name,
+                                       const CompositeKey& key) {
+  return WriteIot("IotDelete", "callback/iot_delete", name,
+                  [&key](Iot& iot, Iot::MergeUndo* undo) {
+                    return iot.Delete(key, undo);
+                  });
+}
+
+Status GuardedServerContext::IotMergeSorted(
+    const std::string& name, const std::vector<CompositeKey>& keys,
+    RowMerge merge) {
+  return WriteIot("IotMergeSorted", "callback/iot_merge", name,
+                  [&](Iot& iot, Iot::MergeUndo* undo) {
+                    return iot.MergeSorted(keys, merge, undo);
+                  });
 }
 
 Status GuardedServerContext::IotBulkLoad(const std::string& name,

@@ -105,11 +105,14 @@ class GuardedServerContext : public ServerContext {
  private:
   Status RequireDdl(const char* what) const;
   Status RequireDml(const char* what) const;
-  // The merge run behind IotUpsert, IotDelete (one-key runs) and
-  // IotMergeSorted: logs one undo entry for what the run changed, also
-  // when an error ended it part way.
-  Status MergeRun(Iot* iot, const std::vector<CompositeKey>& keys,
-                  RowMerge merge);
+  // The one path behind the four IOT write callbacks (IotInsert,
+  // IotUpsert and IotDelete are one-key runs): the DML-mode check for
+  // `call`, the `fail_point`, the IOT lookup, then `write`, a merge run on
+  // the IOT, whose undo is logged as one entry, also when an error ended
+  // the run part way.
+  Status WriteIot(const char* call, const char* fail_point,
+                  const std::string& name,
+                  FunctionRef<Status(Iot&, Iot::MergeUndo*)> write);
   // Snapshots a LOB on first touch within the transaction.
   Status SnapshotLobForUndo(LobId id);
 

@@ -350,6 +350,7 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
   auto info = std::make_unique<IndexInfo>();
   info->name = stmt->index;
   info->table = stmt->table;
+  Schema key_schema;
   for (const std::string& col : stmt->columns) {
     int c = table->schema().FindColumn(col);
     if (c < 0) {
@@ -362,14 +363,17 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
           " is " + t.ToString() + " (define an indextype instead, §3.1)");
     }
     info->columns.push_back(table->schema().column(c).name);
+    key_schema.AddColumn(table->schema().column(c));
   }
-  info->builtin = std::make_unique<BTreeIndex>(stmt->index);
-  // Backfill from existing rows.
+  info->builtin = std::make_unique<BTreeIndex>(stmt->index, key_schema);
+  // Backfill from existing rows, as one sorted bulk load.
+  std::vector<std::pair<CompositeKey, RowId>> entries;
   for (auto it = table->Scan(); it.Valid(); it.Next()) {
     EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
                          Database::KeyFor(*info, table->schema(), it.row()));
-    if (key.has_value()) info->builtin->Insert(*key, it.row_id());
+    if (key.has_value()) entries.emplace_back(std::move(*key), it.row_id());
   }
+  EXI_RETURN_IF_ERROR(info->builtin->BulkLoad(std::move(entries)));
   EXI_RETURN_IF_ERROR(db_->catalog().AddIndex(std::move(info)));
   QueryResult r;
   r.message = "index created: " + stmt->index;

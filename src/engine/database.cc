@@ -275,6 +275,7 @@ Database::~Database() { events_.Unregister(rollback_handler_); }
 Result<std::optional<CompositeKey>> Database::KeyFor(
     const IndexInfo& index, const Schema& schema, const Row& row) {
   CompositeKey key;
+  key.reserve(index.columns.size() + 1);  // room for a B-tree entry's rowid
   for (const std::string& col : index.columns) {
     int c = schema.FindColumn(col);
     if (c < 0) {
@@ -289,39 +290,26 @@ Result<std::optional<CompositeKey>> Database::KeyFor(
   return std::optional<CompositeKey>(std::move(key));
 }
 
-Status Database::MaintainBuiltinOnInsert(const std::string& table_name,
-                                         RowId rid, const Row& row,
-                                         Transaction* txn) {
+Status Database::MaintainBuiltin(const std::string& table_name, RowId rid,
+                                 const Row* old_row, const Row* new_row,
+                                 Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
   for (IndexInfo* index : catalog_.IndexesOnTable(table_name)) {
     if (index->is_domain()) continue;
-    EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
-                         KeyFor(*index, table->schema(), row));
-    if (!key.has_value()) continue;
     BTreeIndex* bidx = index->builtin.get();
-    bidx->Insert(*key, rid);
-    if (txn != nullptr) {
-      CompositeKey k = *key;
-      txn->PushUndo([bidx, k, rid] { bidx->Delete(k, rid); });
-    }
-  }
-  return Status::OK();
-}
-
-Status Database::MaintainBuiltinOnDelete(const std::string& table_name,
-                                         RowId rid, const Row& row,
-                                         Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
-  for (IndexInfo* index : catalog_.IndexesOnTable(table_name)) {
-    if (index->is_domain()) continue;
-    EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
-                         KeyFor(*index, table->schema(), row));
-    if (!key.has_value()) continue;
-    BTreeIndex* bidx = index->builtin.get();
-    bidx->Delete(*key, rid);
-    if (txn != nullptr) {
-      CompositeKey k = *key;
-      txn->PushUndo([bidx, k, rid] { bidx->Insert(k, rid); });
+    for (bool add : {false, true}) {
+      const Row* row = add ? new_row : old_row;
+      if (row == nullptr) continue;
+      EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
+                           KeyFor(*index, table->schema(), *row));
+      if (!key.has_value()) continue;
+      EXI_RETURN_IF_ERROR(add ? bidx->Insert(*key, rid)
+                              : bidx->Delete(*key, rid));
+      if (txn != nullptr) {
+        txn->PushUndo([bidx, key = std::move(*key), rid, add] {
+          (void)(add ? bidx->Delete(key, rid) : bidx->Insert(key, rid));
+        });
+      }
     }
   }
   return Status::OK();
@@ -352,7 +340,7 @@ Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
     if (txn != nullptr) {
       txn->PushUndo([table, rid] { (void)table->Delete(rid); });
     }
-    EXI_RETURN_IF_ERROR(MaintainBuiltinOnInsert(table_name, rid, row, txn));
+    EXI_RETURN_IF_ERROR(MaintainBuiltin(table_name, rid, nullptr, &row, txn));
     rids.push_back(rid);
     inserted.emplace_back(rid, std::move(row));
   }
@@ -398,9 +386,7 @@ Status Database::UpdateRows(const std::string& table_name,
       });
     }
     EXI_RETURN_IF_ERROR(
-        MaintainBuiltinOnDelete(table_name, rid, old_row, txn));
-    EXI_RETURN_IF_ERROR(
-        MaintainBuiltinOnInsert(table_name, rid, new_row, txn));
+        MaintainBuiltin(table_name, rid, &old_row, &new_row, txn));
     old_rows.emplace_back(rid, std::move(old_row));
     new_rows.push_back(std::move(new_row));
   }
@@ -428,7 +414,7 @@ Status Database::DeleteRows(const std::string& table_name,
       });
     }
     EXI_RETURN_IF_ERROR(
-        MaintainBuiltinOnDelete(table_name, rid, old_row, txn));
+        MaintainBuiltin(table_name, rid, &old_row, nullptr, txn));
     deleted.emplace_back(rid, std::move(old_row));
   }
   return domains_.Maintain(DomainIndexManager::Maintenance::kDelete,
@@ -461,7 +447,8 @@ Status Database::RemoveBuiltinEntriesForSegment(const std::string& table_name,
   // DDL commits; no undo logging (txn = nullptr), matching Oracle partition
   // maintenance semantics.
   for (auto& [rid, row] : rows) {
-    EXI_RETURN_IF_ERROR(MaintainBuiltinOnDelete(table_name, rid, row, nullptr));
+    EXI_RETURN_IF_ERROR(
+        MaintainBuiltin(table_name, rid, &row, nullptr, nullptr));
   }
   return Status::OK();
 }

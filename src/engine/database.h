@@ -163,11 +163,12 @@ class Database {
   };
 
  private:
-  // Maintains built-in indexes for one mutation, logging undo.
-  Status MaintainBuiltinOnInsert(const std::string& table_name, RowId rid,
-                                 const Row& row, Transaction* txn);
-  Status MaintainBuiltinOnDelete(const std::string& table_name, RowId rid,
-                                 const Row& row, Transaction* txn);
+  // Maintains the built-in indexes for one row change, logging undo in
+  // `txn`: the entries of `old_row` go and those of `new_row` come.  An
+  // insert has no old row and a delete no new one.
+  Status MaintainBuiltin(const std::string& table_name, RowId rid,
+                         const Row* old_row, const Row* new_row,
+                         Transaction* txn);
 
   // Removes every built-in index entry for rows living in `segment`
   // (DROP/TRUNCATE PARTITION groundwork; built-in indexes are global).

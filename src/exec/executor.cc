@@ -435,6 +435,7 @@ Status ProbeJoinNode::OpenImpl() {
   window_.clear();
   matches_.clear();
   match_pos_ = 0;
+  null_arg_matches_.clear();
   if (window_limit_ > 1) ThreadPool::Global().EnsureWorkerCount(parallelism_);
   return Status::OK();
 }
@@ -467,17 +468,23 @@ Result<bool> ProbeJoinNode::EnqueueProbe() {
     pred.args.push_back(std::move(v));
   }
   if (null_arg) {
-    // The operator's functional answer, as a nested loop would give it.
-    std::vector<RowId> rids;
-    Row joined = probe.padded;
-    for (auto it = inner_->Scan(); it.Valid(); it.Next()) {
-      std::copy(it.row().begin(), it.row().end(),
-                joined.begin() + inner_offset_);
-      EXI_ASSIGN_OR_RETURN(bool keep,
-                           Evaluator::EvalPredicate(*probe_.conjunct, joined));
-      if (keep) rids.push_back(it.row_id());
+    // The operator's functional answer, as a nested loop would give it,
+    // computed once per argument tuple.
+    auto cached = null_arg_matches_.find(pred.args);
+    if (cached == null_arg_matches_.end()) {
+      std::vector<RowId> rids;
+      Row joined = probe.padded;
+      for (auto it = inner_->Scan(); it.Valid(); it.Next()) {
+        std::copy(it.row().begin(), it.row().end(),
+                  joined.begin() + inner_offset_);
+        EXI_ASSIGN_OR_RETURN(
+            bool keep, Evaluator::EvalPredicate(*probe_.conjunct, joined));
+        if (keep) rids.push_back(it.row_id());
+      }
+      cached = null_arg_matches_.emplace(std::move(pred.args), std::move(rids))
+                   .first;
     }
-    probe.matches = std::move(rids);
+    probe.matches = cached->second;
     return true;
   }
   auto run = [manager = probe_.manager, index = probe_.index,
@@ -723,12 +730,6 @@ struct AggAcc {
         return any ? max : Value::Null();
     }
     return Value::Null();
-  }
-};
-
-struct KeyLess {
-  bool operator()(const Row& a, const Row& b) const {
-    return CompareKeys(a, b) < 0;
   }
 };
 

@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -329,6 +330,10 @@ class ProbeJoinNode : public ExecNode {
   Row padded_;  // the merged probe's padded row
   std::vector<RowId> matches_;
   size_t match_pos_ = 0;
+  // The functional matches of a domain probe whose arguments hold a NULL,
+  // by argument tuple, for this Open.  They depend on that tuple alone:
+  // MatchDomainOp admits only arguments over outer slots and constants.
+  std::map<Row, std::vector<RowId>, KeyLess> null_arg_matches_;
 };
 
 class SortNode : public ExecNode {
@@ -364,14 +369,8 @@ class DistinctNode : public ExecNode {
   std::vector<const ExecNode*> Children() const override;
 
  private:
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareKeys(a, b) < 0;
-    }
-  };
-
   std::unique_ptr<ExecNode> child_;
-  std::set<Row, RowLess> seen_;
+  std::set<Row, KeyLess> seen_;
 };
 
 class LimitNode : public ExecNode {

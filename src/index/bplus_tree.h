@@ -13,38 +13,26 @@
 
 namespace exi {
 
-// An entry that carries its own key beside its value, such as the
-// built-in B-tree index's (key, posting list).  KeyedEntryKey reads it.
-template <typename T>
-struct KeyedEntry {
-  CompositeKey key;
-  T value;
-};
-
-struct KeyedEntryKey {
-  template <typename T>
-  KeySpan operator()(const KeyedEntry<T>& entry) const {
-    return entry.key;
-  }
-};
-
 // In-memory B+-tree over composite Value keys.  Each leaf slot holds one
 // `Entry`, and the tree reads the entry's key in place through `KeyFn`
 // (`KeySpan operator()(const Entry&)`), so a leaf keeps no key copies.
-// Shared by the native B-tree index (entry = key plus posting list of
-// RowIds) and by index-organized tables (entry = the full row, keyed by
-// its leading columns: the paper's "index entry is the row" metaphor).
+// Its one user is the index-organized table (Iot): an entry is a full row,
+// keyed by its leading columns (the paper's "index entry is the row"
+// metaphor).  The built-in B-tree index is such a table too, of
+// (key columns..., rowid) rows.
 // Internal nodes own their separator keys, one per child after the first.
 //
 // Structure: classic order-`kMaxKeys` tree; leaves are chained for range
-// scans.  An empty tree can also be built bottom-up from sorted entries
-// (BulkLoad), and a run of sorted keys (MergeRun) holds its root-to-leaf
-// path, so each key re-descends only from the lowest held node that covers
-// it.  Deletion is lazy, the same strategy PostgreSQL uses: entries are
+// scans.  Besides Clear, which empties it, the tree has two writers:
+// BulkLoad builds an empty tree bottom-up from sorted entries, and
+// MergeRun read-modify-writes a run of sorted keys (one key is a run of
+// one) along one held root-to-leaf path, so each key re-descends only
+// from the lowest held node that covers it.
+// Deletion is lazy, the same strategy PostgreSQL uses: entries are
 // removed from leaves, and underfull and empty leaves stay in the tree and
 // on the leaf chain.  Scans step over empty leaves, and every node a
-// lookup or scan visits is metered, empty leaves included.
-template <typename Entry, typename KeyFn = KeyedEntryKey>
+// lookup, write or scan visits is metered, empty leaves included.
+template <typename Entry, typename KeyFn>
 class BPlusTree {
  public:
   static constexpr size_t kMaxKeys = 64;
@@ -69,41 +57,13 @@ class BPlusTree {
   // Returns the entry for `key`, or nullptr.
   Entry* Find(KeySpan key) {
     Path path;
-    Node* leaf = Descend(key, &path, /*metered=*/true);
+    Node* leaf = Descend(key, &path);
     size_t pos = LowerBound(leaf, key);
     return Holds(leaf, pos, key) ? &leaf->entries[pos] : nullptr;
   }
   const Entry* Find(KeySpan key) const {
     return const_cast<BPlusTree*>(this)->Find(key);
   }
-
-  // Returns the entry for `key`, inserting `make()` (an entry whose key
-  // equals `key`) if absent and splitting nodes as needed.  Unlike Upsert,
-  // does not meter the nodes it visits.
-  template <typename Make>
-  Entry& GetOrInsert(KeySpan key, Make make) {
-    Path path;
-    return *Insert(key, &path, /*metered=*/false, make).entry;
-  }
-
-  // Stores `entry` under its key in one descent, metering every node it
-  // visits.  Returns the entry it replaced, or nullopt for a new key.
-  std::optional<Entry> Upsert(Entry entry) {
-    Path path;
-    std::optional<Entry> old;
-    Put(std::move(entry), &path, &old);
-    return old;
-  }
-
-  // Removes the entry for `key` in one descent and returns it, or nullopt
-  // if absent.
-  std::optional<Entry> Extract(KeySpan key) {
-    Path path;
-    return ExtractFromLeaf(Descend(key, &path, /*metered=*/true), key);
-  }
-
-  // Removes the entry for `key`.  Returns false if absent.
-  bool Erase(KeySpan key) { return Extract(key).has_value(); }
 
   // Walks a run of `n` strictly ascending keys, `key_at(i)` the i-th, along
   // one held root-to-leaf path (see Path): a key inside the held leaf's
@@ -126,7 +86,7 @@ class BPlusTree {
     Path path;
     for (size_t i = 0; i < n; ++i) {
       KeySpan key = key_at(i);
-      Node* leaf = Descend(key, &path, /*metered=*/true);
+      Node* leaf = Descend(key, &path);
       size_t pos = LowerBound(leaf, key);
       Entry* current = Holds(leaf, pos, key) ? &leaf->entries[pos] : nullptr;
       std::optional<Entry> next;
@@ -235,7 +195,7 @@ class BPlusTree {
     Path path;
     Iterator it;
     it.tree_ = this;
-    it.leaf_ = Descend(key, &path, /*metered=*/true);
+    it.leaf_ = Descend(key, &path);
     it.pos_ = LowerBound(it.leaf_, key);
     // LowerBound may land past the last entry of this leaf.
     it.SkipEmpty();
@@ -281,11 +241,6 @@ class BPlusTree {
   // node's fence belongs to that node's subtree.  Fences fall or stay
   // level by level.
   using Path = std::vector<Level>;
-
-  struct InsertResult {
-    Entry* entry = nullptr;
-    bool inserted = false;  // `entry` was made by this insert
-  };
 
   static std::unique_ptr<Node> NewNode(bool leaf) {
     auto n = std::make_unique<Node>();
@@ -341,7 +296,7 @@ class BPlusTree {
   // held node whose fence covers `key` (from the root if none is held).
   // Every node whose keys are searched is metered, the node the descent
   // resumes from included; a held leaf that covers `key` reads no node.
-  Node* Descend(KeySpan key, Path* path, bool metered) {
+  Node* Descend(KeySpan key, Path* path) {
     while (!path->empty() && path->back().fence != nullptr &&
            CompareKeys(key, *path->back().fence) >= 0) {
       path->pop_back();
@@ -354,7 +309,7 @@ class BPlusTree {
     }
     while (true) {
       Level& level = path->back();
-      if (metered) GlobalMetrics().index_nodes_read++;
+      GlobalMetrics().index_nodes_read++;
       if (level.node->leaf) return level.node;
       level.child = ChildIndex(level.node->keys, key);
       Node* child = level.node->children[level.child].get();
@@ -363,28 +318,6 @@ class BPlusTree {
                                       : level.fence;
       path->push_back({child, fence});
     }
-  }
-
-  // Removes the entry for `key` from `leaf` and returns it, or nullopt if
-  // absent.
-  std::optional<Entry> ExtractFromLeaf(Node* leaf, KeySpan key) {
-    size_t pos = LowerBound(leaf, key);
-    if (!Holds(leaf, pos, key)) return std::nullopt;
-    std::optional<Entry> removed(std::move(leaf->entries[pos]));
-    leaf->entries.erase(leaf->entries.begin() + pos);
-    --size_;
-    return removed;
-  }
-
-  // The entry for `key` in the leaf `path` descends to; if absent, `make()`
-  // is inserted there.  `key` may view the entry make() moves from, so it
-  // is not read after make() runs.
-  template <typename Make>
-  InsertResult Insert(KeySpan key, Path* path, bool metered, Make& make) {
-    Node* leaf = Descend(key, path, metered);
-    size_t pos = LowerBound(leaf, key);
-    if (Holds(leaf, pos, key)) return {&leaf->entries[pos], false};
-    return {InsertAt(leaf, pos, path, make()), true};
   }
 
   // Inserts `entry` at `pos` of `leaf`, the deepest node of `path`, and
@@ -401,16 +334,6 @@ class BPlusTree {
                       : &right->entries[pos - leaf->entries.size()];
     AbsorbSplit(path, std::move(sep), std::move(right));
     return slot;
-  }
-
-  // Stores `entry` along `path`, metering each node searched: a new key is
-  // inserted, and a present key's entry is swapped out into `*old`.
-  // Returns the stored entry.
-  Entry& Put(Entry entry, Path* path, std::optional<Entry>* old) {
-    auto take = [&] { return std::move(entry); };
-    InsertResult res = Insert(KeyOf(entry), path, /*metered=*/true, take);
-    if (!res.inserted) *old = std::exchange(*res.entry, std::move(entry));
-    return *res.entry;
   }
 
   // Absorbs a split of the path's deepest node (separator `sep`, new right

@@ -24,13 +24,17 @@ Status Iot::MissingKeyError(KeySpan key) const {
   return Status::NotFound("no key " + KeyToString(key) + " in IOT " + name_);
 }
 
-Status Iot::Insert(Row row) {
-  EXI_RETURN_IF_ERROR(schema_.ValidateRow(row));
+Status Iot::Insert(Row row, MergeUndo* undo) {
   KeySpan key = KeyOf(row);
-  if (tree_.Find(key) != nullptr) return DuplicateKeyError(key);
-  tree_.GetOrInsert(key, [&] { return std::move(row); });
-  GlobalMetrics().index_entries_written++;
-  return Status::OK();
+  std::vector<CompositeKey> keys(1);
+  keys[0].assign(key.begin(), key.end());
+  return MergeSorted(
+      keys,
+      [&](size_t, const Row* current) -> Result<std::optional<Row>> {
+        if (current != nullptr) return DuplicateKeyError(keys[0]);
+        return std::optional<Row>(std::move(row));
+      },
+      undo);
 }
 
 Status Iot::MergeSorted(const std::vector<CompositeKey>& keys,
@@ -101,10 +105,14 @@ void Iot::Revert(MergeUndo undo) {
       nullptr);
 }
 
-Status Iot::Delete(const CompositeKey& key) {
-  if (!tree_.Erase(key)) return MissingKeyError(key);
-  GlobalMetrics().index_entries_written++;
-  return Status::OK();
+Status Iot::Delete(const CompositeKey& key, MergeUndo* undo) {
+  return MergeSorted(
+      {key},
+      [&](size_t, const Row* current) -> Result<std::optional<Row>> {
+        if (current == nullptr) return MissingKeyError(key);
+        return std::optional<Row>();
+      },
+      undo);
 }
 
 Status Iot::BulkLoad(std::vector<Row> rows) {

@@ -38,9 +38,6 @@ class Iot {
   size_t key_columns() const { return key_columns_; }
   uint64_t row_count() const { return tree_.size(); }
 
-  // Inserts; errors with AlreadyExists on duplicate primary key.
-  Status Insert(Row row);
-
   // What a merge run changed: the keys it added and the rows it replaced
   // or deleted, each in key order.  Revert puts them back.
   struct MergeUndo {
@@ -66,17 +63,18 @@ class Iot {
   // Puts back the rows a merge run changed, as one merge run.
   void Revert(MergeUndo undo);
 
-  // Deletes by primary key.  Errors with NotFound if absent.
-  Status Delete(const CompositeKey& key);
+  // Inserts `row` as a one-key merge run; errors with AlreadyExists on a
+  // duplicate primary key.  `*undo`, when given, receives the added key.
+  Status Insert(Row row, MergeUndo* undo = nullptr);
+
+  // Deletes by primary key as a one-key merge run; errors with NotFound if
+  // absent.  `*undo`, when given, receives the deleted row.
+  Status Delete(const CompositeKey& key, MergeUndo* undo = nullptr);
 
   // Loads `rows` into this empty IOT bottom-up.  Every row must pass the
   // schema and keys must be strictly ascending; otherwise returns an error
   // and leaves the IOT unchanged.
   Status BulkLoad(std::vector<Row> rows);
-
-  // The errors Insert and Delete return for a present / absent key.
-  Status DuplicateKeyError(KeySpan key) const;
-  Status MissingKeyError(KeySpan key) const;
 
   // Fetches the row with exactly this primary key.
   Result<Row> Get(const CompositeKey& key) const;
@@ -108,6 +106,9 @@ class Iot {
     }
   };
 
+  // The errors Insert and Delete return for a present / absent key.
+  Status DuplicateKeyError(KeySpan key) const;
+  Status MissingKeyError(KeySpan key) const;
   // The error for keys of a sorted call that do not strictly ascend.
   Status UnsortedKeyError(const char* call, KeySpan key) const;
 

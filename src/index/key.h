@@ -25,6 +25,12 @@ int TotalOrderCompare(const Value& a, const Value& b);
 // prefix of a longer key sorts first, which is what prefix scans rely on.
 int CompareKeys(KeySpan a, KeySpan b);
 
+// CompareKeys as a strict weak order, for ordered containers and sorts of
+// keys and rows.
+struct KeyLess {
+  bool operator()(KeySpan a, KeySpan b) const { return CompareKeys(a, b) < 0; }
+};
+
 std::string KeyToString(KeySpan key);
 
 }  // namespace exi

@@ -1,6 +1,7 @@
 #include "optimizer/stats.h"
 
-#include <set>
+#include <algorithm>
+#include <vector>
 
 #include "index/key.h"
 
@@ -13,7 +14,10 @@ Status AnalyzeTable(Catalog* catalog, const std::string& table_name) {
   stats.row_count = table.row_count();
   stats.columns.assign(table.schema().size(), ColumnStats());
 
-  std::vector<std::set<uint64_t>> distinct(table.schema().size());
+  // Value hashes per column, counted distinct by sort and unique: one
+  // buffer per column, where a set would free a node per distinct value
+  // at the end, for malloc to consolidate in some later statement.
+  std::vector<std::vector<uint64_t>> distinct(table.schema().size());
   for (auto it = table.Scan(); it.Valid(); it.Next()) {
     const Row& row = it.row();
     for (size_t c = 0; c < row.size() && c < stats.columns.size(); ++c) {
@@ -23,7 +27,7 @@ Status AnalyzeTable(Catalog* catalog, const std::string& table_name) {
         cs.null_count++;
         continue;
       }
-      distinct[c].insert(v.Hash());
+      distinct[c].push_back(v.Hash());
       if (DataType(v.tag()).is_scalar()) {
         if (!cs.min.has_value() || TotalOrderCompare(v, *cs.min) < 0) {
           cs.min = v;
@@ -35,7 +39,10 @@ Status AnalyzeTable(Catalog* catalog, const std::string& table_name) {
     }
   }
   for (size_t c = 0; c < stats.columns.size(); ++c) {
-    stats.columns[c].distinct_values = distinct[c].size();
+    std::vector<uint64_t>& hashes = distinct[c];
+    std::sort(hashes.begin(), hashes.end());
+    stats.columns[c].distinct_values =
+        uint64_t(std::unique(hashes.begin(), hashes.end()) - hashes.begin());
   }
   stats.analyzed = true;
   info->stats = std::move(stats);

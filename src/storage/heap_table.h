@@ -69,9 +69,6 @@ class HeapTable {
   // Returns the number of live rows removed.
   Result<uint64_t> TruncateSegment(uint32_t segment);
 
-  bool HasSegment(uint32_t segment) const {
-    return segments_.count(segment) > 0;
-  }
   uint64_t SegmentRowCount(uint32_t segment) const;
 
   // Validates against the schema and stores the row in segment 0.

@@ -36,7 +36,7 @@ TEST(CatalogTest, DropTableBlockedByIndexes) {
   info->name = "idx";
   info->table = "t";
   info->columns = {"a"};
-  info->builtin = std::make_unique<BTreeIndex>("idx");
+  info->builtin = std::make_unique<BTreeIndex>("idx", OneIntSchema());
   ASSERT_TRUE(catalog.AddIndex(std::move(info)).ok());
   EXPECT_EQ(catalog.DropTable("t").code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(catalog.RemoveIndex("idx").ok());
@@ -88,7 +88,7 @@ TEST(CatalogTest, IndexLookupByTableAndColumn) {
     info->name = name;
     info->table = "t";
     info->columns = {"a"};
-    info->builtin = std::make_unique<BTreeIndex>(name);
+    info->builtin = std::make_unique<BTreeIndex>(name, OneIntSchema());
     ASSERT_TRUE(catalog.AddIndex(std::move(info)).ok());
   }
   EXPECT_EQ(catalog.IndexesOnTable("t").size(), 2u);

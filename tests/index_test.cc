@@ -29,33 +29,76 @@ namespace {
 
 CompositeKey IntKey(int64_t v) { return {Value::Integer(v)}; }
 
-// The B+-tree tests key a small entry by one INTEGER.
+// The B+-tree tests key a small entry, which carries its own key beside
+// its value, by one INTEGER.
+template <typename T>
+struct KeyedEntry {
+  CompositeKey key;
+  T value;
+};
+
+struct KeyedEntryKey {
+  template <typename T>
+  KeySpan operator()(const KeyedEntry<T>& entry) const {
+    return entry.key;
+  }
+};
+
+template <typename T>
+using Tree = BPlusTree<KeyedEntry<T>, KeyedEntryKey>;
 using IntEntry = KeyedEntry<int64_t>;
-using IntTree = BPlusTree<IntEntry>;
+using IntTree = Tree<int64_t>;
 
 template <typename T>
 KeyedEntry<T> Entry(int64_t key, T value) {
   return {IntKey(key), value};
 }
 
-// The value stored under `key`, inserted as T() if absent (unmetered).
+// Stores `entry` as a one-key MergeRun and returns the entry it replaced,
+// or nullopt for a new key.
 template <typename T>
-T& Slot(BPlusTree<KeyedEntry<T>>& tree, int64_t key) {
-  return tree.GetOrInsert(IntKey(key), [&] { return Entry(key, T()); })
-      .value;
+std::optional<KeyedEntry<T>> Put(Tree<T>& tree, KeyedEntry<T> entry) {
+  const CompositeKey key = entry.key;
+  std::optional<KeyedEntry<T>> replaced;
+  tree.MergeRun(
+      1, [&](size_t) { return KeySpan(key); },
+      [&](size_t, const KeyedEntry<T>*, std::optional<KeyedEntry<T>>* next) {
+        *next = std::move(entry);
+        return true;
+      },
+      [&](size_t, std::optional<KeyedEntry<T>> old, const KeyedEntry<T>*) {
+        replaced = std::move(old);
+      });
+  return replaced;
+}
+
+// Removes `key`'s entry as a one-key MergeRun and returns it, or nullopt
+// if absent.
+template <typename T>
+std::optional<KeyedEntry<T>> Take(Tree<T>& tree, const CompositeKey& key) {
+  std::optional<KeyedEntry<T>> removed;
+  tree.MergeRun(
+      1, [&](size_t) { return KeySpan(key); },
+      [](size_t, const KeyedEntry<T>*, std::optional<KeyedEntry<T>>*) {
+        return true;
+      },
+      [&](size_t, std::optional<KeyedEntry<T>> old, const KeyedEntry<T>*) {
+        removed = std::move(old);
+      });
+  return removed;
 }
 
 // The value stored under `key`, or nullptr.
 template <typename T>
-T* FindValue(BPlusTree<KeyedEntry<T>>& tree, int64_t key) {
+T* FindValue(Tree<T>& tree, int64_t key) {
   KeyedEntry<T>* entry = tree.Find(IntKey(key));
   return entry == nullptr ? nullptr : &entry->value;
 }
 
 TEST(BPlusTreeTest, InsertFindErase) {
-  BPlusTree<KeyedEntry<int>> tree;
+  Tree<int> tree;
   for (int64_t i = 0; i < 1000; ++i) {
-    Slot(tree, i) = int(i * 2);
+    Put(tree, Entry(i, int(i * 2)));
   }
   EXPECT_EQ(tree.size(), 1000u);
   EXPECT_GT(tree.height(), 1u);
@@ -65,20 +108,20 @@ TEST(BPlusTreeTest, InsertFindErase) {
     EXPECT_EQ(*v, int(i * 2));
   }
   EXPECT_EQ(tree.Find(IntKey(5000)), nullptr);
-  EXPECT_TRUE(tree.Erase(IntKey(500)));
-  EXPECT_FALSE(tree.Erase(IntKey(500)));
+  EXPECT_TRUE(Take(tree, IntKey(500)).has_value());
+  EXPECT_FALSE(Take(tree, IntKey(500)).has_value());
   EXPECT_EQ(tree.Find(IntKey(500)), nullptr);
   EXPECT_EQ(tree.size(), 999u);
 }
 
 TEST(BPlusTreeTest, IterationIsSorted) {
-  BPlusTree<KeyedEntry<int>> tree;
+  Tree<int> tree;
   Rng rng(3);
   std::set<int64_t> keys;
   for (int i = 0; i < 2000; ++i) {
     int64_t k = int64_t(rng.Uniform(100000));
     keys.insert(k);
-    Slot(tree, k) = 0;
+    Put(tree, Entry(k, 0));
   }
   std::vector<int64_t> seen;
   for (auto it = tree.Begin(); it.Valid(); it.Next()) {
@@ -89,8 +132,8 @@ TEST(BPlusTreeTest, IterationIsSorted) {
 }
 
 TEST(BPlusTreeTest, SeekSemantics) {
-  BPlusTree<KeyedEntry<int>> tree;
-  for (int64_t i = 0; i < 100; i += 10) Slot(tree, i) = 1;
+  Tree<int> tree;
+  for (int64_t i = 0; i < 100; i += 10) Put(tree, Entry(i, 1));
   auto it = tree.Seek(IntKey(25));
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key()[0].AsInteger(), 30);
@@ -108,12 +151,12 @@ TEST(BPlusTreeTest, PropertyMatchesStdMap) {
   for (int op = 0; op < 20000; ++op) {
     int64_t key = int64_t(rng.Uniform(500));
     if (rng.Uniform(3) == 0) {
-      bool tree_erased = tree.Erase(IntKey(key));
+      bool tree_erased = Take(tree, IntKey(key)).has_value();
       bool oracle_erased = oracle.erase(key) > 0;
       ASSERT_EQ(tree_erased, oracle_erased) << "op " << op;
     } else {
       int64_t value = int64_t(rng.Next());
-      Slot(tree, key) = value;
+      Put(tree, Entry(key, value));
       oracle[key] = value;
     }
   }
@@ -162,7 +205,7 @@ TEST(BPlusTreeBulkLoadTest, MatchesIncrementalInserts) {
     IntTree bulk;
     BulkLoadInts(&bulk, n);
     IntTree incremental;
-    for (int64_t i = 0; i < n; ++i) Slot(incremental, i) = 3 * i;
+    for (int64_t i = 0; i < n; ++i) Put(incremental, Entry(i, 3 * i));
     ASSERT_EQ(bulk.size(), size_t(n));
     EXPECT_EQ(bulk.height(), PackedHeight(size_t(n)));
     // Same entries in the same order.
@@ -205,9 +248,10 @@ TEST(BPlusTreeBulkLoadTest, InterleavedWritesAfterLoadStaySorted) {
   for (int op = 0; op < 20000; ++op) {
     int64_t key = int64_t(rng.Uniform(2 * n + 100));
     if (rng.Uniform(3) == 0) {
-      ASSERT_EQ(tree.Erase(IntKey(key)), oracle.erase(key) > 0) << op;
+      ASSERT_EQ(Take(tree, IntKey(key)).has_value(), oracle.erase(key) > 0)
+          << op;
     } else {
-      Slot(tree, key) = op;
+      Put(tree, Entry<int64_t>(key, op));
       oracle[key] = op;
     }
   }
@@ -328,7 +372,7 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
           });
         });
         single_reads = NodesReadBy([&] {
-          for (const IntEntry& entry : entries) singles.Upsert(entry);
+          for (const IntEntry& entry : entries) Put(singles, entry);
         });
         for (const IntEntry& entry : entries) {
           model[entry.key[0].AsInteger()] = entry.value;
@@ -343,7 +387,7 @@ TEST(BPlusTreeRunTest, RandomRunsMatchStdMapAndReadNoMoreThanSingleKeys) {
                     keys.size());
         });
         single_reads = NodesReadBy([&] {
-          for (const CompositeKey& key : keys) singles.Extract(key);
+          for (const CompositeKey& key : keys) Take(singles, key);
         });
         for (int64_t k : picked) model.erase(k);
       }
@@ -556,40 +600,57 @@ TEST_F(BPlusTreeRunMeterTest, MergeRunReplacesInsertsAndRemovesInOneWalk) {
 
 TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
   IntTree tree;
-  EXPECT_FALSE(tree.Upsert(Entry<int64_t>(1, 10)).has_value());
-  std::optional<IntEntry> old = tree.Upsert(Entry<int64_t>(1, 11));
+  EXPECT_FALSE(Put(tree, Entry<int64_t>(1, 10)).has_value());
+  std::optional<IntEntry> old = Put(tree, Entry<int64_t>(1, 11));
   ASSERT_TRUE(old.has_value());
   EXPECT_EQ(old->value, 10);
   EXPECT_EQ(*FindValue(tree, 1), 11);
-  old = tree.Extract(IntKey(1));
+  old = Take(tree, IntKey(1));
   ASSERT_TRUE(old.has_value());
   EXPECT_EQ(old->value, 11);
-  EXPECT_FALSE(tree.Extract(IntKey(1)).has_value());
+  EXPECT_FALSE(Take(tree, IntKey(1)).has_value());
   EXPECT_EQ(tree.size(), 0u);
 }
 
+// A B-tree index keyed by `columns` INTEGER columns.
+Schema IntKeySchema(int columns = 1) {
+  Schema schema;
+  for (int c = 0; c < columns; ++c) {
+    schema.AddColumn(Column{"k" + std::to_string(c), DataType::Integer()});
+  }
+  return schema;
+}
+
+// Every rowid the index holds, in (key, rowid) order.
+std::vector<RowId> AllRids(const BTreeIndex& index) {
+  return index.ScanRange(std::nullopt, std::nullopt);
+}
+
 TEST(BTreeIndexTest, NonUniquePostings) {
-  BTreeIndex index("i");
-  index.Insert(IntKey(5), 100);
-  index.Insert(IntKey(5), 101);
-  index.Insert(IntKey(6), 102);
-  EXPECT_EQ(index.entry_count(), 3u);
-  EXPECT_EQ(index.distinct_keys(), 2u);
-  EXPECT_EQ(index.ScanEqual(IntKey(5)).size(), 2u);
-  index.Delete(IntKey(5), 100);
+  BTreeIndex index("i", IntKeySchema());
+  ASSERT_TRUE(index.Insert(IntKey(5), 101).ok());
+  ASSERT_TRUE(index.Insert(IntKey(5), 100).ok());
+  ASSERT_TRUE(index.Insert(IntKey(6), 102).ok());
+  EXPECT_EQ(index.Insert(IntKey(5), 100).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(AllRids(index), (std::vector<RowId>{100, 101, 102}));
+  // Rowids of one key come in rowid order, not insertion order.
+  EXPECT_EQ(index.ScanEqual(IntKey(5)), (std::vector<RowId>{100, 101}));
+  ASSERT_TRUE(index.Delete(IntKey(5), 100).ok());
   EXPECT_EQ(index.ScanEqual(IntKey(5)).size(), 1u);
-  index.Delete(IntKey(5), 999);  // absent rid: no-op
-  EXPECT_EQ(index.entry_count(), 2u);
+  EXPECT_EQ(index.Delete(IntKey(5), 999).code(), StatusCode::kNotFound);
+  EXPECT_EQ(AllRids(index).size(), 2u);
   EXPECT_TRUE(index.ScanEqual(IntKey(99)).empty());
-  // Deleting a key's last posting removes the key.
-  index.Delete(IntKey(5), 101);
+  // Deleting a key's last rowid removes the key.
+  ASSERT_TRUE(index.Delete(IntKey(5), 101).ok());
   EXPECT_TRUE(index.ScanEqual(IntKey(5)).empty());
-  EXPECT_EQ(index.distinct_keys(), 1u);
+  EXPECT_EQ(AllRids(index), (std::vector<RowId>{102}));
 }
 
 TEST(BTreeIndexTest, RangeScansAllBoundShapes) {
-  BTreeIndex index("i");
-  for (int64_t i = 0; i < 100; ++i) index.Insert(IntKey(i), RowId(i + 1));
+  BTreeIndex index("i", IntKeySchema());
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(index.Insert(IntKey(i), RowId(i + 1)).ok());
+  }
   auto count = [&](std::optional<KeyBound> lo,
                    std::optional<KeyBound> hi) {
     return index.ScanRange(lo, hi).size();
@@ -605,11 +666,13 @@ TEST(BTreeIndexTest, RangeScansAllBoundShapes) {
 }
 
 TEST(BTreeIndexTest, ScanLeadingPrefix) {
-  BTreeIndex index("i");
+  BTreeIndex index("i", IntKeySchema(2));
   for (int64_t a = 0; a < 10; ++a) {
     for (int64_t b = 0; b < 5; ++b) {
-      index.Insert({Value::Integer(a), Value::Integer(b)},
-                   RowId(a * 10 + b + 1));
+      ASSERT_TRUE(index
+                      .Insert({Value::Integer(a), Value::Integer(b)},
+                              RowId(a * 10 + b + 1))
+                      .ok());
     }
   }
   auto rids = index.ScanLeadingPrefix({Value::Integer(7)});
@@ -1090,7 +1153,8 @@ TEST_F(IotCallbackTest, ShortRowIsAnErrorNotACrash) {
   EXPECT_EQ(*ctx.IotRowCount("p"), 0u);
 }
 
-// IotUpsert and IotDelete each descend the tree once: `height` node reads.
+// IotUpsert, IotDelete and IotInsert (also one that finds its key present)
+// each descend the tree once: `height` node reads.
 TEST_F(IotCallbackTest, UpsertAndDeleteTakeOneDescent) {
   std::vector<Row> rows;
   for (int64_t rid = 0; rid < 20000; ++rid) rows.push_back(Posting("t", rid));
@@ -1113,13 +1177,24 @@ TEST_F(IotCallbackTest, UpsertAndDeleteTakeOneDescent) {
                       .ok());
             }),
             height);
-  // Undo restores the replaced row and the deleted one, and drops the new.
+  EXPECT_EQ(NodesReadBy([&] {
+              ASSERT_TRUE(ctx.IotInsert("p", Posting("u", 2)).ok());
+            }),
+            height);
+  EXPECT_EQ(NodesReadBy([&] {
+              EXPECT_EQ(ctx.IotInsert("p", Posting("t", 8)).code(),
+                        StatusCode::kAlreadyExists);
+            }),
+            height);
+  // Undo restores the replaced row and the deleted one, and drops the new
+  // ones.
   txn.RunUndo();
   EXPECT_EQ((*ctx.IotGet("p", {Value::Varchar("t"), Value::Integer(5)}))[2]
                 .AsInteger(),
             1);
   EXPECT_TRUE(ctx.IotGet("p", {Value::Varchar("t"), Value::Integer(7)}).ok());
   EXPECT_FALSE(ctx.IotGet("p", {Value::Varchar("u"), Value::Integer(1)}).ok());
+  EXPECT_FALSE(ctx.IotGet("p", {Value::Varchar("u"), Value::Integer(2)}).ok());
   EXPECT_EQ(*ctx.IotRowCount("p"), 20000u);
 }
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -30,19 +33,21 @@ class BtreeOracleProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BtreeOracleProperty, RangeScansMatchReference) {
   Rng rng(GetParam());
-  BTreeIndex index("p");
+  Schema key_schema;
+  key_schema.AddColumn(Column{"k", DataType::Integer()});
+  BTreeIndex index("p", key_schema);
   std::multimap<int64_t, RowId> oracle;
   for (int op = 0; op < 3000; ++op) {
     int64_t key = int64_t(rng.Uniform(200));
     if (rng.Uniform(4) == 0 && !oracle.empty()) {
       auto it = oracle.find(key);
       if (it != oracle.end()) {
-        index.Delete({Value::Integer(key)}, it->second);
+        ASSERT_TRUE(index.Delete({Value::Integer(key)}, it->second).ok());
         oracle.erase(it);
       }
     } else {
       RowId rid = RowId(op + 1);
-      index.Insert({Value::Integer(key)}, rid);
+      ASSERT_TRUE(index.Insert({Value::Integer(key)}, rid).ok());
       oracle.emplace(key, rid);
     }
   }
@@ -62,6 +67,172 @@ TEST_P(BtreeOracleProperty, RangeScansMatchReference) {
     }
     ASSERT_EQ(got, expected) << "seed " << GetParam() << " query " << q;
   }
+}
+
+// Through SQL: built-in B-tree scans agree with std::multimap references
+// on a unique column `u`, a 20-valued column `v`, and a two-column key
+// (v, w) whose second column holds NULLs, for the four one-sided bound
+// shapes, two-sided ranges, equality and a leading-prefix probe.  Half the
+// rows are loaded before CREATE INDEX and half after; every scan is checked
+// again after deletes and key-changing updates, and after a transaction
+// that changes all three is rolled back.  Scans come in (key, rowid)
+// order, so rows are compared as sorted id lists.
+TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
+  Rng rng(GetParam());
+  Database db;
+  Connection conn(&db);
+  // `t` is indexed on u and on v; `c` holds the same rows under one (v, w)
+  // index, so its single-column predicates are prefix probes.
+  conn.MustExecute("CREATE TABLE t (id INTEGER, u INTEGER, v INTEGER, "
+                   "w INTEGER)");
+  conn.MustExecute("CREATE TABLE c (id INTEGER, u INTEGER, v INTEGER, "
+                   "w INTEGER)");
+  struct Rec {
+    int64_t u;
+    int64_t v;
+    std::optional<int64_t> w;
+  };
+  std::map<int64_t, Rec> model;
+  int64_t next_u = 1000;
+  auto random_rec = [&] {
+    Rec r{next_u++, int64_t(rng.Uniform(20)), std::nullopt};
+    if (rng.Uniform(4) != 0) r.w = int64_t(rng.Uniform(5));
+    return r;
+  };
+  auto values = [](int64_t id, const Rec& r) {
+    return std::to_string(id) + ", " + std::to_string(r.u) + ", " +
+           std::to_string(r.v) + ", " +
+           (r.w ? std::to_string(*r.w) : std::string("NULL"));
+  };
+  auto both = [&](const std::string& sql_for_table) {
+    for (const char* table : {"t", "c"}) {
+      std::string sql = sql_for_table;
+      sql.replace(sql.find("%"), 1, table);
+      conn.MustExecute(sql);
+    }
+  };
+  int64_t next_id = 1;
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Rec r = random_rec();
+      both("INSERT INTO % VALUES (" + values(next_id, r) + ")");
+      model[next_id++] = r;
+    }
+  };
+  auto some_id = [&] {
+    auto it = model.begin();
+    std::advance(it, rng.Uniform(model.size()));
+    return it->first;
+  };
+  // Deletes and key-changing updates of random rows, in `model` too.
+  auto churn = [&](int n) {
+    for (int i = 0; i < n && !model.empty(); ++i) {
+      int64_t id = some_id();
+      if (rng.Uniform(2) == 0) {
+        both("DELETE FROM % WHERE id = " + std::to_string(id));
+        model.erase(id);
+      } else {
+        Rec r = random_rec();
+        both("UPDATE % SET u = " + std::to_string(r.u) +
+             ", v = " + std::to_string(r.v) + ", w = " +
+             (r.w ? std::to_string(*r.w) : std::string("NULL")) +
+             " WHERE id = " + std::to_string(id));
+        model[id] = r;
+      }
+    }
+  };
+
+  auto check = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    std::multimap<int64_t, int64_t> by_u;
+    std::multimap<int64_t, int64_t> by_v;
+    for (const auto& [id, r] : model) {
+      by_u.emplace(r.u, id);
+      by_v.emplace(r.v, id);
+    }
+    // The ids whose key lies in the bounds, read off the reference.
+    auto expect = [](const std::multimap<int64_t, int64_t>& ref,
+                     std::optional<int64_t> lo, bool lo_incl,
+                     std::optional<int64_t> hi, bool hi_incl) {
+      std::vector<int64_t> ids;
+      auto it = !lo ? ref.begin()
+                    : lo_incl ? ref.lower_bound(*lo) : ref.upper_bound(*lo);
+      for (; it != ref.end(); ++it) {
+        if (hi && (hi_incl ? it->first > *hi : it->first >= *hi)) break;
+        ids.push_back(it->second);
+      }
+      std::sort(ids.begin(), ids.end());
+      return ids;
+    };
+    auto run = [&](const std::string& table, const std::string& where,
+                   const std::string& index) {
+      const std::string sql = "SELECT id FROM " + table + " WHERE " + where;
+      EXPECT_NE(conn.MustExecute("EXPLAIN " + sql).message.find(
+                    "BTREE(" + index + ")"),
+                std::string::npos)
+          << sql;
+      std::vector<int64_t> ids;
+      for (const Row& row : conn.MustExecute(sql).rows) {
+        ids.push_back(row[0].AsInteger());
+      }
+      std::sort(ids.begin(), ids.end());
+      return ids;
+    };
+    for (int q = 0; q < 24; ++q) {
+      const bool on_u = q % 2 == 0;
+      const std::multimap<int64_t, int64_t>& ref = on_u ? by_u : by_v;
+      const std::string col = on_u ? "u" : "v";
+      const std::string index = on_u ? "t_u" : "t_v";
+      // Bounds near stored keys, so equal keys sit on the bounds.
+      auto pick = [&]() -> int64_t {
+        if (!on_u) return int64_t(rng.Uniform(22)) - 1;
+        return model.at(some_id()).u + int64_t(rng.Uniform(3)) - 1;
+      };
+      int64_t a = pick();
+      int64_t b = pick();
+      if (a > b) std::swap(a, b);
+      const std::string sa = std::to_string(a);
+      const std::string sb = std::to_string(b);
+      SCOPED_TRACE(col + " a=" + sa + " b=" + sb);
+      EXPECT_EQ(run("t", col + " = " + sa, index),
+                expect(ref, a, true, a, true));
+      EXPECT_EQ(run("t", col + " > " + sa, index),
+                expect(ref, a, false, std::nullopt, false));
+      EXPECT_EQ(run("t", col + " >= " + sa, index),
+                expect(ref, a, true, std::nullopt, false));
+      EXPECT_EQ(run("t", col + " < " + sa, index),
+                expect(ref, std::nullopt, false, a, false));
+      EXPECT_EQ(run("t", col + " <= " + sa, index),
+                expect(ref, std::nullopt, false, a, true));
+      EXPECT_EQ(run("t", col + " > " + sa + " AND " + col + " <= " + sb,
+                    index),
+                expect(ref, a, false, b, true));
+      EXPECT_EQ(run("t", col + " >= " + sa + " AND " + col + " < " + sb,
+                    index),
+                expect(ref, a, true, b, false));
+      if (!on_u) {
+        // Leading-prefix probe of (v, w): rows whose w is NULL included.
+        EXPECT_EQ(run("c", "v = " + sa, "c_vw"), expect(ref, a, true, a, true));
+      }
+    }
+  };
+
+  insert(150);
+  conn.MustExecute("CREATE INDEX t_u ON t(u)");
+  conn.MustExecute("CREATE INDEX t_v ON t(v)");
+  conn.MustExecute("CREATE INDEX c_vw ON c(v, w)");
+  insert(150);
+  check("after load");
+  churn(120);
+  check("after deletes and updates");
+  const std::map<int64_t, Rec> committed = model;
+  conn.MustExecute("BEGIN");
+  insert(40);
+  churn(80);
+  check("inside a transaction");
+  conn.MustExecute("ROLLBACK");
+  model = committed;
+  check("after a rolled-back transaction");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BtreeOracleProperty,

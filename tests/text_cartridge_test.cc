@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -611,6 +612,23 @@ TEST(PostingBlockCodecTest, MalformedBlocksAreErrors) {
   }
 }
 
+// A guard that counts the IOT range reads made through it.
+class RangeReadCounter : public GuardedServerContext {
+ public:
+  using GuardedServerContext::GuardedServerContext;
+
+  Status IotScanRange(const std::string& name, const CompositeKey* lo,
+                      bool lo_inclusive, const CompositeKey* hi,
+                      bool hi_inclusive,
+                      FunctionRef<bool(const Row&)> visit) const override {
+    ++reads;
+    return GuardedServerContext::IotScanRange(name, lo, lo_inclusive, hi,
+                                              hi_inclusive, visit);
+  }
+
+  mutable size_t reads = 0;
+};
+
 // docs(id, body) with a text index built as `params` says; ids start at 0
 // and get rowids id + 1, so id 1022 holds the last rid of block 0 and id
 // 1023 the first of block 1.
@@ -682,17 +700,19 @@ class TextBlockTest : public ::testing::Test {
   }
 
   // The rids and scores a scan of `query` returns, fetched `max_rows` at a
-  // time through the ODCI routines.
+  // time through the ODCI routines.  `*range_reads`, when given, receives
+  // the IOT range reads the scan made.
   std::vector<std::pair<RowId, int64_t>> Scan(const std::string& params,
                                               const std::string& query,
-                                              size_t max_rows) {
+                                              size_t max_rows,
+                                              size_t* range_reads = nullptr) {
     OdciIndexInfo info;
     info.index_name = "dtext";
     info.table_name = "docs";
     info.column_positions = {1};
     info.parameters = params;
     text::TextIndexMethods methods;
-    GuardedServerContext ctx(&db_.catalog(), nullptr, CallbackMode::kScan);
+    RangeReadCounter ctx(&db_.catalog(), nullptr, CallbackMode::kScan);
     Result<OdciScanContext> sctx = methods.Start(
         info, OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(query)}),
         ctx);
@@ -710,6 +730,7 @@ class TextBlockTest : public ::testing::Test {
       }
     }
     EXPECT_TRUE(methods.Close(info, *sctx, ctx).ok());
+    if (range_reads != nullptr) *range_reads = ctx.reads;
     return out;
   }
 
@@ -766,6 +787,18 @@ TEST_F(TextBlockTest, IncrementalFetchCrossesBlockEdgesAtAnyBatchSize) {
     EXPECT_EQ(Scan(":Mode incremental", "edge", max_rows),
               (std::vector<std::pair<RowId, int64_t>>{{1023, 1}, {1024, 1}}));
   }
+  EXPECT_EQ(ScanWorkspaceRegistry::Global().active_count(), 0u);
+}
+
+// An incremental scan reads and decodes each block once: fetched one row
+// at a time, a one-block term of 1,000 postings takes one range read for
+// its block and one that finds no further block.
+TEST_F(TextBlockTest, IncrementalFetchReadsEachBlockOnce) {
+  CreateIndex("");
+  InsertDocs(0, 1000);
+  size_t reads = 0;
+  EXPECT_EQ(Scan(":Mode incremental", "all", 1, &reads).size(), 1000u);
+  EXPECT_LE(reads, 2u);
   EXPECT_EQ(ScanWorkspaceRegistry::Global().active_count(), 0u);
 }
 
@@ -891,6 +924,56 @@ TEST(TextBuildEquivalenceTest, BulkAndMaintainedBlocksAreByteIdentical) {
   }
   ASSERT_GT(blocks[0].size(), 100u);
   ExpectSameRows(blocks[1], blocks[0]);
+}
+
+// A join probe whose argument is NULL gets the operator's functional
+// answer, which depends on the argument tuple alone, so it is computed once
+// per distinct tuple in an execution: 50 NULL terms among 50 real ones cost
+// one functional pass over the 2,000 docs, not 50, and the join returns
+// the rows it returned before the index existed.
+TEST(TextJoinTest, NullArgumentProbesEvaluateOnePassPerTuple) {
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+  conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(64))");
+  for (int id = 0; id < 2000;) {
+    std::string sql = "INSERT INTO docs VALUES ";
+    for (int end = id + 200; id < end; ++id) {
+      sql += (sql.back() == ' ' ? "" : ", ") + std::string("(") +
+             std::to_string(id) + ", 'w" + std::to_string(id % 50) +
+             " common')";
+    }
+    conn.MustExecute(sql);
+  }
+  conn.MustExecute("CREATE TABLE q (k INTEGER, term VARCHAR(16))");
+  std::string sql = "INSERT INTO q VALUES ";
+  for (int k = 0; k < 100; ++k) {
+    sql += (k ? ", (" : "(") + std::to_string(k) + ", " +
+           (k % 2 ? std::string("NULL") : "'w" + std::to_string(k / 2) + "'") +
+           ")";
+  }
+  conn.MustExecute(sql);
+  const std::string join =
+      "SELECT q.k, d.id FROM q, docs d WHERE Contains(d.body, q.term)";
+  auto sorted_rows = [&] {
+    std::vector<std::pair<int64_t, int64_t>> rows;
+    for (const Row& row : conn.MustExecute(join).rows) {
+      rows.emplace_back(row[0].AsInteger(), row[1].AsInteger());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  const std::vector<std::pair<int64_t, int64_t>> before = sorted_rows();
+  ASSERT_EQ(before.size(), 2000u);
+  conn.MustExecute(
+      "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType");
+  EXPECT_NE(conn.MustExecute("EXPLAIN " + join).message.find(
+                "DomainIndexJoin(inner=docs via dtext"),
+            std::string::npos);
+  StorageMetrics start = GlobalMetrics().Snapshot();
+  EXPECT_EQ(sorted_rows(), before);
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(start).functional_evaluations,
+            2000u);
 }
 
 }  // namespace
