@@ -2,7 +2,12 @@
 // Coarse tiles mean few index entries but many false-positive candidates
 // for the exact filter; fine tiles invert the trade.  This is the design
 // knob the PARAMETERS clause exists to expose (§2.3) — the end user tunes
-// the cartridge without touching its code.
+// the cartridge without touching its code.  Each level indexes its own
+// copy of the same rectangles, and the levels' queries alternate.
+//
+// Shape check: hits are identical at every level (tile level is a
+// performance knob, never a correctness one); index size grows with
+// refinement while per-query reads bottom out at a sweet spot.
 
 #include <cstdio>
 
@@ -15,42 +20,42 @@ using namespace exi;         // NOLINT
 using namespace exi::bench;  // NOLINT
 
 int main() {
-  Header("ablation: tile level — index size vs candidate precision");
   const uint64_t kRects = Scaled(4000, 80);
-  std::printf("%6s | %12s | %10s %10s | %10s\n", "level", "iot_entries",
-              "query_us", "hits", "idx_reads");
-  for (int level : {2, 3, 4, 5, 6, 8, 10}) {
-    Database db;
-    Connection conn(&db);
-    if (!spatial::InstallSpatialCartridge(&conn).ok()) return 1;
-    if (!workload::BuildSpatialTable(&conn, "g", kRects, 300.0, 7).ok()) {
+  const std::vector<int> levels = {2, 3, 4, 5, 6, 8, 10};
+  Database db;
+  Connection conn(&db);
+  if (!spatial::InstallSpatialCartridge(&conn).ok()) return 1;
+  std::vector<int64_t> hits(levels.size());
+  std::vector<std::function<void()>> runs;
+  for (size_t i = 0; i < levels.size(); ++i) {
+    const std::string table = "g" + std::to_string(levels[i]);
+    if (!workload::BuildSpatialTable(&conn, table, kRects, 300.0, 7).ok()) {
       return 1;
     }
-    conn.MustExecute(
-        "CREATE INDEX gidx ON g(geometry) INDEXTYPE IS SpatialIndexType "
-        "PARAMETERS (':TileLevel " +
-        std::to_string(level) + "')");
-    conn.MustExecute("ANALYZE g");
-    uint64_t entries = (*db.catalog().GetIot("gidx$ttab"))->row_count();
-
-    std::string sql =
-        "SELECT COUNT(*) FROM g WHERE Sdo_Relate(geometry, "
-        "SDO_GEOMETRY(3000,3000,3800,3800), 'mask=ANYINTERACT')";
-    conn.MustExecute(sql);  // warm
-    MetricsWindow window;
-    Timer timer;
-    QueryResult r = conn.MustExecute(sql);
-    int64_t us = timer.ElapsedUs();
-    StorageMetrics delta = window.Delta();
-    std::printf("%6d | %12llu | %10lld %10lld | %10llu\n", level,
-                (unsigned long long)entries, (long long)us,
-                (long long)r.rows[0][0].AsInteger(),
-                (unsigned long long)delta.index_nodes_read);
+    conn.MustExecute("CREATE INDEX " + table + "_idx ON " + table +
+                     "(geometry) INDEXTYPE IS SpatialIndexType PARAMETERS "
+                     "(':TileLevel " + std::to_string(levels[i]) + "')");
+    conn.MustExecute("ANALYZE " + table);
+    runs.push_back([&, i, table] {
+      hits[i] = conn.MustExecute("SELECT COUNT(*) FROM " + table +
+                                 " WHERE Sdo_Relate(geometry, "
+                                 "SDO_GEOMETRY(3000,3000,3800,3800), "
+                                 "'mask=ANYINTERACT')")
+                    .rows[0][0]
+                    .AsInteger();
+    });
   }
-  std::printf(
-      "\nshape check: hits are identical at every level (tile level is a\n"
-      "performance knob, never a correctness one); index size grows with\n"
-      "refinement while per-query reads bottom out at a sweet spot.\n");
-  JsonReport("ablation_tile_level").Write();
-  return 0;
+  std::vector<Series> times = TimeAlternating(runs);
+
+  JsonReport report("ablation_tile_level",
+                    "ablation: tile level, index size vs candidate precision");
+  report.Add("rects", kRects);
+  Table& out =
+      report.AddTimedTable("levels", {"level", "iot_entries", "hits"});
+  for (size_t i = 0; i < levels.size(); ++i) {
+    const std::string tiles = "g" + std::to_string(levels[i]) + "_idx$ttab";
+    out.Add({levels[i], (*db.catalog().GetIot(tiles))->row_count(), hits[i]},
+            times[i]);
+  }
+  return report.Write() ? 0 : 1;
 }

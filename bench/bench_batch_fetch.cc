@@ -2,7 +2,10 @@
 // interactions between application and server code. For example, the
 // ODCIIndexFetch() routine can return a single or a batch of row
 // identifiers."  Sweep the fetch batch size and report callback
-// round-trips (odci_fetch_calls) and wall time for a large result set.
+// round-trips (fetch_calls) and wall time for a large result set.
+//
+// Shape check: round-trips fall ~linearly with batch size and wall time
+// improves until dispatch overhead stops dominating.
 
 #include <cstdio>
 
@@ -15,12 +18,11 @@ using namespace exi;         // NOLINT
 using namespace exi::bench;  // NOLINT
 
 int main() {
-  Header("E7: ODCIIndexFetch batch size vs callback round-trips");
   const uint64_t kDocs = Scaled(30000, 200);
   Database db;
   Connection conn(&db);
-  if (!text::InstallTextCartridge(&conn).ok()) return 1;
-  if (!workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 5)
+  if (!text::InstallTextCartridge(&conn).ok() ||
+      !workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 5)
            .ok()) {
     return 1;
   }
@@ -33,38 +35,32 @@ int main() {
   // noise): start, drain in batches of the configured size, close.
   OdciPredInfo pred =
       OdciPredInfo::BooleanTrue("Contains", {Value::Varchar("w2")});
-  auto run = [&](size_t batch, size_t* rows) -> int64_t {
-    Timer timer;
-    auto scan = db.domains().StartScan("dtext", pred);
-    if (!scan.ok()) return -1;
-    OdciFetchBatch out;
-    *rows = 0;
-    while (true) {
-      if (!(*scan)->NextBatch(batch, &out).ok()) return -1;
-      if (out.end_of_scan()) break;
-      *rows += out.rids.size();
-    }
-    (void)(*scan)->Close();
-    return timer.ElapsedUs();
-  };
-  size_t rows = 0;
-  run(64, &rows);  // warm
-  std::printf("result set: %zu rows of %llu docs\n\n", rows,
-              (unsigned long long)kDocs);
-  std::printf("%10s | %12s %14s\n", "batch", "scan_us", "fetch_calls");
-  constexpr int kReps = 5;
-  for (size_t batch : {1, 4, 16, 64, 256, 1024}) {
-    run(batch, &rows);  // warm at this batch size
-    MetricsWindow window;
-    int64_t us = 0;
-    for (int r = 0; r < kReps; ++r) us += run(batch, &rows);
-    StorageMetrics delta = window.Delta();
-    std::printf("%10zu | %12lld %14llu\n", batch, (long long)(us / kReps),
-                (unsigned long long)(delta.odci_fetch_calls / kReps));
+  const std::vector<size_t> batches = {1, 4, 16, 64, 256, 1024};
+  std::vector<size_t> rows(batches.size());
+  std::vector<std::function<void()>> runs;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    runs.push_back([&, i] {
+      auto scan = db.domains().StartScan("dtext", pred);
+      if (!scan.ok()) return;
+      OdciFetchBatch out;
+      rows[i] = 0;
+      while ((*scan)->NextBatch(batches[i], &out).ok() &&
+             !out.end_of_scan()) {
+        rows[i] += out.rids.size();
+      }
+      (void)(*scan)->Close();
+    });
   }
-  std::printf(
-      "\nshape check: round-trips fall ~linearly with batch size and wall\n"
-      "time improves until dispatch overhead stops dominating.\n");
-  JsonReport("batch_fetch").Write();
-  return 0;
+  std::vector<Series> times = TimeAlternating(runs);
+
+  JsonReport report("batch_fetch",
+                    "E7: ODCIIndexFetch batch size vs callback round-trips");
+  report.Add("docs", kDocs);
+  Table& table =
+      report.AddTimedTable("batches", {"batch", "rows", "fetch_calls"});
+  for (size_t i = 0; i < batches.size(); ++i) {
+    table.Add({batches[i], rows[i], times[i].work().odci_fetch_calls},
+              times[i]);
+  }
+  return report.Write() ? 0 : 1;
 }

@@ -3,6 +3,11 @@
 // chem index inconsistent (phantom fingerprints).  With commit/rollback
 // event handlers registered, consistency is restored at a measurable
 // cost.  Correctness experiment + overhead sweep over abort rates.
+//
+// Shape check: without events, phantom index entries accumulate with the
+// abort rate (the §5 limitation); with rollback handlers registered,
+// phantoms stay at zero for the price of rebuilding the external file after
+// each abort.
 
 #include <cstdio>
 
@@ -27,17 +32,16 @@ size_t LiveRecords(Database* db, const std::string& index_name) {
   return chem::DecodeFingerprintRecords(*bytes).size();
 }
 
-struct RunResult {
-  size_t phantoms;
-  int64_t us;
-};
-
-RunResult RunTxns(bool with_handler, int txns, int abort_every) {
+// Runs `txns` single-insert transactions on a fresh file-backed index,
+// aborting every `abort_every`-th (0 = never), timed into `series`.
+// Returns the phantom records the external file keeps afterwards.
+size_t RunTxns(bool with_handler, int txns, int abort_every, Series* series) {
   Database db;
   db.catalog().set_external_root("/tmp/extidx_bench_events");
   Connection conn(&db);
+  const uint64_t kRows = Scaled(200, 20);
   (void)chem::InstallChemCartridge(&conn);
-  (void)workload::BuildMoleculeTable(&conn, "mols", Scaled(200, 20), 12, 77);
+  (void)workload::BuildMoleculeTable(&conn, "mols", kRows, 12, 77);
   conn.MustExecute(
       "CREATE INDEX mfile ON mols(smiles) INDEXTYPE IS ChemIndexType "
       "PARAMETERS (':Storage file')");
@@ -47,53 +51,43 @@ RunResult RunTxns(bool with_handler, int txns, int abort_every) {
   }
 
   Rng rng(5);
-  size_t committed_rows = 200;
-  Timer timer;
+  size_t committed_rows = kRows;
+  series->Start();
   for (int t = 0; t < txns; ++t) {
     conn.MustExecute("BEGIN");
     conn.MustExecute("INSERT INTO mols VALUES (" +
                      std::to_string(10000 + t) + ", '" +
                      workload::RandomSmiles(&rng, 12) + "')");
     bool abort = abort_every > 0 && (t % abort_every) == 0;
-    if (abort) {
-      conn.MustExecute("ROLLBACK");
-    } else {
-      conn.MustExecute("COMMIT");
-      ++committed_rows;
-    }
+    conn.MustExecute(abort ? "ROLLBACK" : "COMMIT");
+    committed_rows += !abort;
   }
-  RunResult result;
-  result.us = timer.ElapsedUs();
+  series->Stop();
   size_t live = LiveRecords(&db, "mfile");
-  result.phantoms = live > committed_rows ? live - committed_rows : 0;
   if (handler != 0) db.events().Unregister(handler);
-  return result;
+  return live > committed_rows ? live - committed_rows : 0;
 }
 
 }  // namespace
 
 int main() {
-  Header("E9: external store + rollback — phantoms without database events");
   const int kTxns = int(Scaled(100, 5));
-  std::printf("%12s | %18s %12s | %18s %12s\n", "abort_rate",
-              "phantoms(no evt)", "us(no evt)", "phantoms(events)",
-              "us(events)");
-  struct Case {
-    const char* label;
-    int abort_every;  // 0 = never abort
-  };
-  for (const Case& c : {Case{"0%", 0}, Case{"10%", 10}, Case{"50%", 2}}) {
-    RunResult without = RunTxns(false, kTxns, c.abort_every);
-    RunResult with = RunTxns(true, kTxns, c.abort_every);
-    std::printf("%12s | %18zu %12lld | %18zu %12lld\n", c.label,
-                without.phantoms, (long long)without.us, with.phantoms,
-                (long long)with.us);
+  JsonReport report("events_rollback",
+                    "E9: external store + rollback, phantoms without events");
+  report.Add("txns", kTxns);
+  Table& table =
+      report.AddTimedTable("runs", {"abort_pct", "handler", "phantoms"});
+  for (int abort_every : {0, 10, 2}) {  // never, 10%, 50%
+    Series series[2];
+    size_t phantoms[2] = {0, 0};
+    for (size_t rep = 0; rep < Repetitions(); ++rep) {
+      for (int h = 0; h < 2; ++h) {
+        phantoms[h] = RunTxns(h == 1, kTxns, abort_every, &series[h]);
+      }
+    }
+    const int abort_pct = abort_every == 0 ? 0 : 100 / abort_every;
+    table.Add({abort_pct, "none", phantoms[0]}, series[0]);
+    table.Add({abort_pct, "events", phantoms[1]}, series[1]);
   }
-  std::printf(
-      "\nshape check: without events, phantom index entries accumulate\n"
-      "with the abort rate (the §5 limitation); with rollback handlers\n"
-      "registered, phantoms stay at zero for the price of rebuilding the\n"
-      "external file after each abort.\n");
-  JsonReport("events_rollback").Write();
-  return 0;
+  return report.Write() ? 0 : 1;
 }

@@ -5,6 +5,10 @@
 // sequential scan, per combination of text selectivity x id-range width.
 // The crossover: selective text => domain index; selective id => B-tree
 // with Contains evaluated functionally on the survivors.
+//
+// Shape check: top-left (common term, narrow id range) chooses the B-tree
+// and applies Contains functionally; bottom-right (rare term, wide range)
+// chooses the domain index — the paper's §2.4.2 cost-based decision.
 
 #include <cstdio>
 #include <string>
@@ -33,12 +37,11 @@ std::string ChosenPath(const std::string& explain) {
 }  // namespace
 
 int main() {
-  Header("E6: optimizer choice — Contains(body, T) AND id <= W");
   const uint64_t kDocs = Scaled(20000, 200);
   Database db;
   Connection conn(&db);
-  if (!text::InstallTextCartridge(&conn).ok()) return 1;
-  if (!workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 3)
+  if (!text::InstallTextCartridge(&conn).ok() ||
+      !workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 3)
            .ok()) {
     return 1;
   }
@@ -49,34 +52,40 @@ int main() {
 
   // Text terms by document frequency (Zipf rank): w1 ~ everywhere,
   // w2000 ~ rare.  id <= W widths sweep the B-tree selectivity.
-  const char* terms[] = {"w1", "w30", "w300", "w2000"};
-  const int64_t widths[] = {20, 200, 2000, 20000};
-
-  std::printf("%-8s", "term\\W");
-  for (int64_t w : widths) std::printf(" %14lld", (long long)w);
-  std::printf("\n");
-  for (const char* term : terms) {
-    std::printf("%-8s", term);
-    for (int64_t w : widths) {
-      std::string sql = std::string("EXPLAIN SELECT id FROM docs WHERE "
-                                    "Contains(body, '") +
-                        term + "') AND id <= " + std::to_string(w);
-      QueryResult ex = conn.MustExecute(sql);
-      std::string chosen = ChosenPath(ex.message);
-      // Execute the real query and time it.
-      Timer timer;
-      QueryResult r = conn.MustExecute(sql.substr(8));
-      std::printf(" %7s:%5lldus", chosen.c_str(),
-                  (long long)timer.ElapsedUs());
-      (void)r;
+  struct Query {
+    const char* term;
+    int64_t width;
+    std::string sql;
+    size_t rows = 0;
+  };
+  std::vector<Query> queries;
+  for (const char* term : {"w1", "w30", "w300", "w2000"}) {
+    for (int64_t width : {20, 200, 2000, 20000}) {
+      queries.push_back({term, width,
+                         std::string("SELECT id FROM docs WHERE "
+                                     "Contains(body, '") +
+                             term + "') AND id <= " + std::to_string(width)});
     }
-    std::printf("\n");
   }
-  std::printf(
-      "\nshape check: top-left (common term, narrow id range) chooses the\n"
-      "B-tree and applies Contains functionally; bottom-right (rare term,\n"
-      "wide range) chooses the domain index — the paper's §2.4.2\n"
-      "cost-based decision.\n");
-  JsonReport("optimizer_choice").Write();
-  return 0;
+  std::vector<std::function<void()>> runs;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    runs.push_back([&, i] {
+      queries[i].rows = conn.MustExecute(queries[i].sql).rows.size();
+    });
+  }
+  std::vector<Series> times = TimeAlternating(runs);
+
+  JsonReport report("optimizer_choice",
+                    "E6: optimizer choice — Contains(body, T) AND id <= W");
+  report.Add("docs", kDocs);
+  Table& table =
+      report.AddTimedTable("choices", {"term", "id_max", "path", "rows"});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    table.Add({q.term, q.width,
+               ChosenPath(conn.MustExecute("EXPLAIN " + q.sql).message),
+               q.rows},
+              times[i]);
+  }
+  return report.Write() ? 0 : 1;
 }

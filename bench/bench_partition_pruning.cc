@@ -6,7 +6,7 @@
 //      slices are opened;
 //  (c) partition-level maintenance is O(1) — DROP PARTITION detaches one
 //      index slice per local index (one ODCIIndexDrop, zero per-row
-//      ODCIIndexDelete) where the equivalent DELETE pays per-row
+//      index maintenance) where the equivalent DELETE pays per-row
 //      maintenance across the whole partition.
 
 #include <cstdio>
@@ -23,15 +23,6 @@ using namespace exi::bench;  // NOLINT
 namespace {
 
 constexpr int kPartitions = 4;
-
-// Sum of traced calls for one routine across all indextypes.
-uint64_t RoutineCalls(const TracerSnapshot& window, const char* routine) {
-  uint64_t calls = 0;
-  for (const auto& [key, stats] : window) {
-    if (key.second == routine) calls += stats.calls;
-  }
-  return calls;
-}
 
 // docs(id, body) split into kPartitions equal ranges of `rows` ids, with a
 // LOCAL text index; every body carries the term 'common'.
@@ -64,131 +55,92 @@ void BuildPartitionedDocs(Connection* conn, uint64_t rows) {
   conn->MustExecute("ANALYZE docs");
 }
 
+// Index rows maintained one by one or in batches in `m`: the rows every
+// maintenance call covered.
+uint64_t RowMaintenance(const StorageMetrics& m) {
+  return m.odci_maintenance_calls - m.odci_batch_maintenance_calls +
+         m.odci_batch_maintenance_rows;
+}
+
 }  // namespace
 
 int main() {
-  JsonReport report("partition");
-  Header("partition pruning and O(1) partition maintenance");
   const uint64_t kRows = Scaled(8000, 64);
   const uint64_t kPerPart = kRows / kPartitions;
+  JsonReport report("partition",
+                    "partition pruning and O(1) partition maintenance");
+  report.Add("rows", kRows);
+  report.Add("partitions", kPartitions);
 
-  // ---- (a) seq-scan pruning sweep: 1..4 of 4 partitions surviving ----
+  // ---- (a) seq-scan sweep over 1..4 surviving partitions, and (b) a
+  // LOCAL domain-index scan under the 1-partition key predicate ----
   {
     Database db;
     Connection conn(&db);
     if (!text::InstallTextCartridge(&conn).ok()) return 1;
     BuildPartitionedDocs(&conn, kRows);
-
-    std::printf("(a) seq-scan sweep over surviving partitions (%llu rows):\n",
-                (unsigned long long)kRows);
-    uint64_t rows_read_one = 0;
-    uint64_t rows_read_all = 0;
+    std::vector<std::string> queries;
     for (int k = 1; k <= kPartitions; ++k) {
       // id < k * kPerPart keeps the first k partitions.
-      std::string q = "SELECT COUNT(*) FROM docs WHERE id < " +
-                      std::to_string(kPerPart * k) + " AND id >= 0";
-      MetricsWindow window;
-      Timer timer;
-      conn.MustExecute(q);
-      StorageMetrics d = window.Delta();
-      int64_t us = timer.ElapsedUs();
-      if (k == 1) rows_read_one = d.table_rows_read;
-      if (k == kPartitions) rows_read_all = d.table_rows_read;
-      std::printf(
-          "    %d/%d survive: rows_read=%llu pruned=%llu scanned=%llu "
-          "time_us=%lld\n",
-          k, kPartitions, (unsigned long long)d.table_rows_read,
-          (unsigned long long)d.partitions_pruned,
-          (unsigned long long)d.partitions_scanned, (long long)us);
-      std::string key = "seqscan_rows_read_" + std::to_string(k) + "of" +
-                        std::to_string(kPartitions);
-      report.Add(key, d.table_rows_read);
-      report.Add("seqscan_us_" + std::to_string(k) + "of" +
-                     std::to_string(kPartitions),
-                 us);
+      queries.push_back("SELECT COUNT(*) FROM docs WHERE id < " +
+                        std::to_string(kPerPart * k) + " AND id >= 0");
     }
-    double reduction =
-        double(rows_read_all) / double(rows_read_one == 0 ? 1 : rows_read_one);
-    std::printf("    full-scan vs 1/%d pruned: %.1fx fewer rows fetched\n",
-                kPartitions, reduction);
-    report.Add("rows", kRows);
-    report.Add("partitions", kPartitions);
-    report.Add("pruned_fetch_reduction_x", reduction);
-
-    // ---- (b) pruning composes with the LOCAL domain-index scan ----
-    std::string q = "SELECT COUNT(*) FROM docs WHERE "
-                    "Contains(body, 'common') AND id < " +
-                    std::to_string(kPerPart);
-    MetricsWindow window;
-    Timer timer;
-    conn.MustExecute(q);
-    StorageMetrics d = window.Delta();
-    int64_t us = timer.ElapsedUs();
-    std::printf(
-        "(b) Contains + key predicate: slices opened=%llu of %d, "
-        "rows_read=%llu time_us=%lld\n",
-        (unsigned long long)d.partitions_scanned, kPartitions,
-        (unsigned long long)d.table_rows_read, (long long)us);
-    report.Add("index_scan_slices_opened", d.partitions_scanned);
-    report.Add("index_scan_slices_pruned", d.partitions_pruned);
-    report.Add("index_scan_rows_read", d.table_rows_read);
-    report.Add("index_scan_us", us);
+    queries.push_back(
+        "SELECT COUNT(*) FROM docs WHERE Contains(body, 'common') AND id < " +
+        std::to_string(kPerPart));
+    std::vector<std::function<void()>> runs;
+    for (const std::string& q : queries) {
+      runs.push_back([&conn, q] { conn.MustExecute(q); });
+    }
+    std::vector<Series> times = TimeAlternating(runs);
+    Table& table = report.AddTimedTable(
+        "scans", {"scan", "surviving", "partitions_scanned",
+                  "partitions_pruned"});
+    for (int k = 0; k <= kPartitions; ++k) {
+      const StorageMetrics& work = times[k].work();
+      table.Add({k < kPartitions ? "seq_scan" : "local_text_index",
+                 k < kPartitions ? k + 1 : 1, work.partitions_scanned,
+                 work.partitions_pruned},
+                times[k]);
+    }
+    report.Add("pruned_fetch_reduction_x",
+               double(LogicalReads(times[kPartitions - 1].work())) /
+                   double(std::max<uint64_t>(
+                       1, LogicalReads(times[0].work()))));
   }
 
   // ---- (c) DROP PARTITION vs row-wise DELETE of the same rows ----
-  {
-    int64_t delete_us = 0;
-    int64_t drop_us = 0;
-    uint64_t delete_row_maintenance = 0;
-    uint64_t drop_row_maintenance = 0;
-    uint64_t drop_odci_drops = 0;
-    for (bool use_drop : {false, true}) {
+  const std::string removals[] = {
+      "DELETE FROM docs WHERE id >= " + std::to_string(kPerPart) +
+          " AND id < " + std::to_string(2 * kPerPart),
+      "ALTER TABLE docs DROP PARTITION p1"};
+  Series series[2];
+  uint64_t odci_drops[2] = {0, 0};
+  for (size_t rep = 0; rep < Repetitions(); ++rep) {
+    for (int m = 0; m < 2; ++m) {
       Database db;
       Connection conn(&db);
       if (!text::InstallTextCartridge(&conn).ok()) return 1;
       BuildPartitionedDocs(&conn, kRows);
-
       TracerSnapshot before = Tracer::Global().Snapshot();
-      MetricsWindow window;
-      Timer timer;
-      if (use_drop) {
-        conn.MustExecute("ALTER TABLE docs DROP PARTITION p1");
-        drop_us = timer.ElapsedUs();
-      } else {
-        conn.MustExecute("DELETE FROM docs WHERE id >= " +
-                         std::to_string(kPerPart) + " AND id < " +
-                         std::to_string(2 * kPerPart));
-        delete_us = timer.ElapsedUs();
-      }
-      TracerSnapshot window_traced =
-          TracerDelta(Tracer::Global().Snapshot(), before);
-      StorageMetrics d = window.Delta();
-      uint64_t row_maintenance = RoutineCalls(window_traced, "ODCIIndexDelete") +
-                                 d.odci_batch_maintenance_rows;
-      if (use_drop) {
-        drop_row_maintenance = row_maintenance;
-        drop_odci_drops = RoutineCalls(window_traced, "ODCIIndexDrop");
-      } else {
-        delete_row_maintenance = row_maintenance;
+      series[m].Start();
+      conn.MustExecute(removals[m]);
+      series[m].Stop();
+      odci_drops[m] = 0;
+      for (const auto& [key, stats] :
+           TracerDelta(Tracer::Global().Snapshot(), before)) {
+        if (key.second == "ODCIIndexDrop") odci_drops[m] += stats.calls;
       }
     }
-    double speedup = double(delete_us) / double(drop_us == 0 ? 1 : drop_us);
-    std::printf(
-        "(c) removing %llu rows: DELETE=%lldus (%llu per-row index "
-        "maintenances), DROP PARTITION=%lldus (%llu per-row, %llu "
-        "ODCIIndexDrop) — %.0fx faster\n",
-        (unsigned long long)kPerPart, (long long)delete_us,
-        (unsigned long long)delete_row_maintenance, (long long)drop_us,
-        (unsigned long long)drop_row_maintenance,
-        (unsigned long long)drop_odci_drops, speedup);
-    report.Add("partition_rows", kPerPart);
-    report.Add("delete_us", delete_us);
-    report.Add("delete_row_maintenance_calls", delete_row_maintenance);
-    report.Add("drop_partition_us", drop_us);
-    report.Add("drop_partition_row_maintenance_calls", drop_row_maintenance);
-    report.Add("drop_partition_odci_drops", drop_odci_drops);
-    report.Add("drop_vs_delete_speedup_x", speedup);
   }
-
+  Table& table = report.AddTimedTable(
+      "remove_partition_rows",
+      {"method", "rows", "row_maintenance", "odci_drops"});
+  const char* methods[] = {"delete", "drop_partition"};
+  for (int m = 0; m < 2; ++m) {
+    table.Add({methods[m], kPerPart, RowMaintenance(series[m].work()),
+               odci_drops[m]},
+              series[m]);
+  }
   return report.Write() ? 0 : 1;
 }

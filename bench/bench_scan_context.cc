@@ -4,6 +4,10 @@
 // the workspace server-side.  The paper: "If the state to be maintained
 // is small, it can be returned ... as the output object argument.  If
 // large, ... a handle to the workspace can be returned."
+//
+// Shape check: for small result sets the two mechanisms tie; as the result
+// set grows, Return State degrades quadratically (each fetch copies the
+// whole remaining state) — the paper's rule of thumb.
 
 #include <cstdio>
 
@@ -16,13 +20,12 @@ using namespace exi;         // NOLINT
 using namespace exi::bench;  // NOLINT
 
 int main() {
-  Header("E8: scan context — Return State vs Return Handle");
   const uint64_t kDocs = Scaled(30000, 200);
   Database db;
   Connection conn(&db);
   db.set_fetch_batch_size(32);  // more fetch calls => more state copies
-  if (!text::InstallTextCartridge(&conn).ok()) return 1;
-  if (!workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 9)
+  if (!text::InstallTextCartridge(&conn).ok() ||
+      !workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 9)
            .ok()) {
     return 1;
   }
@@ -34,54 +37,40 @@ int main() {
       "PARAMETERS (':ContextMode state')");
   conn.MustExecute("ANALYZE docs");
 
-  // Result-set size sweep by term rank (Zipfian document frequency).
-  std::printf("%-8s %8s | %12s %12s %9s\n", "term", "rows", "handle_us",
-              "state_us", "ratio");
+  JsonReport report("scan_context",
+                    "E8: scan context — Return State vs Return Handle");
+  report.Add("docs", kDocs);
+  Table& table = report.AddTimedTable("scans", {"term", "context", "rows"});
+  // Result-set size sweep by term rank (Zipfian document frequency).  Both
+  // indexes support the query, so each is scanned directly through the
+  // DomainIndexManager rather than through the planner's choice.
   for (const char* term : {"w2000", "w200", "w20", "w2", "w0"}) {
-    // The planner picks the cheaper index; both support the query, so
-    // force each by querying through a disambiguating scan: drop/create is
-    // costly, instead query via DomainIndexManager directly.
     OdciPredInfo pred =
         OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(term)});
-    auto run = [&](const std::string& index, size_t* rows) -> int64_t {
-      Timer timer;
-      auto scan = db.domains().StartScan(index, pred);
-      if (!scan.ok()) return -1;
-      OdciFetchBatch batch;
-      *rows = 0;
-      while (true) {
-        if (!(*scan)->NextBatch(32, &batch).ok()) return -1;
-        if (batch.end_of_scan()) break;
-        *rows += batch.rids.size();
-      }
-      (void)(*scan)->Close();
-      return timer.ElapsedUs();
-    };
-    size_t rows_h = 0;
-    size_t rows_s = 0;
-    run("t_handle", &rows_h);  // warm
-    run("t_state", &rows_s);
-    constexpr int kReps = 3;
-    int64_t handle_us = 0;
-    int64_t state_us = 0;
-    for (int i = 0; i < kReps; ++i) {
-      handle_us += run("t_handle", &rows_h);
-      state_us += run("t_state", &rows_s);
+    const char* contexts[] = {"handle", "state"};
+    size_t rows[2] = {0, 0};
+    std::vector<std::function<void()>> runs;
+    for (int c = 0; c < 2; ++c) {
+      runs.push_back([&, c] {
+        auto scan =
+            db.domains().StartScan(std::string("t_") + contexts[c], pred);
+        if (!scan.ok()) return;
+        OdciFetchBatch batch;
+        rows[c] = 0;
+        while ((*scan)->NextBatch(32, &batch).ok() && !batch.end_of_scan()) {
+          rows[c] += batch.rids.size();
+        }
+        (void)(*scan)->Close();
+      });
     }
-    handle_us /= kReps;
-    state_us /= kReps;
-    if (rows_h != rows_s) {
+    std::vector<Series> times = TimeAlternating(runs);
+    if (rows[0] != rows[1]) {
       std::printf("RESULT MISMATCH for %s\n", term);
       return 1;
     }
-    std::printf("%-8s %8zu | %12lld %12lld %8.2fx\n", term, rows_h,
-                (long long)handle_us, (long long)state_us,
-                handle_us > 0 ? double(state_us) / double(handle_us) : 0.0);
+    for (int c = 0; c < 2; ++c) {
+      table.Add({term, contexts[c], rows[c]}, times[c]);
+    }
   }
-  std::printf(
-      "\nshape check: for small result sets the two mechanisms tie; as the\n"
-      "result set grows, Return State degrades quadratically (each fetch\n"
-      "copies the whole remaining state) — the paper's rule of thumb.\n");
-  JsonReport("scan_context").Write();
-  return 0;
+  return report.Write() ? 0 : 1;
 }

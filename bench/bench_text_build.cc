@@ -5,10 +5,10 @@
 // (sort the (tile, rid) pairs) and VIR over 20k images (sort the coarse
 // rows), each with one sorted IotBulkLoad.  Emits BENCH_text_build.json.
 //
-// Each configuration is built `kReps` times on the same table (DROP INDEX
-// in between) and reports the median, min and max build time.  Next to the
-// times it records host-independent work counts for one build (IOT entries
-// written, B+-tree nodes read), the row count of a query through the index,
+// Each configuration is built once per repetition on the same table (DROP
+// INDEX in between; builds over one table alternate).  Next to the times
+// it records host-independent work counts for one build (IOT entries
+// written, logical reads), the row count of a query through the index,
 // the postings the index holds, and the growth of glibc's in-use heap
 // (`mallinfo2().uordblks`) across the first build divided by each count:
 // `heap_bytes_per_entry` per IOT entry, and `heap_bytes_per_posting` per
@@ -39,8 +39,6 @@ using namespace exi::bench;  // NOLINT
 
 namespace {
 
-constexpr int kReps = 5;
-
 // One indexed table: `create` builds index `bx`, `query` reads through it.
 // `block_iot` names the index's block IOT, whose df column counts its
 // postings (text), or is empty when each entry is one posting.
@@ -64,65 +62,48 @@ uint64_t BlockPostings(Connection& conn, const std::string& name) {
   return postings;
 }
 
-struct BuildStats {
-  const char* cartridge = "";
-  uint64_t rows = 0;
-  Spread<double> ms{};
-  uint64_t entries_written = 0;
-  uint64_t nodes_read = 0;
-  size_t query_rows = 0;
-  uint64_t postings = 0;
-  double heap_bytes_per_entry = 0;
-  double heap_bytes_per_posting = 0;
-};
-
-// Builds `c`'s index kReps times over the table `conn` already holds.
-BuildStats Measure(Connection& conn, const BuildCase& c) {
-  BuildStats stats;
-  stats.cartridge = c.cartridge;
-  stats.rows = c.rows;
-  std::vector<double> ms;
-  for (int rep = 0; rep < kReps; ++rep) {
-    MetricsWindow window;
-    const size_t heap_before = mallinfo2().uordblks;
-    Timer timer;
-    conn.MustExecute(c.create);
-    ms.push_back(timer.ElapsedMs());
-    const size_t heap_after = mallinfo2().uordblks;
-    StorageMetrics delta = window.Delta();
-    stats.entries_written = delta.index_entries_written;
-    stats.postings = c.block_iot.empty() ? stats.entries_written
-                                         : BlockPostings(conn, c.block_iot);
-    if (rep == 0 && stats.postings > 0) {
-      const double heap = double(heap_after) - double(heap_before);
-      stats.heap_bytes_per_entry = heap / stats.entries_written;
-      stats.heap_bytes_per_posting = heap / stats.postings;
+// Builds each of `cases` over the tables `conn` holds, in turn, once per
+// repetition, and adds one row per case to `table`.
+void Measure(Connection& conn, const std::vector<BuildCase>& cases,
+             Table* table) {
+  const size_t n = cases.size();
+  std::vector<Series> series(n);
+  std::vector<uint64_t> postings(n);
+  std::vector<size_t> query_rows(n);
+  std::vector<double> heap(n);
+  for (size_t rep = 0; rep < Repetitions(); ++rep) {
+    for (size_t i = 0; i < n; ++i) {
+      const BuildCase& c = cases[i];
+      const size_t heap_before = mallinfo2().uordblks;
+      series[i].Start();
+      conn.MustExecute(c.create);
+      series[i].Stop();
+      if (rep == 0) heap[i] = double(mallinfo2().uordblks) - heap_before;
+      postings[i] = c.block_iot.empty()
+                        ? series[i].work().index_entries_written
+                        : BlockPostings(conn, c.block_iot);
+      query_rows[i] = conn.MustExecute(c.query).rows.size();
+      conn.MustExecute("DROP INDEX bx");
     }
-    stats.nodes_read = delta.index_nodes_read;
-    stats.query_rows = conn.MustExecute(c.query).rows.size();
-    conn.MustExecute("DROP INDEX bx");
   }
-  stats.ms = SpreadOf(ms);
-  std::printf(
-      "%-12s %8llu | %10.1f %10.1f %10.1f | %12llu %12llu | %7zu | %10llu "
-      "%8.1f %8.1f\n",
-      stats.cartridge, (unsigned long long)stats.rows, stats.ms.median,
-      stats.ms.min, stats.ms.max, (unsigned long long)stats.entries_written,
-      (unsigned long long)stats.nodes_read, stats.query_rows,
-      (unsigned long long)stats.postings, stats.heap_bytes_per_entry,
-      stats.heap_bytes_per_posting);
-  return stats;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t entries = series[i].work().index_entries_written;
+    table->Add({cases[i].cartridge, cases[i].rows, entries, postings[i],
+                query_rows[i], heap[i] / double(entries),
+                heap[i] / double(postings[i])},
+               series[i]);
+  }
 }
 
 }  // namespace
 
 int main() {
-  Header("Index build: one ODCIIndexCreate per cartridge, parallelism 1");
-  std::printf("%-12s %8s | %10s %10s %10s | %12s %12s | %7s | %10s %8s %8s\n",
-              "cartridge", "rows", "median_ms", "min_ms", "max_ms",
-              "entries_wr", "nodes_read", "q_rows", "postings", "heap_B/e",
-              "heap_B/p");
-  std::vector<BuildStats> results;
+  JsonReport report("text_build",
+                    "index build: one ODCIIndexCreate per cartridge");
+  Table& builds = report.AddTimedTable(
+      "builds", {"cartridge", "rows", "index_entries_written", "postings",
+                 "query_rows", "heap_bytes_per_entry",
+                 "heap_bytes_per_posting"});
   std::vector<uint64_t> text_sizes{10000, 20000, 50000};
   // At 60 documents a term has about two postings, so per-posting heap
   // mostly shows the block row's fixed cost.  CI's heap gate reads the
@@ -131,17 +112,18 @@ int main() {
   for (uint64_t docs : text_sizes) {
     Database db;
     Connection conn(&db);
-    if (!text::InstallTextCartridge(&conn).ok()) return 1;
     // The E1/E6 corpus: Zipf 0.9 over 5,000 words, 60 words a document.
-    if (!workload::BuildTextTable(&conn, "docs", docs, 60, 5000, 0.9, docs)
+    if (!text::InstallTextCartridge(&conn).ok() ||
+        !workload::BuildTextTable(&conn, "docs", docs, 60, 5000, 0.9, docs)
              .ok()) {
       return 1;
     }
-    results.push_back(Measure(
-        conn, {"text", docs,
-               "CREATE INDEX bx ON docs(body) INDEXTYPE IS TextIndexType",
-               "SELECT id FROM docs WHERE Contains(body, 'w3 AND w11')",
-               text::PostingTableName("bx")}));
+    Measure(conn,
+            {{"text", docs,
+              "CREATE INDEX bx ON docs(body) INDEXTYPE IS TextIndexType",
+              "SELECT id FROM docs WHERE Contains(body, 'w3 AND w11')",
+              text::PostingTableName("bx")}},
+            &builds);
   }
   {
     const uint64_t rects = Scaled(20000, 60);
@@ -152,13 +134,14 @@ int main() {
              .ok()) {
       return 1;
     }
-    results.push_back(Measure(
-        conn, {"spatial_tile", rects,
-               "CREATE INDEX bx ON parcels(geometry) INDEXTYPE IS "
-               "SpatialIndexType PARAMETERS (':TileLevel 6')",
-               "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, "
-               "SDO_GEOMETRY(2000,2000,4000,4000), 'mask=ANYINTERACT')",
-               ""}));
+    Measure(conn,
+            {{"spatial_tile", rects,
+              "CREATE INDEX bx ON parcels(geometry) INDEXTYPE IS "
+              "SpatialIndexType PARAMETERS (':TileLevel 6')",
+              "SELECT gid FROM parcels WHERE Sdo_Relate(geometry, "
+              "SDO_GEOMETRY(2000,2000,4000,4000), 'mask=ANYINTERACT')",
+              ""}},
+            &builds);
   }
   {
     const uint64_t images = Scaled(20000, 60);
@@ -168,15 +151,15 @@ int main() {
         !workload::BuildImageTable(&conn, "imgs", images, 8, 0.1, 9).ok()) {
       return 1;
     }
-    results.push_back(Measure(
-        conn, {"vir", images,
-               "CREATE INDEX bx ON imgs(img) INDEXTYPE IS VirIndexType",
-               "SELECT id FROM imgs WHERE VIRSimilar(img, IMAGE_T(0.5,0.5,"
-               "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5), "
-               "'globalcolor=1', 1.5)",
-               ""}));
+    Measure(conn,
+            {{"vir", images,
+              "CREATE INDEX bx ON imgs(img) INDEXTYPE IS VirIndexType",
+              "SELECT id FROM imgs WHERE VIRSimilar(img, IMAGE_T(0.5,0.5,"
+              "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5), "
+              "'globalcolor=1', 1.5)",
+              ""}},
+            &builds);
   }
-
   {
     const uint64_t rows = Scaled(20000, 60);
     Database db;
@@ -190,36 +173,12 @@ int main() {
       }
       conn.MustExecute(sql);
     }
-    results.push_back(Measure(conn, {"btree_unique", rows,
-                                     "CREATE INDEX bx ON nums(id)",
-                                     "SELECT id FROM nums WHERE id = 7", ""}));
-    results.push_back(Measure(conn, {"btree_20_vals", rows,
-                                     "CREATE INDEX bx ON nums(grp)",
-                                     "SELECT id FROM nums WHERE grp = 7", ""}));
+    Measure(conn,
+            {{"btree_unique", rows, "CREATE INDEX bx ON nums(id)",
+              "SELECT id FROM nums WHERE id = 7", ""},
+             {"btree_20_vals", rows, "CREATE INDEX bx ON nums(grp)",
+              "SELECT id FROM nums WHERE grp = 7", ""}},
+            &builds);
   }
-
-  std::string builds = "[";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const BuildStats& s = results[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n    {\"cartridge\": \"%s\", \"rows\": %llu, \"parallelism\": 1, "
-        "\"reps\": %d, \"build_ms_median\": %.1f, \"build_ms_min\": %.1f, "
-        "\"build_ms_max\": %.1f, \"index_entries_written\": %llu, "
-        "\"index_nodes_read\": %llu, \"query_rows\": %zu, "
-        "\"postings\": %llu, \"heap_bytes_per_entry\": %.1f, "
-        "\"heap_bytes_per_posting\": %.1f}",
-        i == 0 ? "" : ",", s.cartridge, (unsigned long long)s.rows,
-        kReps, s.ms.median, s.ms.min, s.ms.max,
-        (unsigned long long)s.entries_written,
-        (unsigned long long)s.nodes_read, s.query_rows,
-        (unsigned long long)s.postings, s.heap_bytes_per_entry,
-        s.heap_bytes_per_posting);
-    builds += buf;
-  }
-  builds += "\n  ]";
-  JsonReport report("text_build");
-  report.AddRaw("builds", builds);
   return report.Write() ? 0 : 1;
 }

@@ -5,6 +5,11 @@
 //   precompute   — ODCIIndexStart computes everything, Fetch iterates,
 //   legacy       — pre-8i two-step plan; nothing is returned until the
 //                  whole temp table is built.
+// A run that finds fewer than K rows adds no sample (n counts the rest).
+//
+// Shape check: incremental time-to-first-row is flat and small; precompute
+// pays the full evaluation at Start; the legacy plan pays full evaluation
+// plus temp-table materialization before row 1.
 
 #include <cstdio>
 
@@ -19,48 +24,43 @@ using namespace exi::bench;  // NOLINT
 
 namespace {
 
-// Time until K rowids fetched through a domain-index scan.
-int64_t TimeToK(Database* db, const std::string& index,
-                const std::string& query, size_t k) {
-  Timer timer;
+const char* const kQuery = "w2";  // common single term => large result set
+
+// Times one domain-index scan until K rowids are fetched.
+void FirstK(Database* db, const std::string& index, size_t k,
+            Series* series) {
+  series->Start();
   OdciPredInfo pred =
-      OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(query)});
+      OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(kQuery)});
   auto scan = db->domains().StartScan(index, pred);
-  if (!scan.ok()) return -1;
+  if (!scan.ok()) return;
   OdciFetchBatch batch;
   size_t got = 0;
-  while (got < k) {
-    if (!(*scan)->NextBatch(64, &batch).ok()) return -1;
-    if (batch.end_of_scan()) break;
+  while (got < k && (*scan)->NextBatch(64, &batch).ok() &&
+         !batch.end_of_scan()) {
     got += batch.rids.size();
   }
-  int64_t us = timer.ElapsedUs();
+  if (got >= k) series->Stop();
   (void)(*scan)->Close();
-  return us;
 }
 
-// Legacy: time until the K-th row arrives at the callback.
-int64_t LegacyTimeToK(Database* db, const std::string& index,
-                      const std::string& query, size_t k) {
-  Timer timer;
+// Legacy: times the plan until the K-th row arrives at the callback.
+void LegacyFirstK(Database* db, size_t k, Series* series) {
   size_t got = 0;
-  int64_t at_k = -1;
-  (void)text::LegacyTextQuery(db, index, query,
-                              [&](RowId, const Row&) {
-                                if (++got == k) at_k = timer.ElapsedUs();
-                              });
-  return at_k;
+  series->Start();
+  (void)text::LegacyTextQuery(db, "t_pre", kQuery, [&](RowId, const Row&) {
+    if (++got == k) series->Stop();
+  });
 }
 
 }  // namespace
 
 int main() {
-  Header("E2: time to first K rows — incremental vs precompute vs pre-8i");
   const uint64_t kDocs = Scaled(30000, 200);
   Database db;
   Connection conn(&db);
-  if (!text::InstallTextCartridge(&conn).ok()) return 1;
-  if (!workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 7)
+  if (!text::InstallTextCartridge(&conn).ok() ||
+      !workload::BuildTextTable(&conn, "docs", kDocs, 60, 5000, 0.9, 7)
            .ok()) {
     return 1;
   }
@@ -72,27 +72,25 @@ int main() {
       "CREATE INDEX t_pre ON docs(body) INDEXTYPE IS TextIndexType "
       "PARAMETERS (':Mode precompute')");
 
-  const char* query = "w2";  // common single term => large result set
-  // Warm.
-  TimeToK(&db, "t_inc", query, 1);
-  TimeToK(&db, "t_pre", query, 1);
-  LegacyTimeToK(&db, "t_pre", query, 1);
-
-  std::printf("corpus: %llu docs, query '%s'\n\n",
-              (unsigned long long)kDocs, query);
-  std::printf("%8s | %14s %14s %14s\n", "K", "incr_us", "precomp_us",
-              "legacy_us");
+  JsonReport report("text_first_row",
+                    "E2: time to first K rows by scan strategy");
+  report.Add("docs", kDocs);
+  report.Add("query", kQuery);
+  Table& table = report.AddTimedTable("first_k", {"k", "strategy"});
+  Series warm;  // one untimed pass, so caches fill before timing
+  FirstK(&db, "t_inc", 1, &warm);
+  FirstK(&db, "t_pre", 1, &warm);
+  LegacyFirstK(&db, 1, &warm);
   for (size_t k : {1, 10, 100, 1000, 10000}) {
-    int64_t inc = TimeToK(&db, "t_inc", query, k);
-    int64_t pre = TimeToK(&db, "t_pre", query, k);
-    int64_t leg = LegacyTimeToK(&db, "t_pre", query, k);
-    std::printf("%8zu | %14lld %14lld %14lld\n", k, (long long)inc,
-                (long long)pre, (long long)leg);
+    Series inc, pre, legacy;
+    for (size_t rep = 0; rep < Repetitions(); ++rep) {
+      FirstK(&db, "t_inc", k, &inc);
+      FirstK(&db, "t_pre", k, &pre);
+      LegacyFirstK(&db, k, &legacy);
+    }
+    table.Add({k, "incremental"}, inc);
+    table.Add({k, "precompute"}, pre);
+    table.Add({k, "legacy"}, legacy);
   }
-  std::printf(
-      "\nshape check: incremental time-to-first-row is flat and small;\n"
-      "precompute pays the full evaluation at Start; the legacy plan pays\n"
-      "full evaluation plus temp-table materialization before row 1.\n");
-  JsonReport("text_first_row").Write();
-  return 0;
+  return report.Write() ? 0 : 1;
 }

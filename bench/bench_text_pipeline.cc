@@ -9,9 +9,12 @@
 // Both strategies run below the SQL layer (same place Oracle's kernel ran
 // them): the pipelined side drives ODCIIndexStart/Fetch/Close through the
 // DomainIndexManager; the legacy side materializes rowids into a real
-// scratch table and joins back.  An end-to-end SQL timing for the
-// pipelined plan (parser + optimizer included) is reported as a separate
-// column.
+// scratch table and joins back.  A third plan runs the pipelined query end
+// to end through SQL (parser + optimizer included).
+//
+// Shape check: pipelined never touches a temp table; the legacy plan pays
+// temp writes+reads proportional to the result set and a join back to the
+// base table.
 
 #include <cstdio>
 
@@ -27,45 +30,35 @@ using namespace exi::bench;  // NOLINT
 namespace {
 
 // Pipelined evaluation: domain-index scan + base row fetch per batch.
-int64_t RunPipelined(Database* db, const std::string& index, const std::string& table,
-                     const std::string& query, size_t* rows) {
-  Timer timer;
-  OdciPredInfo pred = OdciPredInfo::BooleanTrue(
-      "Contains", {Value::Varchar(query)});
-  auto scan = db->domains().StartScan(index, pred);
-  if (!scan.ok()) return -1;
-  HeapTable* heap = *db->catalog().GetTable(table);
+size_t RunPipelined(Database* db, const std::string& query) {
+  OdciPredInfo pred =
+      OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(query)});
+  auto scan = db->domains().StartScan("dtext", pred);
+  if (!scan.ok()) return 0;
+  HeapTable* heap = *db->catalog().GetTable("docs");
   OdciFetchBatch batch;
-  *rows = 0;
-  while (true) {
-    if (!(*scan)->NextBatch(64, &batch).ok()) return -1;
-    if (batch.end_of_scan()) break;
-    for (RowId rid : batch.rids) {
-      Result<Row> row = heap->Get(rid);
-      if (row.ok()) ++*rows;
-    }
+  size_t rows = 0;
+  while ((*scan)->NextBatch(64, &batch).ok() && !batch.end_of_scan()) {
+    for (RowId rid : batch.rids) rows += heap->Get(rid).ok();
   }
   (void)(*scan)->Close();
-  return timer.ElapsedUs();
+  return rows;
 }
 
 }  // namespace
 
 int main() {
-  Header("E1: text query — pipelined (8i) vs two-step temp table (pre-8i)");
-  std::printf(
-      "%8s  %-14s %7s | %10s %10s %7s | %9s %9s | %12s\n", "docs", "query",
-      "rows", "pipe_us", "legacy_us", "speedup", "pipe_tmpw", "leg_tmpw",
-      "sql_e2e_us");
-
+  JsonReport report("text_pipeline",
+                    "E1: text query, pipelined (8i) vs two-step temp table");
+  Table& table = report.AddTimedTable(
+      "queries", {"docs", "query", "plan", "rows", "temp_rows_written"});
   std::vector<uint64_t> sizes{1000, 5000, 20000, 50000};
   if (SmokeMode()) sizes = {60};
   for (uint64_t docs : sizes) {
     Database db;
     Connection conn(&db);
-    if (!text::InstallTextCartridge(&conn).ok()) return 1;
-    if (!workload::BuildTextTable(&conn, "docs", docs, 60, 5000, 0.9,
-                                  docs)
+    if (!text::InstallTextCartridge(&conn).ok() ||
+        !workload::BuildTextTable(&conn, "docs", docs, 60, 5000, 0.9, docs)
              .ok()) {
       return 1;
     }
@@ -75,62 +68,26 @@ int main() {
 
     // Query-term selectivity sweep: common pair, medium pair, rare pair.
     for (const char* query : {"w3 AND w11", "w40 AND w90", "w400 OR w800"}) {
-      // Warm both paths once.
-      size_t rows = 0;
-      RunPipelined(&db, "dtext", "docs", query, &rows);
-      (void)text::LegacyTextQuery(&db, "dtext", query,
-                                  [](RowId, const Row&) {});
-
-      // Min over interleaved repetitions: stable on a noisy machine.
-      constexpr int kReps = 9;
-      MetricsWindow pipe_window;
-      int64_t pipe_us = RunPipelined(&db, "dtext", "docs", query, &rows);
-      StorageMetrics pipe_delta = pipe_window.Delta();
-      int64_t legacy_us = -1;
-      size_t legacy_rows = 0;
-      MetricsWindow legacy_window;
-      {
-        Timer t;
-        (void)text::LegacyTextQuery(
-            &db, "dtext", query,
-            [&legacy_rows](RowId, const Row&) { ++legacy_rows; });
-        legacy_us = t.ElapsedUs();
+      size_t rows[3] = {0, 0, 0};
+      const std::string sql =
+          std::string("SELECT id FROM docs WHERE Contains(body, '") + query +
+          "')";
+      std::vector<Series> plans = TimeAlternating({
+          [&] { rows[0] = RunPipelined(&db, query); },
+          [&] {
+            rows[1] = 0;
+            (void)text::LegacyTextQuery(
+                &db, "dtext", query, [&](RowId, const Row&) { ++rows[1]; });
+          },
+          [&] { rows[2] = conn.MustExecute(sql).rows.size(); },
+      });
+      const char* names[] = {"pipelined", "legacy", "sql_pipelined"};
+      for (int p = 0; p < 3; ++p) {
+        table.Add({docs, query, names[p], rows[p],
+                   plans[p].work().temp_rows_written},
+                  plans[p]);
       }
-      StorageMetrics legacy_delta = legacy_window.Delta();
-      for (int r = 0; r < kReps; ++r) {
-        int64_t us = RunPipelined(&db, "dtext", "docs", query, &rows);
-        if (us < pipe_us) pipe_us = us;
-        Timer t;
-        size_t unused = 0;
-        (void)text::LegacyTextQuery(&db, "dtext", query,
-                                    [&unused](RowId, const Row&) {
-                                      ++unused;
-                                    });
-        int64_t lus = t.ElapsedUs();
-        if (lus < legacy_us) legacy_us = lus;
-      }
-
-      Timer sql_timer;
-      QueryResult qr = conn.MustExecute(
-          std::string("SELECT id FROM docs WHERE Contains(body, '") +
-          query + "')");
-      int64_t sql_us = sql_timer.ElapsedUs();
-      (void)qr;
-
-      std::printf(
-          "%8llu  %-14s %7zu | %10lld %10lld %6.2fx | %9llu %9llu | %12lld\n",
-          (unsigned long long)docs, query, rows, (long long)pipe_us,
-          (long long)legacy_us,
-          pipe_us > 0 ? double(legacy_us) / double(pipe_us) : 0.0,
-          (unsigned long long)pipe_delta.temp_rows_written,
-          (unsigned long long)legacy_delta.temp_rows_written,
-          (long long)sql_us);
     }
   }
-  std::printf(
-      "\nshape check: pipelined never touches a temp table; the legacy\n"
-      "plan pays temp writes+reads proportional to the result set and a\n"
-      "join back to the base table.\n");
-  JsonReport("text_pipeline").Write();
-  return 0;
+  return report.Write() ? 0 : 1;
 }

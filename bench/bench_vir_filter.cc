@@ -1,6 +1,12 @@
 // Experiment E4 (§3.2.3): multi-level filtering makes large image tables
 // feasible.  Per table size: per-row full-signature comparison (pre-8i
-// behavior) vs the 3-phase domain-index scan, with the filter funnel.
+// behavior, a table without an index) vs the 3-phase domain-index scan
+// (a copy of the same images with an index), with the filter funnel.
+//
+// Shape check: the index advantage grows with table size; the two coarse
+// phases discard the overwhelming majority of rows before any full signature
+// is compared (the paper: content-based queries on millions of rows became
+// possible).
 
 #include <cstdio>
 #include <sstream>
@@ -29,57 +35,53 @@ std::string ImageLiteral(const vir::Signature& sig) {
 }  // namespace
 
 int main() {
-  Header("E4: image similarity — per-row comparison vs multi-level filter");
-  std::printf("%8s %7s | %12s %12s %8s | %9s %9s %9s\n", "images",
-              "matches", "func_us", "index_us", "speedup", "phase1",
-              "phase2", "phase3");
+  JsonReport report("vir_filter",
+                    "E4: image similarity, per-row comparison vs VIR filter");
+  Table& queries =
+      report.AddTimedTable("queries", {"images", "plan", "matches"});
+  Table& funnel = report.AddTable(
+      "funnel", {"images", "phase1_candidates", "phase2_survivors", "matches"});
   std::vector<uint64_t> sizes{10000, 50000, 200000};
   if (SmokeMode()) sizes = {200};
   for (uint64_t n : sizes) {
     Database db;
     Connection conn(&db);
-    if (!vir::InstallVirCartridge(&conn).ok()) return 1;
-    if (!workload::BuildImageTable(&conn, "images", n, 16, 0.04, n).ok()) {
+    if (!vir::InstallVirCartridge(&conn).ok() ||
+        !workload::BuildImageTable(&conn, "scan", n, 16, 0.04, n).ok() ||
+        !workload::BuildImageTable(&conn, "indexed", n, 16, 0.04, n).ok()) {
       return 1;
     }
-    conn.MustExecute("ANALYZE images");
-    workload::SignatureSource probe(16, 0.04, n);
-    std::string where = "VIRSimilar(img, " + ImageLiteral(probe.Next()) +
-                        ", 'globalcolor=0.5,localcolor=0.0,texture=0.5,"
-                        "structure=0.0', 0.12)";
-
-    Timer func_timer;
-    QueryResult func = conn.MustExecute("SELECT id FROM images WHERE " +
-                                        where);
-    int64_t func_us = func_timer.ElapsedUs();
-
     conn.MustExecute(
-        "CREATE INDEX img_idx ON images(img) INDEXTYPE IS VirIndexType");
-    conn.MustExecute("SELECT id FROM images WHERE " + where);  // warm
-    Timer idx_timer;
-    QueryResult idx = conn.MustExecute("SELECT id FROM images WHERE " +
-                                       where);
-    int64_t idx_us = idx_timer.ElapsedUs();
-    auto funnel = vir::VirIndexMethods::last_counters();
-
-    if (func.rows.size() != idx.rows.size()) {
+        "CREATE INDEX img_idx ON indexed(img) INDEXTYPE IS VirIndexType");
+    conn.MustExecute("ANALYZE scan");
+    conn.MustExecute("ANALYZE indexed");
+    workload::SignatureSource probe(16, 0.04, n);
+    const std::string where = " WHERE VIRSimilar(img, " +
+                              ImageLiteral(probe.Next()) +
+                              ", 'globalcolor=0.5,localcolor=0.0,texture=0.5,"
+                              "structure=0.0', 0.12)";
+    size_t matches[2] = {0, 0};
+    vir::VirIndexMethods::PhaseCounters counters;
+    std::vector<Series> times = TimeAlternating({
+        [&] {
+          matches[0] = conn.MustExecute("SELECT id FROM scan" + where)
+                           .rows.size();
+        },
+        [&] {
+          matches[1] = conn.MustExecute("SELECT id FROM indexed" + where)
+                           .rows.size();
+          counters = vir::VirIndexMethods::last_counters();
+        },
+    });
+    if (matches[0] != matches[1]) {
       std::printf("RESULT MISMATCH at n=%llu: %zu vs %zu\n",
-                  (unsigned long long)n, func.rows.size(), idx.rows.size());
+                  (unsigned long long)n, matches[0], matches[1]);
       return 1;
     }
-    std::printf("%8llu %7zu | %12lld %12lld %7.1fx | %9llu %9llu %9llu\n",
-                (unsigned long long)n, idx.rows.size(), (long long)func_us,
-                (long long)idx_us,
-                idx_us > 0 ? double(func_us) / double(idx_us) : 0.0,
-                (unsigned long long)funnel.phase1_candidates,
-                (unsigned long long)funnel.phase2_survivors,
-                (unsigned long long)funnel.matches);
+    queries.Add({n, "functional", matches[0]}, times[0]);
+    queries.Add({n, "vir_index", matches[1]}, times[1]);
+    funnel.Add({n, counters.phase1_candidates, counters.phase2_survivors,
+                counters.matches});
   }
-  std::printf(
-      "\nshape check: the index advantage grows with table size; the two\n"
-      "coarse phases discard the overwhelming majority of rows before any\n"
-      "full signature is compared (the paper: content-based queries on\n"
-      "millions of rows became possible).\n");
-  JsonReport("vir_filter").Write();
-  return 0;
+  return report.Write() ? 0 : 1;
 }

@@ -22,13 +22,16 @@ cmake --build build -j "$JOBS"
 echo "==> tests"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-echo "==> docs-check (markdown links + V\$ schema golden + fail-point inventory + bench routine names + source paths)"
+echo "==> docs-check (markdown links + V\$ schema golden + fail-point inventory + bench routine names + source paths + bench result names)"
 cmake --build build --target docs-check
 
 echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
 # Runs from build/ so the committed BENCH_*.json at the repo root keep
 # their full-scale numbers; smoke output is plumbing validation only.  Every
-# BENCH_*.json the run writes must parse as JSON (format only, not timings).
+# bench but bench_micro_substrate must write the BENCH_<name>.json its last
+# line names, and every BENCH_*.json must parse as JSON and hold at least
+# one non-empty array of row objects besides odci_calls (format only, not
+# timings).
 (
   cd build
   rm -f BENCH_*.json
@@ -37,7 +40,11 @@ echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
     if [[ "$(basename "$b")" == "bench_micro_substrate" ]]; then
       EXTIDX_BENCH_SMOKE=1 "./$b" --benchmark_min_time=0.01 >/dev/null
     else
-      EXTIDX_BENCH_SMOKE=1 "./$b" >/dev/null
+      wrote="$(EXTIDX_BENCH_SMOKE=1 "./$b" | sed -n 's/^wrote //p')"
+      if [[ "$wrote" != BENCH_*.json || ! -f "$wrote" ]]; then
+        echo "$(basename "$b") wrote no BENCH_<name>.json"
+        exit 1
+      fi
     fi
     echo "  ok: $(basename "$b")"
   done
@@ -45,6 +52,17 @@ echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
     python3 -m json.tool "$j" >/dev/null
     echo "  json ok: $j"
   done
+  python3 -c '
+import glob, json, sys
+for path in sorted(glob.glob("BENCH_*.json")):
+    tables = [key for key, value in json.load(open(path)).items()
+              if key != "odci_calls" and isinstance(value, list) and value
+              and all(isinstance(row, dict) and row for row in value)]
+    if not tables:
+        sys.exit("%s holds no non-empty array of row objects besides "
+                 "odci_calls" % path)
+    print("  rows ok: %s (%s)" % (path, ", ".join(tables)))
+'
   # Sorted posting runs: a batched text INSERT reads no more B+-tree nodes
   # than the same rows inserted one statement at a time.  Node reads are
   # counts, not times, so this holds on any host.

@@ -109,7 +109,9 @@ class FileRecordStore : public RecordStore {
 
 Result<std::unique_ptr<RecordStore>> OpenStore(const OdciIndexInfo& info,
                                                ServerContext& ctx) {
-  if (ChemIndexMethods::UsesFileStorage(info.parameters)) {
+  EXI_ASSIGN_OR_RETURN(bool file,
+                       ChemIndexMethods::UsesFileStorage(info.parameters));
+  if (file) {
     EXI_ASSIGN_OR_RETURN(FileStore * files,
                          ctx.ExternalFiles(info.index_name));
     return std::unique_ptr<RecordStore>(new FileRecordStore(files));
@@ -122,14 +124,17 @@ Result<std::unique_ptr<RecordStore>> OpenStore(const OdciIndexInfo& info,
 
 }  // namespace
 
-bool ChemIndexMethods::UsesFileStorage(const std::string& parameters) {
-  IndexParameters params(parameters);
-  return EqualsIgnoreCase(params.Get("storage", "lob"), "file");
+Result<bool> ChemIndexMethods::UsesFileStorage(const std::string& parameters) {
+  EXI_ASSIGN_OR_RETURN(
+      size_t storage, IndexParameters(parameters).GetOneOf("Storage",
+                                                           {"lob", "file"}));
+  return storage == 1;
 }
 
 Status ChemIndexMethods::Create(const OdciIndexInfo& info,
                                 ServerContext& ctx) {
-  if (!UsesFileStorage(info.parameters)) {
+  EXI_ASSIGN_OR_RETURN(bool file, UsesFileStorage(info.parameters));
+  if (!file) {
     EXI_RETURN_IF_ERROR(ctx.CreateIot(MetaTableName(info.index_name),
                                       MetaTableSchema(), 1));
     EXI_ASSIGN_OR_RETURN(LobId lob, ctx.CreateLob());
@@ -172,11 +177,10 @@ Status ChemIndexMethods::Create(const OdciIndexInfo& info,
 
 Status ChemIndexMethods::Alter(const OdciIndexInfo& info,
                                ServerContext& ctx) {
-  (void)info;
   (void)ctx;
   // Changing :Storage after creation is not supported (would require
-  // migrating records between stores).
-  return Status::OK();
+  // migrating records between stores); an unknown value still fails.
+  return UsesFileStorage(info.parameters).status();
 }
 
 Status ChemIndexMethods::Truncate(const OdciIndexInfo& info,
@@ -187,7 +191,8 @@ Status ChemIndexMethods::Truncate(const OdciIndexInfo& info,
 }
 
 Status ChemIndexMethods::Drop(const OdciIndexInfo& info, ServerContext& ctx) {
-  if (UsesFileStorage(info.parameters)) {
+  EXI_ASSIGN_OR_RETURN(bool file, UsesFileStorage(info.parameters));
+  if (file) {
     EXI_ASSIGN_OR_RETURN(FileStore * files,
                          ctx.ExternalFiles(info.index_name));
     return files->Clear();

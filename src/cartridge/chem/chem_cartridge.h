@@ -71,8 +71,9 @@ class ChemIndexMethods : public OdciIndex {
   Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
                ServerContext& ctx) override;
 
-  // True if the index parameters select the external file store.
-  static bool UsesFileStorage(const std::string& parameters);
+  // True if the :Storage PARAMETER selects the external file store;
+  // InvalidArgument unless it is lob (the default) or file.
+  static Result<bool> UsesFileStorage(const std::string& parameters);
 };
 
 class ChemStats : public OdciStats {

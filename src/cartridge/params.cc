@@ -1,5 +1,6 @@
 #include "cartridge/params.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -36,10 +37,36 @@ std::string IndexParameters::Get(const std::string& key,
   return it->second[0];
 }
 
-int64_t IndexParameters::GetInt(const std::string& key, int64_t def) const {
+Result<int64_t> IndexParameters::GetInt(const std::string& key, int64_t def,
+                                        int64_t lo, int64_t hi) const {
   auto it = entries_.find(ToLower(key));
   if (it == entries_.end() || it->second.empty()) return def;
-  return std::strtoll(it->second[0].c_str(), nullptr, 10);
+  const std::string& text = it->second[0];
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno != 0 || v < lo ||
+      v > hi) {
+    return Status::InvalidArgument(
+        "PARAMETERS :" + key + " " + text + ": expected an integer in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return int64_t(v);
+}
+
+Result<size_t> IndexParameters::GetOneOf(
+    const std::string& key, std::initializer_list<const char*> allowed) const {
+  auto it = entries_.find(ToLower(key));
+  if (it == entries_.end() || it->second.empty()) return size_t{0};
+  const std::string value = ToLower(it->second[0]);
+  std::string expected;
+  size_t pos = 0;
+  for (const char* a : allowed) {
+    if (value == a) return pos;
+    expected += pos++ == 0 ? a : std::string(" or ") + a;
+  }
+  return Status::InvalidArgument("PARAMETERS :" + key + " " +
+                                 it->second[0] + ": expected " + expected);
 }
 
 double IndexParameters::GetDouble(const std::string& key, double def) const {

@@ -1,10 +1,14 @@
 #ifndef EXTIDX_CARTRIDGE_PARAMS_H_
 #define EXTIDX_CARTRIDGE_PARAMS_H_
 
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "common/result.h"
 
 namespace exi {
 
@@ -32,8 +36,17 @@ class IndexParameters {
 
   // First value of the key, or `def`.
   std::string Get(const std::string& key, const std::string& def = "") const;
-  int64_t GetInt(const std::string& key, int64_t def) const;
   double GetDouble(const std::string& key, double def) const;
+
+  // The key's first value as an integer in [lo, hi], or `def` when the key
+  // is absent.  Any other value is InvalidArgument naming key and value.
+  Result<int64_t> GetInt(const std::string& key, int64_t def, int64_t lo,
+                         int64_t hi) const;
+  // The position in `allowed` (lowercase words) of the key's first value,
+  // matched case-insensitively; 0, the default, when the key is absent.
+  // Any other value is InvalidArgument naming key and value.
+  Result<size_t> GetOneOf(const std::string& key,
+                          std::initializer_list<const char*> allowed) const;
 
   // All values of the key (e.g. the stop-word list).
   std::vector<std::string> GetList(const std::string& key) const;

@@ -77,22 +77,20 @@ Result<std::vector<RowId>> ExactFilter(const OdciIndexInfo& info,
 // SpatialIndexMethods (tile-based)
 // ===========================================================================
 
-int SpatialIndexMethods::TileLevel(const std::string& parameters) {
-  IndexParameters params(parameters);
-  int level = int(params.GetInt("tilelevel", 6));
-  if (level < 1) level = 1;
-  if (level > kMaxTileLevel) level = kMaxTileLevel;
-  return level;
+Result<int> SpatialIndexMethods::TileLevel(const std::string& parameters) {
+  EXI_ASSIGN_OR_RETURN(
+      int64_t level,
+      IndexParameters(parameters).GetInt("TileLevel", 6, 1, kMaxTileLevel));
+  return int(level);
 }
 
 namespace {
 
 // Fills the empty tile table from the base table with one sorted
-// IotBulkLoad of every (tile, rid) pair (Create, and Alter after
-// truncating).
-Status LoadTiles(const OdciIndexInfo& info, ServerContext& ctx) {
+// IotBulkLoad of every (tile, rid) pair at `level` (Create, and Alter
+// after truncating).
+Status LoadTiles(const OdciIndexInfo& info, int level, ServerContext& ctx) {
   int col = info.indexed_position();
-  int level = SpatialIndexMethods::TileLevel(info.parameters);
   std::vector<std::pair<uint64_t, RowId>> pairs;
   Status inner = Status::OK();
   EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
@@ -126,16 +124,18 @@ Status LoadTiles(const OdciIndexInfo& info, ServerContext& ctx) {
 
 Status SpatialIndexMethods::Create(const OdciIndexInfo& info,
                                    ServerContext& ctx) {
+  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
   EXI_RETURN_IF_ERROR(
       ctx.CreateIot(TileTableName(info.index_name), TileTableSchema(), 2));
-  return LoadTiles(info, ctx);
+  return LoadTiles(info, level, ctx);
 }
 
 Status SpatialIndexMethods::Alter(const OdciIndexInfo& info,
                                   ServerContext& ctx) {
   // Tile level may have changed: rebuild.
+  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
   EXI_RETURN_IF_ERROR(ctx.IotTruncate(TileTableName(info.index_name)));
-  return LoadTiles(info, ctx);
+  return LoadTiles(info, level, ctx);
 }
 
 Status SpatialIndexMethods::Truncate(const OdciIndexInfo& info,
@@ -153,7 +153,8 @@ Status SpatialIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
                                    ServerContext& ctx) {
   if (new_value.is_null()) return Status::OK();
   EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(new_value));
-  for (uint64_t tile : CoverTiles(g, TileLevel(info.parameters))) {
+  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
+  for (uint64_t tile : CoverTiles(g, level)) {
     EXI_RETURN_IF_ERROR(ctx.IotUpsert(
         TileTableName(info.index_name),
         {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))}));
@@ -166,7 +167,8 @@ Status SpatialIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
                                    ServerContext& ctx) {
   if (old_value.is_null()) return Status::OK();
   EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(old_value));
-  for (uint64_t tile : CoverTiles(g, TileLevel(info.parameters))) {
+  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
+  for (uint64_t tile : CoverTiles(g, level)) {
     EXI_RETURN_IF_ERROR(ctx.IotDelete(
         TileTableName(info.index_name),
         {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))}));
@@ -192,7 +194,8 @@ Result<OdciScanContext> SpatialIndexMethods::Start(const OdciIndexInfo& info,
   // Phase 1: candidate rids whose tile cover intersects the query's.
   std::set<RowId> candidates;
   std::string iot = TileTableName(info.index_name);
-  for (uint64_t tile : CoverTiles(query, TileLevel(info.parameters))) {
+  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
+  for (uint64_t tile : CoverTiles(query, level)) {
     EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(
         iot, {Value::Integer(int64_t(tile))}, [&](const Row& row) {
           candidates.insert(RowId(row[1].AsInteger()));
@@ -390,9 +393,9 @@ Result<double> SpatialStats::IndexCost(const OdciIndexInfo& info,
   uint8_t mask;
   double tiles = 4.0;
   if (ParseRelatePred(pred, &query, &mask).ok()) {
-    tiles = double(
-        CoverTiles(query, SpatialIndexMethods::TileLevel(info.parameters))
-            .size());
+    EXI_ASSIGN_OR_RETURN(int level,
+                         SpatialIndexMethods::TileLevel(info.parameters));
+    tiles = double(CoverTiles(query, level).size());
   }
   // Tile probes + candidate fetch + exact-filter work.
   return 10.0 + tiles * 2.0 + selectivity * double(table_rows) * 2.0;

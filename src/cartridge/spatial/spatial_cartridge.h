@@ -47,7 +47,9 @@ class SpatialIndexMethods : public OdciIndex {
   Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
                ServerContext& ctx) override;
 
-  static int TileLevel(const std::string& parameters);
+  // The :TileLevel PARAMETER (default 6); InvalidArgument unless it is an
+  // integer in [1, kMaxTileLevel].
+  static Result<int> TileLevel(const std::string& parameters);
 };
 
 // R-tree-backed indextype for the same Sdo_Relate operator: index data in

@@ -107,10 +107,30 @@ Tokenizer TextIndexMethods::MakeTokenizer(const IndexParameters& params) {
   return tokenizer;
 }
 
+namespace {
+
+// How Start evaluates a query and where the scan keeps its state: the
+// :Mode and :ContextMode PARAMETERS, InvalidArgument for any other value.
+struct ScanStyle {
+  bool incremental;
+  bool use_state;
+};
+
+Result<ScanStyle> ScanStyleOf(const IndexParameters& params) {
+  EXI_ASSIGN_OR_RETURN(size_t mode,
+                       params.GetOneOf("Mode", {"precompute", "incremental"}));
+  EXI_ASSIGN_OR_RETURN(size_t context,
+                       params.GetOneOf("ContextMode", {"handle", "state"}));
+  return ScanStyle{mode == 1, context == 1};
+}
+
+}  // namespace
+
 // ---- definition ----
 
 Status TextIndexMethods::Create(const OdciIndexInfo& info,
                                 ServerContext& ctx) {
+  EXI_RETURN_IF_ERROR(ScanStyleOf(ParseParams(info.parameters)).status());
   EXI_RETURN_IF_ERROR(ctx.CreateIot(PostingTableName(info.index_name),
                                     PostingTableSchema(), kPostingKeyColumns));
   return Rebuild(info, ctx);
@@ -189,6 +209,7 @@ Status TextIndexMethods::Alter(const OdciIndexInfo& info,
                                ServerContext& ctx) {
   // Parameter changes (language, stop words) invalidate existing postings:
   // truncate and rebuild from the base table.
+  EXI_RETURN_IF_ERROR(ScanStyleOf(ParseParams(info.parameters)).status());
   std::string iot = PostingTableName(info.index_name);
   EXI_RETURN_IF_ERROR(ctx.IotTruncate(iot));
   return Rebuild(info, ctx);
@@ -317,13 +338,10 @@ Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
 
   IndexParameters params = ParseParams(info.parameters);
   Tokenizer tokenizer = MakeTokenizer(params);
-  bool use_state =
-      EqualsIgnoreCase(params.Get("contextmode", "handle"), "state");
-  bool incremental =
-      EqualsIgnoreCase(params.Get("mode", "precompute"), "incremental");
+  EXI_ASSIGN_OR_RETURN(ScanStyle style, ScanStyleOf(params));
 
   OdciScanContext sctx;
-  if (incremental && query->kind == QueryNode::Kind::kTerm &&
+  if (style.incremental && query->kind == QueryNode::Kind::kTerm &&
       !tokenizer.IsStopWord(query->term)) {
     // Incremental computation: stream the posting list a batch at a time.
     auto ws = std::make_shared<TextScanWorkspace>();
@@ -338,7 +356,7 @@ Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
       std::vector<TextMatch> matches,
       EvaluateTextQuery(*query, MakePostingSource(iot, ctx),
                         MakeUniverseSource(info, ctx)));
-  if (use_state) {
+  if (style.use_state) {
     EncodeState(matches, 0, &sctx.state);
     return sctx;
   }

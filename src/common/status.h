@@ -59,9 +59,6 @@ class Status {
   static Status ConstraintViolation(std::string msg) {
     return Status(StatusCode::kConstraintViolation, std::move(msg));
   }
-  static Status TransactionAborted(std::string msg) {
-    return Status(StatusCode::kTransactionAborted, std::move(msg));
-  }
   static Status CallbackViolation(std::string msg) {
     return Status(StatusCode::kCallbackViolation, std::move(msg));
   }

@@ -88,15 +88,6 @@ std::unique_ptr<Expr> Expr::MakeLiteral(Value v) {
   return e;
 }
 
-std::unique_ptr<Expr> Expr::MakeColumn(std::string qualifier,
-                                       std::string column) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kColumnRef;
-  e->qualifier = std::move(qualifier);
-  e->column = std::move(column);
-  return e;
-}
-
 std::unique_ptr<Expr> Expr::MakeBinary(BinaryOp op, std::unique_ptr<Expr> lhs,
                                        std::unique_ptr<Expr> rhs) {
   auto e = std::make_unique<Expr>();

@@ -91,8 +91,6 @@ struct Expr {
   std::string ToString() const;
 
   static std::unique_ptr<Expr> MakeLiteral(Value v);
-  static std::unique_ptr<Expr> MakeColumn(std::string qualifier,
-                                          std::string column);
   static std::unique_ptr<Expr> MakeBinary(BinaryOp op,
                                           std::unique_ptr<Expr> lhs,
                                           std::unique_ptr<Expr> rhs);

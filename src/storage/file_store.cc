@@ -34,18 +34,6 @@ Status FileStore::WriteFile(const std::string& name,
   return Status::OK();
 }
 
-Status FileStore::AppendFile(const std::string& name,
-                             const std::vector<uint8_t>& data) {
-  std::ofstream out(PathFor(name), std::ios::binary | std::ios::app);
-  if (!out) return Status::IoError("cannot open for append: " + PathFor(name));
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (!out) return Status::IoError("append failed: " + PathFor(name));
-  GlobalMetrics().file_writes++;
-  GlobalMetrics().file_bytes_written += data.size();
-  return Status::OK();
-}
-
 Result<std::vector<uint8_t>> FileStore::ReadFile(
     const std::string& name) const {
   std::ifstream in(PathFor(name), std::ios::binary | std::ios::ate);

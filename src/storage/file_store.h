@@ -30,9 +30,6 @@ class FileStore {
   // Overwrites the file with `data`.
   Status WriteFile(const std::string& name, const std::vector<uint8_t>& data);
 
-  Status AppendFile(const std::string& name,
-                    const std::vector<uint8_t>& data);
-
   Result<std::vector<uint8_t>> ReadFile(const std::string& name) const;
 
   bool FileExists(const std::string& name) const;

@@ -126,28 +126,6 @@ Result<std::vector<uint8_t>> LobStore::ReadAll(LobId id) const {
   return out;
 }
 
-Status LobStore::WriteAll(LobId id, std::vector<uint8_t> data) {
-  auto it = lobs_.find(id);
-  if (it == lobs_.end()) {
-    return Status::NotFound("no LOB " + std::to_string(id));
-  }
-  GlobalMetrics().lob_chunks_written +=
-      std::max<uint64_t>(1, ChunkCount(data.size()));
-  GlobalMetrics().lob_bytes_written += data.size();
-  LobSnapshot fresh;
-  fresh.size = data.size();
-  fresh.chunks.resize(ChunkCount(fresh.size));
-  for (uint64_t ci = 0; ci < fresh.chunks.size(); ++ci) {
-    uint64_t start = ci * kChunkSize;
-    uint64_t n = std::min<uint64_t>(kChunkSize, fresh.size - start);
-    auto chunk = std::make_shared<std::vector<uint8_t>>(kChunkSize, 0);
-    std::memcpy(chunk->data(), data.data() + start, n);
-    fresh.chunks[ci] = std::move(chunk);
-  }
-  it->second = std::move(fresh);
-  return Status::OK();
-}
-
 Result<LobStore::LobSnapshot> LobStore::Snapshot(LobId id) const {
   auto it = lobs_.find(id);
   if (it == lobs_.end()) {

@@ -63,9 +63,6 @@ class LobStore {
   // Full contents.
   Result<std::vector<uint8_t>> ReadAll(LobId id) const;
 
-  // Replaces the full contents.
-  Status WriteAll(LobId id, std::vector<uint8_t> data);
-
   // Snapshot/restore used by the transaction layer.  Snapshot shares the
   // LOB's chunks (no byte copy); Restore reinstates the snapshot image,
   // creating the LOB if it no longer exists (rollback of a drop).

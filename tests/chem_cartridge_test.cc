@@ -212,6 +212,30 @@ TEST_F(ChemCartridgeTest, FileStorageWorksAndCostsMoreWrites) {
   EXPECT_GT(lob_maint.lob_chunks_written, 0u);
 }
 
+TEST_F(ChemCartridgeTest, UnknownStorageIsRejected) {
+  LoadSampleMolecules();
+  Result<QueryResult> r = conn_.Execute(
+      "CREATE INDEX midx ON mols(smiles) INDEXTYPE IS ChemIndexType "
+      "PARAMETERS (':Storage tape')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("Storage tape"), std::string::npos)
+      << r.status().ToString();
+  conn_.MustExecute(
+      "CREATE INDEX midx ON mols(smiles) INDEXTYPE IS ChemIndexType "
+      "PARAMETERS (':Storage lob')");
+  Result<QueryResult> alter =
+      conn_.Execute("ALTER INDEX midx PARAMETERS (':Storage tape')");
+  ASSERT_FALSE(alter.ok());
+  EXPECT_EQ(alter.status().code(), StatusCode::kInvalidArgument);
+  QueryResult stored = conn_.MustExecute(
+      "SELECT parameters FROM user_indexes WHERE index_name = 'midx'");
+  ASSERT_EQ(stored.rows.size(), 1u);
+  EXPECT_EQ(stored.rows[0][0].AsVarchar(), ":Storage lob");
+  EXPECT_EQ(QueryIds("MolContains(smiles, 'C=O')"),
+            (std::set<int64_t>{2, 6}));
+}
+
 TEST_F(ChemCartridgeTest, ExternalStoreEscapesRollback) {
   // The §5 limitation: file-backed index data is NOT rolled back.
   LoadSampleMolecules();

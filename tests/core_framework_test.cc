@@ -155,9 +155,11 @@ TEST(IndexParametersTest, ParsingAndAccumulation) {
   EXPECT_EQ(params.GetList("ignore").size(), 4u);
   // Numeric accessors and defaults.
   params.Parse(":TileLevel 6 :Threshold 0.25");
-  EXPECT_EQ(params.GetInt("tilelevel", 1), 6);
+  EXPECT_EQ(*params.GetInt("tilelevel", 1, 1, 16), 6);
   EXPECT_DOUBLE_EQ(params.GetDouble("threshold", 0.0), 0.25);
-  EXPECT_EQ(params.GetInt("missing", 9), 9);
+  EXPECT_EQ(*params.GetInt("missing", 9, 1, 16), 9);
+  EXPECT_EQ(params.GetInt("tilelevel", 1, 1, 5).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(params.Has("missing"));
   EXPECT_TRUE(params.Has("TileLevel"));
 }

@@ -345,6 +345,35 @@ TEST_F(SpatialCartridgeTest, AlterTileLevelRebuilds) {
   EXPECT_EQ(QueryGids(where), std::vector<int64_t>{1});
 }
 
+TEST_F(SpatialCartridgeTest, MalformedTileLevelIsRejected) {
+  InsertRect("parks", 1, 0, 0, 100, 100);
+  for (const char* level : {"abc", "40", "0", "6x"}) {
+    Result<QueryResult> r = conn_.Execute(
+        std::string("CREATE INDEX bad ON parks(geometry) INDEXTYPE IS "
+                    "SpatialIndexType PARAMETERS (':TileLevel ") +
+        level + "')");
+    ASSERT_FALSE(r.ok()) << level;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(std::string("TileLevel ") + level),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  conn_.MustExecute(
+      "CREATE INDEX parks_sidx ON parks(geometry) "
+      "INDEXTYPE IS SpatialIndexType PARAMETERS (':TileLevel 5')");
+  Result<QueryResult> alter =
+      conn_.Execute("ALTER INDEX parks_sidx PARAMETERS (':TileLevel abc')");
+  ASSERT_FALSE(alter.ok());
+  EXPECT_EQ(alter.status().code(), StatusCode::kInvalidArgument);
+  QueryResult params = conn_.MustExecute(
+      "SELECT parameters FROM user_indexes WHERE index_name = 'parks_sidx'");
+  ASSERT_EQ(params.rows.size(), 1u);
+  EXPECT_EQ(params.rows[0][0].AsVarchar(), ":TileLevel 5");
+  EXPECT_EQ(QueryGids("Sdo_Relate(geometry, SDO_GEOMETRY(50,50,60,60), "
+                      "'mask=ANYINTERACT')"),
+            std::vector<int64_t>{1});
+}
+
 // ---- tile build equivalence: bulk Create, per-row maintenance, Alter ----
 
 // `n` rectangles with a NULL geometry every seventh row, as SQL literals.

@@ -102,9 +102,9 @@ TEST(LobStoreTest, ByteRangeReadWrite) {
 TEST(LobStoreTest, SnapshotRestoreAndDrop) {
   LobStore lobs;
   LobId id = lobs.Create();
-  ASSERT_TRUE(lobs.WriteAll(id, {1, 2, 3}).ok());
+  ASSERT_TRUE(lobs.Append(id, {1, 2, 3}).ok());
   auto snapshot = *lobs.Snapshot(id);
-  ASSERT_TRUE(lobs.WriteAll(id, {9, 9}).ok());
+  ASSERT_TRUE(lobs.Write(id, 0, {9, 9}).ok());
   ASSERT_TRUE(lobs.Restore(id, snapshot).ok());
   EXPECT_EQ(*lobs.ReadAll(id), (std::vector<uint8_t>{1, 2, 3}));
 
@@ -118,11 +118,10 @@ TEST(FileStoreTest, RoundTripAndListing) {
   FileStore files("/tmp/extidx_test_filestore");
   ASSERT_TRUE(files.Clear().ok());
   ASSERT_TRUE(files.WriteFile("a.dat", {1, 2, 3}).ok());
-  ASSERT_TRUE(files.AppendFile("a.dat", {4}).ok());
   ASSERT_TRUE(files.WriteFile("b.dat", {}).ok());
 
   EXPECT_TRUE(files.FileExists("a.dat"));
-  EXPECT_EQ(files.ReadFile("a.dat")->size(), 4u);
+  EXPECT_EQ(files.ReadFile("a.dat")->size(), 3u);
   EXPECT_TRUE(files.ReadFile("b.dat")->empty());
   EXPECT_FALSE(files.ReadFile("c.dat").ok());
   EXPECT_EQ(files.ListFiles().size(), 2u);

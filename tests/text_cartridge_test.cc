@@ -156,6 +156,42 @@ TEST_F(TextCartridgeTest, ParametersStopWordsAndAlter) {
             std::vector<std::string>{"alice"});
 }
 
+TEST_F(TextCartridgeTest, MalformedScanParametersAreRejected) {
+  for (const char* params : {":Mode incremantal :ContextMode stat",
+                             ":Mode whatever", ":ContextMode stat"}) {
+    Result<QueryResult> r = conn_.Execute(
+        std::string("CREATE INDEX rti ON employees(resume) INDEXTYPE IS "
+                    "TextIndexType PARAMETERS ('") +
+        params + "')");
+    ASSERT_FALSE(r.ok()) << params;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  Result<QueryResult> r = conn_.Execute(
+      "CREATE INDEX rti ON employees(resume) INDEXTYPE IS TextIndexType "
+      "PARAMETERS (':Mode incremantal')");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("Mode incremantal"), std::string::npos)
+      << r.status().ToString();
+
+  conn_.MustExecute(
+      "CREATE INDEX rti ON employees(resume) INDEXTYPE IS TextIndexType "
+      "PARAMETERS (':Mode incremental :ContextMode state')");
+  InsertResume("alice", 1, "Oracle expert");
+  for (const char* params : {":Mode whatever", ":ContextMode stat"}) {
+    Result<QueryResult> alter = conn_.Execute(
+        std::string("ALTER INDEX rti PARAMETERS ('") + params + "')");
+    ASSERT_FALSE(alter.ok()) << params;
+    EXPECT_EQ(alter.status().code(), StatusCode::kInvalidArgument);
+  }
+  QueryResult stored = conn_.MustExecute(
+      "SELECT parameters FROM user_indexes WHERE index_name = 'rti'");
+  ASSERT_EQ(stored.rows.size(), 1u);
+  EXPECT_EQ(stored.rows[0][0].AsVarchar(),
+            ":Mode incremental :ContextMode state");
+  EXPECT_EQ(QueryNames("Contains(resume, 'oracle')"),
+            std::vector<std::string>{"alice"});
+}
+
 TEST_F(TextCartridgeTest, TruncateTablePropagatesToDomainIndex) {
   conn_.MustExecute(
       "CREATE INDEX rti ON employees(resume) INDEXTYPE IS TextIndexType");

@@ -14,8 +14,10 @@
 //     at the repo root must appear as a string literal under src/, so a
 //     renamed or deleted ODCI routine cannot linger in committed results.
 //  5. Every backticked src/, tests/, bench/, tools/ or examples/ path in
-//     README.md, DESIGN.md, EXPERIMENTS.md and docs/ must exist (ROADMAP.md
-//     and CHANGES.md record history and are not checked).
+//     README.md, DESIGN.md, EXPERIMENTS.md and docs/ must exist, and every
+//     backticked BENCH_*.json name there must name a committed file at the
+//     repo root (ROADMAP.md and CHANGES.md record history and are not
+//     checked).
 //
 // Usage: docs_check <repo_root>
 // Exit 0 = clean; 1 = findings (each printed on its own line).
@@ -318,13 +320,18 @@ int CheckBenchRoutines(const fs::path& root, const std::string& source) {
   return findings;
 }
 
-// The repo source path an inline code span names, cut at the first space
-// or ':' (a line number); empty for any other span and for globs.
+// The repo path an inline code span names, cut at the first space or ':'
+// (a line number): a source path, or a BENCH_*.json result at the repo
+// root.  Empty for any other span and for globs.
 std::string SourcePath(std::string span) {
   span = span.substr(0, span.find_first_of(" :"));
   if (span.find_first_of("*?{<") != std::string::npos) return "";
   for (const char* dir : {"src/", "tests/", "bench/", "tools/", "examples/"}) {
     if (span.rfind(dir, 0) == 0) return span;
+  }
+  if (span.rfind("BENCH_", 0) == 0 && span.find('/') == std::string::npos &&
+      span.ends_with(".json")) {
+    return span;
   }
   return "";
 }
@@ -344,8 +351,11 @@ int CheckSourcePaths(const fs::path& root) {
            open = line.find('`', close + 1)) {
         std::string path = SourcePath(line.substr(open + 1, close - open - 1));
         if (path.empty() || fs::exists(root / path)) continue;
-        std::printf("%s:%zu: no such source path: %s\n",
+        std::printf("%s:%zu: %s: %s\n",
                     fs::relative(md, root).string().c_str(), lineno,
+                    path.rfind("BENCH_", 0) == 0
+                        ? "no committed bench result at the repo root"
+                        : "no such source path",
                     path.c_str());
         ++findings;
       }
