@@ -44,9 +44,9 @@ int main() {
       if (!scan.ok()) return;
       OdciFetchBatch out;
       rows[i] = 0;
-      while ((*scan)->NextBatch(batches[i], &out).ok() &&
-             !out.end_of_scan()) {
+      while ((*scan)->NextBatch(batches[i], &out).ok()) {
         rows[i] += out.rids.size();
+        if (out.end_of_scan() || out.last) break;
       }
       (void)(*scan)->Close();
     });

@@ -57,8 +57,9 @@ int main() {
         if (!scan.ok()) return;
         OdciFetchBatch batch;
         rows[c] = 0;
-        while ((*scan)->NextBatch(32, &batch).ok() && !batch.end_of_scan()) {
+        while ((*scan)->NextBatch(32, &batch).ok()) {
           rows[c] += batch.rids.size();
+          if (batch.end_of_scan() || batch.last) break;
         }
         (void)(*scan)->Close();
       });

@@ -36,9 +36,9 @@ void FirstK(Database* db, const std::string& index, size_t k,
   if (!scan.ok()) return;
   OdciFetchBatch batch;
   size_t got = 0;
-  while (got < k && (*scan)->NextBatch(64, &batch).ok() &&
-         !batch.end_of_scan()) {
+  while (got < k && (*scan)->NextBatch(64, &batch).ok()) {
     got += batch.rids.size();
+    if (batch.end_of_scan() || batch.last) break;
   }
   if (got >= k) series->Stop();
   (void)(*scan)->Close();

@@ -38,8 +38,9 @@ size_t RunPipelined(Database* db, const std::string& query) {
   HeapTable* heap = *db->catalog().GetTable("docs");
   OdciFetchBatch batch;
   size_t rows = 0;
-  while ((*scan)->NextBatch(64, &batch).ok() && !batch.end_of_scan()) {
+  while ((*scan)->NextBatch(64, &batch).ok()) {
     for (RowId rid : batch.rids) rows += heap->Get(rid).ok();
+    if (batch.end_of_scan() || batch.last) break;
   }
   (void)(*scan)->Close();
   return rows;

@@ -100,6 +100,22 @@ print("  text heap bytes per posting at %d docs: %.1f"
 if text["heap_bytes_per_posting"] >= 40:
     sys.exit("text index keeps >= 40 heap bytes per posting")
 '
+  # End-of-scan marker: every E7 scan makes exactly ceil(rows / batch)
+  # ODCIIndexFetch calls, no empty one after the last batch, and returns
+  # the same rows at every batch size.  Counts, so this holds on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_batch_fetch.json"))
+for b in r["batches"]:
+    want = max(1, -(-b["rows"] // b["batch"]))
+    print("  batch %d: %d rows in %d fetches" % (b["batch"], b["rows"],
+                                                  b["fetch_calls"]))
+    if b["fetch_calls"] != want:
+        sys.exit("batch %d made %d fetches, not ceil(rows / batch) = %d"
+                 % (b["batch"], b["fetch_calls"], want))
+if len({b["rows"] for b in r["batches"]}) != 1:
+    sys.exit("E7 returned different rows at different batch sizes")
+'
 )
 
 echo "==> fault smoke (EXTIDX_BENCH_SMOKE=1: fail-point sweep at tiny scale)"

@@ -177,10 +177,18 @@ Status ChemIndexMethods::Create(const OdciIndexInfo& info,
 
 Status ChemIndexMethods::Alter(const OdciIndexInfo& info,
                                ServerContext& ctx) {
-  (void)ctx;
-  // Changing :Storage after creation is not supported (would require
-  // migrating records between stores); an unknown value still fails.
-  return UsesFileStorage(info.parameters).status();
+  // Changing :Storage after creation is rejected: the records would have to
+  // move between stores.  A LOB-backed index is the one with an fp_lob row.
+  EXI_ASSIGN_OR_RETURN(bool file, UsesFileStorage(info.parameters));
+  bool built_on_file =
+      !ctx.IotGet(MetaTableName(info.index_name), {Value::Varchar("fp_lob")})
+           .ok();
+  if (file != built_on_file) {
+    return Status::InvalidArgument(
+        "ALTER INDEX cannot change :Storage: chem index " + info.index_name +
+        " is stored in " + (built_on_file ? "a file" : "a LOB"));
+  }
+  return Status::OK();
 }
 
 Status ChemIndexMethods::Truncate(const OdciIndexInfo& info,

@@ -137,15 +137,23 @@ Status DomainBtreeMethods::Fetch(const OdciIndexInfo& info,
   CompositeKey hi = {Value::Double(ws->hi),
                      Value::Integer(int64_t(~0ULL >> 1))};
   const CompositeKey* lo_key = ws->started ? &resume : &start;
+  // The scan visits one row past a full batch, so a batch that holds the
+  // range's last key is marked `last`.
+  bool more = false;
   EXI_RETURN_IF_ERROR(ctx.IotScanRange(
       KeyTableName(info.index_name), lo_key,
       /*lo_inclusive=*/!ws->started, &hi, true, [&](const Row& row) {
+        if (out->rids.size() == max_rows) {
+          more = true;
+          return false;
+        }
         out->rids.push_back(RowId(row[1].AsInteger()));
         ws->last_val = row[0].AsDouble();
         ws->last_rid = RowId(row[1].AsInteger());
-        return out->rids.size() < max_rows;
+        return true;
       }));
   if (!out->rids.empty()) ws->started = true;
+  out->last = !more;
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #include "cartridge/text/text_cartridge.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -379,6 +380,7 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
       out->ancillary.push_back(Value::Integer(matches[i].score));
     }
     EncodeState(matches, end, &sctx.state);
+    out->last = end == matches.size();
     return Status::OK();
   }
   if (!ScanWorkspaceRegistry::Global().Holds<TextScanWorkspace>(sctx.handle)) {
@@ -388,15 +390,19 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
       std::shared_ptr<TextScanWorkspace> ws,
       ScanWorkspaceRegistry::Global().GetAs<TextScanWorkspace>(sctx.handle));
   std::string iot = PostingTableName(info.index_name);
-  while (out->rids.size() < max_rows) {
+  // A full batch whose cursor has reached its block's end looks up the
+  // next block before returning, so the batch holding the term's last
+  // posting is marked `last`.
+  while (true) {
     if (ws->cursor.has_value()) {
-      Status status;
-      if (ws->cursor->Next(&status)) {
+      if (ws->cursor->end() < ws->cursor->bytes().size()) {
+        if (out->rids.size() == max_rows) break;
+        Status status;
+        if (!ws->cursor->Next(&status)) return status;
         out->rids.push_back(ws->cursor->rid());
         out->ancillary.push_back(Value::Integer(ws->cursor->freq()));
         continue;
       }
-      EXI_RETURN_IF_ERROR(status);
       EXI_RETURN_IF_ERROR(ws->cursor->CheckDf());
       ws->cursor.reset();
     }
@@ -418,6 +424,7 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
     EXI_RETURN_IF_ERROR(ws->cursor->Open());
     ws->next_block = ws->block[1].AsInteger() + 1;
   }
+  out->last = ws->exhausted;
   return Status::OK();
 }
 
@@ -518,7 +525,11 @@ Result<double> TextStats::IndexCost(const OdciIndexInfo& info,
     std::string error;
     std::unique_ptr<QueryNode> query =
         ParseTextQuery(pred.args[0].AsVarchar(), &error);
-    if (query != nullptr) {
+    if (query != nullptr && query->kind == QueryNode::Kind::kTerm) {
+      // Selectivity read this term's df and returned df / table_rows, so
+      // the df is not read again.
+      cost += std::round(selectivity * double(table_rows)) * 0.2;
+    } else if (query != nullptr) {
       std::vector<std::string> terms;
       query->CollectTerms(&terms);
       for (const std::string& term : terms) {

@@ -1,6 +1,7 @@
 #include "core/callback_guard.h"
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 
 namespace exi {
 
@@ -303,9 +304,12 @@ Status GuardedServerContext::ScanBaseTable(
                            ->GetTable(table_name));
   auto it = base_scan_restricted_ ? table->ScanSegment(base_scan_segment_)
                                   : table->Scan();
+  uint64_t visited = 0;
   for (; it.Valid(); it.Next()) {
+    ++visited;
     if (!visit(it.row_id(), it.row())) break;
   }
+  GlobalMetrics().table_rows_read += visited;
   return Status::OK();
 }
 

@@ -491,6 +491,7 @@ Status DomainIndexManager::Scan::NextBatch(size_t max_rows,
   }
   out->rids.clear();
   out->ancillary.clear();
+  out->last = false;
   GlobalMetrics().odci_fetch_calls++;
   auto fetch = [&]() -> Status {
     if (sctx_.uses_handle()) {

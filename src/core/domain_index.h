@@ -144,9 +144,9 @@ class DomainIndexManager {
     Scan(Scan&&) = delete;
     Scan& operator=(Scan&&) = delete;
 
-    // Fetches the next batch (at most `max_rows`).  An empty batch means
-    // end of scan.  Return State contexts are copied in and out per call,
-    // modeling Oracle's by-value scan-context passing.
+    // Fetches the next batch (at most `max_rows`).  An empty batch, or one
+    // with `last` set, means end of scan.  Return State contexts are copied
+    // in and out per call, modeling Oracle's by-value scan-context passing.
     Status NextBatch(size_t max_rows, OdciFetchBatch* out);
 
     Status Close();

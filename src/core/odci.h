@@ -85,13 +85,18 @@ struct OdciScanContext {
 };
 
 // One batch of results from ODCIIndexFetch.  An empty `rids` batch signals
-// end-of-scan (the paper's "null row identifier").  `ancillary`, when
+// end-of-scan (the paper's "null row identifier").  A cartridge may also
+// set `last` on a non-empty batch, the null rowid following the final rows
+// in the same array: no rows follow it, so the server closes the scan
+// without another Fetch.  Setting it is optional, and a Fetch after a
+// `last` batch must still return an empty one.  `ancillary`, when
 // non-empty, carries one auxiliary value per rid (e.g. a relevance score —
 // the paper's ancillary operator data) and must be the same length as
 // `rids`.
 struct OdciFetchBatch {
   std::vector<RowId> rids;
   ValueList ancillary;
+  bool last = false;
 
   bool end_of_scan() const { return rids.empty(); }
 };
@@ -342,8 +347,8 @@ class OdciIndex {
   virtual Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                         const OdciPredInfo& pred,
                                         ServerContext& ctx) = 0;
-  // Appends up to `max_rows` row ids to `out`; an empty batch means the
-  // scan is exhausted.
+  // Appends up to `max_rows` row ids to `out`; an empty batch, or one with
+  // `last` set, means the scan is exhausted.
   virtual Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
                        size_t max_rows, OdciFetchBatch* out,
                        ServerContext& ctx) = 0;

@@ -94,6 +94,7 @@ Status PrecomputedCursor::Fetch(const OdciScanContext& sctx, size_t max_rows,
   size_t end = std::min(cursor->size_, cursor->pos_ + max_rows);
   cursor->append_(cursor->pos_, end, out);
   cursor->pos_ = end;
+  out->last = end == cursor->size_;
   return Status::OK();
 }
 

@@ -120,8 +120,8 @@ class PrecomputedCursor {
         });
   }
 
-  // Appends up to `max_rows` of the parked rows to `out`; appends none
-  // once the set is exhausted.
+  // Appends up to `max_rows` of the parked rows to `out`, setting `last`
+  // once the set is exhausted; appends none after that.
   static Status Fetch(const OdciScanContext& sctx, size_t max_rows,
                       OdciFetchBatch* out);
 

@@ -44,7 +44,8 @@ class Database {
   PlannerStatsCache& planner_stats() { return planner_stats_; }
 
   // ODCIIndexFetch batch size used by planned domain-index scans
-  // (§2.5 batch interface; experiment E7 sweeps it).
+  // (§2.5 batch interface).  The default, 256, is the knee of experiment
+  // E7's sweep.
   size_t fetch_batch_size() const { return fetch_batch_size_; }
   void set_fetch_batch_size(size_t n) { fetch_batch_size_ = n ? n : 1; }
 
@@ -181,7 +182,7 @@ class Database {
   DomainIndexManager domains_;
   PlannerStatsCache planner_stats_;
   uint64_t rollback_handler_ = 0;
-  size_t fetch_batch_size_ = 64;
+  size_t fetch_batch_size_ = 256;
   size_t parallelism_ = 1;
 };
 

@@ -47,11 +47,10 @@ Status DrainSlice(DomainIndexManager* manager, const std::string& index,
                   size_t batch_size, std::vector<RowId>* out) {
   EXI_ASSIGN_OR_RETURN(auto scan, manager->StartScan(index, pred, segment));
   OdciFetchBatch b;
-  while (true) {
+  do {
     EXI_RETURN_IF_ERROR(scan->NextBatch(batch_size, &b));
-    if (b.end_of_scan()) break;
     out->insert(out->end(), b.rids.begin(), b.rids.end());
-  }
+  } while (!b.end_of_scan() && !b.last);
   return scan->Close();
 }
 
@@ -239,9 +238,12 @@ Result<bool> DomainIndexScanNode::RefillBatch() {
     }
     EXI_RETURN_IF_ERROR(scan_->NextBatch(batch_size_, &batch_));
     batch_pos_ = 0;
+    if (batch_.end_of_scan() || batch_.last) {
+      // The batch owns its rows, so the slice closes before they are used.
+      EXI_RETURN_IF_ERROR(scan_->Close());
+      scan_.reset();
+    }
     if (!batch_.end_of_scan()) return true;
-    EXI_RETURN_IF_ERROR(scan_->Close());
-    scan_.reset();
   }
 }
 

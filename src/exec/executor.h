@@ -151,13 +151,13 @@ class RowIdListScanNode : public ExecNode {
 // Scans are incremental and serial at every parallelism: a slice is
 // started only when the previous one is exhausted, and a batch is fetched
 // only when the consumer has drained the last one, all on the consumer
-// thread.  A LIMIT or first-row query therefore does no ODCI work past the
-// rows it takes.
+// thread.  A slice is closed at its empty or `last` batch.  A LIMIT or
+// first-row query therefore does no ODCI work past the rows it takes.
 class DomainIndexScanNode : public ExecNode {
  public:
   DomainIndexScanNode(DomainIndexManager* manager, const HeapTable* table,
                       std::string index_name, OdciPredInfo pred,
-                      SegmentList slices, size_t batch_size = 64);
+                      SegmentList slices, size_t batch_size = 256);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(ExecRow* out) override;
@@ -264,7 +264,7 @@ struct JoinProbe {
   OdciPredInfo pred;
   std::vector<const sql::Expr*> args;
   const sql::Expr* conjunct = nullptr;
-  size_t batch_size = 64;
+  size_t batch_size = 256;
 
   // A B-tree equality probe, when `btree` is set: ScanEqual on the outer
   // row's value of `key`, coerced to the indexed column's `key_type`

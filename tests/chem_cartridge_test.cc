@@ -236,6 +236,53 @@ TEST_F(ChemCartridgeTest, UnknownStorageIsRejected) {
             (std::set<int64_t>{2, 6}));
 }
 
+// ALTER INDEX may not switch a built index to a store it was not built in:
+// the other store is empty, so queries would lose every match.
+TEST_F(ChemCartridgeTest, AlterCannotSwitchStorage) {
+  InsertMol(1, "CCO");
+  InsertMol(2, "CC(=O)O");
+  InsertMol(3, "CC(=O)OCC");
+  const size_t lobs_before = db_.catalog().lobs().lob_count();
+  conn_.MustExecute(
+      "CREATE INDEX midx ON mols(smiles) INDEXTYPE IS ChemIndexType");
+  EXPECT_EQ(QueryIds("MolContains(smiles, 'C=O')"),
+            (std::set<int64_t>{2, 3}));
+
+  Result<QueryResult> alter =
+      conn_.Execute("ALTER INDEX midx PARAMETERS (':Storage file')");
+  ASSERT_FALSE(alter.ok());
+  EXPECT_EQ(alter.status().code(), StatusCode::kInvalidArgument)
+      << alter.status().ToString();
+  QueryResult stored = conn_.MustExecute(
+      "SELECT parameters FROM user_indexes WHERE index_name = 'midx'");
+  ASSERT_EQ(stored.rows.size(), 1u);
+  EXPECT_TRUE(stored.rows[0][0].is_null());
+  EXPECT_EQ(QueryIds("MolContains(smiles, 'C=O')"),
+            (std::set<int64_t>{2, 3}));
+  // Naming the store it already has is accepted.
+  conn_.MustExecute("ALTER INDEX midx PARAMETERS (':Storage lob')");
+  InsertMol(4, "O=CC");
+  EXPECT_EQ(QueryIds("MolContains(smiles, 'C=O')"),
+            (std::set<int64_t>{2, 3, 4}));
+
+  conn_.MustExecute("DROP INDEX midx");
+  EXPECT_FALSE(db_.catalog().IotExists("midx$meta"));
+  EXPECT_EQ(db_.catalog().lobs().lob_count(), lobs_before);
+
+  // A file-backed index cannot move into a LOB either.
+  conn_.MustExecute(
+      "CREATE INDEX fidx ON mols(smiles) INDEXTYPE IS ChemIndexType "
+      "PARAMETERS (':Storage file')");
+  alter = conn_.Execute("ALTER INDEX fidx PARAMETERS (':Storage lob')");
+  ASSERT_FALSE(alter.ok());
+  EXPECT_EQ(alter.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(QueryIds("MolContains(smiles, 'C=O')"),
+            (std::set<int64_t>{2, 3, 4}));
+  conn_.MustExecute("DROP INDEX fidx");
+  EXPECT_FALSE(db_.catalog().IotExists("fidx$meta"));
+  EXPECT_EQ(db_.catalog().lobs().lob_count(), lobs_before);
+}
+
 TEST_F(ChemCartridgeTest, ExternalStoreEscapesRollback) {
   // The §5 limitation: file-backed index data is NOT rolled back.
   LoadSampleMolecules();

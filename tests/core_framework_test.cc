@@ -6,6 +6,7 @@
 
 #include "cartridge/params.h"
 #include "catalog/catalog.h"
+#include "common/metrics.h"
 #include "core/callback_guard.h"
 #include "core/domain_index.h"
 #include "core/scan_context.h"
@@ -126,6 +127,28 @@ TEST_F(CallbackGuardTest, UndoLoggingThroughContext) {
   // IOT row gone, LOB gone.
   EXPECT_FALSE(ctx.IotGet("x", {Value::Varchar("a")}).ok());
   EXPECT_FALSE(catalog_.lobs().Exists(lob));
+}
+
+// A cartridge's base-table scan (index builds, text's NOT universe) is
+// metered like the executor's: one table_rows_read per row it visits.
+TEST_F(CallbackGuardTest, BaseTableScanCountsTheRowsItVisits) {
+  ASSERT_TRUE(catalog_.CreateTable("base", KvSchema()).ok());
+  HeapTable* base = *catalog_.GetTable("base");
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(base->Insert({Value::Varchar("k"), Value::Integer(i)}).ok());
+  }
+  GuardedServerContext ctx(&catalog_, nullptr, CallbackMode::kScan);
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  ASSERT_TRUE(
+      ctx.ScanBaseTable("base", [](RowId, const Row&) { return true; }).ok());
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).table_rows_read, 5u);
+
+  before = GlobalMetrics().Snapshot();
+  int visits = 0;
+  ASSERT_TRUE(ctx.ScanBaseTable("base", [&visits](RowId, const Row&) {
+                   return ++visits < 2;
+                 }).ok());
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).table_rows_read, 2u);
 }
 
 TEST(ScanWorkspaceRegistryTest, AllocateGetRelease) {

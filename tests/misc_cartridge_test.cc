@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "cartridge/chem/molecule.h"
 #include "cartridge/domain_btree/domain_btree.h"
 #include "cartridge/varray/varray_cartridge.h"
+#include "common/metrics.h"
 #include "engine/connection.h"
 #include "engine/workloads.h"
 
@@ -62,6 +66,31 @@ TEST_F(DomainBtreeTest, MaintainedUnderDml) {
   conn_.MustExecute("DELETE FROM t WHERE DEq(v, 1000)");
   r = conn_.MustExecute("SELECT COUNT(*) FROM t WHERE DEq(v, 1000)");
   EXPECT_EQ(r.rows[0][0].AsInteger(), 0);
+}
+
+// The range scan reads one key past a full batch, so the batch holding the
+// last key is marked `last` and a scan of R rows takes max(1, ceil(R/B))
+// Fetch calls at any batch size B, also when B divides R.
+TEST_F(DomainBtreeTest, RangeScanMarksItsLastBatch) {
+  for (size_t batch : {size_t(1), size_t(7), size_t(10), size_t(50),
+                       size_t(256)}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    db_.set_fetch_batch_size(batch);
+    for (auto [where, rows] : {std::pair{"DBetween(v, 10, 19)", size_t(50)},
+                               std::pair{"DEq(v, 1000)", size_t(0)}}) {
+      StorageMetrics before = GlobalMetrics().Snapshot();
+      EXPECT_EQ(conn_.MustExecute(std::string("SELECT id FROM t WHERE ") +
+                                  where)
+                    .rows.size(),
+                rows);
+      StorageMetrics delta = GlobalMetrics().Snapshot().Delta(before);
+      EXPECT_EQ(delta.odci_start_calls, 1u) << where;
+      EXPECT_EQ(delta.odci_fetch_calls,
+                std::max<size_t>(1, (rows + batch - 1) / batch))
+          << where;
+      EXPECT_EQ(delta.odci_close_calls, 1u) << where;
+    }
+  }
 }
 
 class VarrayCartridgeTest : public ::testing::Test {

@@ -205,23 +205,28 @@ TEST_F(ObservabilityTest, VOdciCallsExactAtParallelism1) {
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexCreateStorage"), 0);
   EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexInsert"), 0);
 
-  QueryResult direct = conn_.MustExecute(
-      "SELECT id FROM docs WHERE Contains(body, 'w2')");
-  size_t rows = direct.rows.size();
-  ASSERT_GT(rows, 0u);
+  const std::string q = "SELECT id FROM docs WHERE Contains(body, 'w2')";
+  size_t rows = conn_.MustExecute(q).rows.size();
+  ASSERT_GT(rows, 7u);
 
-  // Exactly one scan: Start and Close once; Fetch once per full batch, one
-  // for the final partial batch, plus the end-of-scan call.
-  size_t batch = db_.fetch_batch_size();
-  int64_t expected_fetches =
-      int64_t(rows / batch) + (rows % batch != 0 ? 1 : 0) + 1;
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexStart"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexClose"), 1);
-  EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexFetch"), expected_fetches);
+  // Exactly one scan: Start and Close once; Fetch once per batch, the last
+  // one marked end-of-scan, so no empty batch is asked for.  The default
+  // batch, a batch that leaves a partial last one, and one that divides
+  // the rows exactly.
+  for (size_t batch : {db_.fetch_batch_size(), size_t(7), rows}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    db_.set_fetch_batch_size(batch);
+    Tracer::Global().Reset();
+    EXPECT_EQ(conn_.MustExecute(q).rows.size(), rows);
+    int64_t expected_fetches = int64_t((rows + batch - 1) / batch);
+    EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexStart"), 1);
+    EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexClose"), 1);
+    EXPECT_EQ(ViewCalls(&conn_, "ODCIIndexFetch"), expected_fetches);
 
-  // The view agrees with the tracer it snapshots.
-  EXPECT_EQ(uint64_t(ViewCalls(&conn_, "ODCIIndexFetch")),
-            TracedCalls("ODCIIndexFetch"));
+    // The view agrees with the tracer it snapshots.
+    EXPECT_EQ(uint64_t(ViewCalls(&conn_, "ODCIIndexFetch")),
+              TracedCalls("ODCIIndexFetch"));
+  }
 
   // DML maintenance dispatch shows up per-routine as well.
   conn_.MustExecute("INSERT INTO docs VALUES (9001, 'w2 w3 w4')");

@@ -47,19 +47,23 @@ TEST(PrecomputedCursorTest, PagesRowsAndAncillaryThenReleases) {
   EXPECT_EQ(ScanWorkspaceRegistry::Global().active_count(), before + 1);
 
   std::vector<size_t> sizes;
+  std::vector<bool> lasts;
   std::vector<RowId> rids;
   ValueList ancillary;
   while (true) {
     OdciFetchBatch batch;
     ASSERT_TRUE(PrecomputedCursor::Fetch(sctx, 2, &batch).ok());
+    // A Fetch past the marked batch still returns the empty one.
     if (batch.end_of_scan()) break;
     ASSERT_EQ(batch.ancillary.size(), batch.rids.size());
     sizes.push_back(batch.rids.size());
+    lasts.push_back(batch.last);
     rids.insert(rids.end(), batch.rids.begin(), batch.rids.end());
     ancillary.insert(ancillary.end(), batch.ancillary.begin(),
                      batch.ancillary.end());
   }
   EXPECT_EQ(sizes, (std::vector<size_t>{2, 2, 1}));
+  EXPECT_EQ(lasts, (std::vector<bool>{false, false, true}));
   EXPECT_EQ(rids, (std::vector<RowId>{1, 2, 3, 4, 5}));
   ASSERT_EQ(ancillary.size(), 5u);
   EXPECT_EQ(ancillary[4].AsInteger(), 50);
@@ -79,6 +83,7 @@ TEST(PrecomputedCursorTest, RowsWithoutAncillaryFetchNone) {
   ASSERT_TRUE(PrecomputedCursor::Fetch(sctx, 64, &batch).ok());
   EXPECT_EQ(batch.rids, (std::vector<RowId>{7, 8, 9}));
   EXPECT_TRUE(batch.ancillary.empty());
+  EXPECT_TRUE(batch.last);
   ASSERT_TRUE(PrecomputedCursor::Close(sctx).ok());
 }
 
@@ -275,7 +280,7 @@ TEST_P(CursorCaseTest, SameRowsAtEveryBatchSizeAndEqualToFunctional) {
     EXPECT_TRUE(reference->ancillary.empty());
   }
   std::vector<int64_t> sql_reference;
-  for (size_t batch : {1, 3, 64, 1000}) {
+  for (size_t batch : {1, 3, 64, 256, 1000}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     Result<Drained> got = DrainScan(&db_, c, batch);
     ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -364,7 +364,8 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, ScanConfigProperty,
     ::testing::Values(ScanConfig{1, "handle"}, ScanConfig{3, "handle"},
                       ScanConfig{64, "handle"}, ScanConfig{1000, "handle"},
-                      ScanConfig{1, "state"}, ScanConfig{64, "state"}));
+                      ScanConfig{1, "state"}, ScanConfig{64, "state"},
+                      ScanConfig{256, "handle"}, ScanConfig{256, "state"}));
 
 // ---------------------------------------------------------------------------
 // Property: substructure screening never loses a match — for molecules

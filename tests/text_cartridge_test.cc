@@ -755,16 +755,30 @@ class TextBlockTest : public ::testing::Test {
     EXPECT_TRUE(sctx.ok()) << sctx.status().ToString();
     std::vector<std::pair<RowId, int64_t>> out;
     if (!sctx.ok()) return out;
+    // The batch holding the last row is marked `last`; one more Fetch
+    // returns an empty batch.
+    size_t fetches = 0;
+    bool marked = false;
     while (true) {
       OdciFetchBatch batch;
       Status s = methods.Fetch(info, *sctx, max_rows, &batch, ctx);
+      ++fetches;
       EXPECT_TRUE(s.ok()) << s.ToString();
-      if (!s.ok() || batch.end_of_scan()) break;
+      if (!s.ok()) break;
+      if (marked) {
+        EXPECT_TRUE(batch.end_of_scan()) << "rows after the last batch";
+        break;
+      }
+      marked = batch.last;
+      if (batch.end_of_scan() && !marked) break;
       EXPECT_LE(batch.rids.size(), max_rows);
       for (size_t i = 0; i < batch.rids.size(); ++i) {
         out.emplace_back(batch.rids[i], batch.ancillary[i].AsInteger());
       }
     }
+    EXPECT_TRUE(marked);
+    EXPECT_EQ(fetches,
+              std::max<size_t>(1, (out.size() + max_rows - 1) / max_rows) + 1);
     EXPECT_TRUE(methods.Close(info, *sctx, ctx).ok());
     if (range_reads != nullptr) *range_reads = ctx.reads;
     return out;
