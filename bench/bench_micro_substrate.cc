@@ -62,8 +62,8 @@ void BM_Tokenize(benchmark::State& state) {
     doc += "word" + std::to_string(rng.Next() % 5000) + " ";
   }
   for (auto _ : state) {
-    auto freqs = tokenizer.TokenFrequencies(doc);
-    benchmark::DoNotOptimize(freqs);
+    auto tokens = tokenizer.Tokenize(doc);
+    benchmark::DoNotOptimize(tokens);
   }
   state.SetItemsProcessed(state.iterations());
 }

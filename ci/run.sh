@@ -25,6 +25,9 @@ echo "==> tests"
 echo "==> docs-check (markdown links + V\$ schema golden + fail-point inventory + bench routine names + source paths + bench result names)"
 cmake --build build --target docs-check
 
+echo "==> bench_diff (the committed BENCH_*.json against themselves: no flags)"
+python3 tools/bench_diff.py . .
+
 echo "==> bench smoke (EXTIDX_BENCH_SMOKE=1: every bench at tiny scale)"
 # Runs from build/ so the committed BENCH_*.json at the repo root keep
 # their full-scale numbers; smoke output is plumbing validation only.  Every
@@ -99,6 +102,18 @@ print("  text heap bytes per posting at %d docs: %.1f"
       % (text["rows"], text["heap_bytes_per_posting"]))
 if text["heap_bytes_per_posting"] >= 40:
     sys.exit("text index keeps >= 40 heap bytes per posting")
+'
+  # Build reads: every CREATE INDEX, the built-in B-tree backfill included,
+  # reads each base row once.  A count, so it holds on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_text_build.json"))
+for b in r["builds"]:
+    print("  %s build: %d rows, %d logical reads"
+          % (b["cartridge"], b["rows"], b["logical_reads"]))
+    if b["logical_reads"] != b["rows"]:
+        sys.exit("%s build read %d rows of %d"
+                 % (b["cartridge"], b["logical_reads"], b["rows"]))
 '
   # End-of-scan marker: every E7 scan makes exactly ceil(rows / batch)
   # ODCIIndexFetch calls, no empty one after the last batch, and returns

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <unordered_map>
@@ -125,6 +124,83 @@ Result<ScanStyle> ScanStyleOf(const IndexParameters& params) {
   return ScanStyle{mode == 1, context == 1};
 }
 
+// ---- posting collection ----
+
+// Gathers the postings of many documents and visits them grouped by
+// (token, block) in key order: the one tokenization behind both a build
+// and its maintenance.  Tokens are interned to integer ids and ranked once
+// in string order, so postings sort on integers alone, and every group of
+// a token shares one token Value.
+class PostingCollector {
+ public:
+  explicit PostingCollector(Tokenizer tokenizer)
+      : tokenizer_(std::move(tokenizer)) {}
+
+  // Adds one posting per distinct token of document `rid`.
+  void Add(RowId rid, const std::string& text) {
+    doc_.clear();
+    for (const std::string& token : tokenizer_.Tokenize(text)) {
+      auto [it, added] = ids_.try_emplace(token, uint32_t(tokens_.size()));
+      if (added) tokens_.push_back(Value::Varchar(token));
+      doc_.push_back(it->second);
+    }
+    std::sort(doc_.begin(), doc_.end());
+    for (size_t i = 0; i < doc_.size();) {
+      size_t j = i;
+      while (j < doc_.size() && doc_[j] == doc_[i]) ++j;
+      postings_.push_back({doc_[i], uint32_t(j - i), rid});
+      i = j;
+    }
+  }
+
+  bool empty() const { return postings_.empty(); }
+
+  // Visits each (token, block) group's postings, in ascending rid order,
+  // in (token, block) order, then frees the postings.  Call it once,
+  // after the last Add.
+  void ForEachGroup(FunctionRef<void(const Value& token, int64_t block,
+                                     std::span<const Posting> postings)>
+                        visit) {
+    std::vector<uint32_t> order(tokens_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return tokens_[a].AsVarchar() < tokens_[b].AsVarchar();
+    });
+    std::vector<uint32_t> rank(tokens_.size());
+    for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+    for (TokenPosting& p : postings_) p.token = rank[p.token];
+    std::sort(postings_.begin(), postings_.end(),
+              [](const TokenPosting& a, const TokenPosting& b) {
+                return a.token != b.token ? a.token < b.token : a.rid < b.rid;
+              });
+    std::vector<Posting> group;
+    for (size_t i = 0; i < postings_.size();) {
+      const uint32_t token = postings_[i].token;
+      const int64_t block = PostingBlock(postings_[i].rid);
+      group.clear();
+      for (; i < postings_.size() && postings_[i].token == token &&
+             PostingBlock(postings_[i].rid) == block;
+           ++i) {
+        group.push_back({postings_[i].rid, int64_t(postings_[i].freq)});
+      }
+      visit(tokens_[order[token]], block, group);
+    }
+    std::vector<TokenPosting>().swap(postings_);
+  }
+
+ private:
+  struct TokenPosting {
+    uint32_t token;  // index into `tokens_`, later its rank in string order
+    uint32_t freq;
+    RowId rid;
+  };
+  Tokenizer tokenizer_;
+  std::vector<TokenPosting> postings_;
+  std::vector<Value> tokens_;
+  std::unordered_map<std::string, uint32_t> ids_;
+  std::vector<uint32_t> doc_;  // one document's token ids
+};
+
 }  // namespace
 
 // ---- definition ----
@@ -139,70 +215,23 @@ Status TextIndexMethods::Create(const OdciIndexInfo& info,
 
 Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,
                                  ServerContext& ctx) {
-  IndexParameters params = ParseParams(info.parameters);
-  Tokenizer tokenizer = MakeTokenizer(params);
   int col = info.indexed_position();
   if (col < 0) {
     return Status::Internal("text index has no indexed column position");
   }
-  // Tokenize the whole table into compact postings, sort them into key
-  // order and load their blocks with one callback instead of one write
-  // each.  All blocks of a token share one token Value.
-  struct TokenPosting {
-    uint32_t token;  // index into `tokens`, later its rank in string order
-    uint32_t freq;
-    RowId rid;
-  };
-  std::vector<TokenPosting> postings;
-  std::vector<Value> tokens;
-  std::unordered_map<std::string, uint32_t> token_ids;
-  std::vector<uint32_t> doc;  // one document's token ids
+  // Encode the whole table's blocks, then load them with one callback
+  // instead of one write each.  The postings are freed before the load.
+  PostingCollector collector(MakeTokenizer(ParseParams(info.parameters)));
   EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
       info.table_name, [&](RowId rid, const Row& row) {
-        const Value& v = row[col];
-        if (v.is_null()) return true;
-        doc.clear();
-        for (const std::string& token : tokenizer.Tokenize(v.AsVarchar())) {
-          auto [it, added] = token_ids.try_emplace(token, tokens.size());
-          if (added) tokens.push_back(Value::Varchar(token));
-          doc.push_back(it->second);
-        }
-        std::sort(doc.begin(), doc.end());
-        for (size_t i = 0; i < doc.size();) {
-          size_t j = i;
-          while (j < doc.size() && doc[j] == doc[i]) ++j;
-          postings.push_back({doc[i], uint32_t(j - i), rid});
-          i = j;
-        }
+        if (!row[col].is_null()) collector.Add(rid, row[col].AsVarchar());
         return true;
       }));
-  // Renumber tokens in string order, so postings sort on integers alone.
-  std::vector<uint32_t> order(tokens.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return tokens[a].AsVarchar() < tokens[b].AsVarchar();
-  });
-  std::vector<uint32_t> rank(tokens.size());
-  for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-  for (TokenPosting& p : postings) p.token = rank[p.token];
-  std::sort(postings.begin(), postings.end(),
-            [](const TokenPosting& a, const TokenPosting& b) {
-              return a.token != b.token ? a.token < b.token : a.rid < b.rid;
-            });
   std::vector<Row> rows;
-  std::vector<Posting> block;
-  for (size_t i = 0; i < postings.size();) {
-    const uint32_t token = postings[i].token;
-    const int64_t id = PostingBlock(postings[i].rid);
-    block.clear();
-    for (; i < postings.size() && postings[i].token == token &&
-           PostingBlock(postings[i].rid) == id;
-         ++i) {
-      block.push_back({postings[i].rid, int64_t(postings[i].freq)});
-    }
-    rows.push_back(EncodePostingBlock(tokens[order[token]], id, block));
-  }
-  std::vector<TokenPosting>().swap(postings);
+  collector.ForEachGroup([&rows](const Value& token, int64_t block,
+                                 std::span<const Posting> postings) {
+    rows.push_back(EncodePostingBlock(token, block, postings));
+  });
   return ctx.IotBulkLoad(PostingTableName(info.index_name), std::move(rows));
 }
 
@@ -231,45 +260,22 @@ Status TextIndexMethods::WritePostings(const OdciIndexInfo& info,
                                        std::span<const RowId> rids,
                                        std::span<const Value> values,
                                        bool insert, ServerContext& ctx) {
-  Tokenizer tokenizer = MakeTokenizer(ParseParams(info.parameters));
-  // Each document's token counts, kept alive while the postings point
-  // into them.
-  std::vector<std::map<std::string, int64_t>> docs;
-  docs.reserve(rids.size());
-  struct TokenPosting {
-    const std::string* token;
-    RowId rid;
-    int64_t freq;
-  };
-  std::vector<TokenPosting> postings;
+  PostingCollector collector(MakeTokenizer(ParseParams(info.parameters)));
   for (size_t i = 0; i < rids.size(); ++i) {
-    if (values[i].is_null()) continue;
-    docs.push_back(tokenizer.TokenFrequencies(values[i].AsVarchar()));
-    for (const auto& [token, freq] : docs.back()) {
-      postings.push_back({&token, rids[i], freq});
-    }
+    if (!values[i].is_null()) collector.Add(rids[i], values[i].AsVarchar());
   }
-  if (postings.empty()) return Status::OK();
-  std::sort(postings.begin(), postings.end(),
-            [](const TokenPosting& a, const TokenPosting& b) {
-              int c = a.token->compare(*b.token);
-              return c != 0 ? c < 0 : a.rid < b.rid;
-            });
+  if (collector.empty()) return Status::OK();
   // One key per (token, block), and where its postings start in `call`.
   std::vector<CompositeKey> keys;
   std::vector<size_t> starts;
   std::vector<Posting> call;
-  call.reserve(postings.size());
-  for (size_t i = 0; i < postings.size(); ++i) {
-    const int64_t id = PostingBlock(postings[i].rid);
-    if (i == 0 || *postings[i].token != *postings[i - 1].token ||
-        id != PostingBlock(postings[i - 1].rid)) {
-      keys.push_back({Value::Varchar(*postings[i].token), Value::Integer(id)});
-      starts.push_back(i);
-    }
-    call.push_back({postings[i].rid, postings[i].freq});
-  }
-  starts.push_back(postings.size());
+  collector.ForEachGroup([&](const Value& token, int64_t block,
+                             std::span<const Posting> postings) {
+    keys.push_back({token, Value::Integer(block)});
+    starts.push_back(call.size());
+    call.insert(call.end(), postings.begin(), postings.end());
+  });
+  starts.push_back(call.size());
   return ctx.IotMergeSorted(
       PostingTableName(info.index_name), keys,
       [&](size_t k, const Row* current) {

@@ -80,9 +80,9 @@ class TextIndexMethods : public OdciIndex {
   static Tokenizer MakeTokenizer(const IndexParameters& params);
 
  private:
-  // Tokenizes `values` (NULLs skipped), sorts their (token, rid) postings,
-  // groups them by (token, block) and makes one IotMergeSorted run over
-  // those keys: each block is read where the run's held path already is
+  // Gathers the postings of `values` (NULLs skipped) in the collector
+  // Rebuild uses, and makes one IotMergeSorted run over its (token, block)
+  // groups' keys: each block is read where the run's held path already is
   // and merged with the call's postings by MergePostingBlock (added, or
   // removed when `insert` is false), or deleted once empty.
   // Per-row and batch maintenance both come here; it calls no virtual
@@ -92,7 +92,7 @@ class TextIndexMethods : public OdciIndex {
                        std::span<const Value> values, bool insert,
                        ServerContext& ctx);
   // Fills the empty posting table from the base table with one sorted
-  // IotBulkLoad of block rows, encoded straight from the sorted postings
+  // IotBulkLoad of block rows, encoded from the same collector's groups
   // (Create, and Alter after truncating).
   Status Rebuild(const OdciIndexInfo& info, ServerContext& ctx);
 };

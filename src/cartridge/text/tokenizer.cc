@@ -31,13 +31,6 @@ std::vector<std::string> Tokenizer::Tokenize(
   return out;
 }
 
-std::map<std::string, int64_t> Tokenizer::TokenFrequencies(
-    const std::string& document) const {
-  std::map<std::string, int64_t> freqs;
-  for (const std::string& tok : Tokenize(document)) freqs[tok]++;
-  return freqs;
-}
-
 // ---- query parser ----
 
 std::string QueryNode::ToString() const {

@@ -1,7 +1,6 @@
 #ifndef EXTIDX_CARTRIDGE_TEXT_TOKENIZER_H_
 #define EXTIDX_CARTRIDGE_TEXT_TOKENIZER_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,10 +25,6 @@ class Tokenizer {
 
   // Lower-cased alphanumeric tokens in document order, stop words removed.
   std::vector<std::string> Tokenize(const std::string& document) const;
-
-  // Distinct tokens with their in-document frequencies.
-  std::map<std::string, int64_t> TokenFrequencies(
-      const std::string& document) const;
 
   bool IsStopWord(const std::string& token) const;
 

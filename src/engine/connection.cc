@@ -366,13 +366,17 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
     key_schema.AddColumn(table->schema().column(c));
   }
   info->builtin = std::make_unique<BTreeIndex>(stmt->index, key_schema);
-  // Backfill from existing rows, as one sorted bulk load.
+  // Backfill from existing rows, as one sorted bulk load.  Each row read
+  // is metered, as a domain index build's ScanBaseTable meters it.
   std::vector<std::pair<CompositeKey, RowId>> entries;
+  uint64_t visited = 0;
   for (auto it = table->Scan(); it.Valid(); it.Next()) {
+    ++visited;
     EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
                          Database::KeyFor(*info, table->schema(), it.row()));
     if (key.has_value()) entries.emplace_back(std::move(*key), it.row_id());
   }
+  GlobalMetrics().table_rows_read += visited;
   EXI_RETURN_IF_ERROR(info->builtin->BulkLoad(std::move(entries)));
   EXI_RETURN_IF_ERROR(db_->catalog().AddIndex(std::move(info)));
   QueryResult r;

@@ -151,6 +151,20 @@ TEST_F(CallbackGuardTest, BaseTableScanCountsTheRowsItVisits) {
   EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).table_rows_read, 2u);
 }
 
+TEST(BtreeBuildMeteringTest, CreateIndexCountsTheRowsItReads) {
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(conn.Execute("CREATE TABLE t (k VARCHAR(16), v INTEGER)").ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(conn.Execute("INSERT INTO t VALUES ('k', " +
+                             std::to_string(i) + ")")
+                    .ok());
+  }
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  ASSERT_TRUE(conn.Execute("CREATE INDEX t_v ON t(v)").ok());
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).table_rows_read, 5u);
+}
+
 TEST(ScanWorkspaceRegistryTest, AllocateGetRelease) {
   ScanWorkspaceRegistry registry;
   auto ws = std::make_shared<int>(42);

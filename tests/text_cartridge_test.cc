@@ -58,9 +58,6 @@ TEST_F(TextCartridgeTest, TokenizerBasics) {
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[0], "hello");
   EXPECT_EQ(tokens[2], "hello");
-  auto freqs = tok.TokenFrequencies("a b a b a");
-  EXPECT_EQ(freqs["a"], 3);
-  EXPECT_EQ(freqs["b"], 2);
 }
 
 TEST_F(TextCartridgeTest, QueryParser) {
@@ -974,6 +971,160 @@ TEST(TextBuildEquivalenceTest, BulkAndMaintainedBlocksAreByteIdentical) {
   }
   ASSERT_GT(blocks[0].size(), 100u);
   ExpectSameRows(blocks[1], blocks[0]);
+}
+
+// ---- posting oracle ----
+
+// A text index's postings, checked against (token, rid) -> count taken
+// from Tokenizer::Tokenize over the heap alone, with no index code, after
+// CREATE INDEX and after each multi-row DML statement or ROLLBACK.
+class PostingOracle {
+ public:
+  PostingOracle(bool local, uint64_t seed) : conn_(&db_), rng_(seed) {
+    EXPECT_TRUE(InstallTextCartridge(&conn_).ok());
+    conn_.MustExecute(
+        std::string("CREATE TABLE docs (id INTEGER, body VARCHAR(200))") +
+        (local ? " PARTITION BY RANGE (id) (PARTITION d0 VALUES LESS THAN "
+                 "(1200), PARTITION d1 VALUES LESS THAN (MAXVALUE))"
+               : ""));
+  }
+
+  // A body drawn from a small vocabulary with stop words, mixed case,
+  // punctuation and repeated tokens, or NULL one time in eight.
+  std::string Body() {
+    static const char* kWords[] = {"the", "A", "oracle", "Index", "index",
+                                   "w1", "w2", "w3", "cartridge", "an"};
+    if (rng_.Uniform(8) == 0) return "NULL";
+    std::string body;
+    for (uint64_t w = 0, n = 1 + rng_.Uniform(7); w < n; ++w) {
+      body += std::string(kWords[rng_.Uniform(10)]) +
+              (rng_.Uniform(3) == 0 ? ", " : " ");
+    }
+    return "'" + body + "'";
+  }
+
+  // One INSERT of the rows with ids [begin, end).
+  std::string InsertRows(int begin, int end) {
+    std::string sql = "INSERT INTO docs VALUES ";
+    for (int id = begin; id < end; ++id) {
+      sql += std::string(id > begin ? ", (" : "(") + std::to_string(id) +
+             ", " + Body() + ")";
+    }
+    return sql;
+  }
+
+  // Runs `sql`, then checks every posting against the oracle.  When
+  // `one_run`, the statement wrote each slice in one run, and the block
+  // rows it wrote share one token payload per token and slice.
+  void Run(const std::string& sql, bool one_run) {
+    SCOPED_TRACE(sql.substr(0, 60));
+    std::map<std::string, std::vector<Row>> before;
+    for (const std::string& iot : PostingIots()) {
+      before[iot] = IotRows(db_, iot);
+    }
+    conn_.MustExecute(sql);
+    std::vector<Row> postings;
+    for (const std::string& iot : PostingIots()) {
+      // A row the statement did not write keeps its BLOB box; `before`
+      // holds every old box, so no new row can reuse one's address.
+      std::set<const void*> kept;
+      for (const Row& row : before[iot]) kept.insert(&row[3].AsBlob());
+      std::map<std::string, const std::string*> payload;
+      std::set<uint32_t> segments;
+      for (const Row& row : IotRows(db_, iot)) {
+        if (one_run && !kept.count(&row[3].AsBlob())) {
+          auto [it, added] =
+              payload.try_emplace(row[0].AsVarchar(), &row[0].AsVarchar());
+          EXPECT_EQ(it->second, &row[0].AsVarchar())
+              << iot << ": token " << row[0].AsVarchar() << " block "
+              << row[1].AsInteger();
+        }
+        ASSERT_TRUE(text::DecodePostingBlock(row, [&](RowId rid,
+                                                      int64_t freq) {
+                      segments.insert(HeapTable::SegmentOf(rid));
+                      postings.push_back({row[0], Value::Integer(int64_t(rid)),
+                                          Value::Integer(freq)});
+                      return true;
+                    }).ok());
+      }
+      EXPECT_LE(segments.size(), 1u) << iot;
+    }
+    std::sort(postings.begin(), postings.end(),
+              [](const Row& a, const Row& b) { return CompareKeys(a, b) < 0; });
+    ExpectSameRows(postings, Expected());
+  }
+
+  // (token, rid, count) rows from the heap, in key order, with the stop
+  // words the index's PARAMETERS name.
+  std::vector<Row> Expected() {
+    text::Tokenizer tokenizer("English", {"the", "a", "an"});
+    std::map<std::pair<std::string, RowId>, int64_t> counts;
+    HeapTable* docs = *db_.catalog().GetTable("docs");
+    for (auto it = docs->Scan(); it.Valid(); it.Next()) {
+      if (it.row()[1].is_null()) continue;
+      for (const std::string& token :
+           tokenizer.Tokenize(it.row()[1].AsVarchar())) {
+        ++counts[{token, it.row_id()}];
+      }
+    }
+    std::vector<Row> rows;
+    for (const auto& [key, count] : counts) {
+      rows.push_back({Value::Varchar(key.first),
+                      Value::Integer(int64_t(key.second)),
+                      Value::Integer(count)});
+    }
+    return rows;
+  }
+
+  // The posting IOTs of index dtext: one, or one per LOCAL slice.
+  std::vector<std::string> PostingIots() {
+    std::vector<std::string> names;
+    for (const std::string& name : db_.catalog().IotNames()) {
+      if (name.starts_with("dtext") && name.ends_with("$ptab")) {
+        names.push_back(name);
+      }
+    }
+    return names;
+  }
+
+  Connection& conn() { return conn_; }
+
+ private:
+  Database db_;
+  Connection conn_;
+  Rng rng_;
+};
+
+TEST(TextPostingOracleTest, BuildAndMaintenanceMatchTheTokenizer) {
+  for (bool local : {false, true}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(local ? "LOCAL" : "global") + " seed " +
+                   std::to_string(seed));
+      PostingOracle oracle(local, seed);
+      // Ids from 1000 on cross the first 1,024-rid block edge of the
+      // global index and of partition d0.
+      for (int id = 0; id < 1000; id += 250) {
+        oracle.conn().MustExecute(oracle.InsertRows(id, id + 250));
+      }
+      oracle.Run("CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType "
+                 "PARAMETERS (':Ignore the a an')",
+                 /*one_run=*/true);
+      ASSERT_FALSE(oracle.Expected().empty());
+      oracle.Run(oracle.InsertRows(1000, 1300), /*one_run=*/true);
+      // An UPDATE makes a delete run, then an insert run.
+      oracle.Run("UPDATE docs SET body = 'w1 W1 fresh the w2' "
+                 "WHERE id >= 1010 AND id < 1030",
+                 /*one_run=*/false);
+      oracle.Run("DELETE FROM docs WHERE id >= 1015 AND id < 1040",
+                 /*one_run=*/true);
+      oracle.conn().MustExecute("BEGIN");
+      oracle.Run(oracle.InsertRows(1300, 1320), /*one_run=*/true);
+      oracle.Run("UPDATE docs SET body = NULL WHERE id >= 1005 AND id < 1012",
+                 /*one_run=*/false);
+      oracle.Run("DELETE FROM docs WHERE id < 20", /*one_run=*/true);
+      oracle.Run("ROLLBACK", /*one_run=*/false);
+    }
+  }
 }
 
 // A join probe whose argument is NULL gets the operator's functional
