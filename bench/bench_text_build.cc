@@ -1,7 +1,7 @@
 // Index build: wall time of `CREATE INDEX` at session parallelism 1, where
 // every cartridge builds with one ODCIIndexCreate.  Text at 10k, 20k and
-// 50k documents (tokenize the table, sort the postings, one sorted
-// IotBulkLoad); the spatial tile index over 20k rectangles at :TileLevel 6
+// 50k documents (tokenize the table in rid order onto one posting list per
+// token, no sort, one sorted IotBulkLoad); the spatial tile index over 20k rectangles at :TileLevel 6
 // (sort the (tile, rid) pairs) and VIR over 20k images (sort the coarse
 // rows), each with one sorted IotBulkLoad.  Emits BENCH_text_build.json.
 //
@@ -9,7 +9,9 @@
 // INDEX in between; builds over one table alternate).  Next to the times
 // it records host-independent work counts for one build (IOT entries
 // written, logical reads), the row count of a query through the index,
-// the postings the index holds, and the growth of glibc's in-use heap
+// the row count of the same query before any index exists
+// (`functional_rows`: the operator's function, TextContains for text,
+// evaluated on every row), the postings the index holds, and the growth of glibc's in-use heap
 // (`mallinfo2().uordblks`) across the first build divided by each count:
 // `heap_bytes_per_entry` per IOT entry, and `heap_bytes_per_posting` per
 // posting.  That is what the finished index keeps in memory: the rows and
@@ -70,7 +72,11 @@ void Measure(Connection& conn, const std::vector<BuildCase>& cases,
   std::vector<Series> series(n);
   std::vector<uint64_t> postings(n);
   std::vector<size_t> query_rows(n);
+  std::vector<size_t> functional_rows(n);
   std::vector<double> heap(n);
+  for (size_t i = 0; i < n; ++i) {
+    functional_rows[i] = conn.MustExecute(cases[i].query).rows.size();
+  }
   for (size_t rep = 0; rep < Repetitions(); ++rep) {
     for (size_t i = 0; i < n; ++i) {
       const BuildCase& c = cases[i];
@@ -89,7 +95,7 @@ void Measure(Connection& conn, const std::vector<BuildCase>& cases,
   for (size_t i = 0; i < n; ++i) {
     const uint64_t entries = series[i].work().index_entries_written;
     table->Add({cases[i].cartridge, cases[i].rows, entries, postings[i],
-                query_rows[i], heap[i] / double(entries),
+                query_rows[i], functional_rows[i], heap[i] / double(entries),
                 heap[i] / double(postings[i])},
                series[i]);
   }
@@ -102,7 +108,7 @@ int main() {
                     "index build: one ODCIIndexCreate per cartridge");
   Table& builds = report.AddTimedTable(
       "builds", {"cartridge", "rows", "index_entries_written", "postings",
-                 "query_rows", "heap_bytes_per_entry",
+                 "query_rows", "functional_rows", "heap_bytes_per_entry",
                  "heap_bytes_per_posting"});
   std::vector<uint64_t> text_sizes{10000, 20000, 50000};
   // At 60 documents a term has about two postings, so per-posting heap

@@ -115,6 +115,21 @@ for b in r["builds"]:
         sys.exit("%s build read %d rows of %d"
                  % (b["cartridge"], b["logical_reads"], b["rows"]))
 '
+  # Index and function agree: every build's query returns as many rows
+  # through the index as the operator's function (TextContains for text)
+  # returned on every row before the index existed.  Counts, so this holds
+  # on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_text_build.json"))
+for b in r["builds"]:
+    print("  %s %d: %d rows through the index, %d functional"
+          % (b["cartridge"], b["rows"], b["query_rows"], b["functional_rows"]))
+    if b["query_rows"] != b["functional_rows"]:
+        sys.exit("%s build at %d rows: the index returned %d rows, the "
+                 "function %d" % (b["cartridge"], b["rows"], b["query_rows"],
+                                  b["functional_rows"]))
+'
   # End-of-scan marker: every E7 scan makes exactly ceil(rows / batch)
   # ODCIIndexFetch calls, no empty one after the last batch, and returns
   # the same rows at every batch size.  Counts, so this holds on any host.

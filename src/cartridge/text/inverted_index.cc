@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 
 namespace exi::text {
 
@@ -233,48 +232,29 @@ namespace {
 // Intermediate result: rid-sorted matches.
 using Matches = std::vector<TextMatch>;
 
-Matches Intersect(const Matches& a, const Matches& b) {
-  Matches out;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].rid < b[j].rid) {
-      ++i;
-    } else if (a[i].rid > b[j].rid) {
-      ++j;
-    } else {
-      out.push_back(TextMatch{a[i].rid, a[i].score + b[j].score});
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
+// Which rids Merge keeps: those only `a` holds, those only `b` holds, and
+// those both hold, with their scores summed.
+enum Keep { kOnlyA = 1, kOnlyB = 2, kBoth = 4 };
 
-Matches Union(const Matches& a, const Matches& b) {
+// Merges two rid-sorted lists: AND keeps kBoth, OR all three, AND NOT
+// kOnlyA.
+Matches Merge(const Matches& a, const Matches& b, int keep) {
   Matches out;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.size() || j < b.size()) {
+  while ((i < a.size() && (j < b.size() || keep & kOnlyA)) ||
+         (j < b.size() && (i < a.size() || keep & kOnlyB))) {
     if (j >= b.size() || (i < a.size() && a[i].rid < b[j].rid)) {
-      out.push_back(a[i++]);
+      if (keep & kOnlyA) out.push_back(a[i]);
+      ++i;
     } else if (i >= a.size() || b[j].rid < a[i].rid) {
-      out.push_back(b[j++]);
+      if (keep & kOnlyB) out.push_back(b[j]);
+      ++j;
     } else {
-      out.push_back(TextMatch{a[i].rid, a[i].score + b[j].score});
+      if (keep & kBoth) out.push_back({a[i].rid, a[i].score + b[j].score});
       ++i;
       ++j;
     }
-  }
-  return out;
-}
-
-Matches Subtract(const Matches& a, const Matches& b) {
-  Matches out;
-  size_t j = 0;
-  for (const TextMatch& m : a) {
-    while (j < b.size() && b[j].rid < m.rid) ++j;
-    if (j >= b.size() || b[j].rid != m.rid) out.push_back(m);
   }
   return out;
 }
@@ -289,10 +269,6 @@ Result<Matches> Eval(const QueryNode& node, const PostingSource& postings,
             out.push_back(TextMatch{rid, freq});
             return true;
           }));
-      std::sort(out.begin(), out.end(),
-                [](const TextMatch& x, const TextMatch& y) {
-                  return x.rid < y.rid;
-                });
       return out;
     }
     case QueryNode::Kind::kAnd: {
@@ -303,29 +279,28 @@ Result<Matches> Eval(const QueryNode& node, const PostingSource& postings,
         EXI_ASSIGN_OR_RETURN(
             Matches rhs,
             Eval(*node.children[1]->children[0], postings, universe));
-        return Subtract(lhs, rhs);
+        return Merge(lhs, rhs, kOnlyA);
       }
       EXI_ASSIGN_OR_RETURN(Matches rhs,
                            Eval(*node.children[1], postings, universe));
-      return Intersect(lhs, rhs);
+      return Merge(lhs, rhs, kBoth);
     }
     case QueryNode::Kind::kOr: {
       EXI_ASSIGN_OR_RETURN(Matches lhs,
                            Eval(*node.children[0], postings, universe));
       EXI_ASSIGN_OR_RETURN(Matches rhs,
                            Eval(*node.children[1], postings, universe));
-      return Union(lhs, rhs);
+      return Merge(lhs, rhs, kOnlyA | kOnlyB | kBoth);
     }
     case QueryNode::Kind::kNot: {
       EXI_ASSIGN_OR_RETURN(Matches operand,
                            Eval(*node.children[0], postings, universe));
       std::vector<RowId> all;
       EXI_RETURN_IF_ERROR(universe(&all));
-      std::sort(all.begin(), all.end());
       Matches everything;
       everything.reserve(all.size());
       for (RowId rid : all) everything.push_back(TextMatch{rid, 0});
-      return Subtract(everything, operand);
+      return Merge(everything, operand, kOnlyA);
     }
   }
   return Status::Internal("unhandled text query node");
@@ -341,19 +316,21 @@ Result<std::vector<TextMatch>> EvaluateTextQuery(
 
 namespace {
 
-bool MatchesTokens(const QueryNode& node,
-                   const std::set<std::string>& tokens) {
+// Evaluates `node` over `marks`, one per leaf in CollectTerms' order,
+// starting at `*next`; every leaf is read, so `*next` ends past them.
+bool EvalMarks(const QueryNode& node, const std::vector<char>& marks,
+               size_t* next) {
   switch (node.kind) {
     case QueryNode::Kind::kTerm:
-      return tokens.count(node.term) > 0;
-    case QueryNode::Kind::kAnd:
-      return MatchesTokens(*node.children[0], tokens) &&
-             MatchesTokens(*node.children[1], tokens);
-    case QueryNode::Kind::kOr:
-      return MatchesTokens(*node.children[0], tokens) ||
-             MatchesTokens(*node.children[1], tokens);
+      return marks[(*next)++] != 0;
     case QueryNode::Kind::kNot:
-      return !MatchesTokens(*node.children[0], tokens);
+      return !EvalMarks(*node.children[0], marks, next);
+    case QueryNode::Kind::kAnd:
+    case QueryNode::Kind::kOr: {
+      const bool a = EvalMarks(*node.children[0], marks, next);
+      const bool b = EvalMarks(*node.children[1], marks, next);
+      return node.kind == QueryNode::Kind::kAnd ? a && b : a || b;
+    }
   }
   return false;
 }
@@ -361,10 +338,15 @@ bool MatchesTokens(const QueryNode& node,
 }  // namespace
 
 bool MatchesDocument(const QueryNode& root, const Tokenizer& tokenizer,
-                     const std::string& document) {
-  std::vector<std::string> tokens = tokenizer.Tokenize(document);
-  std::set<std::string> token_set(tokens.begin(), tokens.end());
-  return MatchesTokens(root, token_set);
+                     std::string_view document) {
+  std::vector<std::string_view> leaves;
+  root.CollectTerms(&leaves);
+  std::vector<char> marks(leaves.size(), 0);
+  tokenizer.ForEachToken(document, [&](std::string_view token) {
+    for (size_t i = 0; i < leaves.size(); ++i) marks[i] |= leaves[i] == token;
+  });
+  size_t next = 0;
+  return EvalMarks(root, marks, &next);
 }
 
 }  // namespace exi::text

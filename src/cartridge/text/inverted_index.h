@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cartridge/text/tokenizer.h"
@@ -128,10 +129,10 @@ Status DecodePostingBlock(const Row& row,
 
 // Visits (rid, freq) pairs of one term's posting list.
 using PostingVisitor = std::function<bool(RowId, int64_t)>;
-// Supplies the posting list of a term.
+// Supplies the posting list of a term, in ascending rid order.
 using PostingSource =
     std::function<Status(const std::string& term, const PostingVisitor&)>;
-// Supplies the set of all document rowids (needed only for NOT).
+// Supplies all document rowids, ascending (needed only for NOT).
 using UniverseSource = std::function<Status(std::vector<RowId>*)>;
 
 // Visits the posting IOT's rows whose key starts with `prefix`, in key
@@ -155,10 +156,11 @@ Result<std::vector<TextMatch>> EvaluateTextQuery(
     const QueryNode& root, const PostingSource& postings,
     const UniverseSource& universe);
 
-// Evaluates the query against a single document's tokens (the functional
-// implementation path of Contains, §2.2.1).
+// Evaluates the query against a single document (the functional
+// implementation path of Contains, §2.2.1): one pass over its tokens marks
+// the query terms it holds, then the query is evaluated over the marks.
 bool MatchesDocument(const QueryNode& root, const Tokenizer& tokenizer,
-                     const std::string& document);
+                     std::string_view document);
 
 }  // namespace exi::text
 

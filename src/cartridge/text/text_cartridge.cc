@@ -1,14 +1,12 @@
 #include "cartridge/text/text_cartridge.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
-#include "common/strings.h"
 #include "core/scan_context.h"
 
 namespace exi::text {
@@ -33,60 +31,74 @@ struct TextScanWorkspace {
 };
 
 // ---- Return State serialization ----
-// Layout: u64 pos | u64 count | count * (u64 rid, i64 score).
+// Layout: u64 pos | the TextMatch array.
 
 void EncodeState(const std::vector<TextMatch>& matches, size_t pos,
                  std::vector<uint8_t>* out) {
-  out->resize(16 + matches.size() * 16);
-  uint64_t p = pos;
-  uint64_t n = matches.size();
+  const uint64_t p = pos;
+  out->resize(8 + matches.size() * sizeof(TextMatch));
   std::memcpy(out->data(), &p, 8);
-  std::memcpy(out->data() + 8, &n, 8);
-  for (size_t i = 0; i < matches.size(); ++i) {
-    std::memcpy(out->data() + 16 + i * 16, &matches[i].rid, 8);
-    std::memcpy(out->data() + 24 + i * 16, &matches[i].score, 8);
-  }
+  std::memcpy(out->data() + 8, matches.data(),
+              matches.size() * sizeof(TextMatch));
 }
 
 Status DecodeState(const std::vector<uint8_t>& state, size_t* pos,
                    std::vector<TextMatch>* matches) {
-  if (state.size() < 16) {
+  if (state.size() < 8 || (state.size() - 8) % sizeof(TextMatch) != 0) {
     return Status::Internal("corrupt text scan state");
   }
   uint64_t p;
-  uint64_t n;
   std::memcpy(&p, state.data(), 8);
-  std::memcpy(&n, state.data() + 8, 8);
-  if (state.size() != 16 + n * 16) {
-    return Status::Internal("corrupt text scan state length");
-  }
   *pos = size_t(p);
-  matches->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(&(*matches)[i].rid, state.data() + 16 + i * 16, 8);
-    std::memcpy(&(*matches)[i].score, state.data() + 24 + i * 16, 8);
-  }
+  matches->resize((state.size() - 8) / sizeof(TextMatch));
+  std::memcpy(matches->data(), state.data() + 8, state.size() - 8);
   return Status::OK();
 }
 
-// Posting source over the index's IOT through server callbacks.
-PostingSource MakePostingSource(const std::string& iot_name,
+// Visits the slice's rows whose indexed value is not NULL, in rid order,
+// with that value, until `visit` returns false.
+Status ScanDocuments(const OdciIndexInfo& info, ServerContext& ctx,
+                     FunctionRef<bool(RowId, const std::string&)> visit) {
+  const int col = info.indexed_position();
+  if (col < 0) {
+    return Status::Internal("text index has no indexed column position");
+  }
+  return ctx.ScanBaseTable(info.table_name, [&](RowId rid, const Row& row) {
+    return row[col].is_null() || visit(rid, row[col].AsVarchar());
+  });
+}
+
+// Posting source over the index's IOT.  A term it does not hold, a stop
+// word of `tokenizer`, is read from the base table as TextContains reads
+// it, so every plan gives the functional answer.
+PostingSource MakePostingSource(const OdciIndexInfo& info,
+                                const Tokenizer& tokenizer,
                                 ServerContext& ctx) {
-  return BlockPostingSource(
-      [iot_name, &ctx](const CompositeKey& prefix,
-                       FunctionRef<bool(const Row&)> visit) {
+  PostingSource indexed = BlockPostingSource(
+      [iot_name = PostingTableName(info.index_name), &ctx](
+          const CompositeKey& prefix, FunctionRef<bool(const Row&)> visit) {
         return ctx.IotScanPrefix(iot_name, prefix, visit);
       });
+  return [indexed = std::move(indexed), &tokenizer, &info, &ctx](
+             const std::string& term, const PostingVisitor& visit) -> Status {
+    if (!tokenizer.IsStopWord(term)) return indexed(term, visit);
+    const Tokenizer functional;  // TextContains' analyzer: no stop words
+    return ScanDocuments(info, ctx, [&](RowId rid, const std::string& text) {
+      int64_t freq = 0;
+      functional.ForEachToken(text,
+                              [&](std::string_view t) { freq += t == term; });
+      return freq == 0 || visit(rid, freq);
+    });
+  };
 }
 
 // The rows a NOT query ranges over: those with a non-NULL indexed value,
 // as Contains over NULL is never TRUE.
 UniverseSource MakeUniverseSource(const OdciIndexInfo& info,
                                   ServerContext& ctx) {
-  return [table_name = info.table_name, col = info.indexed_position(),
-          &ctx](std::vector<RowId>* out) -> Status {
-    return ctx.ScanBaseTable(table_name, [out, col](RowId rid, const Row& row) {
-      if (!row[col].is_null()) out->push_back(rid);
+  return [&info, &ctx](std::vector<RowId>* out) -> Status {
+    return ScanDocuments(info, ctx, [out](RowId rid, const std::string&) {
+      out->push_back(rid);
       return true;
     });
   };
@@ -128,77 +140,80 @@ Result<ScanStyle> ScanStyleOf(const IndexParameters& params) {
 
 // Gathers the postings of many documents and visits them grouped by
 // (token, block) in key order: the one tokenization behind both a build
-// and its maintenance.  Tokens are interned to integer ids and ranked once
-// in string order, so postings sort on integers alone, and every group of
-// a token shares one token Value.
+// and its maintenance.  Each distinct token keeps one Value and one posting
+// list, appended to in rid order (a table scan's), so only a list whose
+// rids went backwards is sorted; the distinct tokens are ranked once.
 class PostingCollector {
  public:
   explicit PostingCollector(Tokenizer tokenizer)
       : tokenizer_(std::move(tokenizer)) {}
 
   // Adds one posting per distinct token of document `rid`.
-  void Add(RowId rid, const std::string& text) {
-    doc_.clear();
-    for (const std::string& token : tokenizer_.Tokenize(text)) {
-      auto [it, added] = ids_.try_emplace(token, uint32_t(tokens_.size()));
-      if (added) tokens_.push_back(Value::Varchar(token));
-      doc_.push_back(it->second);
-    }
-    std::sort(doc_.begin(), doc_.end());
-    for (size_t i = 0; i < doc_.size();) {
-      size_t j = i;
-      while (j < doc_.size() && doc_[j] == doc_[i]) ++j;
-      postings_.push_back({doc_[i], uint32_t(j - i), rid});
-      i = j;
-    }
+  void Add(RowId rid, std::string_view text) {
+    tokenizer_.ForEachToken(text, [&](std::string_view token) {
+      auto it = ids_.find(token);
+      if (it == ids_.end()) {
+        lists_.emplace_back().token = Value::Varchar(std::string(token));
+        // The key views the token Value's own string, which stays put.
+        it = ids_.emplace(lists_.back().token.AsVarchar(), lists_.size() - 1)
+                 .first;
+      }
+      List& list = lists_[it->second];
+      if (!list.postings.empty() && list.postings.back().rid >= rid) {
+        if (list.postings.back().rid == rid) {
+          ++list.postings.back().freq;
+          return;
+        }
+        list.backwards = true;
+      }
+      list.postings.push_back({rid, 1});
+    });
   }
 
-  bool empty() const { return postings_.empty(); }
+  bool empty() const { return lists_.empty(); }
 
-  // Visits each (token, block) group's postings, in ascending rid order,
-  // in (token, block) order, then frees the postings.  Call it once,
-  // after the last Add.
+  // Visits each (token, block) group's postings, ascending by rid, in
+  // (token, block) order, as a span into the token's list.  Call it once,
+  // after the last Add.  With `release`, each list is freed once visited;
+  // otherwise the spans stay valid while the collector lives.
   void ForEachGroup(FunctionRef<void(const Value& token, int64_t block,
                                      std::span<const Posting> postings)>
-                        visit) {
-    std::vector<uint32_t> order(tokens_.size());
+                        visit,
+                    bool release) {
+    std::vector<uint32_t> order(lists_.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return tokens_[a].AsVarchar() < tokens_[b].AsVarchar();
+      return lists_[a].token.AsVarchar() < lists_[b].token.AsVarchar();
     });
-    std::vector<uint32_t> rank(tokens_.size());
-    for (uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-    for (TokenPosting& p : postings_) p.token = rank[p.token];
-    std::sort(postings_.begin(), postings_.end(),
-              [](const TokenPosting& a, const TokenPosting& b) {
-                return a.token != b.token ? a.token < b.token : a.rid < b.rid;
-              });
-    std::vector<Posting> group;
-    for (size_t i = 0; i < postings_.size();) {
-      const uint32_t token = postings_[i].token;
-      const int64_t block = PostingBlock(postings_[i].rid);
-      group.clear();
-      for (; i < postings_.size() && postings_[i].token == token &&
-             PostingBlock(postings_[i].rid) == block;
-           ++i) {
-        group.push_back({postings_[i].rid, int64_t(postings_[i].freq)});
+    for (uint32_t id : order) {
+      std::vector<Posting>& postings = lists_[id].postings;
+      if (lists_[id].backwards) {
+        std::sort(postings.begin(), postings.end(),
+                  [](const Posting& a, const Posting& b) {
+                    return a.rid < b.rid;
+                  });
       }
-      visit(tokens_[order[token]], block, group);
+      for (size_t i = 0, j = 0; i < postings.size(); i = j) {
+        const int64_t block = PostingBlock(postings[i].rid);
+        while (j < postings.size() && PostingBlock(postings[j].rid) == block) {
+          ++j;
+        }
+        visit(lists_[id].token, block, {postings.data() + i, j - i});
+      }
+      if (release) std::vector<Posting>().swap(postings);
     }
-    std::vector<TokenPosting>().swap(postings_);
   }
 
  private:
-  struct TokenPosting {
-    uint32_t token;  // index into `tokens_`, later its rank in string order
-    uint32_t freq;
-    RowId rid;
+  struct List {
+    Value token;
+    std::vector<Posting> postings;
+    bool backwards = false;  // a rid was added below the one before it
   };
+
   Tokenizer tokenizer_;
-  std::vector<TokenPosting> postings_;
-  std::vector<Value> tokens_;
-  std::unordered_map<std::string, uint32_t> ids_;
-  std::vector<uint32_t> doc_;  // one document's token ids
+  std::vector<List> lists_;  // by token id
+  std::unordered_map<std::string_view, uint32_t> ids_;
 };
 
 }  // namespace
@@ -215,23 +230,21 @@ Status TextIndexMethods::Create(const OdciIndexInfo& info,
 
 Status TextIndexMethods::Rebuild(const OdciIndexInfo& info,
                                  ServerContext& ctx) {
-  int col = info.indexed_position();
-  if (col < 0) {
-    return Status::Internal("text index has no indexed column position");
-  }
   // Encode the whole table's blocks, then load them with one callback
-  // instead of one write each.  The postings are freed before the load.
+  // instead of one write each.
   PostingCollector collector(MakeTokenizer(ParseParams(info.parameters)));
-  EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
-      info.table_name, [&](RowId rid, const Row& row) {
-        if (!row[col].is_null()) collector.Add(rid, row[col].AsVarchar());
+  EXI_RETURN_IF_ERROR(
+      ScanDocuments(info, ctx, [&](RowId rid, const std::string& text) {
+        collector.Add(rid, text);
         return true;
       }));
   std::vector<Row> rows;
-  collector.ForEachGroup([&rows](const Value& token, int64_t block,
-                                 std::span<const Posting> postings) {
-    rows.push_back(EncodePostingBlock(token, block, postings));
-  });
+  collector.ForEachGroup(
+      [&rows](const Value& token, int64_t block,
+              std::span<const Posting> postings) {
+        rows.push_back(EncodePostingBlock(token, block, postings));
+      },
+      /*release=*/true);
   return ctx.IotBulkLoad(PostingTableName(info.index_name), std::move(rows));
 }
 
@@ -240,8 +253,7 @@ Status TextIndexMethods::Alter(const OdciIndexInfo& info,
   // Parameter changes (language, stop words) invalidate existing postings:
   // truncate and rebuild from the base table.
   EXI_RETURN_IF_ERROR(ScanStyleOf(ParseParams(info.parameters)).status());
-  std::string iot = PostingTableName(info.index_name);
-  EXI_RETURN_IF_ERROR(ctx.IotTruncate(iot));
+  EXI_RETURN_IF_ERROR(ctx.IotTruncate(PostingTableName(info.index_name)));
   return Rebuild(info, ctx);
 }
 
@@ -265,23 +277,21 @@ Status TextIndexMethods::WritePostings(const OdciIndexInfo& info,
     if (!values[i].is_null()) collector.Add(rids[i], values[i].AsVarchar());
   }
   if (collector.empty()) return Status::OK();
-  // One key per (token, block), and where its postings start in `call`.
+  // One key per (token, block), and its postings in the collector.
   std::vector<CompositeKey> keys;
-  std::vector<size_t> starts;
-  std::vector<Posting> call;
-  collector.ForEachGroup([&](const Value& token, int64_t block,
-                             std::span<const Posting> postings) {
-    keys.push_back({token, Value::Integer(block)});
-    starts.push_back(call.size());
-    call.insert(call.end(), postings.begin(), postings.end());
-  });
-  starts.push_back(call.size());
+  std::vector<std::span<const Posting>> groups;
+  collector.ForEachGroup(
+      [&](const Value& token, int64_t block,
+          std::span<const Posting> postings) {
+        keys.push_back({token, Value::Integer(block)});
+        groups.push_back(postings);
+      },
+      /*release=*/false);
   return ctx.IotMergeSorted(
       PostingTableName(info.index_name), keys,
       [&](size_t k, const Row* current) {
-        return MergePostingBlock(
-            current, keys[k][0], keys[k][1].AsInteger(),
-            {call.data() + starts[k], call.data() + starts[k + 1]}, insert);
+        return MergePostingBlock(current, keys[k][0], keys[k][1].AsInteger(),
+                                 groups[k], insert);
       });
 }
 
@@ -358,10 +368,9 @@ Result<OdciScanContext> TextIndexMethods::Start(const OdciIndexInfo& info,
   }
 
   // Precompute-All: evaluate the full boolean query now; Fetch iterates.
-  std::string iot = PostingTableName(info.index_name);
   EXI_ASSIGN_OR_RETURN(
       std::vector<TextMatch> matches,
-      EvaluateTextQuery(*query, MakePostingSource(iot, ctx),
+      EvaluateTextQuery(*query, MakePostingSource(info, tokenizer, ctx),
                         MakeUniverseSource(info, ctx)));
   if (style.use_state) {
     EncodeState(matches, 0, &sctx.state);
@@ -453,51 +462,63 @@ namespace {
 // Document frequency of one term (posting-list length): the sum of its
 // blocks' stored df, with no posting decoded.
 Result<uint64_t> TermDocFreq(const std::string& iot_name,
-                             const std::string& term, ServerContext& ctx) {
+                             std::string_view term, ServerContext& ctx) {
   uint64_t df = 0;
-  EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(iot_name, {Value::Varchar(term)},
-                                        [&df](const Row& row) {
-                                          df += uint64_t(row[2].AsInteger());
-                                          return true;
-                                        }));
+  EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(
+      iot_name, {Value::Varchar(std::string(term))}, [&df](const Row& row) {
+        df += uint64_t(row[2].AsInteger());
+        return true;
+      }));
   return df;
 }
 
-Result<double> QuerySelectivity(const QueryNode& node,
-                                const std::string& iot_name,
-                                uint64_t table_rows, ServerContext& ctx) {
-  if (table_rows == 0) return 0.0;
-  switch (node.kind) {
-    case QueryNode::Kind::kTerm: {
-      EXI_ASSIGN_OR_RETURN(uint64_t df, TermDocFreq(iot_name, node.term, ctx));
-      return double(df) / double(table_rows);
-    }
-    case QueryNode::Kind::kAnd: {
-      EXI_ASSIGN_OR_RETURN(
-          double a, QuerySelectivity(*node.children[0], iot_name,
-                                     table_rows, ctx));
-      EXI_ASSIGN_OR_RETURN(
-          double b, QuerySelectivity(*node.children[1], iot_name,
-                                     table_rows, ctx));
-      return a * b;  // independence assumption
-    }
-    case QueryNode::Kind::kOr: {
-      EXI_ASSIGN_OR_RETURN(
-          double a, QuerySelectivity(*node.children[0], iot_name,
-                                     table_rows, ctx));
-      EXI_ASSIGN_OR_RETURN(
-          double b, QuerySelectivity(*node.children[1], iot_name,
-                                     table_rows, ctx));
-      return a + b - a * b;
-    }
-    case QueryNode::Kind::kNot: {
-      EXI_ASSIGN_OR_RETURN(
-          double a, QuerySelectivity(*node.children[0], iot_name,
-                                     table_rows, ctx));
-      return 1.0 - a;
-    }
+// The selectivity of `node` over `table_rows` rows, given the df of each
+// of its terms in CollectTerms' order, from `*next` on.
+double QuerySelectivity(const QueryNode& node, const std::vector<uint64_t>& dfs,
+                        uint64_t table_rows, size_t* next) {
+  if (node.kind == QueryNode::Kind::kTerm) {
+    return double(dfs[(*next)++]) / double(table_rows);
   }
-  return 0.05;
+  const double a = QuerySelectivity(*node.children[0], dfs, table_rows, next);
+  if (node.kind == QueryNode::Kind::kNot) return 1.0 - a;
+  const double b = QuerySelectivity(*node.children[1], dfs, table_rows, next);
+  // AND assumes independence.
+  return node.kind == QueryNode::Kind::kAnd ? a * b : a + b - a * b;
+}
+
+// The selectivity of `pred`, reading the df of each of its terms into `dfs`.
+Result<double> Estimate(const OdciIndexInfo& info, const OdciPredInfo& pred,
+                        uint64_t table_rows, std::vector<uint64_t>* dfs,
+                        ServerContext& ctx) {
+  if (pred.args.empty() || pred.args[0].tag() != TypeTag::kVarchar) {
+    return 0.05;
+  }
+  std::string error;
+  std::unique_ptr<QueryNode> query =
+      ParseTextQuery(pred.args[0].AsVarchar(), &error);
+  if (query == nullptr) return 0.05;
+  if (table_rows == 0) return 0.0;
+  const Tokenizer tokenizer = TextIndexMethods::MakeTokenizer(
+      TextIndexMethods::ParseParams(info.parameters));
+  std::vector<std::string_view> terms;
+  query->CollectTerms(&terms);
+  for (std::string_view term : terms) {
+    uint64_t df = table_rows;  // a stop word: a scan reads every row for it
+    if (!tokenizer.IsStopWord(term)) {
+      EXI_ASSIGN_OR_RETURN(
+          df, TermDocFreq(PostingTableName(info.index_name), term, ctx));
+    }
+    dfs->push_back(df);
+  }
+  size_t next = 0;
+  return std::clamp(QuerySelectivity(*query, *dfs, table_rows, &next), 0.0,
+                    1.0);
+}
+
+// The slice and query text a memo of dfs belongs to.
+std::string MemoKey(const OdciIndexInfo& info, const OdciPredInfo& pred) {
+  return info.index_name + '\0' +
+         (pred.args.empty() ? "" : pred.args[0].ToString());
 }
 
 }  // namespace
@@ -506,18 +527,12 @@ Result<double> TextStats::Selectivity(const OdciIndexInfo& info,
                                       const OdciPredInfo& pred,
                                       uint64_t table_rows,
                                       ServerContext& ctx) {
-  if (pred.args.empty() || pred.args[0].tag() != TypeTag::kVarchar) {
-    return 0.05;
-  }
-  std::string error;
-  std::unique_ptr<QueryNode> query =
-      ParseTextQuery(pred.args[0].AsVarchar(), &error);
-  if (query == nullptr) return 0.05;
-  EXI_ASSIGN_OR_RETURN(
-      double sel, QuerySelectivity(*query, PostingTableName(info.index_name),
-                                   table_rows, ctx));
-  if (sel < 0.0) sel = 0.0;
-  if (sel > 1.0) sel = 1.0;
+  std::vector<uint64_t> dfs;
+  EXI_ASSIGN_OR_RETURN(double sel,
+                       Estimate(info, pred, table_rows, &dfs, ctx));
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_key_ = MemoKey(info, pred);
+  memo_dfs_ = std::move(dfs);
   return sel;
 }
 
@@ -525,29 +540,20 @@ Result<double> TextStats::IndexCost(const OdciIndexInfo& info,
                                     const OdciPredInfo& pred,
                                     double selectivity, uint64_t table_rows,
                                     ServerContext& ctx) {
-  // Cost: scan start + posting reads for each query term.
-  double cost = 10.0;
-  if (!pred.args.empty() && pred.args[0].tag() == TypeTag::kVarchar) {
-    std::string error;
-    std::unique_ptr<QueryNode> query =
-        ParseTextQuery(pred.args[0].AsVarchar(), &error);
-    if (query != nullptr && query->kind == QueryNode::Kind::kTerm) {
-      // Selectivity read this term's df and returned df / table_rows, so
-      // the df is not read again.
-      cost += std::round(selectivity * double(table_rows)) * 0.2;
-    } else if (query != nullptr) {
-      std::vector<std::string> terms;
-      query->CollectTerms(&terms);
-      for (const std::string& term : terms) {
-        EXI_ASSIGN_OR_RETURN(
-            uint64_t df,
-            TermDocFreq(PostingTableName(info.index_name), term, ctx));
-        cost += double(df) * 0.2;  // posting-entry read is cheap
-      }
-    }
+  std::vector<uint64_t> dfs;
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    if (memo_key_ == MemoKey(info, pred)) dfs.swap(memo_dfs_);
+    memo_key_.clear();
   }
-  cost += selectivity * double(table_rows) * 0.1;  // result materialization
-  return cost;
+  if (dfs.empty()) {  // a miss, or a query that reads no df
+    EXI_RETURN_IF_ERROR(Estimate(info, pred, table_rows, &dfs, ctx).status());
+  }
+  // Cost: scan start + posting reads for each query term + result
+  // materialization.
+  double cost = 10.0;
+  for (uint64_t df : dfs) cost += double(df) * 0.2;  // posting reads are cheap
+  return cost + selectivity * double(table_rows) * 0.1;
 }
 
 // ---- functional implementation & installation ----

@@ -2,6 +2,7 @@
 #define EXTIDX_CARTRIDGE_TEXT_TEXT_CARTRIDGE_H_
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 
@@ -108,6 +109,13 @@ class TextStats : public OdciStats {
   Result<double> IndexCost(const OdciIndexInfo& info,
                            const OdciPredInfo& pred, double selectivity,
                            uint64_t table_rows, ServerContext& ctx) override;
+
+ private:
+  // The term dfs the last Selectivity read, keyed by slice and query: the
+  // engine asks IndexCost for the same next, which takes them.
+  std::mutex memo_mu_;
+  std::string memo_key_;
+  std::vector<uint64_t> memo_dfs_;
 };
 
 // Registers the C++ hooks (TextContains function, TextIndexMethods

@@ -1,7 +1,5 @@
 #include "cartridge/text/tokenizer.h"
 
-#include <cctype>
-
 #include "common/strings.h"
 
 namespace exi::text {
@@ -10,46 +8,43 @@ void Tokenizer::AddStopWords(const std::vector<std::string>& words) {
   for (const std::string& w : words) stop_words_.insert(ToLower(w));
 }
 
-bool Tokenizer::IsStopWord(const std::string& token) const {
-  return stop_words_.count(token) > 0;
+bool Tokenizer::IsStopWord(std::string_view token) const {
+  return !stop_words_.empty() && stop_words_.find(token) != stop_words_.end();
 }
 
-std::vector<std::string> Tokenizer::Tokenize(
-    const std::string& document) const {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : document) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    } else if (!current.empty()) {
-      if (!IsStopWord(current)) out.push_back(current);
-      current.clear();
-    }
+// The characters a token is made of: ASCII letters and digits, what
+// std::isalnum accepts in the "C" locale.
+static bool IsWordChar(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+
+void Tokenizer::ForEachToken(std::string_view document,
+                             FunctionRef<void(std::string_view)> visit) const {
+  std::string folded;
+  const char* p = document.data();
+  const char* const end = p + document.size();
+  while (true) {
+    while (p < end && !IsWordChar(*p)) ++p;
+    if (p == end) return;
+    const char* const start = p;
+    bool capitals = false;
+    for (; p < end && IsWordChar(*p); ++p) capitals |= *p <= 'Z' && *p >= 'A';
+    std::string_view token(start, size_t(p - start));
+    if (capitals) token = folded = ToLower(token);
+    if (!IsStopWord(token)) visit(token);
   }
-  if (!current.empty() && !IsStopWord(current)) out.push_back(current);
+}
+
+std::vector<std::string> Tokenizer::Tokenize(std::string_view document) const {
+  std::vector<std::string> out;
+  ForEachToken(document, [&out](std::string_view t) { out.emplace_back(t); });
   return out;
 }
 
 // ---- query parser ----
 
-std::string QueryNode::ToString() const {
-  switch (kind) {
-    case Kind::kTerm:
-      return term;
-    case Kind::kNot:
-      return "NOT " + children[0]->ToString();
-    case Kind::kAnd:
-      return "(" + children[0]->ToString() + " AND " +
-             children[1]->ToString() + ")";
-    case Kind::kOr:
-      return "(" + children[0]->ToString() + " OR " +
-             children[1]->ToString() + ")";
-  }
-  return "?";
-}
-
-void QueryNode::CollectTerms(std::vector<std::string>* out) const {
+void QueryNode::CollectTerms(std::vector<std::string_view>* out) const {
   if (kind == Kind::kTerm) {
     out->push_back(term);
     return;
@@ -58,6 +53,17 @@ void QueryNode::CollectTerms(std::vector<std::string>* out) const {
 }
 
 namespace {
+
+// A `kind` node over `lhs` and, unless it is a NOT, `rhs`.
+std::unique_ptr<QueryNode> MakeNode(QueryNode::Kind kind,
+                                    std::unique_ptr<QueryNode> lhs,
+                                    std::unique_ptr<QueryNode> rhs = nullptr) {
+  auto node = std::make_unique<QueryNode>();
+  node->kind = kind;
+  node->children.push_back(std::move(lhs));
+  if (rhs != nullptr) node->children.push_back(std::move(rhs));
+  return node;
+}
 
 struct QueryParser {
   std::vector<std::string> tokens;
@@ -82,11 +88,7 @@ struct QueryParser {
     while (Match("OR")) {
       auto rhs = ParseAnd();
       if (rhs == nullptr) return nullptr;
-      auto node = std::make_unique<QueryNode>();
-      node->kind = QueryNode::Kind::kOr;
-      node->children.push_back(std::move(lhs));
-      node->children.push_back(std::move(rhs));
-      lhs = std::move(node);
+      lhs = MakeNode(QueryNode::Kind::kOr, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
@@ -108,11 +110,7 @@ struct QueryParser {
       }
       auto rhs = ParseUnary();
       if (rhs == nullptr) return nullptr;
-      auto node = std::make_unique<QueryNode>();
-      node->kind = QueryNode::Kind::kAnd;
-      node->children.push_back(std::move(lhs));
-      node->children.push_back(std::move(rhs));
-      lhs = std::move(node);
+      lhs = MakeNode(QueryNode::Kind::kAnd, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
@@ -122,10 +120,7 @@ struct QueryParser {
     if (Match("NOT")) {
       auto operand = ParseUnary();
       if (operand == nullptr) return nullptr;
-      auto node = std::make_unique<QueryNode>();
-      node->kind = QueryNode::Kind::kNot;
-      node->children.push_back(std::move(operand));
-      return node;
+      return MakeNode(QueryNode::Kind::kNot, std::move(operand));
     }
     if (Match("(")) {
       auto inner = ParseOr();
@@ -164,7 +159,7 @@ std::unique_ptr<QueryNode> ParseTextQuery(const std::string& query,
     }
   };
   for (char c : query) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
+    if (IsWordChar(c)) {
       current.push_back(c);
     } else if (c == '(' || c == ')') {
       flush();

@@ -1,10 +1,14 @@
 #ifndef EXTIDX_CARTRIDGE_TEXT_TOKENIZER_H_
 #define EXTIDX_CARTRIDGE_TEXT_TOKENIZER_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/function_ref.h"
 
 namespace exi::text {
 
@@ -15,22 +19,26 @@ namespace exi::text {
 class Tokenizer {
  public:
   Tokenizer() = default;
-  Tokenizer(std::string language, std::set<std::string> stop_words)
+  Tokenizer(std::string language,
+            std::set<std::string, std::less<>> stop_words)
       : language_(std::move(language)), stop_words_(std::move(stop_words)) {}
-
-  const std::string& language() const { return language_; }
-  const std::set<std::string>& stop_words() const { return stop_words_; }
 
   void AddStopWords(const std::vector<std::string>& words);
 
-  // Lower-cased alphanumeric tokens in document order, stop words removed.
-  std::vector<std::string> Tokenize(const std::string& document) const;
+  // Visits the lower-cased alphanumeric tokens of `document` in order,
+  // stop words removed, each as a view valid only during its visit: into
+  // `document`, or into a lower-cased copy of a token with capitals.
+  void ForEachToken(std::string_view document,
+                    FunctionRef<void(std::string_view)> visit) const;
 
-  bool IsStopWord(const std::string& token) const;
+  // ForEachToken's tokens, copied.
+  std::vector<std::string> Tokenize(std::string_view document) const;
+
+  bool IsStopWord(std::string_view token) const;
 
  private:
   std::string language_ = "English";
-  std::set<std::string> stop_words_;
+  std::set<std::string, std::less<>> stop_words_;
 };
 
 // Boolean keyword query over the inverted index, e.g. 'Oracle AND UNIX',
@@ -42,10 +50,8 @@ struct QueryNode {
   std::string term;                          // kTerm
   std::vector<std::unique_ptr<QueryNode>> children;
 
-  std::string ToString() const;
-
-  // Collects the terms appearing anywhere in the query.
-  void CollectTerms(std::vector<std::string>* out) const;
+  // Collects the terms of the query's leaves, in depth-first order.
+  void CollectTerms(std::vector<std::string_view>* out) const;
 };
 
 // Parses a keyword query; tokens are case-folded like document tokens.

@@ -112,6 +112,9 @@ Status DomainIndexManager::CallOnSlices(IndexInfo* index, OdciIndexInfo info,
     if (segment.has_value() && slice.segment != *segment) continue;
     slice.stats.clear();
     info.index_name = slice.name;
+    // An Alter that rebuilds from the base table sees only its slice's
+    // rows, as BuildSlice's Create does.
+    ctx.RestrictBaseScanToSegment(slice.segment);
     EXI_RETURN_IF_ERROR(
         GuardedOdciCall(index, slice.impl.get(), site, routine,
                         [&] { return call(*slice.impl, info, ctx); }));

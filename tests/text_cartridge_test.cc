@@ -142,15 +142,89 @@ TEST_F(TextCartridgeTest, ParametersStopWordsAndAlter) {
       "CREATE INDEX rti ON employees(resume) INDEXTYPE IS TextIndexType "
       "PARAMETERS (':Language English :Ignore the a an')");
   InsertResume("alice", 1, "the COBOL expert");
-  // Stop words are not indexed.
-  EXPECT_TRUE(QueryNames("Contains(resume, 'the')").empty());
+  auto indexed = [&](const std::string& token) {
+    for (const Row& row : PostingRows(db_, "rti")) {
+      if (row[0].AsVarchar() == token) return true;
+    }
+    return false;
+  };
+  // Stop words are not indexed, yet a query for one still gets the
+  // functional answer: the scan reads it from the base table.
+  EXPECT_FALSE(indexed("the"));
+  EXPECT_EQ(QueryNames("Contains(resume, 'the')"),
+            std::vector<std::string>{"alice"});
+  EXPECT_TRUE(indexed("cobol"));
   EXPECT_EQ(QueryNames("Contains(resume, 'cobol')"),
             std::vector<std::string>{"alice"});
   // ALTER INDEX adds a stop word (the paper's example) and rebuilds.
   conn_.MustExecute("ALTER INDEX rti PARAMETERS (':Ignore COBOL')");
-  EXPECT_TRUE(QueryNames("Contains(resume, 'cobol')").empty());
+  EXPECT_FALSE(indexed("cobol"));
+  EXPECT_EQ(QueryNames("Contains(resume, 'cobol')"),
+            std::vector<std::string>{"alice"});
+  EXPECT_EQ(QueryNames("Contains(resume, 'expert AND NOT cobol')"),
+            std::vector<std::string>{});
   EXPECT_EQ(QueryNames("Contains(resume, 'expert')"),
             std::vector<std::string>{"alice"});
+}
+
+// Queries naming a stop word of the index's :Ignore list: every plan, with
+// or without the index and in either scan mode, returns the functional
+// answer.
+TEST(TextStopWordTest, IndexAnswersStopWordsLikeTheFunction) {
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+  conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(200))");
+  conn.MustExecute(
+      "INSERT INTO docs VALUES (1, 'the cat'), (2, 'a dog'), (3, 'The end')");
+  const std::vector<std::pair<std::string, std::vector<int64_t>>> cases = {
+      {"the", {1, 3}},
+      {"the OR dog", {1, 2, 3}},
+      {"cat AND NOT the", {}},
+      {"NOT the", {2}},
+      {"the AND end", {3}}};
+  auto ids = [&](const std::string& where) {
+    std::vector<int64_t> out;
+    for (const Row& row :
+         conn.MustExecute("SELECT id FROM docs WHERE " + where + " ORDER BY id")
+             .rows) {
+      out.push_back(row[0].AsInteger());
+    }
+    return out;
+  };
+  conn.MustExecute(
+      "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType "
+      "PARAMETERS (':Ignore the')");
+  for (const char* mode : {"precompute", "incremental"}) {
+    conn.MustExecute(std::string("ALTER INDEX dtext PARAMETERS (':Mode ") +
+                     mode + "')");
+    for (const auto& [query, want] : cases) {
+      SCOPED_TRACE(std::string(mode) + ": " + query);
+      const std::string contains = "Contains(body, '" + query + "')";
+      EXPECT_NE(conn.MustExecute("EXPLAIN SELECT id FROM docs WHERE " +
+                                 contains)
+                    .message.find("DomainIndex(dtext)"),
+                std::string::npos);
+      EXPECT_EQ(ids(contains), want);
+      EXPECT_EQ(ids("TextContains(body, '" + query + "')"), want);
+    }
+  }
+  // The statistics price a stop word as held by every row, since a scan
+  // reads every row for it, and an indexed term by its postings.
+  OdciIndexInfo info;
+  info.index_name = "dtext";
+  info.parameters = ":Ignore the";
+  text::TextStats stats;
+  GuardedServerContext ctx(&db.catalog(), nullptr, CallbackMode::kScan);
+  for (const auto& [query, want] :
+       std::vector<std::pair<std::string, double>>{
+           {"the", 1.0}, {"cat", 1.0 / 3}, {"the AND dog", 1.0 / 3}}) {
+    Result<double> sel = stats.Selectivity(
+        info, OdciPredInfo::BooleanTrue("Contains", {Value::Varchar(query)}),
+        3, ctx);
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+    EXPECT_DOUBLE_EQ(*sel, want) << query;
+  }
 }
 
 TEST_F(TextCartridgeTest, MalformedScanParametersAreRejected) {
@@ -1125,6 +1199,163 @@ TEST(TextPostingOracleTest, BuildAndMaintenanceMatchTheTokenizer) {
       oracle.Run("ROLLBACK", /*one_run=*/false);
     }
   }
+}
+
+// ---- differential: index scans against the functional Contains ----
+
+// A random document over a small vocabulary with stop words, mixed case,
+// digits, punctuation and repeated words, or NULL one time in eight.
+std::string RandomBody(Rng* rng) {
+  static const char* kWords[] = {"the", "The", "a", "AN", "oracle",
+                                 "Oracle", "index", "w1", "W2", "42",
+                                 "x9y", "cartridge", "DB2"};
+  static const char* kGaps[] = {" ", ", ", "-", ". ", "!? ", "/"};
+  if (rng->Uniform(8) == 0) return "NULL";
+  std::string body;
+  std::string word;
+  for (uint64_t w = 0, n = 1 + rng->Uniform(8); w < n; ++w) {
+    if (w == 0 || rng->Uniform(4) != 0) word = kWords[rng->Uniform(13)];
+    body += word + kGaps[rng->Uniform(6)];
+  }
+  return "'" + body + "'";
+}
+
+// A random AND / OR / NOT query over the documents' words and one they
+// never hold.
+std::string RandomQuery(Rng* rng, int depth = 0) {
+  static const char* kTerms[] = {"the", "A", "an", "oracle", "INDEX", "w1",
+                                 "w2", "42", "X9Y", "db2", "cartridge",
+                                 "absent"};
+  const uint64_t shape = depth >= 3 ? 0 : rng->Uniform(6);
+  if (shape <= 1) return kTerms[rng->Uniform(12)];
+  if (shape == 2) return "NOT " + RandomQuery(rng, depth + 1);
+  return "(" + RandomQuery(rng, depth + 1) +
+         (shape == 3 ? " AND " : shape == 4 ? " OR " : " ") +
+         RandomQuery(rng, depth + 1) + ")";
+}
+
+// Seeded random documents and queries: each query's rows through the text
+// index (global, or LOCAL over two partitions; Precompute-All and
+// Incremental; after CREATE INDEX and after DML) equal TextContains' rows.
+TEST(TextDifferentialTest, IndexScansMatchTheFunctionalContains) {
+  for (bool local : {false, true}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(local ? "LOCAL" : "global") + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      Database db;
+      Connection conn(&db);
+      ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+      conn.MustExecute(
+          std::string("CREATE TABLE docs (id INTEGER, body VARCHAR(200))") +
+          (local ? " PARTITION BY RANGE (id) (PARTITION d0 VALUES LESS THAN "
+                   "(150), PARTITION d1 VALUES LESS THAN (MAXVALUE))"
+                 : ""));
+      auto insert = [&](int begin, int end) {
+        std::string sql = "INSERT INTO docs VALUES ";
+        for (int id = begin; id < end; ++id) {
+          sql += std::string(id > begin ? ", (" : "(") + std::to_string(id) +
+                 ", " + RandomBody(&rng) + ")";
+        }
+        conn.MustExecute(sql);
+      };
+      insert(0, 300);
+      conn.MustExecute(
+          "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType "
+          "PARAMETERS (':Ignore the a an')");
+      auto ids = [&](const std::string& where) {
+        std::vector<int64_t> out;
+        for (const Row& row :
+             conn.MustExecute("SELECT id FROM docs WHERE " + where +
+                              " ORDER BY id")
+                 .rows) {
+          out.push_back(row[0].AsInteger());
+        }
+        return out;
+      };
+      auto check = [&](const char* when) {
+        for (int q = 0; q < 25; ++q) {
+          const std::string query = RandomQuery(&rng);
+          SCOPED_TRACE(std::string(when) + ": " + query);
+          const std::string contains = "Contains(body, '" + query + "')";
+          ASSERT_NE(conn.MustExecute("EXPLAIN SELECT id FROM docs WHERE " +
+                                     contains)
+                        .message.find("DomainIndex(dtext"),
+                    std::string::npos);
+          EXPECT_EQ(ids(contains), ids("TextContains(body, '" + query + "')"));
+        }
+      };
+      check("built");
+      insert(300, 360);
+      conn.MustExecute("UPDATE docs SET body = 'The W1 w1 oracle' "
+                       "WHERE id >= 140 AND id < 170");
+      conn.MustExecute("UPDATE docs SET body = NULL WHERE id >= 20 AND id < 25");
+      conn.MustExecute("DELETE FROM docs WHERE id >= 100 AND id < 130");
+      check("maintained");
+      conn.MustExecute("ALTER INDEX dtext PARAMETERS (':Mode incremental')");
+      check("incremental");
+    }
+  }
+}
+
+// Array maintenance called directly with rids in descending order, across
+// block edges: the postings equal (token, rid) -> count taken from
+// Tokenizer::Tokenize, after the insert and after deleting every third row.
+TEST(TextPostingOracleTest, DescendingBatchesMatchTheTokenizer) {
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+  conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(200))");
+  conn.MustExecute(
+      "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType "
+      "PARAMETERS (':Ignore the a an')");
+  OdciIndexInfo info;
+  info.index_name = "dtext";
+  info.table_name = "docs";
+  info.column_positions = {1};
+  info.parameters = ":Ignore the a an";
+  Rng rng(7);
+  std::map<RowId, std::string> docs;
+  std::vector<RowId> rids;
+  ValueList values;
+  for (RowId rid = 2100; rid > 1000; rid -= 1 + rng.Uniform(5)) {
+    std::string body = RandomBody(&rng);
+    if (body == "NULL") continue;
+    body = body.substr(1, body.size() - 2);
+    docs[rid] = body;
+    rids.push_back(rid);
+    values.push_back(Value::Varchar(body));
+  }
+  auto expect_postings = [&] {
+    const text::Tokenizer tokenizer("English", {"the", "a", "an"});
+    std::map<std::pair<std::string, RowId>, int64_t> counts;
+    for (const auto& [rid, body] : docs) {
+      for (const std::string& token : tokenizer.Tokenize(body)) {
+        ++counts[{token, rid}];
+      }
+    }
+    std::vector<Row> want;
+    for (const auto& [key, count] : counts) {
+      want.push_back({Value::Varchar(key.first),
+                      Value::Integer(int64_t(key.second)),
+                      Value::Integer(count)});
+    }
+    ASSERT_FALSE(want.empty());
+    ExpectSameRows(PostingRows(db, "dtext"), want);
+  };
+  text::TextIndexMethods methods;
+  GuardedServerContext ctx(&db.catalog(), nullptr, CallbackMode::kMaintenance);
+  ASSERT_TRUE(methods.BatchInsert(info, rids, values, ctx).ok());
+  expect_postings();
+  std::vector<RowId> gone_rids;
+  ValueList gone_values;
+  for (size_t i = 0; i < rids.size(); i += 3) {
+    gone_rids.push_back(rids[i]);
+    gone_values.push_back(values[i]);
+    docs.erase(rids[i]);
+  }
+  ASSERT_TRUE(methods.BatchDelete(info, gone_rids, gone_values, ctx).ok());
+  expect_postings();
 }
 
 // A join probe whose argument is NULL gets the operator's functional
