@@ -7,7 +7,10 @@
 //      each, and writes its postings as one sorted run (each key past the
 //      held leaf re-descends from the lowest held B+-tree node covering
 //      it); B+-tree nodes read are recorded for the per-row and the
-//      batched INSERT and for ROLLBACK of the batch;
+//      batched INSERT and for ROLLBACK of the batch.  The same rows go
+//      into a table whose only index is a built-in B-tree, which a
+//      statement also writes as one sorted run, and its B+-tree nodes read
+//      are recorded per-row and batched;
 //  (c) planner ODCIStats memoization — a repeated identical query plans
 //      with zero ODCIStatsSelectivity/IndexCost calls (V$ODCI_CALLS flat).
 
@@ -66,16 +69,27 @@ bool CowWrite(uint64_t lob_bytes, Series* series) {
   return size.ok() && *size == lob_bytes;
 }
 
-// One repetition of (b) on a fresh indexed table: `rows` single-row
+// The index of a (b) table: the CREATE INDEX tail, and a predicate that
+// every inserted row meets and that the index answers.
+struct Indexed {
+  const char* create;
+  const char* probe;
+};
+const Indexed kTextIndex{"(body) INDEXTYPE IS TextIndexType",
+                         "Contains(body, 'alpha')"};
+const Indexed kBtreeIndex{"(id)", "id >= 0"};
+
+// One repetition of (b) on a fresh table with `index`: `rows` single-row
 // INSERTs into series[0]; one `rows`-row INSERT into series[1] and its
 // ROLLBACK into series[2].
-bool InsertRows(uint64_t rows, bool batched, Series* series) {
+bool InsertRows(const Indexed& index, uint64_t rows, bool batched,
+                Series* series) {
   Database db;
   Connection conn(&db);
   if (!text::InstallTextCartridge(&conn).ok()) return false;
   conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR)");
-  conn.MustExecute(
-      "CREATE INDEX docs_idx ON docs(body) INDEXTYPE IS TextIndexType");
+  conn.MustExecute(std::string("CREATE INDEX docs_idx ON docs") +
+                   index.create);
   if (!batched) {
     series[0].Start();
     for (uint64_t i = 0; i < rows; ++i) {
@@ -97,8 +111,8 @@ bool InsertRows(uint64_t rows, bool batched, Series* series) {
   series[2].Start();
   conn.MustExecute("ROLLBACK");
   series[2].Stop();
-  return conn.MustExecute(
-                 "SELECT COUNT(*) FROM docs WHERE Contains(body, 'alpha')")
+  return conn.MustExecute(std::string("SELECT COUNT(*) FROM docs WHERE ") +
+                          index.probe)
              .rows[0][0]
              .AsInteger() == 0;
 }
@@ -128,10 +142,15 @@ int main() {
 
   const uint64_t kRows = Scaled(1000, 32);
   Series dml[3];
+  Series btree[3];
   for (size_t rep = 0; rep < Repetitions(); ++rep) {
-    if (!InsertRows(kRows, false, dml) || !InsertRows(kRows, true, dml)) {
-      std::fprintf(stderr, "rollback left postings behind\n");
-      return 1;
+    for (auto [index, series] : {std::pair{&kTextIndex, dml},
+                                 std::pair{&kBtreeIndex, btree}}) {
+      if (!InsertRows(*index, kRows, false, series) ||
+          !InsertRows(*index, kRows, true, series)) {
+        std::fprintf(stderr, "rollback left index entries behind\n");
+        return 1;
+      }
     }
   }
   Table& table = report.AddTimedTable(
@@ -146,6 +165,8 @@ int main() {
   report.Add("index_nodes_read_batched", dml[1].work().index_nodes_read);
   report.Add("index_nodes_read_batch_rollback",
              dml[2].work().index_nodes_read);
+  report.Add("btree_nodes_read_per_row", btree[0].work().index_nodes_read);
+  report.Add("btree_nodes_read_batched", btree[1].work().index_nodes_read);
 
   // ---- (c) planner stats memoization on a repeated identical query ----
   Database db;

@@ -78,6 +78,18 @@ print("  index nodes read: batched %d, per-row %d" % (batched, per_row))
 if batched > per_row:
     sys.exit("batched INSERT read more B+-tree nodes than per-row")
 '
+  # The same for a built-in B-tree: a statement writes each index as one
+  # sorted merge run.  Counts again, so this holds on any host.
+  python3 -c '
+import json, sys
+r = json.load(open("BENCH_storage_fastpath.json"))
+batched = r["btree_nodes_read_batched"]
+per_row = r["btree_nodes_read_per_row"]
+print("  built-in B-tree nodes read: batched %d, per-row %d"
+      % (batched, per_row))
+if batched > per_row:
+    sys.exit("batched INSERT read more built-in B-tree nodes than per-row")
+'
   # Join probe window: the tile join returns the same non-zero row count
   # at every worker count.  A count, not a time, so it holds on any host.
   python3 -c '

@@ -129,11 +129,6 @@ Result<uint32_t> LobRTree::Height() const {
   return meta.height;
 }
 
-Result<uint64_t> LobRTree::PageCount() const {
-  EXI_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
-  return meta.page_count;
-}
-
 // ---- insert ----
 
 void LobRTree::QuadraticSplit(std::vector<Entry>* all,

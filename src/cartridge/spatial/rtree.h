@@ -49,7 +49,6 @@ class LobRTree {
 
   Result<uint64_t> EntryCount() const;
   Result<uint32_t> Height() const;
-  Result<uint64_t> PageCount() const;
 
  private:
   struct Entry {

@@ -1,8 +1,8 @@
 #include "cartridge/text/legacy_text.h"
 
-#include "cartridge/text/inverted_index.h"
-#include "cartridge/text/tokenizer.h"
+#include "cartridge/text/text_cartridge.h"
 #include "common/metrics.h"
+#include "core/callback_guard.h"
 
 namespace exi::text {
 
@@ -15,28 +15,21 @@ Status LegacyTextQuery(
     return Status::InvalidArgument(index_name + " is not a text index");
   }
   EXI_ASSIGN_OR_RETURN(HeapTable * base, catalog.GetTable(index->table));
-  EXI_ASSIGN_OR_RETURN(Iot * postings,
-                       catalog.GetIot(PostingTableName(index_name)));
 
   std::string error;
   std::unique_ptr<QueryNode> root = ParseTextQuery(query, &error);
   if (root == nullptr) return Status::InvalidArgument(error);
 
-  // --- Step 1: evaluate the text predicate into a temporary result table.
-  PostingSource source = BlockPostingSource(
-      [postings](const CompositeKey& prefix,
-                 FunctionRef<bool(const Row&)> visit) {
-        postings->ScanPrefix(prefix, visit);
-        return Status::OK();
-      });
-  UniverseSource universe = [base](std::vector<RowId>* out) -> Status {
-    for (auto it = base->Scan(); it.Valid(); it.Next()) {
-      out->push_back(it.row_id());
-    }
-    return Status::OK();
-  };
-  EXI_ASSIGN_OR_RETURN(std::vector<TextMatch> matches,
-                       EvaluateTextQuery(*root, source, universe));
+  // --- Step 1: evaluate the text predicate into a temporary result table,
+  // from the sources a domain-index scan reads.
+  const OdciIndexInfo info = index->ToOdciInfo(base->schema());
+  const Tokenizer tokenizer = TextIndexMethods::MakeTokenizer(
+      TextIndexMethods::ParseParams(info.parameters));
+  GuardedServerContext ctx(&catalog, nullptr, CallbackMode::kScan);
+  EXI_ASSIGN_OR_RETURN(
+      std::vector<TextMatch> matches,
+      EvaluateTextQuery(*root, MakePostingSource(info, tokenizer, ctx),
+                        MakeUniverseSource(info, ctx)));
 
   // Materialize rowids into a scratch table — the extra I/O the paper's
   // integration eliminated.

@@ -18,10 +18,12 @@ namespace exi::text {
 //      table ("SELECT d.* FROM docs d, results r WHERE d.rowid = r.rid")
 //      and only then return rows.
 //
-// It reads the SAME posting IOT as the 8i-style domain-index scan, so the
-// two strategies differ only in execution shape: materialization + join
-// versus pipelined fetches.  Temporary-table traffic is metered in
-// StorageMetrics (temp_rows_written / temp_rows_read).
+// Step 1 reads the same posting and universe sources as the 8i-style
+// domain-index scan (MakePostingSource / MakeUniverseSource), so the two
+// strategies give the same answers and differ only in execution shape:
+// materialization + join versus pipelined fetches.  Temporary-table
+// traffic is metered in StorageMetrics (temp_rows_written /
+// temp_rows_read).
 //
 // `on_row` is invoked for each result row as soon as the strategy can
 // produce it — for this legacy path, only after step 1 fully completes,

@@ -38,8 +38,10 @@ void EncodeState(const std::vector<TextMatch>& matches, size_t pos,
   const uint64_t p = pos;
   out->resize(8 + matches.size() * sizeof(TextMatch));
   std::memcpy(out->data(), &p, 8);
-  std::memcpy(out->data() + 8, matches.data(),
-              matches.size() * sizeof(TextMatch));
+  if (!matches.empty()) {  // memcpy is undefined on null, as data() may be
+    std::memcpy(out->data() + 8, matches.data(),
+                matches.size() * sizeof(TextMatch));
+  }
 }
 
 Status DecodeState(const std::vector<uint8_t>& state, size_t* pos,
@@ -51,7 +53,9 @@ Status DecodeState(const std::vector<uint8_t>& state, size_t* pos,
   std::memcpy(&p, state.data(), 8);
   *pos = size_t(p);
   matches->resize((state.size() - 8) / sizeof(TextMatch));
-  std::memcpy(matches->data(), state.data() + 8, state.size() - 8);
+  if (!matches->empty()) {
+    std::memcpy(matches->data(), state.data() + 8, state.size() - 8);
+  }
   return Status::OK();
 }
 
@@ -68,9 +72,8 @@ Status ScanDocuments(const OdciIndexInfo& info, ServerContext& ctx,
   });
 }
 
-// Posting source over the index's IOT.  A term it does not hold, a stop
-// word of `tokenizer`, is read from the base table as TextContains reads
-// it, so every plan gives the functional answer.
+}  // namespace
+
 PostingSource MakePostingSource(const OdciIndexInfo& info,
                                 const Tokenizer& tokenizer,
                                 ServerContext& ctx) {
@@ -92,8 +95,6 @@ PostingSource MakePostingSource(const OdciIndexInfo& info,
   };
 }
 
-// The rows a NOT query ranges over: those with a non-NULL indexed value,
-// as Contains over NULL is never TRUE.
 UniverseSource MakeUniverseSource(const OdciIndexInfo& info,
                                   ServerContext& ctx) {
   return [&info, &ctx](std::vector<RowId>* out) -> Status {
@@ -103,8 +104,6 @@ UniverseSource MakeUniverseSource(const OdciIndexInfo& info,
     });
   };
 }
-
-}  // namespace
 
 IndexParameters TextIndexMethods::ParseParams(const std::string& text) {
   IndexParameters params;

@@ -14,6 +14,18 @@
 
 namespace exi::text {
 
+// The sources a text query over index `info` reads, whichever way it runs
+// (EvaluateTextQuery): postings come off the index's IOT, but a stop word
+// of `tokenizer`, which the IOT does not hold, is read from the base table
+// as TextContains reads it; NOT ranges over the rows whose indexed value
+// is not NULL, as Contains over NULL is never TRUE.  So every plan gives
+// the functional answer.
+PostingSource MakePostingSource(const OdciIndexInfo& info,
+                                const Tokenizer& tokenizer,
+                                ServerContext& ctx);
+UniverseSource MakeUniverseSource(const OdciIndexInfo& info,
+                                  ServerContext& ctx);
+
 // The interMedia-Text-style cartridge (§3.2.1): full-text indexing of
 // VARCHAR columns with a user-defined Contains operator evaluated either
 // functionally (per row) or through a domain-index scan over an inverted

@@ -167,7 +167,6 @@ void FailPointRegistry::ClearAll() {
   for (auto& [name, site] : sites_) {
     site.armed = false;
     site.hits = 0;
-    site.fired = 0;
   }
 }
 
@@ -204,7 +203,6 @@ Status FailPointRegistry::Fire(const std::string& name) {
     }
     if (!fire) return Status::OK();
     a.fired++;
-    site.fired++;
     sleep_ms = a.sleep_ms;
     if (a.inject_status) {
       injected = Status(a.code, "failpoint '" + name + "' fired");
@@ -228,12 +226,6 @@ uint64_t FailPointRegistry::Hits(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sites_.find(name);
   return it == sites_.end() ? 0 : it->second.hits;
-}
-
-uint64_t FailPointRegistry::Fired(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(name);
-  return it == sites_.end() ? 0 : it->second.fired;
 }
 
 }  // namespace exi

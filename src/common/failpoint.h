@@ -52,9 +52,8 @@ class FailPointRegistry {
 
   // Every site name ever passed to Fire(), sorted.
   std::vector<std::string> SiteNames() const;
-  // Total Fire() calls / injected failures for a site (0 if never seen).
+  // Total Fire() calls for a site (0 if never seen).
   uint64_t Hits(const std::string& name) const;
-  uint64_t Fired(const std::string& name) const;
 
  private:
   enum class Trigger { kAlways, kOnce, kNth, kEvery, kTimes, kProb };
@@ -72,8 +71,7 @@ class FailPointRegistry {
   };
 
   struct Site {
-    uint64_t hits = 0;   // lifetime Fire() calls
-    uint64_t fired = 0;  // lifetime injections
+    uint64_t hits = 0;  // lifetime Fire() calls
     bool armed = false;
     Armed spec;
   };

@@ -58,11 +58,7 @@ Status GuardedServerContext::WriteIot(
   if (txn_ == nullptr) return write(*iot, nullptr);
   Iot::MergeUndo undo;
   Status s = write(*iot, &undo);
-  if (!undo.empty()) {
-    txn_->PushUndo([iot, undo = std::move(undo)]() mutable {
-      iot->Revert(std::move(undo));
-    });
-  }
+  txn_->PushRevert(iot, std::move(undo));
   return s;
 }
 

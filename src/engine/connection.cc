@@ -350,7 +350,7 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
   auto info = std::make_unique<IndexInfo>();
   info->name = stmt->index;
   info->table = stmt->table;
-  Schema key_schema;
+  std::vector<size_t> columns;
   for (const std::string& col : stmt->columns) {
     int c = table->schema().FindColumn(col);
     if (c < 0) {
@@ -363,20 +363,17 @@ Result<QueryResult> Connection::RunCreateIndex(sql::CreateIndexStmt* stmt) {
           " is " + t.ToString() + " (define an indextype instead, §3.1)");
     }
     info->columns.push_back(table->schema().column(c).name);
-    key_schema.AddColumn(table->schema().column(c));
+    columns.push_back(size_t(c));
   }
-  info->builtin = std::make_unique<BTreeIndex>(stmt->index, key_schema);
+  info->builtin = std::make_unique<BTreeIndex>(stmt->index, table->schema(),
+                                               std::move(columns));
   // Backfill from existing rows, as one sorted bulk load.  Each row read
   // is metered, as a domain index build's ScanBaseTable meters it.
-  std::vector<std::pair<CompositeKey, RowId>> entries;
-  uint64_t visited = 0;
+  std::vector<Row> entries;
   for (auto it = table->Scan(); it.Valid(); it.Next()) {
-    ++visited;
-    EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
-                         Database::KeyFor(*info, table->schema(), it.row()));
-    if (key.has_value()) entries.emplace_back(std::move(*key), it.row_id());
+    info->builtin->AddEntry(it.row_id(), it.row(), &entries);
   }
-  GlobalMetrics().table_rows_read += visited;
+  GlobalMetrics().table_rows_read += table->row_count();
   EXI_RETURN_IF_ERROR(info->builtin->BulkLoad(std::move(entries)));
   EXI_RETURN_IF_ERROR(db_->catalog().AddIndex(std::move(info)));
   QueryResult r;
@@ -518,19 +515,18 @@ Result<QueryResult> Connection::RunUpdate(sql::UpdateStmt* stmt) {
 
     EXI_ASSIGN_OR_RETURN(auto matches,
                          CollectMatches(stmt->table, stmt->where.get()));
-    std::vector<std::pair<RowId, Row>> updates;
-    updates.reserve(matches.size());
+    std::vector<Row> new_rows;
+    new_rows.reserve(matches.size());
     for (auto& [rid, old_row] : matches) {
-      Row new_row = old_row;
+      Row& new_row = new_rows.emplace_back(old_row);
       for (auto& [c, expr] : sets) {
         EXI_ASSIGN_OR_RETURN(Value v, Evaluator::Eval(*expr, old_row));
         new_row[c] = std::move(v);
       }
-      updates.emplace_back(rid, std::move(new_row));
     }
-    if (!updates.empty()) {
+    if (!matches.empty()) {
       EXI_RETURN_IF_ERROR(
-          db_->UpdateRows(stmt->table, std::move(updates), txn));
+          db_->UpdateRows(stmt->table, matches, new_rows, txn));
     }
     QueryResult r;
     r.affected_rows = matches.size();
@@ -544,10 +540,7 @@ Result<QueryResult> Connection::RunDelete(sql::DeleteStmt* stmt) {
     EXI_ASSIGN_OR_RETURN(auto matches,
                          CollectMatches(stmt->table, stmt->where.get()));
     if (!matches.empty()) {
-      std::vector<RowId> rids;
-      rids.reserve(matches.size());
-      for (auto& [rid, row] : matches) rids.push_back(rid);
-      EXI_RETURN_IF_ERROR(db_->DeleteRows(stmt->table, rids, txn));
+      EXI_RETURN_IF_ERROR(db_->DeleteRows(stmt->table, matches, txn));
     }
     QueryResult r;
     r.affected_rows = matches.size();

@@ -272,45 +272,15 @@ Database::Database()
 
 Database::~Database() { events_.Unregister(rollback_handler_); }
 
-Result<std::optional<CompositeKey>> Database::KeyFor(
-    const IndexInfo& index, const Schema& schema, const Row& row) {
-  CompositeKey key;
-  key.reserve(index.columns.size() + 1);  // room for a B-tree entry's rowid
-  for (const std::string& col : index.columns) {
-    int c = schema.FindColumn(col);
-    if (c < 0) {
-      return Status::Internal("index " + index.name +
-                              " references missing column " + col);
-    }
-    key.push_back(row[c]);
-  }
-  if (!key.empty() && key[0].is_null()) {
-    return std::optional<CompositeKey>();  // NULL keys are not indexed
-  }
-  return std::optional<CompositeKey>(std::move(key));
-}
-
-Status Database::MaintainBuiltin(const std::string& table_name, RowId rid,
-                                 const Row* old_row, const Row* new_row,
-                                 Transaction* txn) {
-  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
+Status Database::WriteBuiltin(const std::string& table_name,
+                              BuiltinEntries entries, Transaction* txn) {
   for (IndexInfo* index : catalog_.IndexesOnTable(table_name)) {
     if (index->is_domain()) continue;
-    BTreeIndex* bidx = index->builtin.get();
-    for (bool add : {false, true}) {
-      const Row* row = add ? new_row : old_row;
-      if (row == nullptr) continue;
-      EXI_ASSIGN_OR_RETURN(std::optional<CompositeKey> key,
-                           KeyFor(*index, table->schema(), *row));
-      if (!key.has_value()) continue;
-      EXI_RETURN_IF_ERROR(add ? bidx->Insert(*key, rid)
-                              : bidx->Delete(*key, rid));
-      if (txn != nullptr) {
-        txn->PushUndo([bidx, key = std::move(*key), rid, add] {
-          (void)(add ? bidx->Delete(key, rid) : bidx->Insert(key, rid));
-        });
-      }
-    }
+    std::vector<Row> removed;
+    std::vector<Row> added;
+    entries(*index->builtin, &removed, &added);
+    EXI_RETURN_IF_ERROR(
+        index->builtin->Write(std::move(removed), std::move(added), txn));
   }
   return Status::OK();
 }
@@ -340,10 +310,15 @@ Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
     if (txn != nullptr) {
       txn->PushUndo([table, rid] { (void)table->Delete(rid); });
     }
-    EXI_RETURN_IF_ERROR(MaintainBuiltin(table_name, rid, nullptr, &row, txn));
     rids.push_back(rid);
     inserted.emplace_back(rid, std::move(row));
   }
+  EXI_RETURN_IF_ERROR(WriteBuiltin(
+      table_name,
+      [&](const BTreeIndex& index, std::vector<Row>*, std::vector<Row>* added) {
+        for (const auto& [rid, row] : inserted) index.AddEntry(rid, row, added);
+      },
+      txn));
   EXI_RETURN_IF_ERROR(
       domains_.Maintain(DomainIndexManager::Maintenance::kInsert, table_name,
                         inserted, nullptr, txn));
@@ -352,73 +327,78 @@ Result<std::vector<RowId>> Database::InsertRows(const std::string& table_name,
 
 Status Database::UpdateRow(const std::string& table_name, RowId rid,
                            Row new_row, Transaction* txn) {
-  std::vector<std::pair<RowId, Row>> updates;
-  updates.emplace_back(rid, std::move(new_row));
-  return UpdateRows(table_name, std::move(updates), txn);
+  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
+  EXI_ASSIGN_OR_RETURN(Row old_row, table->Get(rid));
+  return UpdateRows(table_name, {{rid, std::move(old_row)}},
+                    {std::move(new_row)}, txn);
 }
 
 Status Database::UpdateRows(const std::string& table_name,
-                            std::vector<std::pair<RowId, Row>> updates,
+                            const std::vector<std::pair<RowId, Row>>& old_rows,
+                            const std::vector<Row>& new_rows,
                             Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(TableInfo * tinfo, catalog_.GetTableInfo(table_name));
   HeapTable* table = tinfo->heap.get();
-  std::vector<std::pair<RowId, Row>> old_rows;
-  std::vector<Row> new_rows;
-  old_rows.reserve(updates.size());
-  new_rows.reserve(updates.size());
-  for (auto& [rid, new_row] : updates) {
+  for (size_t i = 0; i < old_rows.size(); ++i) {
+    const auto& [rid, old_row] = old_rows[i];
     if (tinfo->partitioning.partitioned()) {
       EXI_ASSIGN_OR_RETURN(uint32_t segment,
-                           SegmentFor(table_name, *tinfo, new_row));
+                           SegmentFor(table_name, *tinfo, new_rows[i]));
       if (segment != HeapTable::SegmentOf(rid)) {
         return Status::InvalidArgument(
             "updating partition key would move the row to another partition "
             "of " + table_name + " (ORA-14402)");
       }
     }
-    EXI_ASSIGN_OR_RETURN(Row old_row, table->Get(rid));
-    EXI_RETURN_IF_ERROR(table->Update(rid, new_row));
+    EXI_RETURN_IF_ERROR(table->Update(rid, new_rows[i]));
     if (txn != nullptr) {
-      RowId undo_rid = rid;
-      Row old_copy = old_row;
-      txn->PushUndo([table, undo_rid, old_copy] {
-        (void)table->Update(undo_rid, old_copy);
+      txn->PushUndo([table, rid = rid, old_copy = old_row] {
+        (void)table->Update(rid, old_copy);
       });
     }
-    EXI_RETURN_IF_ERROR(
-        MaintainBuiltin(table_name, rid, &old_row, &new_row, txn));
-    old_rows.emplace_back(rid, std::move(old_row));
-    new_rows.push_back(std::move(new_row));
   }
+  EXI_RETURN_IF_ERROR(WriteBuiltin(
+      table_name,
+      [&](const BTreeIndex& index, std::vector<Row>* removed,
+          std::vector<Row>* added) {
+        for (size_t i = 0; i < old_rows.size(); ++i) {
+          index.AddEntry(old_rows[i].first, old_rows[i].second, removed);
+          index.AddEntry(old_rows[i].first, new_rows[i], added);
+        }
+      },
+      txn));
   return domains_.Maintain(DomainIndexManager::Maintenance::kUpdate,
                            table_name, old_rows, &new_rows, txn);
 }
 
 Status Database::DeleteRow(const std::string& table_name, RowId rid,
                            Transaction* txn) {
-  return DeleteRows(table_name, {rid}, txn);
+  EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
+  EXI_ASSIGN_OR_RETURN(Row row, table->Get(rid));
+  return DeleteRows(table_name, {{rid, std::move(row)}}, txn);
 }
 
 Status Database::DeleteRows(const std::string& table_name,
-                            const std::vector<RowId>& rids, Transaction* txn) {
+                            const std::vector<std::pair<RowId, Row>>& rows,
+                            Transaction* txn) {
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
-  std::vector<std::pair<RowId, Row>> deleted;
-  deleted.reserve(rids.size());
-  for (RowId rid : rids) {
-    EXI_ASSIGN_OR_RETURN(Row old_row, table->Get(rid));
+  for (const auto& [rid, row] : rows) {
     EXI_RETURN_IF_ERROR(table->Delete(rid));
     if (txn != nullptr) {
-      Row old_copy = old_row;
-      txn->PushUndo([table, rid, old_copy] {
+      txn->PushUndo([table, rid = rid, old_copy = row] {
         (void)table->Resurrect(rid, old_copy);
       });
     }
-    EXI_RETURN_IF_ERROR(
-        MaintainBuiltin(table_name, rid, &old_row, nullptr, txn));
-    deleted.emplace_back(rid, std::move(old_row));
   }
+  EXI_RETURN_IF_ERROR(WriteBuiltin(
+      table_name,
+      [&](const BTreeIndex& index, std::vector<Row>* removed,
+          std::vector<Row>*) {
+        for (const auto& [rid, row] : rows) index.AddEntry(rid, row, removed);
+      },
+      txn));
   return domains_.Maintain(DomainIndexManager::Maintenance::kDelete,
-                           table_name, deleted, nullptr, txn);
+                           table_name, rows, nullptr, txn);
 }
 
 Status Database::TruncateTable(const std::string& table_name,
@@ -440,17 +420,17 @@ Status Database::TruncateTable(const std::string& table_name,
 Status Database::RemoveBuiltinEntriesForSegment(const std::string& table_name,
                                                 uint32_t segment) {
   EXI_ASSIGN_OR_RETURN(HeapTable * table, catalog_.GetTable(table_name));
-  std::vector<std::pair<RowId, Row>> rows;
-  for (auto it = table->ScanSegment(segment); it.Valid(); it.Next()) {
-    rows.emplace_back(it.row_id(), it.row());
-  }
   // DDL commits; no undo logging (txn = nullptr), matching Oracle partition
   // maintenance semantics.
-  for (auto& [rid, row] : rows) {
-    EXI_RETURN_IF_ERROR(
-        MaintainBuiltin(table_name, rid, &row, nullptr, nullptr));
-  }
-  return Status::OK();
+  return WriteBuiltin(
+      table_name,
+      [&](const BTreeIndex& index, std::vector<Row>* removed,
+          std::vector<Row>*) {
+        for (auto it = table->ScanSegment(segment); it.Valid(); it.Next()) {
+          index.AddEntry(it.row_id(), it.row(), removed);
+        }
+      },
+      nullptr);
 }
 
 Status Database::AddPartition(const std::string& table_name,
@@ -527,8 +507,9 @@ Status Database::DropPartition(const std::string& table_name,
   PartitionDef def = *found;  // the scheme entry is erased below
 
   // Built-in indexes are global, so their entries for this partition's rows
-  // come out row by row; domain indexes are LOCAL, so the whole slice drops
-  // with one ODCIIndexDrop — zero per-row ODCIIndexDelete calls.
+  // come out as one removal run per index; domain indexes are LOCAL, so the
+  // whole slice drops with one ODCIIndexDrop — zero per-row
+  // ODCIIndexDelete calls.
   EXI_RETURN_IF_ERROR(
       RemoveBuiltinEntriesForSegment(table_name, def.segment_id));
   EXI_RETURN_IF_ERROR(domains_.DropPartitionIndexes(table_name, def, txn));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/function_ref.h"
 #include "core/domain_index.h"
 #include "optimizer/stats_cache.h"
 #include "txn/events.h"
@@ -71,10 +72,12 @@ class Database {
   // Every mutation maintains built-in indexes natively and domain indexes
   // through ODCIIndex maintenance routines, and logs undo into `txn`.
 
-  // A DML statement's rows go through the *Rows forms: heap and built-in
-  // index maintenance run per row (in statement order), then domain-index
-  // maintenance is dispatched as one array call per touched index slice
-  // (core/domain_index.h).  The single-row forms are one-row batches.
+  // A DML statement's rows go through the *Rows forms: the heap changes
+  // per row, then each built-in index takes one merge run (one undo entry)
+  // and each touched domain-index slice one array call
+  // (core/domain_index.h).  UpdateRows/DeleteRows take the (rowid, old
+  // row) pairs the statement matched; new_rows[i] replaces old_rows[i].
+  // The single-row forms read the old row and are one-row batches.
   Result<RowId> InsertRow(const std::string& table_name, Row row,
                           Transaction* txn);
   Status UpdateRow(const std::string& table_name, RowId rid, Row new_row,
@@ -85,10 +88,11 @@ class Database {
                                         std::vector<Row> rows,
                                         Transaction* txn);
   Status UpdateRows(const std::string& table_name,
-                    std::vector<std::pair<RowId, Row>> updates,
-                    Transaction* txn);
+                    const std::vector<std::pair<RowId, Row>>& old_rows,
+                    const std::vector<Row>& new_rows, Transaction* txn);
   Status DeleteRows(const std::string& table_name,
-                    const std::vector<RowId>& rids, Transaction* txn);
+                    const std::vector<std::pair<RowId, Row>>& rows,
+                    Transaction* txn);
 
   // Truncates the table and all its indexes (built-in natively, domain via
   // ODCIIndexTruncate).
@@ -124,13 +128,6 @@ class Database {
   // Drops the table after dropping all its indexes.
   Status DropTableCascade(const std::string& table_name, Transaction* txn);
 
-  // Builds the composite key for a built-in index from a base-table row;
-  // returns an empty optional when the leading key value is NULL (NULLs
-  // are not indexed, Oracle B-tree semantics).
-  static Result<std::optional<CompositeKey>> KeyFor(const IndexInfo& index,
-                                                    const Schema& schema,
-                                                    const Row& row);
-
   // ---- system views ----
   // The dictionary (USER_*) and performance (V$*) views, listed once in the
   // registry in database.cc, are ordinary tables that exist only while the
@@ -164,12 +161,13 @@ class Database {
   };
 
  private:
-  // Maintains the built-in indexes for one row change, logging undo in
-  // `txn`: the entries of `old_row` go and those of `new_row` come.  An
-  // insert has no old row and a delete no new one.
-  Status MaintainBuiltin(const std::string& table_name, RowId rid,
-                         const Row* old_row, const Row* new_row,
-                         Transaction* txn);
+  // Gives every built-in index on the table one BTreeIndex::Write of the
+  // entries `entries` builds for it, logging its undo in `txn`.
+  using BuiltinEntries =
+      FunctionRef<void(const BTreeIndex&, std::vector<Row>* removed,
+                       std::vector<Row>* added)>;
+  Status WriteBuiltin(const std::string& table_name, BuiltinEntries entries,
+                      Transaction* txn);
 
   // Removes every built-in index entry for rows living in `segment`
   // (DROP/TRUNCATE PARTITION groundwork; built-in indexes are global).

@@ -1,25 +1,28 @@
 #include "index/bptree.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+
+#include "txn/transaction.h"
 
 namespace exi {
 
 namespace {
 
-// The IOT schema of an index on `key_schema`: the key columns, then the
-// rowid.  A rowid fits INTEGER: its segment bits stay below bit 63.
-Schema EntrySchema(const Schema& key_schema) {
+// The IOT schema of an index on the `columns` of `table_schema`: the key
+// columns, then the rowid.  A rowid fits INTEGER: its segment bits stay
+// below bit 63.
+Schema EntrySchema(const Schema& table_schema,
+                   const std::vector<size_t>& columns) {
   Schema schema;
-  for (const Column& col : key_schema.columns()) {
+  for (size_t c : columns) {
+    const Column& col = table_schema.column(c);
     schema.AddColumn(Column{col.name, col.type, false});
   }
   schema.AddColumn(Column{"rowid", DataType::Integer(), true});
   return schema;
 }
-
-// The rowid column's value.
-Value RidValue(RowId rid) { return Value::Integer(int64_t(rid)); }
 
 // A scan visitor that collects each row's rowid, its last column.
 auto CollectRids(std::vector<RowId>* out) {
@@ -31,37 +34,54 @@ auto CollectRids(std::vector<RowId>* out) {
 
 }  // namespace
 
-BTreeIndex::BTreeIndex(std::string name, const Schema& key_schema)
-    : iot_(std::move(name), EntrySchema(key_schema), key_schema.size() + 1) {}
+BTreeIndex::BTreeIndex(std::string name, const Schema& table_schema,
+                       std::vector<size_t> columns)
+    : columns_(std::move(columns)),
+      iot_(std::move(name), EntrySchema(table_schema, columns_),
+           columns_.size() + 1) {}
 
-Row BTreeIndex::EntryRow(const CompositeKey& key, RowId rid) {
-  Row row;
-  row.reserve(key.size() + 1);
-  row.insert(row.end(), key.begin(), key.end());
-  row.push_back(RidValue(rid));
-  return row;
+void BTreeIndex::AddEntry(RowId rid, const Row& row,
+                          std::vector<Row>* entries) const {
+  if (row[columns_[0]].is_null()) return;
+  Row& entry = entries->emplace_back();
+  entry.reserve(columns_.size() + 1);
+  for (size_t c : columns_) entry.push_back(row[c]);
+  entry.push_back(Value::Integer(int64_t(rid)));
 }
 
-Status BTreeIndex::Insert(const CompositeKey& key, RowId rid) {
-  return iot_.Insert(EntryRow(key, rid));
+Status BTreeIndex::BulkLoad(std::vector<Row> entries) {
+  std::sort(entries.begin(), entries.end(), KeyLess());
+  return iot_.BulkLoad(std::move(entries));
 }
 
-Status BTreeIndex::Delete(const CompositeKey& key, RowId rid) {
-  return iot_.Delete(EntryRow(key, rid));
-}
-
-Status BTreeIndex::BulkLoad(
-    std::vector<std::pair<CompositeKey, RowId>> entries) {
-  std::vector<Row> rows;
-  rows.reserve(entries.size());
-  for (auto& [key, rid] : entries) {
-    // Each key becomes its row in place (Database::KeyFor leaves room for
-    // the rowid), so the build makes no second copy of each key.
-    key.push_back(RidValue(rid));
-    rows.push_back(std::move(key));
-  }
-  std::sort(rows.begin(), rows.end(), KeyLess());
-  return iot_.BulkLoad(std::move(rows));
+Status BTreeIndex::Write(std::vector<Row> removed, std::vector<Row> added,
+                         Transaction* txn) {
+  std::sort(removed.begin(), removed.end(), KeyLess());
+  std::sort(added.begin(), added.end(), KeyLess());
+  // One run over the entries in exactly one list.  An added entry moves
+  // into the run; whether a run entry comes is read off `removed`, which
+  // stays whole.
+  std::vector<CompositeKey> keys;
+  std::set_symmetric_difference(
+      removed.begin(), removed.end(), std::make_move_iterator(added.begin()),
+      std::make_move_iterator(added.end()), std::back_inserter(keys),
+      KeyLess());
+  Iot::MergeUndo undo;
+  Status s = iot_.MergeSorted(
+      keys,
+      [&](size_t i, const Row* current) -> Result<std::optional<Row>> {
+        const bool add = !std::binary_search(removed.begin(), removed.end(),
+                                             keys[i], KeyLess());
+        if (add == (current != nullptr)) {
+          const std::string entry = KeyToString(keys[i]) + " in " + name();
+          if (add) return Status::AlreadyExists("duplicate entry " + entry);
+          return Status::NotFound("no entry " + entry);
+        }
+        return add ? std::optional<Row>(keys[i]) : std::nullopt;
+      },
+      txn != nullptr ? &undo : nullptr);
+  if (txn != nullptr) txn->PushRevert(&iot_, std::move(undo));
+  return s;
 }
 
 std::vector<RowId> BTreeIndex::ScanRange(

@@ -13,6 +13,8 @@
 
 namespace exi {
 
+class Transaction;
+
 // Range-scan bound: key value + inclusivity.
 struct KeyBound {
   CompositeKey key;
@@ -32,18 +34,29 @@ struct KeyBound {
 // invoked by the server, not modeled as a native access method.
 class BTreeIndex {
  public:
-  // `key_schema` holds the indexed columns, in key order.
-  BTreeIndex(std::string name, const Schema& key_schema);
+  // An index on the columns of `table_schema` at positions `columns`, in
+  // key order: positions are resolved once, at CREATE INDEX.
+  BTreeIndex(std::string name, const Schema& table_schema,
+             std::vector<size_t> columns);
 
   const std::string& name() const { return iot_.name(); }
 
-  // Adds / removes the entry (key, rid).  Insert fails with AlreadyExists
-  // if the entry is present, Delete with NotFound if it is absent.
-  Status Insert(const CompositeKey& key, RowId rid);
-  Status Delete(const CompositeKey& key, RowId rid);
+  // Appends to `*entries` the entry (key columns..., rid) of table row
+  // `row`, unless its leading key is NULL: NULLs are not indexed (Oracle
+  // B-tree semantics).  Every write builds its entries here.
+  void AddEntry(RowId rid, const Row& row, std::vector<Row>* entries) const;
 
-  // Loads (key, rid) entries, in any order, into this empty index.
-  Status BulkLoad(std::vector<std::pair<CompositeKey, RowId>> entries);
+  // Loads `entries`, in any order, into this empty index.
+  Status BulkLoad(std::vector<Row> entries);
+
+  // Applies one statement's change as one sorted merge run: the entries
+  // `removed` go and the entries `added` come, each list in any order.  An
+  // entry in both, as an UPDATE that leaves a key alone makes, is left as
+  // it is.  An absent removed entry errors with NotFound and a present
+  // added one with AlreadyExists.  Under `txn` the run is undone by one
+  // undo entry, also when an error ends it.
+  Status Write(std::vector<Row> removed, std::vector<Row> added,
+               Transaction* txn);
 
   // RowIds of rows whose key equals `key`: a whole key is the leading
   // prefix of its (key, rid) rows.
@@ -62,9 +75,7 @@ class BTreeIndex {
   void Truncate() { iot_.Truncate(); }
 
  private:
-  // The IOT row of entry (key, rid).
-  static Row EntryRow(const CompositeKey& key, RowId rid);
-
+  std::vector<size_t> columns_;
   Iot iot_;
 };
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "index/iot.h"
 #include "txn/events.h"
 #include "types/value.h"
 
@@ -33,6 +34,15 @@ class Transaction {
   uint64_t id() const { return id_; }
 
   void PushUndo(UndoAction action) { undo_log_.push_back(std::move(action)); }
+
+  // Logs one undo entry that reverts what a merge run changed in `iot`
+  // (none when it changed nothing).
+  void PushRevert(Iot* iot, Iot::MergeUndo undo) {
+    if (undo.empty()) return;
+    PushUndo([iot, undo = std::move(undo)]() mutable {
+      iot->Revert(std::move(undo));
+    });
+  }
 
   size_t undo_depth() const { return undo_log_.size(); }
 

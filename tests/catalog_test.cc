@@ -36,7 +36,8 @@ TEST(CatalogTest, DropTableBlockedByIndexes) {
   info->name = "idx";
   info->table = "t";
   info->columns = {"a"};
-  info->builtin = std::make_unique<BTreeIndex>("idx", OneIntSchema());
+  info->builtin = std::make_unique<BTreeIndex>("idx", OneIntSchema(),
+                                               std::vector<size_t>{0});
   ASSERT_TRUE(catalog.AddIndex(std::move(info)).ok());
   EXPECT_EQ(catalog.DropTable("t").code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(catalog.RemoveIndex("idx").ok());
@@ -88,7 +89,8 @@ TEST(CatalogTest, IndexLookupByTableAndColumn) {
     info->name = name;
     info->table = "t";
     info->columns = {"a"};
-    info->builtin = std::make_unique<BTreeIndex>(name, OneIntSchema());
+    info->builtin = std::make_unique<BTreeIndex>(
+        name, OneIntSchema(), std::vector<size_t>{0});
     ASSERT_TRUE(catalog.AddIndex(std::move(info)).ok());
   }
   EXPECT_EQ(catalog.IndexesOnTable("t").size(), 2u);

@@ -1,0 +1,287 @@
+// ALTER INDEX and DROP INDEX over every indextype (ROADMAP item 1): after
+// each ALTER INDEX ... PARAMETERS, accepted or refused, an index scan
+// answers what functional evaluation answers, also after DML that follows
+// the ALTER; after DROP INDEX no IOT, index table, LOB or external file of
+// the index remains.  Each indextype runs on a global index and on a
+// LOCAL index over two RANGE partitions.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "cartridge/chem/chem_cartridge.h"
+#include "cartridge/domain_btree/domain_btree.h"
+#include "cartridge/spatial/spatial_cartridge.h"
+#include "cartridge/text/text_cartridge.h"
+#include "cartridge/varray/varray_cartridge.h"
+#include "cartridge/vir/vir_cartridge.h"
+#include "engine/connection.h"
+#include "temp_path.h"
+
+namespace exi {
+namespace {
+
+// One indextype under test: the indexed column `c`, rows (id, value) for
+// ids 1-8, a value no predicate matches for filler rows (so that the
+// planner prefers the index), a row added after each ALTER, the CREATE
+// INDEX tail, predicates over `c`, the first of which the index answers,
+// and ALTER INDEX PARAMETERS strings, accepted or not.
+struct Indextype {
+  const char* name;
+  const char* column_type;
+  std::vector<const char*> values;
+  const char* filler;
+  const char* added_value;
+  const char* create;
+  std::vector<std::string> predicates;
+  std::vector<const char*> alters;
+};
+
+// An IMAGE_T whose 16 signature values start at `base`, `step` apart.
+std::string Image(double base, double step) {
+  std::string s = "IMAGE_T(";
+  for (int i = 0; i < 16; ++i) {
+    s += (i > 0 ? "," : "") + std::to_string(base + step * i);
+  }
+  return s + ")";
+}
+
+const char* const kGeometries[] = {
+    "SDO_GEOMETRY(0,0,10,10)",       "SDO_GEOMETRY(20,20,30,30)",
+    "SDO_GEOMETRY(40,40,60,60)",     "SDO_GEOMETRY(100,100,110,110)",
+    "SDO_GEOMETRY(5,5,25,25)",       "SDO_GEOMETRY(200,0,210,10)",
+    "SDO_GEOMETRY(0,200,10,210)",    "SDO_GEOMETRY(55,55,105,105)"};
+const std::vector<std::string> kRelates = {
+    "Sdo_Relate(c, SDO_GEOMETRY(0,0,50,50), 'mask=ANYINTERACT')",
+    "Sdo_Relate(c, SDO_GEOMETRY(90,90,120,120), 'mask=ANYINTERACT')"};
+
+const std::vector<Indextype>& Indextypes() {
+  static const std::vector<Indextype> all = [] {
+    const std::vector<const char*> molecules = {
+        "'CCO'",   "'CC(=O)O'", "'C1CCCCC1'", "'CCCCCC'",
+        "'ClCCl'", "'CC(=O)OCC'", "'BrBr'",   "'OCCO'"};
+    const std::vector<std::string> chem_predicates = {
+        "MolContains(c, 'C=O')", "MolContains(c, 'CC')",
+        "MolSim(c, 'CCO') >= 0.5"};
+    static const std::vector<std::string> images = [] {
+      std::vector<std::string> v;
+      for (int i = 0; i < 10; ++i) v.push_back(Image(0.1 * i, 0.01));
+      return v;
+    }();
+    std::vector<const char*> image_values;
+    for (int i = 0; i < 8; ++i) image_values.push_back(images[i].c_str());
+    const std::string weights = "'globalcolor=1,localcolor=1,texture=1,"
+                                "structure=1'";
+    return std::vector<Indextype>{
+        {"Text",
+         "VARCHAR(64)",
+         {"'oracle index'", "'spatial data'", "'oracle text'", "'the data'",
+          "NULL", "'oracle data'", "'the end'", "'text index'"},
+         "'filler'",
+         "'oracle the'",
+         "INDEXTYPE IS TextIndexType",
+         {"Contains(c, 'oracle')", "Contains(c, 'the')",
+          "Contains(c, 'oracle AND NOT data')", "Contains(c, 'NOT index')"},
+         {":Ignore the", ":Mode incremental", ":ContextMode state",
+          ":Mode bogus", ":Ignore oracle"}},
+        {"SpatialTile",
+         "OBJECT SDO_GEOMETRY",
+         {std::begin(kGeometries), std::end(kGeometries)},
+         "SDO_GEOMETRY(900,900,910,910)",
+         "SDO_GEOMETRY(45,45,48,48)",
+         "INDEXTYPE IS SpatialIndexType",
+         kRelates,
+         {":TileLevel 4", ":TileLevel 9", ":TileLevel 0"}},
+        {"Rtree",
+         "OBJECT SDO_GEOMETRY",
+         {std::begin(kGeometries), std::end(kGeometries)},
+         "SDO_GEOMETRY(900,900,910,910)",
+         "SDO_GEOMETRY(45,45,48,48)",
+         "INDEXTYPE IS RtreeIndexType",
+         kRelates,
+         {":TileLevel 4"}},
+        {"ChemLob",
+         "VARCHAR(64)",
+         molecules,
+         "'N'",
+         "'O=CC'",
+         "INDEXTYPE IS ChemIndexType",
+         chem_predicates,
+         {":Storage lob", ":Storage file"}},
+        {"ChemFile",
+         "VARCHAR(64)",
+         molecules,
+         "'N'",
+         "'O=CC'",
+         "INDEXTYPE IS ChemIndexType PARAMETERS (':Storage file')",
+         chem_predicates,
+         {":Storage file", ":Storage lob"}},
+        {"Vir",
+         "OBJECT IMAGE_T",
+         image_values,
+         images[9].c_str(),
+         images[8].c_str(),
+         "INDEXTYPE IS VirIndexType",
+         {"VIRSimilar(c, " + Image(0.3, 0.01) + ", " + weights + ", 0.5)",
+          "VIRSimilar(c, " + Image(0.75, 0.01) + ", " + weights + ", 1.5)"},
+         {":Comment resized"}},
+        {"Varray",
+         "VARRAY OF VARCHAR",
+         {"VARRAY_OF('Skiing', 'Chess')", "VARRAY_OF('Chess')",
+          "VARRAY_OF('Skiing', 'Running')", "VARRAY_OF('Golf')", "NULL",
+          "VARRAY_OF('Chess', 'Golf')", "VARRAY_OF('Running')",
+          "VARRAY_OF('Skiing')"},
+         "VARRAY_OF('Filler')",
+         "VARRAY_OF('Chess', 'Skiing')",
+         "INDEXTYPE IS VarrayIndexType",
+         {"VContains(c, 'Skiing')", "VContains(c, 'Chess')"},
+         {":Comment resized"}},
+        {"DomainBtree",
+         "INTEGER",
+         {"3", "7", "3", "NULL", "12", "5", "7", "1"},
+         "100",
+         "4",
+         "INDEXTYPE IS DomainBtreeType",
+         {"DEq(c, 3)", "DEq(c, 7)", "DBetween(c, 2, 6)"},
+         {":Comment resized"}},
+    };
+  }();
+  return all;
+}
+
+// Regular files under `root`, recursively; none if it does not exist.
+size_t FilesUnder(const std::string& root) {
+  std::error_code ec;
+  if (!std::filesystem::exists(root, ec)) return 0;
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root, ec)) {
+    if (entry.is_regular_file()) ++n;
+  }
+  return n;
+}
+
+// The storage objects the catalog holds for cartridges.
+struct Storage {
+  std::vector<std::string> iots;
+  std::vector<std::string> index_tables;
+  size_t lobs;
+  size_t files;
+  bool operator==(const Storage&) const = default;
+};
+
+class IndexLifecycleTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {
+ protected:
+  IndexLifecycleTest() : conn_(&db_), root_("extidx_lifecycle") {
+    db_.catalog().set_external_root(root_.str());
+    EXPECT_TRUE(text::InstallTextCartridge(&conn_).ok());
+    EXPECT_TRUE(spatial::InstallSpatialCartridge(&conn_).ok());
+    EXPECT_TRUE(chem::InstallChemCartridge(&conn_).ok());
+    EXPECT_TRUE(vir::InstallVirCartridge(&conn_).ok());
+    EXPECT_TRUE(varr::InstallVarrayCartridge(&conn_).ok());
+    EXPECT_TRUE(dbt::InstallDomainBtreeCartridge(&conn_).ok());
+  }
+
+  Storage StorageNow() {
+    return {db_.catalog().IotNames(), db_.catalog().IndexTableNames(),
+            db_.catalog().lobs().lob_count(), FilesUnder(root_.str())};
+  }
+
+  std::vector<int64_t> Ids(const std::string& table,
+                           const std::string& where) {
+    std::vector<int64_t> ids;
+    for (const Row& row :
+         conn_.MustExecute("SELECT id FROM " + table + " WHERE " + where)
+             .rows) {
+      ids.push_back(row[0].AsInteger());
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+
+  // Every predicate answers on `x` what it answers functionally on the
+  // unindexed copy `f`; the first one goes through index xi.
+  void ExpectFunctionalAnswers(const Indextype& type) {
+    const std::string plan =
+        conn_.MustExecute("EXPLAIN SELECT id FROM x WHERE " +
+                          type.predicates[0])
+            .message;
+    EXPECT_NE(plan.find("IndexScan(xi", plan.find("plan:")),
+              std::string::npos)
+        << plan;
+    for (const std::string& where : type.predicates) {
+      SCOPED_TRACE(where);
+      EXPECT_EQ(Ids("x", where), Ids("f", where));
+    }
+  }
+
+  Database db_;
+  Connection conn_;
+  ScopedTempPath root_;
+};
+
+TEST_P(IndexLifecycleTest, AlterKeepsFunctionalAnswersAndDropLeavesNothing) {
+  const auto [which, local] = GetParam();
+  const Indextype& type = Indextypes()[which];
+  for (const char* table : {"x", "f"}) {
+    conn_.MustExecute(
+        std::string("CREATE TABLE ") + table + " (id INTEGER, c " +
+        type.column_type + ")" +
+        (local && table[0] == 'x'
+             ? " PARTITION BY RANGE (id) (PARTITION a VALUES LESS THAN (5), "
+               "PARTITION b VALUES LESS THAN (MAXVALUE))"
+             : ""));
+    std::string rows;
+    for (size_t i = 0; i < 40; ++i) {
+      rows += (i > 0 ? ", (" : "(") + std::to_string(i + 1) + ", " +
+              (i < type.values.size() ? type.values[i] : type.filler) + ")";
+    }
+    conn_.MustExecute(std::string("INSERT INTO ") + table + " VALUES " + rows);
+  }
+  const Storage before = StorageNow();
+  conn_.MustExecute(std::string("CREATE INDEX xi ON x(c) ") + type.create);
+  conn_.MustExecute("ANALYZE x");
+  EXPECT_NE(StorageNow(), before) << "the index stores nothing to check";
+  ExpectFunctionalAnswers(type);
+
+  int64_t next_id = 100;
+  for (const char* parameters : type.alters) {
+    SCOPED_TRACE(parameters);
+    const bool accepted =
+        conn_.Execute(std::string("ALTER INDEX xi PARAMETERS ('") +
+                      parameters + "')")
+            .ok();
+    SCOPED_TRACE(accepted ? "accepted" : "refused");
+    ExpectFunctionalAnswers(type);
+    // Maintenance after the ALTER writes where the scans read.
+    for (const char* table : {"x", "f"}) {
+      conn_.MustExecute(std::string("INSERT INTO ") + table + " VALUES (" +
+                        std::to_string(next_id) + ", " + type.added_value +
+                        ")");
+      conn_.MustExecute(std::string("DELETE FROM ") + table +
+                        " WHERE id = " + std::to_string(next_id - 99));
+    }
+    ++next_id;
+    ExpectFunctionalAnswers(type);
+  }
+
+  conn_.MustExecute("DROP INDEX xi");
+  EXPECT_EQ(StorageNow(), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Indextypes, IndexLifecycleTest,
+    ::testing::Combine(::testing::Range<size_t>(0, Indextypes().size()),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return std::string(Indextypes()[std::get<0>(info.param)].name) +
+             (std::get<1>(info.param) ? "_Local" : "_Global");
+    });
+
+}  // namespace
+}  // namespace exi

@@ -23,6 +23,7 @@
 #include "index/bptree.h"
 #include "index/iot.h"
 #include "posting_rows.h"
+#include "txn/transaction.h"
 
 namespace exi {
 namespace {
@@ -612,13 +613,28 @@ TEST(BPlusTreeTest, UpsertAndExtractReturnTheOldPayload) {
   EXPECT_EQ(tree.size(), 0u);
 }
 
-// A B-tree index keyed by `columns` INTEGER columns.
-Schema IntKeySchema(int columns = 1) {
+// A B-tree index over a table of `columns` INTEGER columns, keyed on all
+// of them in order, so a key is also its table row.
+BTreeIndex IntIndex(int columns = 1) {
   Schema schema;
+  std::vector<size_t> positions;
   for (int c = 0; c < columns; ++c) {
     schema.AddColumn(Column{"k" + std::to_string(c), DataType::Integer()});
+    positions.push_back(size_t(c));
   }
-  return schema;
+  return BTreeIndex("i", schema, std::move(positions));
+}
+
+// Adds / removes the entry of table row `key` at `rid` as a one-entry run.
+Status AddEntry(BTreeIndex& index, const CompositeKey& key, RowId rid) {
+  std::vector<Row> entries;
+  index.AddEntry(rid, key, &entries);
+  return index.Write({}, std::move(entries), nullptr);
+}
+Status RemoveEntry(BTreeIndex& index, const CompositeKey& key, RowId rid) {
+  std::vector<Row> entries;
+  index.AddEntry(rid, key, &entries);
+  return index.Write(std::move(entries), {}, nullptr);
 }
 
 // Every rowid the index holds, in (key, rowid) order.
@@ -627,29 +643,64 @@ std::vector<RowId> AllRids(const BTreeIndex& index) {
 }
 
 TEST(BTreeIndexTest, NonUniquePostings) {
-  BTreeIndex index("i", IntKeySchema());
-  ASSERT_TRUE(index.Insert(IntKey(5), 101).ok());
-  ASSERT_TRUE(index.Insert(IntKey(5), 100).ok());
-  ASSERT_TRUE(index.Insert(IntKey(6), 102).ok());
-  EXPECT_EQ(index.Insert(IntKey(5), 100).code(), StatusCode::kAlreadyExists);
+  BTreeIndex index = IntIndex();
+  ASSERT_TRUE(AddEntry(index, IntKey(5), 101).ok());
+  ASSERT_TRUE(AddEntry(index, IntKey(5), 100).ok());
+  ASSERT_TRUE(AddEntry(index, IntKey(6), 102).ok());
+  EXPECT_EQ(AddEntry(index, IntKey(5), 100).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(AllRids(index), (std::vector<RowId>{100, 101, 102}));
   // Rowids of one key come in rowid order, not insertion order.
   EXPECT_EQ(index.ScanEqual(IntKey(5)), (std::vector<RowId>{100, 101}));
-  ASSERT_TRUE(index.Delete(IntKey(5), 100).ok());
+  ASSERT_TRUE(RemoveEntry(index, IntKey(5), 100).ok());
   EXPECT_EQ(index.ScanEqual(IntKey(5)).size(), 1u);
-  EXPECT_EQ(index.Delete(IntKey(5), 999).code(), StatusCode::kNotFound);
+  EXPECT_EQ(RemoveEntry(index, IntKey(5), 999).code(), StatusCode::kNotFound);
   EXPECT_EQ(AllRids(index).size(), 2u);
   EXPECT_TRUE(index.ScanEqual(IntKey(99)).empty());
   // Deleting a key's last rowid removes the key.
-  ASSERT_TRUE(index.Delete(IntKey(5), 101).ok());
+  ASSERT_TRUE(RemoveEntry(index, IntKey(5), 101).ok());
   EXPECT_TRUE(index.ScanEqual(IntKey(5)).empty());
   EXPECT_EQ(AllRids(index), (std::vector<RowId>{102}));
 }
 
+// One Write is one merge run: a NULL leading key makes no entry, an entry
+// in both lists is left alone, and under a transaction the whole run is
+// one undo entry that puts every entry back.
+TEST(BTreeIndexTest, WriteIsOneRunUndoneAsOneEntry) {
+  BTreeIndex index = IntIndex();
+  std::vector<Row> entries;
+  for (int64_t k = 0; k < 10; ++k) {
+    index.AddEntry(RowId(k + 1), IntKey(k), &entries);
+  }
+  index.AddEntry(99, {Value::Null()}, &entries);
+  EXPECT_EQ(entries.size(), 10u);
+  ASSERT_TRUE(index.BulkLoad(std::move(entries)).ok());
+
+  Transaction txn(1);
+  std::vector<Row> removed;
+  std::vector<Row> added;
+  for (int64_t k = 0; k < 10; ++k) {
+    // Rows 1-5 keep their keys, rows 6-10 move theirs up by 100.
+    index.AddEntry(RowId(k + 1), IntKey(k), &removed);
+    index.AddEntry(RowId(k + 1), IntKey(k < 5 ? k : k + 100), &added);
+  }
+  index.AddEntry(11, IntKey(50), &added);
+  StorageMetrics before = GlobalMetrics().Snapshot();
+  ASSERT_TRUE(index.Write(std::move(removed), std::move(added), &txn).ok());
+  // Five entries go, six come; the unchanged five are not touched.
+  EXPECT_EQ(GlobalMetrics().Snapshot().Delta(before).index_entries_written,
+            11u);
+  EXPECT_EQ(txn.undo_depth(), 1u);
+  EXPECT_EQ(AllRids(index),
+            (std::vector<RowId>{1, 2, 3, 4, 5, 11, 6, 7, 8, 9, 10}));
+  txn.RunUndo();
+  EXPECT_EQ(AllRids(index),
+            (std::vector<RowId>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
 TEST(BTreeIndexTest, RangeScansAllBoundShapes) {
-  BTreeIndex index("i", IntKeySchema());
+  BTreeIndex index = IntIndex();
   for (int64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(index.Insert(IntKey(i), RowId(i + 1)).ok());
+    ASSERT_TRUE(AddEntry(index, IntKey(i), RowId(i + 1)).ok());
   }
   auto count = [&](std::optional<KeyBound> lo,
                    std::optional<KeyBound> hi) {
@@ -666,12 +717,11 @@ TEST(BTreeIndexTest, RangeScansAllBoundShapes) {
 }
 
 TEST(BTreeIndexTest, ScanLeadingPrefix) {
-  BTreeIndex index("i", IntKeySchema(2));
+  BTreeIndex index = IntIndex(2);
   for (int64_t a = 0; a < 10; ++a) {
     for (int64_t b = 0; b < 5; ++b) {
-      ASSERT_TRUE(index
-                      .Insert({Value::Integer(a), Value::Integer(b)},
-                              RowId(a * 10 + b + 1))
+      ASSERT_TRUE(AddEntry(index, {Value::Integer(a), Value::Integer(b)},
+                           RowId(a * 10 + b + 1))
                       .ok());
     }
   }

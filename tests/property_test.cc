@@ -33,21 +33,24 @@ class BtreeOracleProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BtreeOracleProperty, RangeScansMatchReference) {
   Rng rng(GetParam());
-  Schema key_schema;
-  key_schema.AddColumn(Column{"k", DataType::Integer()});
-  BTreeIndex index("p", key_schema);
+  Schema schema;
+  schema.AddColumn(Column{"k", DataType::Integer()});
+  BTreeIndex index("p", schema, {0});
   std::multimap<int64_t, RowId> oracle;
   for (int op = 0; op < 3000; ++op) {
     int64_t key = int64_t(rng.Uniform(200));
+    std::vector<Row> entries;
     if (rng.Uniform(4) == 0 && !oracle.empty()) {
       auto it = oracle.find(key);
       if (it != oracle.end()) {
-        ASSERT_TRUE(index.Delete({Value::Integer(key)}, it->second).ok());
+        index.AddEntry(it->second, {Value::Integer(key)}, &entries);
+        ASSERT_TRUE(index.Write(std::move(entries), {}, nullptr).ok());
         oracle.erase(it);
       }
     } else {
       RowId rid = RowId(op + 1);
-      ASSERT_TRUE(index.Insert({Value::Integer(key)}, rid).ok());
+      index.AddEntry(rid, {Value::Integer(key)}, &entries);
+      ASSERT_TRUE(index.Write({}, std::move(entries), nullptr).ok());
       oracle.emplace(key, rid);
     }
   }
@@ -73,20 +76,29 @@ TEST_P(BtreeOracleProperty, RangeScansMatchReference) {
 // on a unique column `u`, a 20-valued column `v`, and a two-column key
 // (v, w) whose second column holds NULLs, for the four one-sided bound
 // shapes, two-sided ranges, equality and a leading-prefix probe.  Half the
-// rows are loaded before CREATE INDEX and half after; every scan is checked
-// again after deletes and key-changing updates, and after a transaction
-// that changes all three is rolled back.  Scans come in (key, rowid)
-// order, so rows are compared as sorted id lists.
+// rows are loaded before CREATE INDEX and half after, in single-row and
+// multi-row INSERTs; every scan is checked again after deletes and
+// key-changing updates of single rows and of id ranges, after updates
+// that leave `u` and `v` alone, after partition DDL, and after a
+// transaction that changes all of them is rolled back.  Scans come in
+// (key, rowid) order, so rows are compared as sorted id lists.
 TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
   Rng rng(GetParam());
   Database db;
   Connection conn(&db);
   // `t` is indexed on u and on v; `c` holds the same rows under one (v, w)
-  // index, so its single-column predicates are prefix probes.
+  // index, so its single-column predicates are prefix probes; `p` is `t`
+  // RANGE-partitioned on id under the same two global indexes, with no
+  // partition for ids from 100000.
   conn.MustExecute("CREATE TABLE t (id INTEGER, u INTEGER, v INTEGER, "
                    "w INTEGER)");
   conn.MustExecute("CREATE TABLE c (id INTEGER, u INTEGER, v INTEGER, "
                    "w INTEGER)");
+  conn.MustExecute(
+      "CREATE TABLE p (id INTEGER, u INTEGER, v INTEGER, w INTEGER) "
+      "PARTITION BY RANGE (id) (PARTITION p0 VALUES LESS THAN (100), "
+      "PARTITION p1 VALUES LESS THAN (200), PARTITION p2 VALUES LESS THAN "
+      "(300), PARTITION p3 VALUES LESS THAN (100000))");
   struct Rec {
     int64_t u;
     int64_t v;
@@ -94,30 +106,38 @@ TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
   };
   std::map<int64_t, Rec> model;
   int64_t next_u = 1000;
+  auto random_w = [&] {
+    return rng.Uniform(4) == 0 ? std::nullopt
+                               : std::optional<int64_t>(rng.Uniform(5));
+  };
   auto random_rec = [&] {
-    Rec r{next_u++, int64_t(rng.Uniform(20)), std::nullopt};
-    if (rng.Uniform(4) != 0) r.w = int64_t(rng.Uniform(5));
-    return r;
+    return Rec{next_u++, int64_t(rng.Uniform(20)), random_w()};
   };
-  auto values = [](int64_t id, const Rec& r) {
-    return std::to_string(id) + ", " + std::to_string(r.u) + ", " +
-           std::to_string(r.v) + ", " +
-           (r.w ? std::to_string(*r.w) : std::string("NULL"));
+  auto sql_w = [](std::optional<int64_t> w) {
+    return w ? std::to_string(*w) : std::string("NULL");
   };
-  auto both = [&](const std::string& sql_for_table) {
-    for (const char* table : {"t", "c"}) {
+  auto values = [&](int64_t id, const Rec& r) {
+    return "(" + std::to_string(id) + ", " + std::to_string(r.u) + ", " +
+           std::to_string(r.v) + ", " + sql_w(r.w) + ")";
+  };
+  auto all = [&](const std::string& sql_for_table) {
+    for (const char* table : {"t", "c", "p"}) {
       std::string sql = sql_for_table;
       sql.replace(sql.find("%"), 1, table);
       conn.MustExecute(sql);
     }
   };
   int64_t next_id = 1;
-  auto insert = [&](int n) {
+  // `n` rows, as single-row INSERTs or as one multi-row INSERT.
+  auto insert = [&](int n, bool one_statement) {
+    std::string rows;
     for (int i = 0; i < n; ++i) {
       Rec r = random_rec();
-      both("INSERT INTO % VALUES (" + values(next_id, r) + ")");
+      if (!one_statement) all("INSERT INTO % VALUES " + values(next_id, r));
+      rows += (i > 0 ? ", " : "") + values(next_id, r);
       model[next_id++] = r;
     }
+    if (one_statement && n > 0) all("INSERT INTO % VALUES " + rows);
   };
   auto some_id = [&] {
     auto it = model.begin();
@@ -129,15 +149,41 @@ TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
     for (int i = 0; i < n && !model.empty(); ++i) {
       int64_t id = some_id();
       if (rng.Uniform(2) == 0) {
-        both("DELETE FROM % WHERE id = " + std::to_string(id));
+        all("DELETE FROM % WHERE id = " + std::to_string(id));
         model.erase(id);
       } else {
         Rec r = random_rec();
-        both("UPDATE % SET u = " + std::to_string(r.u) +
-             ", v = " + std::to_string(r.v) + ", w = " +
-             (r.w ? std::to_string(*r.w) : std::string("NULL")) +
-             " WHERE id = " + std::to_string(id));
+        all("UPDATE % SET u = " + std::to_string(r.u) +
+            ", v = " + std::to_string(r.v) + ", w = " + sql_w(r.w) +
+            " WHERE id = " + std::to_string(id));
         model[id] = r;
+      }
+    }
+  };
+  // Statements over a random range of about 40 ids: a DELETE, an UPDATE
+  // that moves every `v`, or one that leaves `u` and `v` alone.
+  auto churn_ranges = [&](int n) {
+    for (int i = 0; i < n && !model.empty(); ++i) {
+      const int64_t lo = some_id();
+      const int64_t hi = lo + 40;
+      const std::string range = " WHERE id >= " + std::to_string(lo) +
+                                " AND id < " + std::to_string(hi);
+      auto first = model.lower_bound(lo);
+      auto last = model.lower_bound(hi);
+      switch (rng.Uniform(3)) {
+        case 0:
+          all("DELETE FROM %" + range);
+          model.erase(first, last);
+          break;
+        case 1:
+          all("UPDATE % SET v = v + 1" + range);
+          for (auto it = first; it != last; ++it) it->second.v++;
+          break;
+        default: {
+          const std::optional<int64_t> w = random_w();
+          all("UPDATE % SET u = u, w = " + sql_w(w) + range);
+          for (auto it = first; it != last; ++it) it->second.w = w;
+        }
       }
     }
   };
@@ -182,10 +228,9 @@ TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
       const bool on_u = q % 2 == 0;
       const std::multimap<int64_t, int64_t>& ref = on_u ? by_u : by_v;
       const std::string col = on_u ? "u" : "v";
-      const std::string index = on_u ? "t_u" : "t_v";
       // Bounds near stored keys, so equal keys sit on the bounds.
       auto pick = [&]() -> int64_t {
-        if (!on_u) return int64_t(rng.Uniform(22)) - 1;
+        if (!on_u || model.empty()) return int64_t(rng.Uniform(24)) - 1;
         return model.at(some_id()).u + int64_t(rng.Uniform(3)) - 1;
       };
       int64_t a = pick();
@@ -194,22 +239,25 @@ TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
       const std::string sa = std::to_string(a);
       const std::string sb = std::to_string(b);
       SCOPED_TRACE(col + " a=" + sa + " b=" + sb);
-      EXPECT_EQ(run("t", col + " = " + sa, index),
-                expect(ref, a, true, a, true));
-      EXPECT_EQ(run("t", col + " > " + sa, index),
-                expect(ref, a, false, std::nullopt, false));
-      EXPECT_EQ(run("t", col + " >= " + sa, index),
-                expect(ref, a, true, std::nullopt, false));
-      EXPECT_EQ(run("t", col + " < " + sa, index),
-                expect(ref, std::nullopt, false, a, false));
-      EXPECT_EQ(run("t", col + " <= " + sa, index),
-                expect(ref, std::nullopt, false, a, true));
-      EXPECT_EQ(run("t", col + " > " + sa + " AND " + col + " <= " + sb,
-                    index),
-                expect(ref, a, false, b, true));
-      EXPECT_EQ(run("t", col + " >= " + sa + " AND " + col + " < " + sb,
-                    index),
-                expect(ref, a, true, b, false));
+      for (const std::string table : {"t", "p"}) {
+        const std::string index = table + "_" + col;
+        EXPECT_EQ(run(table, col + " = " + sa, index),
+                  expect(ref, a, true, a, true));
+        EXPECT_EQ(run(table, col + " > " + sa, index),
+                  expect(ref, a, false, std::nullopt, false));
+        EXPECT_EQ(run(table, col + " >= " + sa, index),
+                  expect(ref, a, true, std::nullopt, false));
+        EXPECT_EQ(run(table, col + " < " + sa, index),
+                  expect(ref, std::nullopt, false, a, false));
+        EXPECT_EQ(run(table, col + " <= " + sa, index),
+                  expect(ref, std::nullopt, false, a, true));
+        EXPECT_EQ(run(table, col + " > " + sa + " AND " + col + " <= " + sb,
+                      index),
+                  expect(ref, a, false, b, true));
+        EXPECT_EQ(run(table, col + " >= " + sa + " AND " + col + " < " + sb,
+                      index),
+                  expect(ref, a, true, b, false));
+      }
       if (!on_u) {
         // Leading-prefix probe of (v, w): rows whose w is NULL included.
         EXPECT_EQ(run("c", "v = " + sa, "c_vw"), expect(ref, a, true, a, true));
@@ -217,18 +265,57 @@ TEST_P(BtreeOracleProperty, SqlScansMatchReferenceAfterDmlAndRollback) {
     }
   };
 
-  insert(150);
+  insert(150, rng.Uniform(2) == 0);
   conn.MustExecute("CREATE INDEX t_u ON t(u)");
   conn.MustExecute("CREATE INDEX t_v ON t(v)");
   conn.MustExecute("CREATE INDEX c_vw ON c(v, w)");
-  insert(150);
+  conn.MustExecute("CREATE INDEX p_u ON p(u)");
+  conn.MustExecute("CREATE INDEX p_v ON p(v)");
+  insert(75, false);
+  insert(75, true);
   check("after load");
   churn(120);
+  churn_ranges(6);
   check("after deletes and updates");
+
+  // A multi-row INSERT whose last row fits no partition of `p` fails with
+  // ORA-14400 and leaves none of its rows behind.
+  std::string rows;
+  for (int i = 0; i < 20; ++i) rows += values(next_id + i, random_rec()) + ", ";
+  Result<QueryResult> failed = conn.Execute(
+      "INSERT INTO p VALUES " + rows + values(100000, random_rec()));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("ORA-14400"), std::string::npos);
+  check("after a failed multi-row INSERT");
+
+  // Partition DDL under global indexes, mirrored by range DELETEs.
+  conn.MustExecute("ALTER TABLE p TRUNCATE PARTITION p0");
+  conn.MustExecute("ALTER TABLE p DROP PARTITION p1");
+  conn.MustExecute("DELETE FROM t WHERE id < 200");
+  conn.MustExecute("DELETE FROM c WHERE id < 200");
+  model.erase(model.begin(), model.lower_bound(200));
+  check("after TRUNCATE and DROP PARTITION");
+
   const std::map<int64_t, Rec> committed = model;
   conn.MustExecute("BEGIN");
-  insert(40);
+  // Inside a transaction an N-row INSERT logs one undo entry per heap row
+  // and one merge run per built-in index: N + k.
+  rows.clear();
+  for (int i = 0; i < 30; ++i) {
+    Rec r = random_rec();
+    rows += (i > 0 ? ", " : "") + values(next_id, r);
+    model[next_id++] = r;
+  }
+  for (const auto& [table, k] :
+       std::vector<std::pair<std::string, size_t>>{{"t", 2}, {"c", 1},
+                                                   {"p", 2}}) {
+    const size_t depth = db.txns().current()->undo_depth();
+    conn.MustExecute("INSERT INTO " + table + " VALUES " + rows);
+    EXPECT_EQ(db.txns().current()->undo_depth() - depth, 30 + k) << table;
+  }
+  insert(10, false);
   churn(80);
+  churn_ranges(4);
   check("inside a transaction");
   conn.MustExecute("ROLLBACK");
   model = committed;

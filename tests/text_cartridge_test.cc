@@ -344,6 +344,42 @@ TEST_F(TextCartridgeTest, LegacyTwoStepMatchesDomainIndexResults) {
   EXPECT_EQ(delta.temp_rows_read, 0u);
 }
 
+// The legacy two-step path reads the sources a domain-index scan reads, so
+// a stop word is answered from the base table and NOT ranges over non-NULL
+// documents only: each query returns what Contains returns.
+TEST(TextStopWordTest, LegacyTwoStepAnswersLikeContains) {
+  Database db;
+  Connection conn(&db);
+  ASSERT_TRUE(InstallTextCartridge(&conn).ok());
+  conn.MustExecute("CREATE TABLE docs (id INTEGER, body VARCHAR(200))");
+  conn.MustExecute(
+      "INSERT INTO docs VALUES (1, 'the cat'), (2, 'a dog'), (3, NULL)");
+  conn.MustExecute(
+      "CREATE INDEX dtext ON docs(body) INDEXTYPE IS TextIndexType "
+      "PARAMETERS (':Ignore the')");
+  for (const auto& [query, want] :
+       std::vector<std::pair<std::string, std::vector<int64_t>>>{
+           {"the", {1}}, {"NOT cat", {2}}}) {
+    SCOPED_TRACE(query);
+    std::vector<int64_t> contains;
+    for (const Row& row : conn.MustExecute("SELECT id FROM docs WHERE "
+                                           "Contains(body, '" +
+                                           query + "') ORDER BY id")
+                              .rows) {
+      contains.push_back(row[0].AsInteger());
+    }
+    std::vector<int64_t> legacy;
+    ASSERT_TRUE(text::LegacyTextQuery(&db, "dtext", query,
+                                      [&](RowId, const Row& row) {
+                                        legacy.push_back(row[0].AsInteger());
+                                      })
+                    .ok());
+    std::sort(legacy.begin(), legacy.end());
+    EXPECT_EQ(contains, want);
+    EXPECT_EQ(legacy, contains);
+  }
+}
+
 TEST_F(TextCartridgeTest, OptimizerPrefersBtreeForSelectiveIdPredicate) {
   // The paper's §2.4.2 example: Contains(resume,...) AND id = 100 — with a
   // very selective B-tree predicate the optimizer should use the B-tree
