@@ -1,9 +1,9 @@
 // Index build: wall time of `CREATE INDEX` at session parallelism 1, where
 // every cartridge builds with one ODCIIndexCreate.  Text at 10k, 20k and
 // 50k documents (tokenize the table in rid order onto one posting list per
-// token, no sort, one sorted IotBulkLoad); the spatial tile index over 20k rectangles at :TileLevel 6
-// (sort the (tile, rid) pairs) and VIR over 20k images (sort the coarse
-// rows), each with one sorted IotBulkLoad.  Emits BENCH_text_build.json.
+// token, no sort, one sorted IotBulkLoad); the spatial tile index over
+// 20k rectangles at :TileLevel 6 and VIR over 20k images.  Emits
+// BENCH_text_build.json.
 //
 // Each configuration is built once per repetition on the same table (DROP
 // INDEX in between; builds over one table alternate).  Next to the times
@@ -20,7 +20,11 @@
 // df; every other cartridge writes one entry per posting.  Two built-in
 // B-tree builds over a 20k-row table, one on a unique INTEGER column and
 // one on a 20-valued one, give the same figures for the engine's own
-// index, whose entry is one (key, rowid) row.
+// index, whose entry is one (key, rowid) row; the domain B-tree over the
+// unique column shows the framework's cost of the same build, and a
+// varray index over 20k collections of 1-3 elements closes the list.
+// Spatial tile, VIR, domain B-tree and varray share one build: scan, sort
+// the entry rows, one IotBulkLoad.
 
 #include <malloc.h>
 
@@ -30,8 +34,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cartridge/domain_btree/domain_btree.h"
 #include "cartridge/spatial/spatial_cartridge.h"
 #include "cartridge/text/text_cartridge.h"
+#include "cartridge/varray/varray_cartridge.h"
 #include "cartridge/vir/vir_cartridge.h"
 #include "engine/connection.h"
 #include "engine/workloads.h"
@@ -179,11 +185,41 @@ int main() {
       }
       conn.MustExecute(sql);
     }
+    if (!dbt::InstallDomainBtreeCartridge(&conn).ok()) return 1;
     Measure(conn,
             {{"btree_unique", rows, "CREATE INDEX bx ON nums(id)",
               "SELECT id FROM nums WHERE id = 7", ""},
              {"btree_20_vals", rows, "CREATE INDEX bx ON nums(grp)",
-              "SELECT id FROM nums WHERE grp = 7", ""}},
+              "SELECT id FROM nums WHERE grp = 7", ""},
+             {"domain_btree", rows,
+              "CREATE INDEX bx ON nums(id) INDEXTYPE IS DomainBtreeType",
+              "SELECT id FROM nums WHERE DEq(id, 7)", ""}},
+            &builds);
+  }
+  {
+    // Row i holds 1-3 of 20 hobbies, h(i % 20) first.
+    const uint64_t rows = Scaled(20000, 60);
+    Database db;
+    Connection conn(&db);
+    if (!varr::InstallVarrayCartridge(&conn).ok()) return 1;
+    conn.MustExecute(
+        "CREATE TABLE emp (id INTEGER, hobbies VARRAY OF VARCHAR)");
+    for (uint64_t id = 0; id < rows;) {
+      std::string sql = "INSERT INTO emp VALUES ";
+      for (uint64_t end = std::min(rows, id + 500); id < end; ++id) {
+        std::string hobbies = "'h" + std::to_string(id % 20) + "'";
+        for (uint64_t k = 1; k <= id % 3; ++k) {
+          hobbies += ", 'h" + std::to_string((id * 7 + k * 3) % 20) + "'";
+        }
+        sql += (sql.back() == ' ' ? "(" : ", (") + std::to_string(id) +
+               ", VARRAY_OF(" + hobbies + "))";
+      }
+      conn.MustExecute(sql);
+    }
+    Measure(conn,
+            {{"varray", rows,
+              "CREATE INDEX bx ON emp(hobbies) INDEXTYPE IS VarrayIndexType",
+              "SELECT id FROM emp WHERE VContains(hobbies, 'h7')", ""}},
             &builds);
   }
   return report.Write() ? 0 : 1;

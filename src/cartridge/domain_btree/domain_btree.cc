@@ -9,17 +9,6 @@ namespace exi::dbt {
 
 namespace {
 
-std::string KeyTableName(const std::string& index_name) {
-  return index_name + "$ktab";
-}
-
-Schema KeyTableSchema() {
-  Schema schema;
-  schema.AddColumn(Column{"val", DataType::Double(), true});
-  schema.AddColumn(Column{"rid", DataType::Integer(), true});
-  return schema;
-}
-
 // Incremental scan workspace: resumes the IOT cursor after the last
 // returned (val, rid) key — the incremental-computation shape (§2.2.3),
 // natural for an ordered structure.
@@ -33,65 +22,20 @@ struct DbtScanWorkspace {
 
 }  // namespace
 
-Status DomainBtreeMethods::Create(const OdciIndexInfo& info,
-                                  ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(
-      ctx.CreateIot(KeyTableName(info.index_name), KeyTableSchema(), 2));
-  int col = info.indexed_position();
-  Status inner = Status::OK();
-  EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
-      info.table_name, [&](RowId rid, const Row& row) {
-        const Value& v = row[col];
-        if (v.is_null()) return true;
-        inner = ctx.IotUpsert(KeyTableName(info.index_name),
-                              {Value::Double(v.AsDouble()),
-                               Value::Integer(int64_t(rid))});
-        return inner.ok();
-      }));
-  return inner;
-}
+DomainBtreeMethods::DomainBtreeMethods()
+    : EntryIndexMethods("$ktab",
+                        Schema({{"val", DataType::Double(), true},
+                                {"rid", DataType::Integer(), true}}),
+                        2) {}
 
-Status DomainBtreeMethods::Alter(const OdciIndexInfo& info,
-                                 ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return Status::OK();
-}
-
-Status DomainBtreeMethods::Truncate(const OdciIndexInfo& info,
-                                    ServerContext& ctx) {
-  return ctx.IotTruncate(KeyTableName(info.index_name));
-}
-
-Status DomainBtreeMethods::Drop(const OdciIndexInfo& info,
-                                ServerContext& ctx) {
-  return ctx.DropIot(KeyTableName(info.index_name));
-}
-
-Status DomainBtreeMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                                  const Value& new_value,
-                                  ServerContext& ctx) {
-  if (new_value.is_null()) return Status::OK();
-  return ctx.IotUpsert(
-      KeyTableName(info.index_name),
-      {Value::Double(new_value.AsDouble()), Value::Integer(int64_t(rid))});
-}
-
-Status DomainBtreeMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                                  const Value& old_value,
-                                  ServerContext& ctx) {
-  if (old_value.is_null()) return Status::OK();
-  return ctx.IotDelete(
-      KeyTableName(info.index_name),
-      {Value::Double(old_value.AsDouble()), Value::Integer(int64_t(rid))});
-}
-
-Status DomainBtreeMethods::Update(const OdciIndexInfo& info, RowId rid,
-                                  const Value& old_value,
-                                  const Value& new_value,
-                                  ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
+Result<EntryIndexMethods::EntryMaker> DomainBtreeMethods::Entries(
+    const OdciIndexInfo&) const {
+  return EntryMaker([](RowId rid, const Value& value,
+                       std::vector<Row>* entries) -> Status {
+    entries->push_back(
+        {Value::Double(value.AsDouble()), Value::Integer(int64_t(rid))});
+    return Status::OK();
+  });
 }
 
 Result<OdciScanContext> DomainBtreeMethods::Start(const OdciIndexInfo& info,
@@ -141,7 +85,7 @@ Status DomainBtreeMethods::Fetch(const OdciIndexInfo& info,
   // range's last key is marked `last`.
   bool more = false;
   EXI_RETURN_IF_ERROR(ctx.IotScanRange(
-      KeyTableName(info.index_name), lo_key,
+      EntryTable(info.index_name), lo_key,
       /*lo_inclusive=*/!ws->started, &hi, true, [&](const Row& row) {
         if (out->rids.size() == max_rows) {
           more = true;

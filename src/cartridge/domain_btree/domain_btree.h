@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/odci.h"
+#include "cartridge/entry_index.h"
 #include "engine/connection.h"
 
 namespace exi::dbt {
@@ -20,21 +20,11 @@ namespace exi::dbt {
 // Operators (on INTEGER/DOUBLE columns):
 //   DEq(col, v)          value equality
 //   DBetween(col, lo, hi) closed-range membership
-class DomainBtreeMethods : public OdciIndex {
+class DomainBtreeMethods : public EntryIndexMethods {
  public:
+  DomainBtreeMethods();
+
   const char* TraceLabel() const override { return "domain_btree"; }
-
-  Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
-
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
 
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
@@ -44,6 +34,10 @@ class DomainBtreeMethods : public OdciIndex {
                ServerContext& ctx) override;
   Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
                ServerContext& ctx) override;
+
+ protected:
+  // One (val, rid) entry per value.
+  Result<EntryMaker> Entries(const OdciIndexInfo& info) const override;
 };
 
 class DomainBtreeStats : public OdciStats {

@@ -32,7 +32,9 @@ Status LegacySpatialBuildIndex(Connection* conn, const std::string& table,
     const Value& v = it.row()[col];
     if (v.is_null()) continue;
     EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(v));
-    for (uint64_t tile : CoverTiles(g, tile_level)) {
+    EXI_ASSIGN_OR_RETURN(std::vector<uint64_t> tiles,
+                         CoverTiles(g, tile_level));
+    for (uint64_t tile : tiles) {
       EXI_RETURN_IF_ERROR(
           db->InsertRow(idx_table,
                         {Value::Integer(int64_t(it.row_id())),

@@ -11,18 +11,8 @@ namespace exi::spatial {
 
 namespace {
 
-std::string TileTableName(const std::string& index_name) {
-  return index_name + "$ttab";
-}
 std::string MetaTableName(const std::string& index_name) {
   return index_name + "$meta";
-}
-
-Schema TileTableSchema() {
-  Schema schema;
-  schema.AddColumn(Column{"tile", DataType::Integer(), true});
-  schema.AddColumn(Column{"rid", DataType::Integer(), true});
-  return schema;
 }
 
 // Key/value metadata store (the cartridge-owned metadata table pattern,
@@ -77,6 +67,12 @@ Result<std::vector<RowId>> ExactFilter(const OdciIndexInfo& info,
 // SpatialIndexMethods (tile-based)
 // ===========================================================================
 
+SpatialIndexMethods::SpatialIndexMethods()
+    : EntryIndexMethods("$ttab",
+                        Schema({{"tile", DataType::Integer(), true},
+                                {"rid", DataType::Integer(), true}}),
+                        2) {}
+
 Result<int> SpatialIndexMethods::TileLevel(const std::string& parameters) {
   EXI_ASSIGN_OR_RETURN(
       int64_t level,
@@ -84,104 +80,19 @@ Result<int> SpatialIndexMethods::TileLevel(const std::string& parameters) {
   return int(level);
 }
 
-namespace {
-
-// Fills the empty tile table from the base table with one sorted
-// IotBulkLoad of every (tile, rid) pair at `level` (Create, and Alter
-// after truncating).
-Status LoadTiles(const OdciIndexInfo& info, int level, ServerContext& ctx) {
-  int col = info.indexed_position();
-  std::vector<std::pair<uint64_t, RowId>> pairs;
-  Status inner = Status::OK();
-  EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
-      info.table_name, [&](RowId rid, const Row& row) {
-        const Value& v = row[col];
-        if (v.is_null()) return true;
-        Result<Geometry> g = FromValue(v);
-        if (!g.ok()) {
-          inner = g.status();
-          return false;
-        }
-        for (uint64_t tile : CoverTiles(*g, level)) {
-          pairs.emplace_back(tile, rid);
-        }
-        return true;
-      }));
-  EXI_RETURN_IF_ERROR(inner);
-  // Each geometry's tiles are distinct, so the sorted pairs are strictly
-  // ascending IOT keys.
-  std::sort(pairs.begin(), pairs.end());
-  std::vector<Row> rows;
-  rows.reserve(pairs.size());
-  for (const auto& [tile, rid] : pairs) {
-    rows.push_back(
-        {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))});
-  }
-  return ctx.IotBulkLoad(TileTableName(info.index_name), std::move(rows));
-}
-
-}  // namespace
-
-Status SpatialIndexMethods::Create(const OdciIndexInfo& info,
-                                   ServerContext& ctx) {
+Result<EntryIndexMethods::EntryMaker> SpatialIndexMethods::Entries(
+    const OdciIndexInfo& info) const {
   EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
-  EXI_RETURN_IF_ERROR(
-      ctx.CreateIot(TileTableName(info.index_name), TileTableSchema(), 2));
-  return LoadTiles(info, level, ctx);
-}
-
-Status SpatialIndexMethods::Alter(const OdciIndexInfo& info,
-                                  ServerContext& ctx) {
-  // Tile level may have changed: rebuild.
-  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
-  EXI_RETURN_IF_ERROR(ctx.IotTruncate(TileTableName(info.index_name)));
-  return LoadTiles(info, level, ctx);
-}
-
-Status SpatialIndexMethods::Truncate(const OdciIndexInfo& info,
-                                     ServerContext& ctx) {
-  return ctx.IotTruncate(TileTableName(info.index_name));
-}
-
-Status SpatialIndexMethods::Drop(const OdciIndexInfo& info,
-                                 ServerContext& ctx) {
-  return ctx.DropIot(TileTableName(info.index_name));
-}
-
-Status SpatialIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                                   const Value& new_value,
-                                   ServerContext& ctx) {
-  if (new_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(new_value));
-  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
-  for (uint64_t tile : CoverTiles(g, level)) {
-    EXI_RETURN_IF_ERROR(ctx.IotUpsert(
-        TileTableName(info.index_name),
-        {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))}));
-  }
-  return Status::OK();
-}
-
-Status SpatialIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                                   const Value& old_value,
-                                   ServerContext& ctx) {
-  if (old_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(old_value));
-  EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
-  for (uint64_t tile : CoverTiles(g, level)) {
-    EXI_RETURN_IF_ERROR(ctx.IotDelete(
-        TileTableName(info.index_name),
-        {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))}));
-  }
-  return Status::OK();
-}
-
-Status SpatialIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
-                                   const Value& old_value,
-                                   const Value& new_value,
-                                   ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
+  return EntryMaker([level](RowId rid, const Value& value,
+                            std::vector<Row>* entries) -> Status {
+    EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(value));
+    EXI_ASSIGN_OR_RETURN(std::vector<uint64_t> tiles, CoverTiles(g, level));
+    for (uint64_t tile : tiles) {
+      entries->push_back(
+          {Value::Integer(int64_t(tile)), Value::Integer(int64_t(rid))});
+    }
+    return Status::OK();
+  });
 }
 
 Result<OdciScanContext> SpatialIndexMethods::Start(const OdciIndexInfo& info,
@@ -193,9 +104,10 @@ Result<OdciScanContext> SpatialIndexMethods::Start(const OdciIndexInfo& info,
 
   // Phase 1: candidate rids whose tile cover intersects the query's.
   std::set<RowId> candidates;
-  std::string iot = TileTableName(info.index_name);
+  std::string iot = EntryTable(info.index_name);
   EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
-  for (uint64_t tile : CoverTiles(query, level)) {
+  EXI_ASSIGN_OR_RETURN(std::vector<uint64_t> tiles, CoverTiles(query, level));
+  for (uint64_t tile : tiles) {
     EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(
         iot, {Value::Integer(int64_t(tile))}, [&](const Row& row) {
           candidates.insert(RowId(row[1].AsInteger()));
@@ -395,7 +307,7 @@ Result<double> SpatialStats::IndexCost(const OdciIndexInfo& info,
   if (ParseRelatePred(pred, &query, &mask).ok()) {
     EXI_ASSIGN_OR_RETURN(int level,
                          SpatialIndexMethods::TileLevel(info.parameters));
-    tiles = double(CoverTiles(query, level).size());
+    tiles = double(CoverTileCount(query, level));
   }
   // Tile probes + candidate fetch + exact-filter work.
   return 10.0 + tiles * 2.0 + selectivity * double(table_rows) * 2.0;

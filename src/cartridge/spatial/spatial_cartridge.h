@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "cartridge/entry_index.h"
 #include "cartridge/params.h"
 #include "cartridge/spatial/geometry.h"
 #include "cartridge/spatial/tiling.h"
@@ -17,26 +18,16 @@ namespace exi::spatial {
 // lookup, then an exact relation filter on the candidates' geometries.
 //
 // PARAMETERS:  ':TileLevel <n>'  grid refinement (default 6 => 64x64).
-class SpatialIndexMethods : public OdciIndex {
+class SpatialIndexMethods : public EntryIndexMethods {
  public:
+  SpatialIndexMethods();
+
   // Start/Fetch/Close touch no mutable cartridge state (DESIGN.md §5).
   OdciCapabilities Capabilities() const override {
     return {.parallel_scan = true};
   }
 
   const char* TraceLabel() const override { return "spatial_tile"; }
-
-  Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
-
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
 
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
@@ -50,6 +41,10 @@ class SpatialIndexMethods : public OdciIndex {
   // The :TileLevel PARAMETER (default 6); InvalidArgument unless it is an
   // integer in [1, kMaxTileLevel].
   static Result<int> TileLevel(const std::string& parameters);
+
+ protected:
+  // One (tile, rid) entry per tile of the geometry's cover at :TileLevel.
+  Result<EntryMaker> Entries(const OdciIndexInfo& info) const override;
 };
 
 // R-tree-backed indextype for the same Sdo_Relate operator: index data in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace exi::spatial {
 
@@ -17,7 +18,15 @@ uint64_t MortonEncode(uint32_t x, uint32_t y) {
   return spread(x) | (spread(y) << 1);
 }
 
-std::vector<uint64_t> CoverTiles(const Geometry& g, int level) {
+namespace {
+
+// The inclusive cell ranges [x0, x1] x [y0, y1] that `g` covers at `level`.
+struct CellRange {
+  uint32_t x0, y0, x1, y1;
+  uint64_t count() const { return uint64_t(x1 - x0 + 1) * (y1 - y0 + 1); }
+};
+
+CellRange CellsOf(const Geometry& g, int level) {
   if (level < 0) level = 0;
   if (level > kMaxTileLevel) level = kMaxTileLevel;
   uint32_t n = CellsPerAxis(level);
@@ -29,18 +38,30 @@ std::vector<uint64_t> CoverTiles(const Geometry& g, int level) {
     if (c > double(n - 1)) c = double(n - 1);
     return uint32_t(c);
   };
-  uint32_t x0 = clamp_cell(g.xmin);
-  uint32_t y0 = clamp_cell(g.ymin);
   // Upper edges exactly on a cell boundary belong to the lower cell.
   double xm = g.xmax > g.xmin ? std::nexttoward(g.xmax, g.xmin) : g.xmax;
   double ym = g.ymax > g.ymin ? std::nexttoward(g.ymax, g.ymin) : g.ymax;
-  uint32_t x1 = clamp_cell(xm);
-  uint32_t y1 = clamp_cell(ym);
+  return {clamp_cell(g.xmin), clamp_cell(g.ymin), clamp_cell(xm),
+          clamp_cell(ym)};
+}
 
+}  // namespace
+
+uint64_t CoverTileCount(const Geometry& g, int level) {
+  return CellsOf(g, level).count();
+}
+
+Result<std::vector<uint64_t>> CoverTiles(const Geometry& g, int level) {
+  const CellRange r = CellsOf(g, level);
+  if (r.count() > kMaxCoverTiles) {
+    return Status::InvalidArgument(
+        "tile cover of " + std::to_string(r.count()) + " tiles at level " +
+        std::to_string(level) + " exceeds " + std::to_string(kMaxCoverTiles));
+  }
   std::vector<uint64_t> tiles;
-  tiles.reserve(size_t(x1 - x0 + 1) * size_t(y1 - y0 + 1));
-  for (uint32_t y = y0; y <= y1; ++y) {
-    for (uint32_t x = x0; x <= x1; ++x) {
+  tiles.reserve(r.count());
+  for (uint32_t y = r.y0; y <= r.y1; ++y) {
+    for (uint32_t x = r.x0; x <= r.x1; ++x) {
       tiles.push_back(MortonEncode(x, y));
     }
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cartridge/spatial/geometry.h"
+#include "common/result.h"
 
 namespace exi::spatial {
 
@@ -20,9 +21,17 @@ inline constexpr int kMaxTileLevel = 16;
 // Morton interleave of 16-bit x/y cell coordinates.
 uint64_t MortonEncode(uint32_t x, uint32_t y);
 
+// The most tiles one cover may list: at level 16 the world alone is 2^32.
+inline constexpr uint64_t kMaxCoverTiles = 65536;
+
+// Number of grid cells at `level` intersecting `g` (clipped to the world
+// square), counted without listing them.
+uint64_t CoverTileCount(const Geometry& g, int level);
+
 // Tile codes of all grid cells at `level` intersecting `g` (clipped to the
-// world square).  Codes are sorted ascending.
-std::vector<uint64_t> CoverTiles(const Geometry& g, int level);
+// world square), sorted ascending.  InvalidArgument naming the count and
+// level when there are more than kMaxCoverTiles.
+Result<std::vector<uint64_t>> CoverTiles(const Geometry& g, int level);
 
 // Number of cells per axis at `level`.
 inline uint32_t CellsPerAxis(int level) { return 1u << level; }

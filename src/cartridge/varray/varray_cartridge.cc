@@ -6,97 +6,30 @@
 
 namespace exi::varr {
 
-namespace {
+VarrayIndexMethods::VarrayIndexMethods()
+    : EntryIndexMethods("$etab",
+                        Schema({{"elem", DataType::Varchar(256), true},
+                                {"rid", DataType::Integer(), true}}),
+                        2) {}
 
-std::string ElemTableName(const std::string& index_name) {
-  return index_name + "$etab";
-}
-
-Schema ElemTableSchema() {
-  Schema schema;
-  schema.AddColumn(Column{"elem", DataType::Varchar(256), true});
-  schema.AddColumn(Column{"rid", DataType::Integer(), true});
-  return schema;
-}
-
-// Distinct string elements of a VARRAY value.
-std::set<std::string> ElementsOf(const Value& v) {
-  std::set<std::string> out;
-  if (v.tag() != TypeTag::kVarray) return out;
-  for (const Value& e : v.AsVarray()) {
-    if (!e.is_null() && e.tag() == TypeTag::kVarchar) {
-      out.insert(e.AsVarchar());
+Result<EntryIndexMethods::EntryMaker> VarrayIndexMethods::Entries(
+    const OdciIndexInfo&) const {
+  return EntryMaker([](RowId rid, const Value& value,
+                       std::vector<Row>* entries) -> Status {
+    if (value.tag() != TypeTag::kVarray) {
+      return Status::TypeMismatch("VarrayIndexType indexes VARRAY values");
     }
-  }
-  return out;
-}
-
-}  // namespace
-
-Status VarrayIndexMethods::Create(const OdciIndexInfo& info,
-                                  ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(
-      ctx.CreateIot(ElemTableName(info.index_name), ElemTableSchema(), 2));
-  int col = info.indexed_position();
-  Status inner = Status::OK();
-  EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
-      info.table_name, [&](RowId rid, const Row& row) {
-        for (const std::string& elem : ElementsOf(row[col])) {
-          inner = ctx.IotUpsert(ElemTableName(info.index_name),
-                                {Value::Varchar(elem),
-                                 Value::Integer(int64_t(rid))});
-          if (!inner.ok()) return false;
-        }
-        return true;
-      }));
-  return inner;
-}
-
-Status VarrayIndexMethods::Alter(const OdciIndexInfo& info,
-                                 ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return Status::OK();
-}
-
-Status VarrayIndexMethods::Truncate(const OdciIndexInfo& info,
-                                    ServerContext& ctx) {
-  return ctx.IotTruncate(ElemTableName(info.index_name));
-}
-
-Status VarrayIndexMethods::Drop(const OdciIndexInfo& info,
-                                ServerContext& ctx) {
-  return ctx.DropIot(ElemTableName(info.index_name));
-}
-
-Status VarrayIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                                  const Value& new_value,
-                                  ServerContext& ctx) {
-  for (const std::string& elem : ElementsOf(new_value)) {
-    EXI_RETURN_IF_ERROR(ctx.IotUpsert(
-        ElemTableName(info.index_name),
-        {Value::Varchar(elem), Value::Integer(int64_t(rid))}));
-  }
-  return Status::OK();
-}
-
-Status VarrayIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                                  const Value& old_value,
-                                  ServerContext& ctx) {
-  for (const std::string& elem : ElementsOf(old_value)) {
-    EXI_RETURN_IF_ERROR(ctx.IotDelete(
-        ElemTableName(info.index_name),
-        {Value::Varchar(elem), Value::Integer(int64_t(rid))}));
-  }
-  return Status::OK();
-}
-
-Status VarrayIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
-                                  const Value& old_value,
-                                  const Value& new_value,
-                                  ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
+    std::set<std::string> elements;  // distinct
+    for (const Value& e : value.AsVarray()) {
+      if (!e.is_null() && e.tag() == TypeTag::kVarchar) {
+        elements.insert(e.AsVarchar());
+      }
+    }
+    for (const std::string& elem : elements) {
+      entries->push_back({Value::Varchar(elem), Value::Integer(int64_t(rid))});
+    }
+    return Status::OK();
+  });
 }
 
 Result<OdciScanContext> VarrayIndexMethods::Start(const OdciIndexInfo& info,
@@ -108,7 +41,7 @@ Result<OdciScanContext> VarrayIndexMethods::Start(const OdciIndexInfo& info,
   }
   std::vector<RowId> matches;
   EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(
-      ElemTableName(info.index_name),
+      EntryTable(info.index_name),
       {Value::Varchar(pred.args[0].AsVarchar())}, [&](const Row& row) {
         matches.push_back(RowId(row[1].AsInteger()));
         return true;

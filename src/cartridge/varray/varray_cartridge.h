@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/odci.h"
+#include "cartridge/entry_index.h"
 #include "engine/connection.h"
 
 namespace exi::varr {
@@ -18,21 +18,11 @@ namespace exi::varr {
 //
 // The operator is named VContains (the text cartridge owns Contains); the
 // index is an element->rowid IOT maintained from the collection values.
-class VarrayIndexMethods : public OdciIndex {
+class VarrayIndexMethods : public EntryIndexMethods {
  public:
+  VarrayIndexMethods();
+
   const char* TraceLabel() const override { return "varray"; }
-
-  Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
-
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
 
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
@@ -42,6 +32,10 @@ class VarrayIndexMethods : public OdciIndex {
                ServerContext& ctx) override;
   Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
                ServerContext& ctx) override;
+
+ protected:
+  // One (elem, rid) entry per distinct string element.
+  Result<EntryMaker> Entries(const OdciIndexInfo& info) const override;
 };
 
 // Registers VContainsFn, a VARRAY(...) constructor function, and:

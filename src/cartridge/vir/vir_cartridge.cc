@@ -12,21 +12,6 @@ namespace exi::vir {
 
 namespace {
 
-std::string CoarseTableName(const std::string& index_name) {
-  return index_name + "$ctab";
-}
-
-Schema CoarseTableSchema() {
-  Schema schema;
-  schema.AddColumn(Column{"bucket", DataType::Integer(), true});
-  schema.AddColumn(Column{"rid", DataType::Integer(), true});
-  schema.AddColumn(Column{"m0", DataType::Double(), true});
-  schema.AddColumn(Column{"m1", DataType::Double(), true});
-  schema.AddColumn(Column{"m2", DataType::Double(), true});
-  schema.AddColumn(Column{"m3", DataType::Double(), true});
-  return schema;
-}
-
 int64_t BucketOf(double coarse0) {
   double b = std::floor(coarse0 * VirIndexMethods::kBuckets);
   if (b < 0) b = 0;
@@ -73,84 +58,24 @@ VirIndexMethods::PhaseCounters VirIndexMethods::last_counters() {
   return g_last_counters;
 }
 
-Status VirIndexMethods::IndexSignature(const OdciIndexInfo& info, RowId rid,
-                                       const Signature& sig,
-                                       ServerContext& ctx) {
-  return ctx.IotUpsert(CoarseTableName(info.index_name), CoarseRow(rid, sig));
-}
+VirIndexMethods::VirIndexMethods()
+    : EntryIndexMethods("$ctab",
+                        Schema({{"bucket", DataType::Integer(), true},
+                                {"rid", DataType::Integer(), true},
+                                {"m0", DataType::Double(), true},
+                                {"m1", DataType::Double(), true},
+                                {"m2", DataType::Double(), true},
+                                {"m3", DataType::Double(), true}}),
+                        2) {}
 
-Status VirIndexMethods::UnindexSignature(const OdciIndexInfo& info,
-                                         RowId rid, const Signature& sig,
-                                         ServerContext& ctx) {
-  std::array<double, kGroups> coarse = Coarse(sig);
-  return ctx.IotDelete(
-      CoarseTableName(info.index_name),
-      {Value::Integer(BucketOf(coarse[0])), Value::Integer(int64_t(rid))});
-}
-
-Status VirIndexMethods::Create(const OdciIndexInfo& info,
-                               ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(ctx.CreateIot(CoarseTableName(info.index_name),
-                                    CoarseTableSchema(), 2));
-  // Every image's coarse row, sorted on the (bucket, rid) key and loaded
-  // with one callback instead of one upsert each.
-  int col = info.indexed_position();
-  std::vector<Row> rows;
-  Status inner = Status::OK();
-  EXI_RETURN_IF_ERROR(ctx.ScanBaseTable(
-      info.table_name, [&](RowId rid, const Row& row) {
-        if (row[col].is_null()) return true;
-        Result<Signature> sig = FromValue(row[col]);
-        if (!sig.ok()) {
-          inner = sig.status();
-          return false;
-        }
-        rows.push_back(CoarseRow(rid, *sig));
-        return true;
-      }));
-  EXI_RETURN_IF_ERROR(inner);
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a[0].AsInteger() != b[0].AsInteger()
-               ? a[0].AsInteger() < b[0].AsInteger()
-               : a[1].AsInteger() < b[1].AsInteger();
+Result<EntryIndexMethods::EntryMaker> VirIndexMethods::Entries(
+    const OdciIndexInfo&) const {
+  return EntryMaker([](RowId rid, const Value& value,
+                       std::vector<Row>* entries) -> Status {
+    EXI_ASSIGN_OR_RETURN(Signature sig, FromValue(value));
+    entries->push_back(CoarseRow(rid, sig));
+    return Status::OK();
   });
-  return ctx.IotBulkLoad(CoarseTableName(info.index_name), std::move(rows));
-}
-
-Status VirIndexMethods::Alter(const OdciIndexInfo& info, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return Status::OK();
-}
-
-Status VirIndexMethods::Truncate(const OdciIndexInfo& info,
-                                 ServerContext& ctx) {
-  return ctx.IotTruncate(CoarseTableName(info.index_name));
-}
-
-Status VirIndexMethods::Drop(const OdciIndexInfo& info, ServerContext& ctx) {
-  return ctx.DropIot(CoarseTableName(info.index_name));
-}
-
-Status VirIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                               const Value& new_value, ServerContext& ctx) {
-  if (new_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Signature sig, FromValue(new_value));
-  return IndexSignature(info, rid, sig, ctx);
-}
-
-Status VirIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                               const Value& old_value, ServerContext& ctx) {
-  if (old_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Signature sig, FromValue(old_value));
-  return UnindexSignature(info, rid, sig, ctx);
-}
-
-Status VirIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
-                               const Value& old_value,
-                               const Value& new_value, ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
 }
 
 Result<OdciScanContext> VirIndexMethods::Start(const OdciIndexInfo& info,
@@ -161,7 +86,7 @@ Result<OdciScanContext> VirIndexMethods::Start(const OdciIndexInfo& info,
   double threshold;
   EXI_RETURN_IF_ERROR(ParseSimilarPred(pred, &query, &weights, &threshold));
   std::array<double, kGroups> qcoarse = Coarse(query);
-  std::string iot = CoarseTableName(info.index_name);
+  std::string iot = EntryTable(info.index_name);
   PhaseCounters counters;
 
   // ---- Phase 1: bucket-window range query on the coarse index table.

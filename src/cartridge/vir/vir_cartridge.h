@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "cartridge/entry_index.h"
 #include "cartridge/vir/signature.h"
 #include "core/odci.h"
 #include "engine/connection.h"
@@ -27,9 +28,11 @@ namespace exi::vir {
 //   <index>$ctab (bucket INTEGER, rid INTEGER,
 //                 m0 DOUBLE, m1 DOUBLE, m2 DOUBLE, m3 DOUBLE)
 // where bucket quantizes the globalcolor coarse mean into kBuckets cells.
-class VirIndexMethods : public OdciIndex {
+class VirIndexMethods : public EntryIndexMethods {
  public:
   static constexpr int kBuckets = 100;
+
+  VirIndexMethods();
 
   // Start precomputes into a private workspace; the shared phase-counter
   // snapshot is mutex-guarded (DESIGN.md §5).
@@ -38,18 +41,6 @@ class VirIndexMethods : public OdciIndex {
   }
 
   const char* TraceLabel() const override { return "vir"; }
-
-  Status Create(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Alter(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
-  Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
-
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
 
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
@@ -72,11 +63,9 @@ class VirIndexMethods : public OdciIndex {
   };
   static PhaseCounters last_counters();
 
- private:
-  Status IndexSignature(const OdciIndexInfo& info, RowId rid,
-                        const Signature& sig, ServerContext& ctx);
-  Status UnindexSignature(const OdciIndexInfo& info, RowId rid,
-                          const Signature& sig, ServerContext& ctx);
+ protected:
+  // One coarse row per image.
+  Result<EntryMaker> Entries(const OdciIndexInfo& info) const override;
 };
 
 // ODCIStats for VIRSimilar: threshold-driven selectivity, bucket-window

@@ -17,11 +17,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-size_t ThreadPool::worker_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return workers_.size();
-}
-
 void ThreadPool::EnsureWorkerCount(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   while (workers_.size() < n && !stopping_) {

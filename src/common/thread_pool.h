@@ -29,8 +29,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t worker_count() const;
-
   // Grows the pool to at least `n` workers (never shrinks).  Cheap when
   // already large enough; safe from any thread.
   void EnsureWorkerCount(size_t n);

@@ -71,14 +71,6 @@ const BuiltinFn* FindBuiltin(const std::string& name) {
 
 }  // namespace
 
-Schema FlattenSchemas(const std::vector<BoundTable>& tables) {
-  Schema out;
-  for (const BoundTable& t : tables) {
-    for (const Column& c : t.schema->columns()) out.AddColumn(c);
-  }
-  return out;
-}
-
 Status Binder::BindColumnRef(Expr* expr,
                              const std::vector<BoundTable>& tables) const {
   // Resolution: (a) qualifier matches a table alias -> qualified column;

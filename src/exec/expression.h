@@ -46,10 +46,6 @@ class Binder {
   const Catalog* catalog_;
 };
 
-// Builds the flattened schema of a FROM list (columns of all tables in
-// order), for projections that expand `*`.
-Schema FlattenSchemas(const std::vector<BoundTable>& tables);
-
 }  // namespace exi
 
 #endif  // EXTIDX_EXEC_EXPRESSION_H_

@@ -1,7 +1,5 @@
 #include "index/bptree.h"
 
-#include <algorithm>
-#include <iterator>
 #include <limits>
 
 #include "txn/transaction.h"
@@ -49,37 +47,11 @@ void BTreeIndex::AddEntry(RowId rid, const Row& row,
   entry.push_back(Value::Integer(int64_t(rid)));
 }
 
-Status BTreeIndex::BulkLoad(std::vector<Row> entries) {
-  std::sort(entries.begin(), entries.end(), KeyLess());
-  return iot_.BulkLoad(std::move(entries));
-}
-
 Status BTreeIndex::Write(std::vector<Row> removed, std::vector<Row> added,
                          Transaction* txn) {
-  std::sort(removed.begin(), removed.end(), KeyLess());
-  std::sort(added.begin(), added.end(), KeyLess());
-  // One run over the entries in exactly one list.  An added entry moves
-  // into the run; whether a run entry comes is read off `removed`, which
-  // stays whole.
-  std::vector<CompositeKey> keys;
-  std::set_symmetric_difference(
-      removed.begin(), removed.end(), std::make_move_iterator(added.begin()),
-      std::make_move_iterator(added.end()), std::back_inserter(keys),
-      KeyLess());
   Iot::MergeUndo undo;
-  Status s = iot_.MergeSorted(
-      keys,
-      [&](size_t i, const Row* current) -> Result<std::optional<Row>> {
-        const bool add = !std::binary_search(removed.begin(), removed.end(),
-                                             keys[i], KeyLess());
-        if (add == (current != nullptr)) {
-          const std::string entry = KeyToString(keys[i]) + " in " + name();
-          if (add) return Status::AlreadyExists("duplicate entry " + entry);
-          return Status::NotFound("no entry " + entry);
-        }
-        return add ? std::optional<Row>(keys[i]) : std::nullopt;
-      },
-      txn != nullptr ? &undo : nullptr);
+  Status s = iot_.WriteEntries(std::move(removed), std::move(added),
+                               txn != nullptr ? &undo : nullptr);
   if (txn != nullptr) txn->PushRevert(&iot_, std::move(undo));
   return s;
 }

@@ -47,13 +47,13 @@ class BTreeIndex {
   void AddEntry(RowId rid, const Row& row, std::vector<Row>* entries) const;
 
   // Loads `entries`, in any order, into this empty index.
-  Status BulkLoad(std::vector<Row> entries);
+  Status BulkLoad(std::vector<Row> entries) {
+    SortByKey(&entries, iot_.key_columns());
+    return iot_.BulkLoad(std::move(entries));
+  }
 
-  // Applies one statement's change as one sorted merge run: the entries
-  // `removed` go and the entries `added` come, each list in any order.  An
-  // entry in both, as an UPDATE that leaves a key alone makes, is left as
-  // it is.  An absent removed entry errors with NotFound and a present
-  // added one with AlreadyExists.  Under `txn` the run is undone by one
+  // Applies one statement's change, the entries `removed` and `added`, as
+  // one merge run (MergeEntryDiff).  Under `txn` the run is undone by one
   // undo entry, also when an error ends it.
   Status Write(std::vector<Row> removed, std::vector<Row> added,
                Transaction* txn);

@@ -1,11 +1,72 @@
 #include "index/iot.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
+#include <utility>
 
 #include "common/metrics.h"
 
 namespace exi {
+
+namespace {
+
+// A row's first `columns` values.
+KeySpan LeadingKey(const Row& row, size_t columns) {
+  return KeySpan(row).first(std::min(columns, row.size()));
+}
+
+}  // namespace
+
+void SortByKey(std::vector<Row>* rows, size_t key_columns) {
+  std::sort(rows->begin(), rows->end(),
+            [key_columns](const Row& a, const Row& b) {
+              return CompareKeys(LeadingKey(a, key_columns),
+                                 LeadingKey(b, key_columns)) < 0;
+            });
+}
+
+Status MergeEntryDiff(std::vector<Row> removed, std::vector<Row> added,
+                      size_t key_columns, const std::string& table,
+                      FunctionRef<Status(const std::vector<CompositeKey>&,
+                                         RowMerge)> run) {
+  SortByKey(&removed, key_columns);
+  SortByKey(&added, key_columns);
+  // The keys whose entry changes, each with whether it must be present
+  // before the run and the row it holds after (nullptr: none).
+  std::vector<CompositeKey> keys;
+  std::vector<std::pair<bool, Row*>> steps;
+  for (size_t r = 0, a = 0; r < removed.size() || a < added.size();) {
+    Row* old_row = r < removed.size() ? &removed[r] : nullptr;
+    Row* new_row = a < added.size() ? &added[a] : nullptr;
+    // The lower key is removed (< 0), added (> 0) or both (0).
+    const int c = old_row == nullptr ? 1
+                  : new_row == nullptr
+                      ? -1
+                      : CompareKeys(LeadingKey(*old_row, key_columns),
+                                    LeadingKey(*new_row, key_columns));
+    r += c <= 0;
+    a += c >= 0;
+    if (c == 0 && CompareKeys(*old_row, *new_row) == 0) continue;
+    KeySpan key = LeadingKey(c <= 0 ? *old_row : *new_row, key_columns);
+    keys.emplace_back(key.begin(), key.end());
+    steps.emplace_back(c <= 0, c >= 0 ? new_row : nullptr);
+  }
+  if (keys.empty()) return Status::OK();
+  return run(keys, [&](size_t i, const Row* current)
+                       -> Result<std::optional<Row>> {
+    const auto [present, next] = steps[i];
+    if (present != (current != nullptr)) {
+      const std::string entry = KeyToString(keys[i]) + " in " + table;
+      if (current != nullptr) {
+        return Status::AlreadyExists("duplicate entry " + entry);
+      }
+      return Status::NotFound("no entry " + entry);
+    }
+    if (next == nullptr) return std::optional<Row>();
+    return std::optional<Row>(std::move(*next));
+  });
+}
 
 Iot::Iot(std::string name, Schema schema, size_t key_columns)
     : name_(std::move(name)),
@@ -15,26 +76,25 @@ Iot::Iot(std::string name, Schema schema, size_t key_columns)
   assert(key_columns_ > 0 && key_columns_ <= schema_.size());
 }
 
-Status Iot::DuplicateKeyError(KeySpan key) const {
-  return Status::AlreadyExists("duplicate key " + KeyToString(key) +
-                               " in IOT " + name_);
-}
-
 Status Iot::MissingKeyError(KeySpan key) const {
   return Status::NotFound("no key " + KeyToString(key) + " in IOT " + name_);
 }
 
+Status Iot::WriteEntries(std::vector<Row> removed, std::vector<Row> added,
+                         MergeUndo* undo) {
+  return MergeEntryDiff(
+      std::move(removed), std::move(added), key_columns_, name_,
+      [&](const std::vector<CompositeKey>& keys, RowMerge merge) {
+        return MergeSorted(keys, merge, undo);
+      });
+}
+
 Status Iot::Insert(Row row, MergeUndo* undo) {
-  KeySpan key = KeyOf(row);
-  std::vector<CompositeKey> keys(1);
-  keys[0].assign(key.begin(), key.end());
-  return MergeSorted(
-      keys,
-      [&](size_t, const Row* current) -> Result<std::optional<Row>> {
-        if (current != nullptr) return DuplicateKeyError(keys[0]);
-        return std::optional<Row>(std::move(row));
-      },
-      undo);
+  return WriteEntries({}, {std::move(row)}, undo);
+}
+
+Status Iot::Delete(const CompositeKey& key, MergeUndo* undo) {
+  return WriteEntries({key}, {}, undo);
 }
 
 Status Iot::MergeSorted(const std::vector<CompositeKey>& keys,
@@ -103,16 +163,6 @@ void Iot::Revert(MergeUndo undo) {
         return std::optional<Row>(std::move(*rows[i]));
       },
       nullptr);
-}
-
-Status Iot::Delete(const CompositeKey& key, MergeUndo* undo) {
-  return MergeSorted(
-      {key},
-      [&](size_t, const Row* current) -> Result<std::optional<Row>> {
-        if (current == nullptr) return MissingKeyError(key);
-        return std::optional<Row>();
-      },
-      undo);
 }
 
 Status Iot::BulkLoad(std::vector<Row> rows) {

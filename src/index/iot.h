@@ -19,6 +19,22 @@ namespace exi {
 // that ends the run (see Iot::MergeSorted).
 using RowMerge = FunctionRef<Result<std::optional<Row>>(size_t, const Row*)>;
 
+// Sorts entry rows on their first `key_columns` values.
+void SortByKey(std::vector<Row>* rows, size_t key_columns);
+
+// Applies one change to a table of entry rows keyed on their first
+// `key_columns` columns as one merge run through `run` (Iot::MergeSorted
+// or ServerContext::IotMergeSorted): the `removed` entries go and the
+// `added` ones come, each list in any order.  A key in both lists holds
+// its added row, unless the two rows are equal (an UPDATE that leaves an
+// entry alone): then it is left out, and a change that cancels out makes
+// no run.  An absent removed entry is NotFound and a present added one
+// AlreadyExists, naming `table`.
+Status MergeEntryDiff(std::vector<Row> removed, std::vector<Row> added,
+                      size_t key_columns, const std::string& table,
+                      FunctionRef<Status(const std::vector<CompositeKey>&,
+                                         RowMerge)> run);
+
 // Index-organized table: the paper's "index modeled as a table, where each
 // row is an index entry".  Each row is stored once, in one B+-tree leaf
 // slot, keyed by its first `key_columns` schema columns (the primary key);
@@ -63,12 +79,14 @@ class Iot {
   // Puts back the rows a merge run changed, as one merge run.
   void Revert(MergeUndo undo);
 
-  // Inserts `row` as a one-key merge run; errors with AlreadyExists on a
-  // duplicate primary key.  `*undo`, when given, receives the added key.
-  Status Insert(Row row, MergeUndo* undo = nullptr);
+  // MergeEntryDiff of `removed` and `added` as a merge run on this IOT;
+  // `*undo`, when given, receives what the run changed.
+  Status WriteEntries(std::vector<Row> removed, std::vector<Row> added,
+                      MergeUndo* undo = nullptr);
 
-  // Deletes by primary key as a one-key merge run; errors with NotFound if
-  // absent.  `*undo`, when given, receives the deleted row.
+  // WriteEntries of one added row (AlreadyExists on a duplicate primary
+  // key) or one removed key (NotFound if absent).
+  Status Insert(Row row, MergeUndo* undo = nullptr);
   Status Delete(const CompositeKey& key, MergeUndo* undo = nullptr);
 
   // Loads `rows` into this empty IOT bottom-up.  Every row must pass the
@@ -106,8 +124,7 @@ class Iot {
     }
   };
 
-  // The errors Insert and Delete return for a present / absent key.
-  Status DuplicateKeyError(KeySpan key) const;
+  // The error Get returns for an absent key.
   Status MissingKeyError(KeySpan key) const;
   // The error for keys of a sorted call that do not strictly ascend.
   Status UnsortedKeyError(const char* call, KeySpan key) const;

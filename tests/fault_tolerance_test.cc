@@ -609,6 +609,8 @@ TEST_F(FaultToleranceTest, TransientFailureInTextUpdateRetriesFromSavepoint) {
       "callback/iot_merge", "nth=2 status=IoError");
 }
 
+// Tile maintenance is one merge run per call, deletes and writes
+// together: its one callback/iot_merge hit fails.
 TEST_F(FaultToleranceTest, TransientFailureInTileUpdateRetriesFromSavepoint) {
   ExpectUpdateRetriesFromSavepoint(
       spatial::InstallSpatialCartridge,
@@ -618,7 +620,7 @@ TEST_F(FaultToleranceTest, TransientFailureInTileUpdateRetriesFromSavepoint) {
        "(2, SDO_GEOMETRY(50,50,60,60)), (3, SDO_GEOMETRY(100,100,110,110))"},
       "UPDATE parks SET geometry = SDO_GEOMETRY(200,200,210,210) "
       "WHERE gid = 1",
-      "px$ttab", "callback/iot_upsert", "once status=IoError");
+      "px$ttab", "callback/iot_merge", "once status=IoError");
 }
 
 // A per-row-only cartridge gets one call per statement too: the OdciIndex
@@ -706,9 +708,9 @@ const CreateRetryCase kCreateRetryCases[] = {
        return workload::BuildMoleculeTable(conn, "src", 20, 8, 1);
      },
      "CREATE INDEX six ON src(smiles) INDEXTYPE IS ChemIndexType"},
-    {"domain_btree", "callback/iot_upsert", dbt::InstallDomainBtreeCartridge,
+    {"domain_btree", "callback/iot_bulk_load", dbt::InstallDomainBtreeCartridge,
      FillScalars, "CREATE INDEX six ON src(v) INDEXTYPE IS DomainBtreeType"},
-    {"varray", "callback/iot_upsert", varr::InstallVarrayCartridge,
+    {"varray", "callback/iot_bulk_load", varr::InstallVarrayCartridge,
      FillCollections,
      "CREATE INDEX six ON src(hobbies) INDEXTYPE IS VarrayIndexType"},
 };

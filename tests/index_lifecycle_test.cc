@@ -3,12 +3,15 @@
 // answers what functional evaluation answers, also after DML that follows
 // the ALTER; after DROP INDEX no IOT, index table, LOB or external file of
 // the index remains.  Each indextype runs on a global index and on a
-// LOCAL index over two RANGE partitions.
+// LOCAL index over two RANGE partitions.  For the indextypes whose index
+// is one IOT of entries, DML and ROLLBACK also keep every slice equal to
+// what REBUILD writes, and each statement writes one merge run per slice.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "cartridge/varray/varray_cartridge.h"
 #include "cartridge/vir/vir_cartridge.h"
 #include "engine/connection.h"
+#include "index/key.h"
 #include "temp_path.h"
 
 namespace exi {
@@ -187,6 +191,28 @@ class IndexLifecycleTest
     EXPECT_TRUE(dbt::InstallDomainBtreeCartridge(&conn_).ok());
   }
 
+  // Tables x, LOCAL over two RANGE partitions when `local`, and its
+  // unindexed copy f, each holding rows 1-40: type.values, then filler.
+  void CreateTables(const Indextype& type, bool local) {
+    for (const char* table : {"x", "f"}) {
+      conn_.MustExecute(
+          std::string("CREATE TABLE ") + table + " (id INTEGER, c " +
+          type.column_type + ")" +
+          (local && table[0] == 'x'
+               ? " PARTITION BY RANGE (id) (PARTITION a VALUES LESS THAN "
+                 "(5), PARTITION b VALUES LESS THAN (MAXVALUE))"
+               : ""));
+      std::string rows;
+      for (size_t i = 0; i < 40; ++i) {
+        rows += (i > 0 ? ", (" : "(") + std::to_string(i + 1) + ", " +
+                (i < type.values.size() ? type.values[i] : type.filler) +
+                ")";
+      }
+      conn_.MustExecute(std::string("INSERT INTO ") + table + " VALUES " +
+                        rows);
+    }
+  }
+
   Storage StorageNow() {
     return {db_.catalog().IotNames(), db_.catalog().IndexTableNames(),
             db_.catalog().lobs().lob_count(), FilesUnder(root_.str())};
@@ -228,21 +254,7 @@ class IndexLifecycleTest
 TEST_P(IndexLifecycleTest, AlterKeepsFunctionalAnswersAndDropLeavesNothing) {
   const auto [which, local] = GetParam();
   const Indextype& type = Indextypes()[which];
-  for (const char* table : {"x", "f"}) {
-    conn_.MustExecute(
-        std::string("CREATE TABLE ") + table + " (id INTEGER, c " +
-        type.column_type + ")" +
-        (local && table[0] == 'x'
-             ? " PARTITION BY RANGE (id) (PARTITION a VALUES LESS THAN (5), "
-               "PARTITION b VALUES LESS THAN (MAXVALUE))"
-             : ""));
-    std::string rows;
-    for (size_t i = 0; i < 40; ++i) {
-      rows += (i > 0 ? ", (" : "(") + std::to_string(i + 1) + ", " +
-              (i < type.values.size() ? type.values[i] : type.filler) + ")";
-    }
-    conn_.MustExecute(std::string("INSERT INTO ") + table + " VALUES " + rows);
-  }
+  CreateTables(type, local);
   const Storage before = StorageNow();
   conn_.MustExecute(std::string("CREATE INDEX xi ON x(c) ") + type.create);
   conn_.MustExecute("ANALYZE x");
@@ -273,6 +285,113 @@ TEST_P(IndexLifecycleTest, AlterKeepsFunctionalAnswersAndDropLeavesNothing) {
   conn_.MustExecute("DROP INDEX xi");
   EXPECT_EQ(StorageNow(), before);
 }
+
+// The indextypes whose index is one IOT of entries (EntryIndexMethods).
+class EntryIndexDmlTest : public IndexLifecycleTest {
+ protected:
+  // The rows of every IOT of index xi (one per slice), in key order.
+  std::map<std::string, std::vector<std::string>> IndexRows() {
+    std::map<std::string, std::vector<std::string>> out;
+    for (const std::string& name : db_.catalog().IotNames()) {
+      if (!name.starts_with("xi")) continue;
+      std::vector<std::string>& rows = out[name];
+      (*db_.catalog().GetIot(name))
+          ->ScanRange(nullptr, true, nullptr, true, [&rows](const Row& row) {
+            rows.push_back(KeyToString(row));
+            return true;
+          });
+    }
+    return out;
+  }
+
+  // Answers equal functional evaluation, and the index holds exactly the
+  // rows a REBUILD writes.
+  void ExpectConsistent(const Indextype& type) {
+    ExpectFunctionalAnswers(type);
+    const auto maintained = IndexRows();
+    EXPECT_FALSE(maintained.empty());
+    conn_.MustExecute("ALTER INDEX xi REBUILD");
+    EXPECT_EQ(maintained, IndexRows());
+  }
+
+  // Runs `sql`, whose table is written %, on x and then on f.
+  void OnBoth(const std::string& sql) {
+    for (const char* table : {"x", "f"}) {
+      std::string on = sql;
+      on.replace(on.find('%'), 1, table);
+      conn_.MustExecute(on);
+    }
+  }
+};
+
+// Multi-row INSERT, range UPDATE (one of which leaves c as it is), range
+// DELETE, and all three rolled back: after each, the maintained index
+// answers like functional evaluation and equals its rebuild.  A 64-row
+// INSERT inside BEGIN logs one undo entry per heap row and one for the
+// index's single merge run.
+TEST_P(EntryIndexDmlTest, DmlMatchesRebuildAndIsOneRunPerStatement) {
+  const auto [which, local] = GetParam();
+  const Indextype& type = Indextypes()[which];
+  CreateTables(type, local);
+  conn_.MustExecute(std::string("CREATE INDEX xi ON x(c) ") + type.create);
+  conn_.MustExecute("ANALYZE x");
+  std::string rows;
+  for (size_t i = 0; i < 8; ++i) {
+    rows += (i > 0 ? ", (" : "(") + std::to_string(201 + i) + ", " +
+            type.values[7 - i] + ")";
+  }
+  const std::string insert = "INSERT INTO % VALUES " + rows;
+  const std::string update = std::string("UPDATE % SET c = ") +
+                             type.added_value + " WHERE id BETWEEN 3 AND 6";
+  const std::string same = "UPDATE % SET c = c WHERE id BETWEEN 1 AND 20";
+  const std::string remove = "DELETE FROM % WHERE id BETWEEN 6 AND 12";
+  for (const std::string& sql : {insert, update, same, remove}) {
+    SCOPED_TRACE(sql);
+    OnBoth(sql);
+    ExpectConsistent(type);
+  }
+
+  const auto committed = IndexRows();
+  conn_.MustExecute("BEGIN");
+  for (const std::string& sql : {insert, update, remove}) {
+    conn_.MustExecute(std::string(sql).replace(sql.find('%'), 1, "x"));
+  }
+  conn_.MustExecute("ROLLBACK");
+  EXPECT_EQ(IndexRows(), committed);
+  ExpectConsistent(type);
+
+  // All 64 rows land in one slice, LOCAL or not.
+  rows.clear();
+  for (size_t i = 0; i < 64; ++i) {
+    rows += (i > 0 ? ", (" : "(") + std::to_string(300 + i) + ", " +
+            type.values[i % type.values.size()] + ")";
+  }
+  conn_.MustExecute("BEGIN");
+  const size_t depth = db_.txns().current()->undo_depth();
+  conn_.MustExecute("INSERT INTO x VALUES " + rows);
+  EXPECT_EQ(db_.txns().current()->undo_depth() - depth, 64u + 1u);
+  conn_.MustExecute("ROLLBACK");
+  EXPECT_EQ(IndexRows(), committed);
+}
+
+size_t IndextypeNamed(const char* name) {
+  for (size_t i = 0; i < Indextypes().size(); ++i) {
+    if (std::string(Indextypes()[i].name) == name) return i;
+  }
+  return Indextypes().size();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryIndextypes, EntryIndexDmlTest,
+    ::testing::Combine(::testing::Values(IndextypeNamed("SpatialTile"),
+                                         IndextypeNamed("Vir"),
+                                         IndextypeNamed("Varray"),
+                                         IndextypeNamed("DomainBtree")),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return std::string(Indextypes()[std::get<0>(info.param)].name) +
+             (std::get<1>(info.param) ? "_Local" : "_Global");
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Indextypes, IndexLifecycleTest,

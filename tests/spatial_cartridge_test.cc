@@ -55,18 +55,35 @@ TEST(GeometryTest, MaskParsing) {
 
 TEST(TilingTest, CoverTilesBasics) {
   // Level 1: 2x2 grid of 5000-unit cells.
-  auto tiles = CoverTiles(Geometry{0, 0, 100, 100}, 1);
+  auto tiles = *CoverTiles(Geometry{0, 0, 100, 100}, 1);
   EXPECT_EQ(tiles.size(), 1u);
-  tiles = CoverTiles(Geometry{0, 0, 6000, 100}, 1);
+  tiles = *CoverTiles(Geometry{0, 0, 6000, 100}, 1);
   EXPECT_EQ(tiles.size(), 2u);
-  tiles = CoverTiles(Geometry{0, 0, 6000, 6000}, 1);
+  tiles = *CoverTiles(Geometry{0, 0, 6000, 6000}, 1);
   EXPECT_EQ(tiles.size(), 4u);
   // Upper edge exactly on a boundary stays in the lower cell.
-  tiles = CoverTiles(Geometry{0, 0, 5000, 5000}, 1);
+  tiles = *CoverTiles(Geometry{0, 0, 5000, 5000}, 1);
   EXPECT_EQ(tiles.size(), 1u);
   // Out-of-world coordinates clamp.
-  tiles = CoverTiles(Geometry{-100, -100, 20000, 20000}, 1);
+  tiles = *CoverTiles(Geometry{-100, -100, 20000, 20000}, 1);
   EXPECT_EQ(tiles.size(), 4u);
+  EXPECT_EQ(CoverTileCount(Geometry{-100, -100, 20000, 20000}, 1), 4u);
+}
+
+// A world-sized geometry at level 16 covers 65,536^2 cells: the cover is
+// refused before it is allocated, and the count needs no allocation.
+TEST(TilingTest, OversizedCoverIsRefusedBeforeAllocating) {
+  const Geometry world{0, 0, kWorldSize, kWorldSize};
+  EXPECT_EQ(CoverTileCount(world, 16), uint64_t(1) << 32);
+  Result<std::vector<uint64_t>> tiles = CoverTiles(world, 16);
+  ASSERT_FALSE(tiles.ok());
+  EXPECT_EQ(tiles.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tiles.status().message().find("4294967296 tiles at level 16"),
+            std::string::npos)
+      << tiles.status().ToString();
+  // The largest cover allowed: 256 x 256 cells at level 8 is the world.
+  EXPECT_EQ(CoverTiles(world, 8)->size(), kMaxCoverTiles);
+  EXPECT_FALSE(CoverTiles(world, 9).ok());
 }
 
 TEST(TilingTest, MortonIsInjectivePerLevel) {
@@ -371,6 +388,39 @@ TEST_F(SpatialCartridgeTest, MalformedTileLevelIsRejected) {
   EXPECT_EQ(params.rows[0][0].AsVarchar(), ":TileLevel 5");
   EXPECT_EQ(QueryGids("Sdo_Relate(geometry, SDO_GEOMETRY(50,50,60,60), "
                       "'mask=ANYINTERACT')"),
+            std::vector<int64_t>{1});
+}
+
+// The world square at :TileLevel 16 is 2^32 tiles: CREATE INDEX over it,
+// and INSERT of it under a level-16 index, fail with InvalidArgument
+// instead of allocating its cover, and the table keeps its rows.
+TEST_F(SpatialCartridgeTest, WorldSizedCoverAtLevel16IsRefused) {
+  InsertRect("parks", 1, 10, 10, 11, 11);  // 7 x 7 tiles at level 16
+  const std::string world = "SDO_GEOMETRY(0,0,10000,10000)";
+  conn_.MustExecute("CREATE TABLE big (gid INTEGER, geometry OBJECT "
+                    "SDO_GEOMETRY)");
+  conn_.MustExecute("INSERT INTO big VALUES (1, " + world + ")");
+  Result<QueryResult> create = conn_.Execute(
+      "CREATE INDEX big_sidx ON big(geometry) INDEXTYPE IS "
+      "SpatialIndexType PARAMETERS (':TileLevel 16')");
+  ASSERT_FALSE(create.ok());
+  EXPECT_EQ(create.status().code(), StatusCode::kInvalidArgument)
+      << create.status().ToString();
+
+  conn_.MustExecute(
+      "CREATE INDEX parks_sidx ON parks(geometry) "
+      "INDEXTYPE IS SpatialIndexType PARAMETERS (':TileLevel 16')");
+  Result<QueryResult> insert =
+      conn_.Execute("INSERT INTO parks VALUES (2, " + world + ")");
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(insert.status().message().find("at level 16"),
+            std::string::npos)
+      << insert.status().ToString();
+  // The costed plan for a world-sized window counts its cover without
+  // listing it, and the answer equals functional evaluation.
+  EXPECT_EQ(QueryGids("Sdo_Relate(geometry, " + world +
+                      ", 'mask=ANYINTERACT')"),
             std::vector<int64_t>{1});
 }
 
