@@ -4,8 +4,9 @@
 
 namespace exi {
 
-Status EntryIndexMethods::Load(const OdciIndexInfo& info,
-                               const EntryMaker& make, ServerContext& ctx) {
+Result<std::vector<Row>> EntryIndexMethods::Load(const OdciIndexInfo& info,
+                                                  const EntryMaker& make,
+                                                  ServerContext& ctx) {
   const int col = info.indexed_position();
   std::vector<Row> entries;
   Status inner = Status::OK();
@@ -16,22 +17,27 @@ Status EntryIndexMethods::Load(const OdciIndexInfo& info,
       }));
   EXI_RETURN_IF_ERROR(inner);
   SortByKey(&entries, key_columns_);
-  return ctx.IotBulkLoad(EntryTable(info.index_name), std::move(entries));
+  return entries;
 }
 
 Status EntryIndexMethods::Create(const OdciIndexInfo& info,
                                  ServerContext& ctx) {
   EXI_ASSIGN_OR_RETURN(EntryMaker make, Entries(info));
-  EXI_RETURN_IF_ERROR(
-      ctx.CreateIot(EntryTable(info.index_name), schema_, key_columns_));
-  return Load(info, make, ctx);
+  const std::string table = EntryTable(info.index_name);
+  EXI_RETURN_IF_ERROR(ctx.CreateIot(table, schema_, key_columns_));
+  EXI_ASSIGN_OR_RETURN(std::vector<Row> entries, Load(info, make, ctx));
+  return ctx.IotBulkLoad(table, std::move(entries));
 }
 
 Status EntryIndexMethods::Alter(const OdciIndexInfo& info,
                                 ServerContext& ctx) {
+  // Every entry is made before the old ones go: a value the new
+  // parameters cannot index fails the call with the index untouched.
   EXI_ASSIGN_OR_RETURN(EntryMaker make, Entries(info));
-  EXI_RETURN_IF_ERROR(ctx.IotTruncate(EntryTable(info.index_name)));
-  return Load(info, make, ctx);
+  EXI_ASSIGN_OR_RETURN(std::vector<Row> entries, Load(info, make, ctx));
+  const std::string table = EntryTable(info.index_name);
+  EXI_RETURN_IF_ERROR(ctx.IotTruncate(table));
+  return ctx.IotBulkLoad(table, std::move(entries));
 }
 
 Status EntryIndexMethods::Write(const OdciIndexInfo& info,

@@ -14,11 +14,12 @@ namespace exi {
 // at a rowid becomes zero or more entries, keyed on their leading
 // `key_columns` columns.  A cartridge derives from it, supplies the entry
 // maker (Entries) and writes its own scans.  Create is one base-table
-// scan, one sort and one IotBulkLoad; Alter truncates and loads again, so
-// the PARAMETERS the entries read take effect; each array maintenance
-// call is one IotMergeSorted run over the entries it removes and adds
-// (MergeEntryDiff), none when they cancel out; a per-row call is a
-// one-row batch.
+// scan, one sort and one IotBulkLoad; Alter makes every entry again, then
+// truncates and loads them, so the PARAMETERS the entries read take effect
+// and a value they cannot index leaves the index as it was; each array
+// maintenance call is one IotMergeSorted run over the entries it removes
+// and adds (MergeEntryDiff), none when they cancel out; a per-row call is
+// a one-row batch.
 class EntryIndexMethods : public OdciIndex {
  public:
   // Appends the entries of `value` (never NULL, which has none) at `rid`
@@ -79,9 +80,9 @@ class EntryIndexMethods : public OdciIndex {
   virtual Result<EntryMaker> Entries(const OdciIndexInfo& info) const = 0;
 
  private:
-  // Fills the empty entry IOT from the base table.
-  Status Load(const OdciIndexInfo& info, const EntryMaker& make,
-              ServerContext& ctx);
+  // The entries of every base-table row, sorted by key.
+  Result<std::vector<Row>> Load(const OdciIndexInfo& info,
+                                const EntryMaker& make, ServerContext& ctx);
   // One merge run from the entries of `old_values` to those of
   // `new_values` (either may be null: none), values[i] at rids[i].
   Status Write(const OdciIndexInfo& info, const std::vector<RowId>& rids,

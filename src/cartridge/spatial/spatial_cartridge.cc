@@ -106,12 +106,27 @@ Result<OdciScanContext> SpatialIndexMethods::Start(const OdciIndexInfo& info,
   std::set<RowId> candidates;
   std::string iot = EntryTable(info.index_name);
   EXI_ASSIGN_OR_RETURN(int level, TileLevel(info.parameters));
-  EXI_ASSIGN_OR_RETURN(std::vector<uint64_t> tiles, CoverTiles(query, level));
-  for (uint64_t tile : tiles) {
-    EXI_RETURN_IF_ERROR(ctx.IotScanPrefix(
-        iot, {Value::Integer(int64_t(tile))}, [&](const Row& row) {
-          candidates.insert(RowId(row[1].AsInteger()));
-          return true;
+  const TileCover cover = CoverOf(query, level);
+  auto collect = [&candidates](const Row& row) {
+    candidates.insert(RowId(row[1].AsInteger()));
+    return true;
+  };
+  if (cover.count() <= kMaxCoverTiles) {
+    EXI_ASSIGN_OR_RETURN(std::vector<uint64_t> tiles,
+                         CoverTiles(query, level));
+    for (uint64_t tile : tiles) {
+      EXI_RETURN_IF_ERROR(
+          ctx.IotScanPrefix(iot, {Value::Integer(int64_t(tile))}, collect));
+    }
+  } else {
+    // A window too large to list tile by tile: one range scan over its
+    // Z-order span, keeping the entries whose tile it covers.
+    const CompositeKey lo = {Value::Integer(int64_t(cover.first()))};
+    const CompositeKey hi = {Value::Integer(int64_t(cover.last()) + 1)};
+    EXI_RETURN_IF_ERROR(
+        ctx.IotScanRange(iot, &lo, true, &hi, false, [&](const Row& row) {
+          return !cover.Contains(uint64_t(row[0].AsInteger())) ||
+                 collect(row);
         }));
   }
   // Phase 2: exact relation on the candidates.
@@ -307,7 +322,7 @@ Result<double> SpatialStats::IndexCost(const OdciIndexInfo& info,
   if (ParseRelatePred(pred, &query, &mask).ok()) {
     EXI_ASSIGN_OR_RETURN(int level,
                          SpatialIndexMethods::TileLevel(info.parameters));
-    tiles = double(CoverTileCount(query, level));
+    tiles = double(CoverOf(query, level).count());
   }
   // Tile probes + candidate fetch + exact-filter work.
   return 10.0 + tiles * 2.0 + selectivity * double(table_rows) * 2.0;

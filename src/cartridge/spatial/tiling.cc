@@ -18,15 +18,21 @@ uint64_t MortonEncode(uint32_t x, uint32_t y) {
   return spread(x) | (spread(y) << 1);
 }
 
-namespace {
+bool TileCover::Contains(uint64_t tile) const {
+  auto compact = [](uint64_t v) {
+    v &= 0x55555555;
+    v = (v | (v >> 1)) & 0x33333333;
+    v = (v | (v >> 2)) & 0x0F0F0F0F;
+    v = (v | (v >> 4)) & 0x00FF00FF;
+    v = (v | (v >> 8)) & 0x0000FFFF;
+    return uint32_t(v);
+  };
+  const uint32_t x = compact(tile);
+  const uint32_t y = compact(tile >> 1);
+  return x >= x0 && x <= x1 && y >= y0 && y <= y1;
+}
 
-// The inclusive cell ranges [x0, x1] x [y0, y1] that `g` covers at `level`.
-struct CellRange {
-  uint32_t x0, y0, x1, y1;
-  uint64_t count() const { return uint64_t(x1 - x0 + 1) * (y1 - y0 + 1); }
-};
-
-CellRange CellsOf(const Geometry& g, int level) {
+TileCover CoverOf(const Geometry& g, int level) {
   if (level < 0) level = 0;
   if (level > kMaxTileLevel) level = kMaxTileLevel;
   uint32_t n = CellsPerAxis(level);
@@ -45,14 +51,8 @@ CellRange CellsOf(const Geometry& g, int level) {
           clamp_cell(ym)};
 }
 
-}  // namespace
-
-uint64_t CoverTileCount(const Geometry& g, int level) {
-  return CellsOf(g, level).count();
-}
-
 Result<std::vector<uint64_t>> CoverTiles(const Geometry& g, int level) {
-  const CellRange r = CellsOf(g, level);
+  const TileCover r = CoverOf(g, level);
   if (r.count() > kMaxCoverTiles) {
     return Status::InvalidArgument(
         "tile cover of " + std::to_string(r.count()) + " tiles at level " +

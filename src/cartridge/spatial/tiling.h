@@ -24,9 +24,21 @@ uint64_t MortonEncode(uint32_t x, uint32_t y);
 // The most tiles one cover may list: at level 16 the world alone is 2^32.
 inline constexpr uint64_t kMaxCoverTiles = 65536;
 
-// Number of grid cells at `level` intersecting `g` (clipped to the world
-// square), counted without listing them.
-uint64_t CoverTileCount(const Geometry& g, int level);
+// The grid cells at `level` intersecting `g` (clipped to the world
+// square): the inclusive cell ranges [x0, x1] x [y0, y1].
+struct TileCover {
+  uint32_t x0, y0, x1, y1;
+
+  // Number of cells, counted without listing them.
+  uint64_t count() const { return uint64_t(x1 - x0 + 1) * (y1 - y0 + 1); }
+  // Whether tile code `tile` is one of the cells.
+  bool Contains(uint64_t tile) const;
+  // The least and greatest code of the cells: the Morton interleave grows
+  // with each coordinate, so every cell's code lies between them.
+  uint64_t first() const { return MortonEncode(x0, y0); }
+  uint64_t last() const { return MortonEncode(x1, y1); }
+};
+TileCover CoverOf(const Geometry& g, int level);
 
 // Tile codes of all grid cells at `level` intersecting `g` (clipped to the
 // world square), sorted ascending.  InvalidArgument naming the count and

@@ -309,14 +309,28 @@ Status DomainIndexManager::AlterIndex(const std::string& index_name,
   info.parameters = index->parameters.empty()
                         ? parameters
                         : index->parameters + " " + parameters;
-  EXI_RETURN_IF_ERROR(CallOnSlices(
+  size_t altered = 0;  // leading slices whose Alter succeeded
+  const Status s = CallOnSlices(
       index, info, std::nullopt, "odci/alter", "ODCIIndexAlter",
-      [](OdciIndex& impl, const OdciIndexInfo& slice_info, ServerContext& ctx) {
-        return impl.Alter(slice_info, ctx);
+      [&altered](OdciIndex& impl, const OdciIndexInfo& slice_info,
+                 ServerContext& ctx) {
+        Status done = impl.Alter(slice_info, ctx);
+        if (done.ok()) ++altered;
+        return done;
       },
-      txn));
-  index->parameters = info.parameters;
-  return Status::OK();
+      txn);
+  if (s.ok()) {
+    index->parameters = info.parameters;
+    return s;
+  }
+  // A LOCAL index's slices altered before the failing one are rebuilt
+  // under the parameters the index keeps (one that cannot be is left
+  // UNUSABLE), so no scan reads entries the index's parameters disown.
+  for (size_t i = 0; i < altered; ++i) {
+    const std::string& slice = index->slices[i].name;
+    (void)RebuildIndex(index_name, slice.substr(slice.find('#') + 1), txn);
+  }
+  return s;
 }
 
 Status DomainIndexManager::DropIndex(const std::string& index_name,

@@ -374,6 +374,36 @@ TEST_P(EntryIndexDmlTest, DmlMatchesRebuildAndIsOneRunPerStatement) {
   EXPECT_EQ(IndexRows(), committed);
 }
 
+// An ALTER the entries cannot take leaves the index as it was: at
+// :TileLevel 9 the cover of a 6000 x 6000 geometry in partition b is
+// 308^2 tiles, over the bound, so the ALTER fails; on a LOCAL index
+// partition a, altered first, goes back to the level the index keeps.
+class TileAlterTest : public EntryIndexDmlTest {};
+
+TEST_P(TileAlterTest, RefusedAlterLeavesIndexAsItWas) {
+  const auto [which, local] = GetParam();
+  const Indextype& type = Indextypes()[which];
+  CreateTables(type, local);
+  OnBoth("UPDATE % SET c = SDO_GEOMETRY(0,0,6000,6000) WHERE id = 40");
+  conn_.MustExecute(std::string("CREATE INDEX xi ON x(c) ") + type.create);
+  conn_.MustExecute("ANALYZE x");
+  const auto built = IndexRows();
+  ExpectFunctionalAnswers(type);
+
+  Result<QueryResult> alter =
+      conn_.Execute("ALTER INDEX xi PARAMETERS (':TileLevel 9')");
+  ASSERT_FALSE(alter.ok());
+  EXPECT_EQ(alter.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(alter.status().message().find("at level 9"), std::string::npos)
+      << alter.status().ToString();
+  EXPECT_EQ(IndexRows(), built);
+  EXPECT_TRUE(conn_.MustExecute("SELECT parameters FROM user_indexes WHERE "
+                                "index_name = 'xi'")
+                  .rows[0][0]
+                  .is_null());
+  ExpectConsistent(type);
+}
+
 size_t IndextypeNamed(const char* name) {
   for (size_t i = 0; i < Indextypes().size(); ++i) {
     if (std::string(Indextypes()[i].name) == name) return i;
@@ -391,6 +421,14 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
       return std::string(Indextypes()[std::get<0>(info.param)].name) +
              (std::get<1>(info.param) ? "_Local" : "_Global");
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    SpatialTile, TileAlterTest,
+    ::testing::Combine(::testing::Values(IndextypeNamed("SpatialTile")),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return std::string(std::get<1>(info.param) ? "Local" : "Global");
     });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -67,14 +68,14 @@ TEST(TilingTest, CoverTilesBasics) {
   // Out-of-world coordinates clamp.
   tiles = *CoverTiles(Geometry{-100, -100, 20000, 20000}, 1);
   EXPECT_EQ(tiles.size(), 4u);
-  EXPECT_EQ(CoverTileCount(Geometry{-100, -100, 20000, 20000}, 1), 4u);
+  EXPECT_EQ(CoverOf(Geometry{-100, -100, 20000, 20000}, 1).count(), 4u);
 }
 
 // A world-sized geometry at level 16 covers 65,536^2 cells: the cover is
 // refused before it is allocated, and the count needs no allocation.
 TEST(TilingTest, OversizedCoverIsRefusedBeforeAllocating) {
   const Geometry world{0, 0, kWorldSize, kWorldSize};
-  EXPECT_EQ(CoverTileCount(world, 16), uint64_t(1) << 32);
+  EXPECT_EQ(CoverOf(world, 16).count(), uint64_t(1) << 32);
   Result<std::vector<uint64_t>> tiles = CoverTiles(world, 16);
   ASSERT_FALSE(tiles.ok());
   EXPECT_EQ(tiles.status().code(), StatusCode::kInvalidArgument);
@@ -84,6 +85,23 @@ TEST(TilingTest, OversizedCoverIsRefusedBeforeAllocating) {
   // The largest cover allowed: 256 x 256 cells at level 8 is the world.
   EXPECT_EQ(CoverTiles(world, 8)->size(), kMaxCoverTiles);
   EXPECT_FALSE(CoverTiles(world, 9).ok());
+}
+
+// The codes in a cover's [first, last] span that Contains accepts are
+// exactly the tiles CoverTiles lists.
+TEST(TilingTest, CoverSpanContainsExactlyItsTiles) {
+  const Geometry g{1234, 2345, 3456, 2999};
+  const TileCover cover = CoverOf(g, 5);
+  const std::vector<uint64_t> tiles = *CoverTiles(g, 5);
+  ASSERT_EQ(tiles.size(), cover.count());
+  EXPECT_EQ(tiles.front(), cover.first());
+  EXPECT_EQ(tiles.back(), cover.last());
+  std::vector<uint64_t> kept;
+  for (uint64_t code = cover.first(); code <= cover.last(); ++code) {
+    if (cover.Contains(code)) kept.push_back(code);
+  }
+  EXPECT_EQ(kept, tiles);
+  EXPECT_LT(kept.size(), cover.last() - cover.first() + 1);
 }
 
 TEST(TilingTest, MortonIsInjectivePerLevel) {
@@ -422,6 +440,67 @@ TEST_F(SpatialCartridgeTest, WorldSizedCoverAtLevel16IsRefused) {
   EXPECT_EQ(QueryGids("Sdo_Relate(geometry, " + world +
                       ", 'mask=ANYINTERACT')"),
             std::vector<int64_t>{1});
+}
+
+// A query window whose cover at the index's level is over the bound is
+// answered through one range scan of its Z-order span instead of tile by
+// tile, whether the planner picks the index for it (a table large enough
+// that the seq scan costs more) or a join probes the index with it.
+TEST_F(SpatialCartridgeTest, OversizedQueryWindowIsAnsweredByRangeScan) {
+  // 14,000 rects 0.1 wide on a 0.8 grid: 125 per row, 112 rows.
+  std::string rows;
+  for (int i = 0; i < 14000; ++i) {
+    const double x = (i % 125) * 0.8;
+    const double y = (i / 125) * 0.8;
+    rows += (i > 0 ? ", (" : "(") + std::to_string(i) + ", SDO_GEOMETRY(" +
+            std::to_string(x) + "," + std::to_string(y) + "," +
+            std::to_string(x + 0.1) + "," + std::to_string(y + 0.1) + "))";
+  }
+  conn_.MustExecute("INSERT INTO parks VALUES " + rows);
+  conn_.MustExecute(
+      "CREATE INDEX parks_sidx ON parks(geometry) "
+      "INDEXTYPE IS SpatialIndexType PARAMETERS (':TileLevel 16')");
+  conn_.MustExecute("ANALYZE parks");
+  // 265^2 tiles at level 16; columns and rows 0-50 of the grid lie in it.
+  const Geometry window{0, 0, 40.4, 40.4};
+  ASSERT_GT(CoverOf(window, 16).count(), kMaxCoverTiles);
+  const std::string where =
+      "Sdo_Relate(geometry, SDO_GEOMETRY(0,0,40.4,40.4), 'mask=ANYINTERACT')";
+  const std::string plan =
+      conn_.MustExecute("EXPLAIN SELECT gid FROM parks WHERE " + where)
+          .message;
+  EXPECT_NE(plan.find("* DomainIndex(parks_sidx)"), std::string::npos)
+      << plan;
+  const std::vector<int64_t> indexed = QueryGids(where);
+  EXPECT_EQ(indexed.size(), 51u * 51u);
+
+  conn_.MustExecute(
+      "CREATE TABLE windows (id INTEGER, geometry OBJECT SDO_GEOMETRY)");
+  conn_.MustExecute(
+      "INSERT INTO windows VALUES (1, SDO_GEOMETRY(0,0,40.4,40.4)), "
+      "(2, SDO_GEOMETRY(0,0,10000,10000)), (3, SDO_GEOMETRY(0,0,0.5,0.5))");
+  const std::string join =
+      "SELECT w.id, COUNT(*) FROM windows w, parks p WHERE "
+      "Sdo_Relate(p.geometry, w.geometry, 'mask=ANYINTERACT') "
+      "GROUP BY w.id";
+  EXPECT_NE(conn_.MustExecute("EXPLAIN " + join)
+                .message.find("DomainIndexJoin(inner=parks via parks_sidx"),
+            std::string::npos);
+  auto counts = [&] {
+    std::map<int64_t, int64_t> out;
+    for (const Row& row : conn_.MustExecute(join).rows) {
+      out[row[0].AsInteger()] = row[1].AsInteger();
+    }
+    return out;
+  };
+  const std::map<int64_t, int64_t> expected = {
+      {1, 51 * 51}, {2, 14000}, {3, 1}};
+  EXPECT_EQ(counts(), expected);
+
+  // Functional evaluation answers the same.
+  conn_.MustExecute("DROP INDEX parks_sidx");
+  EXPECT_EQ(QueryGids(where), indexed);
+  EXPECT_EQ(counts(), expected);
 }
 
 // ---- tile build equivalence: bulk Create, per-row maintenance, Alter ----
