@@ -327,8 +327,8 @@ Status DomainIndexManager::AlterIndex(const std::string& index_name,
   // under the parameters the index keeps (one that cannot be is left
   // UNUSABLE), so no scan reads entries the index's parameters disown.
   for (size_t i = 0; i < altered; ++i) {
-    const std::string& slice = index->slices[i].name;
-    (void)RebuildIndex(index_name, slice.substr(slice.find('#') + 1), txn);
+    const std::string& slice = index->slices[i].name;  // "<index>#<part>"
+    (void)RebuildIndex(index_name, slice.substr(index->name.size() + 1), txn);
   }
   return s;
 }
