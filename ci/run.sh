@@ -19,6 +19,10 @@ echo "==> configure + build"
 cmake -B build -S . "$WERROR" >/dev/null
 cmake --build build -j "$JOBS"
 
+# Reported, not gated: the engine's size, read off every run.
+echo "==> source size: $(find src \( -name '*.h' -o -name '*.cc' \) -print0 |
+  xargs -0 cat | wc -l) lines in src/**/*.{h,cc}"
+
 echo "==> tests"
 (cd build && ctest --output-on-failure -j "$JOBS")
 

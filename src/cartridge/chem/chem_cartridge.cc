@@ -14,16 +14,7 @@ namespace exi::chem {
 
 namespace {
 
-std::string MetaTableName(const std::string& index_name) {
-  return index_name + "$meta";
-}
-
-Schema MetaTableSchema() {
-  Schema schema;
-  schema.AddColumn(Column{"key", DataType::Varchar(64), true});
-  schema.AddColumn(Column{"val", DataType::Integer(), true});
-  return schema;
-}
+constexpr char kLobKey[] = "fp_lob";
 
 constexpr char kFingerprintFile[] = "fingerprints.dat";
 
@@ -116,10 +107,8 @@ Result<std::unique_ptr<RecordStore>> OpenStore(const OdciIndexInfo& info,
                          ctx.ExternalFiles(info.index_name));
     return std::unique_ptr<RecordStore>(new FileRecordStore(files));
   }
-  EXI_ASSIGN_OR_RETURN(Row row, ctx.IotGet(MetaTableName(info.index_name),
-                                           {Value::Varchar("fp_lob")}));
-  return std::unique_ptr<RecordStore>(
-      new LobRecordStore(&ctx, LobId(row[1].AsInteger())));
+  EXI_ASSIGN_OR_RETURN(LobId lob, FindMetaLob(info.index_name, kLobKey, ctx));
+  return std::unique_ptr<RecordStore>(new LobRecordStore(&ctx, lob));
 }
 
 }  // namespace
@@ -135,18 +124,7 @@ Status ChemIndexMethods::Create(const OdciIndexInfo& info,
                                 ServerContext& ctx) {
   EXI_ASSIGN_OR_RETURN(bool file, UsesFileStorage(info.parameters));
   if (!file) {
-    EXI_RETURN_IF_ERROR(ctx.CreateIot(MetaTableName(info.index_name),
-                                      MetaTableSchema(), 1));
-    EXI_ASSIGN_OR_RETURN(LobId lob, ctx.CreateLob());
-    // Drop finds the LOB through this row; until it is written, releasing
-    // the LOB is Create's job.
-    Status recorded = ctx.IotUpsert(
-        MetaTableName(info.index_name),
-        {Value::Varchar("fp_lob"), Value::Integer(int64_t(lob))});
-    if (!recorded.ok()) {
-      (void)ctx.DropLob(lob);
-      return recorded;
-    }
+    EXI_RETURN_IF_ERROR(CreateMetaLob(info.index_name, kLobKey, ctx).status());
   }
   EXI_ASSIGN_OR_RETURN(std::unique_ptr<RecordStore> store,
                        OpenStore(info, ctx));
@@ -180,9 +158,7 @@ Status ChemIndexMethods::Alter(const OdciIndexInfo& info,
   // Changing :Storage after creation is rejected: the records would have to
   // move between stores.  A LOB-backed index is the one with an fp_lob row.
   EXI_ASSIGN_OR_RETURN(bool file, UsesFileStorage(info.parameters));
-  bool built_on_file =
-      !ctx.IotGet(MetaTableName(info.index_name), {Value::Varchar("fp_lob")})
-           .ok();
+  bool built_on_file = !FindMetaLob(info.index_name, kLobKey, ctx).ok();
   if (file != built_on_file) {
     return Status::InvalidArgument(
         "ALTER INDEX cannot change :Storage: chem index " + info.index_name +
@@ -205,28 +181,7 @@ Status ChemIndexMethods::Drop(const OdciIndexInfo& info, ServerContext& ctx) {
                          ctx.ExternalFiles(info.index_name));
     return files->Clear();
   }
-  // A failed Create may have left the metadata table without its row.
-  Result<Row> row = ctx.IotGet(MetaTableName(info.index_name),
-                               {Value::Varchar("fp_lob")});
-  if (row.ok()) EXI_RETURN_IF_ERROR(ctx.DropLob(LobId((*row)[1].AsInteger())));
-  return ctx.DropIot(MetaTableName(info.index_name));
-}
-
-// Per-row maintenance is the one-row case of the array routines below.
-Status ChemIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                                const Value& new_value, ServerContext& ctx) {
-  return BatchInsert(info, {rid}, {new_value}, ctx);
-}
-
-Status ChemIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                                const Value& old_value, ServerContext& ctx) {
-  return BatchDelete(info, {rid}, {old_value}, ctx);
-}
-
-Status ChemIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
-                                const Value& old_value,
-                                const Value& new_value, ServerContext& ctx) {
-  return BatchUpdate(info, {rid}, {old_value}, {new_value}, ctx);
+  return DropMetaLob(info.index_name, kLobKey, ctx);
 }
 
 Status ChemIndexMethods::BatchInsert(const OdciIndexInfo& info,
@@ -271,15 +226,6 @@ Status ChemIndexMethods::BatchDelete(const OdciIndexInfo& info,
     }
   }
   return Status::OK();
-}
-
-Status ChemIndexMethods::BatchUpdate(const OdciIndexInfo& info,
-                                     const std::vector<RowId>& rids,
-                                     const ValueList& old_values,
-                                     const ValueList& new_values,
-                                     ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(BatchDelete(info, rids, old_values, ctx));
-  return BatchInsert(info, rids, new_values, ctx);
 }
 
 Result<OdciScanContext> ChemIndexMethods::Start(const OdciIndexInfo& info,
@@ -341,21 +287,6 @@ Result<OdciScanContext> ChemIndexMethods::Start(const OdciIndexInfo& info,
   return PrecomputedCursor::Park(std::move(matches), [](const auto& m) {
     return std::pair{m.first, Value::Double(m.second)};
   });
-}
-
-Status ChemIndexMethods::Fetch(const OdciIndexInfo& info,
-                               OdciScanContext& sctx, size_t max_rows,
-                               OdciFetchBatch* out, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Fetch(sctx, max_rows, out);
-}
-
-Status ChemIndexMethods::Close(const OdciIndexInfo& info,
-                               OdciScanContext& sctx, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Close(sctx);
 }
 
 // ---- stats ----

@@ -5,7 +5,7 @@
 
 #include "cartridge/chem/fingerprint.h"
 #include "cartridge/chem/molecule.h"
-#include "core/odci.h"
+#include "cartridge/index_methods.h"
 #include "engine/connection.h"
 
 namespace exi::chem {
@@ -31,7 +31,7 @@ namespace exi::chem {
 //     — Tanimoto similarity; used as `MolSim(mol, 'CCO') >= 0.8`, which
 //       the planner normalizes into scan bounds (§2.4.2's
 //       "op(...) relop <value>" form) evaluated entirely on index data.
-class ChemIndexMethods : public OdciIndex {
+class ChemIndexMethods : public IndexMethods {
  public:
   // No Capabilities(): scans stay serial, as maintenance mutates one
   // shared packed store.
@@ -42,34 +42,18 @@ class ChemIndexMethods : public OdciIndex {
   Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
 
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
-
   // Array maintenance pays off especially here: the packed record store
   // has no random access, so BatchInsert concatenates every new
   // fingerprint into a single LOB append (or file rewrite), and
-  // BatchDelete scans the store once for all the doomed rids.  The
-  // per-row routines are their one-row case.
+  // BatchDelete scans the store once for all the doomed rids.
   Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& new_values, ServerContext& ctx) override;
   Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& old_values, ServerContext& ctx) override;
-  Status BatchUpdate(const OdciIndexInfo& info, const std::vector<RowId>& rids,
-                     const ValueList& old_values, const ValueList& new_values,
-                     ServerContext& ctx) override;
 
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
                                 ServerContext& ctx) override;
-  Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
-               size_t max_rows, OdciFetchBatch* out,
-               ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
-               ServerContext& ctx) override;
 
   // True if the :Storage PARAMETER selects the external file store;
   // InvalidArgument unless it is lob (the default) or file.

@@ -101,16 +101,6 @@ Status DomainBtreeMethods::Fetch(const OdciIndexInfo& info,
   return Status::OK();
 }
 
-Status DomainBtreeMethods::Close(const OdciIndexInfo& info,
-                                 OdciScanContext& sctx, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  if (sctx.uses_handle()) {
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
-  }
-  return Status::OK();
-}
-
 Result<double> DomainBtreeStats::Selectivity(const OdciIndexInfo& info,
                                              const OdciPredInfo& pred,
                                              uint64_t table_rows,

@@ -32,8 +32,6 @@ class DomainBtreeMethods : public EntryIndexMethods {
   Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
                size_t max_rows, OdciFetchBatch* out,
                ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
-               ServerContext& ctx) override;
 
  protected:
   // One (val, rid) entry per value.

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/odci.h"
+#include "cartridge/index_methods.h"
 
 namespace exi {
 
@@ -18,9 +18,8 @@ namespace exi {
 // truncates and loads them, so the PARAMETERS the entries read take effect
 // and a value they cannot index leaves the index as it was; each array
 // maintenance call is one IotMergeSorted run over the entries it removes
-// and adds (MergeEntryDiff), none when they cancel out; a per-row call is
-// a one-row batch.
-class EntryIndexMethods : public OdciIndex {
+// and adds (MergeEntryDiff), none when they cancel out.
+class EntryIndexMethods : public IndexMethods {
  public:
   // Appends the entries of `value` (never NULL, which has none) at `rid`
   // to `*entries`; a value the cartridge cannot index is an error.
@@ -54,18 +53,6 @@ class EntryIndexMethods : public OdciIndex {
                      const ValueList& old_values, const ValueList& new_values,
                      ServerContext& ctx) final {
     return Write(info, rids, &old_values, &new_values, ctx);
-  }
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) final {
-    return BatchInsert(info, {rid}, {new_value}, ctx);
-  }
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) final {
-    return BatchDelete(info, {rid}, {old_value}, ctx);
-  }
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) final {
-    return BatchUpdate(info, {rid}, {old_value}, {new_value}, ctx);
   }
 
  protected:

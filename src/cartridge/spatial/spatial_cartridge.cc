@@ -1,6 +1,7 @@
 #include "cartridge/spatial/spatial_cartridge.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -10,19 +11,6 @@
 namespace exi::spatial {
 
 namespace {
-
-std::string MetaTableName(const std::string& index_name) {
-  return index_name + "$meta";
-}
-
-// Key/value metadata store (the cartridge-owned metadata table pattern,
-// §2.5): used by the R-tree indextype to remember its LOB id.
-Schema MetaTableSchema() {
-  Schema schema;
-  schema.AddColumn(Column{"key", DataType::Varchar(64), true});
-  schema.AddColumn(Column{"val", DataType::Integer(), true});
-  return schema;
-}
 
 // Parses the scan predicate common to both indextypes:
 // args = (query geometry, 'mask=...').
@@ -138,51 +126,38 @@ Result<OdciScanContext> SpatialIndexMethods::Start(const OdciIndexInfo& info,
   return PrecomputedCursor::Park(std::move(matches));
 }
 
-Status SpatialIndexMethods::Fetch(const OdciIndexInfo& info,
-                                  OdciScanContext& sctx, size_t max_rows,
-                                  OdciFetchBatch* out, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Fetch(sctx, max_rows, out);
-}
-
-Status SpatialIndexMethods::Close(const OdciIndexInfo& info,
-                                  OdciScanContext& sctx,
-                                  ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Close(sctx);
-}
-
 // ===========================================================================
 // RtreeIndexMethods (LOB-resident R-tree)
 // ===========================================================================
 
 namespace {
 
-Result<LobId> RtreeLob(const OdciIndexInfo& info, ServerContext& ctx) {
-  EXI_ASSIGN_OR_RETURN(
-      Row row, ctx.IotGet(MetaTableName(info.index_name),
-                          {Value::Varchar("rtree_lob")}));
-  return LobId(row[1].AsInteger());
+constexpr char kLobKey[] = "rtree_lob";
+
+// Inserts (or, when `insert` is false, removes) each non-NULL value at
+// its rid in the tree of the index's LOB, which it looks up at the first.
+Status WriteTree(const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                 const ValueList& values, bool insert, ServerContext& ctx) {
+  std::optional<LobRTree> tree;
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (values[i].is_null()) continue;
+    EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(values[i]));
+    if (!tree.has_value()) {
+      EXI_ASSIGN_OR_RETURN(LobId lob,
+                           FindMetaLob(info.index_name, kLobKey, ctx));
+      tree.emplace(&ctx, lob);
+    }
+    EXI_RETURN_IF_ERROR(insert ? tree->Insert(g, rids[i])
+                               : tree->Remove(g, rids[i]));
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Status RtreeIndexMethods::Create(const OdciIndexInfo& info,
                                  ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(
-      ctx.CreateIot(MetaTableName(info.index_name), MetaTableSchema(), 1));
-  EXI_ASSIGN_OR_RETURN(LobId lob, ctx.CreateLob());
-  // Drop finds the LOB through this row; until it is written, releasing
-  // the LOB is Create's job.
-  Status recorded = ctx.IotUpsert(
-      MetaTableName(info.index_name),
-      {Value::Varchar("rtree_lob"), Value::Integer(int64_t(lob))});
-  if (!recorded.ok()) {
-    (void)ctx.DropLob(lob);
-    return recorded;
-  }
+  EXI_ASSIGN_OR_RETURN(LobId lob, CreateMetaLob(info.index_name, kLobKey, ctx));
   LobRTree tree(&ctx, lob);
   EXI_RETURN_IF_ERROR(tree.Clear());  // the empty tree
   int col = info.indexed_position();
@@ -211,45 +186,28 @@ Status RtreeIndexMethods::Alter(const OdciIndexInfo& info,
 
 Status RtreeIndexMethods::Truncate(const OdciIndexInfo& info,
                                    ServerContext& ctx) {
-  EXI_ASSIGN_OR_RETURN(LobId lob, RtreeLob(info, ctx));
+  EXI_ASSIGN_OR_RETURN(LobId lob, FindMetaLob(info.index_name, kLobKey, ctx));
   LobRTree tree(&ctx, lob);
   return tree.Clear();
 }
 
 Status RtreeIndexMethods::Drop(const OdciIndexInfo& info,
                                ServerContext& ctx) {
-  // A failed Create may have left the metadata table without its row.
-  Result<LobId> lob = RtreeLob(info, ctx);
-  if (lob.ok()) EXI_RETURN_IF_ERROR(ctx.DropLob(*lob));
-  return ctx.DropIot(MetaTableName(info.index_name));
+  return DropMetaLob(info.index_name, kLobKey, ctx);
 }
 
-Status RtreeIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                                 const Value& new_value,
-                                 ServerContext& ctx) {
-  if (new_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(new_value));
-  EXI_ASSIGN_OR_RETURN(LobId lob, RtreeLob(info, ctx));
-  LobRTree tree(&ctx, lob);
-  return tree.Insert(g, rid);
+Status RtreeIndexMethods::BatchInsert(const OdciIndexInfo& info,
+                                      const std::vector<RowId>& rids,
+                                      const ValueList& new_values,
+                                      ServerContext& ctx) {
+  return WriteTree(info, rids, new_values, /*insert=*/true, ctx);
 }
 
-Status RtreeIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                                 const Value& old_value,
-                                 ServerContext& ctx) {
-  if (old_value.is_null()) return Status::OK();
-  EXI_ASSIGN_OR_RETURN(Geometry g, FromValue(old_value));
-  EXI_ASSIGN_OR_RETURN(LobId lob, RtreeLob(info, ctx));
-  LobRTree tree(&ctx, lob);
-  return tree.Remove(g, rid);
-}
-
-Status RtreeIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
-                                 const Value& old_value,
-                                 const Value& new_value,
-                                 ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
+Status RtreeIndexMethods::BatchDelete(const OdciIndexInfo& info,
+                                      const std::vector<RowId>& rids,
+                                      const ValueList& old_values,
+                                      ServerContext& ctx) {
+  return WriteTree(info, rids, old_values, /*insert=*/false, ctx);
 }
 
 Result<OdciScanContext> RtreeIndexMethods::Start(const OdciIndexInfo& info,
@@ -258,7 +216,7 @@ Result<OdciScanContext> RtreeIndexMethods::Start(const OdciIndexInfo& info,
   Geometry query;
   uint8_t mask;
   EXI_RETURN_IF_ERROR(ParseRelatePred(pred, &query, &mask));
-  EXI_ASSIGN_OR_RETURN(LobId lob, RtreeLob(info, ctx));
+  EXI_ASSIGN_OR_RETURN(LobId lob, FindMetaLob(info.index_name, kLobKey, ctx));
   LobRTree tree(&ctx, lob);
   std::vector<RowId> candidates;
   EXI_RETURN_IF_ERROR(
@@ -270,21 +228,6 @@ Result<OdciScanContext> RtreeIndexMethods::Start(const OdciIndexInfo& info,
   EXI_ASSIGN_OR_RETURN(std::vector<RowId> matches,
                        ExactFilter(info, candidates, query, mask, ctx));
   return PrecomputedCursor::Park(std::move(matches));
-}
-
-Status RtreeIndexMethods::Fetch(const OdciIndexInfo& info,
-                                OdciScanContext& sctx, size_t max_rows,
-                                OdciFetchBatch* out, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Fetch(sctx, max_rows, out);
-}
-
-Status RtreeIndexMethods::Close(const OdciIndexInfo& info,
-                                OdciScanContext& sctx, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Close(sctx);
 }
 
 // ===========================================================================

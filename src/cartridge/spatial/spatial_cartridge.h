@@ -32,11 +32,6 @@ class SpatialIndexMethods : public EntryIndexMethods {
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
                                 ServerContext& ctx) override;
-  Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
-               size_t max_rows, OdciFetchBatch* out,
-               ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
-               ServerContext& ctx) override;
 
   // The :TileLevel PARAMETER (default 6); InvalidArgument unless it is an
   // integer in [1, kMaxTileLevel].
@@ -50,7 +45,7 @@ class SpatialIndexMethods : public EntryIndexMethods {
 // R-tree-backed indextype for the same Sdo_Relate operator: index data in
 // a LOB (§2.5 storage option), structure in cartridge/spatial/rtree.h.
 // Swapping indextypes requires no query changes — the §3.2.2 claim.
-class RtreeIndexMethods : public OdciIndex {
+class RtreeIndexMethods : public IndexMethods {
  public:
   const char* TraceLabel() const override { return "spatial_rtree"; }
 
@@ -59,21 +54,16 @@ class RtreeIndexMethods : public OdciIndex {
   Status Truncate(const OdciIndexInfo& info, ServerContext& ctx) override;
   Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
 
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
+  // One LOB lookup and one tree per call, then one tree insert or remove
+  // per non-NULL value.
+  Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                     const ValueList& new_values, ServerContext& ctx) override;
+  Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
+                     const ValueList& old_values, ServerContext& ctx) override;
 
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
                                 ServerContext& ctx) override;
-  Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
-               size_t max_rows, OdciFetchBatch* out,
-               ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
-               ServerContext& ctx) override;
 };
 
 // Area-fraction selectivity and tile/page-based cost (shared by both

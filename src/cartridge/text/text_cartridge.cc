@@ -294,27 +294,6 @@ Status TextIndexMethods::WritePostings(const OdciIndexInfo& info,
       });
 }
 
-Status TextIndexMethods::Insert(const OdciIndexInfo& info, RowId rid,
-                                const Value& new_value, ServerContext& ctx) {
-  return WritePostings(info, {&rid, 1}, {&new_value, 1}, /*insert=*/true,
-                       ctx);
-}
-
-Status TextIndexMethods::Delete(const OdciIndexInfo& info, RowId rid,
-                                const Value& old_value, ServerContext& ctx) {
-  return WritePostings(info, {&rid, 1}, {&old_value, 1}, /*insert=*/false,
-                       ctx);
-}
-
-Status TextIndexMethods::Update(const OdciIndexInfo& info, RowId rid,
-                                const Value& old_value,
-                                const Value& new_value, ServerContext& ctx) {
-  // "ODCIIndexUpdate should delete the entries corresponding to the old
-  // indexed column value ... and insert the new entries" (§2.2.3).
-  EXI_RETURN_IF_ERROR(Delete(info, rid, old_value, ctx));
-  return Insert(info, rid, new_value, ctx);
-}
-
 Status TextIndexMethods::BatchInsert(const OdciIndexInfo& info,
                                      const std::vector<RowId>& rids,
                                      const ValueList& new_values,
@@ -327,15 +306,6 @@ Status TextIndexMethods::BatchDelete(const OdciIndexInfo& info,
                                      const ValueList& old_values,
                                      ServerContext& ctx) {
   return WritePostings(info, rids, old_values, /*insert=*/false, ctx);
-}
-
-Status TextIndexMethods::BatchUpdate(const OdciIndexInfo& info,
-                                     const std::vector<RowId>& rids,
-                                     const ValueList& old_values,
-                                     const ValueList& new_values,
-                                     ServerContext& ctx) {
-  EXI_RETURN_IF_ERROR(BatchDelete(info, rids, old_values, ctx));
-  return BatchInsert(info, rids, new_values, ctx);
 }
 
 // ---- scan ----
@@ -398,7 +368,7 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
     return Status::OK();
   }
   if (!ScanWorkspaceRegistry::Global().Holds<TextScanWorkspace>(sctx.handle)) {
-    return PrecomputedCursor::Fetch(sctx, max_rows, out);
+    return IndexMethods::Fetch(info, sctx, max_rows, out, ctx);
   }
   EXI_ASSIGN_OR_RETURN(
       std::shared_ptr<TextScanWorkspace> ws,
@@ -439,18 +409,6 @@ Status TextIndexMethods::Fetch(const OdciIndexInfo& info,
     ws->next_block = ws->block[1].AsInteger() + 1;
   }
   out->last = ws->exhausted;
-  return Status::OK();
-}
-
-Status TextIndexMethods::Close(const OdciIndexInfo& info,
-                               OdciScanContext& sctx, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  if (sctx.uses_handle()) {
-    // Either workspace: a PrecomputedCursor or an Incremental one.
-    return ScanWorkspaceRegistry::Global().Release(sctx.handle);
-  }
-  sctx.state.clear();
   return Status::OK();
 }
 

@@ -6,10 +6,10 @@
 #include <span>
 #include <string>
 
+#include "cartridge/index_methods.h"
 #include "cartridge/params.h"
 #include "cartridge/text/inverted_index.h"
 #include "cartridge/text/tokenizer.h"
-#include "core/odci.h"
 #include "engine/connection.h"
 
 namespace exi::text {
@@ -44,7 +44,7 @@ UniverseSource MakeUniverseSource(const OdciIndexInfo& info,
 //                               cursor, fetching candidates a batch at a
 //                               time; multi-term queries fall back to
 //                               precompute.
-class TextIndexMethods : public OdciIndex {
+class TextIndexMethods : public IndexMethods {
  public:
   // Start/Fetch/Close touch no mutable cartridge state, so scans may run
   // in parallel (DESIGN.md §5).
@@ -61,31 +61,21 @@ class TextIndexMethods : public OdciIndex {
   Status Drop(const OdciIndexInfo& info, ServerContext& ctx) override;
 
   // ---- maintenance ----
-  Status Insert(const OdciIndexInfo& info, RowId rid, const Value& new_value,
-                ServerContext& ctx) override;
-  Status Delete(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                ServerContext& ctx) override;
-  Status Update(const OdciIndexInfo& info, RowId rid, const Value& old_value,
-                const Value& new_value, ServerContext& ctx) override;
-
   // Array maintenance (§2.2.3 extension): one parameter parse + one
   // tokenizer for the statement's rows, then one sorted run of postings.
   Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& new_values, ServerContext& ctx) override;
   Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& old_values, ServerContext& ctx) override;
-  Status BatchUpdate(const OdciIndexInfo& info, const std::vector<RowId>& rids,
-                     const ValueList& old_values, const ValueList& new_values,
-                     ServerContext& ctx) override;
 
   // ---- scan ----
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
                                 ServerContext& ctx) override;
+  // Serves the incremental cursor and the Return State context; a parked
+  // result set goes to IndexMethods::Fetch.
   Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
                size_t max_rows, OdciFetchBatch* out,
-               ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
                ServerContext& ctx) override;
 
   // Parses the cartridge parameter conventions (exposed for tests).
@@ -98,9 +88,8 @@ class TextIndexMethods : public OdciIndex {
   // groups' keys: each block is read where the run's held path already is
   // and merged with the call's postings by MergePostingBlock (added, or
   // removed when `insert` is false), or deleted once empty.
-  // Per-row and batch maintenance both come here; it calls no virtual
-  // routine, so a subclass whose Batch* routines loop the per-row ones
-  // writes the same blocks row by row.
+  // Both array routines come here, so a one-row call writes the blocks of
+  // that row alone.
   Status WritePostings(const OdciIndexInfo& info, std::span<const RowId> rids,
                        std::span<const Value> values, bool insert,
                        ServerContext& ctx);

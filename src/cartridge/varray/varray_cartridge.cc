@@ -49,21 +49,6 @@ Result<OdciScanContext> VarrayIndexMethods::Start(const OdciIndexInfo& info,
   return PrecomputedCursor::Park(std::move(matches));
 }
 
-Status VarrayIndexMethods::Fetch(const OdciIndexInfo& info,
-                                 OdciScanContext& sctx, size_t max_rows,
-                                 OdciFetchBatch* out, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Fetch(sctx, max_rows, out);
-}
-
-Status VarrayIndexMethods::Close(const OdciIndexInfo& info,
-                                 OdciScanContext& sctx, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Close(sctx);
-}
-
 Status InstallVarrayCartridge(Connection* conn) {
   Catalog& catalog = conn->db()->catalog();
 

@@ -27,11 +27,6 @@ class VarrayIndexMethods : public EntryIndexMethods {
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
                                 ServerContext& ctx) override;
-  Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
-               size_t max_rows, OdciFetchBatch* out,
-               ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
-               ServerContext& ctx) override;
 
  protected:
   // One (elem, rid) entry per distinct string element.

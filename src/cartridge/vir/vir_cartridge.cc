@@ -160,21 +160,6 @@ Result<OdciScanContext> VirIndexMethods::Start(const OdciIndexInfo& info,
   });
 }
 
-Status VirIndexMethods::Fetch(const OdciIndexInfo& info,
-                              OdciScanContext& sctx, size_t max_rows,
-                              OdciFetchBatch* out, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Fetch(sctx, max_rows, out);
-}
-
-Status VirIndexMethods::Close(const OdciIndexInfo& info,
-                              OdciScanContext& sctx, ServerContext& ctx) {
-  (void)info;
-  (void)ctx;
-  return PrecomputedCursor::Close(sctx);
-}
-
 // ---- stats ----
 
 Result<double> VirStats::Selectivity(const OdciIndexInfo& info,

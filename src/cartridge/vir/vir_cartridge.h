@@ -45,11 +45,6 @@ class VirIndexMethods : public EntryIndexMethods {
   Result<OdciScanContext> Start(const OdciIndexInfo& info,
                                 const OdciPredInfo& pred,
                                 ServerContext& ctx) override;
-  Status Fetch(const OdciIndexInfo& info, OdciScanContext& sctx,
-               size_t max_rows, OdciFetchBatch* out,
-               ServerContext& ctx) override;
-  Status Close(const OdciIndexInfo& info, OdciScanContext& sctx,
-               ServerContext& ctx) override;
 
   // Counters from the most recent successful Start call, exposing the
   // funnel of the multi-level filter for tests and benches (phase1

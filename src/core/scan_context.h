@@ -125,7 +125,8 @@ class PrecomputedCursor {
   static Status Fetch(const OdciScanContext& sctx, size_t max_rows,
                       OdciFetchBatch* out);
 
-  // Releases the parked set; a context without a handle is a no-op.
+  // Releases the parked set, or whatever workspace the handle names; a
+  // context without a handle is a no-op.
   static Status Close(const OdciScanContext& sctx);
 
  private:

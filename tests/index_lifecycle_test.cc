@@ -3,9 +3,12 @@
 // answers what functional evaluation answers, also after DML that follows
 // the ALTER; after DROP INDEX no IOT, index table, LOB or external file of
 // the index remains.  Each indextype runs on a global index and on a
-// LOCAL index over two RANGE partitions.  For the indextypes whose index
-// is one IOT of entries, DML and ROLLBACK also keep every slice equal to
-// what REBUILD writes, and each statement writes one merge run per slice.
+// LOCAL index over two RANGE partitions.  Every indexed query, also one
+// cut short by LIMIT or by a failed Fetch, releases the scan workspaces
+// it took.  Under DML and ROLLBACK the index answers what functional
+// evaluation answers; for the indextypes whose index is one IOT of
+// entries, every slice also equals what REBUILD writes, and each statement
+// writes one merge run per slice.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "cartridge/text/text_cartridge.h"
 #include "cartridge/varray/varray_cartridge.h"
 #include "cartridge/vir/vir_cartridge.h"
+#include "core/scan_context.h"
 #include "engine/connection.h"
 #include "index/key.h"
 #include "temp_path.h"
@@ -32,8 +36,9 @@ namespace {
 // One indextype under test: the indexed column `c`, rows (id, value) for
 // ids 1-8, a value no predicate matches for filler rows (so that the
 // planner prefers the index), a row added after each ALTER, the CREATE
-// INDEX tail, predicates over `c`, the first of which the index answers,
-// and ALTER INDEX PARAMETERS strings, accepted or not.
+// INDEX tail, predicates over `c`, the first of which the index answers
+// and at least one row matches, ALTER INDEX PARAMETERS strings, accepted
+// or not, and whether the index is one IOT of entries (EntryIndexMethods).
 struct Indextype {
   const char* name;
   const char* column_type;
@@ -43,6 +48,7 @@ struct Indextype {
   const char* create;
   std::vector<std::string> predicates;
   std::vector<const char*> alters;
+  bool entry_table = false;
 };
 
 // An IMAGE_T whose 16 signature values start at `base`, `step` apart.
@@ -99,7 +105,8 @@ const std::vector<Indextype>& Indextypes() {
          "SDO_GEOMETRY(45,45,48,48)",
          "INDEXTYPE IS SpatialIndexType",
          kRelates,
-         {":TileLevel 4", ":TileLevel 9", ":TileLevel 0"}},
+         {":TileLevel 4", ":TileLevel 9", ":TileLevel 0"},
+         true},
         {"Rtree",
          "OBJECT SDO_GEOMETRY",
          {std::begin(kGeometries), std::end(kGeometries)},
@@ -132,7 +139,8 @@ const std::vector<Indextype>& Indextypes() {
          "INDEXTYPE IS VirIndexType",
          {"VIRSimilar(c, " + Image(0.3, 0.01) + ", " + weights + ", 0.5)",
           "VIRSimilar(c, " + Image(0.75, 0.01) + ", " + weights + ", 1.5)"},
-         {":Comment resized"}},
+         {":Comment resized"},
+         true},
         {"Varray",
          "VARRAY OF VARCHAR",
          {"VARRAY_OF('Skiing', 'Chess')", "VARRAY_OF('Chess')",
@@ -143,7 +151,8 @@ const std::vector<Indextype>& Indextypes() {
          "VARRAY_OF('Chess', 'Skiing')",
          "INDEXTYPE IS VarrayIndexType",
          {"VContains(c, 'Skiing')", "VContains(c, 'Chess')"},
-         {":Comment resized"}},
+         {":Comment resized"},
+         true},
         {"DomainBtree",
          "INTEGER",
          {"3", "7", "3", "NULL", "12", "5", "7", "1"},
@@ -151,7 +160,8 @@ const std::vector<Indextype>& Indextypes() {
          "4",
          "INDEXTYPE IS DomainBtreeType",
          {"DEq(c, 3)", "DEq(c, 7)", "DBetween(c, 2, 6)"},
-         {":Comment resized"}},
+         {":Comment resized"},
+         true},
     };
   }();
   return all;
@@ -218,14 +228,19 @@ class IndexLifecycleTest
             db_.catalog().lobs().lob_count(), FilesUnder(root_.str())};
   }
 
+  // The ids `where` selects from `table`; the query leaves as many scan
+  // workspaces open as it found.
   std::vector<int64_t> Ids(const std::string& table,
                            const std::string& where) {
+    const size_t workspaces = ScanWorkspaceRegistry::Global().active_count();
     std::vector<int64_t> ids;
     for (const Row& row :
          conn_.MustExecute("SELECT id FROM " + table + " WHERE " + where)
              .rows) {
       ids.push_back(row[0].AsInteger());
     }
+    EXPECT_EQ(ScanWorkspaceRegistry::Global().active_count(), workspaces)
+        << table << ": " << where;
     std::sort(ids.begin(), ids.end());
     return ids;
   }
@@ -286,7 +301,36 @@ TEST_P(IndexLifecycleTest, AlterKeepsFunctionalAnswersAndDropLeavesNothing) {
   EXPECT_EQ(StorageNow(), before);
 }
 
-// The indextypes whose index is one IOT of entries (EntryIndexMethods).
+// A scan cut short releases its workspace: a LIMIT 1 query, fetching one
+// row at a time, closes the slice it is reading once it has its row, and a
+// query whose Fetch fails closes the slice after the failure.
+TEST_P(IndexLifecycleTest, ScansCutShortReleaseTheirWorkspaces) {
+  const auto [which, local] = GetParam();
+  const Indextype& type = Indextypes()[which];
+  CreateTables(type, local);
+  conn_.MustExecute(std::string("CREATE INDEX xi ON x(c) ") + type.create);
+  conn_.MustExecute("ANALYZE x");
+  const std::string query = "SELECT id FROM x WHERE " + type.predicates[0];
+  const ScanWorkspaceRegistry& registry = ScanWorkspaceRegistry::Global();
+  const size_t before = registry.active_count();
+
+  const std::string limited = query + " LIMIT 1";
+  db_.set_fetch_batch_size(1);
+  const std::string plan = conn_.MustExecute("EXPLAIN " + limited).message;
+  EXPECT_NE(plan.find("IndexScan(xi", plan.find("plan:")), std::string::npos)
+      << plan;
+  EXPECT_EQ(conn_.MustExecute(limited).rows.size(), 1u);
+  EXPECT_EQ(registry.active_count(), before);
+
+  conn_.MustExecute("SET FAILPOINT 'odci/fetch' = 'once status=IoError'");
+  Result<QueryResult> failed = conn_.Execute(query);
+  conn_.MustExecute("SET FAILPOINT 'odci/fetch' = OFF");
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(registry.active_count(), before);
+}
+
+// DML on an index: the entry-table indextypes, and the LOB-backed R-tree
+// and chem indexes, whose index is not a set of rows REBUILD reproduces.
 class EntryIndexDmlTest : public IndexLifecycleTest {
  protected:
   // The rows of every IOT of index xi (one per slice), in key order.
@@ -304,10 +348,11 @@ class EntryIndexDmlTest : public IndexLifecycleTest {
     return out;
   }
 
-  // Answers equal functional evaluation, and the index holds exactly the
-  // rows a REBUILD writes.
+  // Answers equal functional evaluation, and an entry-table index holds
+  // exactly the rows a REBUILD writes.
   void ExpectConsistent(const Indextype& type) {
     ExpectFunctionalAnswers(type);
+    if (!type.entry_table) return;
     const auto maintained = IndexRows();
     EXPECT_FALSE(maintained.empty());
     conn_.MustExecute("ALTER INDEX xi REBUILD");
@@ -326,9 +371,9 @@ class EntryIndexDmlTest : public IndexLifecycleTest {
 
 // Multi-row INSERT, range UPDATE (one of which leaves c as it is), range
 // DELETE, and all three rolled back: after each, the maintained index
-// answers like functional evaluation and equals its rebuild.  A 64-row
-// INSERT inside BEGIN logs one undo entry per heap row and one for the
-// index's single merge run.
+// answers like functional evaluation and, if it is an entry table, equals
+// its rebuild.  A 64-row INSERT inside BEGIN logs one undo entry per heap
+// row and one for an entry-table index's single merge run.
 TEST_P(EntryIndexDmlTest, DmlMatchesRebuildAndIsOneRunPerStatement) {
   const auto [which, local] = GetParam();
   const Indextype& type = Indextypes()[which];
@@ -369,9 +414,12 @@ TEST_P(EntryIndexDmlTest, DmlMatchesRebuildAndIsOneRunPerStatement) {
   conn_.MustExecute("BEGIN");
   const size_t depth = db_.txns().current()->undo_depth();
   conn_.MustExecute("INSERT INTO x VALUES " + rows);
-  EXPECT_EQ(db_.txns().current()->undo_depth() - depth, 64u + 1u);
+  if (type.entry_table) {
+    EXPECT_EQ(db_.txns().current()->undo_depth() - depth, 64u + 1u);
+  }
   conn_.MustExecute("ROLLBACK");
   EXPECT_EQ(IndexRows(), committed);
+  ExpectFunctionalAnswers(type);
 }
 
 // An ALTER the entries cannot take leaves the index as it was: at
@@ -417,6 +465,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          IndextypeNamed("Vir"),
                                          IndextypeNamed("Varray"),
                                          IndextypeNamed("DomainBtree")),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return std::string(Indextypes()[std::get<0>(info.param)].name) +
+             (std::get<1>(info.param) ? "_Local" : "_Global");
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    LobIndextypes, EntryIndexDmlTest,
+    ::testing::Combine(::testing::Values(IndextypeNamed("Rtree"),
+                                         IndextypeNamed("ChemLob")),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
       return std::string(Indextypes()[std::get<0>(info.param)].name) +

@@ -262,22 +262,25 @@ TEST(BatchFallbackTest, NonBatchCartridgeStaysPerRow) {
   }
 }
 
-// Text methods whose array routines are the OdciIndex defaults, which loop
-// the per-row routines: the per-row reference for text's sorted runs.
+// Text methods whose array routines make one one-row call per row, as the
+// per-row routines do: the per-row reference for text's sorted runs.
 class PerRowTextMethods : public text::TextIndexMethods {
  public:
   Status BatchInsert(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& values, ServerContext& ctx) override {
-    return OdciIndex::BatchInsert(info, rids, values, ctx);
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXI_RETURN_IF_ERROR(
+          TextIndexMethods::BatchInsert(info, {rids[i]}, {values[i]}, ctx));
+    }
+    return Status::OK();
   }
   Status BatchDelete(const OdciIndexInfo& info, const std::vector<RowId>& rids,
                      const ValueList& values, ServerContext& ctx) override {
-    return OdciIndex::BatchDelete(info, rids, values, ctx);
-  }
-  Status BatchUpdate(const OdciIndexInfo& info, const std::vector<RowId>& rids,
-                     const ValueList& old_values, const ValueList& new_values,
-                     ServerContext& ctx) override {
-    return OdciIndex::BatchUpdate(info, rids, old_values, new_values, ctx);
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXI_RETURN_IF_ERROR(
+          TextIndexMethods::BatchDelete(info, {rids[i]}, {values[i]}, ctx));
+    }
+    return Status::OK();
   }
 };
 
